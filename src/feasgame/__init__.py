@@ -18,6 +18,7 @@ from .core import (
     EvaluationDomainError,
     InvalidDistribution,
     LogAffineComposite,
+    Mixture,
     NegEntropy,
     NegLogBarrier,
     NormDistSq,
@@ -42,9 +43,12 @@ from .core import (
     gradient_norm_bound,
     linear_minimum,
     make_problem,
+    mixed_gradient,
     residual,
     residual_gradient,
+    residual_gradients,
     residuals,
+    residuals_batch,
     separation_oracle,
     smoothness_bound,
     start_point,

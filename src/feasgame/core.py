@@ -13,12 +13,27 @@ Constraint families form a closed set; there are no black-box callbacks.
 Every family knows its value, gradient, and conservative interval/curvature
 bounds over a domain, which is what makes the parameter estimates in
 :func:`estimate_parameters` sound rather than sampled guesses.
+
+How constraints are evaluated: the scalar :func:`evaluate` and
+:func:`gradient` take one constraint at a time and are the reference the
+finite-difference tests check.  The solvers and oracles go through the
+packed form instead: on first use a problem is packed once
+(:class:`Packed`, cached on the problem), its constraints grouped by family
+into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
+``1/omega`` and ``e`` folded in), so residuals, the mixed gradient
+sum_j p_j grad r_j, single-row gradients and batch values over grid points
+cost a few vector operations per call.  The remaining families (norm
+distances, entropies, log barriers) go one at a time through the scalar
+reference inside the pack.  :class:`Mixture` fixes one weight vector and
+collapses the affine and quadratic constraints into a single quadratic form
+for the optimization oracle and the certificate checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -302,6 +317,16 @@ def constraint_dim(f: ConstraintFn) -> int:
     return f.rows.shape[1]
 
 
+def _rowdot(R: Array, x: Array):
+    """R.x for a 1-d R or row by row for a 2-d R, through numpy's own sum.
+
+    A row of a 2-d R gives bitwise the value that row alone gives, which a
+    BLAS matrix-vector product does not; the scalar and the packed affine
+    paths both use this kernel so they agree exactly.
+    """
+    return np.add.reduce(R * x, axis=-1)
+
+
 def _check_point(f: ConstraintFn, x) -> Array:
     x = np.asarray(x, float)
     if x.shape != (constraint_dim(f),):
@@ -315,7 +340,7 @@ def evaluate(f: ConstraintFn, x) -> float:
     """Constraint value at x.  Raises EvaluationDomainError off the analytic domain."""
     x = _check_point(f, x)
     if isinstance(f, Affine):
-        return float(f.a @ x + f.b)
+        return float(_rowdot(f.a, x) + f.b)
     if isinstance(f, Quadratic):
         return float(x @ (f.A @ x) + f.b @ x + f.c)
     if isinstance(f, LogAffineComposite):
@@ -593,6 +618,11 @@ class Problem:
     def n(self) -> int:
         return domain_dim(self.domain)
 
+    @cached_property
+    def packed(self) -> "Packed":
+        """The constraints stacked by family; built on first use, then kept."""
+        return Packed(self)
+
 
 def _estimate(constraints, domain: Domain, sense: str) -> ProblemParams:
     G = max(gradient_norm_bound(f, domain) for f in constraints)
@@ -630,22 +660,425 @@ def make_problem(constraints, domain: Domain, params: ProblemParams | None = Non
 
 
 # ---------------------------------------------------------------------------
+# Packed form: the constraints of a problem stacked by family
+#
+# A group holds the constraints of one family as stacked arrays; ``idx`` is
+# their positions in the problem.  ``values`` and ``rows`` return raw family
+# values or gradient rows together with ``bad``: None when every constraint
+# is on its analytic domain, otherwise the boolean mask of those off it
+# (their entries are NaN).  ``row(i, x)`` is one gradient row and raises
+# off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
+# sum_i w_i f_i(x) = x.M x + q.x + c (M None when zero), or None for a
+# family that is not quadratic.
+
+
+def _in_order(P: Array) -> Array:
+    """Sum over the first axis adding entries in order, with the rounding of
+    a plain loop.  Near-tied vertices make the closed-form oracle's choice
+    hinge on the last bit of the mixed coefficients, so keep that bit."""
+    return np.cumsum(P, axis=0)[-1]
+
+
+def _positive(z: Array) -> tuple[Array, Array | None]:
+    """z with nonpositive entries replaced by 1, and their mask (None if none)."""
+    if z.min() > 0:
+        return z, None
+    bad = z <= 0
+    return np.where(bad, 1.0, z), bad
+
+
+def _mark(values: Array, bad: Array | None) -> tuple[Array, Array | None]:
+    """NaN out the rows that are off their domain."""
+    if bad is not None:
+        values[bad] = np.nan
+    return values, bad
+
+
+class _Group:
+    """One family's constraints, stacked; rows are in constraint order.
+
+    ``values``/``rows``/``values_batch`` return the raw values (or gradient
+    rows) with a mask of the rows off their analytic domain (None if none).
+    Families with such a domain also give ``error(i, x)``, what evaluating
+    row i at x (a point or a batch) raises.
+    """
+
+    def first(self, x: Array, eps: float, flip: bool) -> tuple[int, float | None] | None:
+        """Lowest row whose residual exceeds eps or that is off its domain,
+        with its residual (None when off the domain); None if there is none."""
+        v, bad = self.values(x)
+        r = 1.0 - v if flip else v
+        hit = r > eps
+        if bad is not None:
+            hit |= bad
+        i = int(hit.argmax())
+        if not hit[i]:
+            return None
+        return i, None if bad is not None and bad[i] else float(r[i])
+
+    def quadratic_form(self, w):
+        return None
+
+
+class _Affines(_Group):
+    """f_j(x) = R_j.x + b_j."""
+
+    def __init__(self, fs):
+        self.R = np.array([f.a for f in fs])
+        self.b = np.array([f.b for f in fs])
+
+    def values(self, x):
+        return _rowdot(self.R, x) + self.b, None
+
+    def rows(self, x):
+        return self.R, None
+
+    def row(self, i, x):
+        return self.R[i]
+
+    def values_batch(self, X):
+        return X @ self.R.T + self.b, None
+
+    def quadratic_form(self, w):
+        return None, _in_order(w[:, None] * self.R), float(_in_order(w * self.b))
+
+
+class _Quadratics(_Group):
+    """f_j(x) = x.A_j x + B_j.x + c_j; the A_j also as one (k*n, n) matrix."""
+
+    def __init__(self, fs):
+        self.A = np.array([f.A for f in fs])
+        self.A_flat = self.A.reshape(-1, self.A.shape[2])
+        self.B = np.array([f.b for f in fs])
+        self.c = np.array([f.c for f in fs])
+
+    def _Ax(self, x):
+        return (self.A_flat @ x).reshape(self.B.shape)
+
+    def values(self, x):
+        return (self._Ax(x) + self.B) @ x + self.c, None
+
+    def rows(self, x):
+        return 2.0 * self._Ax(x) + self.B, None
+
+    def row(self, i, x):
+        return 2.0 * (self.A[i] @ x) + self.B[i]
+
+    def values_batch(self, X):
+        return np.einsum("ni,kij,nj->nk", X, self.A, X) + X @ self.B.T + self.c, None
+
+    def quadratic_form(self, w):
+        return np.tensordot(w, self.A, 1), w @ self.B, float(w @ self.c)
+
+
+class _LogAffines(_Group):
+    """f_j(x) = log(e + (a_j.x + b_j)/omega_j), stored as log(R_j.x + d_j)
+    with R_j = a_j/omega_j and d_j = e + b_j/omega_j folded in once.
+
+    ``row`` instead repeats the scalar gradient's arithmetic on a_j, b_j and
+    omega_j: a primal learner steps along the very gradient the reference
+    gives, and ONS's inner projection would turn a last-bit change of it into
+    a 1e-10 change of the iterate.
+    """
+
+    def __init__(self, fs):
+        self.a = np.array([f.inner.a for f in fs])
+        self.b = np.array([f.inner.b for f in fs])
+        self.omega = np.array([f.omega for f in fs])
+        self.R = self.a / self.omega[:, None]
+        self.d = math.e + self.b / self.omega
+
+    def first(self, x, eps, flip):
+        # The residual crosses eps where z = R.x + d meets z* = exp(1 - eps)
+        # ("max": violated below it) or exp(eps) ("min": violated above it,
+        # and z <= 0 is off the domain).  Rows on the satisfied side of z* by
+        # a relative 1e-12 are skipped without a log; the rest are checked in
+        # order.
+        y = self.R @ x
+        if flip:
+            cand = y <= math.exp(1.0 - eps) * (1.0 + 1e-12) - self.d
+        else:
+            cand = (y >= math.exp(eps) * (1.0 - 1e-12) - self.d) | (y <= -self.d)
+        for i in cand.nonzero()[0].tolist():
+            z = float(y[i] + self.d[i])
+            if not z > 0:
+                return i, None
+            r = 1.0 - math.log(z) if flip else math.log(z)
+            if r > eps:
+                return i, r
+        return None
+
+    def values(self, x):
+        z, bad = _positive(self.R @ x + self.d)
+        return _mark(np.log(z), bad)
+
+    def rows(self, x):
+        z, bad = _positive(self.R @ x + self.d)
+        return _mark(self.R / z[:, None], bad)
+
+    def row(self, i, x):
+        arg = math.e + float(_rowdot(self.a[i], x) + self.b[i]) / self.omega[i]
+        if arg <= 0:
+            raise self.error(i, x)
+        return self.a[i] / (self.omega[i] * arg)
+
+    def error(self, i, x):
+        return EvaluationDomainError("log argument is nonpositive")
+
+    def values_batch(self, X):
+        Z, bad = _positive(X @ self.R.T + self.d)
+        V = np.log(Z)
+        if bad is not None:
+            bad = bad.any(axis=0)
+            V[:, bad] = np.nan
+        return V, bad
+
+
+class _Scalar(_Group):
+    """Constraints with no stacked form, evaluated one at a time through the
+    scalar reference: norm distances, entropies, log barriers and log
+    composites whose inner is not affine.  None of the solver workloads has
+    more than one constraint of these families."""
+
+    def __init__(self, fs):
+        self.fs = fs
+
+    def error(self, i, x):
+        # evaluate and gradient share their domain rules, so evaluating row i
+        # again raises the reference's own error for it
+        try:
+            (evaluate if x.ndim == 1 else evaluate_batch)(self.fs[i], x)
+        except EvaluationDomainError as exc:
+            return exc
+        raise AssertionError("row is on its domain")
+
+    def _each(self, fn, x, shape):
+        out = np.empty((len(self.fs),) + shape)
+        bad = np.zeros(len(self.fs), bool)
+        for i, f in enumerate(self.fs):
+            try:
+                out[i] = fn(f, x)
+            except EvaluationDomainError:
+                out[i], bad[i] = np.nan, True
+        return out, bad if bad.any() else None
+
+    def values(self, x):
+        return self._each(evaluate, x, ())
+
+    def rows(self, x):
+        return self._each(gradient, x, x.shape)
+
+    def row(self, i, x):
+        return gradient(self.fs[i], x)
+
+    def values_batch(self, X):
+        V, bad = self._each(evaluate_batch, X, X.shape[:1])
+        return V.T, bad
+
+
+def _group_of(f: ConstraintFn) -> type:
+    if isinstance(f, LogAffineComposite):
+        return _LogAffines if isinstance(f.inner, Affine) else _Scalar
+    return {Affine: _Affines, Quadratic: _Quadratics}.get(type(f), _Scalar)
+
+
+def _as_point(x, n: int) -> Array:
+    x = np.asarray(x, float)
+    if x.shape != (n,):
+        raise DimensionMismatch(f"point has shape {x.shape}, problem expects ({n},)")
+    return x
+
+
+class Packed:
+    """A problem's constraints grouped by family into stacked arrays.
+
+    Built once per problem, on first use (``Problem.packed``).  Residuals
+    are oriented by the problem's sense: r = f for "min", r = 1 - f for
+    "max".  Per-constraint smoothness bounds are computed on first use too,
+    which is the optimization oracle's first call.
+    """
+
+    def __init__(self, problem: Problem):
+        self.constraints = problem.constraints
+        self.domain = problem.domain
+        self.m, self.n = problem.m, problem.n
+        self.flip = problem.sense == "max"
+        members: dict[type, list[int]] = {}
+        for j, f in enumerate(problem.constraints):
+            members.setdefault(_group_of(f), []).append(j)
+        self.groups = []
+        self.where: list[tuple] = [()] * self.m  # j -> (group, row in group)
+        for kind, idx in members.items():
+            group = kind([problem.constraints[j] for j in idx])
+            group.idx = np.array(idx)
+            self.groups.append(group)
+            for row, j in enumerate(idx):
+                self.where[j] = (group, row)
+        # one family yields its values in constraint order as they are
+        self._single = self.groups[0] if len(self.groups) == 1 else None
+        self.affine = all(isinstance(g, _Affines) for g in self.groups)
+
+    @cached_property
+    def smoothness(self) -> Array:
+        """smoothness_bound of each constraint (inf where unbounded)."""
+        return np.array([smoothness_bound(f, self.domain) for f in self.constraints])
+
+    def gather(self, rows: bool, x: Array) -> tuple[Array, Array | None]:
+        """Raw values (or gradient rows) of all constraints, in order."""
+        if self._single is not None:
+            return self._single.rows(x) if rows else self._single.values(x)
+        out = np.empty((self.m, self.n) if rows else self.m)
+        bad = None
+        for g in self.groups:
+            v, b = g.rows(x) if rows else g.values(x)
+            out[g.idx] = v
+            if b is not None:
+                if bad is None:
+                    bad = np.zeros(self.m, bool)
+                bad[g.idx] = b
+        return out, bad
+
+    def off_domain(self, j: int, x: Array) -> EvaluationDomainError:
+        group, row = self.where[j]
+        return group.error(row, x)
+
+    def gradients(self, x) -> Array:
+        """Unoriented gradient rows at x; raises if any is off its domain."""
+        x = _as_point(x, self.n)
+        G, bad = self.gather(True, x)
+        if bad is not None and bad.any():
+            raise self.off_domain(int(bad.argmax()), x)
+        return G
+
+
+class Mixture:
+    """sum_j p_j r_j(x) for one fixed weight vector p, as a function of x.
+
+    Affine and quadratic constraints collapse into a single quadratic form
+    x.M x + q.x + c, so their cost per evaluation does not grow with m.  The
+    other families keep their rows.  Constraints of weight
+    zero are left out: they are never evaluated, so they cannot raise.
+    """
+
+    def __init__(self, problem: Problem, p: Array):
+        self.packed = pk = problem.packed
+        self.p = p
+        w = -p if pk.flip else p
+        self.M = None
+        self.q = np.zeros(pk.n)
+        self.c = float(np.sum(p)) if pk.flip else 0.0
+        self.terms = []
+        for group in pk.groups:
+            wg = w[group.idx]
+            if not wg.any():
+                continue
+            form = group.quadratic_form(wg)
+            if form is None:
+                self.terms.append((group, wg))
+                continue
+            M, q, c = form
+            if M is not None:
+                self.M = M if self.M is None else self.M + M
+            self.q = self.q + q
+            self.c += c
+        self.linear = self.M is None and not self.terms
+
+    @property
+    def smoothness(self) -> float | None:
+        """sum_j p_j L_j over constraints of nonzero weight, or None when
+        some L_j is unbounded or the sum is 0 (use a line search)."""
+        active = self.p != 0
+        L = sum(self.p[active] * self.packed.smoothness[active], 0.0)
+        return L if math.isfinite(L) and L > 0 else None
+
+    @staticmethod
+    def _live(x: Array, group, wg: Array, out: Array, bad: Array | None) -> Array:
+        """wg @ out, where rows off their domain count only at weight zero."""
+        if bad is not None:
+            live = bad & (wg != 0)
+            if live.any():
+                raise group.error(int(live.argmax()), x)
+            out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - 1)), 0.0, out)
+        return wg @ out
+
+    def value(self, x: Array) -> float:
+        v = self.c + self.q @ x
+        if self.M is not None:
+            v += x @ (self.M @ x)
+        for group, wg in self.terms:
+            v += self._live(x, group, wg, *group.values(x))
+        return float(v)
+
+    def gradient(self, x: Array) -> Array:
+        g = self.q.copy() if self.M is None else 2.0 * (self.M @ x) + self.q
+        for group, wg in self.terms:
+            g += self._live(x, group, wg, *group.rows(x))
+        return g
+
+    def value_batch(self, X: Array) -> Array:
+        """The mixed residual at every row of X."""
+        v = X @ self.q + self.c
+        if self.M is not None:
+            v += np.einsum("ni,ij,nj->n", X, self.M, X)
+        for group, wg in self.terms:
+            V, bad = group.values_batch(X)
+            v += self._live(X, group, wg, V.T, bad)
+        return v
+
+
+# ---------------------------------------------------------------------------
 # Residual orientation and oracles
 
 
 def residual(problem: Problem, j: int, x) -> float:
-    """Constraint j's value oriented so that <= 0 means satisfied."""
+    """Constraint j's value oriented so that <= 0 means satisfied (scalar reference)."""
     v = evaluate(problem.constraints[j], x)
     return v if problem.sense == "min" else 1.0 - v
 
 
 def residual_gradient(problem: Problem, j: int, x) -> Array:
-    g = gradient(problem.constraints[j], x)
-    return g if problem.sense == "min" else -g
+    """Gradient of residual j at x, from the packed rows of its family."""
+    pk = problem.packed
+    group, row = pk.where[j]
+    g = group.row(row, _as_point(x, pk.n))
+    return -g if pk.flip else g.copy()
 
 
 def residuals(problem: Problem, x) -> Array:
-    return np.array([residual(problem, j, x) for j in range(problem.m)])
+    """All residuals at x; raises EvaluationDomainError if any is off its domain."""
+    pk = problem.packed
+    x = _as_point(x, pk.n)
+    v, bad = pk.gather(False, x)
+    if bad is not None and bad.any():
+        raise pk.off_domain(int(bad.argmax()), x)
+    return 1.0 - v if pk.flip else v
+
+
+def residual_gradients(problem: Problem, x) -> Array:
+    """(m, n) residual gradients at x, one row per constraint."""
+    G = problem.packed.gradients(x)
+    return -G if problem.packed.flip else np.array(G)
+
+
+def mixed_gradient(problem: Problem, p: Array, x) -> Array:
+    """sum_j p_j grad r_j(x) over all constraints, for any weight vector p."""
+    g = p @ problem.packed.gradients(x)
+    return -g if problem.packed.flip else g
+
+
+def residuals_batch(problem: Problem, X) -> Array:
+    """(N, m) residuals at the N rows of X; raises if any is off its domain."""
+    pk = problem.packed
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != pk.n:
+        raise DimensionMismatch("batch must be (N, n) with matching n")
+    V = np.empty((X.shape[0], pk.m))
+    for group in pk.groups:
+        Vg, bad = group.values_batch(X)
+        if bad is not None and bad.any():
+            raise group.error(int(bad.argmax()), X)
+        V[:, group.idx] = Vg
+    return 1.0 - V if pk.flip else V
 
 
 def check_distribution(p, m: int) -> Array:
@@ -677,12 +1110,23 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
     """First constraint (ascending index) violated by more than eps.
 
     Returns None when every residual is <= eps, i.e. x is eps-approximately
-    feasible; that is the oracle's FAIL answer in the solver loops.
+    feasible; that is the oracle's FAIL answer in the solver loops.  The
+    lowest index that is violated or off its analytic domain decides: off
+    its domain raises EvaluationDomainError, as evaluating the constraints
+    in order and stopping at the first violation would.
     """
     if eps < 0:
         raise SetupError("eps must be nonnegative")
-    for j in range(problem.m):
-        v = residual(problem, j, x)
-        if v > eps:
-            return Violation(index=j, value=v)
-    return None
+    pk = problem.packed
+    x = _as_point(x, pk.n)
+    best = None  # (index, residual or None off the domain)
+    for group in pk.groups:
+        hit = group.first(x, eps, pk.flip)
+        if hit is not None and (best is None or group.idx[hit[0]] < best[0]):
+            best = (int(group.idx[hit[0]]), hit[1])
+    if best is None:
+        return None
+    j, value = best
+    if value is None:
+        raise pk.off_domain(j, x)
+    return Violation(index=j, value=value)

@@ -15,11 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Affine,
+# evaluate, gradient and smoothness_bound are not called in this module; they
+# stay importable from it because call-site tracers (bench/workloads.py) wrap
+# them here.
+from .core import (  # noqa: F401
     Array,
     ConvergenceError,
     Domain,
+    Mixture,
     Problem,
     check_distribution,
     evaluate,
@@ -104,68 +107,27 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
     raise ConvergenceError(f"inner minimization hit the {max_iters} iteration cap")
 
 
-def _combined_affine(problem: Problem, p: Array) -> tuple[Array, float] | None:
-    if problem.sense != "min" or not all(isinstance(f, Affine) for f in problem.constraints):
-        return None
-    a = np.zeros(problem.n)
-    b = 0.0
-    for w, f in zip(p, problem.constraints):
-        a += w * f.a
-        b += w * f.b
-    return a, b
-
-
 def optimization_oracle(problem: Problem, p, tol: float,
                         max_iters: int = DEFAULT_CAP) -> Array | None:
     """Point x with mixed value sum_j p_j r_j(x) <= tol, or None (FAIL).
 
-    FAIL certifies min_x sum_j p_j r_j(x) > 0: exactly for all-affine
-    constraint systems (closed-form linear minimization over the domain),
-    and through the Frank-Wolfe lower bound for the general path.  An inner
-    solve that can neither return nor certify within the cap raises
-    ConvergenceError, which is a solver failure rather than a FAIL answer.
+    FAIL certifies min_x sum_j p_j r_j(x) > 0: exactly when the mixture is
+    affine (closed-form linear minimization over the domain), and through
+    the Frank-Wolfe lower bound for the general path.  An inner solve that
+    can neither return nor certify within the cap raises ConvergenceError,
+    which is a solver failure rather than a FAIL answer.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     p = check_distribution(p, problem.m)
-
-    combo = _combined_affine(problem, p)
-    if combo is not None:
-        a, b = combo
-        x, lin = linear_minimum(problem.domain, a)
-        return x if lin + b <= 0 else None
-
-    cons = problem.constraints
-    sign = 1.0 if problem.sense == "min" else -1.0
-    offset = 0.0 if problem.sense == "min" else 1.0
-
-    def value_fn(x):
-        total = 0.0
-        for w, f in zip(p, cons):
-            if w != 0.0:
-                total += w * (offset + sign * evaluate(f, x))
-        return total
-
-    def grad_fn(x):
-        g = np.zeros(problem.n)
-        for w, f in zip(p, cons):
-            if w != 0.0:
-                g += (w * sign) * gradient(f, x)
-        return g
-
-    L = 0.0
-    for w, f in zip(p, cons):
-        if w != 0.0:
-            s = smoothness_bound(f, problem.domain)
-            if not math.isfinite(s):
-                L = math.inf
-                break
-            L += w * s
-    smooth = L if math.isfinite(L) and L > 0 else None
+    mix = Mixture(problem, p)
+    if mix.linear:
+        x, lin = linear_minimum(problem.domain, mix.q)
+        return x if lin + mix.c <= 0 else None
 
     res = minimize_over_domain(
-        value_fn, grad_fn, problem.domain,
-        smoothness=smooth, tol=max(tol, 1e-12) * 0.5,
+        mix.value, mix.gradient, problem.domain,
+        smoothness=mix.smoothness, tol=max(tol, 1e-12) * 0.5,
         max_iters=max_iters, stop_below=0.0,
     )
     if res.value <= 0.0:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -198,10 +197,10 @@ def regret_experiment(learner: str, T: int = 10_000, seeds: int = 20, *,
 
 def scaling_experiment(spec: GeneratorSpec, algo: str, learner: str | None,
                        eps_ladder: Sequence[float], *,
-                       max_iters: int | None = None,
-                       max_workers: int | None = None) -> ExperimentReport:
+                       max_iters: int | None = None) -> ExperimentReport:
     """Iterations needed per eps on one generated instance, with a fit
-    of iterations against 1/eps.  Runs fan out across worker threads."""
+    of iterations against 1/eps.  The solves run one after another: each
+    holds the GIL, so worker threads would only slow them down."""
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 3:
         raise SetupError("need at least 3 eps values")
@@ -216,8 +215,7 @@ def scaling_experiment(spec: GeneratorSpec, algo: str, learner: str | None,
         return (result.iterations, time.perf_counter() - t0,
                 isinstance(result.outcome, Exhausted))
 
-    with ThreadPoolExecutor(max_workers=max_workers or len(ladder)) as pool:
-        rows = list(pool.map(one, ladder))
+    rows = [one(eps) for eps in ladder]
     iterations = [r[0] for r in rows]
     exponent, rms = fit_exponent([1.0 / e for e in ladder],
                                  [float(i) for i in iterations])

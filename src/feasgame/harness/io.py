@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -71,7 +72,13 @@ def _check_keys(obj, path: str, required: tuple[str, ...],
 def _real(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ProblemFileError(f"{path}: expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFileError(f"{path}: expected a finite number, got {v!r}")
+    return x
 
 
 def _integer(v, path: str) -> int:
@@ -417,6 +424,9 @@ def parse_outcome_document(text: str) -> dict:
     version = _integer(doc["version"], "outcome_document.version")
     if version != OUTCOME_VERSION:
         raise ProblemFileError(f"outcome_document.version: unsupported version {version}")
+    for key in ("eps", "eps_effective", "eps_original"):
+        if key in doc:
+            _real(doc[key], f"outcome_document.{key}")
     outcome_from_doc(doc["outcome"])
     problem_from_doc(doc["problem"])
     if "original_problem" in doc:

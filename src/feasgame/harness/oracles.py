@@ -6,14 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import (
-    Array,
-    Problem,
-    SetupError,
-    evaluate,
-    evaluate_batch,
-    residual_gradient,
-)
+from ..core import Array, Problem, SetupError, evaluate, residual_gradients, residuals_batch
 from ..grids import domain_grid
 from ..solvers import Feasible, VerificationReport, verify_certificate
 from .io import outcome_from_doc, parse_outcome_document, problem_from_doc
@@ -28,15 +21,6 @@ class GridValue:
     x: Array
 
 
-def _oriented_values(problem: Problem, X: Array) -> Array:
-    """Residual matrix, one row per grid point, one column per constraint."""
-    cols = []
-    for f in problem.constraints:
-        vals = evaluate_batch(f, X)
-        cols.append(1.0 - vals if problem.sense == "max" else vals)
-    return np.column_stack(cols)
-
-
 def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
     """Game value by exhaustive grid search; n <= 3 only.
 
@@ -46,13 +30,11 @@ def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
     if problem.n > 3:
         raise SetupError("brute-force game value is limited to n <= 3")
     X = domain_grid(problem.domain, resolution)
-    worst = np.max(_oriented_values(problem, X), axis=1)
+    worst = np.max(residuals_batch(problem, X), axis=1)
     k = int(np.argmin(worst))
     sample = X[:: max(1, X.shape[0] // 512)]
-    gmax = 0.0
-    for x in sample:
-        for j in range(problem.m):
-            gmax = max(gmax, float(np.linalg.norm(residual_gradient(problem, j, x))))
+    gmax = max(float(np.max(np.linalg.norm(residual_gradients(problem, x), axis=1)))
+               for x in sample)
     return GridValue(value=float(worst[k]), slack=resolution * gmax, x=X[k].copy())
 
 

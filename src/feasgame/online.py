@@ -34,12 +34,14 @@ from .core import (
     Simplex,
     domain_dim,
     evaluate,
+    evaluate_batch,
     gradient,
     linear_minimum,
     smoothness_bound,
     start_point,
 )
 from .descent import minimize_over_domain
+from .grids import domain_grid
 from .projections import generalized_project, project_domain
 
 logger = logging.getLogger(__name__)
@@ -290,13 +292,9 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain,
         )
         return res.x, res.value
     if n <= 3:
-        from .grids import domain_grid
-
         X = domain_grid(domain, grid_resolution)
         total = np.zeros(X.shape[0])
         for f in costs:
-            from .core import evaluate_batch
-
             total += evaluate_batch(f, X)
         k = int(np.argmin(total))
         return X[k], float(total[k])

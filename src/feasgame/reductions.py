@@ -25,7 +25,7 @@ from .core import (
     Quadratic,
     SetupError,
     Simplex,
-    evaluate,
+    residuals_batch,
     value_interval,
 )
 from .grids import sample_domain
@@ -111,10 +111,10 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
                 f"constraint {j} exceeds width omega: |values| up to "
                 f"{max(abs(lo), abs(hi)):.6g} > {omega:.6g}"
             )
-    for x in sample_domain(problem.domain, 200, seed=0):
-        for j, f in enumerate(problem.constraints):
-            if abs(evaluate(f, x)) > omega * (1 + 1e-9):
-                raise SetupError(f"sampled point violates width omega on constraint {j}")
+    X = sample_domain(problem.domain, 200, seed=0)
+    over = np.argwhere(np.abs(residuals_batch(problem, X)) > omega * (1 + 1e-9))
+    if over.size:
+        raise SetupError(f"sampled point violates width omega on constraint {over[0, 1]}")
     out = []
     for f in problem.constraints:
         inner = Affine(a=-f.a.copy(), b=-f.b)

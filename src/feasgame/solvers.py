@@ -32,13 +32,12 @@ import numpy as np
 
 from .core import (
     Array,
+    Mixture,
     Problem,
     SetupError,
     Simplex,
-    Affine,
     check_distribution,
-    evaluate_batch,
-    residual,
+    mixed_gradient,
     residual_gradient,
     residuals,
     separation_oracle,
@@ -270,7 +269,8 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
 
 
 def _oracle_is_exact(problem: Problem) -> bool:
-    return problem.sense == "min" and all(isinstance(f, Affine) for f in problem.constraints)
+    # every mixture of affine residuals is affine: linear minimization is exact
+    return problem.packed.affine
 
 
 def dual_game_opt(problem: Problem, eps: float, *,
@@ -352,9 +352,7 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         p_t = mw_point(dual)
         r = residuals(problem, x_t)
         worst = float(np.max(r))
-        gx = np.zeros(problem.n)
-        for j in range(problem.m):
-            gx += p_t[j] * residual_gradient(problem, j, x_t)
+        gx = mixed_gradient(problem, p_t, x_t)
         x_sum += x_t
         p_sum += p_t
         if worst < best_violation:
@@ -391,32 +389,15 @@ class VerificationReport:
     message: str = ""
 
 
-def _combined_residual_on_grid(problem: Problem, p: Array, X: Array) -> Array:
-    total = np.zeros(X.shape[0])
-    for j, f in enumerate(problem.constraints):
-        if p[j] == 0.0:
-            continue
-        vals = evaluate_batch(f, X)
-        if problem.sense == "max":
-            vals = 1.0 - vals
-        total += p[j] * vals
-    return total
-
-
 def _grid_certificate(problem: Problem, p: Array, threshold: float,
                       resolution: float) -> VerificationReport:
     X = domain_grid(problem.domain, resolution)
-    vals = _combined_residual_on_grid(problem, p, X)
+    mix = Mixture(problem, p)
+    vals = mix.value_batch(X)
     k = int(np.argmin(vals))
     gmin = float(vals[k])
     sample = X[:: max(1, X.shape[0] // 256)]
-    gmax = 0.0
-    for x in sample:
-        g = np.zeros(problem.n)
-        for j in range(problem.m):
-            if p[j] != 0.0:
-                g += p[j] * residual_gradient(problem, j, x)
-        gmax = max(gmax, float(np.linalg.norm(g)))
+    gmax = max(float(np.linalg.norm(mix.gradient(x))) for x in sample)
     slack = resolution * gmax
     ok = gmin > threshold
     msg = "" if ok else f"grid point with mixed residual {gmin:.6g} <= {threshold:.6g}"
@@ -424,17 +405,8 @@ def _grid_certificate(problem: Problem, p: Array, threshold: float,
 
 
 def _pgd_certificate(problem: Problem, p: Array, threshold: float) -> VerificationReport:
-    def value_fn(x):
-        return float(p @ residuals(problem, x))
-
-    def grad_fn(x):
-        g = np.zeros(problem.n)
-        for j in range(problem.m):
-            if p[j] != 0.0:
-                g += p[j] * residual_gradient(problem, j, x)
-        return g
-
-    res = minimize_over_domain(value_fn, grad_fn, problem.domain, tol=1e-9,
+    mix = Mixture(problem, p)
+    res = minimize_over_domain(mix.value, mix.gradient, problem.domain, tol=1e-9,
                                max_iters=200_000, on_cap="return")
     ok = res.lower_bound > threshold
     msg = "" if ok else (

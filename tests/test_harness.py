@@ -115,6 +115,22 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError):
             parse_problem_file(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("where, path", [
+        (("constraints", 0, "a", 0), r"problem\.constraints\[0\]\.a\[0\]"),
+        (("constraints", 0, "b"), r"problem\.constraints\[0\]\.b"),
+        (("params", "G"), r"problem\.params\.G"),
+    ])
+    def test_non_finite_number_rejected_with_path(self, value, where, path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["params"] = {"G": 1.0}
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ProblemFileError, match=path + ": expected a finite number"):
+            parse_problem_file(json.dumps(doc))
+
 
 class TestOutcomeDocuments:
     def test_round_trip(self):
@@ -164,6 +180,24 @@ class TestOutcomeDocuments:
         doc["outcome"]["kind"] = "mystery"
         with pytest.raises(ProblemFileError):
             parse_outcome_document(canonical_json(doc))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where, path", [
+        (("outcome", "x", 0), r"outcome\.x\[0\]"),
+        (("outcome", "residuals", 0), r"outcome\.residuals\[0\]"),
+        (("eps_effective",), r"outcome_document\.eps_effective"),
+        (("problem", "constraints", 0, "a", 1), r"problem\.constraints\[0\]\.a\[1\]"),
+    ])
+    def test_non_finite_number_rejected_with_path(self, value, where, path):
+        prob = parse_problem_file(json.dumps(MINIMAL))
+        doc = outcome_document(run_solver(prob, "primal", "mw", 0.1), prob)
+        assert doc["outcome"]["kind"] == "feasible"
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ProblemFileError, match=path + ": expected a finite number"):
+            parse_outcome_document(json.dumps(doc))
 
 
 class TestBruteForce:
