@@ -141,7 +141,7 @@ def domain_contains(domain: Domain, x: Array, tol: float = DIST_TOL) -> bool:
     if x.shape != (domain_dim(domain),):
         return False
     if isinstance(domain, Simplex):
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
+        return bool((x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol)
     if isinstance(domain, Ball):
         return bool(np.linalg.norm(x - domain.center) <= domain.radius + tol)
     return bool(np.all(x >= domain.lo - tol) and np.all(x <= domain.hi + tol))

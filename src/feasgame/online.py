@@ -116,13 +116,16 @@ def ons_step(state: OnsState, grad, domain: Domain, sense: str = "min",
     y = state.x + (direction / state.beta) * (state.A_inv @ g)
     x_new = generalized_project(y, state.A, domain, tol=projection_tol, x0=state.x)
 
-    A_new = state.A + np.outer(g, g)
+    # column-times-row products are np.outer without its wrapper
+    A_new = state.A + g[:, None] * g
     Ag = state.A_inv @ g
     denom = 1.0 + float(g @ Ag)
-    A_inv_new = state.A_inv - np.outer(Ag, Ag) / denom
+    A_inv_new = state.A_inv - Ag[:, None] * Ag / denom
 
     rebuilds = state.rebuilds
-    drift = float(np.max(np.abs(A_new @ A_inv_new - np.eye(g.size))))
+    residual = A_new @ A_inv_new
+    residual.flat[:: g.size + 1] -= 1.0  # A A_inv - I without building I
+    drift = float(abs(residual).max())
     if drift > INVERSE_DRIFT_TOL:
         A_inv_new = np.linalg.inv(A_new)
         rebuilds += 1
@@ -160,7 +163,7 @@ def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState
 
 def mw_point(state: MwState) -> Array:
     """The played point: weights normalized to the simplex."""
-    return state.w / float(np.sum(state.w))
+    return state.w / float(state.w.sum())
 
 
 def mw_step(state: MwState, grad) -> MwState:
@@ -174,7 +177,7 @@ def mw_step(state: MwState, grad) -> MwState:
     if g.shape != state.w.shape:
         raise SetupError("gradient dimension does not match the weight vector")
     g_inf = state.G_inf
-    observed = float(np.max(np.abs(g))) if g.size else 0.0
+    observed = float(abs(g).max()) if g.size else 0.0
     if observed > g_inf:
         g_inf = observed
     if g_inf > 0:
@@ -183,7 +186,7 @@ def mw_step(state: MwState, grad) -> MwState:
         # eta <= 1/2 and |g_i| <= g_inf keep every multiplier in [1/2, 3/2],
         # so a nonpositive weight can only be underflow; floor it
         w = np.maximum(state.w * scale, 1e-300)
-        mx = float(np.max(w))
+        mx = float(w.max())
         if mx > 1e100 or mx < 1e-100:
             # plays are weight ratios, so a common rescale is invisible
             w = np.maximum(w / mx, 1e-300)

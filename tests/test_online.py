@@ -79,6 +79,19 @@ class TestOns:
             s = fg.ons_step(s, g, dom)
         assert np.max(np.abs(s.A @ s.A_inv - np.eye(4))) <= 1e-6
 
+    @pytest.mark.parametrize("A_inv, rebuilt", [
+        ([[1.0, 0.0], [0.0, 1.0]], False),
+        ([[1.0 + 1e-5, 0.0], [0.0, 1.0]], True),  # drift on the diagonal
+        ([[1.0, 1e-5], [1e-5, 1.0]], True),  # drift off the diagonal
+    ])
+    def test_drifted_inverse_is_rebuilt(self, A_inv, rebuilt):
+        dom = fg.Box(lo=np.zeros(2), hi=np.ones(2))
+        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25,
+                        A=np.eye(2), A_inv=np.array(A_inv), rebuilds=0)
+        s2 = fg.ons_step(s, np.zeros(2), dom)
+        assert s2.rebuilds == int(rebuilt)
+        assert np.array_equal(s2.A_inv, np.eye(2) if rebuilt else np.array(A_inv))
+
     def test_iterates_stay_in_domain(self, rng):
         dom = fg.Simplex(n=3)
         s = fg.init_ons(dom, G=2.0, D=math.sqrt(2.0))

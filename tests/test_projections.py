@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import feasgame as fg
 
 
@@ -54,6 +57,14 @@ class TestSimplex:
             y1, y2 = rng.normal(size=4), rng.normal(size=4)
             d = np.linalg.norm(fg.project_simplex(y1) - fg.project_simplex(y2))
             assert d <= np.linalg.norm(y1 - y2) + 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("y", [[np.nan, 0.0], [np.inf, 0.0], [0.0, np.inf], [np.nan]])
+    def test_non_finite_input_is_a_setup_error(self, y):
+        with pytest.raises(fg.SetupError, match="finite"):
+            fg.project_simplex(np.array(y))
+        with pytest.raises(fg.SetupError, match="finite"):
+            fg.simplex_threshold(np.array(y))
 
     def test_no_feasible_direction_improves(self, rng):
         # moving from the projection toward any other simplex point cannot
@@ -137,11 +148,108 @@ class TestGeneralized:
         x = fg.generalized_project(np.array([2.0, -1.0]), np.zeros((2, 2)), fg.Simplex(n=2))
         assert fg.domain_contains(fg.Simplex(n=2), x)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+    def test_scaled_down_matrix_is_not_taken_for_a_multiple_of_identity(self, scale):
+        # every entry of 1e-9 * B is below allclose's absolute 1e-8, yet B is
+        # far from a multiple of I; with tol scaled alike the answer must not move
+        B = np.array([[1.0, -0.437, 0.733], [-0.437, 1.0, -0.738], [0.733, -0.738, 1.0]])
+        y = np.array([-0.551, 2.588, 2.013])
+        x = fg.generalized_project(y, scale * B, fg.Simplex(n=3), tol=1e-9 * scale)
+        assert np.allclose(x, [0.0, 0.97296307, 0.02703693], atol=1e-6)
+
+    def test_psd_matrix_carries_extreme_eigenvalues(self):
+        psd = fg.PsdMatrix.check(np.diag([3.0, 0.5, 2.0]))
+        assert (psd.lam_min, psd.lam_max) == pytest.approx((0.5, 3.0), abs=1e-14)
+
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(fg.SetupError):
             fg.generalized_project(np.array([1.0, 0.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), fg.Simplex(n=2))
         with pytest.raises(fg.SetupError):
             fg.generalized_project(np.array([1.0, 0.0]), np.diag([1.0, -1.0]), fg.Simplex(n=2))
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of generalized_project against the original formulation: two
+# matrix-vector products per descent step, np.allclose for the multiple-of-I
+# test and the np.sort/np.cumsum/np.nonzero simplex projection.
+
+
+def _reference_simplex(y):
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u)
+    cand = (css - 1.0) / np.arange(1, y.size + 1)
+    rho = int(np.nonzero(u - cand > 0)[0][-1])
+    return np.maximum(y - float(cand[rho]), 0.0)
+
+
+def _reference_project_domain(domain, y):
+    if isinstance(domain, fg.Simplex):
+        return _reference_simplex(y)
+    return fg.project_domain(domain, y)
+
+
+def reference_generalized_project(y, A, domain, tol=1e-9, max_iters=100_000, x0=None):
+    M = np.asarray(A, float)
+    lam_max = float(np.linalg.eigvalsh(M)[-1])
+    if fg.domain_contains(domain, y):
+        return y.copy()
+    diag = np.diagonal(M)
+    if np.allclose(M, np.diag(diag)) and np.ptp(diag) <= 1e-12 * (1.0 + abs(float(diag[0]))):
+        return _reference_project_domain(domain, y)
+    if lam_max <= 1e-12:
+        return _reference_project_domain(domain, y)
+
+    def obj(x):
+        d = x - y
+        return float(d @ (M @ d))
+
+    x = _reference_project_domain(domain, y) if x0 is None else np.asarray(x0, float)
+    fx = obj(x)
+    step = 1.0 / lam_max
+    for _ in range(max_iters):
+        g = M @ (x - y)
+        x_new = _reference_project_domain(domain, x - step * g)
+        f_new = obj(x_new)
+        if fx - f_new < tol * 1e-2:
+            return x_new if f_new <= fx else x
+        x, fx = x_new, f_new
+    raise AssertionError("reference projection did not converge")
+
+
+def _vector(n, bound):
+    return st.lists(st.floats(-bound, bound, allow_nan=False), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def ons_projection_case(draw):
+    """A point, an ONS-shaped matrix c I + sum g g^T (|g| >= 1e-3), a domain
+    of each kind and an optional warm start inside it."""
+    n = draw(st.integers(2, 6))
+    A = draw(st.floats(0.1, 100.0)) * np.eye(n)
+    for _ in range(draw(st.integers(1, 4))):
+        u = draw(_vector(n, 1.0))
+        u[draw(st.integers(0, n - 1))] = 1.0  # a nonzero direction
+        g = draw(st.floats(1e-3, 3.0)) * u / np.linalg.norm(u)
+        A = A + np.outer(g, g)
+    kind = draw(st.sampled_from(["simplex", "ball", "box"]))
+    if kind == "simplex":
+        domain = fg.Simplex(n=n)
+    elif kind == "ball":
+        domain = fg.Ball(n=n, radius=draw(st.floats(0.1, 3.0)), center=draw(_vector(n, 1.0)))
+    else:
+        lo = draw(_vector(n, 1.0))
+        domain = fg.Box(lo=lo, hi=lo + np.abs(draw(_vector(n, 2.0))))
+    y = draw(_vector(n, 5.0))
+    x0 = fg.project_domain(domain, draw(_vector(n, 5.0))) if draw(st.booleans()) else None
+    return y, A, domain, x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(ons_projection_case())
+def test_generalized_project_is_bit_identical_to_reference(case):
+    y, A, domain, x0 = case
+    new = fg.generalized_project(y, A, domain, x0=x0)
+    assert np.array_equal(new, reference_generalized_project(y, A, domain, x0=x0))
 
 
 def test_project_domain_dispatch():
