@@ -76,6 +76,7 @@ from .online import (
     init_ons,
     measured_regret,
     mw_bound_spec,
+    mw_learning_rate,
     mw_point,
     mw_step,
     ogd_bound_spec,

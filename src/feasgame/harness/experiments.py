@@ -11,7 +11,7 @@ import numpy as np
 
 from ..core import Ball, Problem, Quadratic, SetupError, gradient
 from ..grids import sample_domain
-from ..online import init_ogd, measured_regret, ogd_step
+from ..online import init_ogd, measured_regret, mw_learning_rate, ogd_step
 from ..problems import GeneratorSpec, make_problem_from_spec
 from ..solvers import (
     Exhausted,
@@ -100,7 +100,7 @@ def mw_signs_regret(T: int, seed: int, *, eta: float | None = None) -> SignsRun:
     rng = np.random.default_rng(seed)
     r = rng.integers(0, 2, T) * 2.0 - 1.0
     if eta is None:
-        eta = min(0.5, math.sqrt(math.log(2.0) / T))
+        eta = mw_learning_rate(2, T)
     c = math.log1p(eta) - math.log1p(-eta)
     S = np.cumsum(r)
     S_prev = np.concatenate([[0.0], S[:-1]])

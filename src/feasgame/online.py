@@ -49,6 +49,9 @@ logger = logging.getLogger(__name__)
 # Drift threshold on ||A A_inv - I||_max before the inverse is rebuilt.
 INVERSE_DRIFT_TOL = 1e-6
 
+# Grid spacing of the hindsight minimum for costs without a closed form (n <= 3).
+GRID_RESOLUTION = 1e-3
+
 
 # ---------------------------------------------------------------------------
 # Online gradient descent
@@ -102,8 +105,7 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv)
 
 
-def ons_step(state: OnsState, grad, domain: Domain, sense: str = "min",
-             projection_tol: float = 1e-9) -> OnsState:
+def ons_step(state: OnsState, grad, domain: Domain, sense: str = "min") -> OnsState:
     """Newton-style step, matrix-norm projection, then rank-one update.
 
     sense="min" moves along -A_inv grad / beta, sense="max" along the
@@ -114,7 +116,7 @@ def ons_step(state: OnsState, grad, domain: Domain, sense: str = "min",
     g = np.asarray(grad, float)
     direction = -1.0 if sense == "min" else 1.0
     y = state.x + (direction / state.beta) * (state.A_inv @ g)
-    x_new = generalized_project(y, state.A, domain, tol=projection_tol, x0=state.x)
+    x_new = generalized_project(y, state.A, domain, x0=state.x)
 
     # column-times-row products are np.outer without its wrapper
     A_new = state.A + g[:, None] * g
@@ -146,6 +148,11 @@ class MwState:
     eta: float
     G_inf: float
     direction: str  # "min" or "max"
+
+
+def mw_learning_rate(n: int, T: int) -> float:
+    """The rate min(1/2, sqrt(log n / T)) that gives MW its regret bound over T rounds."""
+    return min(0.5, math.sqrt(math.log(n) / T)) if n > 1 else 0.0
 
 
 def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState:
@@ -271,8 +278,7 @@ def _combine(costs: Sequence[ConstraintFn], n: int):
     return Quadratic(A=A, b=b, c=c) if quadratic else Affine(a=b, b=c)
 
 
-def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain,
-                      grid_resolution: float = 1e-3) -> tuple[Array, float]:
+def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Array, float]:
     """Best fixed domain point for the summed costs, and its total cost."""
     if not costs:
         raise SetupError("need at least one cost")
@@ -295,7 +301,7 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain,
         )
         return res.x, res.value
     if n <= 3:
-        X = domain_grid(domain, grid_resolution)
+        X = domain_grid(domain, GRID_RESOLUTION)
         total = np.zeros(X.shape[0])
         for f in costs:
             total += evaluate_batch(f, X)
@@ -317,10 +323,10 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain,
 
 
 def measured_regret(costs: Sequence[ConstraintFn], plays: Sequence[Array],
-                    domain: Domain, grid_resolution: float = 1e-3) -> float:
+                    domain: Domain) -> float:
     """Realized regret: cumulative online cost minus best fixed point's cost."""
     if len(costs) != len(plays):
         raise SetupError("costs and plays must have equal length")
     online = sum(evaluate(f, x) for f, x in zip(costs, plays))
-    _, best = hindsight_minimum(costs, domain, grid_resolution)
+    _, best = hindsight_minimum(costs, domain)
     return float(online - best)

@@ -9,10 +9,11 @@ gradient descent, with the domain's Euclidean projection (picked once per
 call) as the inner step.  A step costs one matrix-vector product: A(x - y)
 serves first as the objective at x and then as the gradient of the next
 step.  A is validated on every call (PsdMatrix.check: symmetry and an
-eigvalsh), and those eigenvalues also decide the fast path: when they agree
-to a relative 1e-12, A is a multiple of I and the Euclidean projection is
-the answer.  The stopping tolerance is in the objective's absolute units,
-so a scaled-down A needs a tolerance scaled down alike.
+eigvalsh, both tests relative to the size of A), and those eigenvalues also
+decide the fast path: when they agree to a relative 1e-12, A is a multiple
+of I (or zero) and the Euclidean projection is the answer.  The stopping
+tolerance is in the objective's absolute units, so a scaled-down A needs a
+tolerance scaled down alike.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class PsdMatrix:
         A = np.asarray(A, float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("matrix must be square")
-        if float(abs(A - A.T).max()) > 1e-12 * (1.0 + float(abs(A).max())):
+        # both tests are relative, so a scaled-down A is judged like A itself
+        if float(abs(A - A.T).max()) > 1e-12 * float(abs(A).max()):
             raise SetupError("matrix is not symmetric within 1e-12")
         ev = np.linalg.eigvalsh(A)
-        if float(ev[0]) < -1e-10 * max(1.0, float(ev[-1])):
+        if float(ev[0]) < -1e-10 * float(ev[-1]):
             raise SetupError("matrix is not positive semidefinite")
         return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
 
@@ -126,9 +128,10 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9,
     the objective decrease falls below tol * 1e-2; tol is in the objective's
     absolute units, so an A scaled down by s needs a tol scaled by s too.
     When the eigenvalues of A agree to a relative 1e-12 (A is a multiple of
-    I), or lam_max(A) <= 1e-12 (A counts as zero), the answer is the
-    Euclidean projection, returned without descent.  x0, when given, must be
-    a domain point and is used as the warm start.
+    I, zero included), the answer is the Euclidean projection, returned
+    without descent; every test on A is relative, so a scaled-down A is
+    projected like A itself.  x0, when given, must be a domain point and is
+    used as the warm start.
     """
     y = np.asarray(y, float)
     if y.shape != (domain_dim(domain),):
@@ -138,7 +141,7 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9,
         raise DimensionMismatch("matrix and point dimensions differ")
     if domain_contains(domain, y):
         return y.copy()
-    if psd.lam_max <= ZERO_TOL or psd.lam_max - psd.lam_min <= ZERO_TOL * psd.lam_max:
+    if psd.lam_max - psd.lam_min <= ZERO_TOL * psd.lam_max:  # A = 0 included
         return project_domain(domain, y)
 
     M = psd.M

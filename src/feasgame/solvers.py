@@ -1,20 +1,25 @@
 """Game-based feasibility solvers and certificate checking.
 
-Each solver runs a repeated zero-sum game between a point player over the
-domain and a weight player over constraint indices, with payoff
-g(x, p) = sum_j p_j r_j(x) (r_j the oriented residuals).  A player backed
-by a no-regret learner runs until its worst-case regret bound drops below
-eps * t; the play averages then certify one side of the game value:
+Every solver plays one repeated zero-sum game between a point player over
+the domain and a weight player over constraint indices, with payoff
+g(x, p) = sum_j p_j r_j(x) (r_j the oriented residuals).  Each player is
+either a no-regret learner (OGD, ONS or MW) or an oracle that best-responds
+to the other's play, and may answer FAIL when no response exists.  The game
+ends at the horizon T*, the first t at which the learners' worst-case
+regret bounds drop below eps * t, or earlier when an oracle FAILs; one
+driver (_play_game) runs it for the three pairings, which differ only in
+what a round is and in what the horizon's end certifies:
 
-* primal_game_opt: learner picks points, a separation oracle answers.  An
-  oracle FAIL yields an eps-feasible point; surviving the full horizon
-  yields a dual distribution p_bar with min_x g(x, p_bar) > 0 (infeasible).
-* dual_game_opt: multiplicative weights picks distributions, an
+* primal_game_opt: a learner picks points, the separation oracle answers
+  with a violated constraint.  An oracle FAIL yields an eps-feasible point;
+  surviving the full horizon yields a dual distribution p_bar (the visit
+  frequencies) with min_x g(x, p_bar) > 0 (infeasible).
+* dual_game_opt: multiplicative weights picks distributions, the
   optimization oracle answers with near-minimizing points.  An oracle FAIL
   certifies infeasibility outright; otherwise the point average is
   approximately feasible (eps plus the oracle tolerance).
-* primal_dual_game_opt: both sides learn with budget eps/2 each; the point
-  average is eps-feasible, or the weight average certifies that even
+* primal_dual_game_opt: both players learn, with budget eps/2 each; the
+  point average is eps-feasible, or the weight average certifies that even
   relaxing every constraint by eps leaves the system infeasible.
 
 Stopping always uses the theoretical regret-bound formula, never measured
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -46,14 +51,12 @@ from .core import (
 from .descent import minimize_over_domain, optimization_oracle
 from .grids import domain_grid
 from .online import (
-    MwState,
-    OgdState,
-    OnsState,
     RegretBoundSpec,
     init_mw,
     init_ogd,
     init_ons,
     mw_bound_spec,
+    mw_learning_rate,
     mw_point,
     mw_step,
     ogd_bound_spec,
@@ -162,66 +165,92 @@ def stopping_threshold(spec: RegretBoundSpec, eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Primal learner plumbing shared by the solvers
+# Players and the game
 
 
-def _primal_bound_spec(problem: Problem, learner: str) -> RegretBoundSpec:
-    p = problem.params
+class _Learner(NamedTuple):
+    """A no-regret player: its regret bound, init(T*), play(state), step(state, grad).
+
+    The layer functions are named inside the lambdas so that they are looked
+    up on this module at call time, where a tracer or a test may wrap them.
+    """
+
+    spec: RegretBoundSpec
+    init: Callable[[int], object]
+    play: Callable[[object], Array]
+    step: Callable[[object, Array], object]
+
+
+def _mw(n: int, G_inf: float, direction: str) -> _Learner:
+    return _Learner(mw_bound_spec(G_inf, n),
+                    lambda T: init_mw(n, mw_learning_rate(n, T), G_inf, direction),
+                    lambda s: mw_point(s), lambda s, g: mw_step(s, g))
+
+
+def _point_learner(problem: Problem, learner: str) -> _Learner:
+    """The point player's learner by name; refuses a pairing its bound cannot cover."""
+    p, domain = problem.params, problem.domain
     if learner == "ogd":
         if not p.H > 0:
             raise SetupError("OGD needs H > 0; strictify the problem or pick another learner")
-        return ogd_bound_spec(p.G, p.H)
+        return _Learner(ogd_bound_spec(p.G, p.H), lambda T: init_ogd(domain, p.H),
+                        lambda s: s.x, lambda s, g: ogd_step(s, g, domain))
     if learner == "ons":
         if not p.alpha > 0:
             raise SetupError("ONS needs exp-concave costs (alpha > 0)")
         if not (p.G > 0 and p.D > 0):
             raise SetupError("ONS needs positive G and D")
-        return ons_bound_spec(p.G, p.D, p.alpha, problem.n)
+        return _Learner(ons_bound_spec(p.G, p.D, p.alpha, problem.n),
+                        lambda T: init_ons(domain, p.G, p.D),
+                        lambda s: s.x, lambda s, g: ons_step(s, g, domain))
     if learner == "mw":
-        if not isinstance(problem.domain, Simplex):
+        if not isinstance(domain, Simplex):
             raise SetupError("the MW primal learner needs a simplex domain")
-        return mw_bound_spec(p.G, problem.n)
+        return _mw(problem.n, p.G, "min")
     raise SetupError(f"unknown learner {learner!r}")
 
 
-def _init_primal(problem: Problem, learner: str, horizon: int):
-    p = problem.params
-    if learner == "ogd":
-        return init_ogd(problem.domain, p.H)
-    if learner == "ons":
-        return init_ons(problem.domain, p.G, p.D)
-    eta = min(0.5, math.sqrt(math.log(problem.n) / horizon)) if problem.n > 1 else 0.0
-    return init_mw(problem.n, eta, p.G, "min")
+# One round: (x_t, violated index, violation, game loss, outcome when an oracle FAILs)
+_Round = tuple[Array | None, int | None, float, float, Outcome | None]
 
 
-def _primal_play(state) -> Array:
-    return mw_point(state) if isinstance(state, MwState) else state.x
+def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], _Round],
+               horizon_outcome: Callable[[int], Outcome], max_iters: int | None,
+               trace_sink: Callable[[TraceRecord], None] | None
+               ) -> tuple[Outcome, tuple[TraceRecord, ...], int]:
+    """Play rounds until an oracle FAILs or the horizon ends.
 
-
-def _primal_step(state, grad, domain):
-    if isinstance(state, OgdState):
-        return ogd_step(state, grad, domain)
-    if isinstance(state, OnsState):
-        return ons_step(state, grad, domain, sense="min")
-    return mw_step(state, grad)
-
-
-def _emit(trace: list, sink, rec: TraceRecord) -> None:
-    trace.append(rec)
-    if sink is not None:
-        sink(rec)
-
-
-def _resolve_cap(T_star: int, max_iters: int | None) -> int:
+    Records each round (the bound column is spec's regret bound) and the
+    least-violating point.  A cap below T* ends in Exhausted with that
+    point, since only the full horizon certifies horizon_outcome(T*).
+    """
     if max_iters is None:
-        return T_star
-    if max_iters < 1:
+        cap = T_star
+    elif max_iters < 1:
         raise SetupError("max_iters must be >= 1")
-    return min(T_star, max_iters)
+    else:
+        cap = min(T_star, max_iters)
+    best_x, best_violation = start_point(domain), math.inf
+    trace: list[TraceRecord] = []
+    for t in range(1, cap + 1):
+        t0 = time.perf_counter_ns()
+        x_t, index, violation, loss, stop = round_()
+        rec = TraceRecord(t, index, violation, loss, regret_bound(spec, t),
+                          time.perf_counter_ns() - t0)
+        trace.append(rec)
+        if trace_sink is not None:
+            trace_sink(rec)
+        if stop is not None:
+            return stop, tuple(trace), t
+        if violation < best_violation:
+            best_violation, best_x = violation, x_t.copy()
+    if cap < T_star:
+        return Exhausted(best_x=best_x, best_violation=best_violation), tuple(trace), cap
+    return horizon_outcome(cap), tuple(trace), cap
 
 
 # ---------------------------------------------------------------------------
-# Solvers
+# Solvers: the paper's three pairings
 
 
 def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
@@ -232,95 +261,63 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     Per-iteration work outside the oracle call and the projection touches
     only the single violated constraint, so it is O(n) for OGD.
     """
-    spec = _primal_bound_spec(problem, learner)
-    T_star = stopping_threshold(spec, eps)
-    cap = _resolve_cap(T_star, max_iters)
-    state = _init_primal(problem, learner, T_star)
+    player = _point_learner(problem, learner)
+    T_star = stopping_threshold(player.spec, eps)
+    state = player.init(T_star)
     counts = np.zeros(problem.m)
-    best_violation = math.inf
-    best_x = _primal_play(state)
-    trace: list[TraceRecord] = []
-    for t in range(1, cap + 1):
-        t0 = time.perf_counter_ns()
-        x_t = _primal_play(state)
+
+    def round_() -> _Round:
+        nonlocal state
+        x_t = player.play(state)
         hit = separation_oracle(problem, x_t, eps)
-        if hit is None:
+        if hit is None:  # FAIL: no constraint is violated by more than eps
             res = residuals(problem, x_t)
             worst = float(np.max(res))
-            _emit(trace, trace_sink, TraceRecord(t, None, worst, worst,
-                                                 regret_bound(spec, t),
-                                                 time.perf_counter_ns() - t0))
-            return SolveResult(Feasible(x=x_t, residuals=res), tuple(trace), t,
-                               eps, eps, "primal", learner)
+            return x_t, None, worst, worst, Feasible(x=x_t, residuals=res)
         counts[hit.index] += 1
-        if hit.value < best_violation:
-            best_violation = hit.value
-            best_x = x_t.copy()
-        g = residual_gradient(problem, hit.index, x_t)
-        state = _primal_step(state, g, problem.domain)
-        _emit(trace, trace_sink, TraceRecord(t, hit.index, hit.value, hit.value,
-                                             regret_bound(spec, t),
-                                             time.perf_counter_ns() - t0))
-    if cap < T_star:
-        outcome: Outcome = Exhausted(best_x=best_x, best_violation=best_violation)
-    else:
-        outcome = Infeasible(p_bar=counts / cap)
-    return SolveResult(outcome, tuple(trace), cap, eps, eps, "primal", learner)
+        state = player.step(state, residual_gradient(problem, hit.index, x_t))
+        return x_t, hit.index, hit.value, hit.value, None
 
-
-def _oracle_is_exact(problem: Problem) -> bool:
-    # every mixture of affine residuals is affine: linear minimization is exact
-    return problem.packed.affine
+    return SolveResult(*_play_game(problem.domain, player.spec, T_star, round_,
+                                   lambda T: Infeasible(p_bar=counts / T), max_iters,
+                                   trace_sink), eps, eps, "primal", learner)
 
 
 def dual_game_opt(problem: Problem, eps: float, *,
-                  oracle_tol: float | None = None,
                   max_iters: int | None = None,
                   trace_sink: Callable[[TraceRecord], None] | None = None) -> SolveResult:
     """Weight player learns; the optimization oracle answers each mixture.
 
-    The oracle is queried at tolerance eps/2 (unless overridden); when the
-    approximate path is used the feasibility guarantee on the averaged point
-    is eps + tol and is reported through eps_effective.
+    The oracle is queried at tolerance eps/2; when the approximate path is
+    used the feasibility guarantee on the averaged point is 3 eps/2 and is
+    reported through eps_effective.
     """
-    p = problem.params
-    spec = mw_bound_spec(p.G_inf, problem.m)
-    T_star = stopping_threshold(spec, eps)
-    cap = _resolve_cap(T_star, max_iters)
-    tol = 0.5 * eps if oracle_tol is None else oracle_tol
-    eps_eff = eps if _oracle_is_exact(problem) else eps + tol
-    eta = min(0.5, math.sqrt(math.log(problem.m) / T_star)) if problem.m > 1 else 0.0
-    dual = init_mw(problem.m, eta, p.G_inf, "max")
+    weights = _mw(problem.m, problem.params.G_inf, "max")
+    T_star = stopping_threshold(weights.spec, eps)
+    tol = 0.5 * eps
+    # every mixture of affine residuals is affine: linear minimization is exact
+    eps_eff = eps if problem.packed.affine else eps + tol
+    dual = weights.init(T_star)
     x_sum = np.zeros(problem.n)
-    best_violation = math.inf
-    best_x = start_point(problem.domain)
-    trace: list[TraceRecord] = []
-    for t in range(1, cap + 1):
-        t0 = time.perf_counter_ns()
-        p_t = mw_point(dual)
+
+    def round_() -> _Round:
+        nonlocal dual, x_sum
+        p_t = weights.play(dual)
         x_t = optimization_oracle(problem, p_t, tol)
-        if x_t is None:
-            _emit(trace, trace_sink, TraceRecord(t, None, math.inf, math.inf,
-                                                 regret_bound(spec, t),
-                                                 time.perf_counter_ns() - t0))
-            return SolveResult(Infeasible(p_bar=p_t), tuple(trace), t,
-                               eps, eps_eff, "dual", "mw")
+        if x_t is None:  # FAIL: the mixture p_t is positive everywhere
+            return None, None, math.inf, math.inf, Infeasible(p_bar=p_t)
         r = residuals(problem, x_t)
-        worst = float(np.max(r))
         x_sum += x_t
-        if worst < best_violation:
-            best_violation = worst
-            best_x = x_t.copy()
-        dual = mw_step(dual, r)
-        _emit(trace, trace_sink, TraceRecord(t, None, worst, float(p_t @ r),
-                                             regret_bound(spec, t),
-                                             time.perf_counter_ns() - t0))
-    if cap < T_star:
-        return SolveResult(Exhausted(best_x=best_x, best_violation=best_violation),
-                           tuple(trace), cap, eps, eps_eff, "dual", "mw")
-    x_bar = x_sum / cap
-    return SolveResult(Feasible(x=x_bar, residuals=residuals(problem, x_bar)),
-                       tuple(trace), cap, eps, eps_eff, "dual", "mw")
+        dual = weights.step(dual, r)
+        return x_t, None, float(np.max(r)), float(p_t @ r), None
+
+    def horizon_outcome(T: int) -> Outcome:
+        x_bar = x_sum / T
+        return Feasible(x=x_bar, residuals=residuals(problem, x_bar))
+
+    return SolveResult(*_play_game(problem.domain, weights.spec, T_star, round_,
+                                   horizon_outcome, max_iters, trace_sink),
+                       eps, eps_eff, "dual", "mw")
 
 
 def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
@@ -334,45 +331,32 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     bound, which is the one selected by ``learner``.
     """
     half = 0.5 * eps
-    pspec = _primal_bound_spec(problem, learner)
-    dspec = mw_bound_spec(problem.params.G_inf, problem.m)
-    T_star = max(stopping_threshold(pspec, half), stopping_threshold(dspec, half))
-    cap = _resolve_cap(T_star, max_iters)
-    state = _init_primal(problem, learner, T_star)
-    eta = min(0.5, math.sqrt(math.log(problem.m) / T_star)) if problem.m > 1 else 0.0
-    dual = init_mw(problem.m, eta, problem.params.G_inf, "max")
-    x_sum = np.zeros(problem.n)
-    p_sum = np.zeros(problem.m)
-    best_violation = math.inf
-    best_x = start_point(problem.domain)
-    trace: list[TraceRecord] = []
-    for t in range(1, cap + 1):
-        t0 = time.perf_counter_ns()
-        x_t = _primal_play(state)
-        p_t = mw_point(dual)
+    player = _point_learner(problem, learner)
+    weights = _mw(problem.m, problem.params.G_inf, "max")
+    T_star = max(stopping_threshold(player.spec, half), stopping_threshold(weights.spec, half))
+    state, dual = player.init(T_star), weights.init(T_star)
+    x_sum, p_sum = np.zeros(problem.n), np.zeros(problem.m)
+
+    def round_() -> _Round:
+        nonlocal state, dual, x_sum, p_sum
+        x_t, p_t = player.play(state), weights.play(dual)
         r = residuals(problem, x_t)
-        worst = float(np.max(r))
-        gx = mixed_gradient(problem, p_t, x_t)
         x_sum += x_t
         p_sum += p_t
-        if worst < best_violation:
-            best_violation = worst
-            best_x = x_t.copy()
-        state = _primal_step(state, gx, problem.domain)
-        dual = mw_step(dual, r)
-        _emit(trace, trace_sink, TraceRecord(t, None, worst, float(p_t @ r),
-                                             regret_bound(pspec, t),
-                                             time.perf_counter_ns() - t0))
-    if cap < T_star:
-        return SolveResult(Exhausted(best_x=best_x, best_violation=best_violation),
-                           tuple(trace), cap, eps, eps, "primal-dual", learner)
-    x_bar = x_sum / cap
-    res = residuals(problem, x_bar)
-    if float(np.max(res)) <= eps:
-        outcome: Outcome = Feasible(x=x_bar, residuals=res)
-    else:
-        outcome = EpsilonInfeasible(p_bar=p_sum / cap)
-    return SolveResult(outcome, tuple(trace), cap, eps, eps, "primal-dual", learner)
+        state = player.step(state, mixed_gradient(problem, p_t, x_t))
+        dual = weights.step(dual, r)
+        return x_t, None, float(np.max(r)), float(p_t @ r), None
+
+    def horizon_outcome(T: int) -> Outcome:
+        x_bar = x_sum / T
+        res = residuals(problem, x_bar)
+        if float(np.max(res)) <= eps:
+            return Feasible(x=x_bar, residuals=res)
+        return EpsilonInfeasible(p_bar=p_sum / T)
+
+    return SolveResult(*_play_game(problem.domain, player.spec, T_star, round_,
+                                   horizon_outcome, max_iters, trace_sink),
+                       eps, eps, "primal-dual", learner)
 
 
 # ---------------------------------------------------------------------------

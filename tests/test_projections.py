@@ -148,7 +148,7 @@ class TestGeneralized:
         x = fg.generalized_project(np.array([2.0, -1.0]), np.zeros((2, 2)), fg.Simplex(n=2))
         assert fg.domain_contains(fg.Simplex(n=2), x)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-13, 1e-15])
     def test_scaled_down_matrix_is_not_taken_for_a_multiple_of_identity(self, scale):
         # every entry of 1e-9 * B is below allclose's absolute 1e-8, yet B is
         # far from a multiple of I; with tol scaled alike the answer must not move
@@ -166,6 +166,13 @@ class TestGeneralized:
             fg.generalized_project(np.array([1.0, 0.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), fg.Simplex(n=2))
         with pytest.raises(fg.SetupError):
             fg.generalized_project(np.array([1.0, 0.0]), np.diag([1.0, -1.0]), fg.Simplex(n=2))
+        # scaled down, they are still asymmetric and indefinite
+        with pytest.raises(fg.SetupError):
+            fg.generalized_project(np.array([1.0, 0.0]), 1e-13 * np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                   fg.Simplex(n=2))
+        with pytest.raises(fg.SetupError):
+            fg.generalized_project(np.array([1.0, 0.0]), 1e-13 * np.diag([1.0, -1.0]),
+                                   fg.Simplex(n=2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 import feasgame as fg
 import feasgame.core as core
+import feasgame.solvers as solvers
+from feasgame.harness import run_solver
 from feasgame.solvers import MAX_THRESHOLD
 from conftest import constant_problem
 
@@ -14,6 +16,32 @@ from conftest import constant_problem
 def norm_sq_problem(n=2, c=0.0):
     """Single constraint ||x||^2 - c on Simplex(n); infeasible for c = 0."""
     return fg.make_problem([fg.NormDistSq(center=np.zeros(n), c=c)], fg.Simplex(n=n))
+
+
+def caps_problem():
+    """Two affine caps x_i <= 0.6 on Simplex(2): feasible, no curvature."""
+    return fg.make_problem(
+        [fg.Affine(a=np.array([1.0, 0.0]), b=-0.6),
+         fg.Affine(a=np.array([0.0, 1.0]), b=-0.6)],
+        fg.Simplex(n=2),
+    )
+
+
+ALGOS = ("primal", "dual", "primal-dual")
+
+
+def play(algo, **kwargs):
+    """One solver on a problem that keeps it going for several rounds.
+
+    Returns the problem, the result and the spec behind the trace's bound
+    column (the point player's OGD bound, or the dual's MW bound).
+    """
+    if algo == "dual":
+        prob = caps_problem()
+        return prob, fg.dual_game_opt(prob, **kwargs), fg.mw_bound_spec(prob.params.G_inf, prob.m)
+    prob = norm_sq_problem()
+    solve = fg.primal_game_opt if algo == "primal" else fg.primal_dual_game_opt
+    return prob, solve(prob, **kwargs), fg.ogd_bound_spec(prob.params.G, prob.params.H)
 
 
 def scan_threshold(spec, eps, limit=10**6):
@@ -107,13 +135,6 @@ class TestPrimal:
         prob = norm_sq_problem()
         spec = fg.ogd_bound_spec(prob.params.G, prob.params.H)
         assert fg.primal_game_opt(prob, eps=0.1).iterations == fg.stopping_threshold(spec, 0.1)
-
-    def test_max_iters_exhausts_with_best_iterate(self):
-        out = fg.primal_game_opt(norm_sq_problem(), eps=0.1, max_iters=3)
-        assert isinstance(out.outcome, fg.Exhausted)
-        assert out.iterations == 3
-        assert out.outcome.best_violation == pytest.approx(0.5, abs=0.2)
-        assert fg.verify_certificate(norm_sq_problem(), out.outcome, 0.1).ok
 
     def test_learner_update_reads_one_constraint(self, monkeypatch):
         # the learner's side must stay O(n): one gradient per round no matter
@@ -252,27 +273,105 @@ class TestPrimalDual:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
 
 
+@pytest.mark.parametrize("algo", ALGOS)
 class TestTrace:
-    def test_iterations_count_from_one(self):
-        out = fg.primal_game_opt(norm_sq_problem(), eps=0.2)
+    def test_iterations_count_from_one(self, algo):
+        _, out, _ = play(algo, eps=0.2)
+        assert out.iterations > 1
         assert [rec.iteration for rec in out.trace] == list(range(1, out.iterations + 1))
 
-    def test_bound_column_is_exact_recompute(self):
-        prob = norm_sq_problem()
-        out = fg.primal_game_opt(prob, eps=0.2)
-        spec = fg.ogd_bound_spec(prob.params.G, prob.params.H)
+    def test_bound_column_is_exact_recompute(self, algo):
+        _, out, spec = play(algo, eps=0.2)
         for rec in out.trace:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
 
-    def test_sink_sees_every_row(self):
+    def test_sink_sees_every_row(self, algo):
         rows = []
-        out = fg.primal_game_opt(norm_sq_problem(), eps=0.2, trace_sink=rows.append)
+        _, out, _ = play(algo, eps=0.2, trace_sink=rows.append)
         assert len(rows) == len(out.trace)
         assert all(a is b for a, b in zip(rows, out.trace))
 
-    def test_elapsed_is_positive(self):
-        out = fg.primal_game_opt(norm_sq_problem(), eps=0.3)
+    def test_elapsed_is_positive(self, algo):
+        _, out, _ = play(algo, eps=0.3)
         assert all(rec.elapsed_ns >= 0 for rec in out.trace)
+
+
+# the layer functions the solvers call through their module, where the
+# benchmark's tracer wraps them
+LAYERS = ("separation_oracle", "residuals", "residual_gradient", "optimization_oracle",
+          "minimize_over_domain", "ons_step", "ogd_step", "mw_step", "mw_point")
+
+
+def expected_layer_calls(algo, learner, out):
+    """Calls of each layer that the rounds of a finished run imply."""
+    rounds = out.iterations
+    # the round in which an oracle answered FAIL ends the game without a step
+    fail = int((algo == "primal" and isinstance(out.outcome, fg.Feasible))
+               or (algo == "dual" and isinstance(out.outcome, fg.Infeasible)))
+    steps = rounds - fail
+    horizon = int(not fail and not isinstance(out.outcome, fg.Exhausted))
+    calls = dict.fromkeys(LAYERS, 0)
+    if algo == "primal":
+        calls.update(separation_oracle=rounds, residuals=fail, residual_gradient=steps)
+    elif algo == "dual":
+        calls.update(optimization_oracle=rounds, mw_point=rounds, mw_step=steps,
+                     residuals=steps + horizon)
+    else:
+        calls.update(mw_point=rounds, mw_step=rounds, residuals=rounds + horizon)
+    if learner == "mw":
+        calls["mw_point"] += rounds
+        calls["mw_step"] += steps
+    elif learner is not None:
+        calls[f"{learner}_step"] += steps
+    return calls
+
+
+class TestDriver:
+    """What the one game driver does the same way for every solver."""
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_max_iters_exhausts_with_best_iterate(self, algo):
+        prob, out, _ = play(algo, eps=0.1, max_iters=3)
+        assert isinstance(out.outcome, fg.Exhausted)
+        assert out.iterations == 3
+        assert out.outcome.best_violation == min(rec.violation for rec in out.trace)
+        assert out.outcome.best_violation == pytest.approx(
+            max(fg.residuals(prob, out.outcome.best_x)), abs=1e-12)
+        assert fg.verify_certificate(prob, out.outcome, 0.1).ok
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_max_iters_below_one_is_refused(self, algo):
+        with pytest.raises(fg.SetupError, match="max_iters must be >= 1"):
+            play(algo, eps=0.1, max_iters=0)
+
+    @pytest.mark.parametrize("algo, learner, prob, eps, max_iters, kind", [
+        ("primal", "ogd", norm_sq_problem(), 0.3, None, fg.Infeasible),
+        ("primal", "ogd", fg.make_problem([fg.NormDistSq(center=np.array([1.0, 0.0]), c=0.3)],
+                                          fg.Simplex(n=2)), 0.1, None, fg.Feasible),
+        ("primal", "ons", norm_sq_problem(), 0.3, 30, fg.Exhausted),
+        ("primal", "mw", norm_sq_problem(), 0.3, None, fg.Infeasible),
+        ("dual", None, caps_problem(), 0.3, None, fg.Feasible),
+        ("dual", None, caps_problem(), 0.1, 7, fg.Exhausted),
+        ("dual", None, constant_problem([1.0]), 0.1, None, fg.Infeasible),
+        ("primal-dual", "ogd", norm_sq_problem(), 0.3, None, fg.EpsilonInfeasible),
+        ("primal-dual", "ons", norm_sq_problem(), 0.3, 30, fg.Exhausted),
+        ("primal-dual", "mw", fg.make_problem(
+            [fg.Affine(a=np.array([1.0, -1.0]), b=0.0), fg.Affine(a=np.array([-1.0, 1.0]), b=0.0)],
+            fg.Simplex(n=2)), 0.3, None, fg.Feasible),
+    ], ids=["primal-ogd-horizon", "primal-ogd-fail", "primal-ons-cap", "primal-mw-horizon",
+            "dual-horizon", "dual-cap", "dual-fail", "primal-dual-ogd-horizon",
+            "primal-dual-ons-cap", "primal-dual-mw-horizon"])
+    def test_layers_are_looked_up_at_call_time(self, monkeypatch, algo, learner, prob, eps,
+                                               max_iters, kind):
+        calls = dict.fromkeys(LAYERS, 0)
+        for name in LAYERS:
+            def counting(*args, _real=getattr(solvers, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, counting)
+        out = run_solver(prob, algo, learner, eps, max_iters=max_iters)
+        assert isinstance(out.outcome, kind)
+        assert calls == expected_layer_calls(algo, learner, out)
 
 
 class TestVerification:
