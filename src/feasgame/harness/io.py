@@ -124,7 +124,8 @@ def _parse_domain(obj, path: str) -> Domain:
             return Simplex(n=_integer(obj["n"], f"{path}.n"))
         if kind == "ball":
             _check_keys(obj, path, ("kind", "center", "radius"))
-            return Ball(center=_vector(obj["center"], f"{path}.center"),
+            center = _vector(obj["center"], f"{path}.center")
+            return Ball(n=center.shape[0], center=center,
                         radius=_real(obj["radius"], f"{path}.radius"))
         if kind == "box":
             _check_keys(obj, path, ("kind", "lo", "hi"))
