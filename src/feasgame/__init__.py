@@ -16,6 +16,7 @@ from .core import (
     DimensionMismatch,
     Domain,
     EvaluationDomainError,
+    FAMILIES,
     InvalidDistribution,
     LogAffineComposite,
     Mixture,
@@ -30,8 +31,6 @@ from .core import (
     Violation,
     bounding_box,
     check_distribution,
-    constraint_dim,
-    curvature_bound,
     domain_contains,
     domain_diameter,
     domain_dim,
@@ -40,7 +39,6 @@ from .core import (
     evaluate_batch,
     game_loss,
     gradient,
-    gradient_norm_bound,
     linear_minimum,
     make_problem,
     mixed_gradient,
@@ -52,7 +50,6 @@ from .core import (
     separation_oracle,
     smoothness_bound,
     start_point,
-    value_interval,
 )
 from .projections import (
     PsdMatrix,

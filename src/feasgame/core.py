@@ -10,23 +10,24 @@ conventions into a single "<= 0 means satisfied" orientation, which is what
 every solver and oracle in the package consumes.
 
 Constraint families form a closed set; there are no black-box callbacks.
-Every family knows its value, gradient, and conservative interval/curvature
-bounds over a domain, which is what makes the parameter estimates in
+Each family is one class (:data:`FAMILIES` maps problem-file tags to them)
+that knows its file fields, value, gradient, quadratic form if it has one,
+and conservative interval, gradient, smoothness and curvature bounds over a
+domain, which is what makes the parameter estimates in
 :func:`estimate_parameters` sound rather than sampled guesses.
 
-How constraints are evaluated: the scalar :func:`evaluate` and
-:func:`gradient` take one constraint at a time and are the reference the
+How constraints are evaluated: the family methods, called one constraint at
+a time through :func:`evaluate` and :func:`gradient`, are the reference the
 finite-difference tests check.  The solvers and oracles go through the
 packed form instead: on first use a problem is packed once
 (:class:`Packed`, cached on the problem), its constraints grouped by family
 into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
-``1/omega`` and ``e`` folded in), so residuals, the mixed gradient
-sum_j p_j grad r_j, single-row gradients and batch values over grid points
-cost a few vector operations per call.  The remaining families (norm
-distances, entropies, log barriers) go one at a time through the scalar
-reference inside the pack.  :class:`Mixture` fixes one weight vector and
-collapses the affine and quadratic constraints into a single quadratic form
-for the optimization oracle and the certificate checks.
+``1/omega`` and ``e`` folded in), so residuals, the mixed gradient, single
+rows and batch values cost a few vector operations per call; norm
+distances, entropies and log barriers go through their own methods one at a
+time.  :class:`Mixture` fixes one weight vector and collapses the affine and
+quadratic constraints into one quadratic form for the optimization oracle
+and the certificate checks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -69,8 +70,8 @@ class ConvergenceError(RuntimeError):
     """An inner iterative solve hit its cap without meeting its contract."""
 
 
-def _freeze(a, dtype=float) -> Array:
-    out = np.array(a, dtype=dtype)
+def _freeze(a) -> Array:
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -204,117 +205,13 @@ def linear_minimum(domain: Domain, c: Array) -> tuple[Array, float]:
 
 # ---------------------------------------------------------------------------
 # Constraint families
+#
+# Each family is one frozen dataclass holding all the package knows about
+# it (see _Family); FAMILIES maps problem-file tags to the classes.  Field
+# annotations name the file type of each field: 1-d, 2-d or square
+# symmetric arrays, numbers, or a nested constraint.
 
-
-@dataclass(frozen=True, eq=False)
-class Affine:
-    """f(x) = a.x + b."""
-
-    a: Array
-    b: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, float)
-        if a.ndim != 1:
-            raise DimensionMismatch("affine coefficient vector must be 1-d")
-        object.__setattr__(self, "a", _freeze(a))
-        object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True, eq=False)
-class Quadratic:
-    """f(x) = x.A x + b.x + c with A symmetric (not necessarily PSD)."""
-
-    A: Array
-    b: Array
-    c: float
-
-    def __post_init__(self):
-        A = np.asarray(self.A, float)
-        b = np.asarray(self.b, float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("quadratic matrix must be square")
-        if b.shape != (A.shape[0],):
-            raise DimensionMismatch("quadratic linear term has wrong dimension")
-        asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-        if asym > 1e-9 * (1.0 + float(np.max(np.abs(A)))):
-            raise SetupError(f"quadratic matrix not symmetric (max asymmetry {asym:.3g})")
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
-        object.__setattr__(self, "c", float(self.c))
-
-
-@dataclass(frozen=True, eq=False)
-class LogAffineComposite:
-    """f(x) = log(e + inner(x)/omega); concave whenever inner is concave."""
-
-    inner: "ConstraintFn"
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise SetupError("omega must be positive")
-        object.__setattr__(self, "omega", float(self.omega))
-
-
-@dataclass(frozen=True, eq=False)
-class NegEntropy:
-    """f(x) = sum_i x_i log x_i + shift; requires strictly positive x."""
-
-    n: int
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise SetupError("dimension must be >= 1")
-        object.__setattr__(self, "shift", float(self.shift))
-
-
-@dataclass(frozen=True, eq=False)
-class NormDistSq:
-    """f(x) = ||x - center||^2 - c."""
-
-    center: Array
-    c: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, float)
-        if center.ndim != 1:
-            raise DimensionMismatch("center must be a 1-d vector")
-        object.__setattr__(self, "center", _freeze(center))
-        object.__setattr__(self, "c", float(self.c))
-
-
-@dataclass(frozen=True, eq=False)
-class NegLogBarrier:
-    """f(x) = level - sum_k log(rows_k . x); requires rows_k . x > 0."""
-
-    rows: Array
-    level: float
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, float)
-        if rows.ndim != 2:
-            raise DimensionMismatch("rows must be a 2-d matrix")
-        object.__setattr__(self, "rows", _freeze(rows))
-        object.__setattr__(self, "level", float(self.level))
-
-
-ConstraintFn = Union[Affine, Quadratic, LogAffineComposite, NegEntropy, NormDistSq, NegLogBarrier]
-
-
-def constraint_dim(f: ConstraintFn) -> int:
-    if isinstance(f, Affine):
-        return f.a.shape[0]
-    if isinstance(f, Quadratic):
-        return f.A.shape[0]
-    if isinstance(f, LogAffineComposite):
-        return constraint_dim(f.inner)
-    if isinstance(f, NegEntropy):
-        return f.n
-    if isinstance(f, NormDistSq):
-        return f.center.shape[0]
-    return f.rows.shape[1]
+Vector = Matrix = Symmetric = Array
 
 
 def _rowdot(R: Array, x: Array):
@@ -325,95 +222,6 @@ def _rowdot(R: Array, x: Array):
     paths both use this kernel so they agree exactly.
     """
     return np.add.reduce(R * x, axis=-1)
-
-
-def _check_point(f: ConstraintFn, x) -> Array:
-    x = np.asarray(x, float)
-    if x.shape != (constraint_dim(f),):
-        raise DimensionMismatch(
-            f"point has shape {x.shape}, constraint expects ({constraint_dim(f)},)"
-        )
-    return x
-
-
-def evaluate(f: ConstraintFn, x) -> float:
-    """Constraint value at x.  Raises EvaluationDomainError off the analytic domain."""
-    x = _check_point(f, x)
-    if isinstance(f, Affine):
-        return float(_rowdot(f.a, x) + f.b)
-    if isinstance(f, Quadratic):
-        return float(x @ (f.A @ x) + f.b @ x + f.c)
-    if isinstance(f, LogAffineComposite):
-        arg = math.e + evaluate(f.inner, x) / f.omega
-        if arg <= 0:
-            raise EvaluationDomainError("log argument is nonpositive")
-        return math.log(arg)
-    if isinstance(f, NegEntropy):
-        if np.any(x <= 0):
-            raise EvaluationDomainError("negative entropy needs strictly positive coordinates")
-        return float(np.sum(x * np.log(x)) + f.shift)
-    if isinstance(f, NormDistSq):
-        d = x - f.center
-        return float(d @ d - f.c)
-    z = f.rows @ x
-    if np.any(z <= 0):
-        raise EvaluationDomainError("log barrier row inner product is nonpositive")
-    return float(f.level - np.sum(np.log(z)))
-
-
-def gradient(f: ConstraintFn, x) -> Array:
-    """Gradient of the constraint at x (same domain rules as evaluate)."""
-    x = _check_point(f, x)
-    if isinstance(f, Affine):
-        return f.a.copy()
-    if isinstance(f, Quadratic):
-        return 2.0 * (f.A @ x) + f.b
-    if isinstance(f, LogAffineComposite):
-        arg = math.e + evaluate(f.inner, x) / f.omega
-        if arg <= 0:
-            raise EvaluationDomainError("log argument is nonpositive")
-        return gradient(f.inner, x) / (f.omega * arg)
-    if isinstance(f, NegEntropy):
-        if np.any(x <= 0):
-            raise EvaluationDomainError("negative entropy needs strictly positive coordinates")
-        return 1.0 + np.log(x)
-    if isinstance(f, NormDistSq):
-        return 2.0 * (x - f.center)
-    z = f.rows @ x
-    if np.any(z <= 0):
-        raise EvaluationDomainError("log barrier row inner product is nonpositive")
-    return -(f.rows.T @ (1.0 / z))
-
-
-def evaluate_batch(f: ConstraintFn, X: Array) -> Array:
-    """Vectorized evaluate over rows of X (grid and sampling oracles)."""
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != constraint_dim(f):
-        raise DimensionMismatch("batch must be (N, n) with matching n")
-    if isinstance(f, Affine):
-        return X @ f.a + f.b
-    if isinstance(f, Quadratic):
-        return np.einsum("ni,ij,nj->n", X, f.A, X) + X @ f.b + f.c
-    if isinstance(f, LogAffineComposite):
-        arg = math.e + evaluate_batch(f.inner, X) / f.omega
-        if np.any(arg <= 0):
-            raise EvaluationDomainError("log argument is nonpositive")
-        return np.log(arg)
-    if isinstance(f, NegEntropy):
-        if np.any(X <= 0):
-            raise EvaluationDomainError("negative entropy needs strictly positive coordinates")
-        return np.sum(X * np.log(X), axis=1) + f.shift
-    if isinstance(f, NormDistSq):
-        D = X - f.center
-        return np.sum(D * D, axis=1) - f.c
-    Z = X @ f.rows.T
-    if np.any(Z <= 0):
-        raise EvaluationDomainError("log barrier row inner product is nonpositive")
-    return f.level - np.sum(np.log(Z), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Conservative per-family bounds over a domain (interval arithmetic)
 
 
 def _affine_interval(a: Array, b: float, domain: Domain) -> tuple[float, float]:
@@ -445,25 +253,223 @@ def _xlogx_interval(lo: float, hi: float) -> tuple[float, float]:
     return vmin, max(val(lo), val(hi))
 
 
-def value_interval(f: ConstraintFn, domain: Domain) -> tuple[float, float]:
-    """Interval guaranteed to contain f(x) for every x in the domain."""
-    if isinstance(f, Affine):
-        return _affine_interval(f.a, f.b, domain)
-    if isinstance(f, Quadratic):
+class _Family:
+    """What a family provides, with the defaults of one that has no Hessian
+    bound, curvature, quadratic form or stacked form.
+
+    Every family also has its problem-file ``tag``, its dimension ``n`` (a
+    field, or set on construction), the scalar reference ``value(x)``,
+    ``gradient(x)`` and ``value_batch(X)`` (they raise EvaluationDomainError
+    off the analytic domain and trust the shapes, which the module-level
+    evaluate functions check), and over a domain an ``interval`` containing
+    every value and a ``gradient_bound`` on ||grad f||_2.
+    """
+
+    def smoothness(self, domain: Domain) -> float:
+        """Upper bound on the Hessian operator norm, or inf where unbounded."""
+        return math.inf
+
+    def curvature(self, domain: Domain) -> float:
+        """Lower bound on the smallest Hessian eigenvalue over the domain."""
+        return 0.0
+
+    def as_quadratic(self) -> Quadratic | None:
+        """The same function as x.A x + b.x + c, or None if it has no such form."""
+        return None
+
+    def packed_group(self) -> type:
+        """The group of the packed form this constraint is stacked into."""
+        return _Scalar
+
+
+@dataclass(frozen=True, eq=False)
+class Affine(_Family):
+    """f(x) = a.x + b."""
+
+    tag = "affine"
+    a: Vector
+    b: float
+
+    def __post_init__(self):
+        a = np.asarray(self.a, float)
+        if a.ndim != 1:
+            raise DimensionMismatch("affine coefficient vector must be 1-d")
+        object.__setattr__(self, "a", _freeze(a))
+        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "n", a.shape[0])
+
+    def value(self, x):
+        return float(_rowdot(self.a, x) + self.b)
+
+    def gradient(self, x):
+        return self.a.copy()
+
+    def value_batch(self, X):
+        return X @ self.a + self.b
+
+    def interval(self, domain):
+        return _affine_interval(self.a, self.b, domain)
+
+    def gradient_bound(self, domain):
+        return float(np.linalg.norm(self.a))
+
+    def smoothness(self, domain):
+        return 0.0
+
+    def as_quadratic(self):
+        return Quadratic(A=np.zeros((self.n, self.n)), b=self.a.copy(), c=self.b)
+
+    def packed_group(self):
+        return _Affines
+
+
+@dataclass(frozen=True, eq=False)
+class Quadratic(_Family):
+    """f(x) = x.A x + b.x + c with A symmetric (not necessarily PSD)."""
+
+    tag = "quadratic"
+    A: Symmetric
+    b: Vector
+    c: float
+
+    def __post_init__(self):
+        A = np.asarray(self.A, float)
+        b = np.asarray(self.b, float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionMismatch("quadratic matrix must be square")
+        if b.shape != (A.shape[0],):
+            raise DimensionMismatch("quadratic linear term has wrong dimension")
+        asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+        if asym > 1e-9 * (1.0 + float(np.max(np.abs(A)))):
+            raise SetupError(f"quadratic matrix not symmetric (max asymmetry {asym:.3g})")
+        object.__setattr__(self, "A", _freeze(A))
+        object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "n", A.shape[0])
+
+    def value(self, x):
+        return float(x @ (self.A @ x) + self.b @ x + self.c)
+
+    def gradient(self, x):
+        return 2.0 * (self.A @ x) + self.b
+
+    def value_batch(self, X):
+        return np.einsum("ni,ij,nj->n", X, self.A, X) + X @ self.b + self.c
+
+    def interval(self, domain):
         M = max_point_norm(domain)
-        ev = np.linalg.eigvalsh(f.A)
+        ev = np.linalg.eigvalsh(self.A)
         qlo = min(0.0, float(ev[0])) * M * M
         qhi = max(0.0, float(ev[-1])) * M * M
-        llo, lhi = _affine_interval(f.b, f.c, domain)
+        llo, lhi = _affine_interval(self.b, self.c, domain)
         return qlo + llo, qhi + lhi
-    if isinstance(f, LogAffineComposite):
-        ilo, ihi = value_interval(f.inner, domain)
-        lo_arg = max(math.e + ilo / f.omega, GRAD_FLOOR)
-        hi_arg = max(math.e + ihi / f.omega, lo_arg)
+
+    def _spectral_radius(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.A)))) if self.A.size else 0.0
+
+    def gradient_bound(self, domain):
+        return 2.0 * self._spectral_radius() * max_point_norm(domain) + float(np.linalg.norm(self.b))
+
+    def smoothness(self, domain):
+        return 2.0 * self._spectral_radius()
+
+    def curvature(self, domain):
+        return max(0.0, 2.0 * float(np.min(np.linalg.eigvalsh(self.A))))
+
+    def as_quadratic(self):
+        return self
+
+    def packed_group(self):
+        return _Quadratics
+
+
+@dataclass(frozen=True, eq=False)
+class LogAffineComposite(_Family):
+    """f(x) = log(e + inner(x)/omega); concave whenever inner is concave."""
+
+    tag = "log_affine_composite"
+    inner: ConstraintFn
+    omega: float
+
+    def __post_init__(self):
+        if not self.omega > 0:
+            raise SetupError("omega must be positive")
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "n", self.inner.n)
+
+    def _arg(self, inner_value):
+        """e + inner/omega, the argument of the log; raises where it is <= 0."""
+        arg = math.e + inner_value / self.omega
+        if np.any(arg <= 0):
+            raise EvaluationDomainError("log argument is nonpositive")
+        return arg
+
+    def value(self, x):
+        return math.log(self._arg(self.inner.value(x)))
+
+    def gradient(self, x):
+        arg = self._arg(self.inner.value(x))
+        return self.inner.gradient(x) / (self.omega * arg)
+
+    def value_batch(self, X):
+        return np.log(self._arg(self.inner.value_batch(X)))
+
+    def interval(self, domain):
+        ilo, ihi = self.inner.interval(domain)
+        lo_arg = max(math.e + ilo / self.omega, GRAD_FLOOR)
+        hi_arg = max(math.e + ihi / self.omega, lo_arg)
         return math.log(lo_arg), math.log(hi_arg)
-    if isinstance(f, NegEntropy):
+
+    def gradient_bound(self, domain):
+        # |e + inner/omega| >= e - 1 > 1 under the width precondition
+        return self.inner.gradient_bound(domain) / self.omega
+
+    def smoothness(self, domain):
+        inner_L = self.inner.smoothness(domain)
+        if not math.isfinite(inner_L):
+            return math.inf
+        # |d/dt log(e+t/w)| terms: inner curvature plus rank-one correction
+        gi = self.inner.gradient_bound(domain)
+        denom = math.e - 1.0
+        return inner_L / (self.omega * denom) + (gi / self.omega) ** 2 / (denom * denom)
+
+    def packed_group(self):
+        return _LogAffines if isinstance(self.inner, Affine) else _Scalar
+
+
+@dataclass(frozen=True, eq=False)
+class NegEntropy(_Family):
+    """f(x) = sum_i x_i log x_i + shift; requires strictly positive x."""
+
+    tag = "neg_entropy"
+    n: int
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise SetupError("dimension must be >= 1")
+        object.__setattr__(self, "shift", float(self.shift))
+
+    @staticmethod
+    def _positive(x):
+        if np.any(x <= 0):
+            raise EvaluationDomainError("negative entropy needs strictly positive coordinates")
+        return x
+
+    def value(self, x):
+        x = self._positive(x)
+        return float(np.sum(x * np.log(x)) + self.shift)
+
+    def gradient(self, x):
+        return 1.0 + np.log(self._positive(x))
+
+    def value_batch(self, X):
+        X = self._positive(X)
+        return np.sum(X * np.log(X), axis=1) + self.shift
+
+    def interval(self, domain):
         if isinstance(domain, Simplex):
-            return -math.log(domain.n) + f.shift if domain.n > 1 else f.shift, f.shift
+            return -math.log(domain.n) + self.shift if domain.n > 1 else self.shift, self.shift
         lo, hi = bounding_box(domain)
         if np.any(lo < 0):
             raise SetupError("negative entropy over a domain with negative coordinates")
@@ -472,94 +478,163 @@ def value_interval(f: ConstraintFn, domain: Domain) -> tuple[float, float]:
             a, b = _xlogx_interval(float(li), float(hi_i))
             lo_sum += a
             hi_sum += b
-        return lo_sum + f.shift, hi_sum + f.shift
-    if isinstance(f, NormDistSq):
-        md = _max_dist(f.center, domain)
-        return -f.c, md * md - f.c
-    # NegLogBarrier
-    lo_sum = hi_sum = 0.0
-    for k in range(f.rows.shape[0]):
-        rlo, rhi = _affine_interval(f.rows[k], 0.0, domain)
-        if rhi <= 0:
-            raise SetupError("log barrier row is nonpositive over the whole domain")
-        lo_sum += math.log(max(rlo, GRAD_FLOOR))
-        hi_sum += math.log(rhi)
-    return f.level - hi_sum, f.level - lo_sum
+        return lo_sum + self.shift, hi_sum + self.shift
 
-
-def gradient_norm_bound(f: ConstraintFn, domain: Domain) -> float:
-    """Conservative upper bound on ||grad f(x)||_2 over the domain."""
-    if isinstance(f, Affine):
-        return float(np.linalg.norm(f.a))
-    if isinstance(f, Quadratic):
-        rho = float(np.max(np.abs(np.linalg.eigvalsh(f.A)))) if f.A.size else 0.0
-        return 2.0 * rho * max_point_norm(domain) + float(np.linalg.norm(f.b))
-    if isinstance(f, LogAffineComposite):
-        # |e + inner/omega| >= e - 1 > 1 under the width precondition
-        return gradient_norm_bound(f.inner, domain) / f.omega
-    if isinstance(f, NegEntropy):
+    def gradient_bound(self, domain):
         lo, hi = bounding_box(domain)
         lo = np.maximum(lo, GRAD_FLOOR)
         hi = np.maximum(hi, lo)
         per = np.maximum(np.abs(1.0 + np.log(lo)), np.abs(1.0 + np.log(hi)))
         return float(np.linalg.norm(per))
-    if isinstance(f, NormDistSq):
-        return 2.0 * _max_dist(f.center, domain)
-    total = 0.0
-    for k in range(f.rows.shape[0]):
-        rlo, _ = _affine_interval(f.rows[k], 0.0, domain)
-        total += float(np.linalg.norm(f.rows[k])) / max(rlo, GRAD_FLOOR)
-    return total
 
-
-def smoothness_bound(f: ConstraintFn, domain: Domain) -> float:
-    """Upper bound on the Hessian operator norm, or inf where unbounded."""
-    if isinstance(f, Affine):
-        return 0.0
-    if isinstance(f, Quadratic):
-        return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(f.A)))) if f.A.size else 0.0
-    if isinstance(f, NormDistSq):
-        return 2.0
-    if isinstance(f, LogAffineComposite):
-        inner_L = smoothness_bound(f.inner, domain)
-        if not math.isfinite(inner_L):
-            return math.inf
-        # |d/dt log(e+t/w)| terms: inner curvature plus rank-one correction
-        gi = gradient_norm_bound(f.inner, domain)
-        denom = math.e - 1.0
-        return inner_L / (f.omega * denom) + (gi / f.omega) ** 2 / (denom * denom)
-    return math.inf  # entropy/barrier: unbounded toward the boundary
-
-
-def curvature_bound(f: ConstraintFn, domain: Domain, sense: str = "min") -> float:
-    """Lower bound on the smallest Hessian eigenvalue of the residual form."""
-    if sense == "max":
-        # residual is 1 - f; convex when f concave, no positive bound claimed
-        return 0.0
-    if isinstance(f, Affine):
-        return 0.0
-    if isinstance(f, Quadratic):
-        return max(0.0, 2.0 * float(np.min(np.linalg.eigvalsh(f.A))))
-    if isinstance(f, NormDistSq):
-        return 2.0
-    if isinstance(f, NegEntropy):
+    def curvature(self, domain):
         _, hi = bounding_box(domain)
         top = float(np.max(hi))
         return 1.0 / top if top > 0 else 0.0
-    if isinstance(f, NegLogBarrier):
+
+
+@dataclass(frozen=True, eq=False)
+class NormDistSq(_Family):
+    """f(x) = ||x - center||^2 - c."""
+
+    tag = "norm_dist_sq"
+    center: Vector
+    c: float
+
+    def __post_init__(self):
+        center = np.asarray(self.center, float)
+        if center.ndim != 1:
+            raise DimensionMismatch("center must be a 1-d vector")
+        object.__setattr__(self, "center", _freeze(center))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "n", center.shape[0])
+
+    def value(self, x):
+        d = x - self.center
+        return float(d @ d - self.c)
+
+    def gradient(self, x):
+        return 2.0 * (x - self.center)
+
+    def value_batch(self, X):
+        D = X - self.center
+        return np.sum(D * D, axis=1) - self.c
+
+    def interval(self, domain):
+        md = _max_dist(self.center, domain)
+        return -self.c, md * md - self.c
+
+    def gradient_bound(self, domain):
+        return 2.0 * _max_dist(self.center, domain)
+
+    def smoothness(self, domain):
+        return 2.0
+
+    def curvature(self, domain):
+        return 2.0
+
+    def as_quadratic(self):
+        # ||x - z||^2 - c = x'Ix - 2z'x + (||z||^2 - c)
+        return Quadratic(A=np.eye(self.n), b=-2.0 * self.center,
+                         c=float(self.center @ self.center) - self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class NegLogBarrier(_Family):
+    """f(x) = level - sum_k log(rows_k . x); requires rows_k . x > 0."""
+
+    tag = "neg_log_barrier"
+    rows: Matrix
+    level: float
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, float)
+        if rows.ndim != 2:
+            raise DimensionMismatch("rows must be a 2-d matrix")
+        object.__setattr__(self, "rows", _freeze(rows))
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "n", rows.shape[1])
+
+    @staticmethod
+    def _positive(z):
+        if np.any(z <= 0):
+            raise EvaluationDomainError("log barrier row inner product is nonpositive")
+        return z
+
+    def value(self, x):
+        return float(self.level - np.sum(np.log(self._positive(self.rows @ x))))
+
+    def gradient(self, x):
+        return -(self.rows.T @ (1.0 / self._positive(self.rows @ x)))
+
+    def value_batch(self, X):
+        return self.level - np.sum(np.log(self._positive(X @ self.rows.T)), axis=1)
+
+    def interval(self, domain):
+        lo_sum = hi_sum = 0.0
+        for k in range(self.rows.shape[0]):
+            rlo, rhi = _affine_interval(self.rows[k], 0.0, domain)
+            if rhi <= 0:
+                raise SetupError("log barrier row is nonpositive over the whole domain")
+            lo_sum += math.log(max(rlo, GRAD_FLOOR))
+            hi_sum += math.log(rhi)
+        return self.level - hi_sum, self.level - lo_sum
+
+    def gradient_bound(self, domain):
+        total = 0.0
+        for k in range(self.rows.shape[0]):
+            rlo, _ = _affine_interval(self.rows[k], 0.0, domain)
+            total += float(np.linalg.norm(self.rows[k])) / max(rlo, GRAD_FLOOR)
+        return total
+
+    def curvature(self, domain):
         # unit rows contribute sum_i e_i e_i^T / x_i^2 >= I when x_i <= 1
         _, hi = bounding_box(domain)
         if float(np.max(hi)) > 1.0 + ZERO_TOL:
             return 0.0
-        n = f.rows.shape[1]
         covered = set()
-        for k in range(f.rows.shape[0]):
-            row = f.rows[k]
+        for k in range(self.rows.shape[0]):
+            row = self.rows[k]
             j = int(np.argmax(row))
             if row[j] == 1.0 and np.count_nonzero(row) == 1:
                 covered.add(j)
-        return 1.0 if len(covered) == n else 0.0
-    return 0.0
+        return 1.0 if len(covered) == self.n else 0.0
+
+
+ConstraintFn = Union[Affine, Quadratic, LogAffineComposite, NegEntropy, NormDistSq, NegLogBarrier]
+
+# The families by problem-file tag.
+FAMILIES = {cls.tag: cls for cls in get_args(ConstraintFn)}
+
+
+def _check_point(f: ConstraintFn, x) -> Array:
+    x = np.asarray(x, float)
+    if x.shape != (f.n,):
+        raise DimensionMismatch(f"point has shape {x.shape}, constraint expects ({f.n},)")
+    return x
+
+
+def evaluate(f: ConstraintFn, x) -> float:
+    """Constraint value at x.  Raises EvaluationDomainError off the analytic domain."""
+    return f.value(_check_point(f, x))
+
+
+def gradient(f: ConstraintFn, x) -> Array:
+    """Gradient of the constraint at x (same domain rules as evaluate)."""
+    return f.gradient(_check_point(f, x))
+
+
+def evaluate_batch(f: ConstraintFn, X) -> Array:
+    """Vectorized evaluate over rows of X (grid and sampling oracles)."""
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != f.n:
+        raise DimensionMismatch("batch must be (N, n) with matching n")
+    return f.value_batch(X)
+
+
+def smoothness_bound(f: ConstraintFn, domain: Domain) -> float:
+    """Upper bound on the Hessian operator norm, or inf where unbounded."""
+    return f.smoothness(domain)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +681,8 @@ class Problem:
             raise SetupError("sense must be 'min' or 'max'")
         n = domain_dim(self.domain)
         for j, f in enumerate(self.constraints):
-            if constraint_dim(f) != n:
-                raise DimensionMismatch(f"constraint {j} has dimension {constraint_dim(f)}, domain has {n}")
+            if f.n != n:
+                raise DimensionMismatch(f"constraint {j} has dimension {f.n}, domain has {n}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @property
@@ -625,11 +700,12 @@ class Problem:
 
 
 def _estimate(constraints, domain: Domain, sense: str) -> ProblemParams:
-    G = max(gradient_norm_bound(f, domain) for f in constraints)
-    H = min(curvature_bound(f, domain, sense) for f in constraints)
+    G = max(f.gradient_bound(domain) for f in constraints)
+    # a "max" residual 1 - f is convex where f is concave; no curvature is claimed
+    H = 0.0 if sense == "max" else min(f.curvature(domain) for f in constraints)
     widths = []
     for f in constraints:
-        lo, hi = value_interval(f, domain)
+        lo, hi = f.interval(domain)
         if sense == "max":
             lo, hi = 1.0 - hi, 1.0 - lo
         widths.append(max(abs(lo), abs(hi)))
@@ -844,42 +920,37 @@ class _Scalar(_Group):
         self.fs = fs
 
     def error(self, i, x):
-        # evaluate and gradient share their domain rules, so evaluating row i
+        # value and gradient share their domain rules, so evaluating row i
         # again raises the reference's own error for it
+        f = self.fs[i]
         try:
-            (evaluate if x.ndim == 1 else evaluate_batch)(self.fs[i], x)
+            (f.value if x.ndim == 1 else f.value_batch)(x)
         except EvaluationDomainError as exc:
             return exc
         raise AssertionError("row is on its domain")
 
-    def _each(self, fn, x, shape):
+    def _each(self, method, x, shape):
         out = np.empty((len(self.fs),) + shape)
         bad = np.zeros(len(self.fs), bool)
         for i, f in enumerate(self.fs):
             try:
-                out[i] = fn(f, x)
+                out[i] = getattr(f, method)(x)
             except EvaluationDomainError:
                 out[i], bad[i] = np.nan, True
         return out, bad if bad.any() else None
 
     def values(self, x):
-        return self._each(evaluate, x, ())
+        return self._each("value", x, ())
 
     def rows(self, x):
-        return self._each(gradient, x, x.shape)
+        return self._each("gradient", x, x.shape)
 
     def row(self, i, x):
-        return gradient(self.fs[i], x)
+        return self.fs[i].gradient(x)
 
     def values_batch(self, X):
-        V, bad = self._each(evaluate_batch, X, X.shape[:1])
+        V, bad = self._each("value_batch", X, X.shape[:1])
         return V.T, bad
-
-
-def _group_of(f: ConstraintFn) -> type:
-    if isinstance(f, LogAffineComposite):
-        return _LogAffines if isinstance(f.inner, Affine) else _Scalar
-    return {Affine: _Affines, Quadratic: _Quadratics}.get(type(f), _Scalar)
 
 
 def _as_point(x, n: int) -> Array:
@@ -905,7 +976,7 @@ class Packed:
         self.flip = problem.sense == "max"
         members: dict[type, list[int]] = {}
         for j, f in enumerate(problem.constraints):
-            members.setdefault(_group_of(f), []).append(j)
+            members.setdefault(f.packed_group(), []).append(j)
         self.groups = []
         self.where: list[tuple] = [()] * self.m  # j -> (group, row in group)
         for kind, idx in members.items():
@@ -920,8 +991,8 @@ class Packed:
 
     @cached_property
     def smoothness(self) -> Array:
-        """smoothness_bound of each constraint (inf where unbounded)."""
-        return np.array([smoothness_bound(f, self.domain) for f in self.constraints])
+        """Smoothness bound of each constraint (inf where unbounded)."""
+        return np.array([f.smoothness(self.domain) for f in self.constraints])
 
     def gather(self, rows: bool, x: Array) -> tuple[Array, Array | None]:
         """Raw values (or gradient rows) of all constraints, in order."""

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 # evaluate, gradient and smoothness_bound are not called in this module; they
 # stay importable from it because call-site tracers (bench/workloads.py) wrap
 # them here.
@@ -53,7 +51,6 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
                          tol: float = 1e-9,
                          max_iters: int = DEFAULT_CAP,
                          stop_below: float | None = None,
-                         x0=None,
                          on_cap: str = "raise") -> MinimizeResult:
     """Minimize a convex function over the domain by projected gradient.
 
@@ -63,7 +60,7 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
     backtracking line search otherwise.  Hitting the cap raises
     ConvergenceError unless on_cap="return".
     """
-    x = start_point(domain) if x0 is None else np.asarray(x0, float)
+    x = start_point(domain)
     fx = value_fn(x)
     best_x, best_f = x, fx
     best_lb = -math.inf

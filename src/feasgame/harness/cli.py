@@ -17,6 +17,7 @@ from ..reductions import log_transform, strictify
 from ..solvers import EpsilonInfeasible, Exhausted, Feasible, Infeasible, TraceRecord
 from .experiments import regret_experiment, run_solver, scaling_experiment
 from .io import (
+    _GENERATOR_FIELDS,
     canonical_json,
     emit_outcome_document,
     outcome_document,
@@ -128,19 +129,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gen(args) -> int:
     family = _FAMILY_BY_TAG[args.family]
-    gen: dict = {"family": family, "n": args.n, "seed": args.seed}
-    if family in ("strict_qp", "perceptron_lp", "portfolio_risk", "entropy"):
-        gen["m"] = args.m
-    if family == "strict_qp":
-        gen["h_target"] = args.h_target
-        gen["feasible"] = not args.infeasible
-    elif family == "perceptron_lp":
-        gen["margin"] = args.margin
-        gen["feasible"] = not args.infeasible
-    elif family in ("entropy", "crp"):
-        gen["c"] = args.c
-    if family == "crp":
-        gen["t_days"] = args.t_days
+    knobs = dict(vars(args), feasible=not args.infeasible)
+    gen = {"family": family, "n": args.n}
+    gen.update((key, knobs[key]) for key in _GENERATOR_FIELDS[family])
     doc = {"version": 1, "generator": gen}
     problem_from_doc(doc)  # reject bad knobs before writing anything
     _write_text(args.out, canonical_json(doc))

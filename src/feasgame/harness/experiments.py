@@ -109,10 +109,10 @@ def mw_signs_regret(T: int, seed: int, *, eta: float | None = None) -> SignsRun:
     return SignsRun(regret=float(np.sum(played)) + advantage, advantage=advantage)
 
 
-def ogd_quadratic_stream_regret(T: int, seed: int, *, n: int = 5,
+def ogd_quadratic_stream_regret(T: int, seed: int, *,
                                 checkpoints: Sequence[int] | None = None,
                                 ) -> list[tuple[int, float]]:
-    """OGD on the stream f_t(x) = 0.5 ||x - z_t||^2 over the unit ball.
+    """OGD on the stream f_t(x) = 0.5 ||x - z_t||^2 over the unit ball in R^5.
 
     The costs are 1-strongly convex with gradients bounded by 2.  Returns
     (T_i, measured regret) at each checkpoint of a single run.
@@ -122,6 +122,7 @@ def ogd_quadratic_stream_regret(T: int, seed: int, *, n: int = 5,
     checkpoints = sorted(set(checkpoints or [T]))
     if checkpoints[-1] > T or checkpoints[0] < 1:
         raise SetupError("checkpoints must lie in [1, T]")
+    n = 5
     domain = Ball(n=n, radius=1.0, center=np.zeros(n))
     zs = sample_domain(domain, T, seed=seed)
     half_eye = 0.5 * np.eye(n)
@@ -136,26 +137,16 @@ def ogd_quadratic_stream_regret(T: int, seed: int, *, n: int = 5,
     return [(c, measured_regret(fs[:c], xs[:c], domain)) for c in checkpoints]
 
 
-def _default_t_ladder(T: int) -> list[int]:
-    ladder = sorted({10 ** k for k in range(2, 7) if 10 ** k <= T} | {T})
-    if len(ladder) < 3:
-        raise SetupError("T too small for an exponent fit; need T >= 10^4")
-    return ladder
-
-
-def regret_experiment(learner: str, T: int = 10_000, seeds: int = 20, *,
-                      t_ladder: Sequence[int] | None = None) -> ExperimentReport:
+def regret_experiment(learner: str, T: int = 10_000, seeds: int = 20) -> ExperimentReport:
     """Measured-regret growth for one learner on its adversarial stream.
 
     MW runs the +/-1 two-expert stream over `seeds` streams per ladder
     point and fits mean regret against T; OGD runs a single strongly
     convex stream and fits regret at prefix checkpoints.
     """
-    if T < 10:
-        raise SetupError("T must be >= 10")
-    ladder = list(t_ladder) if t_ladder is not None else _default_t_ladder(T)
-    if len(ladder) < 2:
-        raise SetupError("need at least 2 ladder points")
+    ladder = sorted({10 ** k for k in range(2, 7) if 10 ** k <= T} | {T})
+    if len(ladder) < 3:
+        raise SetupError("T too small for an exponent fit; need T >= 10^4")
     values, walls = [], []
     details: dict = {}
     if learner == "mw":

@@ -16,20 +16,14 @@ import math
 import numpy as np
 
 from ..core import (
-    Affine,
+    FAMILIES,
     Ball,
     Box,
     ConstraintFn,
     Domain,
-    LogAffineComposite,
-    NegEntropy,
-    NegLogBarrier,
-    NormDistSq,
     Problem,
     ProblemParams,
-    Quadratic,
     Simplex,
-    constraint_dim,
     domain_dim,
     make_problem,
 )
@@ -151,62 +145,48 @@ def _domain_doc(domain: Domain) -> dict:
 # Constraints
 
 
+def _symmetric(v, path: str) -> np.ndarray:
+    A = _matrix(v, path)
+    if A.shape[0] != A.shape[1]:
+        raise ProblemFileError(f"{path}: expected a square matrix")
+    if np.max(np.abs(A - A.T)) > 1e-9 * (1.0 + np.max(np.abs(A))):
+        raise ProblemFileError(f"{path}: matrix is not symmetric")
+    return A
+
+
 def _parse_constraint(obj, path: str) -> ConstraintFn:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ProblemFileError(f"{path}: expected an object with a 'family' field")
     fam = obj["family"]
+    cls = FAMILIES.get(fam) if isinstance(fam, str) else None
+    if cls is None:
+        raise ProblemFileError(f"{path}.family: unknown constraint family {fam!r}")
+    fields = dataclasses.fields(cls)
+    _check_keys(obj, path,
+                ("family",) + tuple(f.name for f in fields if f.default is dataclasses.MISSING),
+                tuple(f.name for f in fields if f.default is not dataclasses.MISSING))
+    kwargs = {f.name: _FIELD_CODECS[f.type][0](obj[f.name], f"{path}.{f.name}")
+              for f in fields if f.name in obj}
     try:
-        if fam == "affine":
-            _check_keys(obj, path, ("family", "a", "b"))
-            return Affine(a=_vector(obj["a"], f"{path}.a"),
-                          b=_real(obj["b"], f"{path}.b"))
-        if fam == "quadratic":
-            _check_keys(obj, path, ("family", "A", "b", "c"))
-            A = _matrix(obj["A"], f"{path}.A")
-            if A.shape[0] != A.shape[1]:
-                raise ProblemFileError(f"{path}.A: expected a square matrix")
-            if np.max(np.abs(A - A.T)) > 1e-9 * (1.0 + np.max(np.abs(A))):
-                raise ProblemFileError(f"{path}.A: matrix is not symmetric")
-            return Quadratic(A=A, b=_vector(obj["b"], f"{path}.b"),
-                             c=_real(obj["c"], f"{path}.c"))
-        if fam == "log_affine_composite":
-            _check_keys(obj, path, ("family", "inner", "omega"))
-            inner = _parse_constraint(obj["inner"], f"{path}.inner")
-            return LogAffineComposite(inner=inner,
-                                      omega=_real(obj["omega"], f"{path}.omega"))
-        if fam == "neg_entropy":
-            _check_keys(obj, path, ("family", "n"), ("shift",))
-            return NegEntropy(n=_integer(obj["n"], f"{path}.n"),
-                              shift=_real(obj.get("shift", 0.0), f"{path}.shift"))
-        if fam == "norm_dist_sq":
-            _check_keys(obj, path, ("family", "center", "c"))
-            return NormDistSq(center=_vector(obj["center"], f"{path}.center"),
-                              c=_real(obj["c"], f"{path}.c"))
-        if fam == "neg_log_barrier":
-            _check_keys(obj, path, ("family", "rows", "level"))
-            return NegLogBarrier(rows=_matrix(obj["rows"], f"{path}.rows"),
-                                 level=_real(obj["level"], f"{path}.level"))
-    except ProblemFileError:
-        raise
+        return cls(**kwargs)
     except ValueError as e:
         raise ProblemFileError(f"{path}: {e}") from e
-    raise ProblemFileError(f"{path}.family: unknown constraint family {fam!r}")
 
 
 def _constraint_doc(f: ConstraintFn) -> dict:
-    if isinstance(f, Affine):
-        return {"family": "affine", "a": f.a.tolist(), "b": float(f.b)}
-    if isinstance(f, Quadratic):
-        return {"family": "quadratic", "A": f.A.tolist(), "b": f.b.tolist(),
-                "c": float(f.c)}
-    if isinstance(f, LogAffineComposite):
-        return {"family": "log_affine_composite", "inner": _constraint_doc(f.inner),
-                "omega": float(f.omega)}
-    if isinstance(f, NegEntropy):
-        return {"family": "neg_entropy", "n": f.n, "shift": float(f.shift)}
-    if isinstance(f, NormDistSq):
-        return {"family": "norm_dist_sq", "center": f.center.tolist(), "c": float(f.c)}
-    return {"family": "neg_log_barrier", "rows": f.rows.tolist(), "level": float(f.level)}
+    return {"family": f.tag, **{field.name: _FIELD_CODECS[field.type][1](getattr(f, field.name))
+                                for field in dataclasses.fields(f)}}
+
+
+# A family field's annotation names its (parse, emit) pair.
+_FIELD_CODECS = {
+    "Vector": (_vector, np.ndarray.tolist),
+    "Matrix": (_matrix, np.ndarray.tolist),
+    "Symmetric": (_symmetric, np.ndarray.tolist),
+    "float": (_real, float),
+    "int": (_integer, int),
+    "ConstraintFn": (_parse_constraint, _constraint_doc),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +265,9 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
         constraints = [_parse_constraint(obj, f"problem.constraints[{i}]")
                        for i, obj in enumerate(raw)]
         for i, f in enumerate(constraints):
-            if constraint_dim(f) != domain_dim(domain):
+            if f.n != domain_dim(domain):
                 raise ProblemFileError(
-                    f"problem.constraints[{i}]: dimension {constraint_dim(f)} does "
+                    f"problem.constraints[{i}]: dimension {f.n} does "
                     f"not match the domain dimension {domain_dim(domain)}"
                 )
         try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,16 +28,13 @@ from .core import (
     Array,
     ConstraintFn,
     Domain,
-    NormDistSq,
     Quadratic,
     SetupError,
-    Simplex,
     domain_dim,
     evaluate,
     evaluate_batch,
     gradient,
     linear_minimum,
-    smoothness_bound,
     start_point,
 )
 from .descent import minimize_over_domain
@@ -254,28 +251,19 @@ def regret_bound(spec: RegretBoundSpec, T: int) -> float:
 
 
 def _combine(costs: Sequence[ConstraintFn], n: int):
-    """Sum of affine/quadratic-representable costs as one closed form."""
+    """Sum of costs that have a quadratic form, as one closed form; None
+    when some cost has none."""
     A = np.zeros((n, n))
     b = np.zeros(n)
     c = 0.0
-    quadratic = False
     for f in costs:
-        if isinstance(f, Affine):
-            b += f.a
-            c += f.b
-        elif isinstance(f, Quadratic):
-            A += f.A
-            c += f.c
-            b += f.b
-            quadratic = True
-        elif isinstance(f, NormDistSq):
-            A += np.eye(n)
-            b += -2.0 * f.center
-            c += float(f.center @ f.center) - f.c
-            quadratic = True
-        else:
+        q = f.as_quadratic()
+        if q is None:
             return None
-    return Quadratic(A=A, b=b, c=c) if quadratic else Affine(a=b, b=c)
+        A += q.A
+        b += q.b
+        c += q.c
+    return Quadratic(A=A, b=b, c=c) if A.any() else Affine(a=b, b=c)
 
 
 def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Array, float]:
@@ -288,12 +276,10 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
         x, v = linear_minimum(domain, combined.a)
         return x, v + combined.b
     if combined is not None:
-        L = smoothness_bound(combined, domain)
-        scale = 1.0 + abs(evaluate(combined, start_point(domain)))
+        L = combined.smoothness(domain)
+        scale = 1.0 + abs(combined.value(start_point(domain)))
         res = minimize_over_domain(
-            lambda x: evaluate(combined, x),
-            lambda x: gradient(combined, x),
-            domain,
+            combined.value, combined.gradient, domain,
             smoothness=L if L > 0 else None,
             tol=1e-9 * scale,
             max_iters=200_000,

@@ -27,7 +27,6 @@ import numpy as np
 from .core import (
     Array,
     Ball,
-    Box,
     ConvergenceError,
     DimensionMismatch,
     Domain,
@@ -37,6 +36,9 @@ from .core import (
     domain_contains,
     domain_dim,
 )
+
+# Descent steps generalized_project takes before it gives up.
+PROJECT_CAP = 100_000
 
 
 def simplex_threshold(y) -> float:
@@ -117,8 +119,7 @@ class PsdMatrix:
         return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
 
 
-def generalized_project(y, A, domain: Domain, tol: float = 1e-9,
-                        max_iters: int = 100_000, x0=None) -> Array:
+def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
     Projected gradient descent along A(x - y) with step 1/lam_max(A) (the
@@ -152,7 +153,7 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9,
     fx = float(d @ g)
     step = 1.0 / psd.lam_max
     stop = tol * 1e-2
-    for _ in range(max_iters):
+    for _ in range(PROJECT_CAP):
         x_new = project(x - step * g)
         d = x_new - y
         g_new = M @ d
@@ -161,5 +162,5 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9,
             return x_new if f_new <= fx else x
         x, fx, g = x_new, f_new, g_new
     raise ConvergenceError(
-        f"generalized projection did not converge within {max_iters} iterations"
+        f"generalized projection did not converge within {PROJECT_CAP} iterations"
     )

@@ -19,31 +19,14 @@ import numpy as np
 from .core import (
     Affine,
     LogAffineComposite,
-    NormDistSq,
     Problem,
     ProblemParams,
     Quadratic,
     SetupError,
     Simplex,
     residuals_batch,
-    value_interval,
 )
 from .grids import sample_domain
-
-
-def _as_quadratic(f) -> Quadratic:
-    """Rewrite an Affine/Quadratic/NormDistSq constraint as a Quadratic."""
-    if isinstance(f, Affine):
-        n = f.a.shape[0]
-        return Quadratic(A=np.zeros((n, n)), b=f.a.copy(), c=f.b)
-    if isinstance(f, Quadratic):
-        return Quadratic(A=f.A.copy(), b=f.b.copy(), c=f.c)
-    if isinstance(f, NormDistSq):
-        n = f.center.shape[0]
-        # ||x - z||^2 + c = x'Ix - 2z'x + (||z||^2 + c)
-        return Quadratic(A=np.eye(n), b=-2.0 * f.center,
-                         c=float(f.center @ f.center) + f.c)
-    raise SetupError(f"cannot strictify constraint family {type(f).__name__}")
 
 
 def strictify(problem: Problem, delta: float) -> Problem:
@@ -64,7 +47,9 @@ def strictify(problem: Problem, delta: float) -> Problem:
     n = problem.n
     out = []
     for f in problem.constraints:
-        q = _as_quadratic(f)
+        q = f.as_quadratic()
+        if q is None:
+            raise SetupError(f"cannot strictify constraint family {type(f).__name__}")
         out.append(Quadratic(A=q.A + delta * np.eye(n), b=q.b, c=q.c - delta))
     p = problem.params
     # On a domain within the unit ball (simplex), the added term lies in
@@ -105,7 +90,7 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     # Width precondition |f_j(x)| <= omega: exact interval on the domain,
     # plus a sampled spot check so a bad caller-supplied omega fails loudly.
     for j, f in enumerate(problem.constraints):
-        lo, hi = value_interval(f, problem.domain)
+        lo, hi = f.interval(problem.domain)
         if max(abs(lo), abs(hi)) > omega * (1 + 1e-12):
             raise SetupError(
                 f"constraint {j} exceeds width omega: |values| up to "

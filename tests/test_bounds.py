@@ -87,8 +87,8 @@ def test_interval_and_gradient_bound_contain_sampled_values(case):
     rng = np.random.default_rng(seed)
     domain = make_domain(kind, rng, n, family in POSITIVE)
     f = make_constraint(family, rng, domain)
-    lo, hi = fg.value_interval(f, domain)
-    G = fg.gradient_norm_bound(f, domain)
+    lo, hi = f.interval(domain)
+    G = f.gradient_bound(domain)
     L = fg.smoothness_bound(f, domain)
     assert lo <= hi
     checked = 0
@@ -144,7 +144,7 @@ class TestBoxHelpers:
         rng = np.random.default_rng(1)
         f = fg.Affine(a=rng.normal(size=3), b=0.25)
         vals = [fg.evaluate(f, x) for x in corners(box)]
-        lo, hi = fg.value_interval(f, box)
+        lo, hi = f.interval(box)
         assert lo == pytest.approx(min(vals), abs=1e-12)
         assert hi == pytest.approx(max(vals), abs=1e-12)
 

@@ -271,6 +271,19 @@ class TestCli:
         assert main(["solve", "--problem", path, "--eps", "0.1",
                      "--strictify", "auto"]) == 0
 
+    def test_strictified_norm_ball_stays_feasible(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "domain": {"kind": "simplex", "n": 2},
+            "constraints": [{"family": "norm_dist_sq", "center": [0.5, 0.5], "c": 0.3}],
+        }
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "outcome.json"
+        assert main(["solve", "--problem", path, "--eps", "0.1", "--strictify", "auto",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["outcome"]["kind"] == "feasible"
+        assert main(["verify", "--outcome", str(out)]) == 0
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["solve", "--problem", "/nonexistent.json", "--eps", "0.1"]) == 1
 

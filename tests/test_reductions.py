@@ -87,6 +87,21 @@ class TestStrictify:
             fg.strictify(prob, 0.1)
 
 
+    @pytest.mark.parametrize("family", ["affine", "quadratic", "norm_dist_sq"])
+    def test_adds_exactly_the_curvature_term(self, family, rng):
+        # strictify(f) = f + delta * (||x||^2 - 1) for every family it accepts
+        n, delta = 3, 0.15
+        M = rng.normal(size=(n, n))
+        f = {
+            "affine": fg.Affine(a=rng.normal(size=n), b=0.2),
+            "quadratic": fg.Quadratic(A=M @ M.T, b=rng.normal(size=n), c=-0.4),
+            "norm_dist_sq": fg.NormDistSq(center=rng.dirichlet(np.ones(n)), c=0.3),
+        }[family]
+        out = fg.strictify(fg.make_problem([f], fg.Simplex(n=n)), delta)
+        for x in rng.dirichlet(np.ones(n), size=200):
+            expected = fg.evaluate(f, x) + delta * (x @ x - 1.0)
+            assert fg.evaluate(out.constraints[0], x) == pytest.approx(expected, abs=1e-12)
+
 class TestLogTransform:
     def test_boundary_value_maps_to_one(self):
         prob = affine_problem([[1.0, -1.0]], [0.0], 2)
