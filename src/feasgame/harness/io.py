@@ -178,8 +178,10 @@ def _constraint_doc(f: ConstraintFn) -> dict:
                                 for field in dataclasses.fields(f)}}
 
 
-# A family field's annotation names its (parse, emit) pair.
+# A field's annotation, in a constraint family or GeneratorSpec, names its
+# (parse, emit) pair.
 _FIELD_CODECS = {
+    "bool": (_boolean, bool),
     "Vector": (_vector, np.ndarray.tolist),
     "Matrix": (_matrix, np.ndarray.tolist),
     "Symmetric": (_symmetric, np.ndarray.tolist),
@@ -206,19 +208,12 @@ def _parse_generator(obj, path: str) -> GeneratorSpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ProblemFileError(f"{path}: expected an object with a 'family' field")
     fam = obj["family"]
-    if fam not in _GENERATOR_FIELDS:
+    if not isinstance(fam, str) or fam not in _GENERATOR_FIELDS:
         raise ProblemFileError(f"{path}.family: unknown generator family {fam!r}")
     _check_keys(obj, path, ("family", "n"), _GENERATOR_FIELDS[fam])
-    kwargs = {}
-    for key in _GENERATOR_FIELDS[fam]:
-        if key not in obj:
-            continue
-        if key in ("m", "seed", "t_days"):
-            kwargs[key] = _integer(obj[key], f"{path}.{key}")
-        elif key == "feasible":
-            kwargs[key] = _boolean(obj[key], f"{path}.{key}")
-        else:
-            kwargs[key] = _real(obj[key], f"{path}.{key}")
+    types = {field.name: field.type for field in dataclasses.fields(GeneratorSpec)}
+    kwargs = {key: _FIELD_CODECS[types[key]][0](obj[key], f"{path}.{key}")
+              for key in _GENERATOR_FIELDS[fam] if key in obj}
     return GeneratorSpec(family=fam, n=_integer(obj["n"], f"{path}.n"), **kwargs)
 
 

@@ -129,11 +129,30 @@ class TestFamilyFields:
         with pytest.raises(ProblemFileError, match="unknown constraint family 'cubic'"):
             parse_problem_file(doc_with([{"family": "cubic"}]))
 
+    def test_family_that_is_not_a_string_is_named(self):
+        with pytest.raises(ProblemFileError, match=r"constraints\[0\]\.family: unknown"):
+            parse_problem_file(doc_with([{"family": ["affine"]}]))
+        with pytest.raises(ProblemFileError, match=r"generator\.family: unknown"):
+            parse_problem_file(json.dumps({"version": 1,
+                                           "generator": {"family": {"a": 1}, "n": 2}}))
+
     def test_constructor_errors_carry_the_path(self):
         with pytest.raises(ProblemFileError, match=r"constraints\[0\]: omega must be positive"):
             parse_problem_file(doc_with([{"family": "log_affine_composite", "omega": 0.0,
                                           "inner": {"family": "affine", "a": [1.0, 0.0],
                                                     "b": 0.0}}]))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("feasible", 1, "expected a boolean"),
+    ("m", 2.0, "expected an integer"),
+    ("seed", True, "expected an integer"),
+    ("h_target", "1", "expected a number"),
+])
+def test_generator_fields_are_typed(key, value, message):
+    gen = {"family": "strict_qp", "n": 3, key: value}
+    with pytest.raises(ProblemFileError, match=rf"problem\.generator\.{key}: {message}"):
+        parse_problem_file(json.dumps({"version": 1, "generator": gen}))
 
 
 class TestDomainFields:

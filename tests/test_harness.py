@@ -332,6 +332,22 @@ class TestCli:
         assert doc["generator"]["family"] == "strict_qp"
         assert main(["solve", "--problem", str(gen_path), "--eps", "0.1"]) == 0
 
+    @pytest.mark.parametrize("tag, family, knobs", [
+        ("qp", "strict_qp", {"m": 3, "seed": 4, "h_target": 2.0, "feasible": False}),
+        ("lp", "perceptron_lp", {"m": 3, "seed": 4, "margin": 0.05, "feasible": False}),
+        ("portfolio", "portfolio_risk", {"m": 3, "seed": 4}),
+        ("entropy", "entropy", {"m": 3, "seed": 4, "c": 0.1}),
+        ("crp", "crp", {"seed": 4, "c": 0.1, "t_days": 7}),
+    ])
+    def test_gen_writes_exactly_the_family_fields(self, tmp_path, capsys, tag, family, knobs):
+        gen_path = tmp_path / "gen.json"
+        assert main(["gen", "--family", tag, "--n", "3", "--m", "3", "--seed", "4",
+                     "--h-target", "2", "--infeasible", "--margin", "0.05", "--c", "0.1",
+                     "--t-days", "7", "--out", str(gen_path)]) == 0
+        doc = json.loads(gen_path.read_text())
+        assert doc == {"version": 1, "generator": {"family": family, "n": 3, **knobs}}
+        assert parse_problem_file(gen_path.read_text()).n == 3
+
     def test_gen_seed_override_at_solve_time(self, tmp_path, capsys):
         gen_path = tmp_path / "gen.json"
         main(["gen", "--family", "qp", "--n", "2", "--m", "2", "--seed", "1",
