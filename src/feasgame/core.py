@@ -364,14 +364,12 @@ class Quadratic(_Family):
         llo, lhi = _affine_interval(self.b, self.c, domain)
         return qlo + llo, qhi + lhi
 
-    def _spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.A)))) if self.A.size else 0.0
-
     def gradient_bound(self, domain):
-        return 2.0 * self._spectral_radius() * max_point_norm(domain) + float(np.linalg.norm(self.b))
+        # ||2 A x + b|| <= 2 rho(A) ||x|| + ||b||, and 2 rho(A) is the smoothness
+        return self.smoothness(domain) * max_point_norm(domain) + float(np.linalg.norm(self.b))
 
     def smoothness(self, domain):
-        return 2.0 * self._spectral_radius()
+        return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.A)))) if self.A.size else 0.0
 
     def curvature(self, domain):
         return max(0.0, 2.0 * float(np.min(np.linalg.eigvalsh(self.A))))

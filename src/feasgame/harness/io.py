@@ -10,6 +10,7 @@ parse/emit round-trips are byte-stable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -161,12 +162,11 @@ def _parse_constraint(obj, path: str) -> ConstraintFn:
     cls = FAMILIES.get(fam) if isinstance(fam, str) else None
     if cls is None:
         raise ProblemFileError(f"{path}.family: unknown constraint family {fam!r}")
-    fields = dataclasses.fields(cls)
-    _check_keys(obj, path,
-                ("family",) + tuple(f.name for f in fields if f.default is dataclasses.MISSING),
-                tuple(f.name for f in fields if f.default is not dataclasses.MISSING))
-    kwargs = {f.name: _FIELD_CODECS[f.type][0](obj[f.name], f"{path}.{f.name}")
-              for f in fields if f.name in obj}
+    codecs = _codecs(cls)
+    _check_keys(obj, path, ("family",) + tuple(name for name, _, _, req in codecs if req),
+                tuple(name for name, _, _, req in codecs if not req))
+    kwargs = {name: parse(obj[name], f"{path}.{name}")
+              for name, parse, _, _ in codecs if name in obj}
     try:
         return cls(**kwargs)
     except ValueError as e:
@@ -174,8 +174,14 @@ def _parse_constraint(obj, path: str) -> ConstraintFn:
 
 
 def _constraint_doc(f: ConstraintFn) -> dict:
-    return {"family": f.tag, **{field.name: _FIELD_CODECS[field.type][1](getattr(f, field.name))
-                                for field in dataclasses.fields(f)}}
+    return {"family": f.tag, **{name: emit(getattr(f, name)) for name, _, emit, _ in _codecs(type(f))}}
+
+
+@functools.cache
+def _codecs(cls) -> tuple:
+    """(name, parse, emit, required) for each field of a family's dataclass."""
+    return tuple((f.name, *_FIELD_CODECS[f.type], f.default is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls))
 
 
 # A field's annotation, in a constraint family or GeneratorSpec, names its

@@ -67,3 +67,44 @@ def family_samples(rng, n):
         fg.NegLogBarrier(rows=rows, level=-5.0),
     ]
     return cases
+
+
+# Family kinds for randomized tests: the six families, with the log
+# composite over both an affine and a quadratic inner.
+FAMILY_KINDS = ("affine", "quadratic", "log_affine", "log_quadratic", "entropy",
+                "norm_dist", "barrier")
+
+
+def random_domain(kind, rng, n, positive=False):
+    """A simplex, ball or box in R^n; positive keeps every point > 0 off the
+    boundary so entropy and barrier bounds exist."""
+    if kind == "simplex":
+        return fg.Simplex(n=n)
+    if kind == "ball":
+        radius = float(rng.uniform(0.2, 1.0))
+        center = rng.uniform(radius + 0.1, 2.0, n) if positive else rng.uniform(-1, 1, n)
+        return fg.Ball(n=n, radius=radius, center=center)
+    lo = rng.uniform(0.0, 0.5, n) if positive else rng.uniform(-1.0, 0.5, n)
+    return fg.Box(lo=lo, hi=lo + rng.uniform(0.1, 2.0, n))
+
+
+def random_constraint(kind, rng, domain):
+    """A random constraint of the kind over the domain.  A log composite gets
+    omega above the width of its inner, the precondition of its bounds."""
+    n = fg.domain_dim(domain)
+    a, b = rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))
+    M = rng.uniform(-1, 1, (n, n))
+    quad = fg.Quadratic(A=0.5 * (M + M.T), b=a, c=b)
+    if kind == "affine":
+        return fg.Affine(a=a, b=b)
+    if kind == "quadratic":
+        return quad
+    if kind in ("log_affine", "log_quadratic"):
+        inner = fg.Affine(a=a, b=b) if kind == "log_affine" else quad
+        width = fg.make_problem([inner], domain).params.omega
+        return fg.LogAffineComposite(inner=inner, omega=width + 0.1)
+    if kind == "entropy":
+        return fg.NegEntropy(n=n, shift=b)
+    if kind == "norm_dist":
+        return fg.NormDistSq(center=rng.uniform(-1, 1, n), c=b)
+    return fg.NegLogBarrier(rows=rng.uniform(0.2, 1.5, (int(rng.integers(1, 4)), n)), level=b)

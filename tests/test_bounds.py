@@ -15,47 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feasgame as fg
-from conftest import fd_hessian
+from conftest import FAMILY_KINDS, fd_hessian, random_constraint, random_domain
 
-FAMILIES = ("affine", "quadratic", "log_affine", "log_quadratic", "entropy",
-            "norm_dist", "barrier")
 # entropy and barrier terms are only bounded on domains of positive points
 POSITIVE = ("entropy", "barrier")
-
-
-def make_domain(kind, rng, n, positive):
-    if kind == "simplex":
-        return fg.Simplex(n=n)
-    if kind == "ball":
-        radius = float(rng.uniform(0.2, 1.0))
-        center = rng.uniform(radius + 0.1, 2.0, n) if positive else rng.uniform(-1, 1, n)
-        return fg.Ball(n=n, radius=radius, center=center)
-    lo = rng.uniform(0.0, 0.5, n) if positive else rng.uniform(-1.0, 0.5, n)
-    return fg.Box(lo=lo, hi=lo + rng.uniform(0.1, 2.0, n))
-
-
-def width(inner, domain):
-    """sup |inner| over the domain, the log composite's width precondition."""
-    return fg.make_problem([inner], domain).params.omega
-
-
-def make_constraint(family, rng, domain):
-    n = fg.domain_dim(domain)
-    a, b = rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))
-    M = rng.uniform(-1, 1, (n, n))
-    quad = fg.Quadratic(A=0.5 * (M + M.T), b=a, c=b)
-    if family == "affine":
-        return fg.Affine(a=a, b=b)
-    if family == "quadratic":
-        return quad
-    if family in ("log_affine", "log_quadratic"):
-        inner = fg.Affine(a=a, b=b) if family == "log_affine" else quad
-        return fg.LogAffineComposite(inner=inner, omega=width(inner, domain) + 0.1)
-    if family == "entropy":
-        return fg.NegEntropy(n=n, shift=b)
-    if family == "norm_dist":
-        return fg.NormDistSq(center=rng.uniform(-1, 1, n), c=b)
-    return fg.NegLogBarrier(rows=rng.uniform(0.2, 1.5, (int(rng.integers(1, 4)), n)), level=b)
 
 
 def domain_points(domain, rng, count=40):
@@ -76,7 +39,7 @@ def slack(v):
     return 1e-9 * (1.0 + abs(v))
 
 
-cases = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(["simplex", "ball", "box"]),
+cases = st.tuples(st.sampled_from(FAMILY_KINDS), st.sampled_from(["simplex", "ball", "box"]),
                   st.integers(1, 3), st.integers(0, 2**32 - 1))
 
 
@@ -85,8 +48,8 @@ cases = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(["simplex", "ball",
 def test_interval_and_gradient_bound_contain_sampled_values(case):
     family, kind, n, seed = case
     rng = np.random.default_rng(seed)
-    domain = make_domain(kind, rng, n, family in POSITIVE)
-    f = make_constraint(family, rng, domain)
+    domain = random_domain(kind, rng, n, family in POSITIVE)
+    f = random_constraint(family, rng, domain)
     lo, hi = f.interval(domain)
     G = f.gradient_bound(domain)
     L = fg.smoothness_bound(f, domain)
@@ -111,8 +74,8 @@ def test_interval_and_gradient_bound_contain_sampled_values(case):
 def test_log_composite_smoothness_bounds_its_hessian(inner_kind, kind):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        domain = make_domain(kind, rng, 3, positive=False)
-        f = make_constraint("log_" + inner_kind, rng, domain)
+        domain = random_domain(kind, rng, 3)
+        f = random_constraint("log_" + inner_kind, rng, domain)
         L = fg.smoothness_bound(f, domain)
         assert 0 < L < np.inf
         for x in domain_points(domain, rng, count=8):

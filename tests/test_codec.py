@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feasgame as fg
+from conftest import FAMILY_KINDS, random_constraint, random_domain
 from feasgame.harness import (
     ProblemFileError,
     emit_outcome_document,
@@ -25,42 +26,8 @@ from feasgame.harness import (
     parse_problem_file,
 )
 
-FAMILIES = ("affine", "quadratic", "log_affine", "log_quadratic", "entropy",
-            "norm_dist", "barrier")
-
-
-def make_constraint(family, rng, n):
-    a, b = rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))
-    M = rng.uniform(-1, 1, (n, n))
-    quad = fg.Quadratic(A=0.5 * (M + M.T), b=a, c=b)
-    if family == "affine":
-        return fg.Affine(a=a, b=b)
-    if family == "quadratic":
-        return quad
-    if family == "log_affine":
-        return fg.LogAffineComposite(inner=fg.Affine(a=a, b=b), omega=float(rng.uniform(0.3, 3)))
-    if family == "log_quadratic":
-        return fg.LogAffineComposite(inner=quad, omega=float(rng.uniform(0.3, 3)))
-    if family == "entropy":
-        return fg.NegEntropy(n=n, shift=b)
-    if family == "norm_dist":
-        return fg.NormDistSq(center=rng.uniform(-1, 1, n), c=b)
-    return fg.NegLogBarrier(rows=rng.uniform(0.2, 1.5, (int(rng.integers(1, 4)), n)), level=b)
-
-
-def make_domain(kind, rng, n):
-    """Domains of positive points, so entropy and barrier bounds exist."""
-    if kind == "simplex":
-        return fg.Simplex(n=n)
-    if kind == "ball":
-        radius = float(rng.uniform(0.2, 1.0))
-        return fg.Ball(n=n, radius=radius, center=rng.uniform(radius + 0.1, 2.0, n))
-    lo = rng.uniform(0.0, 0.5, n)
-    return fg.Box(lo=lo, hi=lo + rng.uniform(0.1, 2.0, n))
-
-
 problems = st.tuples(
-    st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=5),
+    st.lists(st.sampled_from(FAMILY_KINDS), min_size=1, max_size=5),
     st.sampled_from(["simplex", "ball", "box"]),
     st.integers(1, 4),
     st.sampled_from(["min", "max"]),
@@ -73,8 +40,9 @@ problems = st.tuples(
 def test_emit_parse_emit_is_byte_stable(spec):
     fams, kind, n, sense, seed = spec
     rng = np.random.default_rng(seed)
-    domain = make_domain(kind, rng, n)
-    problem = fg.make_problem([make_constraint(f, rng, n) for f in fams], domain, sense=sense)
+    domain = random_domain(kind, rng, n, positive=True)
+    problem = fg.make_problem([random_constraint(f, rng, domain) for f in fams], domain,
+                              sense=sense)
     text = emit_problem_file(problem)
     again = parse_problem_file(text)
     assert emit_problem_file(again) == text
