@@ -225,8 +225,8 @@ def _rowdot(R: Array, x: Array):
 
 
 def _affine_interval(a: Array, b: float, domain: Domain) -> tuple[float, float]:
-    if isinstance(domain, Simplex):
-        return float(np.min(a)) + b, float(np.max(a)) + b
+    if isinstance(domain, Simplex):  # ndarray methods skip the np.min/np.max wrappers
+        return float(a.min()) + b, float(a.max()) + b
     if isinstance(domain, Ball):
         mid = float(a @ domain.center)
         half = domain.radius * float(np.linalg.norm(a))
@@ -418,17 +418,29 @@ class LogAffineComposite(_Family):
         hi_arg = max(math.e + ihi / self.omega, lo_arg)
         return math.log(lo_arg), math.log(hi_arg)
 
+    def _lo_arg(self, domain):
+        """Least argument of the log over the domain, from the inner's interval."""
+        lo_arg = math.e + self.inner.interval(domain)[0] / self.omega
+        if not lo_arg > 0:
+            raise SetupError(
+                f"log argument e + inner/omega falls to {lo_arg:.6g} <= 0 on the domain "
+                "(omega is too small for the inner's range)"
+            )
+        return lo_arg
+
     def gradient_bound(self, domain):
-        # |e + inner/omega| >= e - 1 > 1 under the width precondition
-        return self.inner.gradient_bound(domain) / self.omega
+        # |inner gradient| / (omega * arg); arg >= e - 1 > 1 when |inner| <= omega
+        return self.inner.gradient_bound(domain) / (self.omega * min(1.0, self._lo_arg(domain)))
 
     def smoothness(self, domain):
         inner_L = self.inner.smoothness(domain)
         if not math.isfinite(inner_L):
             return math.inf
-        # |d/dt log(e+t/w)| terms: inner curvature plus rank-one correction
+        # |d/dt log(e+t/w)| terms: inner curvature plus rank-one correction,
+        # both over the least argument, capped at the e - 1 it has when
+        # |inner| <= omega
         gi = self.inner.gradient_bound(domain)
-        denom = math.e - 1.0
+        denom = min(math.e - 1.0, self._lo_arg(domain))
         return inner_L / (self.omega * denom) + (gi / self.omega) ** 2 / (denom * denom)
 
     def packed_group(self):

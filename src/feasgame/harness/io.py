@@ -91,6 +91,10 @@ def _boolean(v, path: str) -> bool:
 def _vector(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ProblemFileError(f"{path}: expected a nonempty array of numbers")
+    if all(type(e) is float for e in v):  # what emission writes: check all at once
+        x = np.array(v)
+        if np.isfinite(x).all():
+            return x
     return np.array([_real(e, f"{path}[{i}]") for i, e in enumerate(v)])
 
 

@@ -8,8 +8,17 @@ import numpy as np
 
 from ..core import Array, Problem, SetupError, evaluate, residual_gradients, residuals_batch
 from ..grids import domain_grid
+from ..reductions import log_transform, strictify
 from ..solvers import Feasible, VerificationReport, verify_certificate
-from .io import outcome_from_doc, parse_outcome_document, problem_from_doc
+from .io import (
+    ProblemFileError,
+    _check_keys,
+    _real,
+    outcome_from_doc,
+    parse_outcome_document,
+    problem_from_doc,
+    problem_to_doc,
+)
 
 
 @dataclass(frozen=True)
@@ -38,24 +47,59 @@ def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
     return GridValue(value=float(worst[k]), slack=resolution * gmax, x=X[k].copy())
 
 
+def _reapply(original: Problem, transforms) -> Problem:
+    """original with the document's transforms applied in order."""
+    if not isinstance(transforms, list):
+        raise ProblemFileError("outcome_document.transforms: expected an array")
+    problem = original
+    for i, t in enumerate(transforms):
+        path = f"outcome_document.transforms[{i}]"
+        kind = t.get("kind") if isinstance(t, dict) else None
+        if kind == "strictify":
+            _check_keys(t, path, ("kind", "delta"))
+            problem = strictify(problem, _real(t["delta"], f"{path}.delta"))
+        elif kind == "log_transform":
+            _check_keys(t, path, ("kind", "omega"), ("eps_log",))
+            problem = log_transform(problem, _real(t["omega"], f"{path}.omega"))
+        else:
+            raise ProblemFileError(f"{path}.kind: expected 'strictify' or 'log_transform'")
+    return problem
+
+
 def verify_outcome_document(doc: dict | str, *, method: str = "auto",
                             resolution: float = 1e-3) -> VerificationReport:
     """Re-check an outcome document using only its own contents.
 
-    Verifies the embedded certificate against the problem the solver ran
-    on, then (for feasible outcomes of transformed runs) re-evaluates the
-    original constraints at the returned point against eps_original.
+    For a transformed run, first re-applies the transforms to the original
+    problem and refuses a document whose embedded problem is not what they
+    give.  Then verifies the embedded certificate against the problem the
+    solver ran on, and (for feasible outcomes of transformed runs)
+    re-evaluates the original constraints at the returned point against
+    eps_original.
     """
     if isinstance(doc, str):
         doc = parse_outcome_document(doc)
     problem = problem_from_doc(doc["problem"])
     outcome = outcome_from_doc(doc["outcome"])
+    original = None
+    if "original_problem" in doc:
+        original = problem_from_doc(doc["original_problem"])
+        try:
+            rebuilt = _reapply(original, doc.get("transforms", []))
+        except SetupError as e:
+            return VerificationReport(
+                ok=False, method="transforms",
+                message=f"transforms do not apply to the original problem: {e}")
+        if problem_to_doc(rebuilt) != problem_to_doc(problem):
+            return VerificationReport(
+                ok=False, method="transforms",
+                message="the embedded problem is not the original problem with its "
+                        "transforms applied")
     report = verify_certificate(problem, outcome, float(doc["eps_effective"]),
                                 method=method, resolution=resolution)
-    if not report.ok or "original_problem" not in doc:
+    if not report.ok or original is None:
         return report
     if isinstance(outcome, Feasible):
-        original = problem_from_doc(doc["original_problem"])
         eps_orig = float(doc["eps_original"])
         vals = [evaluate(f, outcome.x) for f in original.constraints]
         worst = int(np.argmax(vals))

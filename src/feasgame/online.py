@@ -102,22 +102,21 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv)
 
 
-def ons_step(state: OnsState, grad, domain: Domain, sense: str = "min") -> OnsState:
+def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     """Newton-style step, matrix-norm projection, then rank-one update.
 
-    sense="min" moves along -A_inv grad / beta, sense="max" along the
-    positive direction.  The conditioning matrix update uses the gradient
-    just observed; its inverse follows by Sherman-Morrison and is rebuilt
-    from scratch if the consistency check ||A A_inv - I||_max exceeds 1e-6.
+    Moves along -A_inv grad / beta.  The conditioning matrix update uses the
+    gradient just observed; its inverse follows by Sherman-Morrison (from
+    the same A_inv grad as the step) and is rebuilt from scratch if the
+    consistency check ||A A_inv - I||_max exceeds 1e-6.
     """
     g = np.asarray(grad, float)
-    direction = -1.0 if sense == "min" else 1.0
-    y = state.x + (direction / state.beta) * (state.A_inv @ g)
+    Ag = state.A_inv @ g
+    y = state.x + (-1.0 / state.beta) * Ag
     x_new = generalized_project(y, state.A, domain, x0=state.x)
 
     # column-times-row products are np.outer without its wrapper
     A_new = state.A + g[:, None] * g
-    Ag = state.A_inv @ g
     denom = 1.0 + float(g @ Ag)
     A_inv_new = state.A_inv - Ag[:, None] * Ag / denom
 

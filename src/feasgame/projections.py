@@ -4,16 +4,26 @@ project_simplex is the exact sort-and-threshold procedure: find the unique
 shift a with sum_i max(y_i - a, 0) = 1 and clamp.  It is deterministic,
 costs O(n log n) and rejects input with a NaN or an infinity (SetupError).
 
-generalized_project minimizes (x - y).A(x - y) over the domain by projected
-gradient descent, with the domain's Euclidean projection (picked once per
-call) as the inner step.  A step costs one matrix-vector product: A(x - y)
+generalized_project minimizes (x - y).A(x - y) over the domain.  On a
+simplex with a positive-definite A (the ONS case: its Newton matrix has
+lam_min >= 1/(D beta)^2 by construction) it is exact: an active-set solve
+of the KKT system by block principal pivoting, each step one bordered solve
+[[A_FF, 1], [1^T, 0]] on the free coordinates F, which is nonsingular for
+positive-definite A.  It needs no eigenvalues: an A symmetric bit for bit
+whose Cholesky factorization succeeds is positive definite, which is
+stronger than the PSD test below, and a spread of the factor's diagonal
+within 1e5 keeps a numerically singular A out.  Every other input (ball,
+box, a singular, an ill-conditioned or a merely near-symmetric A) takes
+projected gradient descent with the domain's Euclidean projection (picked
+once per call) as the inner step.  A descent step costs one matrix-vector product: A(x - y)
 serves first as the objective at x and then as the gradient of the next
-step.  A is validated on every call (PsdMatrix.check: symmetry and an
-eigvalsh, both tests relative to the size of A), and those eigenvalues also
-decide the fast path: when they agree to a relative 1e-12, A is a multiple
-of I (or zero) and the Euclidean projection is the answer.  The stopping
-tolerance is in the objective's absolute units, so a scaled-down A needs a
-tolerance scaled down alike.
+step.  On that route A is validated by PsdMatrix.check (symmetry and an
+eigvalsh, both tests relative to the size of A), and those eigenvalues
+also decide the fast path: when they agree to a relative 1e-12, A is a
+multiple of I (or zero) and the Euclidean projection is the answer.  The
+descent's stopping tolerance is in the objective's absolute units, so a
+scaled-down A needs a tolerance scaled down alike; the exact solve has no
+tolerance to pass, and its multiplier test is relative to the size of A.
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ from .core import (
     domain_dim,
 )
 
-# Descent steps generalized_project takes before it gives up.
+# Descent steps, or bordered solves of the exact simplex path,
+# generalized_project takes before it gives up.
 PROJECT_CAP = 100_000
 
 
@@ -119,27 +130,123 @@ class PsdMatrix:
         return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
 
 
+def _well_conditioned(M: Array) -> bool:
+    """True when M is symmetric bit for bit and has a Cholesky factor whose
+    diagonal entries are within a factor 1e-5 of each other.
+
+    The factor proves M positive definite.  A diagonal spread beyond 1e5
+    puts the condition number of M above 1e10, and it is what a singular M
+    that rounding lets through the factorization looks like (0.924 1 1^T on
+    two coordinates gives a last entry of 1.5e-8, the root of a rounding
+    error); the bordered system on such an M can be singular outright, so
+    it is left to the descent.  False says nothing more: PsdMatrix.check
+    then decides between a singular PSD matrix, a near-symmetric one and
+    one it refuses.
+    """
+    if not (M == M.T).all():
+        return False
+    try:
+        diag = np.linalg.cholesky(M).diagonal()
+    except np.linalg.LinAlgError:
+        return False
+    return bool(diag.min() > 1e-5 * diag.max())
+
+
+def _simplex_kkt(y: Array, M: Array, x0) -> Array:
+    """argmin over the simplex of (x - y).M(x - y), M positive definite.
+
+    Block principal pivoting on the KKT system of the half-scaled objective
+    (Judice and Pires, 1994).  With the bound set B held at zero, the free
+    coordinates F solve [[M_FF, 1], [1^T, 0]] [x_F; nu] = [(M y)_F; 1], and
+    the bound ones carry the multipliers mu_B = (M(x - y))_B + nu.  The
+    answer is the first solve with x_F >= 0 and mu_B >= 0 (down to the
+    rounding of M(x - y)).  Otherwise every coordinate that breaks one of
+    them changes side at once, so a few solves suffice even when many
+    coordinates move.  Once the number of broken coordinates has gone three
+    block changes without falling, only the least-indexed one changes side
+    (Murty's rule), which is what keeps principal pivoting from cycling.  The
+    first free set is the support of x0 when given, else of the Euclidean
+    projection of y.
+    """
+    My = M @ y
+    # a NaN or an infinity in M or y (or an overflow) leaves M y non-finite
+    if not np.isfinite(My).all():
+        raise SetupError("simplex projection needs finite input")
+    free = (project_simplex(y) if x0 is None else np.asarray(x0, float)) > 0
+    # least multiplier accepted, the size of the rounding in M(x - y);
+    # max|M| is on the diagonal of a positive-definite M
+    floor = -1e-12 * float(M.diagonal().max()) * (1.0 + float(abs(y).max()))
+    fewest, chances = y.size + 1, 3
+    for _ in range(PROJECT_CAP):
+        F = free.nonzero()[0]
+        x = np.zeros(y.size)
+        if F.size == 1:  # a vertex: nothing to solve, M x is a row of M
+            f = F[0]
+            x[f] = 1.0
+            mu = M[f] - My + (My[f] - M[f, f])
+        else:
+            k = F.size
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = M[F[:, None], F]
+            K[k, k] = 0.0
+            rhs = np.ones(k + 1)
+            rhs[:k] = My[F]
+            sol = np.linalg.solve(K, rhs)
+            x[F] = sol[:k]
+            mu = M @ x - My + sol[k]
+        mu[F] = 0.0
+        if mu.min() >= floor and (F.size == 1 or x.min() >= 0):  # a vertex is >= 0
+            return x
+        broken = (x < 0) | (mu < floor)  # sum x = 1 keeps some x_F > 0 free
+        count = int(broken.sum())
+        if count < fewest:
+            fewest, chances = count, 3
+        elif chances > 0:
+            chances -= 1
+        else:
+            broken = broken.nonzero()[0][0]
+        free[broken] = ~free[broken]
+    raise ConvergenceError(
+        f"exact simplex projection did not converge within {PROJECT_CAP} solves"
+    )
+
+
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    Projected gradient descent along A(x - y) with step 1/lam_max(A) (the
-    gradient of the half-scaled objective, so every eigendirection contracts).
-    Each step costs one matrix-vector product: the product that evaluates the
-    objective at a point is the gradient for the step from it.  Stops when
-    the objective decrease falls below tol * 1e-2; tol is in the objective's
+    On a simplex, an A that is symmetric bit for bit and has a Cholesky
+    factor whose diagonal entries are within a factor 1e-5 of each other
+    (so positive definite and not near singular) takes the exact KKT solve
+    of _simplex_kkt; tol plays no part there.  Every other input is
+    validated by PsdMatrix.check, so the matrices accepted and refused are
+    those of PsdMatrix.check either way, and takes projected gradient
+    descent along A(x - y) with step 1/lam_max(A) (the gradient of the
+    half-scaled objective, so every eigendirection contracts).  Each descent
+    step costs one matrix-vector product: the product that evaluates the
+    objective at a point is the gradient for the step from it.  Descent stops when the
+    objective decrease falls below tol * 1e-2; tol is in the objective's
     absolute units, so an A scaled down by s needs a tol scaled by s too.
     When the eigenvalues of A agree to a relative 1e-12 (A is a multiple of
-    I, zero included), the answer is the Euclidean projection, returned
+    I, zero included), the descent route returns the Euclidean projection
     without descent; every test on A is relative, so a scaled-down A is
     projected like A itself.  x0, when given, must be a domain point and is
-    used as the warm start.
+    used as the warm start: its support is the first free set of the exact
+    solve, and the descent starts from it.
     """
     y = np.asarray(y, float)
     if y.shape != (domain_dim(domain),):
         raise DimensionMismatch("point has wrong dimension for domain")
-    psd = PsdMatrix.check(A)
-    if psd.M.shape[0] != y.shape[0]:
+    M = np.asarray(A, float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("matrix must be square")
+    if M.shape[0] != y.shape[0]:
         raise DimensionMismatch("matrix and point dimensions differ")
+    if isinstance(domain, Simplex) and _well_conditioned(M):
+        if domain_contains(domain, y):
+            return y.copy()
+        return _simplex_kkt(y, M, x0)
+
+    psd = PsdMatrix.check(M)
     if domain_contains(domain, y):
         return y.copy()
     if psd.lam_max - psd.lam_min <= ZERO_TOL * psd.lam_max:  # A = 0 included

@@ -88,10 +88,36 @@ def test_log_composite_smoothness_is_unbounded_over_an_unbounded_inner():
 
 
 def test_log_composite_smoothness_of_an_affine_inner_is_its_rank_one_term():
+    # |inner| <= 3.5 <= omega on the simplex, so the log argument stays >= e - 1
     a = np.array([3.0, -4.0])
-    f = fg.LogAffineComposite(inner=fg.Affine(a=a, b=0.5), omega=2.0)
-    expected = (5.0 / 2.0) ** 2 / (np.e - 1.0) ** 2
+    f = fg.LogAffineComposite(inner=fg.Affine(a=a, b=0.5), omega=4.0)
+    expected = (5.0 / 4.0) ** 2 / (np.e - 1.0) ** 2
     assert fg.smoothness_bound(f, fg.Simplex(n=2)) == pytest.approx(expected, rel=1e-15)
+
+
+def test_log_composite_bounds_hold_where_the_inner_exceeds_omega():
+    # the inner -2 x_0 reaches -2 at the vertex (1, 0), twice omega, where the
+    # log argument is e - 2; gradient and Hessian norms peak there
+    a = np.array([-2.0, 0.0])
+    f = fg.LogAffineComposite(inner=fg.Affine(a=a, b=0.0), omega=1.0)
+    domain, vertex = fg.Simplex(n=2), np.array([1.0, 0.0])
+    grad_norm = np.linalg.norm(fg.gradient(f, vertex))
+    hess_norm = (a @ a) / (np.e - 2.0) ** 2  # |a a^T / (omega arg)^2|
+    assert grad_norm == pytest.approx(2.0 / (np.e - 2.0), rel=1e-12)
+    assert f.gradient_bound(domain) >= grad_norm * (1 - 1e-12)
+    assert fg.smoothness_bound(f, domain) >= hess_norm * (1 - 1e-12)
+
+
+def test_log_composite_bounds_refuse_a_nonpositive_log_argument():
+    # with omega = 1/2 the argument e - 4 x_0 is negative near the vertex (1, 0)
+    f = fg.LogAffineComposite(inner=fg.Affine(a=np.array([-2.0, 0.0]), b=0.0), omega=0.5)
+    domain = fg.Simplex(n=2)
+    with pytest.raises(fg.SetupError, match="log argument"):
+        f.gradient_bound(domain)
+    with pytest.raises(fg.SetupError, match="log argument"):
+        fg.smoothness_bound(f, domain)
+    with pytest.raises(fg.SetupError, match="log argument"):
+        fg.make_problem([f], domain)
 
 
 class TestBoxHelpers:

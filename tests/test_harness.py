@@ -173,6 +173,39 @@ class TestOutcomeDocuments:
         rep = verify_outcome_document(doc)
         assert rep.ok
 
+    def test_transformed_problem_must_match_its_original(self):
+        # an infeasible perceptron LP, log-transformed and solved by ONS; its
+        # document paired with another original problem must not verify
+        base = fg.make_perceptron_lp(3, 4, feasible=False, seed=0)
+        omega, eps = base.params.omega, 0.1
+        prob = fg.log_transform(base, omega)
+        res = run_solver(prob, "primal", "ons", eps)
+        doc = outcome_document(
+            res, prob, original=base,
+            transforms=({"kind": "log_transform", "omega": omega, "eps_log": eps},),
+            eps_original=fg.approx_translate(eps, omega),
+        )
+        assert doc["outcome"]["kind"] == "infeasible"
+        assert verify_outcome_document(emit_outcome_document(doc)).ok
+        doc["original_problem"] = problem_to_doc(fg.make_perceptron_lp(3, 4, feasible=True, seed=0))
+        rep = verify_outcome_document(emit_outcome_document(doc))
+        assert not rep.ok
+        assert rep.method == "transforms"
+
+    def test_transform_parameters_are_checked(self):
+        orig = fg.make_perceptron_lp(3, 4, seed=3)
+        tight = fg.strictify(orig, 0.1)
+        res = run_solver(tight, "primal", "ogd", 0.1)
+        doc = outcome_document(res, tight, original=orig,
+                               transforms=({"kind": "strictify", "delta": 0.2},),
+                               eps_original=0.3)
+        rep = verify_outcome_document(doc)
+        assert not rep.ok
+        assert "transforms applied" in rep.message
+        doc["transforms"] = [{"kind": "shift", "delta": 0.1}]
+        with pytest.raises(ProblemFileError, match=r"transforms\[0\]\.kind"):
+            verify_outcome_document(doc)
+
     def test_rejects_malformed_kind(self):
         prob = parse_problem_file(json.dumps(MINIMAL))
         res = run_solver(prob, "primal", "mw", 0.1)

@@ -100,13 +100,13 @@ class TestOns:
             assert abs(np.sum(s.x) - 1.0) <= 1e-6
             assert np.all(s.x >= -1e-9)
 
-    def test_max_sense_steps_ascend(self):
-        # on a fixed linear payoff the max-sense learner should move up
+    def test_negative_gradient_steps_ascend(self):
+        # on a fixed linear cost that falls to the right the learner moves up
         dom = fg.Box(lo=np.array([0.0]), hi=np.array([1.0]))
         s = fg.init_ons(dom, G=1.0, D=1.0)
         start = float(s.x[0])
         for _ in range(60):
-            s = fg.ons_step(s, np.array([1.0]), dom, sense="max")
+            s = fg.ons_step(s, np.array([-1.0]), dom)
         assert float(s.x[0]) > start
 
 

@@ -157,6 +157,25 @@ class TestGeneralized:
         x = fg.generalized_project(y, scale * B, fg.Simplex(n=3), tol=1e-9 * scale)
         assert np.allclose(x, [0.0, 0.97296307, 0.02703693], atol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-15])
+    def test_scaled_down_matrix_from_a_vertex_warm_start(self, scale):
+        # the exact simplex solve has no tolerance to scale: from the vertex
+        # e_0 its multipliers, of the size of A, still release the optimum
+        B = np.array([[1.0, -0.437, 0.733], [-0.437, 1.0, -0.738], [0.733, -0.738, 1.0]])
+        y = np.array([-0.551, 2.588, 2.013])
+        x = fg.generalized_project(y, scale * B, fg.Simplex(n=3), x0=np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(x, [0.0, 0.97296307, 0.02703693], atol=1e-6)
+
+    def test_singular_matrix_through_cholesky_takes_the_descent(self):
+        # c 1 1^T is singular, yet rounding can let its Cholesky factorization
+        # through with a last diagonal entry of 1.5e-8; the bordered KKT
+        # system on it is exactly singular, so the projection must stay with
+        # the descent
+        A = np.full((2, 2), 0.9240309903811073)
+        y = np.array([2.7410824520793717, 3.282121275259559])
+        x = fg.generalized_project(y, A, fg.Simplex(n=2))
+        assert np.array_equal(x, reference_generalized_project(y, A, fg.Simplex(n=2)))
+
     def test_psd_matrix_carries_extreme_eigenvalues(self):
         psd = fg.PsdMatrix.check(np.diag([3.0, 0.5, 2.0]))
         assert (psd.lam_min, psd.lam_max) == pytest.approx((0.5, 3.0), abs=1e-14)
@@ -176,9 +195,11 @@ class TestGeneralized:
 
 
 # ---------------------------------------------------------------------------
-# Bit identity of generalized_project against the original formulation: two
-# matrix-vector products per descent step, np.allclose for the multiple-of-I
-# test and the np.sort/np.cumsum/np.nonzero simplex projection.
+# generalized_project against the original formulation: two matrix-vector
+# products per descent step, np.allclose for the multiple-of-I test and the
+# np.sort/np.cumsum/np.nonzero simplex projection.  The descent route (ball,
+# box, singular A) must match it bit for bit; the exact simplex route for a
+# positive-definite A must do at least as well.
 
 
 def _reference_simplex(y):
@@ -227,17 +248,29 @@ def _vector(n, bound):
     return st.lists(st.floats(-bound, bound, allow_nan=False), min_size=n, max_size=n).map(np.array)
 
 
-@st.composite
-def ons_projection_case(draw):
-    """A point, an ONS-shaped matrix c I + sum g g^T (|g| >= 1e-3), a domain
-    of each kind and an optional warm start inside it."""
-    n = draw(st.integers(2, 6))
-    A = draw(st.floats(0.1, 100.0)) * np.eye(n)
-    for _ in range(draw(st.integers(1, 4))):
+def _ons_matrix(draw, n, c, terms):
+    """c I + sum of terms outer products g g^T with |g| >= 1e-3."""
+    A = c * np.eye(n)
+    for _ in range(terms):
         u = draw(_vector(n, 1.0))
         u[draw(st.integers(0, n - 1))] = 1.0  # a nonzero direction
         g = draw(st.floats(1e-3, 3.0)) * u / np.linalg.norm(u)
         A = A + np.outer(g, g)
+    return A
+
+
+@st.composite
+def ons_projection_case(draw):
+    """A point, an ONS-shaped matrix c I + sum g g^T, a domain of each kind
+    and an optional warm start inside it.  A singular case has c = 0 and
+    fewer terms than coordinates; otherwise c >= 0.1 makes A positive
+    definite."""
+    n = draw(st.integers(2, 6))
+    singular = draw(st.booleans())
+    if singular:
+        A = _ons_matrix(draw, n, 0.0, draw(st.integers(1, n - 1)))
+    else:
+        A = _ons_matrix(draw, n, draw(st.floats(0.1, 100.0)), draw(st.integers(1, 4)))
     kind = draw(st.sampled_from(["simplex", "ball", "box"]))
     if kind == "simplex":
         domain = fg.Simplex(n=n)
@@ -248,15 +281,67 @@ def ons_projection_case(draw):
         domain = fg.Box(lo=lo, hi=lo + np.abs(draw(_vector(n, 2.0))))
     y = draw(_vector(n, 5.0))
     x0 = fg.project_domain(domain, draw(_vector(n, 5.0))) if draw(st.booleans()) else None
-    return y, A, domain, x0
+    return y, A, domain, x0, singular
+
+
+def _objective(x, y, A):
+    d = x - y
+    return float(d @ A @ d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ons_projection_case())
 def test_generalized_project_is_bit_identical_to_reference(case):
-    y, A, domain, x0 = case
+    y, A, domain, x0, singular = case
+    try:
+        ref = reference_generalized_project(y, A, domain, x0=x0)
+    except AssertionError:
+        # descent can stall on a singular A (an objective almost flat on the
+        # simplex); the same cap must stop it here
+        with pytest.raises(fg.ConvergenceError):
+            fg.generalized_project(y, A, domain, x0=x0)
+        return
     new = fg.generalized_project(y, A, domain, x0=x0)
-    assert np.array_equal(new, reference_generalized_project(y, A, domain, x0=x0))
+    if isinstance(domain, fg.Simplex) and not singular:
+        # the exact KKT solve: never worse than the descent, and in the domain
+        assert _objective(new, y, A) <= _objective(ref, y, A) * (1 + 1e-12)
+        assert fg.domain_contains(domain, new)
+    else:
+        assert np.array_equal(new, ref)
+
+
+@st.composite
+def ons_simplex_case(draw):
+    """A positive-definite ONS-shaped matrix, a point with some coordinates
+    tied to its first, and an optional warm start on the simplex."""
+    n = draw(st.integers(2, 11))
+    A = _ons_matrix(draw, n, draw(st.floats(0.1, 100.0)), draw(st.integers(1, 12)))
+    y = draw(_vector(n, 5.0))
+    for i in draw(st.lists(st.integers(1, n - 1), max_size=n)):
+        y[i] = y[0]
+    x0 = fg.project_simplex(draw(_vector(n, 5.0))) if draw(st.booleans()) else None
+    return y, A, x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(ons_simplex_case())
+def test_exact_simplex_projection_meets_the_kkt_conditions(case):
+    # x >= 0, sum x = 1, and A(x - y) + nu 1 - mu = 0 with mu >= 0 zero on the
+    # support, all to a relative 1e-9 of the size of A(x - y)
+    y, A, x0 = case
+    domain = fg.Simplex(n=y.size)
+    x = fg.generalized_project(y, A, domain, x0=x0)
+    if fg.domain_contains(domain, y):  # within the domain's tolerance: y itself
+        assert np.array_equal(x, y)
+        return
+    tol = 1e-9 * float(abs(A).max()) * (1.0 + float(abs(y).max()))
+    assert (x >= 0).all()
+    assert abs(float(x.sum()) - 1.0) <= 1e-9
+    g = A @ (x - y)
+    support = x > 0
+    nu = -float(g[support].mean())
+    assert np.all(abs(g[support] + nu) <= tol)
+    assert np.all(g[~support] + nu >= -tol)
 
 
 def test_project_domain_dispatch():
