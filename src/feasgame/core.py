@@ -414,13 +414,14 @@ class LogAffineComposite(_Family):
 
     def interval(self, domain):
         ilo, ihi = self.inner.interval(domain)
-        lo_arg = max(math.e + ilo / self.omega, GRAD_FLOOR)
+        lo_arg = self._lo_arg(ilo)
         hi_arg = max(math.e + ihi / self.omega, lo_arg)
         return math.log(lo_arg), math.log(hi_arg)
 
-    def _lo_arg(self, domain):
-        """Least argument of the log over the domain, from the inner's interval."""
-        lo_arg = math.e + self.inner.interval(domain)[0] / self.omega
+    def _lo_arg(self, ilo):
+        """Least argument of the log over the domain, from the least value
+        ilo of the inner there; raises where it is not positive."""
+        lo_arg = math.e + ilo / self.omega
         if not lo_arg > 0:
             raise SetupError(
                 f"log argument e + inner/omega falls to {lo_arg:.6g} <= 0 on the domain "
@@ -430,7 +431,8 @@ class LogAffineComposite(_Family):
 
     def gradient_bound(self, domain):
         # |inner gradient| / (omega * arg); arg >= e - 1 > 1 when |inner| <= omega
-        return self.inner.gradient_bound(domain) / (self.omega * min(1.0, self._lo_arg(domain)))
+        gi = self.inner.gradient_bound(domain)
+        return gi / (self.omega * min(1.0, self._lo_arg(self.inner.interval(domain)[0])))
 
     def smoothness(self, domain):
         inner_L = self.inner.smoothness(domain)
@@ -440,7 +442,7 @@ class LogAffineComposite(_Family):
         # both over the least argument, capped at the e - 1 it has when
         # |inner| <= omega
         gi = self.inner.gradient_bound(domain)
-        denom = min(math.e - 1.0, self._lo_arg(domain))
+        denom = min(math.e - 1.0, self._lo_arg(self.inner.interval(domain)[0]))
         return inner_L / (self.omega * denom) + (gi / self.omega) ** 2 / (denom * denom)
 
     def packed_group(self):

@@ -21,7 +21,6 @@ from .io import (
     canonical_json,
     emit_outcome_document,
     outcome_document,
-    parse_outcome_document,
     parse_problem_file,
     problem_from_doc,
 )
@@ -157,9 +156,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = parse_outcome_document(Path(args.outcome).read_text())
-    report = verify_outcome_document(doc, method=args.method,
-                                     resolution=args.resolution)
+    report = verify_outcome_document(Path(args.outcome).read_text(),
+                                     method=args.method, resolution=args.resolution)
     _write_text(args.out, canonical_json({
         "ok": report.ok,
         "method": report.method,

@@ -395,8 +395,23 @@ def emit_outcome_document(doc: dict) -> str:
     return canonical_json(doc)
 
 
+class _ParsedDocument(dict):
+    """An outcome document as parse_outcome_document returns it, with the
+    problems built to validate it: problem, and original (None when the
+    document has no original_problem).  They describe the document as
+    parsed; a caller that edits it must build them again."""
+
+    problem: Problem
+    original: Problem | None
+
+
 def parse_outcome_document(text: str) -> dict:
-    """Decode and structurally validate an outcome document."""
+    """Decode and structurally validate an outcome document.
+
+    Validating builds the embedded problems; the returned dict keeps them
+    for verify_outcome_document, which parses a text with this function and
+    so builds each problem once.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -414,7 +429,8 @@ def parse_outcome_document(text: str) -> dict:
         if key in doc:
             _real(doc[key], f"outcome_document.{key}")
     outcome_from_doc(doc["outcome"])
-    problem_from_doc(doc["problem"])
-    if "original_problem" in doc:
-        problem_from_doc(doc["original_problem"])
-    return doc
+    parsed = _ParsedDocument(doc)
+    parsed.problem = problem_from_doc(doc["problem"])
+    parsed.original = (problem_from_doc(doc["original_problem"])
+                       if "original_problem" in doc else None)
+    return parsed

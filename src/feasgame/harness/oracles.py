@@ -79,11 +79,13 @@ def verify_outcome_document(doc: dict | str, *, method: str = "auto",
     """
     if isinstance(doc, str):
         doc = parse_outcome_document(doc)
-    problem = problem_from_doc(doc["problem"])
+        problem, original = doc.problem, doc.original
+    else:
+        problem = problem_from_doc(doc["problem"])
+        original = (problem_from_doc(doc["original_problem"])
+                    if "original_problem" in doc else None)
     outcome = outcome_from_doc(doc["outcome"])
-    original = None
-    if "original_problem" in doc:
-        original = problem_from_doc(doc["original_problem"])
+    if original is not None:
         try:
             rebuilt = _reapply(original, doc.get("transforms", []))
         except SetupError as e:

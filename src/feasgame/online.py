@@ -39,7 +39,7 @@ from .core import (
 )
 from .descent import minimize_over_domain
 from .grids import domain_grid
-from .projections import generalized_project, project_domain
+from .projections import PsdMatrix, generalized_project, project_domain
 
 logger = logging.getLogger(__name__)
 
@@ -80,14 +80,78 @@ def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
 # Online Newton step
 
 
+# unit roundoff and smallest subnormal of a float64
+_U = 2.0**-53
+_ETA = 2.0**-1074
+
+
 @dataclass(frozen=True, eq=False)
 class OnsState:
+    """Iterate, round, step scale beta, Newton matrix A and its inverse.
+
+    A = scale I + sum of g g^T over the t - 1 gradients seen so far, and
+    trace is the running float sum n scale + sum of g.g.  From these two
+    psd_matrix proves bounds on the spectrum of A without looking at it.
+    Their defaults prove nothing, so a state built by hand with an
+    arbitrary A has its matrix tested by generalized_project like any
+    other; init_ons sets them.
+    """
+
     x: Array
     t: int
     beta: float
     A: Array
     A_inv: Array
     rebuilds: int = 0
+    scale: float = 0.0
+    trace: float = math.inf
+
+    def psd_matrix(self) -> PsdMatrix | None:
+        """A with lam_min = scale - b and lam_max = trace + b, where
+        b = 8 n t (u trace + eta), u = 2^-53 is the unit roundoff and
+        eta = 2^-1074 the smallest subnormal.
+
+        The proof compares the computed matrix C with the exact sum
+        A = scale I + sum g g^T of the same float gradients.  Write
+        tau = trace(A) = n scale + sum |g|^2 and gamma_m = m u / (1 - m u)
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        ch. 3 and 4).
+
+        * A >= scale I, and lambda_max(A) <= tau, because each term is PSD.
+        * C is symmetric bit for bit: it starts as scale I, and each update
+          adds g_i * g_j to entry (i, j) and g_j * g_i to entry (j, i),
+          which IEEE multiplication rounds to the same float.
+        * Entry (i, j) of C is a float sum, in order, of t terms (scale or
+          0, then t - 1 rounded products), so |C_ij - A_ij| <= gamma_t S_ij
+          with S_ij = scale [i = j] + sum |g_i g_j| <= tau, as
+          |g_i g_j| <= |g|^2 / 2 for i != j.  By Weyl's inequality the
+          eigenvalues of C are those of A moved by at most
+          ||C - A||_2 <= ||C - A||_inf <= n gamma_t tau.
+        * trace sums t nonnegative terms (n scale, then t - 1 dot products
+          g.g, each within gamma_n), so tau <= trace / (1 - gamma_{n+t}).
+        * Hence lambda_min(C) >= scale - n gamma_t trace / (1 - gamma_{n+t})
+          and lambda_max(C) <= trace (1 + n gamma_t) / (1 - gamma_{n+t}).
+        * b covers both corrections whenever lam_min > 0.  With
+          trace >= n scale, lam_min > 0 gives 8 n^2 t u < 1, so t u < 1/8
+          and (n + t) u < 1/4; then gamma_t <= (8/7) t u,
+          1 / (1 - gamma_{n+t}) < 3/2 and
+          gamma_{n+t} <= (4/3)(n + t) u <= (8/3) n t u.  The corrections are
+          at most (12/7) n t u trace and (3/2)(8/7 + 8/3) n t u trace,
+          about 1.7 and 5.7 of the 8 n t u trace in b.
+        * A product that underflows errs by up to eta/2 in absolute terms
+          instead of u relative (sums of subnormals are exact).  Summed over
+          the t - 1 updates and the n entries of a row, that moves the
+          eigenvalues by at most n t eta / 2, inside the 8 n t eta in b.
+
+        None when lam_min <= 0: the argument above then does not apply, and
+        generalized_project must test A itself.  So it is for a state built
+        by hand, whose default trace = inf makes lam_min = -inf.
+        """
+        b = 8.0 * self.A.shape[0] * self.t * (_U * self.trace + _ETA)
+        lam_min = self.scale - b
+        if not lam_min > 0:
+            return None
+        return PsdMatrix(M=self.A, lam_min=lam_min, lam_max=self.trace + b)
 
 
 def init_ons(domain: Domain, G: float, D: float) -> OnsState:
@@ -99,7 +163,8 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     scale = 1.0 / (D * D * beta * beta)
     A = np.eye(n) * scale
     A_inv = np.eye(n) / scale
-    return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv)
+    return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv,
+                    scale=scale, trace=n * scale)
 
 
 def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
@@ -109,11 +174,17 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     gradient just observed; its inverse follows by Sherman-Morrison (from
     the same A_inv grad as the step) and is rebuilt from scratch if the
     consistency check ||A A_inv - I||_max exceeds 1e-6.
+
+    The projection gets A as state.psd_matrix(), with the bounds on its
+    spectrum that its construction proves; where they prove A well
+    conditioned, generalized_project runs the exact simplex solve without
+    testing A.
     """
     g = np.asarray(grad, float)
     Ag = state.A_inv @ g
     y = state.x + (-1.0 / state.beta) * Ag
-    x_new = generalized_project(y, state.A, domain, x0=state.x)
+    psd = state.psd_matrix()
+    x_new = generalized_project(y, state.A if psd is None else psd, domain, x0=state.x)
 
     # column-times-row products are np.outer without its wrapper
     A_new = state.A + g[:, None] * g
@@ -130,7 +201,8 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
         logger.warning("ONS inverse drift %.3g exceeded %.0e; rebuilt inverse", drift, INVERSE_DRIFT_TOL)
 
     return OnsState(x=x_new, t=state.t + 1, beta=state.beta,
-                    A=A_new, A_inv=A_inv_new, rebuilds=rebuilds)
+                    A=A_new, A_inv=A_inv_new, rebuilds=rebuilds,
+                    scale=state.scale, trace=state.trace + float(g @ g))
 
 
 # ---------------------------------------------------------------------------

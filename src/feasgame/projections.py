@@ -9,13 +9,18 @@ simplex with a positive-definite A (the ONS case: its Newton matrix has
 lam_min >= 1/(D beta)^2 by construction) it is exact: an active-set solve
 of the KKT system by block principal pivoting, each step one bordered solve
 [[A_FF, 1], [1^T, 0]] on the free coordinates F, which is nonsingular for
-positive-definite A.  It needs no eigenvalues: an A symmetric bit for bit
-whose Cholesky factorization succeeds is positive definite, which is
-stronger than the PSD test below, and a spread of the factor's diagonal
-within 1e5 keeps a numerically singular A out.  Every other input (ball,
-box, a singular, an ill-conditioned or a merely near-symmetric A) takes
-projected gradient descent with the domain's Euclidean projection (picked
-once per call) as the inner step.  A descent step costs one matrix-vector product: A(x - y)
+positive-definite A.  It needs no eigenvalues.  A caller that can prove A
+positive definite and well conditioned passes a PsdMatrix whose bounds say
+so (lam_min > 0, lam_max <= MAX_CONDITION * lam_min), and the solve runs
+with no test on A at all; online.ons_step proves it for its own matrix
+from how that matrix is built.  A bare array, or a PsdMatrix whose bounds
+prove less, is tested: symmetric bit for bit and with a Cholesky
+factorization that succeeds it is positive definite, which is stronger
+than the PSD test below, and a spread of the factor's diagonal within 1e5
+keeps a numerically singular A out.  Every other input (ball, box, a
+singular, an ill-conditioned or a merely near-symmetric A) takes projected
+gradient descent with the domain's Euclidean projection (picked once per
+call) as the inner step.  A descent step costs one matrix-vector product: A(x - y)
 serves first as the objective at x and then as the gradient of the next
 step.  On that route A is validated by PsdMatrix.check (symmetry and an
 eigvalsh, both tests relative to the size of A), and those eigenvalues
@@ -50,6 +55,10 @@ from .core import (
 # Descent steps, or bordered solves of the exact simplex path,
 # generalized_project takes before it gives up.
 PROJECT_CAP = 100_000
+
+# Largest lam_max / lam_min with which a PsdMatrix's bounds send a simplex
+# projection straight to the exact solve.
+MAX_CONDITION = 1e10
 
 
 def simplex_threshold(y) -> float:
@@ -110,7 +119,14 @@ def project_domain(domain: Domain, y) -> Array:
 
 @dataclass(frozen=True)
 class PsdMatrix:
-    """Validated carrier for a symmetric PSD matrix and its extreme eigenvalues."""
+    """A symmetric PSD matrix M with proven bounds on its spectrum:
+    lam_min <= lambda_min(M) and lambda_max(M) <= lam_max.
+
+    check() proves them by computing the extreme eigenvalues themselves.  A
+    caller that knows M by construction may state bounds it has proven
+    otherwise (online.OnsState.psd_matrix does); generalized_project
+    trusts them.
+    """
 
     M: Array
     lam_min: float
@@ -135,13 +151,13 @@ def _well_conditioned(M: Array) -> bool:
     diagonal entries are within a factor 1e-5 of each other.
 
     The factor proves M positive definite.  A diagonal spread beyond 1e5
-    puts the condition number of M above 1e10, and it is what a singular M
-    that rounding lets through the factorization looks like (0.924 1 1^T on
-    two coordinates gives a last entry of 1.5e-8, the root of a rounding
-    error); the bordered system on such an M can be singular outright, so
-    it is left to the descent.  False says nothing more: PsdMatrix.check
-    then decides between a singular PSD matrix, a near-symmetric one and
-    one it refuses.
+    puts the condition number of M above MAX_CONDITION = 1e10, and it is
+    what a singular M that rounding lets through the factorization looks
+    like (0.924 1 1^T on two coordinates gives a last entry of 1.5e-8, the
+    root of a rounding error); the bordered system on such an M can be
+    singular outright, so it is left to the descent.  False says nothing
+    more: PsdMatrix.check then decides between a singular PSD matrix, a
+    near-symmetric one and one it refuses.
     """
     if not (M == M.T).all():
         return False
@@ -214,15 +230,24 @@ def _simplex_kkt(y: Array, M: Array, x0) -> Array:
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    On a simplex, an A that is symmetric bit for bit and has a Cholesky
-    factor whose diagonal entries are within a factor 1e-5 of each other
-    (so positive definite and not near singular) takes the exact KKT solve
-    of _simplex_kkt; tol plays no part there.  Every other input is
-    validated by PsdMatrix.check, so the matrices accepted and refused are
-    those of PsdMatrix.check either way, and takes projected gradient
-    descent along A(x - y) with step 1/lam_max(A) (the gradient of the
-    half-scaled objective, so every eigendirection contracts).  Each descent
-    step costs one matrix-vector product: the product that evaluates the
+    A is an array or a PsdMatrix.  On a simplex, a PsdMatrix whose bounds
+    prove its matrix positive definite with condition number at most
+    MAX_CONDITION (lam_min > 0 and lam_max <= MAX_CONDITION * lam_min)
+    takes the exact KKT solve of _simplex_kkt with no test on the matrix.
+    So does an array, or a PsdMatrix whose bounds prove less, that is
+    symmetric bit for bit and has a Cholesky factor whose diagonal entries
+    are within a factor 1e-5 of each other (so positive definite and not
+    near singular).  Bounds that prove it pass that test too, up to the
+    rounding of the factorization: the factor of a positive-definite
+    matrix exists, and its squared diagonal entries are pivots that lie in
+    [lambda_min, lambda_max], so they spread by at most
+    sqrt(MAX_CONDITION) = 1e5.  tol plays no part in the exact solve.
+    Every other input (for a PsdMatrix, its matrix) is validated by
+    PsdMatrix.check, so the arrays accepted and refused are those of
+    PsdMatrix.check either way, and takes projected gradient descent along
+    A(x - y) with step 1/lam_max(A) (the gradient of the half-scaled
+    objective, so every eigendirection contracts).  Each descent step
+    costs one matrix-vector product: the product that evaluates the
     objective at a point is the gradient for the step from it.  Descent stops when the
     objective decrease falls below tol * 1e-2; tol is in the objective's
     absolute units, so an A scaled down by s needs a tol scaled by s too.
@@ -236,12 +261,14 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     y = np.asarray(y, float)
     if y.shape != (domain_dim(domain),):
         raise DimensionMismatch("point has wrong dimension for domain")
-    M = np.asarray(A, float)
+    carrier = isinstance(A, PsdMatrix)
+    proven = carrier and 0.0 < A.lam_min and A.lam_max <= MAX_CONDITION * A.lam_min
+    M = np.asarray(A.M if carrier else A, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if M.shape[0] != y.shape[0]:
         raise DimensionMismatch("matrix and point dimensions differ")
-    if isinstance(domain, Simplex) and _well_conditioned(M):
+    if isinstance(domain, Simplex) and (proven or _well_conditioned(M)):
         if domain_contains(domain, y):
             return y.copy()
         return _simplex_kkt(y, M, x0)

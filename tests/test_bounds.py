@@ -113,6 +113,8 @@ def test_log_composite_bounds_refuse_a_nonpositive_log_argument():
     f = fg.LogAffineComposite(inner=fg.Affine(a=np.array([-2.0, 0.0]), b=0.0), omega=0.5)
     domain = fg.Simplex(n=2)
     with pytest.raises(fg.SetupError, match="log argument"):
+        f.interval(domain)
+    with pytest.raises(fg.SetupError, match="log argument"):
         f.gradient_bound(domain)
     with pytest.raises(fg.SetupError, match="log argument"):
         fg.smoothness_bound(f, domain)

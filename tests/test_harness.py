@@ -17,12 +17,14 @@ from feasgame.harness import (
     outcome_document,
     parse_outcome_document,
     parse_problem_file,
+    problem_from_doc,
     problem_to_doc,
     regret_experiment,
     run_solver,
     scaling_experiment,
     verify_outcome_document,
 )
+from feasgame.harness import io as harness_io, oracles as harness_oracles
 from feasgame.harness.cli import TRACE_HEADER, main
 
 
@@ -205,6 +207,29 @@ class TestOutcomeDocuments:
         doc["transforms"] = [{"kind": "shift", "delta": 0.1}]
         with pytest.raises(ProblemFileError, match=r"transforms\[0\]\.kind"):
             verify_outcome_document(doc)
+
+    def test_verify_builds_each_embedded_problem_once(self, monkeypatch):
+        orig = fg.make_perceptron_lp(3, 4, seed=3)
+        tight = fg.strictify(orig, 0.1)
+        res = run_solver(tight, "primal", "ogd", 0.1)
+        doc = outcome_document(res, tight, original=orig,
+                               transforms=({"kind": "strictify", "delta": 0.1},),
+                               eps_original=0.2)
+        built = []
+
+        def counted(obj, **kwargs):
+            built.append(obj)
+            return problem_from_doc(obj, **kwargs)
+
+        monkeypatch.setattr(harness_io, "problem_from_doc", counted)
+        monkeypatch.setattr(harness_oracles, "problem_from_doc", counted)
+        assert verify_outcome_document(emit_outcome_document(doc)).ok
+        assert built == [doc["problem"], doc["original_problem"]]
+        # the problem that is built once is still checked field by field
+        doc["original_problem"]["constraints"][0]["a"][1] = math.nan
+        with pytest.raises(ProblemFileError,
+                           match=r"problem\.constraints\[0\]\.a\[1\]: expected a finite number"):
+            verify_outcome_document(json.dumps(doc))
 
     def test_rejects_malformed_kind(self):
         prob = parse_problem_file(json.dumps(MINIMAL))

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import feasgame as fg
 from feasgame.online import MwState, OgdState
 
@@ -100,6 +103,15 @@ class TestOns:
             assert abs(np.sum(s.x) - 1.0) <= 1e-6
             assert np.all(s.x >= -1e-9)
 
+    def test_hand_built_indefinite_matrix_is_refused(self):
+        # a state built by hand proves nothing about its matrix, so the
+        # projection tests it as before
+        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25,
+                        A=np.diag([1.0, -1.0]), A_inv=np.diag([1.0, -1.0]))
+        assert s.psd_matrix() is None
+        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+            fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
+
     def test_negative_gradient_steps_ascend(self):
         # on a fixed linear cost that falls to the right the learner moves up
         dom = fg.Box(lo=np.array([0.0]), hi=np.array([1.0]))
@@ -108,6 +120,39 @@ class TestOns:
         for _ in range(60):
             s = fg.ons_step(s, np.array([-1.0]), dom)
         assert float(s.x[0]) > start
+
+
+@st.composite
+def ons_stream(draw):
+    """Dimension, gradient bound G, round count and a seed for the gradients;
+    a near-parallel stream perturbs one direction by a relative 1e-9."""
+    return (draw(st.integers(2, 12)), draw(st.floats(1e-3, 1e3)), draw(st.integers(100, 300)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ons_stream())
+def test_ons_matrix_bounds_hold_along_a_stream(stream):
+    # along the stream A stays symmetric bit for bit, the bounds its state
+    # proves bracket its eigenvalues, and projecting with them gives the
+    # bits that projecting with the bare array gives
+    n, G, rounds, seed, parallel = stream
+    rng = np.random.default_rng(seed)
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
+    base = rng.normal(size=n)
+    for _ in range(rounds):
+        g = base + 1e-9 * rng.normal(size=n) if parallel else rng.normal(size=n)
+        g *= G * rng.uniform() / np.linalg.norm(g)
+        psd = s.psd_matrix()
+        assert psd is not None
+        assert (s.A == s.A.T).all()
+        ev = np.linalg.eigvalsh(s.A)
+        assert psd.lam_min <= ev[0] and ev[-1] <= psd.lam_max
+        y = s.x - (s.A_inv @ g) / s.beta
+        assert np.array_equal(fg.generalized_project(y, psd, dom, x0=s.x),
+                              fg.generalized_project(y, s.A, dom, x0=s.x))
+        s = fg.ons_step(s, g, dom)
 
 
 class TestMw:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import feasgame as fg
@@ -176,6 +176,19 @@ class TestGeneralized:
         x = fg.generalized_project(y, A, fg.Simplex(n=2))
         assert np.array_equal(x, reference_generalized_project(y, A, fg.Simplex(n=2)))
 
+    def test_carrier_off_the_simplex_is_projected_like_its_array(self):
+        # bounds that would send a simplex projection to the exact solve
+        # change nothing on a ball: the matrix is checked and descended on
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        ball = fg.Ball(n=2, radius=0.5, center=np.zeros(2))
+        y = np.array([2.0, -1.0])
+        carrier = fg.PsdMatrix(M=A, lam_min=0.5, lam_max=3.0)
+        assert np.array_equal(fg.generalized_project(y, carrier, ball),
+                              fg.generalized_project(y, A, ball))
+        with pytest.raises(fg.SetupError, match="not positive semidefinite"):
+            fg.generalized_project(y, fg.PsdMatrix(M=np.diag([1.0, -1.0]), lam_min=0.5,
+                                                   lam_max=3.0), ball)
+
     def test_psd_matrix_carries_extreme_eigenvalues(self):
         psd = fg.PsdMatrix.check(np.diag([3.0, 0.5, 2.0]))
         assert (psd.lam_min, psd.lam_max) == pytest.approx((0.5, 3.0), abs=1e-14)
@@ -291,6 +304,8 @@ def _objective(x, y, A):
 
 @settings(max_examples=300, deadline=None)
 @given(ons_projection_case())
+@example(case=(np.array([0.0, 0.0, 0.99999]), np.diag([0.250244140625, 0.25, 0.25]),
+               fg.Simplex(n=3), None, False))
 def test_generalized_project_is_bit_identical_to_reference(case):
     y, A, domain, x0, singular = case
     try:
@@ -303,11 +318,16 @@ def test_generalized_project_is_bit_identical_to_reference(case):
         return
     new = fg.generalized_project(y, A, domain, x0=x0)
     if isinstance(domain, fg.Simplex) and not singular:
-        # the exact KKT solve: never worse than the descent, and in the domain
-        assert _objective(new, y, A) <= _objective(ref, y, A) * (1 + 1e-12)
+        # the exact KKT solve: never worse than the descent, and in the
+        # domain.  Either point may miss sum x = 1 by n roundings, which
+        # moves the objective by its gradient 2 A (x - y) times that.
+        slack = 4 * y.size * 2.0**-53 * float(abs(A @ (ref - y)).max())
+        assert _objective(new, y, A) <= _objective(ref, y, A) * (1 + 1e-12) + slack
         assert fg.domain_contains(domain, new)
     else:
         assert np.array_equal(new, ref)
+    # exact eigenvalues as bounds: the same bits, whichever route they take
+    assert np.array_equal(fg.generalized_project(y, fg.PsdMatrix.check(A), domain, x0=x0), new)
 
 
 @st.composite
