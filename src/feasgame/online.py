@@ -39,7 +39,7 @@ from .core import (
 )
 from .descent import minimize_over_domain
 from .grids import domain_grid
-from .projections import PsdMatrix, generalized_project, project_domain
+from .projections import PsdMatrix, _ProvenPsdMatrix, generalized_project, project_domain
 
 logger = logging.getLogger(__name__)
 
@@ -89,12 +89,12 @@ _ETA = 2.0**-1074
 class OnsState:
     """Iterate, round, step scale beta, Newton matrix A and its inverse.
 
-    A = scale I + sum of g g^T over the t - 1 gradients seen so far, and
-    trace is the running float sum n scale + sum of g.g.  From these two
-    psd_matrix proves bounds on the spectrum of A without looking at it.
-    Their defaults prove nothing, so a state built by hand with an
+    scale > 0 states that A = scale I + sum of g g^T over the t - 1
+    gradients seen so far, built by init_ons and ons_step; from scale and
+    the trace of A, psd_matrix then proves bounds on the spectrum of A.
+    The default scale = 0 proves nothing, so a state built by hand with an
     arbitrary A has its matrix tested by generalized_project like any
-    other; init_ons sets them.
+    other.
     """
 
     x: Array
@@ -104,14 +104,13 @@ class OnsState:
     A_inv: Array
     rebuilds: int = 0
     scale: float = 0.0
-    trace: float = math.inf
 
     def psd_matrix(self) -> PsdMatrix | None:
-        """A with lam_min = scale - b and lam_max = trace + b, where
-        b = 8 n t (u trace + eta), u = 2^-53 is the unit roundoff and
-        eta = 2^-1074 the smallest subnormal.
+        """A with lam_min = scale - b and lam_max = T + b, where T is the
+        float trace of A, b = 8 n t (u T + eta), u = 2^-53 is the unit
+        roundoff and eta = 2^-1074 the smallest subnormal.
 
-        The proof compares the computed matrix C with the exact sum
+        The proof compares the computed matrix C = self.A with the exact sum
         A = scale I + sum g g^T of the same float gradients.  Write
         tau = trace(A) = n scale + sum |g|^2 and gamma_m = m u / (1 - m u)
         (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -127,31 +126,39 @@ class OnsState:
           |g_i g_j| <= |g|^2 / 2 for i != j.  By Weyl's inequality the
           eigenvalues of C are those of A moved by at most
           ||C - A||_2 <= ||C - A||_inf <= n gamma_t tau.
-        * trace sums t nonnegative terms (n scale, then t - 1 dot products
-          g.g, each within gamma_n), so tau <= trace / (1 - gamma_{n+t}).
-        * Hence lambda_min(C) >= scale - n gamma_t trace / (1 - gamma_{n+t})
-          and lambda_max(C) <= trace (1 + n gamma_t) / (1 - gamma_{n+t}).
-        * b covers both corrections whenever lam_min > 0.  With
-          trace >= n scale, lam_min > 0 gives 8 n^2 t u < 1, so t u < 1/8
-          and (n + t) u < 1/4; then gamma_t <= (8/7) t u,
+        * A diagonal entry sums nonnegative terms, so C_ii >= scale and
+          C_ii is within gamma_t of A_ii.  T sums the C_ii in some order
+          with n - 1 roundings, so T >= max C_ii >= scale (rounding is
+          monotone) and
+          tau <= T / ((1 - gamma_t)(1 - gamma_n)) <= T / (1 - gamma_{n+t}).
+        * Hence lambda_min(C) >= scale - n gamma_t T / (1 - gamma_{n+t})
+          and lambda_max(C) <= T (1 + n gamma_t) / (1 - gamma_{n+t}).
+        * b covers both corrections whenever lam_min > 0.  With T >= scale,
+          lam_min > 0 gives 8 n t u < 1, so t u < 1/8 and
+          (n + t) u <= 2 n t u < 1/4; then gamma_t <= (8/7) t u,
           1 / (1 - gamma_{n+t}) < 3/2 and
           gamma_{n+t} <= (4/3)(n + t) u <= (8/3) n t u.  The corrections are
-          at most (12/7) n t u trace and (3/2)(8/7 + 8/3) n t u trace,
-          about 1.7 and 5.7 of the 8 n t u trace in b.
+          at most (12/7) n t u T and (3/2)(8/7 + 8/3) n t u T, about 1.7
+          and 5.7 of the 8 n t u T in b.
         * A product that underflows errs by up to eta/2 in absolute terms
           instead of u relative (sums of subnormals are exact).  Summed over
-          the t - 1 updates and the n entries of a row, that moves the
-          eigenvalues by at most n t eta / 2, inside the 8 n t eta in b.
+          the t - 1 updates, and over the n entries of a row or the n
+          diagonal entries of T, that moves the eigenvalues of C by at most
+          about n t eta / 2 and lowers T below tau by as much, which with
+          the factors above stays under 3 n t eta of the 8 n t eta in b.
 
         None when lam_min <= 0: the argument above then does not apply, and
-        generalized_project must test A itself.  So it is for a state built
-        by hand, whose default trace = inf makes lam_min = -inf.
+        generalized_project must test A itself.  So it is at once for a
+        state built by hand, whose default scale = 0 proves nothing.
         """
-        b = 8.0 * self.A.shape[0] * self.t * (_U * self.trace + _ETA)
+        if not self.scale > 0:
+            return None
+        trace = float(self.A.trace())
+        b = 8.0 * self.A.shape[0] * self.t * (_U * trace + _ETA)
         lam_min = self.scale - b
         if not lam_min > 0:
             return None
-        return PsdMatrix(M=self.A, lam_min=lam_min, lam_max=self.trace + b)
+        return _ProvenPsdMatrix(M=self.A, lam_min=lam_min, lam_max=trace + b)
 
 
 def init_ons(domain: Domain, G: float, D: float) -> OnsState:
@@ -164,7 +171,7 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     A = np.eye(n) * scale
     A_inv = np.eye(n) / scale
     return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv,
-                    scale=scale, trace=n * scale)
+                    scale=scale)
 
 
 def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
@@ -177,8 +184,8 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
 
     The projection gets A as state.psd_matrix(), with the bounds on its
     spectrum that its construction proves; where they prove A well
-    conditioned, generalized_project runs the exact simplex solve without
-    testing A.
+    conditioned, generalized_project runs the exact simplex solve with no
+    Cholesky test of A.
     """
     g = np.asarray(grad, float)
     Ag = state.A_inv @ g
@@ -202,7 +209,7 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
 
     return OnsState(x=x_new, t=state.t + 1, beta=state.beta,
                     A=A_new, A_inv=A_inv_new, rebuilds=rebuilds,
-                    scale=state.scale, trace=state.trace + float(g @ g))
+                    scale=state.scale)
 
 
 # ---------------------------------------------------------------------------

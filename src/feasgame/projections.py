@@ -9,20 +9,20 @@ simplex with a positive-definite A (the ONS case: its Newton matrix has
 lam_min >= 1/(D beta)^2 by construction) it is exact: an active-set solve
 of the KKT system by block principal pivoting, each step one bordered solve
 [[A_FF, 1], [1^T, 0]] on the free coordinates F, which is nonsingular for
-positive-definite A.  It needs no eigenvalues.  A caller that can prove A
-positive definite and well conditioned passes a PsdMatrix whose bounds say
-so (lam_min > 0, lam_max <= MAX_CONDITION * lam_min), and the solve runs
-with no test on A at all; online.ons_step proves it for its own matrix
-from how that matrix is built.  A bare array, or a PsdMatrix whose bounds
-prove less, is tested: symmetric bit for bit and with a Cholesky
-factorization that succeeds it is positive definite, which is stronger
-than the PSD test below, and a spread of the factor's diagonal within 1e5
-keeps a numerically singular A out.  Every other input (ball, box, a
-singular, an ill-conditioned or a merely near-symmetric A) takes projected
-gradient descent with the domain's Euclidean projection (picked once per
-call) as the inner step.  A descent step costs one matrix-vector product: A(x - y)
-serves first as the objective at x and then as the gradient of the next
-step.  On that route A is validated by PsdMatrix.check (symmetry and an
+positive-definite A.  It needs no eigenvalues.  online.ons_step proves its
+own matrix positive definite and well conditioned from how that matrix is
+built and passes it with those bounds (lam_min > 0, lam_max <=
+MAX_CONDITION * lam_min) as a _ProvenPsdMatrix, a type only the package
+makes; then the solve only tests A for bitwise symmetry.  Any other input
+(an array, any other PsdMatrix, proven bounds that prove less) is tested:
+symmetric bit for bit and with a Cholesky factorization that succeeds it is
+positive definite, which is stronger than the PSD test below, and a spread
+of the factor's diagonal within 1e5 keeps a numerically singular A out.
+Every other input (ball, box, a singular, an ill-conditioned or a merely
+near-symmetric A) takes projected gradient descent with the domain's
+Euclidean projection (picked once per call) as the inner step.  A descent
+step costs one matrix-vector product: A(x - y) serves first as the
+objective at x and then as the gradient of the next step.  On that route A is validated by PsdMatrix.check (symmetry and an
 eigvalsh, both tests relative to the size of A), and those eigenvalues
 also decide the fast path: when they agree to a relative 1e-12, A is a
 multiple of I (or zero) and the Euclidean projection is the answer.  The
@@ -119,13 +119,13 @@ def project_domain(domain: Domain, y) -> Array:
 
 @dataclass(frozen=True)
 class PsdMatrix:
-    """A symmetric PSD matrix M with proven bounds on its spectrum:
+    """A symmetric PSD matrix M with bounds on its spectrum:
     lam_min <= lambda_min(M) and lambda_max(M) <= lam_max.
 
-    check() proves them by computing the extreme eigenvalues themselves.  A
-    caller that knows M by construction may state bounds it has proven
-    otherwise (online.OnsState.psd_matrix does); generalized_project
-    trusts them.
+    check() proves them by computing the extreme eigenvalues themselves.
+    The constructor checks nothing, so generalized_project tests the matrix
+    of a PsdMatrix like an array; it takes the bounds on trust only from a
+    _ProvenPsdMatrix.
     """
 
     M: Array
@@ -144,6 +144,12 @@ class PsdMatrix:
         if float(ev[0]) < -1e-10 * float(ev[-1]):
             raise SetupError("matrix is not positive semidefinite")
         return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
+
+
+@dataclass(frozen=True)
+class _ProvenPsdMatrix(PsdMatrix):
+    """A PsdMatrix whose bounds the package has proven from how it built M
+    (online.OnsState.psd_matrix); generalized_project trusts them."""
 
 
 def _well_conditioned(M: Array) -> bool:
@@ -230,21 +236,22 @@ def _simplex_kkt(y: Array, M: Array, x0) -> Array:
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    A is an array or a PsdMatrix.  On a simplex, a PsdMatrix whose bounds
-    prove its matrix positive definite with condition number at most
-    MAX_CONDITION (lam_min > 0 and lam_max <= MAX_CONDITION * lam_min)
-    takes the exact KKT solve of _simplex_kkt with no test on the matrix.
-    So does an array, or a PsdMatrix whose bounds prove less, that is
+    A is an array or a PsdMatrix.  On a simplex, a matrix that is
     symmetric bit for bit and has a Cholesky factor whose diagonal entries
     are within a factor 1e-5 of each other (so positive definite and not
-    near singular).  Bounds that prove it pass that test too, up to the
-    rounding of the factorization: the factor of a positive-definite
-    matrix exists, and its squared diagonal entries are pivots that lie in
-    [lambda_min, lambda_max], so they spread by at most
-    sqrt(MAX_CONDITION) = 1e5.  tol plays no part in the exact solve.
-    Every other input (for a PsdMatrix, its matrix) is validated by
-    PsdMatrix.check, so the arrays accepted and refused are those of
-    PsdMatrix.check either way, and takes projected gradient descent along
+    near singular) takes the exact KKT solve of _simplex_kkt.  So does a
+    bitwise symmetric _ProvenPsdMatrix, made only inside the package, whose
+    bounds prove its matrix positive definite with condition number at most
+    MAX_CONDITION (lam_min > 0 and lam_max <= MAX_CONDITION * lam_min),
+    without the factorization.  Such a matrix passes the Cholesky test too,
+    up to the rounding of the factorization: the factor of a
+    positive-definite matrix exists, and its squared diagonal entries are
+    pivots that lie in [lambda_min, lambda_max], so they spread by at most
+    sqrt(MAX_CONDITION) = 1e5.  The bounds of any other PsdMatrix are not
+    used: its matrix is tested like an array.  tol plays no part in the
+    exact solve.  Every other input is validated by PsdMatrix.check, so the
+    matrices accepted and refused are those of PsdMatrix.check either way,
+    and takes projected gradient descent along
     A(x - y) with step 1/lam_max(A) (the gradient of the half-scaled
     objective, so every eigendirection contracts).  Each descent step
     costs one matrix-vector product: the product that evaluates the
@@ -261,14 +268,18 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     y = np.asarray(y, float)
     if y.shape != (domain_dim(domain),):
         raise DimensionMismatch("point has wrong dimension for domain")
-    carrier = isinstance(A, PsdMatrix)
-    proven = carrier and 0.0 < A.lam_min and A.lam_max <= MAX_CONDITION * A.lam_min
-    M = np.asarray(A.M if carrier else A, float)
+    proven = (isinstance(A, _ProvenPsdMatrix)
+              and 0.0 < A.lam_min and A.lam_max <= MAX_CONDITION * A.lam_min)
+    M = np.asarray(A.M if isinstance(A, PsdMatrix) else A, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if M.shape[0] != y.shape[0]:
         raise DimensionMismatch("matrix and point dimensions differ")
-    if isinstance(domain, Simplex) and (proven or _well_conditioned(M)):
+    # a proven matrix is still tested for bitwise symmetry: the same bytes
+    # in row-major and column-major order, a quarter of the cost of
+    # (M == M.T).all() (a NaN in M is refused by _simplex_kkt either way)
+    if isinstance(domain, Simplex) and (
+            proven and M.tobytes() == M.T.tobytes() or _well_conditioned(M)):
         if domain_contains(domain, y):
             return y.copy()
         return _simplex_kkt(y, M, x0)
