@@ -24,6 +24,12 @@ what a round is and in what the horizon's end certifies:
 
 Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
+
+Every round yields one TraceRecord, handed to the solver's trace_sink as
+the round ends.  SolveResult.trace keeps a log-spaced sample of them, the
+records of rounds 1, 2, 4, ..., 2^k and of the last round, so the memory a
+solve holds does not grow with its horizon; a caller that wants every
+round streams them through trace_sink (the CLI's --trace file does).
 """
 
 from __future__ import annotations
@@ -122,9 +128,21 @@ class TraceRecord:
 
 @dataclass
 class SolveResult:
+    """A solve's outcome and how the run went.
+
+    trace holds the records of rounds 1, 2, 4, ..., 2^k <= iterations and of
+    round iterations itself (at most 64 records); every round's record went
+    to the trace_sink.  T_star is the horizon the stopping rule fixed, and
+    ended_by says what stopped the run: "oracle" (an oracle FAILed),
+    "horizon" (T_star rounds played) or "cap" (max_iters rounds played,
+    fewer than T_star).
+    """
+
     outcome: Outcome
     trace: tuple[TraceRecord, ...]
     iterations: int
+    T_star: int
+    ended_by: str
     eps: float
     eps_effective: float
     algo: str
@@ -217,12 +235,15 @@ _Round = tuple[Array | None, int | None, float, float, Outcome | None]
 def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], _Round],
                horizon_outcome: Callable[[int], Outcome], max_iters: int | None,
                trace_sink: Callable[[TraceRecord], None] | None
-               ) -> tuple[Outcome, tuple[TraceRecord, ...], int]:
+               ) -> tuple[Outcome, tuple[TraceRecord, ...], int, int, str]:
     """Play rounds until an oracle FAILs or the horizon ends.
 
-    Records each round (the bound column is spec's regret bound) and the
-    least-violating point.  A cap below T* ends in Exhausted with that
-    point, since only the full horizon certifies horizon_outcome(T*).
+    Builds each round's record (the bound column is spec's regret bound),
+    hands it to trace_sink and keeps those of rounds 1, 2, 4, ... and of the
+    last round; tracks the least-violating point.  A cap below T* ends in
+    Exhausted with that point, since only the full horizon certifies
+    horizon_outcome(T*).  Returns the outcome, the sampled records, the
+    rounds played, T* and what ended the run (see SolveResult).
     """
     if max_iters is None:
         cap = T_star
@@ -231,22 +252,29 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
     else:
         cap = min(T_star, max_iters)
     best_x, best_violation = start_point(domain), math.inf
-    trace: list[TraceRecord] = []
+    sample: list[TraceRecord] = []
     for t in range(1, cap + 1):
         t0 = time.perf_counter_ns()
         x_t, index, violation, loss, stop = round_()
         rec = TraceRecord(t, index, violation, loss, regret_bound(spec, t),
                           time.perf_counter_ns() - t0)
-        trace.append(rec)
         if trace_sink is not None:
             trace_sink(rec)
+        if not t & (t - 1):  # t is a power of two
+            sample.append(rec)
         if stop is not None:
-            return stop, tuple(trace), t
+            ended_by = "oracle"
+            break
         if violation < best_violation:
             best_violation, best_x = violation, x_t.copy()
-    if cap < T_star:
-        return Exhausted(best_x=best_x, best_violation=best_violation), tuple(trace), cap
-    return horizon_outcome(cap), tuple(trace), cap
+    else:
+        if cap < T_star:
+            stop, ended_by = Exhausted(best_x=best_x, best_violation=best_violation), "cap"
+        else:
+            stop, ended_by = horizon_outcome(cap), "horizon"
+    if sample[-1] is not rec:
+        sample.append(rec)
+    return stop, tuple(sample), t, T_star, ended_by
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,8 @@ def test_every_outcome_kind_round_trips(outcome):
 @pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda o: type(o).__name__)
 def test_every_outcome_kind_survives_a_document(outcome):
     problem = parse_problem_file(doc_with(TestDomainFields.AFFINE))
-    result = fg.SolveResult(outcome=outcome, trace=(), iterations=3, algo="primal", learner="ogd",
-                            eps=0.1, eps_effective=0.1)
+    result = fg.SolveResult(outcome=outcome, trace=(), iterations=3, T_star=3, ended_by="horizon",
+                            algo="primal", learner="ogd", eps=0.1, eps_effective=0.1)
     text = emit_outcome_document(outcome_document(result, problem))
     doc = parse_outcome_document(text)
     assert emit_outcome_document(doc) == text

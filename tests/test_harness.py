@@ -433,6 +433,9 @@ class TestCli:
             # repr round-trip keeps the bound column bit-identical
             assert float(fields[4]) == fg.regret_bound(spec, t)
         assert iters == list(range(1, len(iters) + 1))
+        # every round reaches the file, not only the result's sampled trace
+        doc = parse_outcome_document(capsys.readouterr().out)
+        assert len(iters) == doc["iterations"] > 2
 
     def test_log_transform_path(self, tmp_path, capsys):
         doc = {

@@ -1,6 +1,7 @@
 """Meta-solvers: stopping rules, the three game loops, and verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,10 +125,11 @@ class TestPrimal:
              fg.NormDistSq(center=np.zeros(2), c=0.1)],
             fg.Simplex(n=2),
         )
-        out = fg.primal_game_opt(prob, eps=0.05)
+        rows = []
+        out = fg.primal_game_opt(prob, eps=0.05, trace_sink=rows.append)
         assert isinstance(out.outcome, fg.Infeasible)
         counts = np.zeros(2)
-        for rec in out.trace:
+        for rec in rows:
             counts[rec.violated_index] += 1
         assert np.array_equal(out.outcome.p_bar, counts / out.iterations)
 
@@ -170,11 +172,12 @@ class TestPrimal:
         assert isinstance(out.outcome, fg.Feasible)
 
     def test_deterministic_replay(self):
-        a = fg.primal_game_opt(norm_sq_problem(), eps=0.07)
-        b = fg.primal_game_opt(norm_sq_problem(), eps=0.07)
+        rows_a, rows_b = [], []
+        a = fg.primal_game_opt(norm_sq_problem(), eps=0.07, trace_sink=rows_a.append)
+        b = fg.primal_game_opt(norm_sq_problem(), eps=0.07, trace_sink=rows_b.append)
         assert a.iterations == b.iterations
         assert np.array_equal(a.outcome.p_bar, b.outcome.p_bar)
-        for ra, rb in zip(a.trace, b.trace):
+        for ra, rb in zip(rows_a, rows_b):
             assert ra.violation == rb.violation
 
 
@@ -222,9 +225,10 @@ class TestDual:
             fg.Simplex(n=2),
         )
         assert prob.params.G_inf == prob.params.omega
-        out = fg.dual_game_opt(prob, eps=0.05)
+        rows = []
+        fg.dual_game_opt(prob, eps=0.05, trace_sink=rows.append)
         spec = fg.mw_bound_spec(prob.params.G_inf, prob.m)
-        for rec in out.trace:
+        for rec in rows:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
 
     def test_oracle_iteration_budget_distinct_from_fail(self):
@@ -252,10 +256,10 @@ class TestPrimalDual:
 
     def test_single_constraint_matches_primal_trajectory(self):
         prob = norm_sq_problem()
-        pd = fg.primal_dual_game_opt(prob, eps=0.1)
-        pr = fg.primal_game_opt(prob, eps=0.1)
-        shared = min(pd.iterations, pr.iterations)
-        for ra, rb in zip(pd.trace[:shared], pr.trace[:shared]):
+        rows_pd, rows_pr = [], []
+        fg.primal_dual_game_opt(prob, eps=0.1, trace_sink=rows_pd.append)
+        fg.primal_game_opt(prob, eps=0.1, trace_sink=rows_pr.append)
+        for ra, rb in zip(rows_pd, rows_pr):
             assert ra.violation == rb.violation
 
     def test_relaxed_infeasibility_certificate(self):
@@ -267,33 +271,107 @@ class TestPrimalDual:
 
     def test_trace_reports_point_player_bound(self):
         prob = norm_sq_problem()
-        out = fg.primal_dual_game_opt(prob, eps=0.1)
+        rows = []
+        fg.primal_dual_game_opt(prob, eps=0.1, trace_sink=rows.append)
         spec = fg.ogd_bound_spec(prob.params.G, prob.params.H)
-        for rec in out.trace[:20]:
+        for rec in rows[:20]:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
+
+
+# runs of each solver that end by each way a run can end: (learner, problem,
+# eps, max_iters, ended_by); the primal-dual game has no oracle to FAIL
+ENDINGS = {
+    "primal": [
+        ("mw", fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=-0.3)], fg.Simplex(n=2)),
+         0.1, None, "oracle"),
+        ("ogd", norm_sq_problem(), 0.3, None, "horizon"),
+        ("ogd", norm_sq_problem(), 0.3, 54, "horizon"),  # a cap at T* is no cap
+        ("ogd", norm_sq_problem(), 0.3, 5, "cap"),
+    ],
+    "dual": [
+        (None, fg.make_problem([fg.Affine(a=np.zeros(2), b=0.3),
+                                fg.Affine(a=np.array([1.0, 0.0]), b=-1.0)], fg.Simplex(n=2)),
+         0.3, None, "oracle"),
+        (None, caps_problem(), 0.3, None, "horizon"),
+        (None, caps_problem(), 0.3, 5, "cap"),
+    ],
+    "primal-dual": [
+        ("ogd", norm_sq_problem(), 0.3, None, "horizon"),
+        ("mw", caps_problem(), 0.3, 5, "cap"),
+    ],
+}
+
+
+def expected_T_star(algo, learner, prob, eps):
+    """The horizon from each player's regret bound, computed apart from the solvers."""
+    p = prob.params
+    weights = fg.mw_bound_spec(p.G_inf, prob.m)
+    if algo == "dual":
+        return fg.stopping_threshold(weights, eps)
+    point = fg.ogd_bound_spec(p.G, p.H) if learner == "ogd" else fg.mw_bound_spec(p.G, prob.n)
+    if algo == "primal":
+        return fg.stopping_threshold(point, eps)
+    return max(fg.stopping_threshold(point, eps / 2), fg.stopping_threshold(weights, eps / 2))
 
 
 @pytest.mark.parametrize("algo", ALGOS)
 class TestTrace:
     def test_iterations_count_from_one(self, algo):
-        _, out, _ = play(algo, eps=0.2)
+        rows = []
+        _, out, _ = play(algo, eps=0.2, trace_sink=rows.append)
         assert out.iterations > 1
-        assert [rec.iteration for rec in out.trace] == list(range(1, out.iterations + 1))
+        assert [rec.iteration for rec in rows] == list(range(1, out.iterations + 1))
 
     def test_bound_column_is_exact_recompute(self, algo):
-        _, out, spec = play(algo, eps=0.2)
-        for rec in out.trace:
+        rows = []
+        _, out, spec = play(algo, eps=0.2, trace_sink=rows.append)
+        for rec in rows:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
 
     def test_sink_sees_every_row(self, algo):
         rows = []
         _, out, _ = play(algo, eps=0.2, trace_sink=rows.append)
-        assert len(rows) == len(out.trace)
-        assert all(a is b for a, b in zip(rows, out.trace))
+        assert len(rows) == out.iterations
+        assert all(rec is rows[rec.iteration - 1] for rec in out.trace)
 
     def test_elapsed_is_positive(self, algo):
-        _, out, _ = play(algo, eps=0.3)
-        assert all(rec.elapsed_ns >= 0 for rec in out.trace)
+        rows = []
+        play(algo, eps=0.3, trace_sink=rows.append)
+        assert all(rec.elapsed_ns >= 0 for rec in rows)
+
+    def test_sample_is_powers_of_two_and_the_last_round(self, algo):
+        _, out, _ = play(algo, eps=0.2)
+        powers = [1 << k for k in range(out.iterations.bit_length())]
+        assert out.iterations not in powers  # so the last round is an extra record
+        assert [rec.iteration for rec in out.trace] == powers + [out.iterations]
+
+    def test_sample_keeps_the_final_round_however_the_run_ends(self, algo):
+        for learner, prob, eps, max_iters, ending in ENDINGS[algo]:
+            rows = []
+            out = run_solver(prob, algo, learner, eps, max_iters=max_iters,
+                             trace_sink=rows.append)
+            assert out.ended_by == ending
+            assert out.iterations == len(rows) > 2
+            assert out.trace[-1] is rows[-1]
+            assert out.trace[-2].iteration < out.iterations
+
+
+def test_trace_memory_does_not_grow_with_the_horizon():
+    # without a sink, a run capped at 2^15 rounds holds no more than one
+    # capped at 2^10: one record per round would be about 8 MB more
+    prob = norm_sq_problem()
+    peaks = []
+    for cap in (2**10, 2**15):
+        tracemalloc.start()
+        try:
+            out = fg.primal_game_opt(prob, eps=0.001, max_iters=cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.ended_by == "cap" and out.T_star > 2**15  # no FAIL ended it early
+        assert out.iterations == cap
+        assert len(out.trace) <= 64
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 # the layer functions the solvers call through their module, where the
@@ -331,13 +409,34 @@ class TestDriver:
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_max_iters_exhausts_with_best_iterate(self, algo):
-        prob, out, _ = play(algo, eps=0.1, max_iters=3)
+        rows = []
+        prob, out, _ = play(algo, eps=0.1, max_iters=3, trace_sink=rows.append)
         assert isinstance(out.outcome, fg.Exhausted)
         assert out.iterations == 3
-        assert out.outcome.best_violation == min(rec.violation for rec in out.trace)
+        assert out.outcome.best_violation == min(rec.violation for rec in rows)
         assert out.outcome.best_violation == pytest.approx(
             max(fg.residuals(prob, out.outcome.best_x)), abs=1e-12)
         assert fg.verify_certificate(prob, out.outcome, 0.1).ok
+
+    @pytest.mark.parametrize("algo, learner, prob, eps, max_iters, ending", [
+        (algo, *case) for algo, cases in ENDINGS.items() for case in cases
+    ], ids=[f"{algo}-{case[-1]}-{i}" for algo, cases in ENDINGS.items()
+            for i, case in enumerate(cases)])
+    def test_result_reports_horizon_and_ending(self, algo, learner, prob, eps, max_iters,
+                                               ending):
+        out = run_solver(prob, algo, learner, eps, max_iters=max_iters)
+        assert out.T_star == expected_T_star(algo, learner, prob, eps)
+        assert out.ended_by == ending
+        if ending == "oracle":
+            assert out.iterations < out.T_star
+            kind = fg.Feasible if algo == "primal" else fg.Infeasible
+            assert isinstance(out.outcome, kind)
+        elif ending == "horizon":
+            assert out.iterations == out.T_star
+            assert not isinstance(out.outcome, fg.Exhausted)
+        else:
+            assert out.iterations == max_iters < out.T_star
+            assert isinstance(out.outcome, fg.Exhausted)
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_max_iters_below_one_is_refused(self, algo):
