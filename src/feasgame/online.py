@@ -5,9 +5,11 @@ Three learners, used as the players inside the game solvers:
 * OGD: gradient steps of size 1/(H t) for H-strongly-convex costs, with
   Euclidean projection back onto the domain.  Regret O((G^2/H) log T).
 * ONS: Newton-style steps for alpha-exp-concave costs.  The conditioning
-  matrix accumulates gradient outer products and its inverse is maintained
-  by rank-one (Sherman-Morrison) updates; the iterate is projected in the
-  matrix norm.  Regret O((1/alpha + G D) n log T).
+  matrix accumulates gradient outer products, and the Newton point is
+  projected in the matrix norm.  No inverse is kept: on the simplex the
+  projection needs only A times the Newton point, which is A x - g / beta,
+  and elsewhere one linear solve gives the Newton direction.
+  Regret O((1/alpha + G D) n log T).
 * MW: multiplicative weights over the simplex with learning rate eta <= 1/2;
   plays the normalized weight vector.  Regret O(G_inf sqrt(T log n)).
 
@@ -16,7 +18,6 @@ States are immutable; each step returns a fresh state with t advanced by 1.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,9 +28,11 @@ from .core import (
     Affine,
     Array,
     ConstraintFn,
+    DimensionMismatch,
     Domain,
     Quadratic,
     SetupError,
+    Simplex,
     domain_dim,
     evaluate,
     evaluate_batch,
@@ -39,12 +42,13 @@ from .core import (
 )
 from .descent import minimize_over_domain
 from .grids import domain_grid
-from .projections import PsdMatrix, _ProvenPsdMatrix, generalized_project, project_domain
-
-logger = logging.getLogger(__name__)
-
-# Drift threshold on ||A A_inv - I||_max before the inverse is rebuilt.
-INVERSE_DRIFT_TOL = 1e-6
+from .projections import (
+    MAX_CONDITION,
+    PsdMatrix,
+    _simplex_kkt,
+    generalized_project,
+    project_domain,
+)
 
 # Grid spacing of the hindsight minimum for costs without a closed form (n <= 3).
 GRID_RESOLUTION = 1e-3
@@ -87,23 +91,22 @@ _ETA = 2.0**-1074
 
 @dataclass(frozen=True, eq=False)
 class OnsState:
-    """Iterate, round, step scale beta, Newton matrix A and its inverse.
+    """Iterate, round, step scale beta and Newton matrix A.
 
     scale > 0 states that A = scale I + sum of g g^T over the t - 1
     gradients seen so far, built by init_ons and ons_step; from scale and
     the trace of A, psd_matrix then proves bounds on the spectrum of A.
     The default scale = 0 proves nothing, so a state built by hand with an
     arbitrary A has its matrix tested by generalized_project like any
-    other.
+    other.  rebuilds is always 0: no inverse is kept, so none is rebuilt.
     """
 
     x: Array
     t: int
     beta: float
     A: Array
-    A_inv: Array
-    rebuilds: int = 0
     scale: float = 0.0
+    rebuilds = 0
 
     def psd_matrix(self) -> PsdMatrix | None:
         """A with lam_min = scale - b and lam_max = T + b, where T is the
@@ -158,58 +161,56 @@ class OnsState:
         lam_min = self.scale - b
         if not lam_min > 0:
             return None
-        return _ProvenPsdMatrix(M=self.A, lam_min=lam_min, lam_max=trace + b)
+        return PsdMatrix(M=self.A, lam_min=lam_min, lam_max=trace + b)
 
 
 def init_ons(domain: Domain, G: float, D: float) -> OnsState:
-    """beta = min(1, 1/(4 G D))/2, A0 = I/(D beta)^2, inverse exact."""
+    """beta = min(1, 1/(4 G D))/2, A0 = I/(D beta)^2."""
     if not (G > 0 and D > 0):
         raise SetupError("ONS needs positive G and D bounds")
     n = domain_dim(domain)
     beta = 0.5 * min(1.0, 1.0 / (4.0 * G * D))
     scale = 1.0 / (D * D * beta * beta)
-    A = np.eye(n) * scale
-    A_inv = np.eye(n) / scale
-    return OnsState(x=start_point(domain), t=1, beta=beta, A=A, A_inv=A_inv,
+    return OnsState(x=start_point(domain), t=1, beta=beta, A=np.eye(n) * scale,
                     scale=scale)
 
 
 def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
-    """Newton-style step, matrix-norm projection, then rank-one update.
+    """Newton-style step to y = x - A^-1 grad / beta, projection of y in
+    the A-norm, then the rank-one update A + grad grad^T.
 
-    Moves along -A_inv grad / beta.  The conditioning matrix update uses the
-    gradient just observed; its inverse follows by Sherman-Morrison (from
-    the same A_inv grad as the step) and is rebuilt from scratch if the
-    consistency check ||A A_inv - I||_max exceeds 1e-6.
-
-    The projection gets A as state.psd_matrix(), with the bounds on its
-    spectrum that its construction proves; where they prove A well
-    conditioned, generalized_project runs the exact simplex solve with no
-    Cholesky test of A.
+    No inverse is formed.  On a simplex, when state.psd_matrix() proves A
+    well conditioned (lam_max <= MAX_CONDITION lam_min) and A is symmetric
+    bit for bit, the exact KKT solve takes the linear term
+    A y = A x - grad / beta and solves for the correction from x: O(n^2),
+    plus O(k^3) per free set of k > 1 coordinates tried.  Elsewhere (a
+    ball, a box, a state built by hand) one O(n^3) linear solve gives y for
+    generalized_project, which tests A.  A gradient with a NaN or an
+    infinity, and a singular A, raise SetupError.
     """
     g = np.asarray(grad, float)
-    Ag = state.A_inv @ g
-    y = state.x + (-1.0 / state.beta) * Ag
+    if not np.isfinite(g).all():
+        raise SetupError("ONS gradient must be finite")
+    A = state.A
     psd = state.psd_matrix()
-    x_new = generalized_project(y, state.A if psd is None else psd, domain, x0=state.x)
-
+    # bitwise symmetry is the same bytes in row-major and column-major
+    # order, a quarter of the cost of (A == A.T).all()
+    if (isinstance(domain, Simplex) and psd is not None
+            and psd.lam_max <= MAX_CONDITION * psd.lam_min
+            and A.tobytes() == A.T.tobytes()):
+        x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
+    else:
+        try:
+            Ag = np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:
+            if A.ndim != 2 or A.shape[0] != A.shape[1]:
+                raise DimensionMismatch("ONS matrix A must be square") from None
+            raise SetupError("ONS matrix A is singular") from None
+        y = state.x + (-1.0 / state.beta) * Ag
+        x_new = generalized_project(y, A, domain, x0=state.x)
     # column-times-row products are np.outer without its wrapper
-    A_new = state.A + g[:, None] * g
-    denom = 1.0 + float(g @ Ag)
-    A_inv_new = state.A_inv - Ag[:, None] * Ag / denom
-
-    rebuilds = state.rebuilds
-    residual = A_new @ A_inv_new
-    residual.flat[:: g.size + 1] -= 1.0  # A A_inv - I without building I
-    drift = float(abs(residual).max())
-    if drift > INVERSE_DRIFT_TOL:
-        A_inv_new = np.linalg.inv(A_new)
-        rebuilds += 1
-        logger.warning("ONS inverse drift %.3g exceeded %.0e; rebuilt inverse", drift, INVERSE_DRIFT_TOL)
-
     return OnsState(x=x_new, t=state.t + 1, beta=state.beta,
-                    A=A_new, A_inv=A_inv_new, rebuilds=rebuilds,
-                    scale=state.scale)
+                    A=A + g[:, None] * g, scale=state.scale)
 
 
 # ---------------------------------------------------------------------------

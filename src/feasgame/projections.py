@@ -5,16 +5,15 @@ shift a with sum_i max(y_i - a, 0) = 1 and clamp.  It is deterministic,
 costs O(n log n) and rejects input with a NaN or an infinity (SetupError).
 
 generalized_project minimizes (x - y).A(x - y) over the domain.  On a
-simplex with a positive-definite A (the ONS case: its Newton matrix has
-lam_min >= 1/(D beta)^2 by construction) it is exact: an active-set solve
-of the KKT system by block principal pivoting, each step one bordered solve
-[[A_FF, 1], [1^T, 0]] on the free coordinates F, which is nonsingular for
-positive-definite A.  It needs no eigenvalues.  online.ons_step proves its
+simplex with a positive-definite A it is exact: an active-set solve of the
+KKT system by block principal pivoting (_simplex_kkt), each step one
+bordered solve [[A_FF, 1], [1^T, 0]] on the free coordinates F, which is
+nonsingular for positive-definite A.  It needs no eigenvalues.  The solve
+takes the linear term of the objective as A r + h and solves for the
+correction from the reference point r, so online.ons_step, which proves its
 own matrix positive definite and well conditioned from how that matrix is
-built and passes it with those bounds (lam_min > 0, lam_max <=
-MAX_CONDITION * lam_min) as a _ProvenPsdMatrix, a type only the package
-makes; then the solve only tests A for bitwise symmetry.  Any other input
-(an array, any other PsdMatrix, proven bounds that prove less) is tested:
+built, calls it directly with r = x and h = -g / beta and never forms the
+Newton point or an inverse.  generalized_project tests its matrix:
 symmetric bit for bit and with a Cholesky factorization that succeeds it is
 positive definite, which is stronger than the PSD test below, and a spread
 of the factor's diagonal within 1e5 keeps a numerically singular A out.
@@ -56,8 +55,8 @@ from .core import (
 # generalized_project takes before it gives up.
 PROJECT_CAP = 100_000
 
-# Largest lam_max / lam_min with which a PsdMatrix's bounds send a simplex
-# projection straight to the exact solve.
+# Largest lam_max / lam_min with which an ONS step's proven bounds send its
+# simplex projection straight to the exact solve.
 MAX_CONDITION = 1e10
 
 
@@ -122,10 +121,10 @@ class PsdMatrix:
     """A symmetric PSD matrix M with bounds on its spectrum:
     lam_min <= lambda_min(M) and lambda_max(M) <= lam_max.
 
-    check() proves them by computing the extreme eigenvalues themselves.
-    The constructor checks nothing, so generalized_project tests the matrix
-    of a PsdMatrix like an array; it takes the bounds on trust only from a
-    _ProvenPsdMatrix.
+    check() proves them by computing the extreme eigenvalues themselves;
+    online.OnsState.psd_matrix proves them from how it built M.  The
+    constructor checks nothing, so generalized_project tests the matrix of
+    a PsdMatrix like an array and does not use its bounds.
     """
 
     M: Array
@@ -144,12 +143,6 @@ class PsdMatrix:
         if float(ev[0]) < -1e-10 * float(ev[-1]):
             raise SetupError("matrix is not positive semidefinite")
         return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
-
-
-@dataclass(frozen=True)
-class _ProvenPsdMatrix(PsdMatrix):
-    """A PsdMatrix whose bounds the package has proven from how it built M
-    (online.OnsState.psd_matrix); generalized_project trusts them."""
 
 
 def _well_conditioned(M: Array) -> bool:
@@ -174,50 +167,70 @@ def _well_conditioned(M: Array) -> bool:
     return bool(diag.min() > 1e-5 * diag.max())
 
 
-def _simplex_kkt(y: Array, M: Array, x0) -> Array:
-    """argmin over the simplex of (x - y).M(x - y), M positive definite.
+def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
+    """argmin over the simplex of x.M x / 2 - c.x with c = M r + h, M
+    positive definite: the projection of y in the M-norm is r = y, h = 0,
+    and an ONS step is r = x, h = -g / beta (then c = M y for the Newton
+    point y = x - M^-1 g / beta, which is never formed).
 
-    Block principal pivoting on the KKT system of the half-scaled objective
-    (Judice and Pires, 1994).  With the bound set B held at zero, the free
-    coordinates F solve [[M_FF, 1], [1^T, 0]] [x_F; nu] = [(M y)_F; 1], and
-    the bound ones carry the multipliers mu_B = (M(x - y))_B + nu.  The
-    answer is the first solve with x_F >= 0 and mu_B >= 0 (down to the
-    rounding of M(x - y)).  Otherwise every coordinate that breaks one of
-    them changes side at once, so a few solves suffice even when many
-    coordinates move.  Once the number of broken coordinates has gone three
-    block changes without falling, only the least-indexed one changes side
-    (Murty's rule), which is what keeps principal pivoting from cycling.  The
-    first free set is the support of x0 when given, else of the Euclidean
-    projection of y.
+    Block principal pivoting on the KKT system (Judice and Pires, 1994).
+    With the bound set B held at zero, the free coordinates F are
+    x_F = r_F + d_F, where the correction d solves
+    [[M_FF, 1], [1^T, 0]] [d_F; nu] = [M_FB r_B + h_F; 1 - sum r_F], and the
+    bound ones carry the multipliers mu = M(x - r) - h + nu 1.  Solving for
+    the correction from r, not for x_F, keeps the rounding of d relative to
+    the size of d rather than of r, so a coordinate that is small where r
+    is small too (0 in y, or an ONS iterate's coordinate near 0) keeps its
+    relative accuracy.  The answer is the first solve with x_F >= 0 and
+    mu_B >= 0 (down to the rounding of the multipliers).  Otherwise every
+    coordinate that breaks one of them changes side at once, so a few solves
+    suffice even when many coordinates move.  Once the number of broken
+    coordinates has gone three block changes without falling, only the
+    least-indexed one changes side (Murty's rule), which is what keeps
+    principal pivoting from cycling.  The first free set is the support of
+    x0 when given, else of the Euclidean projection of r.  At a vertex e_f
+    nothing is solved: mu = M e_f - c + (c_f - M_ff), which for r = e_f is
+    (h_f - h) up to rounding.
     """
-    My = M @ y
-    # a NaN or an infinity in M or y (or an overflow) leaves M y non-finite
-    if not np.isfinite(My).all():
+    c = M.dot(r) + h  # ndarray.dot skips the matmul ufunc's dispatch
+    # a NaN or an infinity in M, r or h (or an overflow) leaves c non-finite
+    if not np.isfinite(c).all():
         raise SetupError("simplex projection needs finite input")
-    free = (project_simplex(y) if x0 is None else np.asarray(x0, float)) > 0
-    # least multiplier accepted, the size of the rounding in M(x - y);
-    # max|M| is on the diagonal of a positive-definite M
-    floor = -1e-12 * float(M.diagonal().max()) * (1.0 + float(abs(y).max()))
-    fewest, chances = y.size + 1, 3
+    free = (project_simplex(r) if x0 is None else np.asarray(x0, float)) > 0
+    floor = None
+    fewest, chances = r.size + 1, 3
     for _ in range(PROJECT_CAP):
         F = free.nonzero()[0]
-        x = np.zeros(y.size)
         if F.size == 1:  # a vertex: nothing to solve, M x is a row of M
             f = F[0]
+            x = np.zeros(r.size)
             x[f] = 1.0
-            mu = M[f] - My + (My[f] - M[f, f])
+            mu = M[f] - c + (c[f] - M[f, f])
+            mu[f] = 0.0
         else:
             k = F.size
             K = np.ones((k + 1, k + 1))
             K[:k, :k] = M[F[:, None], F]
             K[k, k] = 0.0
-            rhs = np.ones(k + 1)
-            rhs[:k] = My[F]
+            e = -r  # x - r: the correction on F, -r on B
+            e[F] = 0.0
+            rhs = np.empty(k + 1)
+            rhs[:k] = (h - M.dot(e))[F]  # M_FB r_B + h_F
+            rhs[k] = 1.0 - r[F].sum()
             sol = np.linalg.solve(K, rhs)
-            x[F] = sol[:k]
-            mu = M @ x - My + sol[k]
-        mu[F] = 0.0
-        if mu.min() >= floor and (F.size == 1 or x.min() >= 0):  # a vertex is >= 0
+            e[F] = sol[:k]
+            x = r + e  # r_B + (-r_B) is exactly 0
+            mu = M.dot(e) - h + sol[k]
+            mu[F] = 0.0
+        feasible = F.size == 1 or x.min() >= 0  # a vertex is >= 0
+        if feasible and mu.min() >= 0:
+            return x
+        if floor is None:
+            # least multiplier accepted, the size of the rounding in
+            # M(x - r) - h; max|M| is on the diagonal of a positive-definite M
+            floor = -1e-12 * (float(M.diagonal().max()) * (1.0 + float(abs(r).max()))
+                              + float(abs(h).max()))
+        if feasible and mu.min() >= floor:
             return x
         broken = (x < 0) | (mu < floor)  # sum x = 1 keeps some x_F > 0 free
         count = int(broken.sum())
@@ -236,22 +249,14 @@ def _simplex_kkt(y: Array, M: Array, x0) -> Array:
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    A is an array or a PsdMatrix.  On a simplex, a matrix that is
-    symmetric bit for bit and has a Cholesky factor whose diagonal entries
-    are within a factor 1e-5 of each other (so positive definite and not
-    near singular) takes the exact KKT solve of _simplex_kkt.  So does a
-    bitwise symmetric _ProvenPsdMatrix, made only inside the package, whose
-    bounds prove its matrix positive definite with condition number at most
-    MAX_CONDITION (lam_min > 0 and lam_max <= MAX_CONDITION * lam_min),
-    without the factorization.  Such a matrix passes the Cholesky test too,
-    up to the rounding of the factorization: the factor of a
-    positive-definite matrix exists, and its squared diagonal entries are
-    pivots that lie in [lambda_min, lambda_max], so they spread by at most
-    sqrt(MAX_CONDITION) = 1e5.  The bounds of any other PsdMatrix are not
-    used: its matrix is tested like an array.  tol plays no part in the
-    exact solve.  Every other input is validated by PsdMatrix.check, so the
-    matrices accepted and refused are those of PsdMatrix.check either way,
-    and takes projected gradient descent along
+    A is an array or a PsdMatrix, whose bounds are not used: its matrix is
+    tested like an array.  On a simplex, a matrix that is symmetric bit for
+    bit and has a Cholesky factor whose diagonal entries are within a factor
+    1e-5 of each other (so positive definite and not near singular) takes
+    the exact KKT solve of _simplex_kkt from the reference point y.  tol
+    plays no part in the exact solve.  Every other input is validated by
+    PsdMatrix.check, so the matrices accepted and refused are those of
+    PsdMatrix.check either way, and takes projected gradient descent along
     A(x - y) with step 1/lam_max(A) (the gradient of the half-scaled
     objective, so every eigendirection contracts).  Each descent step
     costs one matrix-vector product: the product that evaluates the
@@ -268,21 +273,15 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     y = np.asarray(y, float)
     if y.shape != (domain_dim(domain),):
         raise DimensionMismatch("point has wrong dimension for domain")
-    proven = (isinstance(A, _ProvenPsdMatrix)
-              and 0.0 < A.lam_min and A.lam_max <= MAX_CONDITION * A.lam_min)
     M = np.asarray(A.M if isinstance(A, PsdMatrix) else A, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if M.shape[0] != y.shape[0]:
         raise DimensionMismatch("matrix and point dimensions differ")
-    # a proven matrix is still tested for bitwise symmetry: the same bytes
-    # in row-major and column-major order, a quarter of the cost of
-    # (M == M.T).all() (a NaN in M is refused by _simplex_kkt either way)
-    if isinstance(domain, Simplex) and (
-            proven and M.tobytes() == M.T.tobytes() or _well_conditioned(M)):
+    if isinstance(domain, Simplex) and _well_conditioned(M):
         if domain_contains(domain, y):
             return y.copy()
-        return _simplex_kkt(y, M, x0)
+        return _simplex_kkt(M, y, np.zeros(y.size), x0)
 
     psd = PsdMatrix.check(M)
     if domain_contains(domain, y):

@@ -209,8 +209,16 @@ def test_criterion_11_ons_conditioning_stays_consistent():
     for _ in range(10_000):
         g = rng.normal(size=10)
         g /= max(1.0, float(np.linalg.norm(g)))
+        # the projection of the Newton point x - A^-1 g / beta, from an
+        # explicit inverse that ons_step does not keep
+        y = state.x - (np.linalg.inv(state.A) @ g) / state.beta
+        expected = fg.generalized_project(y, state.A, domain)
         state = fg.ons_step(state, g, domain)
-    assert float(np.max(np.abs(state.A @ state.A_inv - np.eye(10)))) <= 1e-6
+        assert float(np.max(np.abs(state.x - expected))) <= 1e-9
+    assert (state.A == state.A.T).all()
+    psd = state.psd_matrix()
+    ev = np.linalg.eigvalsh(state.A)
+    assert psd.lam_min <= ev[0] and ev[-1] <= psd.lam_max
 
 
 def test_criterion_12_cli_exit_codes_and_standalone_reverification(tmp_path, capsys):
