@@ -43,7 +43,6 @@ from .core import (
 from .descent import minimize_over_domain
 from .grids import domain_grid
 from .projections import (
-    MAX_CONDITION,
     PsdMatrix,
     _simplex_kkt,
     generalized_project,
@@ -52,6 +51,10 @@ from .projections import (
 
 # Grid spacing of the hindsight minimum for costs without a closed form (n <= 3).
 GRID_RESOLUTION = 1e-3
+
+# Largest lam_max / lam_min with which an ONS step's proven bounds send its
+# simplex projection straight to the exact solve.
+MAX_CONDITION = 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +98,7 @@ class OnsState:
 
     scale > 0 states that A = scale I + sum of g g^T over the t - 1
     gradients seen so far, built by init_ons and ons_step; from scale and
-    the trace of A, psd_matrix then proves bounds on the spectrum of A.
+    the trace of A, spectrum_bounds then proves bounds on the spectrum of A.
     The default scale = 0 proves nothing, so a state built by hand with an
     arbitrary A has its matrix tested by generalized_project like any
     other.  rebuilds is always 0: no inverse is kept, so none is rebuilt.
@@ -108,8 +111,8 @@ class OnsState:
     scale: float = 0.0
     rebuilds = 0
 
-    def psd_matrix(self) -> PsdMatrix | None:
-        """A with lam_min = scale - b and lam_max = T + b, where T is the
+    def spectrum_bounds(self) -> tuple[float, float] | None:
+        """(lam_min, lam_max) = (scale - b, T + b), where T is the
         float trace of A, b = 8 n t (u T + eta), u = 2^-53 is the unit
         roundoff and eta = 2^-1074 the smallest subnormal.
 
@@ -161,7 +164,22 @@ class OnsState:
         lam_min = self.scale - b
         if not lam_min > 0:
             return None
-        return PsdMatrix(M=self.A, lam_min=lam_min, lam_max=trace + b)
+        return lam_min, trace + b
+
+    def psd_matrix(self) -> PsdMatrix | None:
+        """A with the bounds of spectrum_bounds, or None without them."""
+        bounds = self.spectrum_bounds()
+        return None if bounds is None else PsdMatrix(self.A, *bounds)
+
+    def takes_exact_simplex_solve(self) -> bool:
+        """True when spectrum_bounds proves lam_max <= MAX_CONDITION lam_min
+        and A is symmetric bit for bit: then a simplex step goes straight
+        to the exact KKT solve, which needs nothing else of A."""
+        bounds = self.spectrum_bounds()
+        # bitwise symmetry is the same bytes in row-major and column-major
+        # order, a quarter of the cost of (A == A.T).all()
+        return (bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
+                and self.A.tobytes() == self.A.T.tobytes())
 
 
 def init_ons(domain: Domain, G: float, D: float) -> OnsState:
@@ -179,9 +197,9 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     """Newton-style step to y = x - A^-1 grad / beta, projection of y in
     the A-norm, then the rank-one update A + grad grad^T.
 
-    No inverse is formed.  On a simplex, when state.psd_matrix() proves A
-    well conditioned (lam_max <= MAX_CONDITION lam_min) and A is symmetric
-    bit for bit, the exact KKT solve takes the linear term
+    No inverse is formed.  On a simplex, when
+    state.takes_exact_simplex_solve() (A proven well conditioned and
+    symmetric bit for bit), the exact KKT solve takes the linear term
     A y = A x - grad / beta and solves for the correction from x: O(n^2),
     plus O(k^3) per free set of k > 1 coordinates tried.  Elsewhere (a
     ball, a box, a state built by hand) one O(n^3) linear solve gives y for
@@ -192,12 +210,7 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     if not np.isfinite(g).all():
         raise SetupError("ONS gradient must be finite")
     A = state.A
-    psd = state.psd_matrix()
-    # bitwise symmetry is the same bytes in row-major and column-major
-    # order, a quarter of the cost of (A == A.T).all()
-    if (isinstance(domain, Simplex) and psd is not None
-            and psd.lam_max <= MAX_CONDITION * psd.lam_min
-            and A.tobytes() == A.T.tobytes()):
+    if isinstance(domain, Simplex) and state.takes_exact_simplex_solve():
         x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
     else:
         try:

@@ -10,10 +10,12 @@ KKT system by block principal pivoting (_simplex_kkt), each step one
 bordered solve [[A_FF, 1], [1^T, 0]] on the free coordinates F, which is
 nonsingular for positive-definite A.  It needs no eigenvalues.  The solve
 takes the linear term of the objective as A r + h and solves for the
-correction from the reference point r, so online.ons_step, which proves its
-own matrix positive definite and well conditioned from how that matrix is
-built, calls it directly with r = x and h = -g / beta and never forms the
-Newton point or an inverse.  generalized_project tests its matrix:
+correction from the reference point r, so online.ons_step, whose state
+proves its matrix positive definite and well conditioned from how that
+matrix is built (OnsState.takes_exact_simplex_solve), calls it directly
+with r = x and h = -g / beta and never forms the Newton point or an
+inverse.  Its answer lies on the plane sum x = 1 in rationals up to the
+rounding of one small coordinate.  generalized_project tests its matrix:
 symmetric bit for bit and with a Cholesky factorization that succeeds it is
 positive definite, which is stronger than the PSD test below, and a spread
 of the factor's diagonal within 1e5 keeps a numerically singular A out.
@@ -32,6 +34,7 @@ tolerance to pass, and its multiplier test is relative to the size of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -54,10 +57,6 @@ from .core import (
 # Descent steps, or bordered solves of the exact simplex path,
 # generalized_project takes before it gives up.
 PROJECT_CAP = 100_000
-
-# Largest lam_max / lam_min with which an ONS step's proven bounds send its
-# simplex projection straight to the exact solve.
-MAX_CONDITION = 1e10
 
 
 def simplex_threshold(y) -> float:
@@ -150,7 +149,7 @@ def _well_conditioned(M: Array) -> bool:
     diagonal entries are within a factor 1e-5 of each other.
 
     The factor proves M positive definite.  A diagonal spread beyond 1e5
-    puts the condition number of M above MAX_CONDITION = 1e10, and it is
+    puts the condition number of M above 1e10, and it is
     what a singular M that rounding lets through the factorization looks
     like (0.924 1 1^T on two coordinates gives a last entry of 1.5e-8, the
     root of a rounding error); the bordered system on such an M can be
@@ -167,6 +166,29 @@ def _well_conditioned(M: Array) -> bool:
     return bool(diag.min() > 1e-5 * diag.max())
 
 
+def _onto_plane(x: Array, F: Array) -> Array:
+    """x with 1 - sum x_F, rounded once, added to the least free coordinate,
+    or to the largest when the least would fall below 0.
+
+    Solved coordinates near 1 round by up to 2^-54, which leaves their exact
+    sum off the plane sum x = 1 by as much; with |x - r| small that costs
+    the objective more than a relative 1e-12 (y = (0, 0.99999),
+    A = diag(1.0009765625, 1) sums to 1 + 1.4e-17, 1.4e-22 over an optimum
+    of 5.0e-11).  On the support the gradient of the objective is the same
+    in every coordinate, so moving any free coordinate back onto the plane
+    removes that cost, and the least one rounds the sum the finest: the
+    exact 1 - sum x_F is a multiple of its ulp, so the move is exact unless
+    it crosses a power of 2.
+    """
+    xF = x[F]
+    rest = math.fsum([1.0, *(-xF).tolist()])
+    j = xF.argmin()
+    if xF[j] + rest < 0:
+        j = xF.argmax()
+    x[F[j]] += rest
+    return x
+
+
 def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
     """argmin over the simplex of x.M x / 2 - c.x with c = M r + h, M
     positive definite: the projection of y in the M-norm is r = y, h = 0,
@@ -179,20 +201,19 @@ def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
     [[M_FF, 1], [1^T, 0]] [d_F; nu] = [M_FB r_B + h_F; 1 - sum r_F], and the
     bound ones carry the multipliers mu = M(x - r) - h + nu 1.  Solving for
     the correction from r, not for x_F, keeps the rounding of d relative to
-    the size of d rather than of r, so a coordinate that is small where r
-    is small too (0 in y, or an ONS iterate's coordinate near 0) keeps its
-    relative accuracy.  The answer is the first solve with x_F >= 0 and
+    the size of d rather than of r, and _onto_plane then moves x_F onto the
+    plane sum x = 1.  The answer is the first solve with x_F >= 0 and
     mu_B >= 0 (down to the rounding of the multipliers).  Otherwise every
-    coordinate that breaks one of them changes side at once, so a few solves
-    suffice even when many coordinates move.  Once the number of broken
-    coordinates has gone three block changes without falling, only the
-    least-indexed one changes side (Murty's rule), which is what keeps
+    coordinate that breaks one of them changes side at once, so a few
+    solves suffice even when many coordinates move.  Once the number of
+    broken coordinates has gone three block changes without falling, only
+    the least-indexed one changes side (Murty's rule), which is what keeps
     principal pivoting from cycling.  The first free set is the support of
     x0 when given, else of the Euclidean projection of r.  At a vertex e_f
     nothing is solved: mu = M e_f - c + (c_f - M_ff), which for r = e_f is
     (h_f - h) up to rounding.
     """
-    c = M.dot(r) + h  # ndarray.dot skips the matmul ufunc's dispatch
+    c = M @ r + h
     # a NaN or an infinity in M, r or h (or an overflow) leaves c non-finite
     if not np.isfinite(c).all():
         raise SetupError("simplex projection needs finite input")
@@ -206,7 +227,6 @@ def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
             x = np.zeros(r.size)
             x[f] = 1.0
             mu = M[f] - c + (c[f] - M[f, f])
-            mu[f] = 0.0
         else:
             k = F.size
             K = np.ones((k + 1, k + 1))
@@ -215,13 +235,13 @@ def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
             e = -r  # x - r: the correction on F, -r on B
             e[F] = 0.0
             rhs = np.empty(k + 1)
-            rhs[:k] = (h - M.dot(e))[F]  # M_FB r_B + h_F
+            rhs[:k] = (h - M @ e)[F]  # M_FB r_B + h_F
             rhs[k] = 1.0 - r[F].sum()
             sol = np.linalg.solve(K, rhs)
             e[F] = sol[:k]
-            x = r + e  # r_B + (-r_B) is exactly 0
-            mu = M.dot(e) - h + sol[k]
-            mu[F] = 0.0
+            x = _onto_plane(r + e, F)  # r_B + (-r_B) is exactly 0
+            mu = M @ e - h + sol[k]
+        mu[F] = 0.0
         feasible = F.size == 1 or x.min() >= 0  # a vertex is >= 0
         if feasible and mu.min() >= 0:
             return x

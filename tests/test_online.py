@@ -128,10 +128,20 @@ class TestOns:
         A = np.array([[2.0, 0.5], [0.5 * (1 + 2.0**-50), 1.0]])
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=0.5)
         assert s.psd_matrix() is not None
+        assert not s.takes_exact_simplex_solve()
         g = np.array([0.3, 0.1])  # an interior answer, where the routes' bits differ
         y = s.x - np.linalg.solve(A, g) / s.beta
         expected = fg.generalized_project(y, A, fg.Simplex(n=2), x0=s.x)
         assert np.array_equal(fg.ons_step(s, g, fg.Simplex(n=2)).x, expected)
+
+    @pytest.mark.parametrize("top, exact", [(1e3, True), (1e5, False)])
+    def test_proven_condition_number_picks_the_route(self, top, exact):
+        # proven bounds about 1e-6 and top: a ratio beyond
+        # online.MAX_CONDITION = 1e10 leaves the matrix to generalized_project
+        A = np.diag([1e-6, top])
+        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=1e-6)
+        assert s.psd_matrix() is not None
+        assert s.takes_exact_simplex_solve() == exact
 
     def test_negative_gradient_steps_ascend(self):
         # on a fixed linear cost that falls to the right the learner moves up
@@ -184,6 +194,7 @@ def test_ons_matrix_bounds_hold_along_a_stream(stream):
         assert (s.A == s.A.T).all()
         ev = np.linalg.eigvalsh(s.A)
         assert psd.lam_min <= ev[0] and ev[-1] <= psd.lam_max
+        assert s.takes_exact_simplex_solve()
         y = s.x - np.linalg.solve(s.A, g) / s.beta
         A = s.A
         s = fg.ons_step(s, g, dom)

@@ -1,6 +1,5 @@
 """Euclidean and matrix-norm projections onto the three domains."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -202,17 +201,20 @@ class TestGeneralized:
         with pytest.raises(fg.SetupError, match="not positive semidefinite"):
             fg.generalized_project(np.array([2.0, -1.0]), np.diag([1.0, -1.0]), fg.Simplex(n=2))
 
-    def test_small_coordinate_keeps_its_relative_accuracy(self):
-        # y lies 1e-8 below the plane sum x = 1 and every coordinate stays
-        # free, so x = y - nu A^-1 1 with nu = (sum y - 1) / 1^T A^-1 1, and
-        # in rationals x_0 is about 1e-9; the correction from y keeps it to
-        # a few ulps, where solving for x_F itself lost seven digits
-        A = np.array([[2.592, 1.404, 0.218], [1.404, 2.76, -0.438], [0.218, -0.438, 2.086]])
-        y = np.array([0.0, 0.2631, 0.73689999])
-        x = fg.generalized_project(y, A, fg.Simplex(n=3))
-        w = _solve_in_rationals(A, np.ones(3))
-        exact = (1 - sum(map(Fraction, y))) * w[0] / sum(w)
-        assert abs(Fraction(x[0]) - exact) <= 2.0**-50 * exact
+    @pytest.mark.parametrize("y, A", [
+        (np.array([0.0, 0.99999]), np.diag([1.0009765625, 1.0])),
+        (np.array([0.0, 0.2631, 0.73689999]),
+         np.array([[2.592, 1.404, 0.218], [1.404, 2.76, -0.438], [0.218, -0.438, 2.086]])),
+    ])
+    def test_point_near_the_plane_meets_the_optimum(self, y, A):
+        # y lies 1e-5 or 1e-8 below the plane sum x = 1 and every coordinate
+        # stays free; coordinates near 1 round off that plane by more than
+        # the objective allows (relative 2.7e-12 and 2.7e-9 here) unless the
+        # answer is moved back onto it
+        x = fg.generalized_project(y, A, fg.Simplex(n=y.size))
+        assert (x > 0).all()
+        _, best = _face_minimum(y, A, x > 0)
+        assert abs(_objective_in_rationals(x, y, A) / best - 1) <= 1e-12
 
     def test_psd_matrix_carries_extreme_eigenvalues(self):
         psd = fg.PsdMatrix.check(np.diag([3.0, 0.5, 2.0]))
@@ -247,14 +249,35 @@ def _solve_in_rationals(A, b):
     return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
+def _objective_in_rationals(x, y, A):
+    d = [Fraction(v) - Fraction(u) for v, u in zip(x, y)]
+    return sum(d[i] * Fraction(A[i, j]) * d[j] for i in range(len(d)) for j in range(len(d)))
+
+
+def _face_minimum(y, A, support):
+    """The exact minimizer of (x - y).A(x - y) over the plane sum x = 1 with
+    x = 0 off support, in rationals, and its objective: d = x - y is -y off
+    support, and on it d_F and nu solve
+    [[A_FF, 1], [1^T, 0]] [d_F; nu] = [A_FB y_B; 1 - sum y_F]."""
+    F, B = support.nonzero()[0], (~support).nonzero()[0]
+    K = [[A[i, j] for j in F] + [1.0] for i in F] + [[1.0] * F.size + [0.0]]
+    rhs = ([sum(Fraction(A[i, j]) * Fraction(y[j]) for j in B) for i in F]
+           + [1 - sum(Fraction(y[i]) for i in F)])
+    d_F = _solve_in_rationals(K, rhs)[:F.size]
+    x = [Fraction(0)] * y.size
+    for i, v in zip(F, d_F):
+        x[i] = Fraction(y[i]) + v
+    return x, _objective_in_rationals(x, y, A)
+
+
 # ---------------------------------------------------------------------------
 # generalized_project against the original formulation: two matrix-vector
 # products per descent step, np.allclose for the multiple-of-I test and the
 # np.sort/np.cumsum/np.nonzero simplex projection.  The descent route (ball,
 # box, and a simplex matrix that fails projections._well_conditioned) must
-# match it bit for bit; the exact simplex route must meet the KKT conditions
-# and do at least as well as the descent wherever the descent converges, up
-# to what rounding each answer off the plane sum x = 1 costs.
+# match it bit for bit; the exact simplex route must meet the KKT conditions,
+# reach the exact minimum over the face of its support, and find no face
+# worse than the descent's wherever the descent converges.
 
 
 def _reference_simplex(y):
@@ -339,25 +362,6 @@ def ons_projection_case(draw):
     return y, A, domain, x0
 
 
-def _objective(x, y, A):
-    d = x - y
-    return float(d @ A @ d)
-
-
-def _rounding_cost(new, ref, y, A):
-    """Twice the first-order cost of the two answers' rounding off the plane
-    sum x = 1: a point whose coordinates sum to 1 - rho, exactly, lies off
-    the optimum's objective by about 2 nu rho, nu the plane's multiplier
-    (the gradient of (x - y).A(x - y) is 2 A(x - y) = -2 nu on the support).
-    Near 1 a coordinate rounds by 2^-53, so when the optimum's objective is
-    of the size of nu |x - y| and |x - y| is small, no float answer meets
-    a relative bound on the objective alone."""
-    g = A @ (new - y)
-    nu = float(g[new > 0].mean())
-    rho = abs(math.fsum([1.0, *-new])) + abs(math.fsum([1.0, *-ref]))
-    return 4.0 * abs(nu) * rho
-
-
 def assert_simplex_kkt(x, y, A):
     """x >= 0, sum x = 1, and A(x - y) + nu 1 - mu = 0 with mu >= 0 zero on the
     support, all to a relative 1e-9 of the size of A(x - y); y itself when y
@@ -389,10 +393,13 @@ _NEAR_SINGULAR = np.array([[0.4999999999999999, 0.4999999999999999, 0.0],
 @given(ons_projection_case())
 @example((np.zeros(3), _NEAR_SINGULAR, fg.Simplex(n=3), None))
 @example((np.zeros(3), _NEAR_SINGULAR.round(5), fg.Simplex(n=3), None))
-# x_1 = y_1 + d_1 rounds to a float near 1, so this answer's coordinates sum
-# to 1 + 1.4e-17 in rationals while the descent's sum to 1; its objective is
-# 1.4e-22 above the optimum's 5.0e-11, that of the descent 2.8e-24
+# x_1 = y_1 + d_1 rounds to a float near 1, so the solved coordinates sum to
+# 1 + 1.4e-17 in rationals, 1.4e-22 over the optimum's objective of 5.0e-11,
+# until that rounding is moved into x_0
 @example((np.array([0.0, 0.99999]), np.diag([1.0009765625, 1.0]), fg.Simplex(n=2), None))
+# here the descent's answer sums to 1 - 5.6e-17 and its objective is 1.1e-11
+# below the minimum over the simplex, which the exact route meets to 6e-23
+@example((np.array([0.0, 0.99999]), np.array([[1.5, 0.5], [0.5, 1.5]]), fg.Simplex(n=2), None))
 def test_generalized_project_is_bit_identical_to_reference(case):
     y, A, domain, x0 = case
     # the route generalized_project itself takes for an array
@@ -408,13 +415,20 @@ def test_generalized_project_is_bit_identical_to_reference(case):
         return
     new = fg.generalized_project(y, A, domain, x0=x0)
     if exact:
-        # the exact KKT solve: optimal, in the domain, and never worse than a
-        # descent that converged
+        # the exact KKT solve: optimal, in the domain, at the exact minimum
+        # over the face of its support to a relative 1e-12 from above and
+        # below, and no face where a converged descent ends has a lower one.
+        # The descent's own objective is no bound: its answer can round off
+        # the plane sum x = 1 to below the minimum over the simplex
         assert_simplex_kkt(new, y, A)
         assert fg.domain_contains(domain, new)
-        if ref is not None:
-            assert (_objective(new, y, A)
-                    <= _objective(ref, y, A) * (1 + 1e-12) + _rounding_cost(new, ref, y, A))
+        if not fg.domain_contains(domain, y):
+            _, best = _face_minimum(y, A, new > 0)
+            assert abs(_objective_in_rationals(new, y, A) / best - 1) <= 1e-12
+            if ref is not None:
+                x_ref, best_ref = _face_minimum(y, A, ref > 0)
+                if min(x_ref) >= 0:
+                    assert best <= best_ref * (1 + 1e-12)
     else:
         assert np.array_equal(new, ref)
     # a PsdMatrix's bounds are not taken on trust: its matrix gets the array's bits
