@@ -14,6 +14,7 @@ from .core import (
     ConstraintFn,
     ConvergenceError,
     DimensionMismatch,
+    DOMAINS,
     Domain,
     EvaluationDomainError,
     FAMILIES,
@@ -29,39 +30,30 @@ from .core import (
     SetupError,
     Simplex,
     Violation,
-    bounding_box,
     check_distribution,
-    domain_contains,
-    domain_diameter,
-    domain_dim,
     estimate_parameters,
     evaluate,
     evaluate_batch,
     game_loss,
     gradient,
-    linear_minimum,
     make_problem,
     mixed_gradient,
+    project_simplex,
     residual,
     residual_gradient,
     residual_gradients,
     residuals,
     residuals_batch,
     separation_oracle,
+    simplex_threshold,
     smoothness_bound,
-    start_point,
 )
 from .projections import (
     PsdMatrix,
     generalized_project,
-    project_ball,
-    project_box,
     project_domain,
-    project_simplex,
-    simplex_threshold,
 )
 from .descent import MinimizeResult, minimize_over_domain, optimization_oracle
-from .grids import domain_grid, sample_domain
 from .online import (
     MwState,
     OgdState,

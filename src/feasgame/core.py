@@ -16,6 +16,12 @@ and conservative interval, gradient, smoothness and curvature bounds over a
 domain, which is what makes the parameter estimates in
 :func:`estimate_parameters` sound rather than sampled guesses.
 
+Domains are a closed set of classes too (:data:`DOMAINS` maps problem-file
+kinds to them): each knows its file fields and gives, in closed form,
+everything the solvers and bounds ask of a domain (membership, start point,
+diameter, bounding box, norm bound, linear minimum, affine range, Euclidean
+projection, grid and sample points), so a new domain is one class.
+
 How constraints are evaluated: the family methods, called one constraint at
 a time through :func:`evaluate` and :func:`gradient`, are the reference the
 finite-difference tests check.  The solvers and oracles go through the
@@ -33,7 +39,8 @@ and the certificate checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Union, get_args
 
@@ -78,129 +85,308 @@ def _freeze(a) -> Array:
 
 # ---------------------------------------------------------------------------
 # Domains
+#
+# Each domain is one frozen dataclass holding all the package knows about it
+# (see _Domain); DOMAINS maps problem-file kinds to the classes.  Its
+# dataclass fields are its file fields, annotated with their file types as a
+# family's are.
+
+# Grids beyond this many points refuse to materialize.
+MAX_GRID_POINTS = 20_000_000
+
+Vector = Matrix = Symmetric = Array
+
+
+def _dimension(n, kind: str) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise SetupError(f"{kind} dimension n must be an integer, got {n!r}")
+    if n < 1:
+        raise SetupError(f"{kind} dimension n must be >= 1")
+    return int(n)
+
+
+def _direction(c, n: int) -> Array:
+    c = np.asarray(c, float)
+    if c.shape != (n,):
+        raise DimensionMismatch("direction has wrong dimension for domain")
+    return c
+
+
+def _mesh(lo: Array, hi: Array, resolution: float) -> Array:
+    """Every point of the grid of the given spacing over the box [lo, hi]."""
+    axes = []
+    total = 1
+    for i in range(lo.shape[0]):
+        steps = max(int(np.ceil((hi[i] - lo[i]) / resolution)), 1)
+        total *= steps + 1
+        if total > MAX_GRID_POINTS:
+            raise SetupError("grid too large; use a coarser resolution")
+        axes.append(np.linspace(lo[i], hi[i], steps + 1))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+class _Domain:
+    """What a domain provides besides its file ``tag`` and dimension ``n``.
+
+    In closed form: ``contains(x, tol)``, the first iterate ``start()``,
+    ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of ||x||_2),
+    ``linear_minimum(c)`` (argmin and min of c.x), ``affine_interval(a, b)``
+    (the range of a.x + b) and the Euclidean projection ``project(y)``.
+    ``grid`` and ``sample`` give points for the brute-force oracles.
+    """
+
+    def max_dist(self, center: Array) -> float:
+        """Upper bound on ||x - center||_2 over the domain."""
+        lo, hi = self.bounding_box()
+        per = np.maximum(np.abs(lo - center), np.abs(hi - center))
+        return float(np.linalg.norm(per))
+
+    def grid(self, resolution: float) -> Array:
+        """All domain points on a grid of the given coordinate spacing.
+
+        Only meant for n <= 3 (the size guard trips far earlier than memory
+        does).
+        """
+        if not 0 < resolution <= 1:
+            raise SetupError("resolution must lie in (0, 1]")
+        if self.n > 3:
+            raise SetupError("grids are only supported for n <= 3")
+        return self._grid(resolution)
+
+    def sample(self, count: int, seed: int | None = None) -> Array:
+        """count points drawn uniformly-ish from the domain, any dimension."""
+        if count < 1:
+            raise SetupError("count must be >= 1")
+        return self._sample(np.random.default_rng(seed), count)
+
+
+def simplex_threshold(y) -> float:
+    """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
+
+    Raises SetupError for input with a NaN or an infinity that leaves no
+    shift; finite input always has one.
+    """
+    y = np.asarray(y, float)
+    if y.ndim != 1 or y.size == 0:
+        raise DimensionMismatch("expected a nonempty 1-d vector")
+    # ndarray methods skip the np.sort/np.cumsum/np.nonzero wrappers
+    u = y.copy()
+    u.sort()
+    u = u[::-1]
+    cand = (u.cumsum() - 1.0) / np.arange(1, y.size + 1)
+    try:
+        rho = (u - cand > 0).nonzero()[0][-1]
+    except IndexError:  # only a NaN or an infinity leaves no candidate above
+        raise SetupError("simplex projection needs finite input") from None
+    return float(cand[rho])
+
+
+def project_simplex(y) -> Array:
+    """Euclidean projection of y onto the probability simplex of its length:
+    the exact sort-and-threshold procedure, O(n log n)."""
+    y = np.asarray(y, float)
+    return np.maximum(y - simplex_threshold(y), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
-class Simplex:
+class Simplex(_Domain):
     """Probability simplex in R^n."""
 
+    tag = "simplex"
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise SetupError("simplex dimension must be >= 1")
+        object.__setattr__(self, "n", _dimension(self.n, "simplex"))
+
+    def contains(self, x, tol: float = DIST_TOL) -> bool:
+        x = np.asarray(x, float)
+        return x.shape == (self.n,) and bool(
+            (x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol)
+
+    def start(self) -> Array:
+        return np.full(self.n, 1.0 / self.n)
+
+    def diameter(self) -> float:
+        return math.sqrt(2.0) if self.n > 1 else 0.0
+
+    def bounding_box(self) -> tuple[Array, Array]:
+        return np.zeros(self.n), np.ones(self.n)
+
+    def max_norm(self) -> float:
+        return 1.0
+
+    def linear_minimum(self, c) -> tuple[Array, float]:
+        c = _direction(c, self.n)
+        i = int(np.argmin(c))
+        x = np.zeros(self.n)
+        x[i] = 1.0
+        return x, float(c[i])
+
+    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
+        # ndarray methods skip the np.min/np.max wrappers
+        return float(a.min()) + b, float(a.max()) + b
+
+    project = staticmethod(project_simplex)
+
+    def _grid(self, resolution):
+        # lattice points with coordinates summing to 1
+        n, k = self.n, int(round(1.0 / resolution))
+        if (k + 1) ** max(n - 1, 1) > MAX_GRID_POINTS:
+            raise SetupError("grid too large; use a coarser resolution")
+        if n == 1:
+            return np.ones((1, 1))
+        t = np.arange(k + 1) / k
+        if n == 2:
+            return np.column_stack([t, 1.0 - t])
+        a, b = np.meshgrid(t, t, indexing="ij")
+        a, b = a.ravel(), b.ravel()
+        keep = a + b <= 1.0 + 1e-12
+        a, b = a[keep], b[keep]
+        return np.column_stack([a, b, np.maximum(1.0 - a - b, 0.0)])
+
+    def _sample(self, rng, count):
+        return rng.dirichlet(np.ones(self.n), size=count)
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
-    """Euclidean ball of given radius; center defaults to the origin."""
+class Ball(_Domain):
+    """Euclidean ball of given radius; center defaults to the origin, and n
+    to the length of center (files carry center and radius only)."""
 
-    n: int
+    tag = "ball"
+    n: InitVar[int | None] = None
     radius: float = 1.0
-    center: Array | None = None
+    center: Vector = None
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise SetupError("ball dimension must be >= 1")
-        if not self.radius > 0:
-            raise SetupError("ball radius must be positive")
-        c = np.zeros(self.n) if self.center is None else np.asarray(self.center, float)
-        if c.shape != (self.n,):
+    def __post_init__(self, n):
+        if n is not None or self.center is None:
+            n = _dimension(n, "ball")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise SetupError(f"ball radius must be positive and finite, got {self.radius!r}")
+        c = np.zeros(n) if self.center is None else np.asarray(self.center, float)
+        if c.ndim != 1 or c.size == 0 or (n is not None and c.shape != (n,)):
             raise DimensionMismatch("ball center has wrong dimension")
+        if not np.isfinite(c).all():
+            raise SetupError("ball center must be finite")
+        object.__setattr__(self, "n", c.shape[0])
         object.__setattr__(self, "center", _freeze(c))
 
+    def contains(self, x, tol: float = DIST_TOL) -> bool:
+        x = np.asarray(x, float)
+        return x.shape == (self.n,) and bool(
+            np.linalg.norm(x - self.center) <= self.radius + tol)
+
+    def start(self) -> Array:
+        return self.center.copy()
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def bounding_box(self) -> tuple[Array, Array]:
+        return self.center - self.radius, self.center + self.radius
+
+    def max_norm(self) -> float:
+        return float(np.linalg.norm(self.center)) + self.radius
+
+    def linear_minimum(self, c) -> tuple[Array, float]:
+        c = _direction(c, self.n)
+        nrm = float(np.linalg.norm(c))
+        if nrm <= ZERO_TOL:
+            x = self.center.copy()
+        else:
+            x = self.center - self.radius * c / nrm
+        return x, float(c @ x)
+
+    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
+        mid = float(a @ self.center)
+        half = self.radius * float(np.linalg.norm(a))
+        return mid - half + b, mid + half + b
+
+    def project(self, y) -> Array:
+        """Rescale along the ray from the center."""
+        y = np.asarray(y, float)
+        d = y - self.center
+        nrm = float(np.linalg.norm(d))
+        if nrm <= self.radius:
+            return y.copy()
+        return self.center + self.radius * d / nrm
+
+    def _grid(self, resolution):
+        X = _mesh(*self.bounding_box(), resolution)
+        return X[np.linalg.norm(X - self.center, axis=1) <= self.radius + 1e-12]
+
+    def _sample(self, rng, count):
+        z = rng.standard_normal((count, self.n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        r = self.radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / self.n)
+        return self.center + r * z
+
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Domain):
     """Axis-aligned box {x : lo <= x <= hi}."""
 
-    lo: Array
-    hi: Array
+    tag = "box"
+    lo: Vector
+    hi: Vector
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, float)
-        hi = np.asarray(self.hi, float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise DimensionMismatch("box bounds must be 1-d and equal length")
-        if np.any(lo > hi):
+        for name in ("lo", "hi"):
+            v = np.asarray(getattr(self, name), float)
+            if v.ndim != 1 or v.size == 0:
+                raise DimensionMismatch(f"box {name} must be a nonempty 1-d vector")
+            if not np.isfinite(v).all():
+                raise SetupError(f"box {name} must be finite")
+            object.__setattr__(self, name, _freeze(v))
+        if self.lo.shape != self.hi.shape:
+            raise DimensionMismatch("box lo and hi must have equal length")
+        if (self.lo > self.hi).any():
             raise SetupError("box has lo > hi in some coordinate")
-        object.__setattr__(self, "lo", _freeze(lo))
-        object.__setattr__(self, "hi", _freeze(hi))
+        object.__setattr__(self, "n", self.lo.shape[0])
+
+    def contains(self, x, tol: float = DIST_TOL) -> bool:
+        x = np.asarray(x, float)
+        return x.shape == (self.n,) and bool(
+            np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+    def start(self) -> Array:
+        return 0.5 * (self.lo + self.hi)
+
+    def diameter(self) -> float:
+        return float(np.linalg.norm(self.hi - self.lo))
+
+    def bounding_box(self) -> tuple[Array, Array]:
+        return self.lo.copy(), self.hi.copy()
+
+    def max_norm(self) -> float:
+        return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
+
+    def linear_minimum(self, c) -> tuple[Array, float]:
+        c = _direction(c, self.n)
+        x = np.where(c > 0, self.lo, self.hi)
+        return x.astype(float), float(c @ x)
+
+    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
+        lo = float(np.sum(np.minimum(a * self.lo, a * self.hi)))
+        hi = float(np.sum(np.maximum(a * self.lo, a * self.hi)))
+        return lo + b, hi + b
+
+    def project(self, y) -> Array:
+        """Coordinatewise clamp onto [lo, hi]."""
+        return np.clip(np.asarray(y, float), self.lo, self.hi)
+
+    def _grid(self, resolution):
+        return _mesh(self.lo, self.hi, resolution)
+
+    def _sample(self, rng, count):
+        return rng.uniform(self.lo, self.hi, size=(count, self.n))
 
 
 Domain = Union[Simplex, Ball, Box]
 
-
-def domain_dim(domain: Domain) -> int:
-    if isinstance(domain, (Simplex, Ball)):
-        return domain.n
-    return domain.lo.shape[0]
-
-
-def domain_contains(domain: Domain, x: Array, tol: float = DIST_TOL) -> bool:
-    x = np.asarray(x, float)
-    if x.shape != (domain_dim(domain),):
-        return False
-    if isinstance(domain, Simplex):
-        return bool((x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol)
-    if isinstance(domain, Ball):
-        return bool(np.linalg.norm(x - domain.center) <= domain.radius + tol)
-    return bool(np.all(x >= domain.lo - tol) and np.all(x <= domain.hi + tol))
-
-
-def start_point(domain: Domain) -> Array:
-    """Canonical first iterate: uniform point, ball center, or box midpoint."""
-    if isinstance(domain, Simplex):
-        return np.full(domain.n, 1.0 / domain.n)
-    if isinstance(domain, Ball):
-        return domain.center.copy()
-    return 0.5 * (domain.lo + domain.hi)
-
-
-def domain_diameter(domain: Domain) -> float:
-    if isinstance(domain, Simplex):
-        return math.sqrt(2.0) if domain.n > 1 else 0.0
-    if isinstance(domain, Ball):
-        return 2.0 * domain.radius
-    return float(np.linalg.norm(domain.hi - domain.lo))
-
-
-def bounding_box(domain: Domain) -> tuple[Array, Array]:
-    if isinstance(domain, Simplex):
-        return np.zeros(domain.n), np.ones(domain.n)
-    if isinstance(domain, Ball):
-        return domain.center - domain.radius, domain.center + domain.radius
-    return domain.lo.copy(), domain.hi.copy()
-
-
-def max_point_norm(domain: Domain) -> float:
-    """sup of ||x||_2 over the domain (exact for these domain shapes)."""
-    if isinstance(domain, Simplex):
-        return 1.0
-    if isinstance(domain, Ball):
-        return float(np.linalg.norm(domain.center)) + domain.radius
-    return float(np.sqrt(np.sum(np.maximum(domain.lo**2, domain.hi**2))))
-
-
-def linear_minimum(domain: Domain, c: Array) -> tuple[Array, float]:
-    """argmin/min of c.x over the domain, in closed form."""
-    c = np.asarray(c, float)
-    if c.shape != (domain_dim(domain),):
-        raise DimensionMismatch("direction has wrong dimension for domain")
-    if isinstance(domain, Simplex):
-        i = int(np.argmin(c))
-        x = np.zeros(domain.n)
-        x[i] = 1.0
-        return x, float(c[i])
-    if isinstance(domain, Ball):
-        nrm = float(np.linalg.norm(c))
-        if nrm <= ZERO_TOL:
-            x = domain.center.copy()
-        else:
-            x = domain.center - domain.radius * c / nrm
-        return x, float(c @ x)
-    x = np.where(c > 0, domain.lo, domain.hi)
-    return x.astype(float), float(c @ x)
+# The domains by problem-file kind.
+DOMAINS = {cls.tag: cls for cls in get_args(Domain)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +397,6 @@ def linear_minimum(domain: Domain, c: Array) -> tuple[Array, float]:
 # annotations name the file type of each field: 1-d, 2-d or square
 # symmetric arrays, numbers, or a nested constraint.
 
-Vector = Matrix = Symmetric = Array
-
 
 def _rowdot(R: Array, x: Array):
     """R.x for a 1-d R or row by row for a 2-d R, through numpy's own sum.
@@ -222,24 +406,6 @@ def _rowdot(R: Array, x: Array):
     paths both use this kernel so they agree exactly.
     """
     return np.add.reduce(R * x, axis=-1)
-
-
-def _affine_interval(a: Array, b: float, domain: Domain) -> tuple[float, float]:
-    if isinstance(domain, Simplex):  # ndarray methods skip the np.min/np.max wrappers
-        return float(a.min()) + b, float(a.max()) + b
-    if isinstance(domain, Ball):
-        mid = float(a @ domain.center)
-        half = domain.radius * float(np.linalg.norm(a))
-        return mid - half + b, mid + half + b
-    lo = float(np.sum(np.minimum(a * domain.lo, a * domain.hi)))
-    hi = float(np.sum(np.maximum(a * domain.lo, a * domain.hi)))
-    return lo + b, hi + b
-
-
-def _max_dist(center: Array, domain: Domain) -> float:
-    lo, hi = bounding_box(domain)
-    per = np.maximum(np.abs(lo - center), np.abs(hi - center))
-    return float(np.linalg.norm(per))
 
 
 def _xlogx_interval(lo: float, hi: float) -> tuple[float, float]:
@@ -308,7 +474,7 @@ class Affine(_Family):
         return X @ self.a + self.b
 
     def interval(self, domain):
-        return _affine_interval(self.a, self.b, domain)
+        return domain.affine_interval(self.a, self.b)
 
     def gradient_bound(self, domain):
         return float(np.linalg.norm(self.a))
@@ -357,16 +523,16 @@ class Quadratic(_Family):
         return np.einsum("ni,ij,nj->n", X, self.A, X) + X @ self.b + self.c
 
     def interval(self, domain):
-        M = max_point_norm(domain)
+        M = domain.max_norm()
         ev = np.linalg.eigvalsh(self.A)
         qlo = min(0.0, float(ev[0])) * M * M
         qhi = max(0.0, float(ev[-1])) * M * M
-        llo, lhi = _affine_interval(self.b, self.c, domain)
+        llo, lhi = domain.affine_interval(self.b, self.c)
         return qlo + llo, qhi + lhi
 
     def gradient_bound(self, domain):
         # ||2 A x + b|| <= 2 rho(A) ||x|| + ||b||, and 2 rho(A) is the smoothness
-        return self.smoothness(domain) * max_point_norm(domain) + float(np.linalg.norm(self.b))
+        return self.smoothness(domain) * domain.max_norm() + float(np.linalg.norm(self.b))
 
     def smoothness(self, domain):
         return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.A)))) if self.A.size else 0.0
@@ -482,7 +648,7 @@ class NegEntropy(_Family):
     def interval(self, domain):
         if isinstance(domain, Simplex):
             return -math.log(domain.n) + self.shift if domain.n > 1 else self.shift, self.shift
-        lo, hi = bounding_box(domain)
+        lo, hi = domain.bounding_box()
         if np.any(lo < 0):
             raise SetupError("negative entropy over a domain with negative coordinates")
         lo_sum = hi_sum = 0.0
@@ -493,14 +659,14 @@ class NegEntropy(_Family):
         return lo_sum + self.shift, hi_sum + self.shift
 
     def gradient_bound(self, domain):
-        lo, hi = bounding_box(domain)
+        lo, hi = domain.bounding_box()
         lo = np.maximum(lo, GRAD_FLOOR)
         hi = np.maximum(hi, lo)
         per = np.maximum(np.abs(1.0 + np.log(lo)), np.abs(1.0 + np.log(hi)))
         return float(np.linalg.norm(per))
 
     def curvature(self, domain):
-        _, hi = bounding_box(domain)
+        _, hi = domain.bounding_box()
         top = float(np.max(hi))
         return 1.0 / top if top > 0 else 0.0
 
@@ -533,11 +699,11 @@ class NormDistSq(_Family):
         return np.sum(D * D, axis=1) - self.c
 
     def interval(self, domain):
-        md = _max_dist(self.center, domain)
+        md = domain.max_dist(self.center)
         return -self.c, md * md - self.c
 
     def gradient_bound(self, domain):
-        return 2.0 * _max_dist(self.center, domain)
+        return 2.0 * domain.max_dist(self.center)
 
     def smoothness(self, domain):
         return 2.0
@@ -585,7 +751,7 @@ class NegLogBarrier(_Family):
     def interval(self, domain):
         lo_sum = hi_sum = 0.0
         for k in range(self.rows.shape[0]):
-            rlo, rhi = _affine_interval(self.rows[k], 0.0, domain)
+            rlo, rhi = domain.affine_interval(self.rows[k], 0.0)
             if rhi <= 0:
                 raise SetupError("log barrier row is nonpositive over the whole domain")
             lo_sum += math.log(max(rlo, GRAD_FLOOR))
@@ -595,13 +761,13 @@ class NegLogBarrier(_Family):
     def gradient_bound(self, domain):
         total = 0.0
         for k in range(self.rows.shape[0]):
-            rlo, _ = _affine_interval(self.rows[k], 0.0, domain)
+            rlo, _ = domain.affine_interval(self.rows[k], 0.0)
             total += float(np.linalg.norm(self.rows[k])) / max(rlo, GRAD_FLOOR)
         return total
 
     def curvature(self, domain):
         # unit rows contribute sum_i e_i e_i^T / x_i^2 >= I when x_i <= 1
-        _, hi = bounding_box(domain)
+        _, hi = domain.bounding_box()
         if float(np.max(hi)) > 1.0 + ZERO_TOL:
             return 0.0
         covered = set()
@@ -691,7 +857,7 @@ class Problem:
             raise SetupError("a problem needs at least one constraint")
         if self.sense not in ("min", "max"):
             raise SetupError("sense must be 'min' or 'max'")
-        n = domain_dim(self.domain)
+        n = self.domain.n
         for j, f in enumerate(self.constraints):
             if f.n != n:
                 raise DimensionMismatch(f"constraint {j} has dimension {f.n}, domain has {n}")
@@ -703,7 +869,7 @@ class Problem:
 
     @property
     def n(self) -> int:
-        return domain_dim(self.domain)
+        return self.domain.n
 
     @cached_property
     def packed(self) -> "Packed":
@@ -722,7 +888,7 @@ def _estimate(constraints, domain: Domain, sense: str) -> ProblemParams:
             lo, hi = 1.0 - hi, 1.0 - lo
         widths.append(max(abs(lo), abs(hi)))
     omega = max(widths)
-    D = domain_diameter(domain)
+    D = domain.diameter()
     if sense == "max" and all(
         isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine) for f in constraints
     ):

@@ -25,9 +25,7 @@ from .core import (  # noqa: F401
     check_distribution,
     evaluate,
     gradient,
-    linear_minimum,
     smoothness_bound,
-    start_point,
 )
 from .projections import project_domain
 
@@ -60,7 +58,7 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
     backtracking line search otherwise.  Hitting the cap raises
     ConvergenceError unless on_cap="return".
     """
-    x = start_point(domain)
+    x = domain.start()
     fx = value_fn(x)
     best_x, best_f = x, fx
     best_lb = -math.inf
@@ -71,7 +69,7 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
         if stop_below is not None and best_f <= stop_below:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         g = grad_fn(x)
-        _, lin = linear_minimum(domain, g)
+        _, lin = domain.linear_minimum(g)
         best_lb = max(best_lb, fx + lin - float(g @ x))
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
@@ -119,7 +117,7 @@ def optimization_oracle(problem: Problem, p, tol: float,
     p = check_distribution(p, problem.m)
     mix = Mixture(problem, p)
     if mix.linear:
-        x, lin = linear_minimum(problem.domain, mix.q)
+        x, lin = problem.domain.linear_minimum(mix.q)
         return x if lin + mix.c <= 0 else None
 
     res = minimize_over_domain(

@@ -10,7 +10,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..core import Ball, Problem, Quadratic, SetupError, gradient
-from ..grids import sample_domain
 from ..online import init_ogd, measured_regret, mw_learning_rate, ogd_step
 from ..problems import GeneratorSpec, make_problem_from_spec
 from ..solvers import (
@@ -124,7 +123,7 @@ def ogd_quadratic_stream_regret(T: int, seed: int, *,
         raise SetupError("checkpoints must lie in [1, T]")
     n = 5
     domain = Ball(n=n, radius=1.0, center=np.zeros(n))
-    zs = sample_domain(domain, T, seed=seed)
+    zs = domain.sample(T, seed=seed)
     half_eye = 0.5 * np.eye(n)
     state = init_ogd(domain, 1.0)
     fs, xs = [], []

@@ -17,15 +17,12 @@ import math
 import numpy as np
 
 from ..core import (
+    DOMAINS,
     FAMILIES,
-    Ball,
-    Box,
     ConstraintFn,
     Domain,
     Problem,
     ProblemParams,
-    Simplex,
-    domain_dim,
     make_problem,
 )
 from ..problems import GeneratorSpec, make_problem_from_spec
@@ -110,44 +107,34 @@ def _matrix(v, path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Domains
+# Domains and constraints: a tag field picks the class, whose dataclass
+# fields are the other fields of the object
+
+
+def _tagged_class(obj, path: str, key: str, table: dict, what: str) -> type:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ProblemFileError(f"{path}: expected an object with a '{key}' field")
+    tag = obj[key]
+    cls = table.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ProblemFileError(f"{path}.{key}: unknown {what} {tag!r}")
+    return cls
+
+
+def _build(cls, obj, path: str):
+    kwargs = {name: parse(obj[name], f"{path}.{name}")
+              for name, parse, _, _ in _codecs(cls) if name in obj}
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ProblemFileError(f"{path}: {e}") from e
 
 
 def _parse_domain(obj, path: str) -> Domain:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ProblemFileError(f"{path}: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    try:
-        if kind == "simplex":
-            _check_keys(obj, path, ("kind", "n"))
-            return Simplex(n=_integer(obj["n"], f"{path}.n"))
-        if kind == "ball":
-            _check_keys(obj, path, ("kind", "center", "radius"))
-            center = _vector(obj["center"], f"{path}.center")
-            return Ball(n=center.shape[0], center=center,
-                        radius=_real(obj["radius"], f"{path}.radius"))
-        if kind == "box":
-            _check_keys(obj, path, ("kind", "lo", "hi"))
-            return Box(lo=_vector(obj["lo"], f"{path}.lo"),
-                       hi=_vector(obj["hi"], f"{path}.hi"))
-    except ProblemFileError:
-        raise
-    except ValueError as e:
-        raise ProblemFileError(f"{path}: {e}") from e
-    raise ProblemFileError(f"{path}.kind: unknown domain kind {kind!r}")
-
-
-def _domain_doc(domain: Domain) -> dict:
-    if isinstance(domain, Simplex):
-        return {"kind": "simplex", "n": domain.n}
-    if isinstance(domain, Ball):
-        return {"kind": "ball", "center": domain.center.tolist(),
-                "radius": float(domain.radius)}
-    return {"kind": "box", "lo": domain.lo.tolist(), "hi": domain.hi.tolist()}
-
-
-# ---------------------------------------------------------------------------
-# Constraints
+    cls = _tagged_class(obj, path, "kind", DOMAINS, "domain kind")
+    # a domain object lists every field, defaults or not
+    _check_keys(obj, path, ("kind",) + tuple(name for name, *_ in _codecs(cls)))
+    return _build(cls, obj, path)
 
 
 def _symmetric(v, path: str) -> np.ndarray:
@@ -160,36 +147,29 @@ def _symmetric(v, path: str) -> np.ndarray:
 
 
 def _parse_constraint(obj, path: str) -> ConstraintFn:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ProblemFileError(f"{path}: expected an object with a 'family' field")
-    fam = obj["family"]
-    cls = FAMILIES.get(fam) if isinstance(fam, str) else None
-    if cls is None:
-        raise ProblemFileError(f"{path}.family: unknown constraint family {fam!r}")
+    cls = _tagged_class(obj, path, "family", FAMILIES, "constraint family")
     codecs = _codecs(cls)
     _check_keys(obj, path, ("family",) + tuple(name for name, _, _, req in codecs if req),
                 tuple(name for name, _, _, req in codecs if not req))
-    kwargs = {name: parse(obj[name], f"{path}.{name}")
-              for name, parse, _, _ in codecs if name in obj}
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        raise ProblemFileError(f"{path}: {e}") from e
+    return _build(cls, obj, path)
 
 
-def _constraint_doc(f: ConstraintFn) -> dict:
-    return {"family": f.tag, **{name: emit(getattr(f, name)) for name, _, emit, _ in _codecs(type(f))}}
+def _fields_doc(key: str, obj) -> dict:
+    """The document of a domain (key "kind") or a constraint (key "family")."""
+    return {key: obj.tag,
+            **{name: emit(getattr(obj, name)) for name, _, emit, _ in _codecs(type(obj))}}
 
 
 @functools.cache
 def _codecs(cls) -> tuple:
-    """(name, parse, emit, required) for each field of a family's dataclass."""
+    """(name, parse, emit, required) for each field of a family's or a
+    domain's dataclass."""
     return tuple((f.name, *_FIELD_CODECS[f.type], f.default is dataclasses.MISSING)
                  for f in dataclasses.fields(cls))
 
 
-# A field's annotation, in a constraint family or GeneratorSpec, names its
-# (parse, emit) pair.
+# A field's annotation, in a constraint family, a domain or GeneratorSpec,
+# names its (parse, emit) pair.
 _FIELD_CODECS = {
     "bool": (_boolean, bool),
     "Vector": (_vector, np.ndarray.tolist),
@@ -197,7 +177,7 @@ _FIELD_CODECS = {
     "Symmetric": (_symmetric, np.ndarray.tolist),
     "float": (_real, float),
     "int": (_integer, int),
-    "ConstraintFn": (_parse_constraint, _constraint_doc),
+    "ConstraintFn": (_parse_constraint, functools.partial(_fields_doc, "family")),
 }
 
 
@@ -270,10 +250,10 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
         constraints = [_parse_constraint(obj, f"problem.constraints[{i}]")
                        for i, obj in enumerate(raw)]
         for i, f in enumerate(constraints):
-            if f.n != domain_dim(domain):
+            if f.n != domain.n:
                 raise ProblemFileError(
                     f"problem.constraints[{i}]: dimension {f.n} does "
-                    f"not match the domain dimension {domain_dim(domain)}"
+                    f"not match the domain dimension {domain.n}"
                 )
         try:
             problem = make_problem(constraints, domain, sense=sense)
@@ -306,9 +286,9 @@ def problem_to_doc(problem: Problem) -> dict:
     p = problem.params
     return {
         "version": PROBLEM_VERSION,
-        "domain": _domain_doc(problem.domain),
+        "domain": _fields_doc("kind", problem.domain),
         "sense": problem.sense,
-        "constraints": [_constraint_doc(f) for f in problem.constraints],
+        "constraints": [_fields_doc("family", f) for f in problem.constraints],
         "params": {k: float(getattr(p, k)) for k in _PARAM_KEYS},
     }
 

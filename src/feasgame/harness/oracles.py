@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import Array, Problem, SetupError, evaluate, residual_gradients, residuals_batch
-from ..grids import domain_grid
 from ..reductions import log_transform, strictify
 from ..solvers import Feasible, VerificationReport, verify_certificate
 from .io import (
@@ -38,7 +37,7 @@ def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
     """
     if problem.n > 3:
         raise SetupError("brute-force game value is limited to n <= 3")
-    X = domain_grid(problem.domain, resolution)
+    X = problem.domain.grid(resolution)
     worst = np.max(residuals_batch(problem, X), axis=1)
     k = int(np.argmin(worst))
     sample = X[:: max(1, X.shape[0] // 512)]

@@ -33,15 +33,11 @@ from .core import (
     Quadratic,
     SetupError,
     Simplex,
-    domain_dim,
     evaluate,
     evaluate_batch,
     gradient,
-    linear_minimum,
-    start_point,
 )
 from .descent import minimize_over_domain
-from .grids import domain_grid
 from .projections import (
     PsdMatrix,
     _simplex_kkt,
@@ -71,7 +67,7 @@ class OgdState:
 def init_ogd(domain: Domain, H: float) -> OgdState:
     if not H > 0:
         raise SetupError("OGD needs a positive strong-convexity modulus H")
-    return OgdState(x=start_point(domain), t=1, H=float(H))
+    return OgdState(x=domain.start(), t=1, H=float(H))
 
 
 def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
@@ -186,10 +182,9 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     """beta = min(1, 1/(4 G D))/2, A0 = I/(D beta)^2."""
     if not (G > 0 and D > 0):
         raise SetupError("ONS needs positive G and D bounds")
-    n = domain_dim(domain)
     beta = 0.5 * min(1.0, 1.0 / (4.0 * G * D))
     scale = 1.0 / (D * D * beta * beta)
-    return OnsState(x=start_point(domain), t=1, beta=beta, A=np.eye(n) * scale,
+    return OnsState(x=domain.start(), t=1, beta=beta, A=np.eye(domain.n) * scale,
                     scale=scale)
 
 
@@ -362,14 +357,14 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
     """Best fixed domain point for the summed costs, and its total cost."""
     if not costs:
         raise SetupError("need at least one cost")
-    n = domain_dim(domain)
+    n = domain.n
     combined = _combine(costs, n)
     if isinstance(combined, Affine):
-        x, v = linear_minimum(domain, combined.a)
+        x, v = domain.linear_minimum(combined.a)
         return x, v + combined.b
     if combined is not None:
         L = combined.smoothness(domain)
-        scale = 1.0 + abs(combined.value(start_point(domain)))
+        scale = 1.0 + abs(combined.value(domain.start()))
         res = minimize_over_domain(
             combined.value, combined.gradient, domain,
             smoothness=L if L > 0 else None,
@@ -379,7 +374,7 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
         )
         return res.x, res.value
     if n <= 3:
-        X = domain_grid(domain, GRID_RESOLUTION)
+        X = domain.grid(GRID_RESOLUTION)
         total = np.zeros(X.shape[0])
         for f in costs:
             total += evaluate_batch(f, X)

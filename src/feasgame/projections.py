@@ -1,8 +1,8 @@
-"""Euclidean projections onto the supported domains, plus A-norm projection.
+"""Projection in the A-norm onto the supported domains.
 
-project_simplex is the exact sort-and-threshold procedure: find the unique
-shift a with sum_i max(y_i - a, 0) = 1 and clamp.  It is deterministic,
-costs O(n log n) and rejects input with a NaN or an infinity (SetupError).
+The Euclidean projections are the domains' own project methods
+(core.project_simplex is the simplex's, which rejects input with a NaN or
+an infinity with SetupError); project_domain calls them by domain.
 
 generalized_project minimizes (x - y).A(x - y) over the domain.  On a
 simplex with a positive-definite A it is exact: an active-set solve of the
@@ -36,22 +36,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .core import (
     Array,
-    Ball,
     ConvergenceError,
     DimensionMismatch,
     Domain,
     SetupError,
     Simplex,
     ZERO_TOL,
-    domain_contains,
-    domain_dim,
+    project_simplex,
 )
 
 # Descent steps, or bordered solves of the exact simplex path,
@@ -59,60 +55,9 @@ from .core import (
 PROJECT_CAP = 100_000
 
 
-def simplex_threshold(y) -> float:
-    """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
-
-    Raises SetupError for input with a NaN or an infinity that leaves no
-    shift; finite input always has one.
-    """
-    y = np.asarray(y, float)
-    if y.ndim != 1 or y.size == 0:
-        raise DimensionMismatch("expected a nonempty 1-d vector")
-    # ndarray methods skip the np.sort/np.cumsum/np.nonzero wrappers
-    u = y.copy()
-    u.sort()
-    u = u[::-1]
-    cand = (u.cumsum() - 1.0) / np.arange(1, y.size + 1)
-    try:
-        rho = (u - cand > 0).nonzero()[0][-1]
-    except IndexError:  # only a NaN or an infinity leaves no candidate above
-        raise SetupError("simplex projection needs finite input") from None
-    return float(cand[rho])
-
-
-def project_simplex(y) -> Array:
-    """Euclidean projection of y onto the probability simplex."""
-    y = np.asarray(y, float)
-    return np.maximum(y - simplex_threshold(y), 0.0)
-
-
-def project_ball(y, radius: float = 1.0, center=None) -> Array:
-    """Euclidean projection onto the ball: rescale along the ray from center."""
-    y = np.asarray(y, float)
-    c = np.zeros_like(y) if center is None else np.asarray(center, float)
-    d = y - c
-    nrm = float(np.linalg.norm(d))
-    if nrm <= radius:
-        return y.copy()
-    return c + radius * d / nrm
-
-
-def project_box(y, lo, hi) -> Array:
-    """Coordinatewise clamp onto [lo, hi]."""
-    return np.clip(np.asarray(y, float), lo, hi)
-
-
-def domain_projector(domain: Domain) -> Callable[[Array], Array]:
-    """The Euclidean projection onto domain, as a function of the point."""
-    if isinstance(domain, Simplex):
-        return project_simplex
-    if isinstance(domain, Ball):
-        return partial(project_ball, radius=domain.radius, center=domain.center)
-    return partial(project_box, lo=domain.lo, hi=domain.hi)
-
-
 def project_domain(domain: Domain, y) -> Array:
-    return domain_projector(domain)(y)
+    """Euclidean projection of y onto the domain (its project method)."""
+    return domain.project(y)
 
 
 @dataclass(frozen=True)
@@ -291,7 +236,7 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     solve, and the descent starts from it.
     """
     y = np.asarray(y, float)
-    if y.shape != (domain_dim(domain),):
+    if y.shape != (domain.n,):
         raise DimensionMismatch("point has wrong dimension for domain")
     M = np.asarray(A.M if isinstance(A, PsdMatrix) else A, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -299,18 +244,18 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     if M.shape[0] != y.shape[0]:
         raise DimensionMismatch("matrix and point dimensions differ")
     if isinstance(domain, Simplex) and _well_conditioned(M):
-        if domain_contains(domain, y):
+        if domain.contains(y):
             return y.copy()
         return _simplex_kkt(M, y, np.zeros(y.size), x0)
 
     psd = PsdMatrix.check(M)
-    if domain_contains(domain, y):
+    if domain.contains(y):
         return y.copy()
     if psd.lam_max - psd.lam_min <= ZERO_TOL * psd.lam_max:  # A = 0 included
         return project_domain(domain, y)
 
     M = psd.M
-    project = domain_projector(domain)
+    project = domain.project
     x = project(y) if x0 is None else np.asarray(x0, float)
     d = x - y
     g = M @ d

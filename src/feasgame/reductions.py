@@ -26,7 +26,6 @@ from .core import (
     Simplex,
     residuals_batch,
 )
-from .grids import sample_domain
 
 
 def strictify(problem: Problem, delta: float) -> Problem:
@@ -96,7 +95,7 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
                 f"constraint {j} exceeds width omega: |values| up to "
                 f"{max(abs(lo), abs(hi)):.6g} > {omega:.6g}"
             )
-    X = sample_domain(problem.domain, 200, seed=0)
+    X = problem.domain.sample(200, seed=0)
     over = np.argwhere(np.abs(residuals_batch(problem, X)) > omega * (1 + 1e-9))
     if over.size:
         raise SetupError(f"sampled point violates width omega on constraint {over[0, 1]}")

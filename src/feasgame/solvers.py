@@ -52,10 +52,8 @@ from .core import (
     residual_gradient,
     residuals,
     separation_oracle,
-    start_point,
 )
 from .descent import minimize_over_domain, optimization_oracle
-from .grids import domain_grid
 from .online import (
     RegretBoundSpec,
     init_mw,
@@ -251,7 +249,7 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
         raise SetupError("max_iters must be >= 1")
     else:
         cap = min(T_star, max_iters)
-    best_x, best_violation = start_point(domain), math.inf
+    best_x, best_violation = domain.start(), math.inf
     sample: list[TraceRecord] = []
     for t in range(1, cap + 1):
         t0 = time.perf_counter_ns()
@@ -403,7 +401,7 @@ class VerificationReport:
 
 def _grid_certificate(problem: Problem, p: Array, threshold: float,
                       resolution: float) -> VerificationReport:
-    X = domain_grid(problem.domain, resolution)
+    X = problem.domain.grid(resolution)
     mix = Mixture(problem, p)
     vals = mix.value_batch(X)
     k = int(np.argmin(vals))

@@ -91,7 +91,7 @@ def random_domain(kind, rng, n, positive=False):
 def random_constraint(kind, rng, domain):
     """A random constraint of the kind over the domain.  A log composite gets
     omega above the width of its inner, the precondition of its bounds."""
-    n = fg.domain_dim(domain)
+    n = domain.n
     a, b = rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))
     M = rng.uniform(-1, 1, (n, n))
     quad = fg.Quadratic(A=0.5 * (M + M.T), b=a, c=b)

@@ -38,7 +38,7 @@ def test_criterion_01_projection_matches_brute_force():
 
     # small dimensions: dense grid is the oracle
     for n in (2, 3):
-        grid = fg.domain_grid(fg.Simplex(n=n), 1e-3)
+        grid = fg.Simplex(n=n).grid(1e-3)
         for y, x in zip(ys[n], projected[n]):
             d2 = np.sum((grid - y) ** 2, axis=1)
             best = grid[int(np.argmin(d2))]

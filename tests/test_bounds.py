@@ -3,7 +3,8 @@
 The interval, gradient-norm and smoothness bounds feed the instance
 constants that fix every solver's horizon, so each must contain what the
 scalar reference gives at sampled domain points, on all three domain kinds.
-The closed-form domain helpers are checked against box corners.
+The closed-form domain methods are checked against box corners and
+simplex vertices, and every domain's points against its own bounds.
 """
 
 import itertools
@@ -23,16 +24,17 @@ POSITIVE = ("entropy", "barrier")
 
 def domain_points(domain, rng, count=40):
     """Sampled points plus the vertices (simplex) or corners (box)."""
-    X = fg.sample_domain(domain, count, seed=int(rng.integers(2**31)))
-    if isinstance(domain, fg.Simplex):
-        return np.vstack([X, np.eye(domain.n)])
-    if isinstance(domain, fg.Box):
+    X = domain.sample(count, seed=int(rng.integers(2**31)))
+    if isinstance(domain, (fg.Simplex, fg.Box)):
         return np.vstack([X, corners(domain)])
     return X
 
 
-def corners(box):
-    return np.array(list(itertools.product(*zip(box.lo, box.hi))))
+def corners(domain):
+    """The n vertices of a simplex or the 2^n corners of a box."""
+    if isinstance(domain, fg.Simplex):
+        return np.eye(domain.n)
+    return np.array(list(itertools.product(*zip(domain.lo, domain.hi))))
 
 
 def slack(v):
@@ -65,7 +67,7 @@ def test_interval_and_gradient_bound_contain_sampled_values(case):
         checked += 1
     assert checked > 0
     if np.isfinite(L):
-        x = fg.start_point(domain)
+        x = domain.start()
         assert np.linalg.norm(fd_hessian(f, x), 2) <= L + 1e-4 * (1.0 + L)
 
 
@@ -122,35 +124,59 @@ def test_log_composite_bounds_refuse_a_nonpositive_log_argument():
         fg.make_problem([f], domain)
 
 
-class TestBoxHelpers:
-    """The closed-form domain helpers on a box, against its 2^n corners."""
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_domain_operations_keep_to_the_domain(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    domain = random_domain(kind, rng, n)
+    X = domain.sample(40, seed=seed)
+    c = rng.normal(size=n)
+    x_min, v_min = domain.linear_minimum(c)
+    inside = [domain.start(), domain.project(rng.normal(size=n) * 3.0), x_min, *X]
+    if n <= 3:
+        inside.extend(domain.grid(0.1))
+    for x in inside:
+        assert domain.contains(x)
+    lo, hi = domain.bounding_box()
+    assert (X >= lo - 1e-12).all() and (X <= hi + 1e-12).all()
+    norm, diameter = domain.max_norm(), domain.diameter()
+    assert np.linalg.norm(X, axis=1).max() <= norm + slack(norm)
+    assert np.linalg.norm(X[:, None] - X[None], axis=2).max() <= diameter + slack(diameter)
+    assert (v_min <= X @ c + slack(v_min)).all()
 
-    @pytest.fixture(params=range(5))
-    def box(self, request):
+
+class TestDomainHelpers:
+    """The closed-form domain methods on a box, against its 2^n corners, and
+    on a simplex, against its n vertices."""
+
+    @pytest.fixture(params=["simplex", *range(5)])
+    def domain(self, request):
+        if request.param == "simplex":
+            return fg.Simplex(n=3)
         rng = np.random.default_rng(request.param)
         lo = rng.uniform(-2, 1, 3)
         return fg.Box(lo=lo, hi=lo + rng.uniform(0.0, 2.0, 3))
 
-    def test_affine_interval_is_attained_at_corners(self, box):
+    def test_affine_interval_is_attained_at_corners(self, domain):
         rng = np.random.default_rng(1)
         f = fg.Affine(a=rng.normal(size=3), b=0.25)
-        vals = [fg.evaluate(f, x) for x in corners(box)]
-        lo, hi = f.interval(box)
+        vals = [fg.evaluate(f, x) for x in corners(domain)]
+        lo, hi = f.interval(domain)
         assert lo == pytest.approx(min(vals), abs=1e-12)
         assert hi == pytest.approx(max(vals), abs=1e-12)
 
-    def test_max_point_norm_is_the_farthest_corner(self, box):
-        assert fg.core.max_point_norm(box) == pytest.approx(
-            max(np.linalg.norm(x) for x in corners(box)), rel=1e-15)
+    def test_max_norm_is_the_farthest_corner(self, domain):
+        assert domain.max_norm() == pytest.approx(
+            max(np.linalg.norm(x) for x in corners(domain)), rel=1e-15)
 
-    def test_linear_minimum_is_the_best_corner(self, box):
+    def test_linear_minimum_is_the_best_corner(self, domain):
         c = np.random.default_rng(2).normal(size=3)
-        x, v = fg.linear_minimum(box, c)
-        assert fg.domain_contains(box, x)
+        x, v = domain.linear_minimum(c)
+        assert domain.contains(x)
         assert v == pytest.approx(float(c @ x), abs=1e-15)
-        assert v == pytest.approx(min(float(c @ y) for y in corners(box)), abs=1e-12)
+        assert v == pytest.approx(min(float(c @ y) for y in corners(domain)), abs=1e-12)
 
-    def test_diameter_is_the_longest_corner_distance(self, box):
-        C = corners(box)
+    def test_diameter_is_the_longest_corner_distance(self, domain):
+        C = corners(domain)
         far = max(np.linalg.norm(x - y) for x in C for y in C)
-        assert fg.domain_diameter(box) == pytest.approx(far, rel=1e-15)
+        assert domain.diameter() == pytest.approx(far, rel=1e-15)

@@ -172,7 +172,7 @@ class TestOptimizationOracle:
     def test_satisfiable_returns_domain_point(self):
         prob = constant_problem([-1.0])
         x = fg.optimization_oracle(prob, np.array([1.0]), tol=0.05)
-        assert fg.domain_contains(prob.domain, x)
+        assert prob.domain.contains(x)
         assert fg.game_loss(prob, x, np.array([1.0])) <= 0.0
 
     def test_smooth_fail_certified_beyond_tol(self, rng):
@@ -205,7 +205,7 @@ class TestEstimates:
             fg.NormDistSq(center=rng.normal(size=3) * 0.3, c=0.2),
         ]
         prob = fg.make_problem(cons, fg.Simplex(n=3))
-        X = fg.sample_domain(prob.domain, 10_000, seed=7)
+        X = prob.domain.sample(10_000, seed=7)
         for f in prob.constraints:
             vals = fg.evaluate_batch(f, X)
             assert np.max(np.abs(vals)) <= prob.params.omega + 1e-9
@@ -246,3 +246,22 @@ class TestResidualConvention:
                     e[i] = h
                     ref[i] = (fg.residual(prob, 0, x + e) - fg.residual(prob, 0, x - e)) / (2 * h)
                 assert np.allclose(g, ref, atol=1e-6)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: fg.Box([], []), "lo"),
+    (lambda: fg.Box([np.nan], [1.0]), "lo"),
+    (lambda: fg.Box([0.0], [np.inf]), "hi"),
+    (lambda: fg.Ball(2, radius=np.inf), "radius"),
+    (lambda: fg.Ball(2, center=[np.nan, 0.0]), "center"),
+    (lambda: fg.Simplex(2.5), "n"),
+    (lambda: fg.Simplex(True), "n"),
+], ids=["empty-box", "nan-lo", "inf-hi", "inf-radius", "nan-center", "fractional-n", "bool-n"])
+def test_malformed_domain_is_refused_naming_the_field(build, field):
+    with pytest.raises((fg.SetupError, fg.DimensionMismatch), match=rf"\b{field}\b"):
+        build()
+
+
+def test_numpy_integer_dimension_is_accepted():
+    assert fg.Simplex(np.int64(3)).n == 3
+    assert fg.Ball(np.int32(2)).n == 2

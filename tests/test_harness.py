@@ -416,6 +416,35 @@ class TestCli:
               "--out", str(b)])
         assert a.read_text() != b.read_text()
 
+    BALL = {"kind": "ball", "center": [0.5, -0.5], "radius": 1.0}
+    BOX = {"kind": "box", "lo": [0.0, -1.0], "hi": [1.0, 1.0]}
+
+    # outcome kinds and rounds pinned off the simplex, where no benchmark
+    # workload runs: the start point is the ball's center or the box's midpoint
+    @pytest.mark.parametrize("domain, algo, learner, rounds", [
+        (BALL, "dual", None, 3397),
+        (BALL, "primal-dual", "ogd", 13586),
+        (BALL, "primal", "ogd", 1),
+        (BOX, "dual", None, 4437),
+        (BOX, "primal-dual", "ogd", 17745),
+        (BOX, "primal", "ogd", 3),
+    ], ids=["ball-dual", "ball-primal-dual", "ball-primal", "box-dual", "box-primal-dual",
+            "box-primal"])
+    def test_ball_and_box_solve_then_verify(self, tmp_path, capsys, domain, algo, learner,
+                                            rounds):
+        doc = {"version": 1, "domain": domain, "constraints": [
+            {"family": "norm_dist_sq", "center": [0.0, 0.0], "c": 1.0},
+            {"family": "norm_dist_sq", "center": [1.0, -1.0], "c": 1.0},
+        ]}
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "outcome.json"
+        args = ["solve", "--problem", path, "--eps", "0.1", "--algo", algo, "--out", str(out)]
+        assert main(args + (["--learner", learner] if learner else [])) == 0
+        outcome = json.loads(out.read_text())
+        assert (outcome["outcome"]["kind"], outcome["iterations"]) == ("feasible", rounds)
+        assert outcome["problem"]["domain"] == domain
+        assert main(["verify", "--outcome", str(out)]) == 0
+
     def test_trace_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, INFEASIBLE_DOC)
         trace_path = tmp_path / "trace.csv"

@@ -55,11 +55,11 @@ def make_domain(kind, rng, n):
 def points(domain, rng, count=6):
     """Sampled points plus a corner, where entropy and barriers can be off
     their domains."""
-    X = fg.sample_domain(domain, count, seed=int(rng.integers(2**31)))
+    X = domain.sample(count, seed=int(rng.integers(2**31)))
     if isinstance(domain, fg.Simplex):
         corner = np.eye(domain.n)[0]
     else:
-        corner = fg.bounding_box(domain)[0]
+        corner = domain.bounding_box()[0]
     return np.vstack([X, corner])
 
 

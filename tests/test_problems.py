@@ -189,7 +189,7 @@ class TestDispatchAndBounds:
             fg.make_crp_problem(3, t_days=2, seed=1),
         ]
         for prob in problems:
-            X = fg.sample_domain(prob.domain, 10_000, seed=99)
+            X = prob.domain.sample(10_000, seed=99)
             # entropy and barrier terms are unbounded at the boundary; the
             # stated bounds hold where they are finite, so sample the interior
             X = 0.98 * X + 0.02 / prob.n

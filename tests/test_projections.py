@@ -14,7 +14,7 @@ from feasgame import projections
 
 def grid_argmin(domain, y, resolution=1e-3):
     """Brute-force nearest grid point, the independent oracle for projections."""
-    pts = fg.domain_grid(domain, resolution)
+    pts = domain.grid(resolution)
     d2 = np.sum((pts - y) ** 2, axis=1)
     return pts[int(np.argmin(d2))]
 
@@ -83,35 +83,35 @@ class TestSimplex:
 class TestBall:
     def test_interior_unchanged(self):
         y = np.array([0.5, 0.0])
-        assert np.array_equal(fg.project_ball(y, 1.0), y)
+        assert np.array_equal(fg.Ball(2).project(y), y)
 
     def test_boundary_scaling(self):
-        assert np.allclose(fg.project_ball(np.array([2.0, 0.0]), 1.0), [1.0, 0.0], atol=1e-15)
-        assert np.allclose(fg.project_ball(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-12)
+        assert np.allclose(fg.Ball(2).project(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-15)
+        assert np.allclose(fg.Ball(2).project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12)
 
     def test_shifted_center(self):
         c = np.array([1.0, 1.0])
-        x = fg.project_ball(np.array([3.0, 1.0]), 0.5, center=c)
+        x = fg.Ball(2, 0.5, c).project(np.array([3.0, 1.0]))
         assert np.allclose(x, [1.5, 1.0], atol=1e-12)
 
     def test_nonexpansive(self, rng):
         for _ in range(100):
             y1, y2 = rng.normal(size=3) * 3, rng.normal(size=3) * 3
-            d = np.linalg.norm(fg.project_ball(y1, 1.0) - fg.project_ball(y2, 1.0))
+            d = np.linalg.norm(fg.Ball(3).project(y1) - fg.Ball(3).project(y2))
             assert d <= np.linalg.norm(y1 - y2) + 1e-12
 
 
 class TestBox:
     def test_clamps_componentwise(self):
         lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-        assert np.array_equal(fg.project_box(np.array([2.0, -3.0]), lo, hi), [1.0, -1.0])
-        assert np.array_equal(fg.project_box(np.array([0.5, 0.0]), lo, hi), [0.5, 0.0])
+        assert np.array_equal(fg.Box(lo, hi).project(np.array([2.0, -3.0])), [1.0, -1.0])
+        assert np.array_equal(fg.Box(lo, hi).project(np.array([0.5, 0.0])), [0.5, 0.0])
 
     def test_nonexpansive(self, rng):
         lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
         for _ in range(100):
             y1, y2 = rng.normal(size=2) * 3, rng.normal(size=2) * 3
-            d = np.linalg.norm(fg.project_box(y1, lo, hi) - fg.project_box(y2, lo, hi))
+            d = np.linalg.norm(fg.Box(lo, hi).project(y1) - fg.Box(lo, hi).project(y2))
             assert d <= np.linalg.norm(y1 - y2) + 1e-12
 
 
@@ -149,7 +149,7 @@ class TestGeneralized:
 
     def test_degenerate_matrix_returns_a_minimizer(self):
         x = fg.generalized_project(np.array([2.0, -1.0]), np.zeros((2, 2)), fg.Simplex(n=2))
-        assert fg.domain_contains(fg.Simplex(n=2), x)
+        assert fg.Simplex(n=2).contains(x)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-13, 1e-15])
     def test_scaled_down_matrix_is_not_taken_for_a_multiple_of_identity(self, scale):
@@ -297,7 +297,7 @@ def _reference_project_domain(domain, y):
 def reference_generalized_project(y, A, domain, tol=1e-9, max_iters=100_000, x0=None):
     M = np.asarray(A, float)
     lam_max = float(np.linalg.eigvalsh(M)[-1])
-    if fg.domain_contains(domain, y):
+    if domain.contains(y):
         return y.copy()
     diag = np.diagonal(M)
     if np.allclose(M, np.diag(diag)) and np.ptp(diag) <= 1e-12 * (1.0 + abs(float(diag[0]))):
@@ -367,7 +367,7 @@ def assert_simplex_kkt(x, y, A):
     support, all to a relative 1e-9 of the size of A(x - y); y itself when y
     lies in the simplex (within the domain's tolerance)."""
     domain = fg.Simplex(n=y.size)
-    if fg.domain_contains(domain, y):
+    if domain.contains(y):
         assert np.array_equal(x, y)
         return
     tol = 1e-9 * float(abs(A).max()) * (1.0 + float(abs(y).max()))
@@ -421,8 +421,8 @@ def test_generalized_project_is_bit_identical_to_reference(case):
         # The descent's own objective is no bound: its answer can round off
         # the plane sum x = 1 to below the minimum over the simplex
         assert_simplex_kkt(new, y, A)
-        assert fg.domain_contains(domain, new)
-        if not fg.domain_contains(domain, y):
+        assert domain.contains(new)
+        if not domain.contains(y):
             _, best = _face_minimum(y, A, new > 0)
             assert abs(_objective_in_rationals(new, y, A) / best - 1) <= 1e-12
             if ref is not None:
