@@ -33,7 +33,9 @@ rows and batch values cost a few vector operations per call; norm
 distances, entropies and log barriers go through their own methods one at a
 time.  :class:`Mixture` fixes one weight vector and collapses the affine and
 quadratic constraints into one quadratic form for the optimization oracle
-and the certificate checks.
+and the certificate checks.  At the sizes the solvers run at, a call costs
+numpy's Python dispatch more than arithmetic, so the per-round code calls
+ndarray methods rather than their ``np.`` wrappers.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union, get_args
 
 import numpy as np
@@ -161,6 +163,12 @@ class _Domain:
         return self._sample(np.random.default_rng(seed), count)
 
 
+@lru_cache(maxsize=64)
+def _ranks(n: int) -> Array:
+    """The read-only divisors 1, 2, ..., n of the threshold candidates."""
+    return _freeze(np.arange(1, n + 1))
+
+
 def simplex_threshold(y) -> float:
     """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
 
@@ -174,9 +182,9 @@ def simplex_threshold(y) -> float:
     u = y.copy()
     u.sort()
     u = u[::-1]
-    cand = (u.cumsum() - 1.0) / np.arange(1, y.size + 1)
+    cand = (u.cumsum() - 1.0) / _ranks(y.size)
     try:
-        rho = (u - cand > 0).nonzero()[0][-1]
+        rho = (u > cand).nonzero()[0][-1]
     except IndexError:  # only a NaN or an infinity leaves no candidate above
         raise SetupError("simplex projection needs finite input") from None
     return float(cand[rho])
@@ -186,7 +194,9 @@ def project_simplex(y) -> Array:
     """Euclidean projection of y onto the probability simplex of its length:
     the exact sort-and-threshold procedure, O(n log n)."""
     y = np.asarray(y, float)
-    return np.maximum(y - simplex_threshold(y), 0.0)
+    x = y - simplex_threshold(y)
+    np.maximum(x, 0.0, out=x)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +228,7 @@ class Simplex(_Domain):
 
     def linear_minimum(self, c) -> tuple[Array, float]:
         c = _direction(c, self.n)
-        i = int(np.argmin(c))
+        i = int(c.argmin())
         x = np.zeros(self.n)
         x[i] = 1.0
         return x, float(c[i])
@@ -288,6 +298,11 @@ class Ball(_Domain):
 
     def max_norm(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
+
+    def max_dist(self, center: Array) -> float:
+        """Exact: attained where the ray from center through the ball's
+        center leaves the ball."""
+        return float(np.linalg.norm(self.center - center)) + self.radius
 
     def linear_minimum(self, c) -> tuple[Array, float]:
         c = _direction(c, self.n)
@@ -930,7 +945,7 @@ def _in_order(P: Array) -> Array:
     """Sum over the first axis adding entries in order, with the rounding of
     a plain loop.  Near-tied vertices make the closed-form oracle's choice
     hinge on the last bit of the mixed coefficients, so keep that bit."""
-    return np.cumsum(P, axis=0)[-1]
+    return P.cumsum(axis=0)[-1]
 
 
 def _positive(z: Array) -> tuple[Array, Array | None]:
@@ -998,11 +1013,13 @@ class _Affines(_Group):
 
 
 class _Quadratics(_Group):
-    """f_j(x) = x.A_j x + B_j.x + c_j; the A_j also as one (k*n, n) matrix."""
+    """f_j(x) = x.A_j x + B_j.x + c_j; the A_j also as one (k*n, n) matrix
+    and as one (k, n*n) matrix."""
 
     def __init__(self, fs):
         self.A = np.array([f.A for f in fs])
         self.A_flat = self.A.reshape(-1, self.A.shape[2])
+        self.A_rows = self.A.reshape(self.A.shape[0], -1)
         self.B = np.array([f.b for f in fs])
         self.c = np.array([f.c for f in fs])
 
@@ -1022,7 +1039,10 @@ class _Quadratics(_Group):
         return np.einsum("ni,kij,nj->nk", X, self.A, X) + X @ self.B.T + self.c, None
 
     def quadratic_form(self, w):
-        return np.tensordot(w, self.A, 1), w @ self.B, float(w @ self.c)
+        # the (1, k) x (k, n*n) product np.tensordot(w, A, 1) runs, without
+        # its Python wrapper
+        M = np.dot(w.reshape(1, -1), self.A_rows).reshape(self.A.shape[1:])
+        return M, w @ self.B, float(w @ self.c)
 
 
 class _LogAffines(_Group):
@@ -1215,7 +1235,7 @@ class Mixture:
         w = -p if pk.flip else p
         self.M = None
         self.q = np.zeros(pk.n)
-        self.c = float(np.sum(p)) if pk.flip else 0.0
+        self.c = float(p.sum()) if pk.flip else 0.0
         self.terms = []
         for group in pk.groups:
             wg = w[group.idx]
@@ -1237,7 +1257,10 @@ class Mixture:
         """sum_j p_j L_j over constraints of nonzero weight, or None when
         some L_j is unbounded or the sum is 0 (use a line search)."""
         active = self.p != 0
-        L = sum(self.p[active] * self.packed.smoothness[active], 0.0)
+        P = self.p[active] * self.packed.smoothness[active]
+        if not P.size:
+            return None
+        L = _in_order(P)
         return L if math.isfinite(L) and L > 0 else None
 
     @staticmethod
@@ -1334,9 +1357,9 @@ def check_distribution(p, m: int) -> Array:
     p = np.asarray(p, float)
     if p.shape != (m,):
         raise InvalidDistribution(f"weight vector has shape {p.shape}, expected ({m},)")
-    if np.any(p < -ZERO_TOL):
+    if (p < -ZERO_TOL).any():
         raise InvalidDistribution("weights must be nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > DIST_TOL:
+    if not abs(float(p.sum()) - 1.0) <= DIST_TOL:  # a NaN weight fails here
         raise InvalidDistribution("weights must sum to 1")
     return np.maximum(p, 0.0)
 

@@ -276,11 +276,13 @@ def mw_step(state: MwState, grad) -> MwState:
         scale = 1.0 - factor if state.direction == "min" else 1.0 + factor
         # eta <= 1/2 and |g_i| <= g_inf keep every multiplier in [1/2, 3/2],
         # so a nonpositive weight can only be underflow; floor it
-        w = np.maximum(state.w * scale, 1e-300)
+        w = state.w * scale
+        np.maximum(w, 1e-300, out=w)
         mx = float(w.max())
         if mx > 1e100 or mx < 1e-100:
             # plays are weight ratios, so a common rescale is invisible
-            w = np.maximum(w / mx, 1e-300)
+            w /= mx
+            np.maximum(w, 1e-300, out=w)
     else:
         w = state.w.copy()
     return MwState(w=w, t=state.t + 1, eta=state.eta,

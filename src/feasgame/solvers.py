@@ -25,11 +25,13 @@ what a round is and in what the horizon's end certifies:
 Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
 
-Every round yields one TraceRecord, handed to the solver's trace_sink as
-the round ends.  SolveResult.trace keeps a log-spaced sample of them, the
+Every round's TraceRecord goes to the solver's trace_sink as the round
+ends.  SolveResult.trace keeps a log-spaced sample of them, the
 records of rounds 1, 2, 4, ..., 2^k and of the last round, so the memory a
 solve holds does not grow with its horizon; a caller that wants every
 round streams them through trace_sink (the CLI's --trace file does).
+Without a sink only the sampled rounds' records are built, since a record
+costs a regret-bound evaluation and a clock read.
 """
 
 from __future__ import annotations
@@ -236,9 +238,10 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
                ) -> tuple[Outcome, tuple[TraceRecord, ...], int, int, str]:
     """Play rounds until an oracle FAILs or the horizon ends.
 
-    Builds each round's record (the bound column is spec's regret bound),
-    hands it to trace_sink and keeps those of rounds 1, 2, 4, ... and of the
-    last round; tracks the least-violating point.  A cap below T* ends in
+    Keeps the records of rounds 1, 2, 4, ... and of the last round, and
+    hands every round's record to trace_sink when there is one (the bound
+    column is spec's regret bound); a record no one receives is not built.
+    Tracks the least-violating point.  A cap below T* ends in
     Exhausted with that point, since only the full horizon certifies
     horizon_outcome(T*).  Returns the outcome, the sampled records, the
     rounds played, T* and what ended the run (see SolveResult).
@@ -254,12 +257,15 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
     for t in range(1, cap + 1):
         t0 = time.perf_counter_ns()
         x_t, index, violation, loss, stop = round_()
-        rec = TraceRecord(t, index, violation, loss, regret_bound(spec, t),
-                          time.perf_counter_ns() - t0)
-        if trace_sink is not None:
-            trace_sink(rec)
-        if not t & (t - 1):  # t is a power of two
-            sample.append(rec)
+        # a power of two or the last round
+        keep = not t & (t - 1) or stop is not None or t == cap
+        if keep or trace_sink is not None:
+            rec = TraceRecord(t, index, violation, loss, regret_bound(spec, t),
+                              time.perf_counter_ns() - t0)
+            if trace_sink is not None:
+                trace_sink(rec)
+            if keep:
+                sample.append(rec)
         if stop is not None:
             ended_by = "oracle"
             break
@@ -270,8 +276,6 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
             stop, ended_by = Exhausted(best_x=best_x, best_violation=best_violation), "cap"
         else:
             stop, ended_by = horizon_outcome(cap), "horizon"
-    if sample[-1] is not rec:
-        sample.append(rec)
     return stop, tuple(sample), t, T_star, ended_by
 
 
@@ -298,7 +302,7 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         hit = separation_oracle(problem, x_t, eps)
         if hit is None:  # FAIL: no constraint is violated by more than eps
             res = residuals(problem, x_t)
-            worst = float(np.max(res))
+            worst = float(res.max())
             return x_t, None, worst, worst, Feasible(x=x_t, residuals=res)
         counts[hit.index] += 1
         state = player.step(state, residual_gradient(problem, hit.index, x_t))
@@ -335,7 +339,7 @@ def dual_game_opt(problem: Problem, eps: float, *,
         r = residuals(problem, x_t)
         x_sum += x_t
         dual = weights.step(dual, r)
-        return x_t, None, float(np.max(r)), float(p_t @ r), None
+        return x_t, None, float(r.max()), float(p_t @ r), None
 
     def horizon_outcome(T: int) -> Outcome:
         x_bar = x_sum / T
@@ -371,12 +375,12 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         p_sum += p_t
         state = player.step(state, mixed_gradient(problem, p_t, x_t))
         dual = weights.step(dual, r)
-        return x_t, None, float(np.max(r)), float(p_t @ r), None
+        return x_t, None, float(r.max()), float(p_t @ r), None
 
     def horizon_outcome(T: int) -> Outcome:
         x_bar = x_sum / T
         res = residuals(problem, x_bar)
-        if float(np.max(res)) <= eps:
+        if float(res.max()) <= eps:
             return Feasible(x=x_bar, residuals=res)
         return EpsilonInfeasible(p_bar=p_sum / T)
 

@@ -145,6 +145,25 @@ def test_domain_operations_keep_to_the_domain(kind, n, seed):
     assert (v_min <= X @ c + slack(v_min)).all()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+def test_ball_max_dist_is_exact(n, seed, spread):
+    rng = np.random.default_rng(seed)
+    ball = random_domain("ball", rng, n)
+    z = ball.center + spread * rng.normal(size=n)
+    bound = ball.max_dist(z)
+    X = ball.sample(200, seed=seed)
+    assert np.linalg.norm(X - z, axis=1).max() <= bound + slack(bound)
+    # attained where the ray from z through the center leaves the ball; any
+    # boundary point when z is the center
+    d = ball.center - z
+    nrm = np.linalg.norm(d)
+    u = d / nrm if nrm > 0 else np.eye(n)[0]
+    far = ball.center + ball.radius * u
+    assert ball.contains(far)
+    assert np.linalg.norm(far - z) == pytest.approx(bound, rel=1e-12)
+
+
 class TestDomainHelpers:
     """The closed-form domain methods on a box, against its 2^n corners, and
     on a simplex, against its n vertices."""

@@ -221,6 +221,32 @@ class TestEstimates:
             fg.check_distribution(np.array([0.5, 0.5]), 3)
 
 
+@pytest.mark.parametrize("p", [[math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [math.nan] * 3],
+                         ids=["first", "last", "all"])
+class TestNanWeights:
+    """A NaN weight is no distribution, so each consumer refuses it rather
+    than answer from a NaN sum (the sum test is the one that catches it)."""
+
+    def test_check_distribution(self, p):
+        with pytest.raises(fg.InvalidDistribution, match="sum to 1"):
+            fg.check_distribution(np.array(p), 3)
+
+    def test_game_loss(self, p):
+        with pytest.raises(fg.InvalidDistribution):
+            fg.game_loss(constant_problem([-1.0] * 3), np.array([0.5, 0.5]), np.array(p))
+
+    def test_optimization_oracle(self, p):
+        # every constraint is satisfied everywhere, so a FAIL would be a
+        # false infeasibility claim
+        with pytest.raises(fg.InvalidDistribution):
+            fg.optimization_oracle(constant_problem([-1.0] * 3), np.array(p), tol=0.05)
+
+    def test_infeasibility_certificate(self, p):
+        with pytest.raises(fg.InvalidDistribution):
+            fg.verify_certificate(constant_problem([1.0] * 3), fg.Infeasible(p_bar=np.array(p)),
+                                  0.1)
+
+
 class TestResidualConvention:
     def test_min_sense_residual_is_value(self, rng):
         prob = fg.make_problem([fg.Affine(a=rng.normal(size=2), b=0.1)], fg.Simplex(n=2))

@@ -422,8 +422,8 @@ class TestCli:
     # outcome kinds and rounds pinned off the simplex, where no benchmark
     # workload runs: the start point is the ball's center or the box's midpoint
     @pytest.mark.parametrize("domain, algo, learner, rounds", [
-        (BALL, "dual", None, 3397),
-        (BALL, "primal-dual", "ogd", 13586),
+        (BALL, "dual", None, 1016),
+        (BALL, "primal-dual", "ogd", 4064),
         (BALL, "primal", "ogd", 1),
         (BOX, "dual", None, 4437),
         (BOX, "primal-dual", "ogd", 17745),

@@ -219,3 +219,68 @@ def test_pack_is_built_once_and_smoothness_on_first_use():
     L = [fg.smoothness_bound(f, problem.domain) for f in problem.constraints]
     np.testing.assert_array_equal(packed.smoothness, L)
     assert math.isfinite(fg.Mixture(problem, np.full(3, 1.0 / 3)).smoothness)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_quadratic_form_is_bit_identical_to_tensordot(k, n, seed):
+    rng = np.random.default_rng(seed)
+    cons = [make_constraint("quadratic", rng, n) for _ in range(k)]
+    problem = fg.Problem(constraints=tuple(cons), domain=fg.Simplex(n=n), params=PARAMS)
+    (group,) = problem.packed.groups
+    w = rng.dirichlet(np.ones(k)) * rng.choice([1e-300, 1.0, 1e300])
+    M, q, c = group.quadratic_form(w)
+    assert M.shape == (n, n)
+    assert M.tobytes() == np.tensordot(w, group.A, 1).tobytes()
+
+
+def reference_smoothness(mix):
+    """Mixture.smoothness as a builtin sum over the weighted bounds."""
+    active = mix.p != 0
+    L = sum(mix.p[active] * mix.packed.smoothness[active], 0.0)
+    return L if math.isfinite(L) and L > 0 else None
+
+
+# more than 8 terms with finite bounds, where numpy's pairwise sum would
+# round differently from the in-order one
+many_terms = st.builds(lambda fams, n, seed: (fams, "simplex", n, "min", seed),
+                       st.lists(st.sampled_from(["affine", "quadratic", "norm_dist"]),
+                                min_size=9, max_size=40),
+                       st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(problems, many_terms), st.sampled_from(["dense", "sparse", "zero", "finite"]))
+def test_mixture_smoothness_is_bit_identical_to_a_builtin_sum(spec, weights):
+    # entropies and barriers reach the simplex boundary and ball or box
+    # points off their domains, so their bound is often inf; "finite" puts
+    # weight only on finite bounds
+    problem, rng = build(spec)
+    try:
+        problem.packed.smoothness
+    except fg.SetupError:  # a log composite whose omega is below its inner's range
+        assume(False)
+    p = rng.dirichlet(np.ones(problem.m))
+    if weights == "sparse":
+        p[rng.random(problem.m) < 0.5] = 0.0
+    elif weights == "zero":
+        p[:] = 0.0
+    elif weights == "finite":
+        p[~np.isfinite(problem.packed.smoothness)] = 0.0
+    got, want = fg.Mixture(problem, p).smoothness, reference_smoothness(fg.Mixture(problem, p))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("fams, p, finite", [
+    (("quadratic", "entropy"), [0.5, 0.5], False),  # inf L on the simplex
+    (("quadratic", "entropy"), [1.0, 0.0], True),  # the inf term has weight 0
+    (("affine", "affine"), [0.5, 0.5], False),  # sum 0: a line search instead
+    (("quadratic", "quadratic"), [0.0, 0.0], False),  # no active term
+])
+def test_mixture_smoothness_edge_cases(fams, p, finite):
+    problem, _ = build((list(fams), "simplex", 3, "min", 4))
+    mix = fg.Mixture(problem, np.array(p))
+    assert (mix.smoothness is not None) == finite
+    assert mix.smoothness == reference_smoothness(mix)

@@ -69,6 +69,11 @@ class TestSimplex:
         with pytest.raises(fg.SetupError, match="finite"):
             fg.simplex_threshold(np.array(y))
 
+    def test_minus_infinity_entries_go_to_zero(self):
+        y = np.array([-np.inf, 0.9, 0.5, -np.inf])
+        assert fg.simplex_threshold(y) == pytest.approx(0.2, abs=1e-12)
+        assert np.allclose(fg.project_simplex(y), [0.0, 0.7, 0.3, 0.0], atol=1e-12)
+
     def test_no_feasible_direction_improves(self, rng):
         # moving from the projection toward any other simplex point cannot
         # bring us closer to y
@@ -280,12 +285,50 @@ def _face_minimum(y, A, support):
 # worse than the descent's wherever the descent converges.
 
 
-def _reference_simplex(y):
+def _reference_threshold(y):
     u = np.sort(y)[::-1]
     css = np.cumsum(u)
     cand = (css - 1.0) / np.arange(1, y.size + 1)
     rho = int(np.nonzero(u - cand > 0)[0][-1])
-    return np.maximum(y - float(cand[rho]), 0.0)
+    return float(cand[rho])
+
+
+def _reference_simplex(y):
+    return np.maximum(y - _reference_threshold(y), 0.0)
+
+
+# entries that stress the threshold: ties, magnitudes whose sums overflow or
+# vanish, and -inf (which the projection sends to 0)
+_simplex_entry = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e308, -1e308, 5e-324, 1e-300, -np.inf]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(_simplex_entry, min_size=1, max_size=8).map(np.array))
+@example(np.array([0.3]))
+@example(np.array([-7.0]))
+@example(np.array([0.5, 0.5, 0.5]))
+@example(np.array([2.0, 2.0, -1.0, -1.0]))
+@example(np.array([1e308, 1e308, 1.0]))
+@example(np.array([-np.inf, 0.25, -np.inf]))
+@example(np.array([-np.inf]))
+def test_simplex_threshold_is_bit_identical_to_reference(y):
+    # the threshold and projection of the sort, cumsum, arange and
+    # u - cand > 0 form, bit for bit; where that form finds no candidate
+    # (every entry -inf, or sums that overflow) the projection refuses
+    with np.errstate(all="ignore"):
+        try:
+            want = _reference_threshold(y)
+        except IndexError:
+            with pytest.raises(fg.SetupError, match="finite"):
+                fg.simplex_threshold(y)
+            with pytest.raises(fg.SetupError, match="finite"):
+                fg.project_simplex(y)
+            return
+        assert fg.simplex_threshold(y).hex() == want.hex()
+        assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()
 
 
 def _reference_project_domain(domain, y):

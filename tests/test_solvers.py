@@ -1,5 +1,6 @@
 """Meta-solvers: stopping rules, the three game loops, and verification."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -302,6 +303,13 @@ ENDINGS = {
 }
 
 
+each_ending = pytest.mark.parametrize(
+    "algo, learner, prob, eps, max_iters, ending",
+    [(algo, *case) for algo, cases in ENDINGS.items() for case in cases],
+    ids=[f"{algo}-{case[-1]}-{i}" for algo, cases in ENDINGS.items()
+         for i, case in enumerate(cases)])
+
+
 def expected_T_star(algo, learner, prob, eps):
     """The horizon from each player's regret bound, computed apart from the solvers."""
     p = prob.params
@@ -354,6 +362,23 @@ class TestTrace:
             assert out.iterations == len(rows) > 2
             assert out.trace[-1] is rows[-1]
             assert out.trace[-2].iteration < out.iterations
+
+
+@each_ending
+def test_sample_without_a_sink_is_the_sink_records_it_keeps(algo, learner, prob, eps,
+                                                             max_iters, ending):
+    # without a sink only the kept rounds' records are built; they must be
+    # the records a sink gets, except for the clock
+    rows = []
+    run_solver(prob, algo, learner, eps, max_iters=max_iters, trace_sink=rows.append)
+    out = run_solver(prob, algo, learner, eps, max_iters=max_iters)
+    assert out.ended_by == ending and out.iterations == len(rows)
+    kept = [t for t in range(1, out.iterations + 1) if not t & (t - 1) or t == out.iterations]
+    assert [rec.iteration for rec in out.trace] == kept
+    for rec in out.trace:
+        assert rec.elapsed_ns >= 0
+        assert dataclasses.replace(rec, elapsed_ns=0) == dataclasses.replace(
+            rows[rec.iteration - 1], elapsed_ns=0)
 
 
 def test_trace_memory_does_not_grow_with_the_horizon():
@@ -418,10 +443,7 @@ class TestDriver:
             max(fg.residuals(prob, out.outcome.best_x)), abs=1e-12)
         assert fg.verify_certificate(prob, out.outcome, 0.1).ok
 
-    @pytest.mark.parametrize("algo, learner, prob, eps, max_iters, ending", [
-        (algo, *case) for algo, cases in ENDINGS.items() for case in cases
-    ], ids=[f"{algo}-{case[-1]}-{i}" for algo, cases in ENDINGS.items()
-            for i, case in enumerate(cases)])
+    @each_ending
     def test_result_reports_horizon_and_ending(self, algo, learner, prob, eps, max_iters,
                                                ending):
         out = run_solver(prob, algo, learner, eps, max_iters=max_iters)
