@@ -229,7 +229,7 @@ def test_quadratic_form_is_bit_identical_to_tensordot(k, n, seed):
     problem = fg.Problem(constraints=tuple(cons), domain=fg.Simplex(n=n), params=PARAMS)
     (group,) = problem.packed.groups
     w = rng.dirichlet(np.ones(k)) * rng.choice([1e-300, 1.0, 1e300])
-    M, q, c = group.quadratic_form(w)
+    M = group.quadratic_form(w)[0]
     assert M.shape == (n, n)
     assert M.tobytes() == np.tensordot(w, group.A, 1).tobytes()
 
