@@ -48,11 +48,7 @@ from .core import (
     simplex_threshold,
     smoothness_bound,
 )
-from .projections import (
-    PsdMatrix,
-    generalized_project,
-    project_domain,
-)
+from .projections import generalized_project, project_domain
 from .descent import MinimizeResult, minimize_over_domain, optimization_oracle
 from .online import (
     MwState,

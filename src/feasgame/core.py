@@ -1287,16 +1287,6 @@ class Mixture:
             g += self._live(x, group, wg, *group.rows(x))
         return g
 
-    def value_batch(self, X: Array) -> Array:
-        """The mixed residual at every row of X."""
-        v = X @ self.q + self.c
-        if self.M is not None:
-            v += np.einsum("ni,ij,nj->n", X, self.M, X)
-        for group, wg in self.terms:
-            V, bad = group.values_batch(X)
-            v += self._live(X, group, wg, V.T, bad)
-        return v
-
 
 # ---------------------------------------------------------------------------
 # Residual orientation and oracles

@@ -4,7 +4,8 @@ The engine is projected gradient descent with a Frank-Wolfe style certified
 lower bound: at any iterate x, value(x) + min_z grad(x).(z - x) is a valid
 lower bound on the domain minimum, and the linear minimum has a closed form
 on every supported domain.  That turns "FAIL" answers of the optimization
-oracle into certificates rather than heuristics.
+oracle into certificates rather than heuristics, and it is the only way
+solvers.verify_certificate proves an infeasibility certificate.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
     Stops when the certified gap value - lower_bound falls below tol, or as
     soon as the value drops to stop_below when that is given.  Fixed step
     1/smoothness when a finite positive smoothness bound is supplied,
-    backtracking line search otherwise.  Hitting the cap raises
-    ConvergenceError unless on_cap="return".
+    backtracking line search otherwise.  The line search doubles its next
+    trial step (up to 1) only after a strict decrease and halves it
+    otherwise: near the minimum the differences of f fall below rounding,
+    where the test's 1e-15 slack accepts any step, and a step that kept
+    doubling there would overshoot 2/L and bounce around the minimizer
+    without ever closing the gap.  Hitting the cap raises ConvergenceError
+    unless on_cap="return".
     """
     x = domain.start()
     fx = value_fn(x)
@@ -89,13 +95,9 @@ def minimize_over_domain(value_fn: Callable[[Array], float],
                 if s < 1e-18:
                     x_new, f_new = x, fx
                     break
-            step = min(s * 2.0, 1.0)
+            step = min(s * 2.0, 1.0) if f_new < fx else s * 0.5
         if f_new < best_f:
             best_x, best_f = x_new, f_new
-        if f_new >= fx and fixed:
-            # no progress at a provably safe step: gradient is flat here
-            if best_f - best_lb <= tol:
-                return MinimizeResult(best_x, best_f, best_lb, iters, True)
         x, fx = x_new, f_new
     if on_cap == "return":
         return MinimizeResult(best_x, best_f, best_lb, iters, False)

@@ -156,13 +156,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_outcome_document(Path(args.outcome).read_text(),
-                                     method=args.method, resolution=args.resolution)
+    report = verify_outcome_document(Path(args.outcome).read_text())
     _write_text(args.out, canonical_json({
         "ok": report.ok,
         "method": report.method,
         "value": report.value,
-        "slack": report.slack,
         "witness_index": report.witness_index,
         "message": report.message,
     }))
@@ -227,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="re-check an outcome document")
     pv.add_argument("--outcome", required=True)
-    pv.add_argument("--method", choices=("auto", "grid", "pgd"), default="auto")
-    pv.add_argument("--resolution", type=float, default=1e-3)
     pv.add_argument("--out", default=None, metavar="FILE")
     pv.set_defaults(func=_cmd_verify)
     return parser

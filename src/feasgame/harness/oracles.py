@@ -65,8 +65,7 @@ def _reapply(original: Problem, transforms) -> Problem:
     return problem
 
 
-def verify_outcome_document(doc: dict | str, *, method: str = "auto",
-                            resolution: float = 1e-3) -> VerificationReport:
+def verify_outcome_document(doc: dict | str) -> VerificationReport:
     """Re-check an outcome document using only its own contents.
 
     For a transformed run, first re-applies the transforms to the original
@@ -96,8 +95,7 @@ def verify_outcome_document(doc: dict | str, *, method: str = "auto",
                 ok=False, method="transforms",
                 message="the embedded problem is not the original problem with its "
                         "transforms applied")
-    report = verify_certificate(problem, outcome, float(doc["eps_effective"]),
-                                method=method, resolution=resolution)
+    report = verify_certificate(problem, outcome, float(doc["eps_effective"]))
     if not report.ok or original is None:
         return report
     if isinstance(outcome, Feasible):

@@ -34,19 +34,14 @@ from .core import (
     SetupError,
     Simplex,
     evaluate,
-    evaluate_batch,
     gradient,
 )
 from .descent import minimize_over_domain
 from .projections import (
-    PsdMatrix,
     _simplex_kkt,
     generalized_project,
     project_domain,
 )
-
-# Grid spacing of the hindsight minimum for costs without a closed form (n <= 3).
-GRID_RESOLUTION = 1e-3
 
 # Largest lam_max / lam_min with which an ONS step's proven bounds send its
 # simplex projection straight to the exact solve.
@@ -161,11 +156,6 @@ class OnsState:
         if not lam_min > 0:
             return None
         return lam_min, trace + b
-
-    def psd_matrix(self) -> PsdMatrix | None:
-        """A with the bounds of spectrum_bounds, or None without them."""
-        bounds = self.spectrum_bounds()
-        return None if bounds is None else PsdMatrix(self.A, *bounds)
 
     def takes_exact_simplex_solve(self) -> bool:
         """True when spectrum_bounds proves lam_max <= MAX_CONDITION lam_min
@@ -356,7 +346,12 @@ def _combine(costs: Sequence[ConstraintFn], n: int):
 
 
 def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Array, float]:
-    """Best fixed domain point for the summed costs, and its total cost."""
+    """Best fixed domain point for the summed costs, and its total cost.
+
+    Affine sums have a closed form and quadratic sums take the fixed-step
+    descent; every other sum, at any dimension, takes the line-search
+    descent to a certified gap of 1e-8.
+    """
     if not costs:
         raise SetupError("need at least one cost")
     n = domain.n
@@ -375,13 +370,6 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
             on_cap="return",
         )
         return res.x, res.value
-    if n <= 3:
-        X = domain.grid(GRID_RESOLUTION)
-        total = np.zeros(X.shape[0])
-        for f in costs:
-            total += evaluate_batch(f, X)
-        k = int(np.argmin(total))
-        return X[k], float(total[k])
 
     def value_fn(x):
         return sum(evaluate(f, x) for f in costs)

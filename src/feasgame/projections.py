@@ -23,19 +23,19 @@ Every other input (ball, box, a singular, an ill-conditioned or a merely
 near-symmetric A) takes projected gradient descent with the domain's
 Euclidean projection (picked once per call) as the inner step.  A descent
 step costs one matrix-vector product: A(x - y) serves first as the
-objective at x and then as the gradient of the next step.  On that route A is validated by PsdMatrix.check (symmetry and an
-eigvalsh, both tests relative to the size of A), and those eigenvalues
-also decide the fast path: when they agree to a relative 1e-12, A is a
-multiple of I (or zero) and the Euclidean projection is the answer.  The
-descent's stopping tolerance is in the objective's absolute units, so a
-scaled-down A needs a tolerance scaled down alike; the exact solve has no
-tolerance to pass, and its multiplier test is relative to the size of A.
+objective at x and then as the gradient of the next step.  On that route
+A is validated by _psd_spectrum (symmetry and an eigvalsh, both tests
+relative to the size of A), and those eigenvalues also decide the fast
+path: when they agree to a relative 1e-12, A is a multiple of I (or zero)
+and the Euclidean projection is the answer.  The descent's stopping
+tolerance is in the objective's absolute units, so a scaled-down A needs
+a tolerance scaled down alike; the exact solve has no tolerance to pass,
+and its multiplier test is relative to the size of A.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,33 +60,16 @@ def project_domain(domain: Domain, y) -> Array:
     return domain.project(y)
 
 
-@dataclass(frozen=True)
-class PsdMatrix:
-    """A symmetric PSD matrix M with bounds on its spectrum:
-    lam_min <= lambda_min(M) and lambda_max(M) <= lam_max.
-
-    check() proves them by computing the extreme eigenvalues themselves;
-    online.OnsState.psd_matrix proves them from how it built M.  The
-    constructor checks nothing, so generalized_project tests the matrix of
-    a PsdMatrix like an array and does not use its bounds.
-    """
-
-    M: Array
-    lam_min: float
-    lam_max: float
-
-    @staticmethod
-    def check(A) -> "PsdMatrix":
-        A = np.asarray(A, float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("matrix must be square")
-        # both tests are relative, so a scaled-down A is judged like A itself
-        if float(abs(A - A.T).max()) > 1e-12 * float(abs(A).max()):
-            raise SetupError("matrix is not symmetric within 1e-12")
-        ev = np.linalg.eigvalsh(A)
-        if float(ev[0]) < -1e-10 * float(ev[-1]):
-            raise SetupError("matrix is not positive semidefinite")
-        return PsdMatrix(M=A, lam_min=float(ev[0]), lam_max=float(ev[-1]))
+def _psd_spectrum(M: Array) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a square M that is symmetric and PSD,
+    both tests relative to the size of M so that a scaled-down M is judged
+    like M itself; SetupError otherwise."""
+    if float(abs(M - M.T).max()) > 1e-12 * float(abs(M).max()):
+        raise SetupError("matrix is not symmetric within 1e-12")
+    ev = np.linalg.eigvalsh(M)
+    if float(ev[0]) < -1e-10 * float(ev[-1]):
+        raise SetupError("matrix is not positive semidefinite")
+    return float(ev[0]), float(ev[-1])
 
 
 def _well_conditioned(M: Array) -> bool:
@@ -99,7 +82,7 @@ def _well_conditioned(M: Array) -> bool:
     like (0.924 1 1^T on two coordinates gives a last entry of 1.5e-8, the
     root of a rounding error); the bordered system on such an M can be
     singular outright, so it is left to the descent.  False says nothing
-    more: PsdMatrix.check then decides between a singular PSD matrix, a
+    more: _psd_spectrum then decides between a singular PSD matrix, a
     near-symmetric one and one it refuses.
     """
     if not (M == M.T).all():
@@ -214,14 +197,13 @@ def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    A is an array or a PsdMatrix, whose bounds are not used: its matrix is
-    tested like an array.  On a simplex, a matrix that is symmetric bit for
-    bit and has a Cholesky factor whose diagonal entries are within a factor
+    A is an array.  On a simplex, a matrix that is symmetric bit for bit
+    and has a Cholesky factor whose diagonal entries are within a factor
     1e-5 of each other (so positive definite and not near singular) takes
     the exact KKT solve of _simplex_kkt from the reference point y.  tol
     plays no part in the exact solve.  Every other input is validated by
-    PsdMatrix.check, so the matrices accepted and refused are those of
-    PsdMatrix.check either way, and takes projected gradient descent along
+    _psd_spectrum, so the matrices accepted and refused are those of
+    _psd_spectrum either way, and takes projected gradient descent along
     A(x - y) with step 1/lam_max(A) (the gradient of the half-scaled
     objective, so every eigendirection contracts).  Each descent step
     costs one matrix-vector product: the product that evaluates the
@@ -238,7 +220,7 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     y = np.asarray(y, float)
     if y.shape != (domain.n,):
         raise DimensionMismatch("point has wrong dimension for domain")
-    M = np.asarray(A.M if isinstance(A, PsdMatrix) else A, float)
+    M = np.asarray(A, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if M.shape[0] != y.shape[0]:
@@ -248,19 +230,18 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
             return y.copy()
         return _simplex_kkt(M, y, np.zeros(y.size), x0)
 
-    psd = PsdMatrix.check(M)
+    lam_min, lam_max = _psd_spectrum(M)
     if domain.contains(y):
         return y.copy()
-    if psd.lam_max - psd.lam_min <= ZERO_TOL * psd.lam_max:  # A = 0 included
+    if lam_max - lam_min <= ZERO_TOL * lam_max:  # A = 0 included
         return project_domain(domain, y)
 
-    M = psd.M
     project = domain.project
     x = project(y) if x0 is None else np.asarray(x0, float)
     d = x - y
     g = M @ d
     fx = float(d @ g)
-    step = 1.0 / psd.lam_max
+    step = 1.0 / lam_max
     stop = tol * 1e-2
     for _ in range(PROJECT_CAP):
         x_new = project(x - step * g)

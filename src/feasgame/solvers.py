@@ -25,6 +25,12 @@ what a round is and in what the horizon's end certifies:
 Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
 
+verify_certificate re-checks an outcome with one route per kind: a Feasible
+point is re-evaluated, and an Infeasible or EpsilonInfeasible weight vector
+is proved by the certified descent of the descent module, whose Frank-Wolfe
+lower bound on min_x sum_j p_j r_j(x) (Jaggi, 2013) must exceed 0, or -eps.
+The bound is sound at every dimension and on every domain.
+
 Every round's TraceRecord goes to the solver's trace_sink as the round
 ends.  SolveResult.trace keeps a log-spaced sample of them, the
 records of rounds 1, 2, 4, ..., 2^k and of the last round, so the memory a
@@ -398,24 +404,8 @@ class VerificationReport:
     ok: bool
     method: str
     value: float | None = None
-    slack: float | None = None
     witness_index: int | None = None
     message: str = ""
-
-
-def _grid_certificate(problem: Problem, p: Array, threshold: float,
-                      resolution: float) -> VerificationReport:
-    X = problem.domain.grid(resolution)
-    mix = Mixture(problem, p)
-    vals = mix.value_batch(X)
-    k = int(np.argmin(vals))
-    gmin = float(vals[k])
-    sample = X[:: max(1, X.shape[0] // 256)]
-    gmax = max(float(np.linalg.norm(mix.gradient(x))) for x in sample)
-    slack = resolution * gmax
-    ok = gmin > threshold
-    msg = "" if ok else f"grid point with mixed residual {gmin:.6g} <= {threshold:.6g}"
-    return VerificationReport(ok=ok, method="grid", value=gmin, slack=slack, message=msg)
 
 
 def _pgd_certificate(problem: Problem, p: Array, threshold: float) -> VerificationReport:
@@ -429,14 +419,15 @@ def _pgd_certificate(problem: Problem, p: Array, threshold: float) -> Verificati
     return VerificationReport(ok=ok, method="pgd", value=res.lower_bound, message=msg)
 
 
-def verify_certificate(problem: Problem, outcome: Outcome, eps: float, *,
-                       method: str = "auto", resolution: float = 1e-3) -> VerificationReport:
+def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> VerificationReport:
     """Independent check of a solver outcome.
 
-    Feasible points are re-evaluated against eps.  Infeasibility weight
-    vectors are checked to keep the mixed residual above 0 (or above -eps
-    for the eps-relaxed claim) over a dense grid (n <= 3) or through the
-    certified descent lower bound.
+    Feasible points are re-evaluated against eps.  An infeasibility weight
+    vector p is accepted when the certified descent proves the mixed
+    residual min_x sum_j p_j r_j(x) above 0 (above -eps for the eps-relaxed
+    claim): the Frank-Wolfe lower bound at a descent iterate bounds that
+    minimum from below on every domain and at every n, so one route serves
+    them all and value is the lower bound it proved.
     """
     if isinstance(outcome, Feasible):
         res = residuals(problem, outcome.x)
@@ -453,15 +444,7 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float, *,
     if isinstance(outcome, (Infeasible, EpsilonInfeasible)):
         p = check_distribution(outcome.p_bar, problem.m)
         threshold = 0.0 if isinstance(outcome, Infeasible) else -eps
-        if method == "auto":
-            method = "grid" if problem.n <= 3 else "pgd"
-        if method == "grid":
-            if problem.n > 3:
-                raise SetupError("grid verification is limited to n <= 3")
-            return _grid_certificate(problem, p, threshold, resolution)
-        if method == "pgd":
-            return _pgd_certificate(problem, p, threshold)
-        raise SetupError(f"unknown verification method {method!r}")
+        return _pgd_certificate(problem, p, threshold)
     raise SetupError(f"not a solver outcome: {outcome!r}")
 
 

@@ -216,9 +216,9 @@ def test_criterion_11_ons_conditioning_stays_consistent():
         state = fg.ons_step(state, g, domain)
         assert float(np.max(np.abs(state.x - expected))) <= 1e-9
     assert (state.A == state.A.T).all()
-    psd = state.psd_matrix()
+    lam_min, lam_max = state.spectrum_bounds()
     ev = np.linalg.eigvalsh(state.A)
-    assert psd.lam_min <= ev[0] and ev[-1] <= psd.lam_max
+    assert lam_min <= ev[0] and ev[-1] <= lam_max
 
 
 def test_criterion_12_cli_exit_codes_and_standalone_reverification(tmp_path, capsys):

@@ -445,6 +445,27 @@ class TestCli:
         assert outcome["problem"]["domain"] == domain
         assert main(["verify", "--outcome", str(out)]) == 0
 
+    @pytest.mark.parametrize("domain", [
+        {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        {"kind": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+    ], ids=["ball", "box"])
+    def test_three_dimensional_certificate_solve_then_verify(self, tmp_path, capsys, domain):
+        # two disjoint balls of radius 0.5 around (+-0.8, 0, 0): the dual
+        # oracle fails at the first mixture, and verify proves that mixture
+        doc = {"version": 1, "domain": domain, "constraints": [
+            {"family": "norm_dist_sq", "center": [0.8, 0.0, 0.0], "c": 0.25},
+            {"family": "norm_dist_sq", "center": [-0.8, 0.0, 0.0], "c": 0.25},
+        ]}
+        path = write_problem(tmp_path, doc)
+        out, report = tmp_path / "outcome.json", tmp_path / "report.json"
+        assert main(["solve", "--problem", path, "--eps", "0.1", "--algo", "dual",
+                     "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["outcome"]["kind"] == "infeasible"
+        assert main(["verify", "--outcome", str(out), "--out", str(report)]) == 0
+        verdict = json.loads(report.read_text())
+        assert (verdict["ok"], verdict["method"]) == (True, "pgd")
+        assert sorted(verdict) == ["message", "method", "ok", "value", "witness_index"]
+
     def test_trace_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, INFEASIBLE_DOC)
         trace_path = tmp_path / "trace.csv"

@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses,
-and no code outside the domain classes branches on the kind of a domain.
+no code outside the domain classes branches on the kind of a domain, and
+only the brute-force reference scans a domain grid.
 
 A package ``__init__`` re-exports what it imports, so it is skipped; an
 import kept on purpose (names that call-site tracers wrap) carries
@@ -63,8 +64,8 @@ CAPABILITY_TESTS = {
 }
 
 
-def domain_kind_tests(text: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of each isinstance(_, Simplex|Ball|Box)."""
+def scoped_calls(text: str, matches) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call for which matches(call) holds."""
     found = []
 
     def visit(node, scope):
@@ -72,16 +73,26 @@ def domain_kind_tests(text: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "isinstance" and len(child.args) == 2):
-                kinds = child.args[1]
-                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-                if any(isinstance(k, ast.Name) and k.id in DOMAIN_CLASSES for k in names):
-                    found.append((".".join(scope), child.lineno))
+            if isinstance(child, ast.Call) and matches(child):
+                found.append((".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(text), ())
     return found
+
+
+def _is_domain_kind_test(call: ast.Call) -> bool:
+    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2):
+        return False
+    kinds = call.args[1]
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(k, ast.Name) and k.id in DOMAIN_CLASSES for k in names)
+
+
+def domain_kind_tests(text: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each isinstance(_, Simplex|Ball|Box)."""
+    return scoped_calls(text, _is_domain_kind_test)
 
 
 def test_domain_kinds_are_asked_only_where_a_capability_needs_it():
@@ -100,3 +111,31 @@ def test_the_check_sees_a_domain_kind_test():
               "    def g(self, d):\n"
               "        return isinstance(d, Simplex)\n")
     assert domain_kind_tests(source) == [("f", 2), ("C.g", 6)]
+
+
+# Grids are brute-force references, never proofs: a certificate is proved by
+# the certified descent at every dimension.
+GRID_CALLERS = {("harness/oracles.py", "brute_force_lambda_star")}
+
+
+def grid_calls(text: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of a method named grid."""
+    return scoped_calls(text, lambda call: (isinstance(call.func, ast.Attribute)
+                                            and call.func.attr == "grid"))
+
+
+def test_only_the_brute_force_reference_scans_a_grid():
+    stray = [f"{path.relative_to(SRC)}:{line} (in {scope or 'module'})"
+             for path in sorted(SRC.rglob("*.py"))
+             for scope, line in grid_calls(path.read_text())
+             if (str(path.relative_to(SRC)), scope) not in GRID_CALLERS]
+    assert not stray, "grid scan outside the brute-force reference: " + ", ".join(stray)
+
+
+def test_the_check_sees_a_grid_call():
+    source = ("def f(domain):\n"
+              "    return domain.grid(1e-3), domain._grid(1e-3), grid(0.1)\n"
+              "class C:\n"
+              "    def g(self, d):\n"
+              "        return min(d.grid(\n            0.5))\n")
+    assert grid_calls(source) == [("f", 2), ("C.g", 5)]

@@ -85,7 +85,7 @@ class TestOns:
         # a state built by hand proves nothing about its matrix, so the
         # projection tests it as before
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag([1.0, -1.0]))
-        assert s.psd_matrix() is None
+        assert s.spectrum_bounds() is None
         with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
             fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
 
@@ -127,7 +127,7 @@ class TestOns:
         # whose descent it gets bit for bit
         A = np.array([[2.0, 0.5], [0.5 * (1 + 2.0**-50), 1.0]])
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=0.5)
-        assert s.psd_matrix() is not None
+        assert s.spectrum_bounds() is not None
         assert not s.takes_exact_simplex_solve()
         g = np.array([0.3, 0.1])  # an interior answer, where the routes' bits differ
         y = s.x - np.linalg.solve(A, g) / s.beta
@@ -140,7 +140,7 @@ class TestOns:
         # online.MAX_CONDITION = 1e10 leaves the matrix to generalized_project
         A = np.diag([1e-6, top])
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=1e-6)
-        assert s.psd_matrix() is not None
+        assert s.spectrum_bounds() is not None
         assert s.takes_exact_simplex_solve() == exact
 
     def test_negative_gradient_steps_ascend(self):
@@ -189,11 +189,11 @@ def test_ons_matrix_bounds_hold_along_a_stream(stream):
     for _ in range(rounds):
         g = base + 1e-9 * rng.normal(size=n) if parallel else rng.normal(size=n)
         g *= G * rng.uniform() / np.linalg.norm(g)
-        psd = s.psd_matrix()
-        assert psd is not None
+        bounds = s.spectrum_bounds()
+        assert bounds is not None
         assert (s.A == s.A.T).all()
         ev = np.linalg.eigvalsh(s.A)
-        assert psd.lam_min <= ev[0] and ev[-1] <= psd.lam_max
+        assert bounds[0] <= ev[0] and ev[-1] <= bounds[1]
         assert s.takes_exact_simplex_solve()
         y = s.x - np.linalg.solve(s.A, g) / s.beta
         A = s.A
@@ -287,8 +287,17 @@ class TestMeasuredRegret:
             plays = [rng.dirichlet(np.ones(2)) for _ in range(8)]
             assert fg.measured_regret(costs, plays, SIMPLEX2) >= -1e-9
 
-    def test_hindsight_minimum_scans_grid(self):
+    def test_hindsight_minimum_of_affine_costs(self):
         f = fg.Affine(a=np.array([1.0, -1.0]), b=0.0)
         x, val = fg.hindsight_minimum([f, f], SIMPLEX2)
         assert np.allclose(x, [0.0, 1.0], atol=1e-9)
         assert val == pytest.approx(-2.0, abs=1e-9)
+
+    def test_hindsight_minimum_without_closed_form_is_exact(self):
+        # sum x_i log x_i over [0.1, 1]^2 is least at x = (1/e, 1/e), where
+        # it is -2/e; the descent reaches it to rounding at n = 2, which a
+        # grid of spacing 1e-3 misses by about 4e-8
+        box = fg.Box(lo=np.array([0.1, 0.1]), hi=np.ones(2))
+        x, val = fg.hindsight_minimum([fg.NegEntropy(n=2)], box)
+        assert abs(val + 2.0 / math.e) <= 1e-12
+        np.testing.assert_allclose(x, np.full(2, 1.0 / math.e), atol=1e-6)

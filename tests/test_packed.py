@@ -145,17 +145,13 @@ def test_packed_matches_scalar_reference(spec):
 def test_batch_values_match_scalar_reference(spec):
     problem, rng = build(spec)
     X = points(problem.domain, rng)
-    p = rng.dirichlet(np.ones(problem.m))
     refs = [scalar(problem, x) for x in X]
     if any(r is None for ref in refs for r, _ in ref):
         with pytest.raises(fg.EvaluationDomainError):
             fg.residuals_batch(problem, X)
-        with pytest.raises(fg.EvaluationDomainError):
-            fg.Mixture(problem, p).value_batch(X)
         return
     V = np.array([[r for r, _ in ref] for ref in refs])
     np.testing.assert_allclose(fg.residuals_batch(problem, X), V, **TOL)
-    np.testing.assert_allclose(fg.Mixture(problem, p).value_batch(X), V @ p, **TOL)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -184,28 +184,6 @@ class TestGeneralized:
         x = fg.generalized_project(y, A, fg.Simplex(n=2))
         assert np.array_equal(x, reference_generalized_project(y, A, fg.Simplex(n=2)))
 
-    def test_carrier_off_the_simplex_is_projected_like_its_array(self):
-        # a PsdMatrix's bounds change nothing on a ball either: the matrix
-        # is checked and descended on
-        A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        ball = fg.Ball(n=2, radius=0.5, center=np.zeros(2))
-        y = np.array([2.0, -1.0])
-        carrier = fg.PsdMatrix(M=A, lam_min=0.5, lam_max=3.0)
-        assert np.array_equal(fg.generalized_project(y, carrier, ball),
-                              fg.generalized_project(y, A, ball))
-        with pytest.raises(fg.SetupError, match="not positive semidefinite"):
-            fg.generalized_project(y, fg.PsdMatrix(M=np.diag([1.0, -1.0]), lam_min=0.5,
-                                                   lam_max=3.0), ball)
-
-    def test_lying_bounds_on_the_simplex_are_not_trusted(self):
-        # a PsdMatrix built by hand proves nothing: its matrix is tested
-        # like an array, so an indefinite one is refused as before
-        lying = fg.PsdMatrix(M=np.diag([1.0, -1.0]), lam_min=0.5, lam_max=3.0)
-        with pytest.raises(fg.SetupError, match="not positive semidefinite"):
-            fg.generalized_project(np.array([2.0, -1.0]), lying, fg.Simplex(n=2))
-        with pytest.raises(fg.SetupError, match="not positive semidefinite"):
-            fg.generalized_project(np.array([2.0, -1.0]), np.diag([1.0, -1.0]), fg.Simplex(n=2))
-
     @pytest.mark.parametrize("y, A", [
         (np.array([0.0, 0.99999]), np.diag([1.0009765625, 1.0])),
         (np.array([0.0, 0.2631, 0.73689999]),
@@ -221,9 +199,18 @@ class TestGeneralized:
         _, best = _face_minimum(y, A, x > 0)
         assert abs(_objective_in_rationals(x, y, A) / best - 1) <= 1e-12
 
-    def test_psd_matrix_carries_extreme_eigenvalues(self):
-        psd = fg.PsdMatrix.check(np.diag([3.0, 0.5, 2.0]))
-        assert (psd.lam_min, psd.lam_max) == pytest.approx((0.5, 3.0), abs=1e-14)
+    def test_psd_spectrum_is_the_extreme_eigenvalues(self):
+        spectrum = fg.projections._psd_spectrum(np.diag([3.0, 0.5, 2.0]))
+        assert spectrum == pytest.approx((0.5, 3.0), abs=1e-14)
+
+    def test_descent_route_refusals_name_the_defect(self):
+        # off the simplex every matrix is tested before the descent
+        ball = fg.Ball(n=2, radius=0.5, center=np.zeros(2))
+        y = np.array([2.0, -1.0])
+        with pytest.raises(fg.SetupError, match="matrix is not symmetric within 1e-12"):
+            fg.generalized_project(y, np.array([[1.0, 0.5], [0.0, 1.0]]), ball)
+        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+            fg.generalized_project(y, np.diag([1.0, -1.0]), ball)
 
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(fg.SetupError):
@@ -474,8 +461,6 @@ def test_generalized_project_is_bit_identical_to_reference(case):
                     assert best <= best_ref * (1 + 1e-12)
     else:
         assert np.array_equal(new, ref)
-    # a PsdMatrix's bounds are not taken on trust: its matrix gets the array's bits
-    assert np.array_equal(fg.generalized_project(y, fg.PsdMatrix.check(A), domain, x0=x0), new)
 
 
 @st.composite

@@ -20,6 +20,14 @@ def norm_sq_problem(n=2, c=0.0):
     return fg.make_problem([fg.NormDistSq(center=np.zeros(n), c=c)], fg.Simplex(n=n))
 
 
+def far_balls_problem(domain):
+    """||x - a||^2 <= 0.25 and ||x + a||^2 <= 0.25 with |a| = 0.8 in 3-D:
+    two disjoint balls, so infeasible on any domain."""
+    a = np.array([0.8, 0.0, 0.0])
+    return fg.make_problem([fg.NormDistSq(center=a, c=0.25), fg.NormDistSq(center=-a, c=0.25)],
+                           domain)
+
+
 def caps_problem():
     """Two affine caps x_i <= 0.6 on Simplex(2): feasible, no curvature."""
     return fg.make_problem(
@@ -509,11 +517,51 @@ class TestVerification:
         claim = fg.Feasible(x=np.array([0.5, 0.5]), residuals=np.array([-1.0]))
         assert fg.verify_certificate(prob, claim, 0.0).ok
 
-    def test_grid_limited_to_small_dimension(self):
-        prob = norm_sq_problem(n=4)
-        with pytest.raises(fg.SetupError):
-            fg.verify_certificate(prob, fg.Infeasible(p_bar=np.array([1.0])), 0.1,
-                                  method="grid")
+    def test_false_certificate_in_low_dimension_is_refused(self):
+        # f = ||x - c||^2 - 2.5e-7 is -2.5e-7 at its center c on the simplex,
+        # so the system is feasible, yet f is positive at every point of a
+        # grid of spacing 1e-3: a proof must not rest on sampled values
+        prob = fg.make_problem([fg.NormDistSq(center=np.array([0.5005, 0.4995]), c=2.5e-7)],
+                               fg.Simplex(n=2))
+        rep = fg.verify_certificate(prob, fg.Infeasible(p_bar=np.array([1.0])), 0.1)
+        assert rep.method == "pgd"
+        assert not rep.ok
+        assert rep.value <= 0.0
+
+    @pytest.mark.parametrize("domain", [
+        fg.Ball(n=3, radius=1.0, center=np.zeros(3)),
+        fg.Box(lo=-np.ones(3), hi=np.ones(3)),
+    ], ids=["ball", "box"])
+    def test_three_dimensional_certificates_verify(self, domain):
+        prob = far_balls_problem(domain)
+        out = fg.dual_game_opt(prob, 0.1).outcome
+        assert isinstance(out, fg.Infeasible)
+        rep = fg.verify_certificate(prob, out, 0.1)
+        assert rep.method == "pgd"
+        assert rep.ok
+        # half of each: ||x||^2 + 0.64 - 0.25 is least at 0
+        assert rep.value == pytest.approx(0.39, abs=1e-9)
+
+    def test_certificate_descents_close_in_a_few_steps(self, monkeypatch):
+        # near the minimum the line search's differences drop below
+        # rounding; a step that still doubled there would bounce around the
+        # minimizer and run each descent to its 200,000-step cap
+        steps = []
+        descend = solvers.minimize_over_domain
+
+        def counted(*args, **kwargs):
+            res = descend(*args, **kwargs)
+            steps.append(res.iterations)
+            return res
+
+        # the dual oracle descends through the descent module's own name, so
+        # only the certificate descents are counted
+        monkeypatch.setattr(solvers, "minimize_over_domain", counted)
+        for seed in range(100, 112):
+            prob = fg.make_strict_qp(3, 3, h_target=1.0, feasible=False, seed=seed)
+            assert fg.verify_certificate(prob, fg.dual_game_opt(prob, 0.1).outcome, 0.1).ok
+        assert len(steps) == 12
+        assert max(steps) < 100
 
     def test_descent_certificate_for_larger_dimension(self):
         prob = norm_sq_problem(n=4)
