@@ -76,6 +76,7 @@ from .solvers import (
     Exhausted,
     Feasible,
     Infeasible,
+    OUTCOMES,
     Outcome,
     SolveResult,
     TraceRecord,
@@ -89,6 +90,7 @@ from .solvers import (
 )
 from .reductions import approx_translate, log_transform, strictify, strictify_guarantee
 from .problems import (
+    GENERATORS,
     GeneratorSpec,
     make_crp_problem,
     make_entropy_problem,

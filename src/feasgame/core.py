@@ -131,10 +131,11 @@ def _mesh(lo: Array, hi: Array, resolution: float) -> Array:
 class _Domain:
     """What a domain provides besides its file ``tag`` and dimension ``n``.
 
-    In closed form: ``contains(x, tol)``, the first iterate ``start()``,
-    ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of ||x||_2),
-    ``linear_minimum(c)`` (argmin and min of c.x), ``affine_interval(a, b)``
-    (the range of a.x + b) and the Euclidean projection ``project(y)``.
+    In closed form: ``contains(x)`` (up to DIST_TOL), the first iterate
+    ``start()``, ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of
+    ||x||_2), ``linear_minimum(c)`` (argmin and min of c.x),
+    ``affine_interval(a, b)`` (the range of a.x + b) and the Euclidean
+    projection ``project(y)``.
     ``grid`` and ``sample`` give points for the brute-force oracles.
     """
 
@@ -172,8 +173,11 @@ def _ranks(n: int) -> Array:
 def simplex_threshold(y) -> float:
     """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
 
-    Raises SetupError for input with a NaN or an infinity that leaves no
-    shift; finite input always has one.
+    Raises SetupError where no float shift exists: for input with a NaN or
+    +inf, with every entry -inf, or whose largest entries are so large
+    (about 2^53 and up) that each candidate shift rounds to the entry it
+    should lie below.  project_simplex projects the last kind by shifting
+    the input first.
     """
     y = np.asarray(y, float)
     if y.ndim != 1 or y.size == 0:
@@ -185,16 +189,33 @@ def simplex_threshold(y) -> float:
     cand = (u.cumsum() - 1.0) / _ranks(y.size)
     try:
         rho = (u > cand).nonzero()[0][-1]
-    except IndexError:  # only a NaN or an infinity leaves no candidate above
-        raise SetupError("simplex projection needs finite input") from None
+    except IndexError:  # no entry lies above its candidate
+        raise SetupError("no float simplex threshold exists for this input: it has a "
+                         "NaN or +inf, no finite entry, or entries too large for a "
+                         "shift below them") from None
     return float(cand[rho])
 
 
 def project_simplex(y) -> Array:
     """Euclidean projection of y onto the probability simplex of its length:
-    the exact sort-and-threshold procedure, O(n log n)."""
+    the exact sort-and-threshold procedure, O(n log n).
+
+    The projection does not change when every entry moves by the same
+    amount, so input too large for a float threshold is projected as
+    y - max(y).  Raises SetupError for input with a NaN or +inf, or with
+    every entry -inf.
+    """
     y = np.asarray(y, float)
-    x = y - simplex_threshold(y)
+    try:
+        a = simplex_threshold(y)
+    except SetupError:
+        top = y.max()
+        if not -np.inf < top < np.inf:  # a NaN or +inf, or every entry -inf
+            raise SetupError("simplex projection needs a finite entry and no NaN "
+                             "or +inf") from None
+        y = y - top
+        a = simplex_threshold(y)
+    x = y - a
     np.maximum(x, 0.0, out=x)
     return x
 
@@ -209,10 +230,10 @@ class Simplex(_Domain):
     def __post_init__(self):
         object.__setattr__(self, "n", _dimension(self.n, "simplex"))
 
-    def contains(self, x, tol: float = DIST_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, float)
         return x.shape == (self.n,) and bool(
-            (x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol)
+            (x >= -DIST_TOL).all() and abs(float(x.sum()) - 1.0) <= DIST_TOL)
 
     def start(self) -> Array:
         return np.full(self.n, 1.0 / self.n)
@@ -282,10 +303,10 @@ class Ball(_Domain):
         object.__setattr__(self, "n", c.shape[0])
         object.__setattr__(self, "center", _freeze(c))
 
-    def contains(self, x, tol: float = DIST_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, float)
         return x.shape == (self.n,) and bool(
-            np.linalg.norm(x - self.center) <= self.radius + tol)
+            np.linalg.norm(x - self.center) <= self.radius + DIST_TOL)
 
     def start(self) -> Array:
         return self.center.copy()
@@ -360,10 +381,10 @@ class Box(_Domain):
             raise SetupError("box has lo > hi in some coordinate")
         object.__setattr__(self, "n", self.lo.shape[0])
 
-    def contains(self, x, tol: float = DIST_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, float)
         return x.shape == (self.n,) and bool(
-            np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+            np.all(x >= self.lo - DIST_TOL) and np.all(x <= self.hi + DIST_TOL))
 
     def start(self) -> Array:
         return 0.5 * (self.lo + self.hi)
@@ -920,12 +941,11 @@ def estimate_parameters(problem: Problem) -> ProblemParams:
     return _estimate(problem.constraints, problem.domain, problem.sense)
 
 
-def make_problem(constraints, domain: Domain, params: ProblemParams | None = None,
-                 sense: str = "min") -> Problem:
+def make_problem(constraints, domain: Domain, sense: str = "min") -> Problem:
+    """The problem with the constants estimated from its constraints."""
     constraints = tuple(constraints)
-    if params is None:
-        params = _estimate(constraints, domain, sense)
-    return Problem(constraints=constraints, domain=domain, params=params, sense=sense)
+    return Problem(constraints=constraints, domain=domain,
+                   params=_estimate(constraints, domain, sense), sense=sense)
 
 
 # ---------------------------------------------------------------------------

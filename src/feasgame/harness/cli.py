@@ -8,16 +8,16 @@ Exit codes: 0 feasible / success, 2 infeasible (either kind of certificate),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from ..core import SetupError
-from ..problems import GeneratorSpec
+from ..problems import GENERATORS, GeneratorSpec
 from ..reductions import log_transform, strictify
 from ..solvers import EpsilonInfeasible, Exhausted, Feasible, Infeasible, TraceRecord
 from .experiments import regret_experiment, run_solver, scaling_experiment
 from .io import (
-    _GENERATOR_FIELDS,
     canonical_json,
     emit_outcome_document,
     outcome_document,
@@ -28,6 +28,7 @@ from .oracles import verify_outcome_document
 
 TRACE_HEADER = "iter,violated_index,violation,game_loss,regret_bound,elapsed_ns"
 
+# The --family short name of each generator family.
 _FAMILY_BY_TAG = {
     "qp": "strict_qp",
     "lp": "perceptron_lp",
@@ -35,6 +36,8 @@ _FAMILY_BY_TAG = {
     "entropy": "entropy",
     "crp": "crp",
 }
+
+_EXIT_CODES = {Feasible: 0, Infeasible: 2, EpsilonInfeasible: 2, Exhausted: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,20 +120,21 @@ def _cmd_solve(args) -> int:
                            original=original if transforms else None,
                            transforms=transforms, eps_original=eps_original)
     _write_text(args.out, emit_outcome_document(doc))
-    if isinstance(result.outcome, Feasible):
-        return 0
-    if isinstance(result.outcome, (Infeasible, EpsilonInfeasible)):
-        return 2
-    if isinstance(result.outcome, Exhausted):
-        return 3
-    raise SetupError(f"unmapped outcome {result.outcome!r}")
+    return _EXIT_CODES[type(result.outcome)]
+
+
+def _generator_spec(args) -> GeneratorSpec:
+    return GeneratorSpec(family=_FAMILY_BY_TAG[args.family], n=args.n, m=args.m,
+                         seed=args.seed, h_target=args.h_target,
+                         feasible=not args.infeasible, margin=args.margin,
+                         c=args.c, t_days=args.t_days)
 
 
 def _cmd_gen(args) -> int:
-    family = _FAMILY_BY_TAG[args.family]
-    knobs = dict(vars(args), feasible=not args.infeasible)
-    gen = {"family": family, "n": args.n}
-    gen.update((key, knobs[key]) for key in _GENERATOR_FIELDS[family])
+    spec = _generator_spec(args)
+    _, knobs = GENERATORS[spec.family]
+    gen = {"family": spec.family, "n": spec.n,
+           **{key: getattr(spec, key) for key in knobs}}
     doc = {"version": 1, "generator": gen}
     problem_from_doc(doc)  # reject bad knobs before writing anything
     _write_text(args.out, canonical_json(doc))
@@ -143,13 +147,9 @@ def _cmd_experiment(args) -> int:
             raise SetupError("regret experiments need --learner")
         report = regret_experiment(args.learner, T=args.t, seeds=args.seeds)
     else:
-        spec = GeneratorSpec(family=_FAMILY_BY_TAG[args.family], n=args.n,
-                             m=args.m, seed=args.seed, h_target=args.h_target,
-                             feasible=not args.infeasible, margin=args.margin,
-                             c=args.c, t_days=args.t_days)
         if args.eps_ladder is None:
             raise SetupError("scaling experiments need --eps-ladder")
-        report = scaling_experiment(spec, args.algo, args.learner,
+        report = scaling_experiment(_generator_spec(args), args.algo, args.learner,
                                     args.eps_ladder, max_iters=args.max_iters)
     _write_text(args.out, canonical_json(report.to_doc()))
     return 0
@@ -157,14 +157,18 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_outcome_document(Path(args.outcome).read_text())
-    _write_text(args.out, canonical_json({
-        "ok": report.ok,
-        "method": report.method,
-        "value": report.value,
-        "witness_index": report.witness_index,
-        "message": report.message,
-    }))
+    _write_text(args.out, canonical_json(dataclasses.asdict(report)))
     return 0 if report.ok else 1
+
+
+def _add_knob_flags(p: argparse.ArgumentParser) -> None:
+    """The GeneratorSpec knobs that gen and experiment both take."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--h-target", type=float, default=1.0)
+    p.add_argument("--infeasible", action="store_true")
+    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--c", type=float, default=0.05)
+    p.add_argument("--t-days", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,12 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), required=True)
     pg.add_argument("--n", type=int, required=True)
     pg.add_argument("--m", type=int, default=1)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--h-target", type=float, default=1.0)
-    pg.add_argument("--infeasible", action="store_true")
-    pg.add_argument("--margin", type=float, default=0.1)
-    pg.add_argument("--c", type=float, default=0.05)
-    pg.add_argument("--t-days", type=int, default=5)
+    _add_knob_flags(pg)
     pg.add_argument("--out", default=None, metavar="FILE")
     pg.set_defaults(func=_cmd_gen)
 
@@ -213,12 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="E1,E2,...")
     pe.add_argument("--n", type=int, default=10)
     pe.add_argument("--m", type=int, default=20)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--h-target", type=float, default=1.0)
-    pe.add_argument("--infeasible", action="store_true")
-    pe.add_argument("--margin", type=float, default=0.1)
-    pe.add_argument("--c", type=float, default=0.05)
-    pe.add_argument("--t-days", type=int, default=5)
+    _add_knob_flags(pe)
     pe.add_argument("--max-iters", type=int, default=None)
     pe.add_argument("--out", default=None, metavar="FILE")
     pe.set_defaults(func=_cmd_experiment)

@@ -85,8 +85,9 @@ class SignsRun(NamedTuple):
     advantage: float
 
 
-def mw_signs_regret(T: int, seed: int, *, eta: float | None = None) -> SignsRun:
-    """MW on the two-expert +/-1 stream (costs g_t = (r_t, -r_t), G_inf = 1).
+def mw_signs_regret(T: int, seed: int) -> SignsRun:
+    """MW on the two-expert +/-1 stream (costs g_t = (r_t, -r_t), G_inf = 1)
+    at the learning rate mw_learning_rate(2, T).
 
     Closed-form fast path: with weights w1 = prod(1 - eta r_s) and
     w2 = prod(1 + eta r_s), the played loss at round t is
@@ -98,8 +99,7 @@ def mw_signs_regret(T: int, seed: int, *, eta: float | None = None) -> SignsRun:
         raise SetupError("T must be >= 1")
     rng = np.random.default_rng(seed)
     r = rng.integers(0, 2, T) * 2.0 - 1.0
-    if eta is None:
-        eta = mw_learning_rate(2, T)
+    eta = mw_learning_rate(2, T)
     c = math.log1p(eta) - math.log1p(-eta)
     S = np.cumsum(r)
     S_prev = np.concatenate([[0.0], S[:-1]])

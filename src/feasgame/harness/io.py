@@ -5,6 +5,13 @@ explicit constraint list or a generator spec.  Parsing is strict: unknown
 fields are rejected by name, with the offending path in the message.
 Emission is canonical (sorted keys, two-space indent, trailing newline) so
 parse/emit round-trips are byte-stable.
+
+One field table serves every tagged object.  A domain's or an outcome's
+"kind", and a constraint's "family", picks its class from DOMAINS, OUTCOMES
+or FAMILIES; the class's dataclass fields are the object's other fields,
+and each field's annotation names its codec in _FIELD_CODECS.  A generator
+object's "family" picks a row of GENERATORS, whose knobs are the fields it
+may carry besides n, typed by their GeneratorSpec annotations.
 """
 
 from __future__ import annotations
@@ -16,29 +23,14 @@ import math
 
 import numpy as np
 
-from ..core import (
-    DOMAINS,
-    FAMILIES,
-    ConstraintFn,
-    Domain,
-    Problem,
-    ProblemParams,
-    make_problem,
-)
-from ..problems import GeneratorSpec, make_problem_from_spec
-from ..solvers import (
-    EpsilonInfeasible,
-    Exhausted,
-    Feasible,
-    Infeasible,
-    Outcome,
-    SolveResult,
-)
+from ..core import DOMAINS, FAMILIES, ConstraintFn, Problem, ProblemParams, make_problem
+from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
+from ..solvers import OUTCOMES, Outcome, SolveResult
 
 PROBLEM_VERSION = 1
 OUTCOME_VERSION = 1
 
-_PARAM_KEYS = ("G", "H", "omega", "D", "G_inf", "alpha")
+_PARAM_KEYS = tuple(field.name for field in dataclasses.fields(ProblemParams))
 
 
 class ProblemFileError(ValueError):
@@ -107,18 +99,19 @@ def _matrix(v, path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Domains and constraints: a tag field picks the class, whose dataclass
-# fields are the other fields of the object
+# Tagged objects: a tag field picks the class, whose dataclass fields are
+# the other fields of the object
 
 
-def _tagged_class(obj, path: str, key: str, table: dict, what: str) -> type:
+def _tagged(obj, path: str, key: str, table: dict, what: str):
+    """The entry of table that the object's tag field names."""
     if not isinstance(obj, dict) or key not in obj:
         raise ProblemFileError(f"{path}: expected an object with a '{key}' field")
     tag = obj[key]
-    cls = table.get(tag) if isinstance(tag, str) else None
-    if cls is None:
+    entry = table.get(tag) if isinstance(tag, str) else None
+    if entry is None:
         raise ProblemFileError(f"{path}.{key}: unknown {what} {tag!r}")
-    return cls
+    return entry
 
 
 def _build(cls, obj, path: str):
@@ -130,9 +123,10 @@ def _build(cls, obj, path: str):
         raise ProblemFileError(f"{path}: {e}") from e
 
 
-def _parse_domain(obj, path: str) -> Domain:
-    cls = _tagged_class(obj, path, "kind", DOMAINS, "domain kind")
-    # a domain object lists every field, defaults or not
+def _parse_kind(obj, path: str, table: dict, what: str):
+    """A domain or an outcome: its "kind" picks the class from table, and
+    the object lists every field, defaults or not."""
+    cls = _tagged(obj, path, "kind", table, what)
     _check_keys(obj, path, ("kind",) + tuple(name for name, *_ in _codecs(cls)))
     return _build(cls, obj, path)
 
@@ -147,7 +141,7 @@ def _symmetric(v, path: str) -> np.ndarray:
 
 
 def _parse_constraint(obj, path: str) -> ConstraintFn:
-    cls = _tagged_class(obj, path, "family", FAMILIES, "constraint family")
+    cls = _tagged(obj, path, "family", FAMILIES, "constraint family")
     codecs = _codecs(cls)
     _check_keys(obj, path, ("family",) + tuple(name for name, _, _, req in codecs if req),
                 tuple(name for name, _, _, req in codecs if not req))
@@ -155,21 +149,22 @@ def _parse_constraint(obj, path: str) -> ConstraintFn:
 
 
 def _fields_doc(key: str, obj) -> dict:
-    """The document of a domain (key "kind") or a constraint (key "family")."""
+    """The document of a domain or an outcome (key "kind") or a constraint
+    (key "family")."""
     return {key: obj.tag,
             **{name: emit(getattr(obj, name)) for name, _, emit, _ in _codecs(type(obj))}}
 
 
 @functools.cache
 def _codecs(cls) -> tuple:
-    """(name, parse, emit, required) for each field of a family's or a
-    domain's dataclass."""
+    """(name, parse, emit, required) for each field of a family's, a
+    domain's or an outcome's dataclass."""
     return tuple((f.name, *_FIELD_CODECS[f.type], f.default is dataclasses.MISSING)
                  for f in dataclasses.fields(cls))
 
 
-# A field's annotation, in a constraint family, a domain or GeneratorSpec,
-# names its (parse, emit) pair.
+# A field's annotation, in a constraint family, a domain, an outcome or
+# GeneratorSpec, names its (parse, emit) pair.
 _FIELD_CODECS = {
     "bool": (_boolean, bool),
     "Vector": (_vector, np.ndarray.tolist),
@@ -185,26 +180,13 @@ _FIELD_CODECS = {
 # Generator specs
 
 
-_GENERATOR_FIELDS = {
-    "strict_qp": ("m", "seed", "h_target", "feasible"),
-    "perceptron_lp": ("m", "seed", "margin", "feasible"),
-    "portfolio_risk": ("m", "seed"),
-    "entropy": ("m", "seed", "c"),
-    "crp": ("seed", "c", "t_days"),
-}
-
-
 def _parse_generator(obj, path: str) -> GeneratorSpec:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ProblemFileError(f"{path}: expected an object with a 'family' field")
-    fam = obj["family"]
-    if not isinstance(fam, str) or fam not in _GENERATOR_FIELDS:
-        raise ProblemFileError(f"{path}.family: unknown generator family {fam!r}")
-    _check_keys(obj, path, ("family", "n"), _GENERATOR_FIELDS[fam])
+    _, knobs = _tagged(obj, path, "family", GENERATORS, "generator family")
+    _check_keys(obj, path, ("family", "n"), knobs)
     types = {field.name: field.type for field in dataclasses.fields(GeneratorSpec)}
     kwargs = {key: _FIELD_CODECS[types[key]][0](obj[key], f"{path}.{key}")
-              for key in _GENERATOR_FIELDS[fam] if key in obj}
-    return GeneratorSpec(family=fam, n=_integer(obj["n"], f"{path}.n"), **kwargs)
+              for key in knobs if key in obj}
+    return GeneratorSpec(family=obj["family"], n=_integer(obj["n"], f"{path}.n"), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +225,7 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
     else:
         if "domain" not in doc:
             raise ProblemFileError("problem.domain: missing")
-        domain = _parse_domain(doc["domain"], "problem.domain")
+        domain = _parse_kind(doc["domain"], "problem.domain", DOMAINS, "domain kind")
         raw = doc["constraints"]
         if not isinstance(raw, list) or not raw:
             raise ProblemFileError("problem.constraints: expected a nonempty array")
@@ -308,37 +290,11 @@ def emit_problem_file(problem: Problem) -> str:
 
 
 def outcome_to_doc(outcome: Outcome) -> dict:
-    if isinstance(outcome, Feasible):
-        return {"kind": "feasible", "x": outcome.x.tolist(),
-                "residuals": outcome.residuals.tolist()}
-    if isinstance(outcome, Infeasible):
-        return {"kind": "infeasible", "p_bar": outcome.p_bar.tolist()}
-    if isinstance(outcome, EpsilonInfeasible):
-        return {"kind": "epsilon_infeasible", "p_bar": outcome.p_bar.tolist()}
-    return {"kind": "exhausted", "best_x": outcome.best_x.tolist(),
-            "best_violation": float(outcome.best_violation)}
+    return _fields_doc("kind", outcome)
 
 
 def outcome_from_doc(obj) -> Outcome:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ProblemFileError("outcome: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "feasible":
-        _check_keys(obj, "outcome", ("kind", "x", "residuals"))
-        return Feasible(x=_vector(obj["x"], "outcome.x"),
-                        residuals=_vector(obj["residuals"], "outcome.residuals"))
-    if kind == "infeasible":
-        _check_keys(obj, "outcome", ("kind", "p_bar"))
-        return Infeasible(p_bar=_vector(obj["p_bar"], "outcome.p_bar"))
-    if kind == "epsilon_infeasible":
-        _check_keys(obj, "outcome", ("kind", "p_bar"))
-        return EpsilonInfeasible(p_bar=_vector(obj["p_bar"], "outcome.p_bar"))
-    if kind == "exhausted":
-        _check_keys(obj, "outcome", ("kind", "best_x", "best_violation"))
-        return Exhausted(best_x=_vector(obj["best_x"], "outcome.best_x"),
-                         best_violation=_real(obj["best_violation"],
-                                              "outcome.best_violation"))
-    raise ProblemFileError(f"outcome.kind: unknown outcome kind {kind!r}")
+    return _parse_kind(obj, "outcome", OUTCOMES, "outcome kind")
 
 
 def outcome_document(result: SolveResult, problem: Problem, *,

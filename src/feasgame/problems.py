@@ -35,9 +35,9 @@ _EIG_PAD = 1e-10
 class GeneratorSpec:
     """Name plus knobs for one reproducible instance.
 
-    family is one of strict_qp, perceptron_lp, portfolio_risk, entropy, crp.
-    Knobs a family does not use are ignored (m doubles as T_days for crp
-    via the t_days field).
+    family is a key of GENERATORS, whose row lists the knobs that family's
+    builder takes; it ignores the others (crp takes t_days, not m).  A
+    field's annotation is its problem-file type.
     """
 
     family: str
@@ -222,17 +222,19 @@ def make_crp_problem(n: int, t_days: int, c: float = 0.05, seed: int = 0) -> Pro
     return make_problem(constraints, Simplex(n))
 
 
+# The generator families by name: each one's builder and the GeneratorSpec
+# knobs it passes to the builder, by keyword, after n.
+GENERATORS = {
+    "strict_qp": (make_strict_qp, ("m", "seed", "h_target", "feasible")),
+    "perceptron_lp": (make_perceptron_lp, ("m", "seed", "margin", "feasible")),
+    "portfolio_risk": (make_portfolio_risk, ("m", "seed")),
+    "entropy": (make_entropy_problem, ("m", "seed", "c")),
+    "crp": (make_crp_problem, ("seed", "c", "t_days")),
+}
+
+
 def make_problem_from_spec(spec: GeneratorSpec) -> Problem:
-    if spec.family == "strict_qp":
-        return make_strict_qp(spec.n, spec.m, h_target=spec.h_target,
-                              feasible=spec.feasible, seed=spec.seed)
-    if spec.family == "perceptron_lp":
-        return make_perceptron_lp(spec.n, spec.m, margin=spec.margin,
-                                  feasible=spec.feasible, seed=spec.seed)
-    if spec.family == "portfolio_risk":
-        return make_portfolio_risk(spec.n, spec.m, seed=spec.seed)
-    if spec.family == "entropy":
-        return make_entropy_problem(spec.n, spec.m, c=spec.c, seed=spec.seed)
-    if spec.family == "crp":
-        return make_crp_problem(spec.n, spec.t_days, c=spec.c, seed=spec.seed)
-    raise SetupError(f"unknown generator family {spec.family!r}")
+    if spec.family not in GENERATORS:
+        raise SetupError(f"unknown generator family {spec.family!r}")
+    build, knobs = GENERATORS[spec.family]
+    return build(spec.n, **{key: getattr(spec, key) for key in knobs})

@@ -2,7 +2,8 @@
 
 The Euclidean projections are the domains' own project methods
 (core.project_simplex is the simplex's, which rejects input with a NaN or
-an infinity with SetupError); project_domain calls them by domain.
++inf, or with every entry -inf, with SetupError); project_domain calls them
+by domain.
 
 generalized_project minimizes (x - y).A(x - y) over the domain.  On a
 simplex with a positive-definite A it is exact: an active-set solve of the

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .core import (
     Problem,
     SetupError,
     Simplex,
+    Vector,
     check_distribution,
     mixed_gradient,
     residual_gradient,
@@ -87,39 +88,54 @@ class CertificateContradiction(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Outcomes and trace records
+#
+# Each outcome kind is one frozen dataclass holding its outcome-document
+# ``tag`` and its fields, annotated with their file types as a domain's
+# are; OUTCOMES maps document kinds to the classes.
 
 
 @dataclass(frozen=True, eq=False)
 class Feasible:
-    """eps-approximately feasible point with its residual vector."""
+    """eps-approximately feasible point with its residual vector; an
+    outcome document of kind "feasible" carries both."""
 
-    x: Array
-    residuals: Array
+    tag = "feasible"
+    x: Vector
+    residuals: Vector
 
 
 @dataclass(frozen=True, eq=False)
 class Infeasible:
-    """Distribution certifying min_x sum_j p_j r_j(x) > 0."""
+    """Distribution certifying min_x sum_j p_j r_j(x) > 0 (document kind
+    "infeasible")."""
 
-    p_bar: Array
+    tag = "infeasible"
+    p_bar: Vector
 
 
 @dataclass(frozen=True, eq=False)
 class EpsilonInfeasible:
-    """Distribution certifying min_x sum_j p_j r_j(x) > -eps."""
+    """Distribution certifying min_x sum_j p_j r_j(x) > -eps (document kind
+    "epsilon_infeasible")."""
 
-    p_bar: Array
+    tag = "epsilon_infeasible"
+    p_bar: Vector
 
 
 @dataclass(frozen=True, eq=False)
 class Exhausted:
-    """Iteration cap hit below the theoretical horizon; best iterate seen."""
+    """Iteration cap hit below the theoretical horizon; best iterate seen
+    and its worst violation (document kind "exhausted")."""
 
-    best_x: Array
+    tag = "exhausted"
+    best_x: Vector
     best_violation: float
 
 
 Outcome = Union[Feasible, Infeasible, EpsilonInfeasible, Exhausted]
+
+# The outcome kinds by outcome-document kind.
+OUTCOMES = {cls.tag: cls for cls in get_args(Outcome)}
 
 
 @dataclass(frozen=True)

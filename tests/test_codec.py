@@ -5,7 +5,10 @@ the same bytes; the property test below checks that on random problems of
 every family over all three domains, in both senses.
 """
 
+import dataclasses
+import inspect
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import feasgame as fg
 from conftest import FAMILY_KINDS, random_constraint, random_domain
 from feasgame.harness import (
     ProblemFileError,
+    cli,
     emit_outcome_document,
     emit_problem_file,
     outcome_document,
@@ -154,7 +158,7 @@ class TestDomainFields:
             parse_problem_file(doc_with(self.AFFINE, {"kind": "torus"}))
 
 
-OUTCOMES = [
+OUTCOME_SAMPLES = [
     fg.Feasible(x=np.array([0.25, 0.75]), residuals=np.array([-0.5])),
     fg.Infeasible(p_bar=np.array([1.0])),
     fg.EpsilonInfeasible(p_bar=np.array([1.0])),
@@ -162,7 +166,7 @@ OUTCOMES = [
 ]
 
 
-@pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("outcome", OUTCOME_SAMPLES, ids=lambda o: type(o).__name__)
 def test_every_outcome_kind_round_trips(outcome):
     doc = outcome_to_doc(outcome)
     again = outcome_from_doc(json.loads(json.dumps(doc)))
@@ -170,7 +174,7 @@ def test_every_outcome_kind_round_trips(outcome):
     assert outcome_to_doc(again) == doc
 
 
-@pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("outcome", OUTCOME_SAMPLES, ids=lambda o: type(o).__name__)
 def test_every_outcome_kind_survives_a_document(outcome):
     problem = parse_problem_file(doc_with(TestDomainFields.AFFINE))
     result = fg.SolveResult(outcome=outcome, trace=(), iterations=3, T_star=3, ended_by="horizon",
@@ -179,3 +183,31 @@ def test_every_outcome_kind_survives_a_document(outcome):
     doc = parse_outcome_document(text)
     assert emit_outcome_document(doc) == text
     assert type(outcome_from_doc(doc["outcome"])) is type(outcome)
+
+
+# ---------------------------------------------------------------------------
+# The tables the document layer reads: a generator family's row names the
+# builder's keyword parameters, the CLI names every family, and every
+# outcome kind has a document kind.
+
+
+@pytest.mark.parametrize("family", sorted(fg.GENERATORS))
+def test_generator_knobs_are_the_builders_parameters(family):
+    build, knobs = fg.GENERATORS[family]
+    spec_fields = {field.name for field in dataclasses.fields(fg.GeneratorSpec)}
+    first, *rest = inspect.signature(build).parameters
+    assert first == "n"
+    assert set(knobs) <= spec_fields
+    assert sorted(knobs) == sorted(rest)
+
+
+def test_the_cli_names_every_generator_family():
+    assert sorted(cli._FAMILY_BY_TAG.values()) == sorted(fg.GENERATORS)
+
+
+def test_every_outcome_kind_has_a_document_kind():
+    kinds = typing.get_args(fg.Outcome)
+    assert set(fg.OUTCOMES.values()) == set(kinds)
+    assert len(fg.OUTCOMES) == len(kinds)
+    assert all(fg.OUTCOMES[cls.tag] is cls for cls in kinds)
+    assert {type(o) for o in OUTCOME_SAMPLES} == set(kinds)

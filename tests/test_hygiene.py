@@ -81,18 +81,24 @@ def scoped_calls(text: str, matches) -> list[tuple[str, int]]:
     return found
 
 
-def _is_domain_kind_test(call: ast.Call) -> bool:
-    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
-            and len(call.args) == 2):
-        return False
-    kinds = call.args[1]
-    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-    return any(isinstance(k, ast.Name) and k.id in DOMAIN_CLASSES for k in names)
+def kind_tests(text: str, classes: set[str]) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each isinstance(_, C) that names one
+    of the classes, alone or in a tuple."""
+
+    def matches(call: ast.Call) -> bool:
+        if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                and len(call.args) == 2):
+            return False
+        kinds = call.args[1]
+        names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(isinstance(k, ast.Name) and k.id in classes for k in names)
+
+    return scoped_calls(text, matches)
 
 
 def domain_kind_tests(text: str) -> list[tuple[str, int]]:
     """(enclosing function, line) of each isinstance(_, Simplex|Ball|Box)."""
-    return scoped_calls(text, _is_domain_kind_test)
+    return kind_tests(text, DOMAIN_CLASSES)
 
 
 def test_domain_kinds_are_asked_only_where_a_capability_needs_it():
@@ -111,6 +117,26 @@ def test_the_check_sees_a_domain_kind_test():
               "    def g(self, d):\n"
               "        return isinstance(d, Simplex)\n")
     assert domain_kind_tests(source) == [("f", 2), ("C.g", 6)]
+
+
+# The document layer reads an outcome's kind off its class (its tag and
+# fields, the CLI's exit code); the certificate checks and the scaling
+# experiment are the only places that ask an outcome for its kind.
+OUTCOME_CLASSES = {"Feasible", "Infeasible", "EpsilonInfeasible", "Exhausted"}
+
+
+@pytest.mark.parametrize("path", ["harness/io.py", "harness/cli.py"])
+def test_the_document_layer_never_asks_an_outcome_its_kind(path):
+    assert kind_tests((SRC / path).read_text(), OUTCOME_CLASSES) == []
+
+
+def test_the_check_sees_an_outcome_kind_test():
+    source = ("def code(outcome):\n"
+              "    if isinstance(outcome, Feasible):\n"
+              "        return 0\n"
+              "    return 2 if isinstance(outcome, (Infeasible, EpsilonInfeasible)) else 3\n"
+              "EXIT = {Feasible: 0, Exhausted: 3}\n")
+    assert kind_tests(source, OUTCOME_CLASSES) == [("code", 2), ("code", 4)]
 
 
 # Grids are brute-force references, never proofs: a certificate is proved by

@@ -301,18 +301,29 @@ _simplex_entry = st.one_of(
 @example(np.array([1e308, 1e308, 1.0]))
 @example(np.array([-np.inf, 0.25, -np.inf]))
 @example(np.array([-np.inf]))
+@example(np.array([1e17]))
+@example(np.array([1e16, 0.0]))
+@example(np.array([1e16, 1e16]))
+@example(np.array([3e300, -3e300, 1.0]))
 def test_simplex_threshold_is_bit_identical_to_reference(y):
     # the threshold and projection of the sort, cumsum, arange and
-    # u - cand > 0 form, bit for bit; where that form finds no candidate
-    # (every entry -inf, or sums that overflow) the projection refuses
+    # u - cand > 0 form, bit for bit.  Where that form finds no candidate
+    # (every entry -inf, sums that overflow, or entries so large that each
+    # candidate rounds to its entry) the threshold refuses, and the
+    # projection is the reference projection of y - max(y), which has the
+    # same exact answer, unless no entry is finite
     with np.errstate(all="ignore"):
         try:
             want = _reference_threshold(y)
         except IndexError:
-            with pytest.raises(fg.SetupError, match="finite"):
+            with pytest.raises(fg.SetupError, match="threshold"):
                 fg.simplex_threshold(y)
-            with pytest.raises(fg.SetupError, match="finite"):
-                fg.project_simplex(y)
+            if np.isneginf(y).all():
+                with pytest.raises(fg.SetupError, match="finite"):
+                    fg.project_simplex(y)
+            else:
+                shifted = _reference_simplex(y - y.max())
+                assert fg.project_simplex(y).tobytes() == shifted.tobytes()
             return
         assert fg.simplex_threshold(y).hex() == want.hex()
         assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()

@@ -1,12 +1,15 @@
 """Strong-convexity injection and the exp-concave log rewrite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import feasgame as fg
-from conftest import interior_simplex
+from conftest import interior_simplex, random_constraint, random_domain
 
 
 def affine_problem(rows, offsets, n):
@@ -160,6 +163,44 @@ class TestLogTransform:
         out = fg.log_transform(prob)
         with pytest.raises(fg.SetupError):
             fg.log_transform(out)
+
+
+def exact_width(f, domain):
+    """max |a.x + b| over the domain, from the points where it is attained:
+    the simplex's vertices, the box's corners, or the ball's two points on
+    the line through its center along a."""
+    if isinstance(domain, fg.Simplex):
+        X = np.eye(domain.n)
+    elif isinstance(domain, fg.Box):
+        X = np.array(list(itertools.product(*zip(domain.lo, domain.hi))))
+    else:
+        u = f.a / max(np.linalg.norm(f.a), 1e-300)
+        X = np.array([domain.center + domain.radius * u, domain.center - domain.radius * u])
+    return float(np.max(np.abs(X @ f.a + f.b)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 5), st.integers(1, 3),
+       st.sampled_from([0.25, 0.999, 1.0, 1.001, 4.0]), st.integers(0, 2**32 - 1))
+def test_log_transform_refuses_exactly_below_the_width(kind, n, m, factor, seed):
+    # the exact interval check is the whole width precondition: log_transform
+    # refuses omega below the exact width, and on a problem it accepts no
+    # sampled domain point has |f_j| above omega
+    rng = np.random.default_rng(seed)
+    domain = random_domain(kind, rng, n)
+    prob = fg.make_problem([random_constraint("affine", rng, domain) for _ in range(m)],
+                           domain)
+    width = max(exact_width(f, prob.domain) for f in prob.constraints)
+    assume(width > 1e-3)
+    omega = factor * width
+    if factor < 1.0:
+        with pytest.raises(fg.SetupError, match="exceeds width omega"):
+            fg.log_transform(prob, omega)
+        return
+    fg.log_transform(prob, omega)
+    X = prob.domain.sample(1000, seed=seed)
+    for f in prob.constraints:
+        assert np.abs(X @ f.a + f.b).max() <= omega * (1 + 1e-9)
 
 
 class TestApproxTranslate:
