@@ -43,6 +43,7 @@ from .core import (
     residual_gradient,
     residual_gradients,
     residuals,
+    residuals_and_mixed_gradient,
     residuals_batch,
     separation_oracle,
     simplex_threshold,

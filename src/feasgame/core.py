@@ -31,11 +31,13 @@ into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
 ``1/omega`` and ``e`` folded in), so residuals, the mixed gradient, single
 rows and batch values cost a few vector operations per call; norm
 distances, entropies and log barriers go through their own methods one at a
-time.  :class:`Mixture` fixes one weight vector and collapses the affine and
-quadratic constraints into one quadratic form for the optimization oracle
-and the certificate checks.  At the sizes the solvers run at, a call costs
-numpy's Python dispatch more than arithmetic, so the per-round code calls
-ndarray methods rather than their ``np.`` wrappers.
+time.  A primal-dual round takes its residuals and mixed gradient from one
+pass (:func:`residuals_and_mixed_gradient`).  :class:`Mixture` fixes one
+weight vector and collapses the affine and quadratic constraints into one
+quadratic form for the optimization oracle and the certificate checks.
+At the sizes the solvers run at, a call costs numpy's Python dispatch more
+than arithmetic, so the per-round code calls ndarray methods rather than
+their ``np.`` wrappers.
 """
 
 from __future__ import annotations
@@ -170,8 +172,24 @@ def _ranks(n: int) -> Array:
     return _freeze(np.arange(1, n + 1))
 
 
+# Longest input whose threshold scan runs as a Python loop over a list.
+# The loop's cost grows with n and the array form's dispatch does not; on a
+# 2-core VM (Python 3.11, numpy 2.4) the two met at 36 to 40 entries, at
+# about 4 us, with the loop at 1.9 us against 3.8 us at n = 10.
+SCAN_MAX = 32
+
+
 def simplex_threshold(y) -> float:
     """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
+
+    Sort descending, take the candidates (u_1 + ... + u_k - 1) / k with the
+    partial sums added in order, and return the last candidate below its
+    entry.  A candidate of -inf, which a partial sum that overflows gives
+    (two entries of -1e308), is never taken: input with a finite entry has
+    its threshold at or above max(y) - 1.  Up to SCAN_MAX entries the scan
+    is a Python loop over the sorted list, above it the cumsum form; both do
+    the same float operations, so they agree bit for bit.  numpy's sort puts
+    a NaN last, where Python's sorted would not.
 
     Raises SetupError where no float shift exists: for input with a NaN or
     +inf, with every entry -inf, or whose largest entries are so large
@@ -185,15 +203,25 @@ def simplex_threshold(y) -> float:
     # ndarray methods skip the np.sort/np.cumsum/np.nonzero wrappers
     u = y.copy()
     u.sort()
-    u = u[::-1]
-    cand = (u.cumsum() - 1.0) / _ranks(y.size)
-    try:
-        rho = (u > cand).nonzero()[0][-1]
-    except IndexError:  # no entry lies above its candidate
+    a = None
+    if y.size <= SCAN_MAX:
+        s = 0.0
+        for k, v in enumerate(reversed(u.tolist()), 1):
+            s += v
+            c = (s - 1.0) / k
+            if v > c > -math.inf:
+                a = c
+    else:
+        u = u[::-1]
+        cand = (u.cumsum() - 1.0) / _ranks(y.size)
+        above = ((u > cand) & (cand > -np.inf)).nonzero()[0]
+        if above.size:
+            a = float(cand[above[-1]])
+    if a is None:  # no entry lies above its candidate
         raise SetupError("no float simplex threshold exists for this input: it has a "
                          "NaN or +inf, no finite entry, or entries too large for a "
-                         "shift below them") from None
-    return float(cand[rho])
+                         "shift below them")
+    return a
 
 
 def project_simplex(y) -> Array:
@@ -955,8 +983,10 @@ def make_problem(constraints, domain: Domain, sense: str = "min") -> Problem:
 # their positions in the problem.  ``values`` and ``rows`` return raw family
 # values or gradient rows together with ``bad``: None when every constraint
 # is on its analytic domain, otherwise the boolean mask of those off it
-# (their entries are NaN).  ``row(i, x)`` is one gradient row and raises
-# off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
+# (their entries are NaN).  ``both`` returns values, rows and ``bad`` from
+# one pass, sharing what the two have in common (A x for quadratics, the
+# log argument for log-affines).  ``row(i, x)`` is one gradient row and
+# raises off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
 # sum_i w_i f_i(x) = x.M x + q.x + c (M None when zero), or None for a
 # family that is not quadratic.
 
@@ -1005,6 +1035,10 @@ class _Group:
             return None
         return i, None if bad is not None and bad[i] else float(r[i])
 
+    def both(self, x):
+        v, bad = self.values(x)
+        return v, self.rows(x)[0], bad
+
     def quadratic_form(self, w):
         return None
 
@@ -1051,6 +1085,10 @@ class _Quadratics(_Group):
 
     def rows(self, x):
         return 2.0 * self._Ax(x) + self.B, None
+
+    def both(self, x):
+        Ax = self._Ax(x)
+        return (Ax + self.B) @ x + self.c, 2.0 * Ax + self.B, None
 
     def row(self, i, x):
         return 2.0 * (self.A[i] @ x) + self.B[i]
@@ -1109,6 +1147,10 @@ class _LogAffines(_Group):
     def rows(self, x):
         z, bad = _positive(self.R @ x + self.d)
         return _mark(self.R / z[:, None], bad)
+
+    def both(self, x):
+        z, bad = _positive(self.R @ x + self.d)
+        return _mark(np.log(z), bad)[0], _mark(self.R / z[:, None], bad)[0], bad
 
     def row(self, i, x):
         arg = math.e + float(_rowdot(self.a[i], x) + self.b[i]) / self.omega[i]
@@ -1212,32 +1254,32 @@ class Packed:
         """Smoothness bound of each constraint (inf where unbounded)."""
         return np.array([f.smoothness(self.domain) for f in self.constraints])
 
-    def gather(self, rows: bool, x: Array) -> tuple[Array, Array | None]:
-        """Raw values (or gradient rows) of all constraints, in order."""
+    def gather(self, part: str, x) -> list[Array]:
+        """The group pass named part ("values", "rows" or "both") over all
+        constraints at x: its raw arrays, in constraint order.  Raises the
+        error of the lowest constraint off its analytic domain, if any."""
+        x = _as_point(x, self.n)
         if self._single is not None:
-            return self._single.rows(x) if rows else self._single.values(x)
-        out = np.empty((self.m, self.n) if rows else self.m)
-        bad = None
-        for g in self.groups:
-            v, b = g.rows(x) if rows else g.values(x)
-            out[g.idx] = v
-            if b is not None:
-                if bad is None:
-                    bad = np.zeros(self.m, bool)
-                bad[g.idx] = b
-        return out, bad
+            *outs, bad = getattr(self._single, part)(x)
+        else:
+            outs, bad = None, None
+            for g in self.groups:
+                *arrays, b = getattr(g, part)(x)
+                if outs is None:
+                    outs = [np.empty((self.m,) + a.shape[1:]) for a in arrays]
+                for out, a in zip(outs, arrays):
+                    out[g.idx] = a
+                if b is not None:
+                    if bad is None:
+                        bad = np.zeros(self.m, bool)
+                    bad[g.idx] = b
+        if bad is not None and bad.any():
+            raise self.off_domain(int(bad.argmax()), x)
+        return outs
 
     def off_domain(self, j: int, x: Array) -> EvaluationDomainError:
         group, row = self.where[j]
         return group.error(row, x)
-
-    def gradients(self, x) -> Array:
-        """Unoriented gradient rows at x; raises if any is off its domain."""
-        x = _as_point(x, self.n)
-        G, bad = self.gather(True, x)
-        if bad is not None and bad.any():
-            raise self.off_domain(int(bad.argmax()), x)
-        return G
 
 
 class Mixture:
@@ -1329,23 +1371,36 @@ def residual_gradient(problem: Problem, j: int, x) -> Array:
 def residuals(problem: Problem, x) -> Array:
     """All residuals at x; raises EvaluationDomainError if any is off its domain."""
     pk = problem.packed
-    x = _as_point(x, pk.n)
-    v, bad = pk.gather(False, x)
-    if bad is not None and bad.any():
-        raise pk.off_domain(int(bad.argmax()), x)
+    (v,) = pk.gather("values", x)
     return 1.0 - v if pk.flip else v
 
 
 def residual_gradients(problem: Problem, x) -> Array:
     """(m, n) residual gradients at x, one row per constraint."""
-    G = problem.packed.gradients(x)
-    return -G if problem.packed.flip else np.array(G)
+    pk = problem.packed
+    (G,) = pk.gather("rows", x)
+    return -G if pk.flip else np.array(G)
+
+
+def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, Array]:
+    """residuals(problem, x) and sum_j p_j grad r_j(x), for any weight vector
+    p, from one evaluation pass; raises what residuals raises.
+
+    Bit for bit residuals(problem, x) and p times the families' own
+    gradient rows, negated afterwards for sense "max" (which is
+    p @ residual_gradients(problem, x) up to the sign of a zero).  A
+    primal-dual round needs both at the same point, and the pass shares
+    what values and gradient rows have in common.
+    """
+    pk = problem.packed
+    v, G = pk.gather("both", x)
+    g = p @ G
+    return (1.0 - v, -g) if pk.flip else (v, g)
 
 
 def mixed_gradient(problem: Problem, p: Array, x) -> Array:
     """sum_j p_j grad r_j(x) over all constraints, for any weight vector p."""
-    g = p @ problem.packed.gradients(x)
-    return -g if problem.packed.flip else g
+    return residuals_and_mixed_gradient(problem, p, x)[1]
 
 
 def residuals_batch(problem: Problem, X) -> Array:

@@ -14,6 +14,7 @@ Three learners, used as the players inside the game solvers:
   plays the normalized weight vector.  Regret O(G_inf sqrt(T log n)).
 
 States are immutable; each step returns a fresh state with t advanced by 1.
+ONS and MW refuse a gradient with a NaN or an infinity with SetupError.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
         raise SetupError("OGD needs a positive strong-convexity modulus H")
     g = np.asarray(grad, float)
     y = state.x - g / (state.H * state.t)
-    return OgdState(x=project_domain(domain, y), t=state.t + 1, H=state.H)
+    return OgdState(project_domain(domain, y), state.t + 1, state.H)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +145,18 @@ class OnsState:
           about n t eta / 2 and lowers T below tau by as much, which with
           the factors above stays under 3 n t eta of the 8 n t eta in b.
 
-        None when lam_min <= 0: the argument above then does not apply, and
-        generalized_project must test A itself.  So it is at once for a
-        state built by hand, whose default scale = 0 proves nothing.
+        None when lam_min <= 0 or T < scale: the argument above then does
+        not apply, and generalized_project must test A itself.  So it is at
+        once for a state built by hand, whose default scale = 0 proves
+        nothing, and for one whose A cannot have been built from its scale,
+        since every state built so has T >= max C_ii >= scale.
         """
         if not self.scale > 0:
             return None
         trace = float(self.A.trace())
         b = 8.0 * self.A.shape[0] * self.t * (_U * trace + _ETA)
         lam_min = self.scale - b
-        if not lam_min > 0:
+        if not (lam_min > 0 and trace >= self.scale):
             return None
         return lam_min, trace + b
 
@@ -189,21 +192,23 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     plus O(k^3) per free set of k > 1 coordinates tried.  Elsewhere (a
     ball, a box, a state built by hand) one O(n^3) linear solve gives y for
     generalized_project, which tests A.  A gradient with a NaN or an
-    infinity, and a singular A, raise SetupError.
+    infinity, and a singular A (on either route), raise SetupError.
     """
     g = np.asarray(grad, float)
     if not np.isfinite(g).all():
         raise SetupError("ONS gradient must be finite")
     A = state.A
-    if isinstance(domain, Simplex) and state.takes_exact_simplex_solve():
-        x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
-    else:
-        try:
+    exact = isinstance(domain, Simplex) and state.takes_exact_simplex_solve()
+    try:
+        if exact:
+            x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
+        else:
             Ag = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise DimensionMismatch("ONS matrix A must be square") from None
-            raise SetupError("ONS matrix A is singular") from None
+    except np.linalg.LinAlgError:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionMismatch("ONS matrix A must be square") from None
+        raise SetupError("ONS matrix A is singular") from None
+    if not exact:
         y = state.x + (-1.0 / state.beta) * Ag
         x_new = generalized_project(y, A, domain, x0=state.x)
     # column-times-row products are np.outer without its wrapper
@@ -244,7 +249,8 @@ def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState
 
 def mw_point(state: MwState) -> Array:
     """The played point: weights normalized to the simplex."""
-    return state.w / float(state.w.sum())
+    # np.add.reduce is the sum w.sum() runs, without its Python wrapper
+    return state.w / float(np.add.reduce(state.w))
 
 
 def mw_step(state: MwState, grad) -> MwState:
@@ -252,31 +258,41 @@ def mw_step(state: MwState, grad) -> MwState:
 
     If a gradient entry exceeds the current G_inf in magnitude the scale
     grows to the largest value encountered so far, so weights stay positive
-    without a priori knowledge of the payoff range.
+    without a priori knowledge of the payoff range.  A gradient with a NaN
+    or an infinity raises SetupError.
     """
     g = np.asarray(grad, float)
     if g.shape != state.w.shape:
         raise SetupError("gradient dimension does not match the weight vector")
     g_inf = state.G_inf
+    # numpy's max passes a NaN on, so one reduction finds max |g| and
+    # refuses a NaN or an infinity
     observed = float(abs(g).max()) if g.size else 0.0
+    if not observed < math.inf:
+        raise SetupError("MW gradient must be finite")
     if observed > g_inf:
         g_inf = observed
     if g_inf > 0:
         factor = (state.eta / g_inf) * g
         scale = 1.0 - factor if state.direction == "min" else 1.0 + factor
         # eta <= 1/2 and |g_i| <= g_inf keep every multiplier in [1/2, 3/2],
-        # so a nonpositive weight can only be underflow; floor it
+        # so a nonpositive weight can only be underflow; floor it.  The
+        # exact extremes come off a list at about half the cost of w.max(),
+        # and the floor runs only when some weight is below it
         w = state.w * scale
-        np.maximum(w, 1e-300, out=w)
-        mx = float(w.max())
+        wl = w.tolist()
+        mx = max(wl)
+        if min(wl) < 1e-300:
+            np.maximum(w, 1e-300, out=w)
+            mx = max(mx, 1e-300)
         if mx > 1e100 or mx < 1e-100:
             # plays are weight ratios, so a common rescale is invisible
             w /= mx
             np.maximum(w, 1e-300, out=w)
     else:
         w = state.w.copy()
-    return MwState(w=w, t=state.t + 1, eta=state.eta,
-                   G_inf=g_inf, direction=state.direction)
+    # positional fields build a frozen state faster than keywords
+    return MwState(w, state.t + 1, state.eta, g_inf, state.direction)
 
 
 # ---------------------------------------------------------------------------

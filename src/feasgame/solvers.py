@@ -57,9 +57,9 @@ from .core import (
     Simplex,
     Vector,
     check_distribution,
-    mixed_gradient,
     residual_gradient,
     residuals,
+    residuals_and_mixed_gradient,
     separation_oracle,
 )
 from .descent import minimize_over_domain, optimization_oracle
@@ -392,12 +392,13 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     def round_() -> _Round:
         nonlocal state, dual, x_sum, p_sum
         x_t, p_t = player.play(state), weights.play(dual)
-        r = residuals(problem, x_t)
+        r, g = residuals_and_mixed_gradient(problem, p_t, x_t)
         x_sum += x_t
         p_sum += p_t
-        state = player.step(state, mixed_gradient(problem, p_t, x_t))
+        state = player.step(state, g)
         dual = weights.step(dual, r)
-        return x_t, None, float(r.max()), float(p_t @ r), None
+        # MW refuses a NaN in r, so the list's max is r's
+        return x_t, None, max(r.tolist()), float(p_t @ r), None
 
     def horizon_outcome(T: int) -> Outcome:
         x_bar = x_sum / T

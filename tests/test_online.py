@@ -97,6 +97,27 @@ class TestOns:
         with pytest.raises(fg.DimensionMismatch, match="ONS matrix A must be square"):
             fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
 
+    @pytest.mark.parametrize("g", [[1.0, 0.0], [3.0, -1.0], [0.0, 1.0]])
+    def test_scale_that_contradicts_the_matrix_proves_nothing(self, g):
+        # trace(A) = 0 < scale, which no state built from its scale has: the
+        # proven bounds used to be (1.0, 8e-323), and the exact solve then
+        # died in np.linalg.solve on a singular bordered matrix
+        s = fg.OnsState(x=np.array([1.0, 0.0]), t=1, beta=0.5, A=np.diag([1.0, -1.0]),
+                        scale=1.0)
+        assert s.spectrum_bounds() is None
+        assert not s.takes_exact_simplex_solve()
+        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+            fg.ons_step(s, np.array(g), fg.Simplex(n=2))
+
+    def test_singular_bordered_matrix_on_the_exact_route_is_refused(self):
+        # trace 5 >= scale 1 proves bounds, yet A is indefinite: the free set
+        # {0, 1} borders diag(1, -1), which is singular
+        s = fg.OnsState(x=np.array([0.5, 0.5, 0.0]), t=1, beta=0.5,
+                        A=np.diag([1.0, -1.0, 5.0]), scale=1.0)
+        assert s.takes_exact_simplex_solve()
+        with pytest.raises(fg.SetupError, match="ONS matrix A is singular"):
+            fg.ons_step(s, np.array([1.0, 0.0, 0.0]), fg.Simplex(n=3))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("domain", [
         fg.Simplex(n=2),  # the exact solve from A x - g / beta
@@ -236,6 +257,17 @@ class TestMw:
             p = fg.mw_point(s)
             assert abs(np.sum(p) - 1.0) <= 1e-9
             assert np.all(p > 0)
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_gradient_is_refused(self, direction, bad, at):
+        # a NaN used to leave a NaN weight, and every played weight NaN
+        s = fg.init_mw(3, eta=0.1, G_inf=1.0, direction=direction)
+        g = [0.5, -0.2, 0.1]
+        g[at] = bad
+        with pytest.raises(fg.SetupError, match="MW gradient must be finite"):
+            fg.mw_step(s, g)
 
     def test_long_horizon_does_not_underflow(self):
         s = fg.init_mw(2, eta=0.5, G_inf=1.0)

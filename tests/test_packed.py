@@ -3,10 +3,12 @@
 Every family, both senses and all three domains: residuals, single-row and
 mixed gradients, batch values, the fixed-weight Mixture, and the separation
 oracle's rule (the lowest index that is violated or off its analytic domain
-decides; off the domain raises).
+decides; off the domain raises).  The one-pass residuals and mixed gradient
+of a primal-dual round are pinned bit for bit to the separate passes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +140,39 @@ def test_packed_matches_scalar_reference(spec):
             grad = sum((p[j] * ref[j][1] for j in on), np.zeros(problem.n))
             assert mix.value(x) == pytest.approx(value, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(mix.gradient(x), grad, **TOL)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problems, st.sampled_from(["dense", "sparse", "signed"]))
+def test_one_pass_is_bit_identical_to_the_separate_passes(spec, weights):
+    problem, rng = build(spec)
+    p = rng.dirichlet(np.ones(problem.m))
+    if weights == "sparse":
+        p[rng.random(problem.m) < 0.5] = 0.0
+    elif weights == "signed":  # any weight vector, not only a distribution
+        p = rng.normal(size=problem.m)
+    for x in points(problem.domain, rng):
+        ref = scalar(problem, x)
+        off = [j for j, (r, _) in enumerate(ref) if r is None]
+        if off:
+            # the lowest constraint off its domain decides, with its own message
+            with pytest.raises(fg.EvaluationDomainError) as lowest:
+                fg.evaluate(problem.constraints[off[0]], x)
+            own = dict(match=f"^{re.escape(str(lowest.value))}$")
+            with pytest.raises(fg.EvaluationDomainError, **own):
+                fg.residuals(problem, x)
+            with pytest.raises(fg.EvaluationDomainError, **own):
+                fg.residuals_and_mixed_gradient(problem, p, x)
+            with pytest.raises(fg.EvaluationDomainError, **own):
+                fg.mixed_gradient(problem, p, x)
+            continue
+        r, g = fg.residuals_and_mixed_gradient(problem, p, x)
+        assert r.tobytes() == fg.residuals(problem, x).tobytes()
+        # the family's own rows mixed, then oriented: -0.0 and 0.0 stay apart
+        G = fg.residual_gradients(problem, x)
+        mixed = -(p @ -G) if problem.sense == "max" else p @ G
+        assert g.tobytes() == mixed.tobytes()
+        assert g.tobytes() == fg.mixed_gradient(problem, p, x).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -7,9 +7,11 @@ import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import feasgame as fg
 from feasgame import projections
+from feasgame.core import SCAN_MAX
 
 
 def grid_argmin(domain, y, resolution=1e-3):
@@ -273,10 +275,12 @@ def _face_minimum(y, A, support):
 
 
 def _reference_threshold(y):
+    # a -inf candidate comes from a partial sum that overflowed, never from
+    # the threshold, which lies at or above max(y) - 1
     u = np.sort(y)[::-1]
     css = np.cumsum(u)
     cand = (css - 1.0) / np.arange(1, y.size + 1)
-    rho = int(np.nonzero(u - cand > 0)[0][-1])
+    rho = int(np.nonzero((u - cand > 0) & (cand > -np.inf))[0][-1])
     return float(cand[rho])
 
 
@@ -292,8 +296,16 @@ _simplex_entry = st.one_of(
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(st.lists(_simplex_entry, min_size=1, max_size=8).map(np.array))
+# lengths on both sides of core.SCAN_MAX, below which the scan is a loop
+# over a list, and up to 200
+_simplex_input = st.one_of(
+    st.lists(_simplex_entry, min_size=1, max_size=8).map(np.array),
+    hnp.arrays(float, st.integers(1, 200), elements=_simplex_entry),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_simplex_input)
 @example(np.array([0.3]))
 @example(np.array([-7.0]))
 @example(np.array([0.5, 0.5, 0.5]))
@@ -305,6 +317,9 @@ _simplex_entry = st.one_of(
 @example(np.array([1e16, 0.0]))
 @example(np.array([1e16, 1e16]))
 @example(np.array([3e300, -3e300, 1.0]))
+@example(np.array([0.0, 0.0, -1e308, -1e308]))
+@example(np.array([-1e308, -1e308]))
+@example(np.full(40, -1e308))
 def test_simplex_threshold_is_bit_identical_to_reference(y):
     # the threshold and projection of the sort, cumsum, arange and
     # u - cand > 0 form, bit for bit.  Where that form finds no candidate
@@ -327,6 +342,44 @@ def test_simplex_threshold_is_bit_identical_to_reference(y):
             return
         assert fg.simplex_threshold(y).hex() == want.hex()
         assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, SCAN_MAX - 1, SCAN_MAX, SCAN_MAX + 1, 100, 200])
+def test_simplex_threshold_scans_agree_at_every_length(n, rng):
+    # the list loop and the cumsum form on both sides of the crossover, on
+    # spread, tied and clustered entries
+    for y in (rng.normal(size=n) * rng.uniform(0.01, 100), np.full(n, 0.5),
+              np.round(rng.normal(size=n), 1), 1e6 + rng.normal(size=n)):
+        assert fg.simplex_threshold(y).hex() == _reference_threshold(y).hex()
+        assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, SCAN_MAX, SCAN_MAX + 1, 200])
+@pytest.mark.parametrize("case", ["nan", "+inf", "all -inf", "large"])
+def test_simplex_threshold_refusals_on_both_sides_of_the_scan(n, case):
+    y = np.linspace(-1.0, 1.0, n)
+    if case == "nan":
+        y[n // 2] = np.nan
+    elif case == "+inf":
+        y[n - 1] = np.inf
+    elif case == "all -inf":
+        y[:] = -np.inf
+    else:  # every candidate rounds to the entry it should lie below
+        y[:2], y[2:] = 1e308, 1.0
+    # the cumsum forms overflow, or meet inf - inf, on the way
+    with np.errstate(all="ignore"):
+        with pytest.raises(IndexError):
+            _reference_threshold(y)
+        with pytest.raises(fg.SetupError, match="threshold"):
+            fg.simplex_threshold(y)
+        if case == "large":  # projected as y - max(y), which has the same answer
+            want = _reference_simplex(y - y.max())
+            assert fg.project_simplex(y).tobytes() == want.tobytes()
+            # the shifted tail of -1e308 overflows its partial sums
+            assert np.array_equal(want, [0.5, 0.5] + [0.0] * (n - 2))
+        else:
+            with pytest.raises(fg.SetupError, match="finite"):
+                fg.project_simplex(y)
 
 
 def _reference_project_domain(domain, y):

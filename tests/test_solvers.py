@@ -409,8 +409,9 @@ def test_trace_memory_does_not_grow_with_the_horizon():
 
 # the layer functions the solvers call through their module, where the
 # benchmark's tracer wraps them
-LAYERS = ("separation_oracle", "residuals", "residual_gradient", "optimization_oracle",
-          "minimize_over_domain", "ons_step", "ogd_step", "mw_step", "mw_point")
+LAYERS = ("separation_oracle", "residuals", "residual_gradient", "residuals_and_mixed_gradient",
+          "optimization_oracle", "minimize_over_domain", "ons_step", "ogd_step", "mw_step",
+          "mw_point")
 
 
 def expected_layer_calls(algo, learner, out):
@@ -427,8 +428,9 @@ def expected_layer_calls(algo, learner, out):
     elif algo == "dual":
         calls.update(optimization_oracle=rounds, mw_point=rounds, mw_step=steps,
                      residuals=steps + horizon)
-    else:
-        calls.update(mw_point=rounds, mw_step=rounds, residuals=rounds + horizon)
+    else:  # one evaluation pass per round; the horizon's x_bar takes residuals
+        calls.update(mw_point=rounds, mw_step=rounds, residuals_and_mixed_gradient=rounds,
+                     residuals=horizon)
     if learner == "mw":
         calls["mw_point"] += rounds
         calls["mw_step"] += steps
