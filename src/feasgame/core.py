@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Union, get_args
 
 import numpy as np
@@ -166,19 +166,6 @@ class _Domain:
         return self._sample(np.random.default_rng(seed), count)
 
 
-@lru_cache(maxsize=64)
-def _ranks(n: int) -> Array:
-    """The read-only divisors 1, 2, ..., n of the threshold candidates."""
-    return _freeze(np.arange(1, n + 1))
-
-
-# Longest input whose threshold scan runs as a Python loop over a list.
-# The loop's cost grows with n and the array form's dispatch does not; on a
-# 2-core VM (Python 3.11, numpy 2.4) the two met at 36 to 40 entries, at
-# about 4 us, with the loop at 1.9 us against 3.8 us at n = 10.
-SCAN_MAX = 32
-
-
 def simplex_threshold(y) -> float:
     """Shift a with sum_i max(y_i - a, 0) = 1; exact up to float arithmetic.
 
@@ -186,10 +173,10 @@ def simplex_threshold(y) -> float:
     partial sums added in order, and return the last candidate below its
     entry.  A candidate of -inf, which a partial sum that overflows gives
     (two entries of -1e308), is never taken: input with a finite entry has
-    its threshold at or above max(y) - 1.  Up to SCAN_MAX entries the scan
-    is a Python loop over the sorted list, above it the cumsum form; both do
-    the same float operations, so they agree bit for bit.  numpy's sort puts
-    a NaN last, where Python's sorted would not.
+    its threshold at or above max(y) - 1.  The scan is a Python loop over
+    the sorted list, with the float operations of the cumsum form, so the
+    two agree bit for bit.  numpy's sort puts a NaN last, where Python's
+    sorted would not.
 
     Raises SetupError where no float shift exists: for input with a NaN or
     +inf, with every entry -inf, or whose largest entries are so large
@@ -200,23 +187,16 @@ def simplex_threshold(y) -> float:
     y = np.asarray(y, float)
     if y.ndim != 1 or y.size == 0:
         raise DimensionMismatch("expected a nonempty 1-d vector")
-    # ndarray methods skip the np.sort/np.cumsum/np.nonzero wrappers
+    # u.sort() skips the np.sort wrapper
     u = y.copy()
     u.sort()
     a = None
-    if y.size <= SCAN_MAX:
-        s = 0.0
-        for k, v in enumerate(reversed(u.tolist()), 1):
-            s += v
-            c = (s - 1.0) / k
-            if v > c > -math.inf:
-                a = c
-    else:
-        u = u[::-1]
-        cand = (u.cumsum() - 1.0) / _ranks(y.size)
-        above = ((u > cand) & (cand > -np.inf)).nonzero()[0]
-        if above.size:
-            a = float(cand[above[-1]])
+    s = 0.0
+    for k, v in enumerate(reversed(u.tolist()), 1):
+        s += v
+        c = (s - 1.0) / k
+        if v > c > -math.inf:
+            a = c
     if a is None:  # no entry lies above its candidate
         raise SetupError("no float simplex threshold exists for this input: it has a "
                          "NaN or +inf, no finite entry, or entries too large for a "

@@ -72,7 +72,7 @@ def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
         raise SetupError("OGD needs a positive strong-convexity modulus H")
     g = np.asarray(grad, float)
     y = state.x - g / (state.H * state.t)
-    return OgdState(project_domain(domain, y), state.t + 1, state.H)
+    return OgdState(x=project_domain(domain, y), t=state.t + 1, H=state.H)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,7 @@ def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState
 
 def mw_point(state: MwState) -> Array:
     """The played point: weights normalized to the simplex."""
-    # np.add.reduce is the sum w.sum() runs, without its Python wrapper
-    return state.w / float(np.add.reduce(state.w))
+    return state.w / float(state.w.sum())
 
 
 def mw_step(state: MwState, grad) -> MwState:
@@ -291,8 +290,8 @@ def mw_step(state: MwState, grad) -> MwState:
             np.maximum(w, 1e-300, out=w)
     else:
         w = state.w.copy()
-    # positional fields build a frozen state faster than keywords
-    return MwState(w, state.t + 1, state.eta, g_inf, state.direction)
+    return MwState(w=w, t=state.t + 1, eta=state.eta,
+                   G_inf=g_inf, direction=state.direction)
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,7 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         p_sum += p_t
         state = player.step(state, g)
         dual = weights.step(dual, r)
-        # MW refuses a NaN in r, so the list's max is r's
-        return x_t, None, max(r.tolist()), float(p_t @ r), None
+        return x_t, None, float(r.max()), float(p_t @ r), None
 
     def horizon_outcome(T: int) -> Outcome:
         x_bar = x_sum / T

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 import feasgame as fg
 from feasgame import projections
-from feasgame.core import SCAN_MAX
 
 
 def grid_argmin(domain, y, resolution=1e-3):
@@ -296,8 +295,7 @@ _simplex_entry = st.one_of(
 )
 
 
-# lengths on both sides of core.SCAN_MAX, below which the scan is a loop
-# over a list, and up to 200
+# short lists, and arrays of up to 200 entries
 _simplex_input = st.one_of(
     st.lists(_simplex_entry, min_size=1, max_size=8).map(np.array),
     hnp.arrays(float, st.integers(1, 200), elements=_simplex_entry),
@@ -344,19 +342,30 @@ def test_simplex_threshold_is_bit_identical_to_reference(y):
         assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, SCAN_MAX - 1, SCAN_MAX, SCAN_MAX + 1, 100, 200])
+@pytest.mark.parametrize("y, want", [
+    ([0.0, 0.0, -1e308, -1e308], [0.5, 0.5, 0.0, 0.0]),
+    ([-1e308, -1e308], [0.5, 0.5]),
+    ([-1e308] * 40, [1 / 40] * 40),
+])
+def test_simplex_projection_skips_overflowed_candidates(y, want):
+    # a partial sum that overflows to -inf gives a candidate of -inf, which
+    # the last-index rule used to take, projecting every entry to inf; the
+    # answers here are the exact projections, not the reference's
+    assert np.array_equal(fg.project_simplex(np.array(y)), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 32, 40, 100, 200])
 def test_simplex_threshold_scans_agree_at_every_length(n, rng):
-    # the list loop and the cumsum form on both sides of the crossover, on
-    # spread, tied and clustered entries
+    # the list loop and the cumsum form, on spread, tied and clustered entries
     for y in (rng.normal(size=n) * rng.uniform(0.01, 100), np.full(n, 0.5),
               np.round(rng.normal(size=n), 1), 1e6 + rng.normal(size=n)):
         assert fg.simplex_threshold(y).hex() == _reference_threshold(y).hex()
         assert fg.project_simplex(y).tobytes() == _reference_simplex(y).tobytes()
 
 
-@pytest.mark.parametrize("n", [3, SCAN_MAX, SCAN_MAX + 1, 200])
+@pytest.mark.parametrize("n", [3, 10, 40, 200])
 @pytest.mark.parametrize("case", ["nan", "+inf", "all -inf", "large"])
-def test_simplex_threshold_refusals_on_both_sides_of_the_scan(n, case):
+def test_simplex_threshold_refusals_at_every_length(n, case):
     y = np.linspace(-1.0, 1.0, n)
     if case == "nan":
         y[n // 2] = np.nan
@@ -366,7 +375,7 @@ def test_simplex_threshold_refusals_on_both_sides_of_the_scan(n, case):
         y[:] = -np.inf
     else:  # every candidate rounds to the entry it should lie below
         y[:2], y[2:] = 1e308, 1.0
-    # the cumsum forms overflow, or meet inf - inf, on the way
+    # the partial sums overflow, or meet inf - inf, on the way
     with np.errstate(all="ignore"):
         with pytest.raises(IndexError):
             _reference_threshold(y)
