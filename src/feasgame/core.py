@@ -204,6 +204,13 @@ def simplex_threshold(y) -> float:
     return a
 
 
+def _finite_point(y, kind: str) -> Array:
+    y = np.asarray(y, float)
+    if not np.isfinite(y).all():
+        raise SetupError(f"{kind} projection needs finite input, without a NaN or an infinity")
+    return y
+
+
 def project_simplex(y) -> Array:
     """Euclidean projection of y onto the probability simplex of its length:
     the exact sort-and-threshold procedure, O(n log n).
@@ -348,8 +355,8 @@ class Ball(_Domain):
         return mid - half + b, mid + half + b
 
     def project(self, y) -> Array:
-        """Rescale along the ray from the center."""
-        y = np.asarray(y, float)
+        """Rescale along the ray from the center; SetupError on a NaN or an inf."""
+        y = _finite_point(y, "ball")
         d = y - self.center
         nrm = float(np.linalg.norm(d))
         if nrm <= self.radius:
@@ -417,8 +424,8 @@ class Box(_Domain):
         return lo + b, hi + b
 
     def project(self, y) -> Array:
-        """Coordinatewise clamp onto [lo, hi]."""
-        return np.clip(np.asarray(y, float), self.lo, self.hi)
+        """Coordinatewise clamp onto [lo, hi]; SetupError on a NaN or an inf."""
+        return np.clip(_finite_point(y, "box"), self.lo, self.hi)
 
     def _grid(self, resolution):
         return _mesh(self.lo, self.hi, resolution)
@@ -1305,29 +1312,26 @@ class Mixture:
         L = _in_order(P)
         return L if math.isfinite(L) and L > 0 else None
 
-    @staticmethod
-    def _live(x: Array, group, wg: Array, out: Array, bad: Array | None) -> Array:
-        """wg @ out, where rows off their domain count only at weight zero."""
-        if bad is not None:
-            live = bad & (wg != 0)
-            if live.any():
-                raise group.error(int(live.argmax()), x)
-            out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - 1)), 0.0, out)
-        return wg @ out
-
-    def value(self, x: Array) -> float:
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        """The mixed value and gradient at x from one pass over the terms,
+        where rows off their domain count only at weight zero."""
         v = self.c + self.q @ x
-        if self.M is not None:
-            v += x @ (self.M @ x)
+        if self.M is None:
+            g = self.q.copy()
+        else:
+            Mx = self.M @ x
+            v += x @ Mx
+            g = 2.0 * Mx + self.q
         for group, wg in self.terms:
-            v += self._live(x, group, wg, *group.values(x))
-        return float(v)
-
-    def gradient(self, x: Array) -> Array:
-        g = self.q.copy() if self.M is None else 2.0 * (self.M @ x) + self.q
-        for group, wg in self.terms:
-            g += self._live(x, group, wg, *group.rows(x))
-        return g
+            values, rows, bad = group.both(x)
+            if bad is not None:
+                live = bad & (wg != 0)
+                if live.any():
+                    raise group.error(int(live.argmax()), x)
+                values, rows = np.where(bad, 0.0, values), np.where(bad[:, None], 0.0, rows)
+            v += wg @ values
+            g += wg @ rows
+        return float(v), g
 
 
 # ---------------------------------------------------------------------------

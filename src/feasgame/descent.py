@@ -1,11 +1,15 @@
 """Inner convex minimization over a domain, and the optimization oracle.
 
-The engine is projected gradient descent with a Frank-Wolfe style certified
-lower bound: at any iterate x, value(x) + min_z grad(x).(z - x) is a valid
-lower bound on the domain minimum, and the linear minimum has a closed form
-on every supported domain.  That turns "FAIL" answers of the optimization
-oracle into certificates rather than heuristics, and it is the only way
-solvers.verify_certificate proves an infeasibility certificate.
+Every descent in the package is one call, minimize_over_domain(fn, domain)
+with fn(x) = (value, gradient): projected gradient descent with a
+Frank-Wolfe style certified lower bound (Jaggi, 2013).  At any iterate x,
+value(x) + min_z grad(x).(z - x) is a valid lower bound on the domain
+minimum, and the linear minimum has a closed form on every supported domain.
+That turns "FAIL" answers of the optimization oracle into certificates
+rather than heuristics, and it is the only way solvers.verify_certificate
+proves an infeasibility certificate.  Both descend Mixture.value_and_gradient
+with the mixture's smoothness: the fixed step where it is finite and
+positive, the line search for an affine mixture or an unbounded term.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .core import (  # noqa: F401
     Array,
     ConvergenceError,
     Domain,
+    EvaluationDomainError,
     Mixture,
     Problem,
     check_distribution,
@@ -30,7 +35,7 @@ from .core import (  # noqa: F401
 )
 from .projections import project_domain
 
-DEFAULT_CAP = 100_000
+MAX_STEPS = 200_000  # the one cap on a descent's steps
 
 
 @dataclass
@@ -42,76 +47,78 @@ class MinimizeResult:
     converged: bool
 
 
-def minimize_over_domain(value_fn: Callable[[Array], float],
-                         grad_fn: Callable[[Array], Array],
+def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
                          domain: Domain,
                          *,
                          smoothness: float | None = None,
                          tol: float = 1e-9,
-                         max_iters: int = DEFAULT_CAP,
-                         stop_below: float | None = None,
-                         on_cap: str = "raise") -> MinimizeResult:
+                         stop_below: float | None = None) -> MinimizeResult:
     """Minimize a convex function over the domain by projected gradient.
 
-    Stops when the certified gap value - lower_bound falls below tol, or as
-    soon as the value drops to stop_below when that is given.  Fixed step
+    fn(x) returns the value and the gradient at x.  Stops, converged, when
+    the certified gap value - lower_bound falls below tol, or as soon as
+    the value drops to stop_below when that is given.  Fixed step
     1/smoothness when a finite positive smoothness bound is supplied,
     backtracking line search otherwise.  The line search doubles its next
     trial step (up to 1) only after a strict decrease and halves it
     otherwise: near the minimum the differences of f fall below rounding,
     where the test's 1e-15 slack accepts any step, and a step that kept
     doubling there would overshoot 2/L and bounce around the minimizer
-    without ever closing the gap.  Hitting the cap raises ConvergenceError
-    unless on_cap="return".
+    without ever closing the gap.  A trial point off fn's analytic domain
+    (EvaluationDomainError) counts as f = +inf, a rejected step.  A round
+    without a strict decrease at a step below 1e-18, and MAX_STEPS steps,
+    end the descent unconverged with its best value and certified bound;
+    it never raises for want of convergence.
     """
     x = domain.start()
-    fx = value_fn(x)
+    fx, g = fn(x)
     best_x, best_f = x, fx
     best_lb = -math.inf
     fixed = smoothness is not None and math.isfinite(smoothness) and smoothness > 0
     step = 1.0 / smoothness if fixed else 1.0
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_STEPS + 1):
         if stop_below is not None and best_f <= stop_below:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
-        g = grad_fn(x)
         _, lin = domain.linear_minimum(g)
         best_lb = max(best_lb, fx + lin - float(g @ x))
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         if fixed:
             x_new = project_domain(domain, x - step * g)
-            f_new = value_fn(x_new)
+            f_new, g_new = fn(x_new)
         else:
             # Armijo backtracking on the projected step
             s = step
             while True:
                 x_new = project_domain(domain, x - s * g)
-                f_new = value_fn(x_new)
+                try:
+                    f_new, g_new = fn(x_new)
+                except EvaluationDomainError:
+                    f_new = math.inf
                 d = x_new - x
                 if f_new <= fx + float(g @ d) + float(d @ d) / (2.0 * s) + 1e-15:
                     break
                 s *= 0.5
                 if s < 1e-18:
-                    x_new, f_new = x, fx
+                    x_new, f_new, g_new = x, fx, g
                     break
+            if not f_new < fx and s < 1e-18:  # x can no longer move
+                return MinimizeResult(best_x, best_f, best_lb, iters, False)
             step = min(s * 2.0, 1.0) if f_new < fx else s * 0.5
         if f_new < best_f:
             best_x, best_f = x_new, f_new
-        x, fx = x_new, f_new
-    if on_cap == "return":
-        return MinimizeResult(best_x, best_f, best_lb, iters, False)
-    raise ConvergenceError(f"inner minimization hit the {max_iters} iteration cap")
+        x, fx, g = x_new, f_new, g_new
+    return MinimizeResult(best_x, best_f, best_lb, iters, False)
 
 
-def optimization_oracle(problem: Problem, p, tol: float,
-                        max_iters: int = DEFAULT_CAP) -> Array | None:
+def optimization_oracle(problem: Problem, p, tol: float) -> Array | None:
     """Point x with mixed value sum_j p_j r_j(x) <= tol, or None (FAIL).
 
     FAIL certifies min_x sum_j p_j r_j(x) > 0: exactly when the mixture is
     affine (closed-form linear minimization over the domain), and through
-    the Frank-Wolfe lower bound for the general path.  An inner solve that
-    can neither return nor certify within the cap raises ConvergenceError,
+    the Frank-Wolfe lower bound for the general path.  An unconverged
+    descent with neither a point nor a certificate raises ConvergenceError,
     which is a solver failure rather than a FAIL answer.
     """
     if tol < 0:
@@ -122,16 +129,16 @@ def optimization_oracle(problem: Problem, p, tol: float,
         x, lin = problem.domain.linear_minimum(mix.q)
         return x if lin + mix.c <= 0 else None
 
-    res = minimize_over_domain(
-        mix.value, mix.gradient, problem.domain,
-        smoothness=mix.smoothness, tol=max(tol, 1e-12) * 0.5,
-        max_iters=max_iters, stop_below=0.0,
-    )
+    res = minimize_over_domain(mix.value_and_gradient, problem.domain,
+                               smoothness=mix.smoothness,
+                               tol=max(tol, 1e-12) * 0.5, stop_below=0.0)
     if res.value <= 0.0:
         return res.x
     if res.lower_bound > 0.0:
         return None
     if res.value <= tol:
         return res.x
+    if not res.converged:
+        raise ConvergenceError(f"inner minimization stopped unconverged after {res.iterations} steps")
     # gap <= tol/2 and value > tol together certify min > tol/2 > 0
     return None

@@ -374,29 +374,18 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
     if isinstance(combined, Affine):
         x, v = domain.linear_minimum(combined.a)
         return x, v + combined.b
+    terms, smoothness, tol = costs, None, 1e-8
     if combined is not None:
-        L = combined.smoothness(domain)
-        scale = 1.0 + abs(combined.value(domain.start()))
-        res = minimize_over_domain(
-            combined.value, combined.gradient, domain,
-            smoothness=L if L > 0 else None,
-            tol=1e-9 * scale,
-            max_iters=200_000,
-            on_cap="return",
-        )
-        return res.x, res.value
+        terms, smoothness = [combined], combined.smoothness(domain)
+        tol = 1e-9 * (1.0 + abs(combined.value(domain.start())))
 
-    def value_fn(x):
-        return sum(evaluate(f, x) for f in costs)
-
-    def grad_fn(x):
+    def fn(x):
         g = np.zeros(n)
-        for f in costs:
+        for f in terms:
             g += gradient(f, x)
-        return g
+        return sum(evaluate(f, x) for f in terms), g
 
-    res = minimize_over_domain(value_fn, grad_fn, domain, tol=1e-8,
-                               max_iters=200_000, on_cap="return")
+    res = minimize_over_domain(fn, domain, smoothness=smoothness, tol=tol)
     return res.x, res.value
 
 

@@ -29,7 +29,8 @@ verify_certificate re-checks an outcome with one route per kind: a Feasible
 point is re-evaluated, and an Infeasible or EpsilonInfeasible weight vector
 is proved by the certified descent of the descent module, whose Frank-Wolfe
 lower bound on min_x sum_j p_j r_j(x) (Jaggi, 2013) must exceed 0, or -eps.
-The bound is sound at every dimension and on every domain.
+The bound is sound at every dimension and on every domain, and at every
+step: a descent stopped by its cap or a stalled line search is judged by it.
 
 Every round's TraceRecord goes to the solver's trace_sink as the round
 ends.  SolveResult.trace keeps a log-spaced sample of them, the
@@ -424,17 +425,6 @@ class VerificationReport:
     message: str = ""
 
 
-def _pgd_certificate(problem: Problem, p: Array, threshold: float) -> VerificationReport:
-    mix = Mixture(problem, p)
-    res = minimize_over_domain(mix.value, mix.gradient, problem.domain, tol=1e-9,
-                               max_iters=200_000, on_cap="return")
-    ok = res.lower_bound > threshold
-    msg = "" if ok else (
-        f"certified lower bound {res.lower_bound:.6g} does not exceed {threshold:.6g}"
-    )
-    return VerificationReport(ok=ok, method="pgd", value=res.lower_bound, message=msg)
-
-
 def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> VerificationReport:
     """Independent check of a solver outcome.
 
@@ -443,7 +433,8 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     residual min_x sum_j p_j r_j(x) above 0 (above -eps for the eps-relaxed
     claim): the Frank-Wolfe lower bound at a descent iterate bounds that
     minimum from below on every domain and at every n, so one route serves
-    them all and value is the lower bound it proved.
+    them all and value is the lower bound it proved.  It makes the
+    optimization oracle's call, with tol 1e-9 and no stop_below.
     """
     if isinstance(outcome, Feasible):
         res = residuals(problem, outcome.x)
@@ -460,7 +451,14 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     if isinstance(outcome, (Infeasible, EpsilonInfeasible)):
         p = check_distribution(outcome.p_bar, problem.m)
         threshold = 0.0 if isinstance(outcome, Infeasible) else -eps
-        return _pgd_certificate(problem, p, threshold)
+        mix = Mixture(problem, p)
+        res = minimize_over_domain(mix.value_and_gradient, problem.domain,
+                                   smoothness=mix.smoothness, tol=1e-9)
+        ok = res.lower_bound > threshold
+        msg = "" if ok else (
+            f"certified lower bound {res.lower_bound:.6g} does not exceed {threshold:.6g}"
+        )
+        return VerificationReport(ok=ok, method="pgd", value=res.lower_bound, message=msg)
     raise SetupError(f"not a solver outcome: {outcome!r}")
 
 

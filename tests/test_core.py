@@ -183,6 +183,32 @@ class TestOptimizationOracle:
         assert fg.optimization_oracle(prob, np.array([1.0]), tol=0.05) is None
 
 
+class TestMinimizeOverDomain:
+    def test_trial_points_off_the_objective_domain_are_rejected_steps(self):
+        # 10 sum x log x is defined for x > 0 only; the first trial step
+        # from the box center lands on the face x = -0.5
+        f = fg.NegEntropy(n=2)
+
+        def fn(x):
+            return 10.0 * f.value(x), 10.0 * f.gradient(x)
+
+        res = fg.minimize_over_domain(fn, fg.Box(lo=np.full(2, -0.5), hi=np.full(2, 1.5)))
+        assert res.converged
+        np.testing.assert_allclose(res.x, np.full(2, 1.0 / math.e), atol=1e-4)
+        assert res.lower_bound <= -20.0 / math.e <= res.value <= res.lower_bound + 1e-9
+
+    def test_stalled_line_search_stops_unconverged(self):
+        # without its smoothness the line search stops decreasing f with the
+        # certified gap stuck near 5e-9; the step used to halve to 0.0 and
+        # divide by zero
+        prob = fg.make_strict_qp(10, 20, feasible=False, seed=0)
+        mix = fg.Mixture(prob, np.eye(20)[0])
+        res = fg.minimize_over_domain(mix.value_and_gradient, prob.domain, tol=1e-9)
+        assert not res.converged
+        assert res.iterations < 1000
+        assert 1.56 < res.lower_bound <= res.value < res.lower_bound + 1e-8
+
+
 class TestEstimates:
     def test_affine_gradient_norm(self):
         prob = fg.make_problem([fg.Affine(a=np.array([3.0, 4.0]), b=0.0)], fg.Simplex(n=2))

@@ -43,6 +43,16 @@ class TestOgd:
         with pytest.raises(fg.SetupError):
             fg.init_ogd(SIMPLEX2, H=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("domain", [
+        fg.Ball(n=2, radius=1.0, center=np.zeros(2)),
+        fg.Box(lo=np.zeros(2), hi=np.ones(2)),
+    ], ids=["ball", "box"])
+    def test_non_finite_gradient_is_refused_by_the_projection(self, domain, bad):
+        # a NaN used to leave a NaN iterate on a ball, and [nan, 0] on a box
+        with pytest.raises(fg.SetupError, match="projection needs finite input"):
+            fg.ogd_step(fg.init_ogd(domain, 1.0), np.array([bad, 0.0]), domain)
+
     def test_iterates_stay_on_simplex(self, rng):
         s = fg.init_ogd(fg.Simplex(n=4), H=1.0)
         for _ in range(100):

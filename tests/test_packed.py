@@ -4,7 +4,8 @@ Every family, both senses and all three domains: residuals, single-row and
 mixed gradients, batch values, the fixed-weight Mixture, and the separation
 oracle's rule (the lowest index that is violated or off its analytic domain
 decides; off the domain raises).  The one-pass residuals and mixed gradient
-of a primal-dual round are pinned bit for bit to the separate passes.
+of a primal-dual round, and the Mixture's one-pass value and gradient, are
+pinned bit for bit to the separate passes.
 """
 
 import math
@@ -133,13 +134,35 @@ def test_packed_matches_scalar_reference(spec):
             np.testing.assert_allclose(fg.mixed_gradient(problem, p, x), p @ G, **TOL)
         if any(o and w for o, w in zip(off, live)):
             with pytest.raises(fg.EvaluationDomainError):
-                mix.value(x)
+                mix.value_and_gradient(x)
         else:
             on = [j for j in range(problem.m) if live[j]]
             value = sum(p[j] * ref[j][0] for j in on)
             grad = sum((p[j] * ref[j][1] for j in on), np.zeros(problem.n))
-            assert mix.value(x) == pytest.approx(value, rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(mix.gradient(x), grad, **TOL)
+            got_value, got_grad = mix.value_and_gradient(x)
+            assert got_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(got_grad, grad, **TOL)
+
+
+def reference_value_and_gradient(mix, x):
+    """The mixed value and gradient from separate value and gradient passes."""
+    def live(group, wg, out, bad):
+        if bad is not None:
+            hit = bad & (wg != 0)
+            if hit.any():
+                raise group.error(int(hit.argmax()), x)
+            out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - 1)), 0.0, out)
+        return wg @ out
+
+    v = mix.c + mix.q @ x
+    if mix.M is not None:
+        v += x @ (mix.M @ x)
+    for group, wg in mix.terms:
+        v += live(group, wg, *group.values(x))
+    g = mix.q.copy() if mix.M is None else 2.0 * (mix.M @ x) + mix.q
+    for group, wg in mix.terms:
+        g += live(group, wg, *group.rows(x))
+    return float(v), g
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -151,7 +174,17 @@ def test_one_pass_is_bit_identical_to_the_separate_passes(spec, weights):
         p[rng.random(problem.m) < 0.5] = 0.0
     elif weights == "signed":  # any weight vector, not only a distribution
         p = rng.normal(size=problem.m)
+    mix = fg.Mixture(problem, p)
     for x in points(problem.domain, rng):
+        try:
+            value, grad = reference_value_and_gradient(mix, x)
+        except fg.EvaluationDomainError as exc:
+            with pytest.raises(fg.EvaluationDomainError, match=f"^{re.escape(str(exc))}$"):
+                mix.value_and_gradient(x)
+        else:
+            got_value, got_grad = mix.value_and_gradient(x)
+            assert float(got_value).hex() == float(value).hex()
+            assert got_grad.tobytes() == grad.tobytes()
         ref = scalar(problem, x)
         off = [j for j, (r, _) in enumerate(ref) if r is None]
         if off:
@@ -234,7 +267,7 @@ def test_off_domain_constraint_after_a_violated_one(sense, late):
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.residuals_batch(ahead, x[None])
     with pytest.raises(fg.EvaluationDomainError, **own):
-        fg.Mixture(ahead, np.array([0.5, 0.5])).gradient(x)
+        fg.Mixture(ahead, np.array([0.5, 0.5])).value_and_gradient(x)
     behind = fg.Problem(constraints=(late, first), domain=fg.Simplex(n=2),
                         params=PARAMS, sense=sense)
     with pytest.raises(fg.EvaluationDomainError, **own):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import feasgame as fg
 import feasgame.core as core
@@ -240,15 +242,16 @@ class TestDual:
         for rec in rows:
             assert rec.regret_bound == fg.regret_bound(spec, rec.iteration)
 
-    def test_oracle_iteration_budget_distinct_from_fail(self):
+    def test_oracle_iteration_budget_distinct_from_fail(self, monkeypatch):
         # a starved inner solve is a numeric failure, not an infeasibility
         # verdict: the flat direction of this quadratic needs many steps
         prob = fg.make_problem(
             [fg.Quadratic(A=np.diag([100.0, 1.0]), b=np.zeros(2), c=0.05)],
             fg.Simplex(n=2),
         )
+        monkeypatch.setattr(fg.descent, "MAX_STEPS", 2)
         with pytest.raises(fg.ConvergenceError):
-            fg.optimization_oracle(prob, np.array([1.0]), tol=1e-13, max_iters=2)
+            fg.optimization_oracle(prob, np.array([1.0]), tol=1e-13)
 
 
 class TestPrimalDual:
@@ -505,6 +508,32 @@ class TestDriver:
         assert calls == expected_layer_calls(algo, learner, out)
 
 
+# Infeasible instances of each generator family, m = 4; crp's barrier
+# certificates can run the descent's full cap from n = 4, so crp stays at n <= 3.
+GENERATED = {
+    "qp": lambda n, seed: fg.make_strict_qp(n, 4, feasible=False, seed=seed),
+    "lp": lambda n, seed: fg.make_perceptron_lp(n, 4, feasible=False, seed=seed),
+    "portfolio": lambda n, seed: fg.make_portfolio_risk(n, 4, seed=seed),
+    "log_lp": lambda n, seed: fg.log_transform(
+        fg.make_perceptron_lp(n, 4, feasible=False, seed=seed)),
+    "entropy": lambda n, seed: fg.make_entropy_problem(n, 4, seed=seed),
+    "crp": lambda n, seed: fg.make_crp_problem(min(n, 3), 2, seed=seed),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(GENERATED)), st.integers(2, 10), st.integers(0, 9),
+       st.integers(-1, 3))
+def test_every_generated_mixture_gets_a_report(family, n, seed, vertex):
+    # vertex -1 draws Dirichlet weights, any other picks one constraint (crp has 2)
+    prob = GENERATED[family](n, seed)
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(prob.m)) if vertex < 0 else np.eye(prob.m)[vertex % prob.m]
+    rep = fg.verify_certificate(prob, fg.Infeasible(p_bar=p), 0.1)
+    assert rep.method == "pgd"
+    assert rep.ok == (rep.value > 0.0)
+
+
 class TestVerification:
     def test_false_feasible_claim_names_witness(self):
         prob = constant_problem([0.11])
@@ -564,6 +593,20 @@ class TestVerification:
             assert fg.verify_certificate(prob, fg.dual_game_opt(prob, 0.1).outcome, 0.1).ok
         assert len(steps) == 12
         assert max(steps) < 100
+
+    def test_primal_ogd_certificate_of_the_infeasible_qp_verifies(self):
+        # p_bar = e_0 is what primal OGD plays at eps 0.1 on this instance;
+        # its check used to halve the line-search step to 0.0 and divide by it
+        prob = fg.make_strict_qp(10, 20, feasible=False, seed=0)
+        rep = fg.verify_certificate(prob, fg.Infeasible(p_bar=np.eye(20)[0]), 0.1)
+        assert rep.ok
+        assert rep.value >= 1.56
+
+    def test_entropy_dual_solve_ends_verified(self):
+        # the oracle's line search used to step off the entropy's domain
+        prob = fg.make_entropy_problem(5, 4)
+        out = fg.dual_game_opt(prob, 0.1).outcome
+        assert fg.verify_certificate(prob, out, 0.1).ok
 
     def test_descent_certificate_for_larger_dimension(self):
         prob = norm_sq_problem(n=4)
