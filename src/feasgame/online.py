@@ -181,6 +181,29 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
                     scale=scale)
 
 
+def _stays_at_vertex(x: Array, h: Array, A: Array) -> Array | None:
+    """A fresh e_f when x = e_f, h_f >= max h and max|h| + max|A_f.| <=
+    2^1021, which ons_step shows to be _simplex_kkt(A, x, h, x); else None.
+
+    x and h are read off lists, which at small n costs less than numpy's
+    reductions; h has no NaN (ons_step refused one in the gradient), and the
+    row of A is reduced by numpy, which passes a NaN on to fail the test.
+    """
+    xl = x.tolist()
+    if xl.count(0.0) != len(xl) - 1 or 1.0 not in xl:
+        return None
+    f = xl.index(1.0)
+    hl = h.tolist()
+    hf = hl[f]
+    if not (hf >= max(hl) and max(hf, -min(hl)) + float(abs(A[f]).max()) <= 2.0**1021):
+        return None
+    # a fresh array, as the solve's: x itself may hold a -0.0, and the new
+    # state then shares no array with the old one
+    e = np.zeros(len(xl))
+    e[f] = 1.0
+    return e
+
+
 def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     """Newton-style step to y = x - A^-1 grad / beta, projection of y in
     the A-norm, then the rank-one update A + grad grad^T.
@@ -193,6 +216,26 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     ball, a box, a state built by hand) one O(n^3) linear solve gives y for
     generalized_project, which tests A.  A gradient with a NaN or an
     infinity, and a singular A (on either route), raise SetupError.
+
+    A step that stays at a vertex costs O(n) plus the rank-one update.  On
+    the exact route, with h = -grad / beta, a step from x = e_f (x_f = 1,
+    every other entry zero) with h_f >= max h and
+    max|h| + max_i |A_fi| <= 2^1021 returns a fresh e_f without calling
+    _simplex_kkt, and that is its answer to the bit:
+
+    * _simplex_kkt(A, x, h, x) starts from the support {f} of x, so it
+      solves nothing: it returns a fresh e_f (with positive zeros) as soon
+      as its vertex multipliers mu_i = A_fi - c_i + (c_f - A_ff), with
+      c = A x + h, are at least its floor -1e-12 (2 max A_ii + max|h|).
+    * Exactly, mu_i = h_f - h_i >= 0, since A x is column f of A and A is
+      symmetric bit for bit.  The size bound keeps every sum in mu_i from
+      overflowing, and four roundings move mu_i by at most about
+      u (|A_fi| + |A_ff| + 4 max|h|), u = 2^-53.  The gate proved A
+      positive definite, so |A_fi| <= max A_ii, and that is some 1e-16 of
+      the scale on which the floor allows 1e-12.
+    * So the computed multipliers pass the floor, and the solve would
+      return the same e_f.  Every step this rule declines takes
+      _simplex_kkt as before.
     """
     g = np.asarray(grad, float)
     if not np.isfinite(g).all():
@@ -201,7 +244,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     exact = isinstance(domain, Simplex) and state.takes_exact_simplex_solve()
     try:
         if exact:
-            x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
+            h = (-1.0 / state.beta) * g
+            x_new = _stays_at_vertex(state.x, h, A)
+            if x_new is None:
+                x_new = _simplex_kkt(A, state.x, h, state.x)
         else:
             Ag = np.linalg.solve(A, g)
     except np.linalg.LinAlgError:

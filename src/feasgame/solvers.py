@@ -13,7 +13,9 @@ what a round is and in what the horizon's end certifies:
 * primal_game_opt: a learner picks points, the separation oracle answers
   with a violated constraint.  An oracle FAIL yields an eps-feasible point;
   surviving the full horizon yields a dual distribution p_bar (the visit
-  frequencies) with min_x g(x, p_bar) > 0 (infeasible).
+  frequencies) with min_x g(x, p_bar) > 0 (infeasible).  A point that did
+  not move since the last round (same bits) re-uses that round's answer
+  and gradient, so such a round costs the learner's step alone.
 * dual_game_opt: multiplicative weights picks distributions, the
   optimization oracle answers with near-minimizing points.  An oracle FAIL
   certifies infeasibility outright; otherwise the point average is
@@ -139,8 +141,10 @@ Outcome = Union[Feasible, Infeasible, EpsilonInfeasible, Exhausted]
 OUTCOMES = {cls.tag: cls for cls in get_args(Outcome)}
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One round of a solve; a named tuple, which costs a round less to
+    build than a frozen dataclass."""
+
     iteration: int
     violated_index: int | None
     violation: float
@@ -312,23 +316,35 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     """Point player learns; the separation oracle plays violated constraints.
 
     Per-iteration work outside the oracle call and the projection touches
-    only the single violated constraint, so it is O(n) for OGD.
+    only the single violated constraint, so it is O(n) for OGD.  A round
+    whose point has the same bits as the previous round's re-uses that
+    round's violation and gradient instead of asking again; an oracle FAIL
+    ends the game, so it is never re-used.
     """
     player = _point_learner(problem, learner)
     T_star = stopping_threshold(player.spec, eps)
     state = player.init(T_star)
     counts = np.zeros(problem.m)
+    # the bytes of the last point the oracle was asked at, its answer and
+    # the violated row's gradient there
+    asked, hit, grad = None, None, None
 
     def round_() -> _Round:
-        nonlocal state
+        nonlocal state, asked, hit, grad
         x_t = player.play(state)
-        hit = separation_oracle(problem, x_t, eps)
-        if hit is None:  # FAIL: no constraint is violated by more than eps
-            res = residuals(problem, x_t)
-            worst = float(res.max())
-            return x_t, None, worst, worst, Feasible(x=x_t, residuals=res)
+        # oracle and gradient are functions of the bits of x (a -0.0 against
+        # a 0.0 may flip the sign of a zero sum, so equal values are not
+        # enough); no step writes into its gradient, so it can be re-used
+        key = x_t.tobytes()
+        if key != asked:
+            hit = separation_oracle(problem, x_t, eps)
+            if hit is None:  # FAIL: no constraint is violated by more than eps
+                res = residuals(problem, x_t)
+                worst = float(res.max())
+                return x_t, None, worst, worst, Feasible(x=x_t, residuals=res)
+            asked, grad = key, residual_gradient(problem, hit.index, x_t)
         counts[hit.index] += 1
-        state = player.step(state, residual_gradient(problem, hit.index, x_t))
+        state = player.step(state, grad)
         return x_t, hit.index, hit.value, hit.value, None
 
     return SolveResult(*_play_game(problem.domain, player.spec, T_star, round_,

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feasgame as fg
+import feasgame.online as online
 from feasgame.online import MwState, OgdState
+from feasgame.projections import _simplex_kkt
 
 
 SIMPLEX2 = fg.Simplex(n=2)
@@ -143,14 +145,22 @@ class TestOns:
         with pytest.raises(fg.SetupError, match="ONS gradient must be finite"):
             fg.ons_step(hand, np.array([0.5, bad]), domain)
 
-    def test_vertex_with_the_least_gradient_entry_stays(self):
+    @pytest.mark.parametrize("g_last", [0.1, -0.2], ids=["least", "tie"])
+    def test_vertex_with_the_least_gradient_entry_stays(self, monkeypatch, g_last):
         # at a vertex e_f the multipliers are (g_i - g_f) / beta, so the
-        # step stays at e_f exactly when g_f is the least entry of g
+        # step stays at e_f exactly when g_f is the least entry of g (ties
+        # included), and then it solves nothing
         dom = fg.Simplex(n=3)
         s = fg.init_ons(dom, G=1.0, D=math.sqrt(2.0))
         s = fg.OnsState(x=np.array([0.0, 1.0, 0.0]), t=s.t, beta=s.beta, A=s.A, scale=s.scale)
-        assert np.array_equal(fg.ons_step(s, np.array([0.3, -0.2, 0.1]), dom).x, s.x)
         assert not np.array_equal(fg.ons_step(s, np.array([0.3, 0.2, 0.1]), dom).x, s.x)
+
+        def refused(*args):
+            raise AssertionError("a step that stays at a vertex called the KKT solve")
+
+        monkeypatch.setattr(online, "_simplex_kkt", refused)
+        x = fg.ons_step(s, np.array([0.3, -0.2, g_last]), dom).x
+        assert x.tobytes() == s.x.tobytes() and x is not s.x
 
     def test_matrix_not_bitwise_symmetric_takes_the_tested_route(self):
         # a scale > 0 proves bounds, but a matrix symmetric only within
@@ -230,6 +240,49 @@ def test_ons_matrix_bounds_hold_along_a_stream(stream):
         A = s.A
         s = fg.ons_step(s, g, dom)
         assert_ons_step_kkt(s.x, y, A)
+
+
+@st.composite
+def ons_vertex_step(draw):
+    """An ONS state of init_ons plus some steps, moved to a vertex e_f (its
+    other entries zeros of either sign), and a gradient with the entries of
+    a set of coordinates tied to g_f: "exact" equal, "near" within
+    1e-13 max|g|, that is 1e-13 max|h| for h = -g / beta."""
+    n = draw(st.integers(2, 12))
+    G = draw(st.floats(1e-3, 1e3))
+    steps = draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = draw(st.integers(0, n - 1))
+    ties = draw(st.sampled_from(["none", "exact", "near"]))
+    least = draw(st.booleans())  # g_f the least entry of g before the ties
+    negative_zeros = draw(st.booleans())
+    return n, G, steps, seed, f, ties, least, negative_zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(ons_vertex_step())
+def test_ons_step_from_a_vertex_is_the_exact_solve(case):
+    n, G, steps, seed, f, ties, least, negative_zeros = case
+    rng = np.random.default_rng(seed)
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
+    for _ in range(steps):
+        g = rng.normal(size=n)
+        s = fg.ons_step(s, G * rng.uniform() * g / np.linalg.norm(g), dom)
+    x = np.full(n, -0.0 if negative_zeros else 0.0)
+    x[f] = 1.0
+    s = fg.OnsState(x=x, t=s.t, beta=s.beta, A=s.A, scale=s.scale)
+    assert s.takes_exact_simplex_solve()
+    g = G * rng.uniform(-1.0, 1.0, size=n)
+    if least:
+        g[f] = g.min() - G * rng.uniform()
+    tied = rng.random(n) < 0.5
+    if ties == "exact":
+        g[tied] = g[f]
+    elif ties == "near":
+        g[tied] = g[f] + 1e-13 * float(abs(g).max()) * rng.uniform(-1.0, 1.0, int(tied.sum()))
+    expected = _simplex_kkt(s.A, s.x, (-1.0 / s.beta) * g, s.x)
+    assert fg.ons_step(s, g, dom).x.tobytes() == expected.tobytes()
 
 
 class TestMw:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import feasgame as fg
 import feasgame.core as core
+import feasgame.online as online
 import feasgame.solvers as solvers
 from feasgame.harness import run_solver
 from feasgame.solvers import MAX_THRESHOLD
@@ -191,6 +192,92 @@ class TestPrimal:
         for ra, rb in zip(rows_a, rows_b):
             assert ra.violation == rb.violation
 
+
+
+def primal_asking_every_round(problem, eps, learner, max_iters, trace_sink):
+    """primal_game_opt's game with the separation oracle and the violated
+    row's gradient asked in every round, as before an unmoved point re-used
+    its answer; returns what _play_game does."""
+    player = solvers._point_learner(problem, learner)
+    T_star = fg.stopping_threshold(player.spec, eps)
+    state = player.init(T_star)
+    counts = np.zeros(problem.m)
+
+    def round_():
+        nonlocal state
+        x_t = player.play(state)
+        hit = core.separation_oracle(problem, x_t, eps)
+        if hit is None:
+            res = core.residuals(problem, x_t)
+            worst = float(res.max())
+            return x_t, None, worst, worst, fg.Feasible(x=x_t, residuals=res)
+        counts[hit.index] += 1
+        state = player.step(state, core.residual_gradient(problem, hit.index, x_t))
+        return x_t, hit.index, hit.value, hit.value, None
+
+    return solvers._play_game(problem.domain, player.spec, T_star, round_,
+                              lambda T: fg.Infeasible(p_bar=counts / T), max_iters, trace_sink)
+
+
+def outcome_bits(outcome):
+    """An outcome's kind and the bytes of each of its fields."""
+    return (type(outcome).__name__,
+            *(np.asarray(getattr(outcome, f.name), float).tobytes()
+              for f in dataclasses.fields(outcome)))
+
+
+def ons_oscillating_problem():
+    """Three balls on Simplex(2) under which ONS (eps 0.05) reaches e_0 in
+    round 14 and then alternates between e_0 and an interior point."""
+    return fg.make_problem(
+        [fg.NormDistSq(center=np.array([0.6, 0.4]), c=0.22),
+         fg.NormDistSq(center=np.array([1.0, -0.8]), c=0.49),
+         fg.NormDistSq(center=np.array([0.3, 1.3]), c=0.03)], fg.Simplex(n=2))
+
+
+@pytest.mark.parametrize("learner, prob, eps, max_iters", [
+    ("ogd", norm_sq_problem(), 0.3, None),
+    ("ogd", fg.make_problem([fg.NormDistSq(center=np.array([1.0, 0.0]), c=0.3)],
+                            fg.Simplex(n=2)), 0.1, None),
+    ("ogd", fg.make_strict_qp(10, 20, feasible=False), 0.3, 2000),
+    ("mw", norm_sq_problem(), 0.3, None),
+    ("mw", fg.make_strict_qp(10, 20, feasible=False), 0.3, 2000),
+    ("ons", norm_sq_problem(), 0.3, 300),
+    ("ons", ons_oscillating_problem(), 0.05, 40),
+    ("ons", fg.log_transform(fg.make_perceptron_lp(3, 4, feasible=False, seed=2)), 0.1, 400),
+    ("ons", fg.log_transform(fg.make_perceptron_lp(10, 20, feasible=False, seed=3)), 0.05, None),
+], ids=["ogd-norm", "ogd-fail", "ogd-qp", "mw-norm", "mw-qp", "ons-norm", "ons-return",
+        "ons-vertex", "ons-fail"])
+def test_unmoved_points_reuse_answers_without_changing_the_run(monkeypatch, learner, prob,
+                                                               eps, max_iters):
+    # the reference asks the oracle every round, and its ONS steps take the
+    # exact KKT solve at a vertex too: the records but their clocks, and the
+    # outcome's bits, must be the same
+    rows = []
+    out = fg.primal_game_opt(prob, eps, learner, max_iters=max_iters, trace_sink=rows.append)
+    with monkeypatch.context() as m:
+        m.setattr(online, "_stays_at_vertex", lambda x, h, A: None)
+        ref_rows = []
+        ref = primal_asking_every_round(prob, eps, learner, max_iters, ref_rows.append)
+    assert [repr(r._replace(elapsed_ns=0)) for r in rows] == [
+        repr(r._replace(elapsed_ns=0)) for r in ref_rows]
+    assert (out.iterations, out.T_star, out.ended_by) == ref[2:]
+    assert outcome_bits(out.outcome) == outcome_bits(ref[0])
+    assert [repr(r._replace(elapsed_ns=0)) for r in out.trace] == [
+        repr(r._replace(elapsed_ns=0)) for r in ref[1]]
+
+
+def test_only_the_last_point_is_reused(monkeypatch):
+    # ONS plays e_0 in every other round from round 14 to 30: e_0 was played
+    # two rounds before, not one, so each of those rounds asks the oracle
+    calls = []
+    real = solvers.separation_oracle
+    monkeypatch.setattr(solvers, "separation_oracle",
+                        lambda prob, x, eps: calls.append(x.copy()) or real(prob, x, eps))
+    out = fg.primal_game_opt(ons_oscillating_problem(), 0.05, "ons", max_iters=40)
+    assert out.iterations == len(calls) == 40
+    vertex = np.array([1.0, 0.0]).tobytes()
+    assert [x.tobytes() == vertex for x in calls[13:30]] == [True, False] * 8 + [True]
 
 class TestDual:
     def test_unsatisfiable_mixture_flags_immediately(self):
@@ -388,8 +475,7 @@ def test_sample_without_a_sink_is_the_sink_records_it_keeps(algo, learner, prob,
     assert [rec.iteration for rec in out.trace] == kept
     for rec in out.trace:
         assert rec.elapsed_ns >= 0
-        assert dataclasses.replace(rec, elapsed_ns=0) == dataclasses.replace(
-            rows[rec.iteration - 1], elapsed_ns=0)
+        assert rec._replace(elapsed_ns=0) == rows[rec.iteration - 1]._replace(elapsed_ns=0)
 
 
 def test_trace_memory_does_not_grow_with_the_horizon():
@@ -417,8 +503,9 @@ LAYERS = ("separation_oracle", "residuals", "residual_gradient", "residuals_and_
           "mw_point")
 
 
-def expected_layer_calls(algo, learner, out):
-    """Calls of each layer that the rounds of a finished run imply."""
+def expected_layer_calls(algo, learner, out, points):
+    """Calls of each layer that the rounds of a finished run imply, given
+    the points the primal player played."""
     rounds = out.iterations
     # the round in which an oracle answered FAIL ends the game without a step
     fail = int((algo == "primal" and isinstance(out.outcome, fg.Feasible))
@@ -427,7 +514,12 @@ def expected_layer_calls(algo, learner, out):
     horizon = int(not fail and not isinstance(out.outcome, fg.Exhausted))
     calls = dict.fromkeys(LAYERS, 0)
     if algo == "primal":
-        calls.update(separation_oracle=rounds, residuals=fail, residual_gradient=steps)
+        # the oracle and the gradient are asked again only when the point's
+        # bits moved; a point that did not move cannot FAIL, as it did not
+        # the round before
+        assert len(points) == rounds
+        moved = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(points, points[1:]))
+        calls.update(separation_oracle=moved, residuals=fail, residual_gradient=moved - fail)
     elif algo == "dual":
         calls.update(optimization_oracle=rounds, mw_point=rounds, mw_step=steps,
                      residuals=steps + horizon)
@@ -503,9 +595,17 @@ class TestDriver:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(solvers, name, counting)
+        points = []
+        point_learner = solvers._point_learner
+
+        def recording(*args):
+            player = point_learner(*args)
+            return player._replace(play=lambda s: points.append(player.play(s)) or points[-1])
+
+        monkeypatch.setattr(solvers, "_point_learner", recording)
         out = run_solver(prob, algo, learner, eps, max_iters=max_iters)
         assert isinstance(out.outcome, kind)
-        assert calls == expected_layer_calls(algo, learner, out)
+        assert calls == expected_layer_calls(algo, learner, out, points)
 
 
 # Infeasible instances of each generator family, m = 4; crp's barrier
