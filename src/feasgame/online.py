@@ -14,14 +14,16 @@ Three learners, used as the players inside the game solvers:
   plays the normalized weight vector.  Regret O(G_inf sqrt(T log n)).
 
 States are immutable; each step returns a fresh state with t advanced by 1.
-ONS and MW refuse a gradient with a NaN or an infinity with SetupError.
+Every learner refuses a gradient whose shape is not (n,) with
+DimensionMismatch, and ONS and MW refuse one with a NaN or an infinity with
+SetupError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,10 +69,14 @@ def init_ogd(domain: Domain, H: float) -> OgdState:
 
 
 def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
-    """Move against grad with step 1/(H t), project, advance t."""
+    """Move against grad with step 1/(H t), project, advance t.  A gradient
+    whose shape is not (n,) raises DimensionMismatch."""
     if not state.H > 0:
         raise SetupError("OGD needs a positive strong-convexity modulus H")
     g = np.asarray(grad, float)
+    if g.shape != (domain.n,):
+        raise DimensionMismatch(
+            f"OGD gradient has shape {g.shape}; the domain needs ({domain.n},)")
     y = state.x - g / (state.H * state.t)
     return OgdState(x=project_domain(domain, y), t=state.t + 1, H=state.H)
 
@@ -84,16 +90,19 @@ _U = 2.0**-53
 _ETA = 2.0**-1074
 
 
-@dataclass(frozen=True, eq=False)
-class OnsState:
+class OnsState(NamedTuple):
     """Iterate, round, step scale beta and Newton matrix A.
 
-    scale > 0 states that A = scale I + sum of g g^T over the t - 1
-    gradients seen so far, built by init_ons and ons_step; from scale and
-    the trace of A, spectrum_bounds then proves bounds on the spectrum of A.
-    The default scale = 0 proves nothing, so a state built by hand with an
-    arbitrary A has its matrix tested by generalized_project like any
-    other.  rebuilds is always 0: no inverse is kept, so none is rebuilt.
+    A state built by hand proves nothing about A, whatever its scale: its
+    spectrum_bounds is None, and ons_step leaves A to generalized_project,
+    which tests it like any other matrix.  Only the states that init_ons
+    returns, and those that ons_step returns from them, carry a proof,
+    because only they are known to hold A = scale I + sum of g g^T over the
+    t - 1 gradients seen so far; their spectrum_bounds derives bounds on the
+    spectrum of A from that.  _replace returns a state built by hand.  A
+    state is a NamedTuple, which costs less to build than a dataclass, so
+    it compares and unpacks as a tuple.  rebuilds is always 0: no inverse is
+    kept, so none is rebuilt.
     """
 
     x: Array
@@ -104,8 +113,30 @@ class OnsState:
     rebuilds = 0
 
     def spectrum_bounds(self) -> tuple[float, float] | None:
-        """(lam_min, lam_max) = (scale - b, T + b), where T is the
-        float trace of A, b = 8 n t (u T + eta), u = 2^-53 is the unit
+        """(lam_min, lam_max) bracketing the spectrum of A, or None when
+        the state does not prove them, as for every state built by hand."""
+        return None
+
+    def takes_exact_simplex_solve(self) -> bool:
+        """True when spectrum_bounds proves lam_max <= MAX_CONDITION lam_min:
+        then a simplex step goes straight to the exact KKT solve, which
+        needs nothing else of A (a proven A is symmetric bit for bit)."""
+        bounds = self.spectrum_bounds()
+        return bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
+
+
+class _ProvenOnsState(OnsState):
+    """An OnsState built by init_ons and ons_step: A = scale I + sum g g^T
+    over finite gradients, with scale > 0 finite."""
+
+    __slots__ = ()
+
+    def _replace(self, **fields) -> OnsState:
+        return OnsState(*self)._replace(**fields)
+
+    def spectrum_bounds(self) -> tuple[float, float] | None:
+        """(lam_min, lam_max) = (scale - b, T + b), where T = math.fsum of
+        the diagonal of A, b = 8 n t (u T + eta), u = 2^-53 is the unit
         roundoff and eta = 2^-1074 the smallest subnormal.
 
         The proof compares the computed matrix C = self.A with the exact sum
@@ -117,7 +148,8 @@ class OnsState:
         * A >= scale I, and lambda_max(A) <= tau, because each term is PSD.
         * C is symmetric bit for bit: it starts as scale I, and each update
           adds g_i * g_j to entry (i, j) and g_j * g_i to entry (j, i),
-          which IEEE multiplication rounds to the same float.
+          which IEEE multiplication rounds to the same float.  So no state
+          of this class needs a symmetry test.
         * Entry (i, j) of C is a float sum, in order, of t terms (scale or
           0, then t - 1 rounded products), so |C_ij - A_ij| <= gamma_t S_ij
           with S_ij = scale [i = j] + sum |g_i g_j| <= tau, as
@@ -125,9 +157,12 @@ class OnsState:
           eigenvalues of C are those of A moved by at most
           ||C - A||_2 <= ||C - A||_inf <= n gamma_t tau.
         * A diagonal entry sums nonnegative terms, so C_ii >= scale and
-          C_ii is within gamma_t of A_ii.  T sums the C_ii in some order
-          with n - 1 roundings, so T >= max C_ii >= scale (rounding is
-          monotone) and
+          C_ii is within gamma_t of A_ii.  T is the exact sum of the C_ii
+          rounded once (math.fsum), which is within u <= gamma_n of it, as
+          any order of n - 1 roundings would be; the argument needs no
+          particular order, and fsum's answer does not depend on the
+          Python version or on numpy.  So T >= max C_ii >= scale
+          (rounding is monotone) and
           tau <= T / ((1 - gamma_t)(1 - gamma_n)) <= T / (1 - gamma_{n+t}).
         * Hence lambda_min(C) >= scale - n gamma_t T / (1 - gamma_{n+t})
           and lambda_max(C) <= T (1 + n gamma_t) / (1 - gamma_{n+t}).
@@ -145,57 +180,56 @@ class OnsState:
           about n t eta / 2 and lowers T below tau by as much, which with
           the factors above stays under 3 n t eta of the 8 n t eta in b.
 
-        None when lam_min <= 0 or T < scale: the argument above then does
-        not apply, and generalized_project must test A itself.  So it is at
-        once for a state built by hand, whose default scale = 0 proves
-        nothing, and for one whose A cannot have been built from its scale,
-        since every state built so has T >= max C_ii >= scale.
+        None when lam_min <= 0, where the argument above does not apply:
+        so it is when a diagonal entry or their sum overflows (T = inf
+        gives lam_min = -inf, and a finite sum too large for a float makes
+        fsum raise OverflowError).
         """
-        if not self.scale > 0:
+        A = self.A
+        try:
+            trace = math.fsum(A.diagonal().tolist())
+        except OverflowError:
             return None
-        trace = float(self.A.trace())
-        b = 8.0 * self.A.shape[0] * self.t * (_U * trace + _ETA)
+        b = 8.0 * A.shape[0] * self.t * (_U * trace + _ETA)
         lam_min = self.scale - b
-        if not (lam_min > 0 and trace >= self.scale):
+        if not lam_min > 0:
             return None
         return lam_min, trace + b
 
-    def takes_exact_simplex_solve(self) -> bool:
-        """True when spectrum_bounds proves lam_max <= MAX_CONDITION lam_min
-        and A is symmetric bit for bit: then a simplex step goes straight
-        to the exact KKT solve, which needs nothing else of A."""
-        bounds = self.spectrum_bounds()
-        # bitwise symmetry is the same bytes in row-major and column-major
-        # order, a quarter of the cost of (A == A.T).all()
-        return (bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
-                and self.A.tobytes() == self.A.T.tobytes())
-
 
 def init_ons(domain: Domain, G: float, D: float) -> OnsState:
-    """beta = min(1, 1/(4 G D))/2, A0 = I/(D beta)^2."""
+    """beta = min(1, 1/(4 G D))/2, A0 = I/(D beta)^2.
+
+    G and D whose scale 1/(D beta)^2 is not a positive finite float raise
+    SetupError, since no proof holds for that matrix."""
     if not (G > 0 and D > 0):
         raise SetupError("ONS needs positive G and D bounds")
     beta = 0.5 * min(1.0, 1.0 / (4.0 * G * D))
-    scale = 1.0 / (D * D * beta * beta)
-    return OnsState(x=domain.start(), t=1, beta=beta, A=np.eye(domain.n) * scale,
-                    scale=scale)
+    d2 = D * D * beta * beta
+    scale = 1.0 / d2 if d2 > 0 else math.inf
+    if not 0 < scale < math.inf:
+        raise SetupError("ONS needs G and D for which 1/(D beta)^2 is a positive finite float")
+    return _ProvenOnsState(x=domain.start(), t=1, beta=beta, A=np.eye(domain.n) * scale,
+                           scale=scale)
 
 
-def _stays_at_vertex(x: Array, h: Array, A: Array) -> Array | None:
-    """A fresh e_f when x = e_f, h_f >= max h and max|h| + max|A_f.| <=
-    2^1021, which ons_step shows to be _simplex_kkt(A, x, h, x); else None.
+def _stays_at_vertex(x: Array, g: list[float], beta: float, lam_max: float) -> Array | None:
+    """A fresh e_f when x = e_f, h_f >= max h and max|h| + lam_max <=
+    2^1021 for h = (-1/beta) g, which ons_step shows to be
+    _simplex_kkt(A, x, h, x); else None.
 
-    x and h are read off lists, which at small n costs less than numpy's
-    reductions; h has no NaN (ons_step refused one in the gradient), and the
-    row of A is reduced by numpy, which passes a NaN on to fail the test.
+    x is read off a list, which at small n costs less than numpy's
+    reductions, and g is a list of finite floats.  h itself is never built:
+    -1/beta < 0 and rounding is monotone, so the largest and least entries
+    of h are, to the bit, -1/beta times the least and largest entries of g.
     """
     xl = x.tolist()
     if xl.count(0.0) != len(xl) - 1 or 1.0 not in xl:
         return None
     f = xl.index(1.0)
-    hl = h.tolist()
-    hf = hl[f]
-    if not (hf >= max(hl) and max(hf, -min(hl)) + float(abs(A[f]).max()) <= 2.0**1021):
+    c = -1.0 / beta
+    hf = c * g[f]
+    if not (hf >= c * min(g) and max(hf, -(c * max(g))) + lam_max <= 2.0**1021):
         return None
     # a fresh array, as the solve's: x itself may hold a -0.0, and the new
     # state then shares no array with the old one
@@ -209,45 +243,54 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     the A-norm, then the rank-one update A + grad grad^T.
 
     No inverse is formed.  On a simplex, when
-    state.takes_exact_simplex_solve() (A proven well conditioned and
-    symmetric bit for bit), the exact KKT solve takes the linear term
-    A y = A x - grad / beta and solves for the correction from x: O(n^2),
-    plus O(k^3) per free set of k > 1 coordinates tried.  Elsewhere (a
-    ball, a box, a state built by hand) one O(n^3) linear solve gives y for
-    generalized_project, which tests A.  A gradient with a NaN or an
-    infinity, and a singular A (on either route), raise SetupError.
+    state.takes_exact_simplex_solve() (a state of init_ons and ons_step
+    whose A is proven well conditioned), the exact KKT solve takes the
+    linear term A y = A x - grad / beta and solves for the correction from
+    x: O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.
+    Elsewhere (a ball, a box, a state built by hand, whatever its scale)
+    one O(n^3) linear solve gives y for generalized_project, which tests A.
+    A gradient whose shape is not (n,) raises DimensionMismatch; one with a
+    NaN or an infinity, and a singular A (on either route), raise
+    SetupError.  The gradient is read once as a list, which the checks and
+    the vertex rule below share; the array h = -grad / beta is built only
+    for _simplex_kkt.  A state built by ons_step is proven if and only if
+    the state it stepped from was.
 
     A step that stays at a vertex costs O(n) plus the rank-one update.  On
-    the exact route, with h = -grad / beta, a step from x = e_f (x_f = 1,
-    every other entry zero) with h_f >= max h and
-    max|h| + max_i |A_fi| <= 2^1021 returns a fresh e_f without calling
-    _simplex_kkt, and that is its answer to the bit:
+    the exact route, with h = -grad / beta and lam_max from
+    spectrum_bounds, a step from x = e_f (x_f = 1, every other entry zero)
+    with h_f >= max h and max|h| + lam_max <= 2^1021 returns a fresh e_f
+    without calling _simplex_kkt, and that is its answer to the bit:
 
     * _simplex_kkt(A, x, h, x) starts from the support {f} of x, so it
       solves nothing: it returns a fresh e_f (with positive zeros) as soon
       as its vertex multipliers mu_i = A_fi - c_i + (c_f - A_ff), with
       c = A x + h, are at least its floor -1e-12 (2 max A_ii + max|h|).
     * Exactly, mu_i = h_f - h_i >= 0, since A x is column f of A and A is
-      symmetric bit for bit.  The size bound keeps every sum in mu_i from
-      overflowing, and four roundings move mu_i by at most about
-      u (|A_fi| + |A_ff| + 4 max|h|), u = 2^-53.  The gate proved A
-      positive definite, so |A_fi| <= max A_ii, and that is some 1e-16 of
-      the scale on which the floor allows 1e-12.
+      symmetric bit for bit.  The gate proved A positive definite, so
+      |A_fi| <= max A_ii <= lam_max: the size bound keeps every sum in
+      mu_i from overflowing, and four roundings move mu_i by at most about
+      u (|A_fi| + |A_ff| + 4 max|h|), u = 2^-53, some 1e-16 of the scale
+      on which the floor allows 1e-12.
     * So the computed multipliers pass the floor, and the solve would
       return the same e_f.  Every step this rule declines takes
-      _simplex_kkt as before.
+      _simplex_kkt.
     """
     g = np.asarray(grad, float)
-    if not np.isfinite(g).all():
+    if g.shape != (domain.n,):
+        raise DimensionMismatch(
+            f"ONS gradient has shape {g.shape}; the domain needs ({domain.n},)")
+    gl = g.tolist()
+    if not all(map(math.isfinite, gl)):
         raise SetupError("ONS gradient must be finite")
     A = state.A
-    exact = isinstance(domain, Simplex) and state.takes_exact_simplex_solve()
+    bounds = state.spectrum_bounds() if isinstance(domain, Simplex) else None
+    exact = bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
     try:
         if exact:
-            h = (-1.0 / state.beta) * g
-            x_new = _stays_at_vertex(state.x, h, A)
+            x_new = _stays_at_vertex(state.x, gl, state.beta, bounds[1])
             if x_new is None:
-                x_new = _simplex_kkt(A, state.x, h, state.x)
+                x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
         else:
             Ag = np.linalg.solve(A, g)
     except np.linalg.LinAlgError:
@@ -258,8 +301,7 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
         y = state.x + (-1.0 / state.beta) * Ag
         x_new = generalized_project(y, A, domain, x0=state.x)
     # column-times-row products are np.outer without its wrapper
-    return OnsState(x=x_new, t=state.t + 1, beta=state.beta,
-                    A=A + g[:, None] * g, scale=state.scale)
+    return type(state)(x_new, state.t + 1, state.beta, A + g[:, None] * g, state.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +345,14 @@ def mw_step(state: MwState, grad) -> MwState:
 
     If a gradient entry exceeds the current G_inf in magnitude the scale
     grows to the largest value encountered so far, so weights stay positive
-    without a priori knowledge of the payoff range.  A gradient with a NaN
-    or an infinity raises SetupError.
+    without a priori knowledge of the payoff range.  A gradient whose shape
+    is not that of the weights raises DimensionMismatch, and one with a NaN
+    or an infinity SetupError.
     """
     g = np.asarray(grad, float)
     if g.shape != state.w.shape:
-        raise SetupError("gradient dimension does not match the weight vector")
+        raise DimensionMismatch(
+            f"MW gradient has shape {g.shape}; the weights have shape {state.w.shape}")
     g_inf = state.G_inf
     # numpy's max passes a NaN on, so one reduction finds max |g| and
     # refuses a NaN or an infinity

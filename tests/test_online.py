@@ -1,6 +1,7 @@
 """Learner steps, regret bounds, and measured regret."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,43 @@ from feasgame.projections import _simplex_kkt
 
 
 SIMPLEX2 = fg.Simplex(n=2)
+DOMAINS3 = [fg.Simplex(n=3), fg.Ball(n=3, radius=1.0, center=np.zeros(3)),
+            fg.Box(lo=np.zeros(3), hi=np.ones(3))]
+
+
+def at_vertex(s, f, negative_zeros=False):
+    """The proven ONS state s moved to the vertex e_f, its other entries
+    zeros of either sign.  The private class keeps the proof about A, which
+    a state built by hand would drop."""
+    x = np.full(s.x.size, -0.0 if negative_zeros else 0.0)
+    x[f] = 1.0
+    return online._ProvenOnsState(x=x, t=s.t, beta=s.beta, A=s.A, scale=s.scale)
+
+
+@pytest.mark.parametrize("bad", [2.0, [5.0], [0.1, 0.2, 0.3, 0.4], [[0.1], [0.2], [0.3]]],
+                         ids=["scalar", "one", "n+1", "column"])
+@pytest.mark.parametrize("domain", DOMAINS3, ids=["simplex", "ball", "box"])
+@pytest.mark.parametrize("learner", ["ogd", "ons"])
+def test_gradient_of_the_wrong_shape_is_refused(learner, domain, bad):
+    # [5.0] used to broadcast: OGD returned a point, and ONS added 25 to
+    # every entry of A; a scalar raised a bare IndexError in ONS
+    if learner == "ogd":
+        s, step = fg.init_ogd(domain, 1.0), fg.ogd_step
+    else:
+        s, step = fg.init_ons(domain, G=1.0, D=2.0), fg.ons_step
+    shape = np.shape(bad)
+    with pytest.raises(fg.DimensionMismatch,
+                       match=rf"gradient has shape {re.escape(str(shape))}; .* \(3,\)"):
+        step(s, bad, domain)
+
+
+@pytest.mark.parametrize("bad", [2.0, [5.0], [0.1, 0.2, 0.3, 0.4], [[0.1], [0.2], [0.3]]],
+                         ids=["scalar", "one", "n+1", "column"])
+def test_mw_gradient_of_the_wrong_shape_is_refused(bad):
+    shape = np.shape(bad)
+    with pytest.raises(fg.DimensionMismatch,
+                       match=rf"gradient has shape {re.escape(str(shape))}; .* \(3,\)"):
+        fg.mw_step(fg.init_mw(3, eta=0.1, G_inf=1.0), bad)
 
 
 class TestOgd:
@@ -121,11 +159,55 @@ class TestOns:
         with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
             fg.ons_step(s, np.array(g), fg.Simplex(n=2))
 
+    def test_hand_built_scale_proves_nothing(self):
+        # scale = 0.5 with trace 2 >= scale used to prove bounds for
+        # diag(3, -1), and the step then returned [0, 1] without a word
+        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.5, A=np.diag([3.0, -1.0]),
+                        scale=0.5)
+        assert s.spectrum_bounds() is None
+        assert not s.takes_exact_simplex_solve()
+        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+            fg.ons_step(s, [1.0, 0.0], SIMPLEX2)
+
+    def test_only_solver_built_states_are_proven(self):
+        # a step keeps the class of its state, and a replaced field drops
+        # the proof
+        s = fg.init_ons(SIMPLEX2, G=1.0, D=1.0)
+        assert s.spectrum_bounds() is not None
+        s = fg.ons_step(s, [0.5, -0.5], SIMPLEX2)
+        assert s.spectrum_bounds() is not None and s.rebuilds == 0
+        hand = fg.OnsState(*s)
+        assert type(hand) is fg.OnsState and hand.spectrum_bounds() is None
+        assert type(fg.ons_step(hand, [0.5, -0.5], SIMPLEX2)) is fg.OnsState
+        replaced = s._replace(A=np.diag([3.0, -1.0]))
+        assert type(replaced) is fg.OnsState and replaced.spectrum_bounds() is None
+
+    @pytest.mark.parametrize("G, D", [(1e300, 1.0), (1e-300, 1e300), (math.inf, 1.0),
+                                      (1.0, math.inf)])
+    def test_initial_matrix_that_is_not_a_finite_multiple_of_i_is_refused(self, G, D):
+        # (D beta)^2 underflowed to 0 and raised ZeroDivisionError, or
+        # overflowed and gave scale 0
+        with pytest.raises(fg.SetupError, match="positive finite float"):
+            fg.init_ons(SIMPLEX2, G=G, D=D)
+
+    def test_diagonal_sum_that_overflows_proves_nothing(self):
+        # scale 1e308 on two coordinates: each diagonal entry is a float but
+        # their sum is not, so math.fsum raises OverflowError and the state
+        # proves nothing; the step takes the tested route, without a numpy
+        # warning
+        s = fg.init_ons(SIMPLEX2, G=1e-3, D=2e-154)
+        assert s.scale == pytest.approx(1e308, rel=1e-12)
+        assert s.spectrum_bounds() is None and not s.takes_exact_simplex_solve()
+        s2 = fg.ons_step(s, [1.0, -1.0], SIMPLEX2)
+        assert SIMPLEX2.contains(s2.x) and s2.spectrum_bounds() is None
+
     def test_singular_bordered_matrix_on_the_exact_route_is_refused(self):
-        # trace 5 >= scale 1 proves bounds, yet A is indefinite: the free set
-        # {0, 1} borders diag(1, -1), which is singular
-        s = fg.OnsState(x=np.array([0.5, 0.5, 0.0]), t=1, beta=0.5,
-                        A=np.diag([1.0, -1.0, 5.0]), scale=1.0)
+        # no state of init_ons and ons_step has this matrix, so the private
+        # class stands in for a proof gone wrong: trace 5 proves bounds, yet
+        # A is indefinite, and the free set {0, 1} borders diag(1, -1),
+        # which is singular
+        s = online._ProvenOnsState(x=np.array([0.5, 0.5, 0.0]), t=1, beta=0.5,
+                                   A=np.diag([1.0, -1.0, 5.0]), scale=1.0)
         assert s.takes_exact_simplex_solve()
         with pytest.raises(fg.SetupError, match="ONS matrix A is singular"):
             fg.ons_step(s, np.array([1.0, 0.0, 0.0]), fg.Simplex(n=3))
@@ -151,8 +233,7 @@ class TestOns:
         # step stays at e_f exactly when g_f is the least entry of g (ties
         # included), and then it solves nothing
         dom = fg.Simplex(n=3)
-        s = fg.init_ons(dom, G=1.0, D=math.sqrt(2.0))
-        s = fg.OnsState(x=np.array([0.0, 1.0, 0.0]), t=s.t, beta=s.beta, A=s.A, scale=s.scale)
+        s = at_vertex(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), 1)
         assert not np.array_equal(fg.ons_step(s, np.array([0.3, 0.2, 0.1]), dom).x, s.x)
 
         def refused(*args):
@@ -163,12 +244,13 @@ class TestOns:
         assert x.tobytes() == s.x.tobytes() and x is not s.x
 
     def test_matrix_not_bitwise_symmetric_takes_the_tested_route(self):
-        # a scale > 0 proves bounds, but a matrix symmetric only within
-        # 1e-12 still goes through the linear solve and generalized_project,
-        # whose descent it gets bit for bit
+        # every proven matrix is symmetric bit for bit, so one symmetric only
+        # within 1e-12 is built by hand: its scale > 0 proves nothing, and it
+        # goes through the linear solve and generalized_project, whose
+        # descent it gets bit for bit
         A = np.array([[2.0, 0.5], [0.5 * (1 + 2.0**-50), 1.0]])
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=0.5)
-        assert s.spectrum_bounds() is not None
+        assert s.spectrum_bounds() is None
         assert not s.takes_exact_simplex_solve()
         g = np.array([0.3, 0.1])  # an interior answer, where the routes' bits differ
         y = s.x - np.linalg.solve(A, g) / s.beta
@@ -177,10 +259,11 @@ class TestOns:
 
     @pytest.mark.parametrize("top, exact", [(1e3, True), (1e5, False)])
     def test_proven_condition_number_picks_the_route(self, top, exact):
-        # proven bounds about 1e-6 and top: a ratio beyond
+        # scale 1/(D beta)^2 = 4e-6, then one step adds top to A_11: proven
+        # bounds about 4e-6 and top, and a ratio beyond
         # online.MAX_CONDITION = 1e10 leaves the matrix to generalized_project
-        A = np.diag([1e-6, top])
-        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=1e-6)
+        s = fg.init_ons(SIMPLEX2, G=2.5e-4, D=1e3)
+        s = fg.ons_step(s, np.array([0.0, math.sqrt(top)]), SIMPLEX2)
         assert s.spectrum_bounds() is not None
         assert s.takes_exact_simplex_solve() == exact
 
@@ -269,9 +352,7 @@ def test_ons_step_from_a_vertex_is_the_exact_solve(case):
     for _ in range(steps):
         g = rng.normal(size=n)
         s = fg.ons_step(s, G * rng.uniform() * g / np.linalg.norm(g), dom)
-    x = np.full(n, -0.0 if negative_zeros else 0.0)
-    x[f] = 1.0
-    s = fg.OnsState(x=x, t=s.t, beta=s.beta, A=s.A, scale=s.scale)
+    s = at_vertex(s, f, negative_zeros)
     assert s.takes_exact_simplex_solve()
     g = G * rng.uniform(-1.0, 1.0, size=n)
     if least:
@@ -283,6 +364,113 @@ def test_ons_step_from_a_vertex_is_the_exact_solve(case):
         g[tied] = g[f] + 1e-13 * float(abs(g).max()) * rng.uniform(-1.0, 1.0, int(tied.sum()))
     expected = _simplex_kkt(s.A, s.x, (-1.0 / s.beta) * g, s.x)
     assert fg.ons_step(s, g, dom).x.tobytes() == expected.tobytes()
+
+
+def reference_ons_step(s, g, dom):
+    """x and A after an ONS step from a proven state s, with the gates the
+    step had before its state carried the proof: numpy's finiteness test,
+    A.trace() in the bounds, a byte compare of A with A.T, and in the vertex
+    rule numpy's h and the row max|A_f.| in place of lam_max.  Also whether
+    that rule kept the vertex."""
+    g = np.asarray(g, float)
+    assert np.isfinite(g).all()
+    A = s.A
+    trace = float(A.trace())
+    b = 8.0 * A.shape[0] * s.t * (2.0**-53 * trace + 2.0**-1074)
+    lam_min = s.scale - b
+    exact = (lam_min > 0 and trace >= s.scale and trace + b <= online.MAX_CONDITION * lam_min
+             and A.tobytes() == A.T.tobytes())
+    x, stayed = None, False
+    if exact:
+        h = (-1.0 / s.beta) * g
+        xl, hl = s.x.tolist(), h.tolist()
+        if xl.count(0.0) == len(xl) - 1 and 1.0 in xl:
+            f = xl.index(1.0)
+            if hl[f] >= max(hl) and max(hl[f], -min(hl)) + float(abs(A[f]).max()) <= 2.0**1021:
+                x, stayed = np.zeros(len(xl)), True
+                x[f] = 1.0
+        if x is None:
+            x = _simplex_kkt(A, s.x, h, s.x)
+    else:
+        y = s.x + (-1.0 / s.beta) * np.linalg.solve(A, g)
+        x = fg.generalized_project(y, A, dom, x0=s.x)
+    return x, A + g[:, None] * g, stayed
+
+
+ROUNDS = ["interior", "push", "stay", "tie", "near", "zeros", "negative-zero vertex"]
+
+
+@st.composite
+def ons_gated_stream(draw):
+    """Dimension, gradient bound G, a seed, and the kinds of the rounds:
+    random gradients (interior steps), ones that push to a vertex or keep
+    its coordinate least, ties and near-ties with the top coordinate of x,
+    signed zeros in the gradient, and a move to a vertex whose other
+    entries are -0.0."""
+    return (draw(st.integers(2, 8)), draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.lists(st.sampled_from(ROUNDS), min_size=1, max_size=40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ons_gated_stream())
+def test_ons_step_is_bit_identical_to_the_old_gates(stream):
+    n, G, seed, rounds = stream
+    rng = np.random.default_rng(seed)
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
+    for kind in rounds:
+        f = int(np.argmax(s.x))
+        g = G * rng.uniform(-1.0, 1.0, n)
+        if kind == "push":
+            g[f] = -G * (1.0 + 10.0 * rng.uniform())
+        elif kind == "stay":
+            g[f] = g.min() - G * rng.uniform()
+        elif kind in ("tie", "near"):
+            tied = rng.random(n) < 0.5
+            g[tied] = g[f] + (kind == "near") * 1e-13 * G * rng.uniform(-1.0, 1.0, int(tied.sum()))
+        elif kind == "zeros":
+            g[rng.random(n) < 0.5] = 0.0
+            g[f] = -0.0
+        elif kind == "negative-zero vertex":
+            s = at_vertex(s, f, negative_zeros=True)
+        x, A, _ = reference_ons_step(s, g, dom)
+        s = fg.ons_step(s, g, dom)
+        assert s.x.tobytes() == x.tobytes()
+        assert s.A.tobytes() == A.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_vertex_rule_near_the_overflow_bound_hands_over_to_the_solve(n, data):
+    # beta = 2^-540 and A = 2^1000 I.  With max|h| = 2^1021 - k 2^1000 for
+    # 1 <= k < n the old rule, max|h| + max|A_f.| <= 2^1021, kept the vertex,
+    # and the new one, max|h| + lam_max with lam_max >= n 2^1000, declines:
+    # the solve must then give the same bytes
+    f = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.floats(1.0, n - 1.0 + 0.999))
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    v[f] = 1.0
+    v[np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 1.0  # ties
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=2.0**497, D=2.0**40)
+    assert (s.beta, s.scale) == (2.0**-540, 2.0**1000)
+    s = at_vertex(s, f, negative_zeros=data.draw(st.booleans()))
+    h = (2.0**1021 - k * 2.0**1000) * v
+    g = -s.beta * h  # a power of 2, so (-1 / beta) g is h again
+    x, A, stayed = reference_ons_step(s, g, dom)
+    assert stayed
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _simplex_kkt(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(online, "_simplex_kkt", counted)
+        s = fg.ons_step(s, g, dom)
+    assert calls == [1]
+    assert s.x.tobytes() == x.tobytes()
+    assert s.A.tobytes() == A.tobytes()
 
 
 class TestMw:

@@ -256,7 +256,7 @@ def test_unmoved_points_reuse_answers_without_changing_the_run(monkeypatch, lear
     rows = []
     out = fg.primal_game_opt(prob, eps, learner, max_iters=max_iters, trace_sink=rows.append)
     with monkeypatch.context() as m:
-        m.setattr(online, "_stays_at_vertex", lambda x, h, A: None)
+        m.setattr(online, "_stays_at_vertex", lambda x, g, beta, lam_max: None)
         ref_rows = []
         ref = primal_asking_every_round(prob, eps, learner, max_iters, ref_rows.append)
     assert [repr(r._replace(elapsed_ns=0)) for r in rows] == [
