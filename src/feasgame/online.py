@@ -16,7 +16,8 @@ Three learners, used as the players inside the game solvers:
 States are immutable; each step returns a fresh state with t advanced by 1.
 Every learner refuses a gradient whose shape is not (n,) with
 DimensionMismatch, and ONS and MW refuse one with a NaN or an infinity with
-SetupError.
+SetupError.  init_ogd, init_ons and init_mw refuse a NaN or an infinite
+parameter with SetupError naming it.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ class OgdState:
 
 
 def init_ogd(domain: Domain, H: float) -> OgdState:
-    if not H > 0:
-        raise SetupError("OGD needs a positive strong-convexity modulus H")
+    """The domain's start point; H that is not a positive finite float
+    raises SetupError (an infinite H gives steps of size 0)."""
+    if not 0 < H < math.inf:
+        raise SetupError(f"OGD needs a positive finite strong-convexity modulus H, got {H!r}")
     return OgdState(x=domain.start(), t=1, H=float(H))
 
 
@@ -103,6 +106,16 @@ class OnsState(NamedTuple):
     state is a NamedTuple, which costs less to build than a dataclass, so
     it compares and unpacks as a tuple.  rebuilds is always 0: no inverse is
     kept, so none is rebuilt.
+
+    last is the memo of the step that built the state, which lets the next
+    step with a gradient of the same bytes skip the work that gradient has
+    already paid for: a tuple (key, gl, gg, stay) of the gradient's bytes
+    g.tobytes(), its entries as a list (checked finite), its outer product
+    g[:, None] * g, and (f, m) when that step stayed at the vertex e_f under
+    the vertex rule of ons_step, with m = max|h| for h = -g / beta, else
+    None.  Like the spectrum proof, only states that init_ons and ons_step
+    build trust it (recall); a state built by hand or by _replace ignores
+    its last.
     """
 
     x: Array
@@ -110,11 +123,18 @@ class OnsState(NamedTuple):
     beta: float
     A: Array
     scale: float = 0.0
+    last: tuple | None = None
     rebuilds = 0
 
     def spectrum_bounds(self) -> tuple[float, float] | None:
         """(lam_min, lam_max) bracketing the spectrum of A, or None when
         the state does not prove them, as for every state built by hand."""
+        return None
+
+    def recall(self, key: bytes) -> tuple | None:
+        """The memo last when it was built from a gradient whose bytes are
+        key, or None; always None for a state built by hand, which proves
+        nothing about its memo."""
         return None
 
     def takes_exact_simplex_solve(self) -> bool:
@@ -133,6 +153,12 @@ class _ProvenOnsState(OnsState):
 
     def _replace(self, **fields) -> OnsState:
         return OnsState(*self)._replace(**fields)
+
+    def recall(self, key: bytes) -> tuple | None:
+        """The memo last when its key equals key, byte for byte: a caller
+        may refill one gradient array in place, so identity proves nothing."""
+        last = self.last
+        return last if last is not None and last[0] == key else None
 
     def spectrum_bounds(self) -> tuple[float, float] | None:
         """(lam_min, lam_max) = (scale - b, T + b), where T = math.fsum of
@@ -213,10 +239,10 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
                            scale=scale)
 
 
-def _stays_at_vertex(x: Array, g: list[float], beta: float, lam_max: float) -> Array | None:
-    """A fresh e_f when x = e_f, h_f >= max h and max|h| + lam_max <=
-    2^1021 for h = (-1/beta) g, which ons_step shows to be
-    _simplex_kkt(A, x, h, x); else None.
+def _vertex_rule(x: Array, g: list[float], beta: float) -> tuple[int, float] | None:
+    """(f, max|h|) when x = e_f and h_f >= max h for h = (-1/beta) g; else
+    None.  ons_step keeps the vertex when also max|h| + lam_max <= 2^1021,
+    and then e_f is _simplex_kkt(A, x, h, x) to the bit.
 
     x is read off a list, which at small n costs less than numpy's
     reductions, and g is a list of finite floats.  h itself is never built:
@@ -229,13 +255,9 @@ def _stays_at_vertex(x: Array, g: list[float], beta: float, lam_max: float) -> A
     f = xl.index(1.0)
     c = -1.0 / beta
     hf = c * g[f]
-    if not (hf >= c * min(g) and max(hf, -(c * max(g))) + lam_max <= 2.0**1021):
+    if not hf >= c * min(g):
         return None
-    # a fresh array, as the solve's: x itself may hold a -0.0, and the new
-    # state then shares no array with the old one
-    e = np.zeros(len(xl))
-    e[f] = 1.0
-    return e
+    return f, max(hf, -(c * max(g)))
 
 
 def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
@@ -275,23 +297,47 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     * So the computed multipliers pass the floor, and the solve would
       return the same e_f.  Every step this rule declines takes
       _simplex_kkt.
+
+    A step from a proven state whose memo (OnsState.last) holds a gradient
+    of the same bytes pays only for its bookkeeping: the gradient's list,
+    already checked finite, and its outer product come from the memo, and
+    A + gg has the bits of A + g[:, None] * g because both multiply the same
+    floats.  When the memo's step stayed at e_f, this step starts from that
+    e_f with the same beta and the same h, so h_f >= max h still holds and
+    only the size bound is checked again, with this state's lam_max.  The
+    route gate runs on every step; when it or the size bound declines, the
+    step takes the route above.  The primal solver hands ONS the same
+    gradient in every round whose point did not move.
     """
     g = np.asarray(grad, float)
     if g.shape != (domain.n,):
         raise DimensionMismatch(
             f"ONS gradient has shape {g.shape}; the domain needs ({domain.n},)")
-    gl = g.tolist()
-    if not all(map(math.isfinite, gl)):
-        raise SetupError("ONS gradient must be finite")
+    key = g.tobytes()
+    memo = state.recall(key)
+    if memo is None:
+        gl, stay = g.tolist(), None
+        if not all(map(math.isfinite, gl)):
+            raise SetupError("ONS gradient must be finite")
+    else:
+        _, gl, gg, stay = memo
     A = state.A
     bounds = state.spectrum_bounds() if isinstance(domain, Simplex) else None
     exact = bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
     try:
         if exact:
-            x_new = _stays_at_vertex(state.x, gl, state.beta, bounds[1])
-            if x_new is None:
+            if stay is None:
+                stay = _vertex_rule(state.x, gl, state.beta)
+            if stay is not None and stay[1] + bounds[1] <= 2.0**1021:
+                # a fresh array, as the solve's: x itself may hold a -0.0,
+                # and the new state then shares no array with the old one
+                x_new = np.zeros(domain.n)
+                x_new[stay[0]] = 1.0
+            else:
+                stay = None
                 x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
         else:
+            stay = None
             Ag = np.linalg.solve(A, g)
     except np.linalg.LinAlgError:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -300,8 +346,11 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     if not exact:
         y = state.x + (-1.0 / state.beta) * Ag
         x_new = generalized_project(y, A, domain, x0=state.x)
-    # column-times-row products are np.outer without its wrapper
-    return type(state)(x_new, state.t + 1, state.beta, A + g[:, None] * g, state.scale)
+    if memo is None:
+        # column-times-row products are np.outer without its wrapper
+        gg = g[:, None] * g
+    return type(state)(x_new, state.t + 1, state.beta, A + gg, state.scale,
+                       (key, gl, gg, stay))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +372,14 @@ def mw_learning_rate(n: int, T: int) -> float:
 
 
 def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState:
+    """Uniform weights.  A NaN eta or G_inf raises SetupError, as does an
+    eta outside [0, 1/2] or an infinite G_inf, whose weights never move."""
     if n < 1:
         raise SetupError("MW needs at least one coordinate")
-    if eta < 0 or eta > 0.5:
-        raise SetupError("MW learning rate must lie in [0, 1/2]")
-    if G_inf < 0:
-        raise SetupError("G_inf must be nonnegative")
+    if not 0 <= eta <= 0.5:
+        raise SetupError(f"MW learning rate eta must lie in [0, 1/2], got {eta!r}")
+    if not 0 <= G_inf < math.inf:
+        raise SetupError(f"MW G_inf must be a nonnegative finite float, got {G_inf!r}")
     if direction not in ("min", "max"):
         raise SetupError("direction must be 'min' or 'max'")
     return MwState(w=np.full(n, 1.0 / n), t=1, eta=float(eta),

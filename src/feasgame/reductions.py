@@ -14,6 +14,8 @@ scale back to the original residual scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -32,10 +34,11 @@ def strictify(problem: Problem, delta: float) -> Problem:
 
     Only quadratic-representable families are eligible.  delta = 0 returns
     the problem unchanged.  Parameters are adjusted conservatively:
-    H' = H + 2 delta, G' = G + 2 delta, omega' = omega + delta.
+    H' = H + 2 delta, G' = G + 2 delta, omega' = omega + delta.  A delta that
+    is not a nonnegative finite float raises SetupError.
     """
-    if delta < 0:
-        raise SetupError("delta must be >= 0")
+    if not 0 <= delta < math.inf:
+        raise SetupError(f"delta must be a nonnegative finite float, got {delta!r}")
     if problem.sense != "min":
         raise SetupError("strictify expects minimization-form residuals")
     if not isinstance(problem.domain, Simplex):
@@ -64,8 +67,8 @@ def strictify(problem: Problem, delta: float) -> Problem:
 def strictify_guarantee(eps: float) -> tuple[float, float]:
     """(delta, eps_original): solving the strictified system to accuracy eps
     with delta = eps certifies the original system to accuracy 2 * eps."""
-    if not eps > 0:
-        raise SetupError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise SetupError(f"eps must be a positive finite float, got {eps!r}")
     return eps, 2.0 * eps
 
 

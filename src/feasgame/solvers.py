@@ -15,7 +15,9 @@ what a round is and in what the horizon's end certifies:
   surviving the full horizon yields a dual distribution p_bar (the visit
   frequencies) with min_x g(x, p_bar) > 0 (infeasible).  A point that did
   not move since the last round (same bits) re-uses that round's answer
-  and gradient, so such a round costs the learner's step alone.
+  and gradient, so such a round costs the learner's step alone; an ONS
+  step handed that same gradient also re-uses its outer product and, when
+  the last step stayed at a vertex, that verdict (OnsState.last).
 * dual_game_opt: multiplicative weights picks distributions, the
   optimization oracle answers with near-minimizing points.  An oracle FAIL
   certifies infeasibility outright; otherwise the point average is
@@ -185,9 +187,12 @@ def stopping_threshold(spec: RegretBoundSpec, eps: float) -> int:
 
     Doubling then bisection; assumes the bound shapes are concave in T so
     the predicate is monotone once true.  Raises if no T below 2^62 works.
+    Every solver, and so the scaling experiment, takes T* from here, so an
+    eps that is not a positive finite float (a NaN or an infinity, which no
+    outcome document can carry) is refused here with SetupError.
     """
-    if not eps > 0:
-        raise SetupError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise SetupError(f"eps must be a positive finite float, got {eps!r}")
 
     def ok(T: int) -> bool:
         return regret_bound(spec, T) <= eps * T

@@ -342,6 +342,16 @@ class TestCli:
         assert json.loads(out.read_text())["outcome"]["kind"] == "feasible"
         assert main(["verify", "--outcome", str(out)]) == 0
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps_exits_one_and_writes_nothing(self, tmp_path, capsys, eps):
+        # --eps inf used to exit 0 with "eps": Infinity in the outcome, which
+        # is not JSON and which verify then refused
+        path = write_problem(tmp_path, FEASIBLE_DOC)
+        out = tmp_path / "outcome.json"
+        assert main(["solve", "--problem", path, "--eps", eps, "--out", str(out)]) == 1
+        assert "eps must be a positive finite float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["solve", "--problem", "/nonexistent.json", "--eps", "0.1"]) == 1
 
@@ -555,6 +565,14 @@ class TestExperiments:
         assert not rep.incomplete
         assert list(rep.values) == sorted(rep.values)
         assert rep.values[0] < rep.values[-1]
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_scaling_refuses_a_non_finite_ladder(self, eps):
+        # the halving test cannot see an infinite or NaN ladder, but every
+        # solve takes its horizon from the stopping rule, which refuses it
+        spec = fg.GeneratorSpec(family="strict_qp", n=3, m=3, seed=2, feasible=False)
+        with pytest.raises(fg.SetupError, match=r"eps must be a positive finite float"):
+            scaling_experiment(spec, "primal", "ogd", (eps, eps, eps))
 
     def test_scaling_requires_halving_ladder(self):
         spec = fg.GeneratorSpec(family="strict_qp", n=3, m=3, seed=2)

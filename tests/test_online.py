@@ -84,6 +84,12 @@ class TestOgd:
             fg.init_ogd(SIMPLEX2, H=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curvature_is_refused(self, bad):
+        # an infinite H gave steps of size 0, so the point never moved
+        with pytest.raises(fg.SetupError, match=r"finite strong-convexity modulus H, got"):
+            fg.init_ogd(fg.Simplex(3), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("domain", [
         fg.Ball(n=2, radius=1.0, center=np.zeros(2)),
         fg.Box(lo=np.zeros(2), hi=np.ones(2)),
@@ -411,6 +417,27 @@ def ons_gated_stream(draw):
             draw(st.lists(st.sampled_from(ROUNDS), min_size=1, max_size=40)))
 
 
+def gated_round(kind, s, G, rng):
+    """The gradient of one round of ons_gated_stream, and the state the
+    round steps from: a "negative-zero vertex" round moves s to a vertex."""
+    n = s.x.size
+    f = int(np.argmax(s.x))
+    g = G * rng.uniform(-1.0, 1.0, n)
+    if kind == "push":
+        g[f] = -G * (1.0 + 10.0 * rng.uniform())
+    elif kind == "stay":
+        g[f] = g.min() - G * rng.uniform()
+    elif kind in ("tie", "near"):
+        tied = rng.random(n) < 0.5
+        g[tied] = g[f] + (kind == "near") * 1e-13 * G * rng.uniform(-1.0, 1.0, int(tied.sum()))
+    elif kind == "zeros":
+        g[rng.random(n) < 0.5] = 0.0
+        g[f] = -0.0
+    elif kind == "negative-zero vertex":
+        s = at_vertex(s, f, negative_zeros=True)
+    return g, s
+
+
 @settings(max_examples=100, deadline=None)
 @given(ons_gated_stream())
 def test_ons_step_is_bit_identical_to_the_old_gates(stream):
@@ -419,24 +446,157 @@ def test_ons_step_is_bit_identical_to_the_old_gates(stream):
     dom = fg.Simplex(n=n)
     s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
     for kind in rounds:
-        f = int(np.argmax(s.x))
-        g = G * rng.uniform(-1.0, 1.0, n)
-        if kind == "push":
-            g[f] = -G * (1.0 + 10.0 * rng.uniform())
-        elif kind == "stay":
-            g[f] = g.min() - G * rng.uniform()
-        elif kind in ("tie", "near"):
-            tied = rng.random(n) < 0.5
-            g[tied] = g[f] + (kind == "near") * 1e-13 * G * rng.uniform(-1.0, 1.0, int(tied.sum()))
-        elif kind == "zeros":
-            g[rng.random(n) < 0.5] = 0.0
-            g[f] = -0.0
-        elif kind == "negative-zero vertex":
-            s = at_vertex(s, f, negative_zeros=True)
+        g, s = gated_round(kind, s, G, rng)
         x, A, _ = reference_ons_step(s, g, dom)
         s = fg.ons_step(s, g, dom)
         assert s.x.tobytes() == x.tobytes()
         assert s.A.tobytes() == A.tobytes()
+
+
+REPEATS = ["fresh", "same", "equal", "refill"]
+
+
+@st.composite
+def ons_repeat_stream(draw):
+    """An ons_gated_stream whose rounds also say where the gradient comes
+    from: drawn afresh, the previous round's array passed again, a copy of
+    it (equal bytes), or that array refilled in place with a fresh draw.  A
+    "switch" gradient adds 1.2e10 scale along the all-ones direction, which
+    lifts the proven condition number past MAX_CONDITION for good."""
+    return (draw(st.integers(2, 8)), draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.lists(st.tuples(st.sampled_from(ROUNDS + ["switch"]),
+                                    st.sampled_from(REPEATS)), min_size=1, max_size=40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ons_repeat_stream())
+def test_repeated_gradients_give_the_bits_of_a_step_without_memo(stream):
+    # the memo is keyed on the gradient's bytes: the same array or an equal
+    # copy hits it, after an interior step, a vertex stay or a route switch
+    # alike, and an array refilled in place with new values misses it
+    n, G, seed, rounds = stream
+    rng = np.random.default_rng(seed)
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
+    big = np.full(n, math.sqrt(1.2e10 * s.scale / n))
+    prev, key, switched = None, None, False
+    for kind, repeat in rounds:
+        if kind == "switch":
+            g = big.copy()
+        else:
+            g, s = gated_round(kind, s, G, rng)
+        if prev is not None and repeat == "same":
+            g = prev
+        elif prev is not None and repeat == "equal":
+            g = prev.copy()
+        elif prev is not None and repeat == "refill":
+            prev[:] = g
+            g = prev
+        # a fresh draw may repeat the last bytes too ([0, -0] after [0, -0]),
+        # and a vertex moved to by hand keeps no memo
+        hit = s.recall(g.tobytes()) is not None
+        assert hit == (g.tobytes() == key and kind != "negative-zero vertex")
+        switched = switched or g.tobytes() == big.tobytes()
+        x, A, _ = reference_ons_step(s, g, dom)
+        s = fg.ons_step(s, g, dom)
+        assert s.x.tobytes() == x.tobytes()
+        assert s.A.tobytes() == A.tobytes()
+        assert s.takes_exact_simplex_solve() != switched
+        prev, key = g, g.tobytes()
+
+
+def test_repeated_gradient_after_a_vertex_stay_skips_the_rule(monkeypatch):
+    # the memo's verdict keeps the vertex: neither the rule nor the solve
+    # runs again while the same gradient bytes come back
+    dom = fg.Simplex(n=4)
+    s = at_vertex(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), 2)
+    g = np.array([0.3, -0.1, -0.4, 0.2])
+    calls = []
+    rule = online._vertex_rule
+    monkeypatch.setattr(online, "_vertex_rule", lambda *args: calls.append(1) or rule(*args))
+    s = fg.ons_step(s, g, dom)
+    assert calls == [1] and s.last[3] == (2, (-1.0 / s.beta) * -0.4)
+
+    def refused(*args):
+        raise AssertionError("a repeated vertex stay called the KKT solve")
+
+    monkeypatch.setattr(online, "_simplex_kkt", refused)
+    for repeat in (g, g.copy(), g):
+        x, A, stayed = reference_ons_step(s, repeat, dom)
+        s = fg.ons_step(s, repeat, dom)
+        assert stayed and s.x.tobytes() == x.tobytes() and s.A.tobytes() == A.tobytes()
+    assert calls == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_repeated_vertex_stay_checks_the_size_bound_again(n, data):
+    # beta = 2^-521 and A = 2^1000 I, with max|h| = 2^1021 - k 2^1000 for
+    # n < k < n + 1: the first step keeps e_f, but its own rank-one update
+    # adds about |v|^2 >= 1 times 2^1000 to lam_max, so the same gradient
+    # again fails the size bound and must take the solve, with the bytes of
+    # the old rule's vertex
+    f = data.draw(st.integers(0, n - 1))
+    k = n + data.draw(st.floats(0.01, 0.9))
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    v[f] = 1.0
+    dom = fg.Simplex(n=n)
+    s = fg.init_ons(dom, G=2.0**497, D=2.0**21)
+    assert (s.beta, s.scale) == (2.0**-521, 2.0**1000)
+    s = at_vertex(s, f, negative_zeros=data.draw(st.booleans()))
+    g = -s.beta * (2.0**1021 - k * 2.0**1000) * v
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _simplex_kkt(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(online, "_simplex_kkt", counted)
+        for solves in ([], [1]):
+            x, A, stayed = reference_ons_step(s, g, dom)
+            assert stayed
+            s = fg.ons_step(s, g, dom)
+            assert calls == solves
+            assert s.x.tobytes() == x.tobytes()
+            assert s.A.tobytes() == A.tobytes()
+
+
+def test_vertex_verdict_does_not_outlive_a_step_off_the_exact_route():
+    # the same gradient on a ball moves the point off e_0, so the memo of
+    # that step keeps no verdict, and the next simplex step decides afresh
+    dom, ball = fg.Simplex(n=3), fg.Ball(n=3, radius=1.0, center=np.zeros(3))
+    s = at_vertex(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), 0)
+    g = np.array([-0.5, 0.2, 0.3])
+    s = fg.ons_step(s, g, dom)
+    assert s.last[3] is not None
+    s = fg.ons_step(s, g, ball)
+    assert s.last[3] is None and not np.array_equal(s.x, [1.0, 0.0, 0.0])
+    x, A, _ = reference_ons_step(s, g, dom)
+    s = fg.ons_step(s, g, dom)
+    assert s.x.tobytes() == x.tobytes() and s.A.tobytes() == A.tobytes()
+
+
+def test_forged_memo_is_ignored_off_the_proven_states():
+    # a hand-built state and one returned by _replace prove nothing about
+    # their memo: a forged list cannot skip the finiteness check, a forged
+    # outer product is not added, and a forged verdict keeps no vertex
+    dom = fg.Simplex(n=3)
+    s = fg.ons_step(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), [0.2, -0.1, 0.4], dom)
+    g = np.array([0.5, -0.3, 0.1])
+    forged = (g.tobytes(), [0.0, 0.0, 0.0], np.zeros((3, 3)), (0, 0.0))
+    expected = fg.ons_step(fg.OnsState(*s[:5]), g, dom)
+    for state in (fg.OnsState(*s[:5], last=forged), s._replace(last=forged)):
+        assert type(state) is fg.OnsState and state.recall(g.tobytes()) is None
+        out = fg.ons_step(state, g, dom)
+        assert out.x.tobytes() == expected.x.tobytes()
+        assert out.A.tobytes() == expected.A.tobytes()
+        assert not np.array_equal(out.x, [1.0, 0.0, 0.0])
+    bad = np.array([0.5, math.nan, 0.1])
+    forged = (bad.tobytes(), [0.5, 0.0, 0.1], np.zeros((3, 3)), None)
+    for state in (fg.OnsState(*s[:5], last=forged), s._replace(last=forged)):
+        with pytest.raises(fg.SetupError, match="ONS gradient must be finite"):
+            fg.ons_step(state, bad, dom)
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,6 +649,15 @@ class TestMw:
         fg.init_mw(2, eta=0.5, G_inf=1.0)
         with pytest.raises(fg.SetupError):
             fg.init_mw(2, eta=0.51, G_inf=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_are_refused(self, bad):
+        # a NaN eta gave NaN weights after one step, and a NaN or infinite
+        # G_inf weights that never moved
+        with pytest.raises(fg.SetupError, match=r"learning rate eta must lie in \[0, 1/2\], got"):
+            fg.init_mw(3, bad, 1.0)
+        with pytest.raises(fg.SetupError, match=r"G_inf must be a nonnegative finite float, got"):
+            fg.init_mw(3, 0.1, bad)
 
     def test_zero_gradient_keeps_weights(self):
         s = fg.init_mw(3, eta=0.25, G_inf=1.0)

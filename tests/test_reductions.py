@@ -42,6 +42,18 @@ class TestStrictify:
     def test_guarantee_pair(self):
         assert fg.strictify_guarantee(0.05) == (0.05, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_or_negative_delta_is_refused(self, bad):
+        # an infinite delta used to build NaN matrices with a RuntimeWarning
+        prob = affine_problem([[1.0, -1.0]], [0.0], 2)
+        with pytest.raises(fg.SetupError, match="delta must be a nonnegative finite float"):
+            fg.strictify(prob, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_guarantee_refuses_an_eps_that_is_not_positive_and_finite(self, bad):
+        with pytest.raises(fg.SetupError, match="eps must be a positive finite float"):
+            fg.strictify_guarantee(bad)
+
     def test_transformed_never_above_original(self, rng):
         prob = affine_problem(rng.normal(size=(3, 3)), rng.normal(size=3), 3)
         out = fg.strictify(prob, 0.2)

@@ -106,6 +106,20 @@ class TestStoppingThreshold:
         with pytest.raises(fg.SetupError):
             fg.stopping_threshold(fg.ogd_bound_spec(1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        # an infinite eps used to give T* = 1, and the outcome document then
+        # carried "eps": Infinity, which is not JSON and which verify refused
+        with pytest.raises(fg.SetupError, match=r"eps must be a positive finite float"):
+            fg.stopping_threshold(fg.ogd_bound_spec(1.0, 1.0), eps)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+@pytest.mark.parametrize("algo", ["primal", "dual", "primal-dual"])
+def test_every_solver_refuses_a_non_finite_eps(algo, eps):
+    with pytest.raises(fg.SetupError, match=r"eps must be a positive finite float"):
+        run_solver(norm_sq_problem(), algo, None, eps)
+
 
 class TestPrimal:
     def test_satisfied_at_start_returns_first_play(self):
@@ -256,7 +270,7 @@ def test_unmoved_points_reuse_answers_without_changing_the_run(monkeypatch, lear
     rows = []
     out = fg.primal_game_opt(prob, eps, learner, max_iters=max_iters, trace_sink=rows.append)
     with monkeypatch.context() as m:
-        m.setattr(online, "_stays_at_vertex", lambda x, g, beta, lam_max: None)
+        m.setattr(online, "_vertex_rule", lambda x, g, beta: None)
         ref_rows = []
         ref = primal_asking_every_round(prob, eps, learner, max_iters, ref_rows.append)
     assert [repr(r._replace(elapsed_ns=0)) for r in rows] == [
