@@ -542,7 +542,11 @@ class Affine(_Family):
 
 @dataclass(frozen=True, eq=False)
 class Quadratic(_Family):
-    """f(x) = x.A x + b.x + c with A symmetric (not necessarily PSD)."""
+    """f(x) = x.A x + b.x + c with A symmetric (not necessarily PSD).
+
+    The bounds over a domain all read A's spectrum, which is computed once,
+    on first use, and kept: A is frozen.
+    """
 
     tag = "quadratic"
     A: Symmetric
@@ -556,8 +560,8 @@ class Quadratic(_Family):
             raise DimensionMismatch("quadratic matrix must be square")
         if b.shape != (A.shape[0],):
             raise DimensionMismatch("quadratic linear term has wrong dimension")
-        asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-        if asym > 1e-9 * (1.0 + float(np.max(np.abs(A)))):
+        asym = float(np.abs(A - A.T).max()) if A.size else 0.0
+        if asym > 1e-9 * (1.0 + float(np.abs(A).max())):
             raise SetupError(f"quadratic matrix not symmetric (max asymmetry {asym:.3g})")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
@@ -573,9 +577,16 @@ class Quadratic(_Family):
     def value_batch(self, X):
         return np.einsum("ni,ij,nj->n", X, self.A, X) + X @ self.b + self.c
 
+    @cached_property
+    def spectrum(self) -> Array:
+        """The eigenvalues of A in ascending order (read-only: every bound shares them)."""
+        ev = np.linalg.eigvalsh(self.A)
+        ev.flags.writeable = False
+        return ev
+
     def interval(self, domain):
         M = domain.max_norm()
-        ev = np.linalg.eigvalsh(self.A)
+        ev = self.spectrum
         qlo = min(0.0, float(ev[0])) * M * M
         qhi = max(0.0, float(ev[-1])) * M * M
         llo, lhi = domain.affine_interval(self.b, self.c)
@@ -586,10 +597,10 @@ class Quadratic(_Family):
         return self.smoothness(domain) * domain.max_norm() + float(np.linalg.norm(self.b))
 
     def smoothness(self, domain):
-        return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.A)))) if self.A.size else 0.0
+        return 2.0 * float(np.abs(self.spectrum).max()) if self.A.size else 0.0
 
     def curvature(self, domain):
-        return max(0.0, 2.0 * float(np.min(np.linalg.eigvalsh(self.A))))
+        return max(0.0, 2.0 * float(self.spectrum.min()))
 
     def as_quadratic(self):
         return self

@@ -101,15 +101,18 @@ def _cmd_solve(args) -> int:
                        "eps_log": eps_run},)
         eps_original = args.eps
 
-    trace_file = open(args.trace, "w") if args.trace else None
+    # the trace file is opened at the first record, so a solve refused
+    # before its first round leaves no file and an existing one untouched
+    trace_file = sink = None
+    if args.trace:
+        def sink(rec):
+            nonlocal trace_file
+            if trace_file is None:
+                trace_file = open(args.trace, "w")
+                trace_file.write(TRACE_HEADER + "\n")
+            trace_file.write(_trace_line(rec) + "\n")
+
     try:
-        sink = None
-        if trace_file is not None:
-            trace_file.write(TRACE_HEADER + "\n")
-
-            def sink(rec, _f=trace_file):
-                _f.write(_trace_line(rec) + "\n")
-
         result = run_solver(problem, args.algo, args.learner, eps_run,
                             max_iters=args.max_iters, trace_sink=sink)
     finally:

@@ -6,6 +6,22 @@ fields are rejected by name, with the offending path in the message.
 Emission is canonical (sorted keys, two-space indent, trailing newline) so
 parse/emit round-trips are byte-stable.
 
+canonical_json writes exactly json.dumps(doc, sort_keys=True, indent=2)
+plus a newline, but without json's item-by-item walk, which an indent
+forces onto its pure-Python encoder.  It writes json's text itself where
+that text is known: a dict whose keys are all strings (sorted as json sorts
+them), a nonempty list or tuple (a row of finite floats as one join of
+float.__repr__, which json uses too), a string (json's own
+encode_basestring_ascii) and a finite float.  Every other value (an int, a
+bool, None, a NaN or an infinity, an empty container, a dict with a key that
+is not a string, a type json does not know) goes to json's encoder, and its
+text is re-indented to its depth, so such a value keeps json's output and
+json's error.  A cycle or a value too deep to walk goes to json.dumps whole.
+
+Parsing reads a matrix with one np.array call when it is what emission
+writes, equal-length rows of finite floats; any other matrix is read row by
+row, so each error names the same row or entry.
+
 One field table serves every tagged object.  A domain's or an outcome's
 "kind", and a constraint's "family", picks its class from DOMAINS, OUTCOMES
 or FAMILIES; the class's dataclass fields are the object's other fields,
@@ -18,8 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,7 +98,7 @@ def _boolean(v, path: str) -> bool:
 def _vector(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ProblemFileError(f"{path}: expected a nonempty array of numbers")
-    if all(type(e) is float for e in v):  # what emission writes: check all at once
+    if set(map(type, v)) == {float}:  # what emission writes: check all at once
         x = np.array(v)
         if np.isfinite(x).all():
             return x
@@ -90,6 +108,13 @@ def _vector(v, path: str) -> np.ndarray:
 def _matrix(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ProblemFileError(f"{path}: expected a nonempty array of rows")
+    # what emission writes, equal-length rows of floats: one array at once
+    if (set(map(type, v)) == {list} and len(set(map(len, v))) == 1
+            and set(map(type, itertools.chain.from_iterable(v))) == {float}):
+        x = np.array(v)
+        if np.isfinite(x).all():
+            return x
+    # anything else row by row, so an error names its row or entry
     rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(v)]
     width = rows[0].shape[0]
     for i, r in enumerate(rows):
@@ -135,7 +160,7 @@ def _symmetric(v, path: str) -> np.ndarray:
     A = _matrix(v, path)
     if A.shape[0] != A.shape[1]:
         raise ProblemFileError(f"{path}: expected a square matrix")
-    if np.max(np.abs(A - A.T)) > 1e-9 * (1.0 + np.max(np.abs(A))):
+    if np.abs(A - A.T).max() > 1e-9 * (1.0 + np.abs(A).max()):
         raise ProblemFileError(f"{path}: matrix is not symmetric")
     return A
 
@@ -275,9 +300,62 @@ def problem_to_doc(problem: Problem) -> dict:
     }
 
 
-def canonical_json(doc: dict) -> str:
-    """Sorted-key, two-space-indented JSON with a trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def canonical_json(doc) -> str:
+    """Sorted-key, two-space-indented JSON with a trailing newline: exactly
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, errors included."""
+    out: list[str] = []
+    try:
+        _write(doc, "", out)
+    except RecursionError:  # a cycle or a very deep value: json's own walk and error
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return "".join(out) + "\n"
+
+
+# json.dumps(v, sort_keys=True, indent=2) is this encoder's encode(v)
+_encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _write(v, pad: str, out: list[str]) -> None:
+    """Append json's text of v, nested at indentation pad, to out."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif isinstance(v, float) and math.isfinite(v):
+        out.append(float.__repr__(v))
+    elif isinstance(v, (list, tuple)) and v:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        row = _float_row(v, sep)
+        if row is None:
+            for i, e in enumerate(v):
+                if i:
+                    out.append(sep)
+                _write(e, inner, out)
+        else:
+            out.append(row)
+        out.append("\n" + pad + "]")
+    elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, (k, e) in enumerate(sorted(v.items())):
+            if i:
+                out.append(sep)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _write(e, inner, out)
+        out.append("\n" + pad + "}")
+    else:  # ints, bools, None, non-finite floats, empty containers, other keys or types
+        out.append(_encode(v).replace("\n", "\n" + pad))
+
+
+def _float_row(v, sep: str) -> str | None:
+    """The reprs of v's items joined by sep when all are finite floats, else None."""
+    try:
+        row = sep.join(map(float.__repr__, v))
+    except TypeError:  # an item that is not a float
+        return None
+    # "nan", "inf" and "-inf" hold an n, and no finite float's repr does
+    return None if "n" in row else row
 
 
 def emit_problem_file(problem: Problem) -> str:

@@ -7,6 +7,7 @@ The closed-form domain methods are checked against box corners and
 simplex vertices, and every domain's points against its own bounds.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -199,3 +200,48 @@ class TestDomainHelpers:
         C = corners(domain)
         far = max(np.linalg.norm(x - y) for x in C for y in C)
         assert domain.diameter() == pytest.approx(far, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# A quadratic's spectrum: one eigvalsh per constraint, the same constants
+
+
+def counting_eigvalsh(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return calls
+
+
+def test_one_eigvalsh_per_quadratic(monkeypatch):
+    rng = np.random.default_rng(3)
+    n, m = 4, 7
+    quadratics = []
+    for _ in range(m):
+        M = rng.normal(size=(n, n))
+        quadratics.append(fg.Quadratic(A=M + M.T, b=rng.normal(size=n), c=0.5))
+    calls = counting_eigvalsh(monkeypatch)
+    problem = fg.make_problem(quadratics, fg.Simplex(n=n))  # interval, G, L and H of each
+    assert problem.packed.smoothness.shape == (m,)
+    assert calls == [(n, n)] * m
+
+
+@pytest.mark.parametrize("family", sorted(fg.GENERATORS))
+def test_cached_spectrum_keeps_the_constants_bits(monkeypatch, family):
+    def params():
+        return [fg.make_problem_from_spec(fg.GeneratorSpec(family=family, n=n, m=m,
+                                                           seed=seed)).params
+                for seed in range(6) for n, m in ((3, 2), (10, 20))]
+
+    cached = params()
+    # every bound with its own eigvalsh, as each computed it before the cache
+    monkeypatch.setattr(fg.Quadratic, "spectrum",
+                        property(lambda q: np.linalg.eigvalsh(q.A)))
+    fresh = params()
+    assert [[float(v).hex() for v in dataclasses.astuple(p)] for p in cached] == \
+        [[float(v).hex() for v in dataclasses.astuple(p)] for p in fresh]

@@ -2,12 +2,15 @@
 
 Emission is canonical, so a document that has been parsed once re-emits to
 the same bytes; the property test below checks that on random problems of
-every family over all three domains, in both senses.
+every family over all three domains, in both senses.  The canonical writer
+is pinned to json.dumps(v, sort_keys=True, indent=2) on random JSON values
+and on real documents, and the whole-matrix parse to the row-by-row one.
 """
 
 import dataclasses
 import inspect
 import json
+import math
 import typing
 
 import numpy as np
@@ -20,6 +23,7 @@ import feasgame as fg
 from conftest import FAMILY_KINDS, random_constraint, random_domain
 from feasgame.harness import (
     ProblemFileError,
+    canonical_json,
     cli,
     emit_outcome_document,
     emit_problem_file,
@@ -28,7 +32,11 @@ from feasgame.harness import (
     outcome_to_doc,
     parse_outcome_document,
     parse_problem_file,
+    regret_experiment,
+    run_solver,
+    scaling_experiment,
 )
+from feasgame.harness import io as harness_io
 
 problems = st.tuples(
     st.lists(st.sampled_from(FAMILY_KINDS), min_size=1, max_size=5),
@@ -211,3 +219,161 @@ def test_every_outcome_kind_has_a_document_kind():
     assert len(fg.OUTCOMES) == len(kinds)
     assert all(fg.OUTCOMES[cls.tag] is cls for cls in kinds)
     assert {type(o) for o in OUTCOME_SAMPLES} == set(kinds)
+
+
+# ---------------------------------------------------------------------------
+# The canonical writer writes json.dumps's bytes and raises json's errors
+
+
+def json_text(v) -> str:
+    return json.dumps(v, sort_keys=True, indent=2) + "\n"
+
+
+floats = st.one_of(
+    st.floats(),  # NaN, infinities, subnormals and -0.0 included
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e22, 0.1,
+                     math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+strings = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2603",
+                                                "\U0001f600", "a\nb\tc"]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(min_value=2**64, max_value=2**300), floats, strings)
+json_values = st.recursive(
+    st.one_of(scalars, st.lists(floats), st.lists(floats).map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+        st.dictionaries(strings, children, max_size=4).map(harness_io._ParsedDocument),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_canonical_json_is_json_dumps(value):
+    assert canonical_json(value) == json_text(value)
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros(3),
+    {"a": [1.0, np.zeros(2)]},
+    [1.0, 2.0, np.float32(1.0)],
+    {1: 0.5, "a": 0.5},
+    {"a": {None: 1, "b": 2}},
+    {"a": object()},
+], ids=["ndarray", "nested-ndarray", "float32-in-a-row", "mixed-keys", "nested-mixed-keys",
+        "object"])
+def test_canonical_json_raises_what_json_raises(value):
+    with pytest.raises(Exception) as expected:
+        json_text(value)
+    with pytest.raises(type(expected.value)) as got:
+        canonical_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_canonical_json_refuses_a_cycle_like_json():
+    cycle = {"a": [1.0]}
+    cycle["a"].append(cycle)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        canonical_json(cycle)
+
+
+def test_non_string_keys_are_written_by_json():
+    value = {"a": {2: [1.0, math.inf], 1: None, 0.5: True}}
+    assert canonical_json(value) == json_text(value)
+
+
+# the benchmark workloads on generator seed 0: (generator, algo, learner,
+# eps, log-transformed, iterations)
+WORKLOAD_RUNS = {
+    "primal-ons": ("perceptron", "primal", "ons", 0.05, True, 38_473),
+    "primal-dual-ogd": ("portfolio", "primal-dual", "ogd", 0.05, False, 18_970),
+    "dual-descent": ("portfolio", "dual", None, 0.025, False, 1_148),
+    "certify": ("perceptron", "dual", None, 0.025, False, 2),
+}
+
+
+def workload_document(name) -> dict:
+    family, algo, learner, eps, log, _ = WORKLOAD_RUNS[name]
+    base = (fg.make_perceptron_lp(10, 20, feasible=False, seed=0) if family == "perceptron"
+            else fg.make_portfolio_risk(10, 20, seed=0))
+    if not log:
+        return outcome_document(run_solver(base, algo, learner, eps), base)
+    omega = base.params.omega
+    problem = fg.log_transform(base, omega)
+    return outcome_document(run_solver(problem, algo, learner, eps), problem, original=base,
+                            transforms=({"kind": "log_transform", "omega": omega,
+                                         "eps_log": eps},),
+                            eps_original=fg.approx_translate(eps, omega))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_RUNS))
+def test_workload_documents_are_json_dumps(name):
+    doc = workload_document(name)
+    assert doc["iterations"] == WORKLOAD_RUNS[name][-1]
+    text = emit_outcome_document(doc)
+    assert text == json_text(doc)
+    # the parsed document, a dict subclass, re-emits to the same bytes
+    assert canonical_json(parse_outcome_document(text)) == text
+
+
+def test_experiment_reports_are_json_dumps():
+    spec = fg.GeneratorSpec(family="strict_qp", n=3, m=3, seed=2, feasible=False)
+    for report in (scaling_experiment(spec, "primal", "ogd", (0.4, 0.2, 0.1)),
+                   regret_experiment("mw", T=10_000, seeds=2)):
+        doc = report.to_doc()
+        assert canonical_json(doc) == json_text(doc)
+
+
+# ---------------------------------------------------------------------------
+# A matrix is read at once when it is what emission writes; anything else
+# goes row by row, so each error names its row or entry as before
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[1.0, 2.0], [3.0]]", "A[1]: ragged row (expected length 2)"),
+    ("[[1.0], [2.0, 3.0]]", "A[1]: ragged row (expected length 1)"),
+    ("[[1.0, NaN], [3.0, 4.0]]", "A[0][1]: expected a finite number, got nan"),
+    ("[[1.0, 2.0], [1e400, 4.0]]", "A[1][0]: expected a finite number, got inf"),
+    ("[[1.0, 2.0], [true, 4.0]]", "A[1][0]: expected a number"),
+    ('[[1.0, "2"], [3.0, 4.0]]', "A[0][1]: expected a number"),
+    ("[[1.0, null], [3.0, 4.0]]", "A[0][1]: expected a number"),
+    ("[[1.0, 2.0], [3.0, 1" + "0" * 400 + "]]",
+     "A[1][1]: expected a finite number, got 1" + "0" * 400),
+    ("[[1.0, 2.0], 3.0]", "A[1]: expected a nonempty array of numbers"),
+    ("[[1.0, 2.0], []]", "A[1]: expected a nonempty array of numbers"),
+    ("[[]]", "A[0]: expected a nonempty array of numbers"),
+    ("[]", "A: expected a nonempty array of rows"),
+], ids=["ragged-short", "ragged-long", "nan", "1e400", "bool", "string", "null", "huge-int",
+        "not-a-row", "empty-row", "only-an-empty-row", "no-rows"])
+def test_matrix_errors_name_the_field(text, message):
+    with pytest.raises(ProblemFileError) as err:
+        harness_io._matrix(json.loads(text), "A")
+    assert str(err.value) == message
+
+
+def test_matrix_errors_carry_the_document_path():
+    A = [[1.0, 0.0], [True, 1.0]]
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_file(doc_with([{"family": "quadratic", "A": A, "b": [0.0, 0.0],
+                                      "c": 0.0}]))
+    assert str(err.value) == "problem.constraints[0].A[1][0]: expected a number"
+
+
+def test_matrix_int_entries_parse_to_the_same_floats():
+    x = harness_io._matrix([[1, 2.0], [3.0, -4]], "A")
+    assert x.dtype == np.float64
+    assert x.tolist() == [[1.0, 2.0], [3.0, -4.0]]
+    assert [type(e) for row in x.tolist() for e in row] == [float] * 4
+
+
+def test_whole_matrix_parse_is_the_row_by_row_parse():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
+    rows = json.loads(json.dumps(A.tolist()))
+    x = harness_io._matrix(rows, "A")
+    assert x.shape == (6, 4) and x.tobytes() == A.tobytes()
+    assert x.tobytes() == np.vstack([harness_io._vector(r, "A") for r in rows]).tobytes()

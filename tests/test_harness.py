@@ -497,6 +497,26 @@ class TestCli:
         doc = parse_outcome_document(capsys.readouterr().out)
         assert len(iters) == doc["iterations"] > 2
 
+    @pytest.mark.parametrize("existing", [None, "an earlier trace\n"], ids=["new", "existing"])
+    def test_refused_solve_leaves_the_trace_file_alone(self, tmp_path, capsys, existing):
+        # the solver refuses eps before its first round: no header-only file
+        # is created, and an existing one keeps its bytes
+        gen_path, trace_path = tmp_path / "pf.json", tmp_path / "t.csv"
+        out = tmp_path / "bad.json"
+        assert main(["gen", "--family", "portfolio", "--n", "10", "--m", "20",
+                     "--out", str(gen_path)]) == 0
+        if existing is not None:
+            trace_path.write_text(existing)
+        assert main(["solve", "--problem", str(gen_path), "--algo", "primal",
+                     "--learner", "ogd", "--eps", "inf", "--trace", str(trace_path),
+                     "--out", str(out)]) == 1
+        assert "eps must be a positive finite float" in capsys.readouterr().err
+        assert not out.exists()
+        if existing is None:
+            assert not trace_path.exists()
+        else:
+            assert trace_path.read_text() == existing
+
     def test_log_transform_path(self, tmp_path, capsys):
         doc = {
             "version": 1,
