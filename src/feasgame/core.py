@@ -98,7 +98,7 @@ def _freeze(a) -> Array:
 # Grids beyond this many points refuse to materialize.
 MAX_GRID_POINTS = 20_000_000
 
-Vector = Matrix = Symmetric = Array
+Vector = Matrix = Array
 
 
 def _dimension(n, kind: str) -> int:
@@ -184,9 +184,18 @@ def simplex_threshold(y) -> float:
     should lie below.  project_simplex projects the last kind by shifting
     the input first.
     """
+    return _threshold(_nonempty_vector(y))
+
+
+def _nonempty_vector(y) -> Array:
     y = np.asarray(y, float)
     if y.ndim != 1 or y.size == 0:
         raise DimensionMismatch("expected a nonempty 1-d vector")
+    return y
+
+
+def _threshold(y: Array) -> float:
+    """simplex_threshold of a nonempty 1-d float array."""
     # u.sort() skips the np.sort wrapper
     u = y.copy()
     u.sort()
@@ -218,18 +227,19 @@ def project_simplex(y) -> Array:
     The projection does not change when every entry moves by the same
     amount, so input too large for a float threshold is projected as
     y - max(y).  Raises SetupError for input with a NaN or +inf, or with
-    every entry -inf.
+    every entry -inf, and DimensionMismatch for input that is not a
+    nonempty 1-d vector.
     """
-    y = np.asarray(y, float)
+    y = _nonempty_vector(y)
     try:
-        a = simplex_threshold(y)
+        a = _threshold(y)
     except SetupError:
         top = y.max()
         if not -np.inf < top < np.inf:  # a NaN or +inf, or every entry -inf
             raise SetupError("simplex projection needs a finite entry and no NaN "
                              "or +inf") from None
         y = y - top
-        a = simplex_threshold(y)
+        a = _threshold(y)
     x = y - a
     np.maximum(x, 0.0, out=x)
     return x
@@ -549,7 +559,7 @@ class Quadratic(_Family):
     """
 
     tag = "quadratic"
-    A: Symmetric
+    A: Matrix
     b: Vector
     c: float
 
@@ -557,12 +567,12 @@ class Quadratic(_Family):
         A = np.asarray(self.A, float)
         b = np.asarray(self.b, float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("quadratic matrix must be square")
+            raise DimensionMismatch("quadratic matrix A must be square")
         if b.shape != (A.shape[0],):
             raise DimensionMismatch("quadratic linear term has wrong dimension")
         asym = float(np.abs(A - A.T).max()) if A.size else 0.0
         if asym > 1e-9 * (1.0 + float(np.abs(A).max())):
-            raise SetupError(f"quadratic matrix not symmetric (max asymmetry {asym:.3g})")
+            raise SetupError(f"quadratic matrix A is not symmetric (max asymmetry {asym:.3g})")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
         object.__setattr__(self, "c", float(self.c))
@@ -1388,7 +1398,15 @@ def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, 
     what values and gradient rows have in common.
     """
     pk = problem.packed
-    v, G = pk.gather("both", x)
+    group = pk._single
+    if group is None:
+        v, G = pk.gather("both", x)
+    else:
+        # one family: its pass is the problem's, without gather's loop
+        x = _as_point(x, pk.n)
+        v, G, bad = group.both(x)
+        if bad is not None and bad.any():
+            raise pk.off_domain(int(bad.argmax()), x)
     g = p @ G
     return (1.0 - v, -g) if pk.flip else (v, g)
 

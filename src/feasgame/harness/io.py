@@ -156,15 +156,6 @@ def _parse_kind(obj, path: str, table: dict, what: str):
     return _build(cls, obj, path)
 
 
-def _symmetric(v, path: str) -> np.ndarray:
-    A = _matrix(v, path)
-    if A.shape[0] != A.shape[1]:
-        raise ProblemFileError(f"{path}: expected a square matrix")
-    if np.abs(A - A.T).max() > 1e-9 * (1.0 + np.abs(A).max()):
-        raise ProblemFileError(f"{path}: matrix is not symmetric")
-    return A
-
-
 def _parse_constraint(obj, path: str) -> ConstraintFn:
     cls = _tagged(obj, path, "family", FAMILIES, "constraint family")
     codecs = _codecs(cls)
@@ -194,7 +185,6 @@ _FIELD_CODECS = {
     "bool": (_boolean, bool),
     "Vector": (_vector, np.ndarray.tolist),
     "Matrix": (_matrix, np.ndarray.tolist),
-    "Symmetric": (_symmetric, np.ndarray.tolist),
     "float": (_real, float),
     "int": (_integer, int),
     "ConstraintFn": (_parse_constraint, functools.partial(_fields_doc, "family")),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +56,11 @@ MAX_CONDITION = 1e10
 # Online gradient descent
 
 
-@dataclass(frozen=True, eq=False)
-class OgdState:
+class OgdState(NamedTuple):
+    """Iterate x, round t and strong-convexity modulus H.  A NamedTuple, as
+    OnsState is: it costs less to build than a dataclass, compares and
+    unpacks as a tuple, and _replace returns a changed copy."""
+
     x: Array
     t: int
     H: float
@@ -74,14 +77,14 @@ def init_ogd(domain: Domain, H: float) -> OgdState:
 def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
     """Move against grad with step 1/(H t), project, advance t.  A gradient
     whose shape is not (n,) raises DimensionMismatch."""
-    if not state.H > 0:
+    x, t, H = state
+    if not H > 0:
         raise SetupError("OGD needs a positive strong-convexity modulus H")
     g = np.asarray(grad, float)
     if g.shape != (domain.n,):
         raise DimensionMismatch(
             f"OGD gradient has shape {g.shape}; the domain needs ({domain.n},)")
-    y = state.x - g / (state.H * state.t)
-    return OgdState(x=project_domain(domain, y), t=state.t + 1, H=state.H)
+    return OgdState(project_domain(domain, x - g / (H * t)), t + 1, H)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +360,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
 # Multiplicative weights
 
 
-@dataclass(frozen=True, eq=False)
-class MwState:
+class MwState(NamedTuple):
+    """Weights w, round t, learning rate eta, payoff scale G_inf and
+    direction "min" or "max"; a NamedTuple, as OgdState is."""
+
     w: Array
     t: int
     eta: float
@@ -382,8 +387,7 @@ def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState
         raise SetupError(f"MW G_inf must be a nonnegative finite float, got {G_inf!r}")
     if direction not in ("min", "max"):
         raise SetupError("direction must be 'min' or 'max'")
-    return MwState(w=np.full(n, 1.0 / n), t=1, eta=float(eta),
-                   G_inf=float(G_inf), direction=direction)
+    return MwState(np.full(n, 1.0 / n), 1, float(eta), float(G_inf), direction)
 
 
 def mw_point(state: MwState) -> Array:
@@ -400,11 +404,11 @@ def mw_step(state: MwState, grad) -> MwState:
     is not that of the weights raises DimensionMismatch, and one with a NaN
     or an infinity SetupError.
     """
+    w, t, eta, g_inf, direction = state
     g = np.asarray(grad, float)
-    if g.shape != state.w.shape:
+    if g.shape != w.shape:
         raise DimensionMismatch(
-            f"MW gradient has shape {g.shape}; the weights have shape {state.w.shape}")
-    g_inf = state.G_inf
+            f"MW gradient has shape {g.shape}; the weights have shape {w.shape}")
     # numpy's max passes a NaN on, so one reduction finds max |g| and
     # refuses a NaN or an infinity
     observed = float(abs(g).max()) if g.size else 0.0
@@ -413,13 +417,13 @@ def mw_step(state: MwState, grad) -> MwState:
     if observed > g_inf:
         g_inf = observed
     if g_inf > 0:
-        factor = (state.eta / g_inf) * g
-        scale = 1.0 - factor if state.direction == "min" else 1.0 + factor
+        factor = (eta / g_inf) * g
+        scale = 1.0 - factor if direction == "min" else 1.0 + factor
         # eta <= 1/2 and |g_i| <= g_inf keep every multiplier in [1/2, 3/2],
         # so a nonpositive weight can only be underflow; floor it.  The
         # exact extremes come off a list at about half the cost of w.max(),
         # and the floor runs only when some weight is below it
-        w = state.w * scale
+        w = w * scale
         wl = w.tolist()
         mx = max(wl)
         if min(wl) < 1e-300:
@@ -430,9 +434,8 @@ def mw_step(state: MwState, grad) -> MwState:
             w /= mx
             np.maximum(w, 1e-300, out=w)
     else:
-        w = state.w.copy()
-    return MwState(w=w, t=state.t + 1, eta=state.eta,
-                   G_inf=g_inf, direction=state.direction)
+        w = w.copy()
+    return MwState(w, t + 1, eta, g_inf, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +471,31 @@ def mw_bound_spec(G_inf: float, n: int) -> RegretBoundSpec:
     return RegretBoundSpec(algorithm="mw", G_inf=float(G_inf), n=int(n))
 
 
+def regret_bound_curve(spec: RegretBoundSpec) -> Callable[[int], float]:
+    """T -> regret_bound(spec, T) for T >= 1: (G^2/H) log(T + 1) for OGD,
+    5 (1/alpha + G D) n log(T + 1) for ONS, 2 G_inf sqrt(T log n) for MW
+    (0 when n = 1).  The constant in front, and log n, are computed once:
+    each formula, read left to right, multiplies by its factor in T last,
+    so a value has the bits of the formula written as one expression."""
+    if spec.algorithm == "ogd":
+        c = spec.G**2 / spec.H
+        return lambda T: c * math.log(T + 1.0)
+    if spec.algorithm == "ons":
+        c = 5.0 * (1.0 / spec.alpha + spec.G * spec.D) * spec.n
+        return lambda T: c * math.log(T + 1.0)
+    if spec.algorithm == "mw":
+        if spec.n < 2:
+            return lambda T: 0.0
+        c, log_n = 2.0 * spec.G_inf, math.log(spec.n)
+        return lambda T: c * math.sqrt(T * log_n)
+    raise SetupError(f"unknown regret bound algorithm {spec.algorithm!r}")
+
+
 def regret_bound(spec: RegretBoundSpec, T: int) -> float:
     """Worst-case cumulative regret after T rounds, natural log throughout."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    if spec.algorithm == "ogd":
-        return (spec.G**2 / spec.H) * math.log(T + 1.0)
-    if spec.algorithm == "ons":
-        return 5.0 * (1.0 / spec.alpha + spec.G * spec.D) * spec.n * math.log(T + 1.0)
-    if spec.algorithm == "mw":
-        return 2.0 * spec.G_inf * math.sqrt(T * math.log(spec.n)) if spec.n > 1 else 0.0
-    raise SetupError(f"unknown regret bound algorithm {spec.algorithm!r}")
+    return regret_bound_curve(spec)(T)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ from .online import (
     ogd_step,
     ons_bound_spec,
     ons_step,
-    regret_bound,
+    regret_bound_curve,
 )
 
 MAX_THRESHOLD = 2**62
@@ -194,8 +194,10 @@ def stopping_threshold(spec: RegretBoundSpec, eps: float) -> int:
     if not 0 < eps < math.inf:
         raise SetupError(f"eps must be a positive finite float, got {eps!r}")
 
+    bound = regret_bound_curve(spec)
+
     def ok(T: int) -> bool:
-        return regret_bound(spec, T) <= eps * T
+        return bound(T) <= eps * T
 
     if ok(1):
         return 1
@@ -272,28 +274,31 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
 
     Keeps the records of rounds 1, 2, 4, ... and of the last round, and
     hands every round's record to trace_sink when there is one (the bound
-    column is spec's regret bound); a record no one receives is not built.
-    Tracks the least-violating point.  A cap below T* ends in
-    Exhausted with that point, since only the full horizon certifies
-    horizon_outcome(T*).  Returns the outcome, the sampled records, the
-    rounds played, T* and what ended the run (see SolveResult).
+    column is regret_bound(spec, t), to the bit); a record no one receives
+    is not built.  max_iters that is not an int >= 1 (a bool, a float or a
+    NaN included) raises SetupError before the first round.  A cap below
+    T* ends in Exhausted with the least-violating point, since only the
+    full horizon certifies horizon_outcome(T*); only such a run tracks that
+    point.  Returns the outcome, the sampled records, the rounds played, T*
+    and what ended the run (see SolveResult).
     """
     if max_iters is None:
         cap = T_star
-    elif max_iters < 1:
-        raise SetupError("max_iters must be >= 1")
+    elif isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+        raise SetupError(f"max_iters must be >= 1 and an int (not a bool), got {max_iters!r}")
     else:
         cap = min(T_star, max_iters)
+    capped = cap < T_star
     best_x, best_violation = domain.start(), math.inf
+    bound, clock = regret_bound_curve(spec), time.perf_counter_ns
     sample: list[TraceRecord] = []
     for t in range(1, cap + 1):
-        t0 = time.perf_counter_ns()
+        t0 = clock()
         x_t, index, violation, loss, stop = round_()
         # a power of two or the last round
         keep = not t & (t - 1) or stop is not None or t == cap
         if keep or trace_sink is not None:
-            rec = TraceRecord(t, index, violation, loss, regret_bound(spec, t),
-                              time.perf_counter_ns() - t0)
+            rec = TraceRecord(t, index, violation, loss, bound(t), clock() - t0)
             if trace_sink is not None:
                 trace_sink(rec)
             if keep:
@@ -301,10 +306,10 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
         if stop is not None:
             ended_by = "oracle"
             break
-        if violation < best_violation:
+        if capped and violation < best_violation:
             best_violation, best_x = violation, x_t.copy()
     else:
-        if cap < T_star:
+        if capped:
             stop, ended_by = Exhausted(best_x=best_x, best_violation=best_violation), "cap"
         else:
             stop, ended_by = horizon_outcome(cap), "horizon"

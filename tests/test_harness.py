@@ -67,7 +67,13 @@ class TestProblemFiles:
             "b": [0.0, 0.0],
             "c": 0.0,
         }]
-        with pytest.raises(ProblemFileError, match=r"constraints\[0\]\.A"):
+        # one symmetry test, the constructor's, names the constraint and A
+        with pytest.raises(ProblemFileError,
+                           match=r"constraints\[0\]: quadratic matrix A is not symmetric"):
+            parse_problem_file(json.dumps(doc))
+        doc["constraints"][0]["A"] = [[1.0, 0.0]]
+        with pytest.raises(ProblemFileError,
+                           match=r"constraints\[0\]: quadratic matrix A must be square"):
             parse_problem_file(json.dumps(doc))
 
     def test_unknown_field_rejected_by_name(self):

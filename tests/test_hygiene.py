@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
-no code outside the domain classes branches on the kind of a domain, and
-only the brute-force reference scans a domain grid.
+no code outside the domain classes branches on the kind of a domain,
+only the brute-force reference scans a domain grid, and the package stays
+under a line-count ceiling.
 
 A package ``__init__`` re-exports what it imports, so it is skipped; an
 import kept on purpose (names that call-site tracers wrap) carries
@@ -165,3 +166,17 @@ def test_the_check_sees_a_grid_call():
               "    def g(self, d):\n"
               "        return min(d.grid(\n            0.5))\n")
     assert grid_calls(source) == [("f", 2), ("C.g", 5)]
+
+
+# `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
+# a deliberate edit here, and a change that shrinks the package lowers it
+MAX_SOURCE_LINES = 4480
+
+
+def source_lines() -> int:
+    files = [*SRC.glob("*.py"), *(SRC / "harness").glob("*.py")]
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
+def test_the_package_stays_under_its_line_ceiling():
+    assert source_lines() <= MAX_SOURCE_LINES

@@ -55,6 +55,40 @@ def test_mw_gradient_of_the_wrong_shape_is_refused(bad):
         fg.mw_step(fg.init_mw(3, eta=0.1, G_inf=1.0), bad)
 
 
+class TestStates:
+    """OgdState and MwState are NamedTuples, as OnsState is."""
+
+    def test_replace_returns_a_changed_copy(self):
+        s = fg.init_ogd(SIMPLEX2, H=1.0)
+        s2 = s._replace(t=7)
+        assert (s2.t, s2.H, s2.x is s.x, s.t) == (7, 1.0, True, 1)
+        w = fg.init_mw(3, eta=0.1, G_inf=1.0)
+        w2 = w._replace(G_inf=4.0)
+        assert (w2.G_inf, w2.eta, w2.direction, w.G_inf) == (4.0, 0.1, "min", 1.0)
+        assert type(s2) is OgdState and type(w2) is MwState
+
+    def test_states_unpack_as_tuples(self):
+        x, t, H = fg.init_ogd(SIMPLEX2, H=2.0)
+        assert (x.tolist(), t, H) == ([0.5, 0.5], 1, 2.0)
+        w, t, eta, G_inf, direction = fg.init_mw(2, eta=0.25, G_inf=3.0, direction="max")
+        assert (w.tolist(), t, eta, G_inf, direction) == ([0.5, 0.5], 1, 0.25, 3.0, "max")
+
+    @pytest.mark.parametrize("H", [0.0, -1.0, math.nan])
+    def test_hand_built_state_without_positive_H_is_refused(self, H):
+        for s in (OgdState(x=np.array([0.5, 0.5]), t=2, H=H),
+                  fg.init_ogd(SIMPLEX2, H=1.0)._replace(H=H)):
+            with pytest.raises(fg.SetupError, match="positive strong-convexity modulus H"):
+                fg.ogd_step(s, np.zeros(2), SIMPLEX2)
+
+    def test_replaced_states_still_refuse_a_gradient_of_the_wrong_shape(self):
+        s = fg.init_ogd(SIMPLEX2, H=1.0)._replace(t=5)
+        with pytest.raises(fg.DimensionMismatch, match=r"OGD gradient has shape \(3,\)"):
+            fg.ogd_step(s, np.zeros(3), SIMPLEX2)
+        w = fg.init_mw(2, eta=0.1, G_inf=1.0)._replace(t=5)
+        with pytest.raises(fg.DimensionMismatch, match=r"MW gradient has shape \(3,\)"):
+            fg.mw_step(w, np.zeros(3))
+
+
 class TestOgd:
     def test_zero_gradient_keeps_iterate(self):
         s = fg.init_ogd(SIMPLEX2, H=1.0)
@@ -712,6 +746,32 @@ class TestRegretBounds:
     def test_ons_shape(self):
         spec = fg.ons_bound_spec(G=1.0, D=1.0, alpha=1.0, n=3)
         assert fg.regret_bound(spec, 10) == pytest.approx(5 * (1.0 + 1.0) * 3 * math.log(11), rel=1e-12)
+
+    def test_curve_has_the_bits_of_each_formula(self, rng):
+        # the constant is computed once per curve; each value must still be
+        # the formula's, evaluated left to right, to the last bit
+        formulas = {
+            "ogd": lambda s, T: (s.G**2 / s.H) * math.log(T + 1.0),
+            "ons": lambda s, T: 5.0 * (1.0 / s.alpha + s.G * s.D) * s.n * math.log(T + 1.0),
+            "mw": lambda s, T: 2.0 * s.G_inf * math.sqrt(T * math.log(s.n)) if s.n > 1 else 0.0,
+        }
+        Ts = list(range(1, 100)) + [18_970, 38_473, 2**40 + 3]
+        for _ in range(40):
+            G, H, D, alpha = rng.uniform(0.01, 10, 4)
+            n = int(rng.integers(1, 50))
+            for spec in (fg.ogd_bound_spec(G, H), fg.ons_bound_spec(G, D, alpha, n),
+                         fg.mw_bound_spec(G, n)):
+                curve, formula = online.regret_bound_curve(spec), formulas[spec.algorithm]
+                for T in Ts:
+                    want = formula(spec, T)
+                    assert curve(T).hex() == want.hex() == fg.regret_bound(spec, T).hex()
+
+    def test_unknown_algorithm_is_refused(self):
+        spec = fg.RegretBoundSpec(algorithm="sgd")
+        with pytest.raises(fg.SetupError, match="unknown regret bound algorithm 'sgd'"):
+            online.regret_bound_curve(spec)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            fg.regret_bound(spec, 0)
 
     def test_doubling_never_shrinks(self):
         specs = [fg.ogd_bound_spec(2.0, 0.5), fg.mw_bound_spec(1.5, 4),

@@ -348,3 +348,64 @@ def test_mixture_smoothness_edge_cases(fams, p, finite):
     mix = fg.Mixture(problem, np.array(p))
     assert (mix.smoothness is not None) == finite
     assert mix.smoothness == reference_smoothness(mix)
+
+
+def gathered(problem, p, x):
+    """residuals_and_mixed_gradient through Packed.gather, the path every
+    problem of more than one family takes."""
+    pk = problem.packed
+    v, G = pk.gather("both", x)
+    g = p @ G
+    return (1.0 - v, -g) if pk.flip else (v, g)
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_family_skips_gather_with_its_bits(family, sense, monkeypatch):
+    rng = np.random.default_rng(FAMILIES.index(family))
+    domain = fg.Simplex(n=3)
+    cons = tuple(make_constraint(family, rng, 3) for _ in range(4))
+    problem = fg.Problem(constraints=cons, domain=domain, params=PARAMS, sense=sense)
+    assert len(problem.packed.groups) == 1
+    p = rng.dirichlet(np.ones(4))
+    X = points(domain, rng)
+    want = []
+    for x in X:
+        try:
+            want.append(gathered(problem, p, x))
+        except fg.EvaluationDomainError as exc:  # a barrier or an entropy at a corner
+            want.append(exc)
+
+    def refuse(*args):
+        raise AssertionError("a one-family problem went through gather")
+
+    monkeypatch.setattr(fg.core.Packed, "gather", refuse)
+    for x, ref in zip(X, want):
+        if isinstance(ref, Exception):
+            with pytest.raises(fg.EvaluationDomainError, match=f"^{re.escape(str(ref))}$"):
+                fg.residuals_and_mixed_gradient(problem, p, x)
+            continue
+        r, mixed = fg.residuals_and_mixed_gradient(problem, p, x)
+        assert r.tobytes() == ref[0].tobytes()
+        assert mixed.tobytes() == ref[1].tobytes()
+    with pytest.raises(fg.DimensionMismatch):
+        fg.residuals_and_mixed_gradient(problem, p, np.ones(4) / 4)
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_one_log_affine_family_off_its_domain_raises_as_residuals(sense):
+    # at x = e_1 row 1's argument e + (a.x + b)/omega is e - 12 < 0, row 0's
+    # is e: the lowest row off the domain decides, with the reference's message
+    cons = (fg.LogAffineComposite(inner=fg.Affine(a=np.zeros(2), b=0.0), omega=1.0),
+            fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -12.0]), b=0.0), omega=1.0),
+            fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -20.0]), b=0.0), omega=1.0))
+    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=2), params=PARAMS, sense=sense)
+    assert len(problem.packed.groups) == 1
+    x = np.array([0.0, 1.0])
+    with pytest.raises(fg.EvaluationDomainError) as ref:
+        fg.evaluate(cons[1], x)
+    own = dict(match=f"^{re.escape(str(ref.value))}$")
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals(problem, x)
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals_and_mixed_gradient(problem, np.full(3, 1.0 / 3), x)

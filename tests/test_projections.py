@@ -70,6 +70,14 @@ class TestSimplex:
         with pytest.raises(fg.SetupError, match="finite"):
             fg.simplex_threshold(np.array(y))
 
+    @pytest.mark.parametrize("y", [[], [[0.2, 0.8]], [[0.5], [0.5]], 0.5],
+                             ids=["empty", "row", "column", "scalar"])
+    def test_input_that_is_not_a_nonempty_vector_is_refused(self, y):
+        # project_simplex validates its input once, as simplex_threshold does
+        for f in (fg.project_simplex, fg.simplex_threshold):
+            with pytest.raises(fg.DimensionMismatch, match="nonempty 1-d vector"):
+                f(np.array(y))
+
     def test_minus_infinity_entries_go_to_zero(self):
         y = np.array([-np.inf, 0.9, 0.5, -np.inf])
         assert fg.simplex_threshold(y) == pytest.approx(0.2, abs=1e-12)

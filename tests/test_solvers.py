@@ -584,6 +584,17 @@ class TestDriver:
         with pytest.raises(fg.SetupError, match="max_iters must be >= 1"):
             play(algo, eps=0.1, max_iters=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 3.0, True, False, "3", -1],
+                             ids=["nan", "inf", "2.5", "3.0", "True", "False", "str", "-1"])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_max_iters_that_is_not_an_int_is_refused_before_a_round(self, algo, bad):
+        # a NaN cap used to play the full horizon, 2.5 raised a bare
+        # TypeError, and True played one round
+        rows = []
+        with pytest.raises(fg.SetupError, match=r"max_iters must be >= 1 and an int .*, got"):
+            play(algo, eps=0.1, max_iters=bad, trace_sink=rows.append)
+        assert rows == []
+
     @pytest.mark.parametrize("algo, learner, prob, eps, max_iters, kind", [
         ("primal", "ogd", norm_sq_problem(), 0.3, None, fg.Infeasible),
         ("primal", "ogd", fg.make_problem([fg.NormDistSq(center=np.array([1.0, 0.0]), c=0.3)],
