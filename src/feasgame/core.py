@@ -993,7 +993,8 @@ def make_problem(constraints, domain: Domain, sense: str = "min") -> Problem:
 # is on its analytic domain, otherwise the boolean mask of those off it
 # (their entries are NaN).  ``both`` returns values, rows and ``bad`` from
 # one pass, sharing what the two have in common (A x for quadratics, the
-# log argument for log-affines).  ``row(i, x)`` is one gradient row and
+# log argument for log-affines).  ``first`` is the separation oracle's
+# lowest hit.  ``row(i, x)`` is one gradient row and
 # raises off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
 # sum_i w_i f_i(x) = x.M x + q.x + c (M None when zero), or None for a
 # family that is not quadratic.
@@ -1024,10 +1025,10 @@ def _mark(values: Array, bad: Array | None) -> tuple[Array, Array | None]:
 class _Group:
     """One family's constraints, stacked; rows are in constraint order.
 
-    ``values``/``rows``/``values_batch`` return the raw values (or gradient
-    rows) with a mask of the rows off their analytic domain (None if none).
-    Families with such a domain also give ``error(i, x)``, what evaluating
-    row i at x (a point or a batch) raises.
+    ``values``/``rows`` return the raw values (or gradient rows) with a mask
+    of the rows off their analytic domain (None if none).  Families with
+    such a domain also give ``error(i, x)``, what evaluating row i at the
+    point x raises.
     """
 
     def first(self, x: Array, eps: float, flip: bool) -> tuple[int, float | None] | None:
@@ -1067,9 +1068,6 @@ class _Affines(_Group):
     def row(self, i, x):
         return self.R[i]
 
-    def values_batch(self, X):
-        return X @ self.R.T + self.b, None
-
     def quadratic_form(self, w):
         return None, _in_order(w[:, None] * self.R), float(_in_order(w * self.b))
 
@@ -1100,9 +1098,6 @@ class _Quadratics(_Group):
 
     def row(self, i, x):
         return 2.0 * (self.A[i] @ x) + self.B[i]
-
-    def values_batch(self, X):
-        return np.einsum("ni,kij,nj->nk", X, self.A, X) + X @ self.B.T + self.c, None
 
     def quadratic_form(self, w):
         # the (1, k) x (k, n*n) product np.tensordot(w, A, 1) runs, without
@@ -1169,14 +1164,6 @@ class _LogAffines(_Group):
     def error(self, i, x):
         return EvaluationDomainError("log argument is nonpositive")
 
-    def values_batch(self, X):
-        Z, bad = _positive(X @ self.R.T + self.d)
-        V = np.log(Z)
-        if bad is not None:
-            bad = bad.any(axis=0)
-            V[:, bad] = np.nan
-        return V, bad
-
 
 class _Scalar(_Group):
     """Constraints with no stacked form, evaluated one at a time through the
@@ -1190,9 +1177,8 @@ class _Scalar(_Group):
     def error(self, i, x):
         # value and gradient share their domain rules, so evaluating row i
         # again raises the reference's own error for it
-        f = self.fs[i]
         try:
-            (f.value if x.ndim == 1 else f.value_batch)(x)
+            self.fs[i].value(x)
         except EvaluationDomainError as exc:
             return exc
         raise AssertionError("row is on its domain")
@@ -1216,10 +1202,6 @@ class _Scalar(_Group):
     def row(self, i, x):
         return self.fs[i].gradient(x)
 
-    def values_batch(self, X):
-        V, bad = self._each("value_batch", X, X.shape[:1])
-        return V.T, bad
-
 
 def _as_point(x, n: int) -> Array:
     x = np.asarray(x, float)
@@ -1235,6 +1217,10 @@ class Packed:
     are oriented by the problem's sense: r = f for "min", r = 1 - f for
     "max".  Per-constraint smoothness bounds are computed on first use too,
     which is the optimization oracle's first call.
+
+    ``values``, ``both`` and ``first`` are the group passes over every
+    constraint, in constraint order; ``values`` and ``both`` return the
+    mask of the constraints off their domain last, as the groups do.
     """
 
     def __init__(self, problem: Problem):
@@ -1253,8 +1239,10 @@ class Packed:
             self.groups.append(group)
             for row, j in enumerate(idx):
                 self.where[j] = (group, row)
-        # one family yields its values in constraint order as they are
-        self._single = self.groups[0] if len(self.groups) == 1 else None
+        if len(self.groups) == 1:
+            # one family's rows are already in constraint order
+            (group,) = self.groups
+            self.values, self.both, self.first = group.values, group.both, group.first
         self.affine = all(isinstance(g, _Affines) for g in self.groups)
 
     @cached_property
@@ -1262,28 +1250,40 @@ class Packed:
         """Smoothness bound of each constraint (inf where unbounded)."""
         return np.array([f.smoothness(self.domain) for f in self.constraints])
 
-    def gather(self, part: str, x) -> list[Array]:
-        """The group pass named part ("values", "rows" or "both") over all
-        constraints at x: its raw arrays, in constraint order.  Raises the
-        error of the lowest constraint off its analytic domain, if any."""
-        x = _as_point(x, self.n)
-        if self._single is not None:
-            *outs, bad = getattr(self._single, part)(x)
-        else:
-            outs, bad = None, None
-            for g in self.groups:
-                *arrays, b = getattr(g, part)(x)
-                if outs is None:
-                    outs = [np.empty((self.m,) + a.shape[1:]) for a in arrays]
-                for out, a in zip(outs, arrays):
-                    out[g.idx] = a
-                if b is not None:
-                    if bad is None:
-                        bad = np.zeros(self.m, bool)
-                    bad[g.idx] = b
+    def _scatter(self, parts) -> tuple:
+        """Each group's pass (arrays..., bad) put in constraint order."""
+        outs, bad = None, None
+        for g, (*arrays, b) in zip(self.groups, parts):
+            if outs is None:
+                outs = [np.empty((self.m,) + a.shape[1:]) for a in arrays]
+            for out, a in zip(outs, arrays):
+                out[g.idx] = a
+            if b is not None:
+                if bad is None:
+                    bad = np.zeros(self.m, bool)
+                bad[g.idx] = b
+        return (*outs, bad)
+
+    def values(self, x: Array) -> tuple[Array, Array | None]:
+        return self._scatter([g.values(x) for g in self.groups])
+
+    def both(self, x: Array) -> tuple[Array, Array, Array | None]:
+        return self._scatter([g.both(x) for g in self.groups])
+
+    def first(self, x: Array, eps: float, flip: bool) -> tuple[int, float | None] | None:
+        """Lowest constraint whose residual exceeds eps or that is off its
+        domain, with its residual (None off the domain); None if none."""
+        best = None
+        for g in self.groups:
+            hit = g.first(x, eps, flip)
+            if hit is not None and (best is None or g.idx[hit[0]] < best[0]):
+                best = (int(g.idx[hit[0]]), hit[1])
+        return best
+
+    def check(self, bad: Array | None, x: Array) -> None:
+        """Raise the error of the lowest constraint that bad marks, if any."""
         if bad is not None and bad.any():
             raise self.off_domain(int(bad.argmax()), x)
-        return outs
 
     def off_domain(self, j: int, x: Array) -> EvaluationDomainError:
         group, row = self.where[j]
@@ -1376,14 +1376,18 @@ def residual_gradient(problem: Problem, j: int, x) -> Array:
 def residuals(problem: Problem, x) -> Array:
     """All residuals at x; raises EvaluationDomainError if any is off its domain."""
     pk = problem.packed
-    (v,) = pk.gather("values", x)
+    x = _as_point(x, pk.n)
+    v, bad = pk.values(x)
+    pk.check(bad, x)
     return 1.0 - v if pk.flip else v
 
 
 def residual_gradients(problem: Problem, x) -> Array:
     """(m, n) residual gradients at x, one row per constraint."""
     pk = problem.packed
-    (G,) = pk.gather("rows", x)
+    x = _as_point(x, pk.n)
+    _, G, bad = pk.both(x)
+    pk.check(bad, x)
     return -G if pk.flip else np.array(G)
 
 
@@ -1398,15 +1402,9 @@ def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, 
     what values and gradient rows have in common.
     """
     pk = problem.packed
-    group = pk._single
-    if group is None:
-        v, G = pk.gather("both", x)
-    else:
-        # one family: its pass is the problem's, without gather's loop
-        x = _as_point(x, pk.n)
-        v, G, bad = group.both(x)
-        if bad is not None and bad.any():
-            raise pk.off_domain(int(bad.argmax()), x)
+    x = _as_point(x, pk.n)
+    v, G, bad = pk.both(x)
+    pk.check(bad, x)
     g = p @ G
     return (1.0 - v, -g) if pk.flip else (v, g)
 
@@ -1417,17 +1415,14 @@ def mixed_gradient(problem: Problem, p: Array, x) -> Array:
 
 
 def residuals_batch(problem: Problem, X) -> Array:
-    """(N, m) residuals at the N rows of X; raises if any is off its domain."""
+    """(N, m) residuals at the N rows of X, through each constraint's scalar
+    reference in constraint order: the lowest constraint off its domain at
+    some row raises its own error."""
     pk = problem.packed
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != pk.n:
         raise DimensionMismatch("batch must be (N, n) with matching n")
-    V = np.empty((X.shape[0], pk.m))
-    for group in pk.groups:
-        Vg, bad = group.values_batch(X)
-        if bad is not None and bad.any():
-            raise group.error(int(bad.argmax()), X)
-        V[:, group.idx] = Vg
+    V = np.column_stack([f.value_batch(X) for f in pk.constraints])
     return 1.0 - V if pk.flip else V
 
 
@@ -1469,14 +1464,10 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
         raise SetupError("eps must be nonnegative")
     pk = problem.packed
     x = _as_point(x, pk.n)
-    best = None  # (index, residual or None off the domain)
-    for group in pk.groups:
-        hit = group.first(x, eps, pk.flip)
-        if hit is not None and (best is None or group.idx[hit[0]] < best[0]):
-            best = (int(group.idx[hit[0]]), hit[1])
-    if best is None:
+    hit = pk.first(x, eps, pk.flip)
+    if hit is None:
         return None
-    j, value = best
+    j, value = hit
     if value is None:
         raise pk.off_domain(j, x)
     return Violation(index=j, value=value)

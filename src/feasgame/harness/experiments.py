@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,18 +54,7 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "algo": self.algo,
-            "learner": self.learner,
-            "ladder": list(self.ladder),
-            "values": list(self.values),
-            "exponent": self.exponent,
-            "exponent_residual": self.exponent_residual,
-            "wall_times_s": list(self.wall_times_s),
-            "incomplete": self.incomplete,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

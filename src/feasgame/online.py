@@ -523,11 +523,15 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
 
     Affine sums have a closed form and quadratic sums take the fixed-step
     descent; every other sum, at any dimension, takes the line-search
-    descent to a certified gap of 1e-8.
+    descent to a certified gap of 1e-8.  A cost of another dimension than
+    the domain's raises DimensionMismatch.
     """
     if not costs:
         raise SetupError("need at least one cost")
     n = domain.n
+    for i, f in enumerate(costs):
+        if f.n != n:
+            raise DimensionMismatch(f"cost {i} has dimension {f.n}, domain has {n}")
     combined = _combine(costs, n)
     if isinstance(combined, Affine):
         x, v = domain.linear_minimum(combined.a)
@@ -552,6 +556,6 @@ def measured_regret(costs: Sequence[ConstraintFn], plays: Sequence[Array],
     """Realized regret: cumulative online cost minus best fixed point's cost."""
     if len(costs) != len(plays):
         raise SetupError("costs and plays must have equal length")
-    online = sum(evaluate(f, x) for f, x in zip(costs, plays))
     _, best = hindsight_minimum(costs, domain)
+    online = sum(evaluate(f, x) for f, x in zip(costs, plays))
     return float(online - best)

@@ -198,7 +198,8 @@ def _simplex_kkt(M: Array, r: Array, h: Array, x0) -> Array:
 def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Array:
     """argmin over the domain of (x - y).A(x - y) for symmetric PSD A.
 
-    A is an array.  On a simplex, a matrix that is symmetric bit for bit
+    A is an array; one with a NaN or an infinity is refused before any
+    other test on it.  On a simplex, a matrix that is symmetric bit for bit
     and has a Cholesky factor whose diagonal entries are within a factor
     1e-5 of each other (so positive definite and not near singular) takes
     the exact KKT solve of _simplex_kkt from the reference point y.  tol
@@ -222,6 +223,8 @@ def generalized_project(y, A, domain: Domain, tol: float = 1e-9, x0=None) -> Arr
     if y.shape != (domain.n,):
         raise DimensionMismatch("point has wrong dimension for domain")
     M = np.asarray(A, float)
+    if not np.isfinite(M).all():
+        raise SetupError("projection matrix has a non-finite entry")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     if M.shape[0] != y.shape[0]:

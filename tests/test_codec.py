@@ -328,6 +328,42 @@ def test_experiment_reports_are_json_dumps():
         assert canonical_json(doc) == json_text(doc)
 
 
+def hand_written_report_doc(report) -> dict:
+    """An experiment report's ten fields as a hand-written dict, the layout
+    its document had before it came from dataclasses.asdict."""
+    return {
+        "kind": report.kind,
+        "algo": report.algo,
+        "learner": report.learner,
+        "ladder": list(report.ladder),
+        "values": list(report.values),
+        "exponent": report.exponent,
+        "exponent_residual": report.exponent_residual,
+        "wall_times_s": list(report.wall_times_s),
+        "incomplete": report.incomplete,
+        "details": report.details,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "regret", "--learner", "mw", "--t", "10000", "--seeds", "2"],
+    ["--kind", "regret", "--learner", "ogd", "--t", "10000"],
+    ["--kind", "scaling", "--family", "qp", "--n", "3", "--m", "3", "--seed", "2",
+     "--infeasible", "--algo", "primal", "--learner", "ogd", "--eps-ladder", "0.4,0.2,0.1"],
+])
+def test_experiment_cli_keeps_the_report_bytes(argv, tmp_path, monkeypatch):
+    reports = []
+    for name in ("regret_experiment", "scaling_experiment"):
+        def keep(*args, run=getattr(cli, name), **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+        monkeypatch.setattr(cli, name, keep)
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", *argv, "--out", str(out)]) == 0
+    (report,) = reports
+    assert out.read_text() == canonical_json(hand_written_report_doc(report))
+
+
 # ---------------------------------------------------------------------------
 # A matrix is read at once when it is what emission writes; anything else
 # goes row by row, so each error names its row or entry as before

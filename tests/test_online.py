@@ -805,6 +805,19 @@ class TestMeasuredRegret:
         assert np.allclose(x, [0.0, 1.0], atol=1e-9)
         assert val == pytest.approx(-2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cost", [
+        fg.Affine(a=np.ones(3), b=0.0),
+        fg.Quadratic(A=np.eye(3), b=np.zeros(3), c=0.0),
+        fg.NegEntropy(n=3),
+    ])
+    def test_a_cost_of_another_dimension_is_refused_by_index(self, cost):
+        costs = [fg.Affine(a=np.ones(2), b=0.0), cost]
+        own = dict(match=r"^cost 1 has dimension 3, domain has 2$")
+        with pytest.raises(fg.DimensionMismatch, **own):
+            fg.hindsight_minimum(costs, SIMPLEX2)
+        with pytest.raises(fg.DimensionMismatch, **own):
+            fg.measured_regret(costs, [np.array([0.5, 0.5])] * 2, SIMPLEX2)
+
     def test_hindsight_minimum_without_closed_form_is_exact(self):
         # sum x_i log x_i over [0.1, 1]^2 is least at x = (1/e, 1/e), where
         # it is -2/e; the descent reaches it to rounding at n = 2, which a

@@ -274,6 +274,26 @@ def test_off_domain_constraint_after_a_violated_one(sense, late):
         fg.separation_oracle(behind, x, 0.1)
 
 
+def test_lowest_off_domain_constraint_decides_across_groups():
+    # at x = (1, 0) constraints 1 and 2 are both off their domains, and
+    # constraint 2 shares its group with constraint 0, which comes first
+    cons = (fg.NormDistSq(center=np.zeros(2), c=0.5),
+            fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -10.0]), b=-10.0), omega=1.0),
+            fg.NegEntropy(n=2))
+    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=2), params=PARAMS)
+    x = np.array([1.0, 0.0])
+    own = dict(match="^log argument is nonpositive$")
+    for fn in (fg.residuals, fg.residual_gradients):
+        with pytest.raises(fg.EvaluationDomainError, **own):
+            fn(problem, x)
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals_and_mixed_gradient(problem, np.full(3, 1.0 / 3), x)
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals_batch(problem, x[None])
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.separation_oracle(problem, x, 1.0)  # constraint 0 is 0.5 <= eps
+
+
 def test_pack_is_built_once_and_smoothness_on_first_use():
     problem = fg.make_portfolio_risk(4, 3, seed=1)
     packed = problem.packed
@@ -350,18 +370,21 @@ def test_mixture_smoothness_edge_cases(fams, p, finite):
     assert mix.smoothness == reference_smoothness(mix)
 
 
-def gathered(problem, p, x):
-    """residuals_and_mixed_gradient through Packed.gather, the path every
-    problem of more than one family takes."""
+def scattered(problem, p, x, eps):
+    """residuals_and_mixed_gradient, residual_gradients and the separation
+    oracle through the multi-family passes of Packed, which scatter every
+    group's rows by idx and merge the groups' lowest hits."""
     pk = problem.packed
-    v, G = pk.gather("both", x)
+    v, G, bad = fg.core.Packed.both(pk, x)
+    pk.check(bad, x)
     g = p @ G
-    return (1.0 - v, -g) if pk.flip else (v, g)
+    mixed = (1.0 - v, -g) if pk.flip else (v, g)
+    return mixed, -G if pk.flip else G, fg.core.Packed.first(pk, x, eps, pk.flip)
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_one_family_skips_gather_with_its_bits(family, sense, monkeypatch):
+def test_one_family_skips_the_scatter_with_its_bits(family, sense, monkeypatch):
     rng = np.random.default_rng(FAMILIES.index(family))
     domain = fg.Simplex(n=3)
     cons = tuple(make_constraint(family, rng, 3) for _ in range(4))
@@ -369,25 +392,39 @@ def test_one_family_skips_gather_with_its_bits(family, sense, monkeypatch):
     assert len(problem.packed.groups) == 1
     p = rng.dirichlet(np.ones(4))
     X = points(domain, rng)
+    eps = 0.5
     want = []
     for x in X:
         try:
-            want.append(gathered(problem, p, x))
+            want.append(scattered(problem, p, x, eps))
         except fg.EvaluationDomainError as exc:  # a barrier or an entropy at a corner
             want.append(exc)
 
     def refuse(*args):
-        raise AssertionError("a one-family problem went through gather")
+        raise AssertionError("a one-family problem went through the multi-family passes")
 
-    monkeypatch.setattr(fg.core.Packed, "gather", refuse)
+    for name in ("_scatter", "values", "both", "first"):
+        monkeypatch.setattr(fg.core.Packed, name, refuse)
     for x, ref in zip(X, want):
         if isinstance(ref, Exception):
-            with pytest.raises(fg.EvaluationDomainError, match=f"^{re.escape(str(ref))}$"):
+            own = dict(match=f"^{re.escape(str(ref))}$")
+            for fn in (fg.residuals, fg.residual_gradients):
+                with pytest.raises(fg.EvaluationDomainError, **own):
+                    fn(problem, x)
+            with pytest.raises(fg.EvaluationDomainError, **own):
                 fg.residuals_and_mixed_gradient(problem, p, x)
             continue
+        (r_want, g_want), G_want, hit_want = ref
         r, mixed = fg.residuals_and_mixed_gradient(problem, p, x)
-        assert r.tobytes() == ref[0].tobytes()
-        assert mixed.tobytes() == ref[1].tobytes()
+        assert r.tobytes() == r_want.tobytes()
+        assert mixed.tobytes() == g_want.tobytes()
+        assert fg.residuals(problem, x).tobytes() == r_want.tobytes()
+        assert fg.residual_gradients(problem, x).tobytes() == G_want.tobytes()
+        hit = fg.separation_oracle(problem, x, eps)
+        if hit_want is None:
+            assert hit is None
+        else:
+            assert (hit.index, hit.value) == hit_want
     with pytest.raises(fg.DimensionMismatch):
         fg.residuals_and_mixed_gradient(problem, p, np.ones(4) / 4)
 

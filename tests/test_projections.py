@@ -1,5 +1,6 @@
 """Euclidean and matrix-norm projections onto the three domains."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,13 @@ class TestGeneralized:
             fg.generalized_project(y, np.array([[1.0, 0.5], [0.0, 1.0]]), ball)
         with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
             fg.generalized_project(y, np.diag([1.0, -1.0]), ball)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2), fg.Box(lo=-np.ones(2), hi=np.ones(2))])
+    def test_a_non_finite_matrix_is_refused_by_name(self, bad, domain):
+        for A in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(fg.SetupError, match="^projection matrix has a non-finite entry$"):
+                fg.generalized_project(np.array([3.0, 0.0]), np.array(A), domain)
 
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(fg.SetupError):
