@@ -39,7 +39,6 @@ from .core import (
     make_problem,
     mixed_gradient,
     project_simplex,
-    residual,
     residual_gradient,
     residual_gradients,
     residuals,

@@ -1,13 +1,12 @@
 """Problem model: constraint families, domains, oracles and instance parameters.
 
 A problem is a finite tuple of analytic constraints over a simple convex
-domain (simplex, ball or box).  In the default ``sense="min"`` convention a
-point is feasible when every constraint value is <= 0 and eps-approximately
-feasible when no value exceeds eps.  Log-transformed problems (built by
-:mod:`feasgame.reductions`) carry ``sense="max"`` and are satisfied when
-every constraint value is >= 1.  The ``residual`` helpers fold both
-conventions into a single "<= 0 means satisfied" orientation, which is what
-every solver and oracle in the package consumes.
+domain (simplex, ball or box).  A point is feasible when every constraint
+value is <= 0 and eps-approximately feasible when no value exceeds eps; a
+constraint's value is the residual every solver and oracle consumes.  The
+log transform's threshold form log(e + inner/omega) >= 1 (built by
+:mod:`feasgame.reductions`) is the family :class:`LogAffineComposite`,
+whose value is already its residual 1 - log(e + inner/omega).
 
 Constraint families form a closed set; there are no black-box callbacks.
 Each family is one class (:data:`FAMILIES` maps problem-file tags to them)
@@ -621,15 +620,16 @@ class Quadratic(_Family):
 
 @dataclass(frozen=True, eq=False)
 class LogAffineComposite(_Family):
-    """f(x) = log(e + inner(x)/omega); concave whenever inner is concave."""
+    """f(x) = 1 - log(e + inner(x)/omega), the residual of the threshold
+    log(e + inner(x)/omega) >= 1; convex whenever inner is concave."""
 
     tag = "log_affine_composite"
     inner: ConstraintFn
     omega: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise SetupError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise SetupError(f"omega must be positive and finite, got {self.omega!r}")
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "n", self.inner.n)
 
@@ -641,20 +641,20 @@ class LogAffineComposite(_Family):
         return arg
 
     def value(self, x):
-        return math.log(self._arg(self.inner.value(x)))
+        return 1.0 - math.log(self._arg(self.inner.value(x)))
 
     def gradient(self, x):
         arg = self._arg(self.inner.value(x))
-        return self.inner.gradient(x) / (self.omega * arg)
+        return -(self.inner.gradient(x) / (self.omega * arg))
 
     def value_batch(self, X):
-        return np.log(self._arg(self.inner.value_batch(X)))
+        return 1.0 - np.log(self._arg(self.inner.value_batch(X)))
 
     def interval(self, domain):
         ilo, ihi = self.inner.interval(domain)
         lo_arg = self._lo_arg(ilo)
         hi_arg = max(math.e + ihi / self.omega, lo_arg)
-        return math.log(lo_arg), math.log(hi_arg)
+        return 1.0 - math.log(hi_arg), 1.0 - math.log(lo_arg)
 
     def _lo_arg(self, ilo):
         """Least argument of the log over the domain, from the least value
@@ -911,6 +911,9 @@ class ProblemParams:
     alpha: float
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if not math.isfinite(v):
+                raise SetupError(f"instance constant {name} must be finite, got {v!r}")
         if self.G < 0 or self.H < 0 or self.omega < 0 or self.D < 0:
             raise SetupError("instance constants must be nonnegative")
 
@@ -922,13 +925,10 @@ class Problem:
     constraints: tuple[ConstraintFn, ...]
     domain: Domain
     params: ProblemParams
-    sense: str = "min"
 
     def __post_init__(self):
         if len(self.constraints) < 1:
             raise SetupError("a problem needs at least one constraint")
-        if self.sense not in ("min", "max"):
-            raise SetupError("sense must be 'min' or 'max'")
         n = self.domain.n
         for j, f in enumerate(self.constraints):
             if f.n != n:
@@ -949,21 +949,13 @@ class Problem:
         return Packed(self)
 
 
-def _estimate(constraints, domain: Domain, sense: str) -> ProblemParams:
+def _estimate(constraints, domain: Domain) -> ProblemParams:
     G = max(f.gradient_bound(domain) for f in constraints)
-    # a "max" residual 1 - f is convex where f is concave; no curvature is claimed
-    H = 0.0 if sense == "max" else min(f.curvature(domain) for f in constraints)
-    widths = []
-    for f in constraints:
-        lo, hi = f.interval(domain)
-        if sense == "max":
-            lo, hi = 1.0 - hi, 1.0 - lo
-        widths.append(max(abs(lo), abs(hi)))
-    omega = max(widths)
+    H = min(f.curvature(domain) for f in constraints)
+    omega = max(max(abs(lo), abs(hi)) for lo, hi in (f.interval(domain) for f in constraints))
     D = domain.diameter()
-    if sense == "max" and all(
-        isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine) for f in constraints
-    ):
+    if all(isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine)
+           for f in constraints):
         alpha = 1.0
     elif H > 0 and G > 0:
         alpha = H / (G * G)
@@ -974,14 +966,14 @@ def _estimate(constraints, domain: Domain, sense: str) -> ProblemParams:
 
 def estimate_parameters(problem: Problem) -> ProblemParams:
     """Recompute conservative instance constants from the constraints."""
-    return _estimate(problem.constraints, problem.domain, problem.sense)
+    return _estimate(problem.constraints, problem.domain)
 
 
-def make_problem(constraints, domain: Domain, sense: str = "min") -> Problem:
+def make_problem(constraints, domain: Domain) -> Problem:
     """The problem with the constants estimated from its constraints."""
     constraints = tuple(constraints)
     return Problem(constraints=constraints, domain=domain,
-                   params=_estimate(constraints, domain, sense), sense=sense)
+                   params=_estimate(constraints, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +986,7 @@ def make_problem(constraints, domain: Domain, sense: str = "min") -> Problem:
 # (their entries are NaN).  ``both`` returns values, rows and ``bad`` from
 # one pass, sharing what the two have in common (A x for quadratics, the
 # log argument for log-affines).  ``first`` is the separation oracle's
-# lowest hit.  ``row(i, x)`` is one gradient row and
+# lowest hit.  ``row(i, x)`` is one gradient row, a new array, and
 # raises off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
 # sum_i w_i f_i(x) = x.M x + q.x + c (M None when zero), or None for a
 # family that is not quadratic.
@@ -1031,18 +1023,17 @@ class _Group:
     point x raises.
     """
 
-    def first(self, x: Array, eps: float, flip: bool) -> tuple[int, float | None] | None:
+    def first(self, x: Array, eps: float) -> tuple[int, float | None] | None:
         """Lowest row whose residual exceeds eps or that is off its domain,
         with its residual (None when off the domain); None if there is none."""
         v, bad = self.values(x)
-        r = 1.0 - v if flip else v
-        hit = r > eps
+        hit = v > eps
         if bad is not None:
             hit |= bad
         i = int(hit.argmax())
         if not hit[i]:
             return None
-        return i, None if bad is not None and bad[i] else float(r[i])
+        return i, None if bad is not None and bad[i] else float(v[i])
 
     def both(self, x):
         v, bad = self.values(x)
@@ -1066,7 +1057,7 @@ class _Affines(_Group):
         return self.R, None
 
     def row(self, i, x):
-        return self.R[i]
+        return self.R[i].copy()
 
     def quadratic_form(self, w):
         return None, _in_order(w[:, None] * self.R), float(_in_order(w * self.b))
@@ -1107,8 +1098,10 @@ class _Quadratics(_Group):
 
 
 class _LogAffines(_Group):
-    """f_j(x) = log(e + (a_j.x + b_j)/omega_j), stored as log(R_j.x + d_j)
-    with R_j = a_j/omega_j and d_j = e + b_j/omega_j folded in once.
+    """f_j(x) = 1 - log(e + (a_j.x + b_j)/omega_j), stored as
+    1 - log(R_j.x + d_j) with R_j = a_j/omega_j and d_j = e + b_j/omega_j
+    folded in once; the gradient rows are -R_j/(R_j.x + d_j), with -R_j
+    negated once here.
 
     ``row`` instead repeats the scalar gradient's arithmetic on a_j, b_j and
     omega_j: a primal learner steps along the very gradient the reference
@@ -1122,44 +1115,41 @@ class _LogAffines(_Group):
         self.omega = np.array([f.omega for f in fs])
         self.R = self.a / self.omega[:, None]
         self.d = math.e + self.b / self.omega
+        self.neg_R = -self.R
 
-    def first(self, x, eps, flip):
-        # The residual crosses eps where z = R.x + d meets z* = exp(1 - eps)
-        # ("max": violated below it) or exp(eps) ("min": violated above it,
-        # and z <= 0 is off the domain).  Rows on the satisfied side of z* by
-        # a relative 1e-12 are skipped without a log; the rest are checked in
-        # order.
+    def first(self, x, eps):
+        # The residual 1 - log z crosses eps where z = R.x + d falls below
+        # z* = exp(1 - eps), and z <= 0 is off the domain, below z* too.
+        # Rows above z* by a relative 1e-12 are skipped without a log; the
+        # rest are checked in order.
         y = self.R @ x
-        if flip:
-            cand = y <= math.exp(1.0 - eps) * (1.0 + 1e-12) - self.d
-        else:
-            cand = (y >= math.exp(eps) * (1.0 - 1e-12) - self.d) | (y <= -self.d)
+        cand = y <= math.exp(1.0 - eps) * (1.0 + 1e-12) - self.d
         for i in cand.nonzero()[0].tolist():
             z = float(y[i] + self.d[i])
             if not z > 0:
                 return i, None
-            r = 1.0 - math.log(z) if flip else math.log(z)
+            r = 1.0 - math.log(z)
             if r > eps:
                 return i, r
         return None
 
     def values(self, x):
         z, bad = _positive(self.R @ x + self.d)
-        return _mark(np.log(z), bad)
+        return _mark(1.0 - np.log(z), bad)
 
     def rows(self, x):
         z, bad = _positive(self.R @ x + self.d)
-        return _mark(self.R / z[:, None], bad)
+        return _mark(self.neg_R / z[:, None], bad)
 
     def both(self, x):
         z, bad = _positive(self.R @ x + self.d)
-        return _mark(np.log(z), bad)[0], _mark(self.R / z[:, None], bad)[0], bad
+        return _mark(1.0 - np.log(z), bad)[0], _mark(self.neg_R / z[:, None], bad)[0], bad
 
     def row(self, i, x):
         arg = math.e + float(_rowdot(self.a[i], x) + self.b[i]) / self.omega[i]
         if arg <= 0:
             raise self.error(i, x)
-        return self.a[i] / (self.omega[i] * arg)
+        return -(self.a[i] / (self.omega[i] * arg))
 
     def error(self, i, x):
         return EvaluationDomainError("log argument is nonpositive")
@@ -1213,10 +1203,9 @@ def _as_point(x, n: int) -> Array:
 class Packed:
     """A problem's constraints grouped by family into stacked arrays.
 
-    Built once per problem, on first use (``Problem.packed``).  Residuals
-    are oriented by the problem's sense: r = f for "min", r = 1 - f for
-    "max".  Per-constraint smoothness bounds are computed on first use too,
-    which is the optimization oracle's first call.
+    Built once per problem, on first use (``Problem.packed``).
+    Per-constraint smoothness bounds are computed on first use too, which
+    is the optimization oracle's first call.
 
     ``values``, ``both`` and ``first`` are the group passes over every
     constraint, in constraint order; ``values`` and ``both`` return the
@@ -1227,7 +1216,6 @@ class Packed:
         self.constraints = problem.constraints
         self.domain = problem.domain
         self.m, self.n = problem.m, problem.n
-        self.flip = problem.sense == "max"
         members: dict[type, list[int]] = {}
         for j, f in enumerate(problem.constraints):
             members.setdefault(f.packed_group(), []).append(j)
@@ -1270,12 +1258,12 @@ class Packed:
     def both(self, x: Array) -> tuple[Array, Array, Array | None]:
         return self._scatter([g.both(x) for g in self.groups])
 
-    def first(self, x: Array, eps: float, flip: bool) -> tuple[int, float | None] | None:
+    def first(self, x: Array, eps: float) -> tuple[int, float | None] | None:
         """Lowest constraint whose residual exceeds eps or that is off its
         domain, with its residual (None off the domain); None if none."""
         best = None
         for g in self.groups:
-            hit = g.first(x, eps, flip)
+            hit = g.first(x, eps)
             if hit is not None and (best is None or g.idx[hit[0]] < best[0]):
                 best = (int(g.idx[hit[0]]), hit[1])
         return best
@@ -1291,7 +1279,7 @@ class Packed:
 
 
 class Mixture:
-    """sum_j p_j r_j(x) for one fixed weight vector p, as a function of x.
+    """sum_j p_j f_j(x) for one fixed weight vector p, as a function of x.
 
     Affine and quadratic constraints collapse into a single quadratic form
     x.M x + q.x + c, so their cost per evaluation does not grow with m.  The
@@ -1302,13 +1290,12 @@ class Mixture:
     def __init__(self, problem: Problem, p: Array):
         self.packed = pk = problem.packed
         self.p = p
-        w = -p if pk.flip else p
         self.M = None
         self.q = np.zeros(pk.n)
-        self.c = float(p.sum()) if pk.flip else 0.0
+        self.c = 0.0
         self.terms = []
         for group in pk.groups:
-            wg = w[group.idx]
+            wg = p[group.idx]
             if not wg.any():
                 continue
             form = group.quadratic_form(wg)
@@ -1356,21 +1343,14 @@ class Mixture:
 
 
 # ---------------------------------------------------------------------------
-# Residual orientation and oracles
-
-
-def residual(problem: Problem, j: int, x) -> float:
-    """Constraint j's value oriented so that <= 0 means satisfied (scalar reference)."""
-    v = evaluate(problem.constraints[j], x)
-    return v if problem.sense == "min" else 1.0 - v
+# Residuals and oracles: a constraint's value is its residual
 
 
 def residual_gradient(problem: Problem, j: int, x) -> Array:
-    """Gradient of residual j at x, from the packed rows of its family."""
+    """Gradient of constraint j at x, from the packed rows of its family."""
     pk = problem.packed
     group, row = pk.where[j]
-    g = group.row(row, _as_point(x, pk.n))
-    return -g if pk.flip else g.copy()
+    return group.row(row, _as_point(x, pk.n))
 
 
 def residuals(problem: Problem, x) -> Array:
@@ -1379,7 +1359,7 @@ def residuals(problem: Problem, x) -> Array:
     x = _as_point(x, pk.n)
     v, bad = pk.values(x)
     pk.check(bad, x)
-    return 1.0 - v if pk.flip else v
+    return v
 
 
 def residual_gradients(problem: Problem, x) -> Array:
@@ -1388,25 +1368,22 @@ def residual_gradients(problem: Problem, x) -> Array:
     x = _as_point(x, pk.n)
     _, G, bad = pk.both(x)
     pk.check(bad, x)
-    return -G if pk.flip else np.array(G)
+    return np.array(G)
 
 
 def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, Array]:
     """residuals(problem, x) and sum_j p_j grad r_j(x), for any weight vector
     p, from one evaluation pass; raises what residuals raises.
 
-    Bit for bit residuals(problem, x) and p times the families' own
-    gradient rows, negated afterwards for sense "max" (which is
-    p @ residual_gradients(problem, x) up to the sign of a zero).  A
-    primal-dual round needs both at the same point, and the pass shares
+    Bit for bit residuals(problem, x) and p @ residual_gradients(problem, x).
+    A primal-dual round needs both at the same point, and the pass shares
     what values and gradient rows have in common.
     """
     pk = problem.packed
     x = _as_point(x, pk.n)
     v, G, bad = pk.both(x)
     pk.check(bad, x)
-    g = p @ G
-    return (1.0 - v, -g) if pk.flip else (v, g)
+    return v, p @ G
 
 
 def mixed_gradient(problem: Problem, p: Array, x) -> Array:
@@ -1422,8 +1399,7 @@ def residuals_batch(problem: Problem, X) -> Array:
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != pk.n:
         raise DimensionMismatch("batch must be (N, n) with matching n")
-    V = np.column_stack([f.value_batch(X) for f in pk.constraints])
-    return 1.0 - V if pk.flip else V
+    return np.column_stack([f.value_batch(X) for f in pk.constraints])
 
 
 def check_distribution(p, m: int) -> Array:
@@ -1445,7 +1421,7 @@ def game_loss(problem: Problem, x, p) -> float:
 
 @dataclass(frozen=True)
 class Violation:
-    """Index and oriented value of a violated constraint."""
+    """Index and value of a violated constraint."""
 
     index: int
     value: float
@@ -1464,7 +1440,7 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
         raise SetupError("eps must be nonnegative")
     pk = problem.packed
     x = _as_point(x, pk.n)
-    hit = pk.first(x, eps, pk.flip)
+    hit = pk.first(x, eps)
     if hit is None:
         return None
     j, value = hit

@@ -18,6 +18,7 @@ from ..reductions import log_transform, strictify
 from ..solvers import EpsilonInfeasible, Exhausted, Feasible, Infeasible, TraceRecord
 from .experiments import regret_experiment, run_solver, scaling_experiment
 from .io import (
+    PROBLEM_VERSION,
     canonical_json,
     emit_outcome_document,
     outcome_document,
@@ -138,7 +139,7 @@ def _cmd_gen(args) -> int:
     _, knobs = GENERATORS[spec.family]
     gen = {"family": spec.family, "n": spec.n,
            **{key: getattr(spec, key) for key in knobs}}
-    doc = {"version": 1, "generator": gen}
+    doc = {"version": PROBLEM_VERSION, "generator": gen}
     problem_from_doc(doc)  # reject bad knobs before writing anything
     _write_text(args.out, canonical_json(doc))
     return 0

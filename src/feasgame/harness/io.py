@@ -2,7 +2,11 @@
 
 Problem files are JSON with a version tag, a domain, and exactly one of an
 explicit constraint list or a generator spec.  Parsing is strict: unknown
-fields are rejected by name, with the offending path in the message.
+fields are rejected by name, with the offending path in the message.  Every
+constraint is satisfied where its value is <= 0, and a
+log_affine_composite's value is 1 - log(e + inner/omega).  Version 1 files
+read it as log(e + inner/omega) under a problem-wide orientation key, so
+they are refused (PROBLEM_VERSION is 2), not read with the opposite sign.
 Emission is canonical (sorted keys, two-space indent, trailing newline) so
 parse/emit round-trips are byte-stable.
 
@@ -45,7 +49,7 @@ from ..core import DOMAINS, FAMILIES, ConstraintFn, Problem, ProblemParams, make
 from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
 from ..solvers import OUTCOMES, Outcome, SolveResult
 
-PROBLEM_VERSION = 1
+PROBLEM_VERSION = 2
 OUTCOME_VERSION = 1
 
 _PARAM_KEYS = tuple(field.name for field in dataclasses.fields(ProblemParams))
@@ -211,25 +215,21 @@ def _parse_generator(obj, path: str) -> GeneratorSpec:
 def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
     """Build a Problem from a decoded problem document (strict)."""
     _check_keys(doc, "problem", ("version",),
-                ("domain", "constraints", "generator", "params", "sense"))
+                ("domain", "constraints", "generator", "params"))
     version = _integer(doc["version"], "problem.version")
     if version != PROBLEM_VERSION:
-        raise ProblemFileError(f"problem.version: unsupported version {version}")
+        raise ProblemFileError(
+            f"problem.version: unsupported version {version} (expected {PROBLEM_VERSION})")
     has_constraints = "constraints" in doc
     has_generator = "generator" in doc
     if has_constraints == has_generator:
         raise ProblemFileError(
             "problem: exactly one of 'constraints' and 'generator' must be present"
         )
-    sense = doc.get("sense", "min")
-    if sense not in ("min", "max"):
-        raise ProblemFileError(f"problem.sense: expected 'min' or 'max', got {sense!r}")
 
     if has_generator:
         if "domain" in doc:
             raise ProblemFileError("problem.domain: not allowed alongside 'generator'")
-        if sense != "min":
-            raise ProblemFileError("problem.sense: generator files are always 'min'")
         spec = _parse_generator(doc["generator"], "problem.generator")
         if seed_override is not None:
             spec = dataclasses.replace(spec, seed=seed_override)
@@ -253,7 +253,7 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
                     f"not match the domain dimension {domain.n}"
                 )
         try:
-            problem = make_problem(constraints, domain, sense=sense)
+            problem = make_problem(constraints, domain)
         except ValueError as e:
             raise ProblemFileError(f"problem: {e}") from e
 
@@ -265,7 +265,7 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
         for k in obj:
             merged[k] = _real(obj[k], f"problem.params.{k}")
         problem = Problem(constraints=problem.constraints, domain=problem.domain,
-                          params=ProblemParams(**merged), sense=problem.sense)
+                          params=ProblemParams(**merged))
     return problem
 
 
@@ -284,7 +284,6 @@ def problem_to_doc(problem: Problem) -> dict:
     return {
         "version": PROBLEM_VERSION,
         "domain": _fields_doc("kind", problem.domain),
-        "sense": problem.sense,
         "constraints": [_fields_doc("family", f) for f in problem.constraints],
         "params": {k: float(getattr(p, k)) for k in _PARAM_KEYS},
     }

@@ -140,13 +140,6 @@ class OnsState(NamedTuple):
         nothing about its memo."""
         return None
 
-    def takes_exact_simplex_solve(self) -> bool:
-        """True when spectrum_bounds proves lam_max <= MAX_CONDITION lam_min:
-        then a simplex step goes straight to the exact KKT solve, which
-        needs nothing else of A (a proven A is symmetric bit for bit)."""
-        bounds = self.spectrum_bounds()
-        return bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
-
 
 class _ProvenOnsState(OnsState):
     """An OnsState built by init_ons and ons_step: A = scale I + sum g g^T
@@ -267,8 +260,8 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     """Newton-style step to y = x - A^-1 grad / beta, projection of y in
     the A-norm, then the rank-one update A + grad grad^T.
 
-    No inverse is formed.  On a simplex, when
-    state.takes_exact_simplex_solve() (a state of init_ons and ons_step
+    No inverse is formed.  On a simplex, when state.spectrum_bounds()
+    proves lam_max <= MAX_CONDITION lam_min (a state of init_ons and ons_step
     whose A is proven well conditioned), the exact KKT solve takes the
     linear term A y = A x - grad / beta and solves for the correction from
     x: O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.

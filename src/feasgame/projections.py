@@ -13,7 +13,7 @@ nonsingular for positive-definite A.  It needs no eigenvalues.  The solve
 takes the linear term of the objective as A r + h and solves for the
 correction from the reference point r, so online.ons_step, whose state
 proves its matrix positive definite and well conditioned from how that
-matrix is built (OnsState.takes_exact_simplex_solve), calls it directly
+matrix is built (OnsState.spectrum_bounds), calls it directly
 with r = x and h = -g / beta and never forms the Newton point or an
 inverse.  Its answer lies on the plane sum x = 1 in rationals up to the
 rounding of one small coordinate.  generalized_project tests its matrix:

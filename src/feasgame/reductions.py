@@ -7,9 +7,10 @@ answer for the transformed system translates back with a controlled blowup
 (strictify_guarantee).
 
 log_transform rewrites f_j(x) <= 0 over width omega as the threshold form
-log(e - f_j(x) / omega) >= 1, whose objective is 1-exp-concave when the
-inner functions are affine; approx_translate maps accuracy on the log
-scale back to the original residual scale.
+log(e - f_j(x) / omega) >= 1, whose residual 1 - log(e - f_j(x) / omega)
+is the LogAffineComposite family's value and is 1-exp-concave when the
+f_j are affine; approx_translate maps accuracy on the log scale back to the
+original residual scale.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ def strictify(problem: Problem, delta: float) -> Problem:
     """
     if not 0 <= delta < math.inf:
         raise SetupError(f"delta must be a nonnegative finite float, got {delta!r}")
-    if problem.sense != "min":
-        raise SetupError("strictify expects minimization-form residuals")
     if not isinstance(problem.domain, Simplex):
         raise SetupError("strictify is calibrated for simplex domains only")
     if delta == 0:
@@ -60,8 +59,7 @@ def strictify(problem: Problem, delta: float) -> Problem:
     alpha = H2 / (G2 * G2) if G2 > 0 else 0.0
     params = ProblemParams(G=G2, H=H2, omega=p.omega + delta, D=p.D,
                            G_inf=p.G_inf + delta, alpha=alpha)
-    return Problem(constraints=tuple(out), domain=problem.domain, params=params,
-                   sense="min")
+    return Problem(constraints=tuple(out), domain=problem.domain, params=params)
 
 
 def strictify_guarantee(eps: float) -> tuple[float, float]:
@@ -76,18 +74,18 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     """Rewrite affine constraints in the exp-concave threshold form.
 
     Each f_j(x) <= 0 becomes log(e + (-f_j(x)) / omega) >= 1 where omega
-    bounds |f_j| over the domain.  The returned problem has sense "max" and
-    alpha = 1; its residuals are 1 - log(...).
+    bounds |f_j| over the domain: the constraint LogAffineComposite(-f_j,
+    omega), whose value is the residual 1 - log(e + (-f_j(x)) / omega).  The
+    returned problem has alpha = 1.  A transformed problem is not affine, so
+    it is refused here.  omega must be positive and finite.
     """
-    if problem.sense != "min":
-        raise SetupError("log_transform expects minimization-form residuals")
     for f in problem.constraints:
         if not isinstance(f, Affine):
             raise SetupError("log_transform needs affine constraints")
     if omega is None:
         omega = problem.params.omega
-    if not omega > 0:
-        raise SetupError("omega must be positive")
+    if not 0 < omega < math.inf:
+        raise SetupError(f"omega must be positive and finite, got {omega!r}")
     # Width precondition |f_j(x)| <= omega, checked on the exact interval of
     # each affine f_j over the domain, so a bad caller-supplied omega fails
     # loudly.
@@ -108,13 +106,15 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     width = max(abs(1.0 - np.log(np.e + 1.0)), abs(1.0 - np.log(np.e - 1.0)))
     params = ProblemParams(G=p.G / omega, H=0.0, omega=width, D=p.D,
                            G_inf=width, alpha=1.0)
-    return Problem(constraints=tuple(out), domain=problem.domain, params=params,
-                   sense="max")
+    return Problem(constraints=tuple(out), domain=problem.domain, params=params)
 
 
 def approx_translate(eps_log: float, omega: float) -> float:
     """Residual guarantee on the original scale implied by eps_log on the
-    log scale: 3 * omega * eps_log."""
-    if eps_log < 0 or omega <= 0:
-        raise SetupError("need eps_log >= 0 and omega > 0")
+    log scale: 3 * omega * eps_log.  Needs a finite eps_log >= 0 and a
+    finite omega > 0."""
+    if not 0 <= eps_log < math.inf:
+        raise SetupError(f"eps_log must be nonnegative and finite, got {eps_log!r}")
+    if not 0 < omega < math.inf:
+        raise SetupError(f"omega must be positive and finite, got {omega!r}")
     return 3.0 * omega * eps_log

@@ -2,7 +2,7 @@
 
 Every solver plays one repeated zero-sum game between a point player over
 the domain and a weight player over constraint indices, with payoff
-g(x, p) = sum_j p_j r_j(x) (r_j the oriented residuals).  Each player is
+g(x, p) = sum_j p_j r_j(x) (r_j the constraint values).  Each player is
 either a no-regret learner (OGD, ONS or MW) or an oracle that best-responds
 to the other's play, and may answer FAIL when no response exists.  The game
 ends at the horizon T*, the first t at which the learners' worst-case

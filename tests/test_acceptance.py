@@ -223,15 +223,13 @@ def test_criterion_11_ons_conditioning_stays_consistent():
 
 def test_criterion_12_cli_exit_codes_and_standalone_reverification(tmp_path, capsys):
     feasible = {
-        "version": 1,
+        "version": 2,
         "domain": {"kind": "simplex", "n": 2},
-        "sense": "min",
         "constraints": [{"family": "norm_dist_sq", "center": [1.0, 0.0], "c": 2.0}],
     }
     infeasible = {
-        "version": 1,
+        "version": 2,
         "domain": {"kind": "simplex", "n": 2},
-        "sense": "min",
         "constraints": [{"family": "norm_dist_sq", "center": [0.0, 0.0], "c": 0.0}],
     }
     f_path, i_path = tmp_path / "f.json", tmp_path / "i.json"

@@ -56,7 +56,8 @@ class TestGradient:
         inner = fg.Affine(a=np.array([1.0, 0.0]), b=0.0)
         f = fg.LogAffineComposite(inner=inner, omega=1.0)
         g = fg.gradient(f, np.array([0.0, 1.0]))
-        assert np.allclose(g, [1.0 / math.e, 0.0], atol=1e-12)
+        # the gradient of 1 - log(e + x_1) at x_1 = 0
+        assert np.allclose(g, [-1.0 / math.e, 0.0], atol=1e-12)
 
     def test_matches_finite_differences_all_families(self, rng):
         for n in (2, 3, 5):
@@ -274,21 +275,24 @@ class TestNanWeights:
 
 
 class TestResidualConvention:
-    def test_min_sense_residual_is_value(self, rng):
-        prob = fg.make_problem([fg.Affine(a=rng.normal(size=2), b=0.1)], fg.Simplex(n=2))
+    def test_residual_is_value(self, rng):
+        base = fg.make_problem([fg.Affine(a=rng.normal(size=2), b=0.1)], fg.Simplex(n=2))
         x = np.array([0.5, 0.5])
-        assert fg.residual(prob, 0, x) == fg.evaluate(prob.constraints[0], x)
+        for prob in (base, fg.log_transform(base)):
+            assert fg.residuals(prob, x)[0] == fg.evaluate(prob.constraints[0], x)
 
-    def test_max_sense_residual_flips(self):
+    def test_log_transformed_residual_is_one_minus_the_log(self):
         base = fg.make_problem([fg.Affine(a=np.array([1.0, -1.0]), b=0.0)], fg.Simplex(n=2))
         prob = fg.log_transform(base)
-        x = np.array([0.5, 0.5])
-        val = fg.evaluate(prob.constraints[0], x)
-        assert fg.residual(prob, 0, x) == pytest.approx(1.0 - val, abs=1e-15)
+        x = np.array([0.75, 0.25])
+        omega = base.params.omega
+        want = 1.0 - math.log(math.e - 0.5 / omega)
+        assert fg.evaluate(prob.constraints[0], x) == pytest.approx(want, abs=1e-15)
 
     def test_residual_gradient_matches_fd(self, rng):
         base = fg.make_problem([fg.Affine(a=np.array([0.5, -0.5]), b=0.0)], fg.Simplex(n=2))
         for prob in (base, fg.log_transform(base)):
+            f = prob.constraints[0]
             for x in interior_simplex(rng, 2, 10):
                 g = fg.residual_gradient(prob, 0, x)
                 h = 1e-6
@@ -296,7 +300,7 @@ class TestResidualConvention:
                 for i in range(2):
                     e = np.zeros(2)
                     e[i] = h
-                    ref[i] = (fg.residual(prob, 0, x + e) - fg.residual(prob, 0, x - e)) / (2 * h)
+                    ref[i] = (fg.evaluate(f, x + e) - fg.evaluate(f, x - e)) / (2 * h)
                 assert np.allclose(g, ref, atol=1e-6)
 
 
@@ -312,6 +316,16 @@ class TestResidualConvention:
 def test_malformed_domain_is_refused_naming_the_field(build, field):
     with pytest.raises((fg.SetupError, fg.DimensionMismatch), match=rf"\b{field}\b"):
         build()
+
+
+@pytest.mark.parametrize("field", ["G", "H", "omega", "D", "G_inf", "alpha"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_instance_constant_is_refused_by_name(field, bad):
+    # ProblemParams(G=inf, ...) used to be accepted, and primal OGD then
+    # failed with "no stopping threshold below 2^62"
+    values = dict(G=1.0, H=1.0, omega=1.0, D=1.0, G_inf=1.0, alpha=1.0)
+    with pytest.raises(fg.SetupError, match=rf"^instance constant {field} must be finite"):
+        fg.ProblemParams(**{**values, field: bad})
 
 
 def test_numpy_integer_dimension_is_accepted():

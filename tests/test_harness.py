@@ -29,9 +29,8 @@ from feasgame.harness.cli import TRACE_HEADER, main
 
 
 MINIMAL = {
-    "version": 1,
+    "version": 2,
     "domain": {"kind": "simplex", "n": 2},
-    "sense": "min",
     "constraints": [{"family": "affine", "a": [1.0, -1.0], "b": 0.0}],
 }
 
@@ -46,6 +45,27 @@ class TestProblemFiles:
     def test_minimal_file(self):
         prob = parse_problem_file(json.dumps(MINIMAL))
         assert prob.m == 1 and prob.n == 2
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"version": 1}, r"^problem\.version: unsupported version 1 \(expected 2\)$"),
+        ({"sense": "min"}, r"^problem: unknown field\(s\) sense$"),
+        ({"version": 1, "sense": "max"}, r"^problem: unknown field\(s\) sense$"),
+    ], ids=["version-1", "sense", "version-1-sense"])
+    def test_a_version_one_document_is_refused_by_name(self, changes, message):
+        # version 1 read log_affine_composite as log(e + inner/omega), under
+        # a "sense" that version 2 no longer has
+        with pytest.raises(ProblemFileError, match=message):
+            parse_problem_file(json.dumps({**MINIMAL, **changes}))
+        with pytest.raises(ProblemFileError, match=message):
+            parse_problem_file(json.dumps({
+                **changes, "version": changes.get("version", 2),
+                "generator": {"family": "strict_qp", "n": 2}}))
+        prob = parse_problem_file(json.dumps(MINIMAL))
+        doc = json.loads(emit_outcome_document(
+            outcome_document(run_solver(prob, "primal", "mw", 0.1), prob)))
+        doc["problem"].update(changes)
+        with pytest.raises(ProblemFileError, match=message):
+            parse_outcome_document(json.dumps(doc))
         assert isinstance(prob.constraints[0], fg.Affine)
 
     def test_round_trip_is_byte_stable(self):
@@ -88,10 +108,10 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError, match="exactly one"):
             parse_problem_file(json.dumps(doc))
         with pytest.raises(ProblemFileError, match="exactly one"):
-            parse_problem_file(json.dumps({"version": 1}))
+            parse_problem_file(json.dumps({"version": 2}))
 
     def test_generator_file_with_seed_override(self):
-        doc = {"version": 1, "generator": {"family": "strict_qp", "n": 2, "m": 3, "seed": 1}}
+        doc = {"version": 2, "generator": {"family": "strict_qp", "n": 2, "m": 3, "seed": 1}}
         base = parse_problem_file(json.dumps(doc))
         other = parse_problem_file(json.dumps(doc), seed_override=2)
         assert problem_to_doc(base) == problem_to_doc(fg.make_strict_qp(2, 3, seed=1))
@@ -292,15 +312,13 @@ class TestBruteForce:
 
 
 FEASIBLE_DOC = {
-    "version": 1,
+    "version": 2,
     "domain": {"kind": "simplex", "n": 2},
-    "sense": "min",
     "constraints": [{"family": "norm_dist_sq", "center": [1.0, 0.0], "c": 2.0}],
 }
 INFEASIBLE_DOC = {
-    "version": 1,
+    "version": 2,
     "domain": {"kind": "simplex", "n": 2},
-    "sense": "min",
     "constraints": [{"family": "norm_dist_sq", "center": [0.0, 0.0], "c": 0.0}],
 }
 
@@ -337,7 +355,7 @@ class TestCli:
 
     def test_strictified_norm_ball_stays_feasible(self, tmp_path, capsys):
         doc = {
-            "version": 1,
+            "version": 2,
             "domain": {"kind": "simplex", "n": 2},
             "constraints": [{"family": "norm_dist_sq", "center": [0.5, 0.5], "c": 0.3}],
         }
@@ -376,9 +394,8 @@ class TestCli:
 
     def test_verify_flags_tampering(self, tmp_path, capsys):
         doc = {
-            "version": 1,
+            "version": 2,
             "domain": {"kind": "simplex", "n": 2},
-            "sense": "min",
             "constraints": [{"family": "norm_dist_sq", "center": [1.0, 0.0], "c": 0.5}],
         }
         path = write_problem(tmp_path, doc)
@@ -419,7 +436,7 @@ class TestCli:
                      "--h-target", "2", "--infeasible", "--margin", "0.05", "--c", "0.1",
                      "--t-days", "7", "--out", str(gen_path)]) == 0
         doc = json.loads(gen_path.read_text())
-        assert doc == {"version": 1, "generator": {"family": family, "n": 3, **knobs}}
+        assert doc == {"version": 2, "generator": {"family": family, "n": 3, **knobs}}
         assert parse_problem_file(gen_path.read_text()).n == 3
 
     def test_gen_seed_override_at_solve_time(self, tmp_path, capsys):
@@ -448,7 +465,7 @@ class TestCli:
             "box-primal"])
     def test_ball_and_box_solve_then_verify(self, tmp_path, capsys, domain, algo, learner,
                                             rounds):
-        doc = {"version": 1, "domain": domain, "constraints": [
+        doc = {"version": 2, "domain": domain, "constraints": [
             {"family": "norm_dist_sq", "center": [0.0, 0.0], "c": 1.0},
             {"family": "norm_dist_sq", "center": [1.0, -1.0], "c": 1.0},
         ]}
@@ -468,7 +485,7 @@ class TestCli:
     def test_three_dimensional_certificate_solve_then_verify(self, tmp_path, capsys, domain):
         # two disjoint balls of radius 0.5 around (+-0.8, 0, 0): the dual
         # oracle fails at the first mixture, and verify proves that mixture
-        doc = {"version": 1, "domain": domain, "constraints": [
+        doc = {"version": 2, "domain": domain, "constraints": [
             {"family": "norm_dist_sq", "center": [0.8, 0.0, 0.0], "c": 0.25},
             {"family": "norm_dist_sq", "center": [-0.8, 0.0, 0.0], "c": 0.25},
         ]}
@@ -525,9 +542,8 @@ class TestCli:
 
     def test_log_transform_path(self, tmp_path, capsys):
         doc = {
-            "version": 1,
+            "version": 2,
             "domain": {"kind": "simplex", "n": 2},
-            "sense": "min",
             "constraints": [{"family": "affine", "a": [1.0, 1.0], "b": -2.0}],
         }
         path = write_problem(tmp_path, doc)

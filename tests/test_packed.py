@@ -1,6 +1,6 @@
 """The packed constraint form against the scalar evaluate/gradient reference.
 
-Every family, both senses and all three domains: residuals, single-row and
+Every family and all three domains: residuals, single-row and
 mixed gradients, batch values, the fixed-weight Mixture, and the separation
 oracle's rule (the lowest index that is violated or off its analytic domain
 decides; off the domain raises).  The one-pass residuals and mixed gradient
@@ -67,33 +67,30 @@ def points(domain, rng, count=6):
 
 
 def scalar(problem, x):
-    """(residual or None off the domain, oriented gradient or None) per constraint."""
-    sign = 1.0 if problem.sense == "min" else -1.0
+    """(residual or None off the domain, gradient or None) per constraint."""
     out = []
-    for j, f in enumerate(problem.constraints):
+    for f in problem.constraints:
         try:
-            out.append((fg.residual(problem, j, x), sign * fg.gradient(f, x)))
+            out.append((fg.evaluate(f, x), fg.gradient(f, x)))
         except fg.EvaluationDomainError:
             out.append((None, None))
     return out
 
 
-problems = st.builds(
-    lambda fams, kind, n, sense, seed: (fams, kind, n, sense, seed),
+problems = st.tuples(
     st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=6),
     st.sampled_from(["simplex", "ball", "box"]),
     st.integers(1, 4),
-    st.sampled_from(["min", "max"]),
     st.integers(0, 2**32 - 1),
 )
 
 
 def build(spec):
-    fams, kind, n, sense, seed = spec
+    fams, kind, n, seed = spec
     rng = np.random.default_rng(seed)
     domain = make_domain(kind, rng, n)
     cons = tuple(make_constraint(f, rng, n) for f in fams)
-    return fg.Problem(constraints=cons, domain=domain, params=PARAMS, sense=sense), rng
+    return fg.Problem(constraints=cons, domain=domain, params=PARAMS), rng
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -201,10 +198,7 @@ def test_one_pass_is_bit_identical_to_the_separate_passes(spec, weights):
             continue
         r, g = fg.residuals_and_mixed_gradient(problem, p, x)
         assert r.tobytes() == fg.residuals(problem, x).tobytes()
-        # the family's own rows mixed, then oriented: -0.0 and 0.0 stay apart
-        G = fg.residual_gradients(problem, x)
-        mixed = -(p @ -G) if problem.sense == "max" else p @ G
-        assert g.tobytes() == mixed.tobytes()
+        assert g.tobytes() == (p @ fg.residual_gradients(problem, x)).tobytes()
         assert g.tobytes() == fg.mixed_gradient(problem, p, x).tobytes()
 
 
@@ -241,25 +235,22 @@ def test_separation_oracle_keeps_the_scalar_rule(spec, eps):
             assert hit.value == pytest.approx(ref[decisive][0], rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
 @pytest.mark.parametrize("late", [
     fg.NegEntropy(n=2),
     fg.NegLogBarrier(rows=np.array([[0.0, 1.0]]), level=0.0),
     fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -10.0]), b=-10.0), omega=1.0),
     fg.LogAffineComposite(inner=fg.NegEntropy(n=2), omega=1.0),
 ])
-def test_off_domain_constraint_after_a_violated_one(sense, late):
+def test_off_domain_constraint_after_a_violated_one(late):
     # x = (1, 0) is off the domain of `late`; constraint 0 is violated at x
-    level = 5.0 if sense == "min" else -5.0
-    first = fg.Affine(a=np.zeros(2), b=level)
+    first = fg.Affine(a=np.zeros(2), b=5.0)
     x = np.array([1.0, 0.0])
     with pytest.raises(fg.EvaluationDomainError) as ref:
         fg.evaluate(late, x)
     own = dict(match=f"^{ref.value}$")  # packed paths raise the reference's message
-    ahead = fg.Problem(constraints=(first, late), domain=fg.Simplex(n=2),
-                       params=PARAMS, sense=sense)
+    ahead = fg.Problem(constraints=(first, late), domain=fg.Simplex(n=2), params=PARAMS)
     hit = fg.separation_oracle(ahead, x, 0.1)
-    assert hit.index == 0 and hit.value == pytest.approx(abs(level) + (sense == "max"))
+    assert hit.index == 0 and hit.value == 5.0
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.residuals(ahead, x)
     with pytest.raises(fg.EvaluationDomainError, **own):
@@ -268,8 +259,7 @@ def test_off_domain_constraint_after_a_violated_one(sense, late):
         fg.residuals_batch(ahead, x[None])
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.Mixture(ahead, np.array([0.5, 0.5])).value_and_gradient(x)
-    behind = fg.Problem(constraints=(late, first), domain=fg.Simplex(n=2),
-                        params=PARAMS, sense=sense)
+    behind = fg.Problem(constraints=(late, first), domain=fg.Simplex(n=2), params=PARAMS)
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.separation_oracle(behind, x, 0.1)
 
@@ -292,6 +282,19 @@ def test_lowest_off_domain_constraint_decides_across_groups():
         fg.residuals_batch(problem, x[None])
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.separation_oracle(problem, x, 1.0)  # constraint 0 is 0.5 <= eps
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_gradient_row_is_the_callers_own(family):
+    # a learner may write into the gradient it is handed; the pack keeps its rows
+    rng = np.random.default_rng(3)
+    problem = fg.Problem(constraints=(make_constraint(family, rng, 3),),
+                         domain=fg.Simplex(n=3), params=PARAMS)
+    x = np.full(3, 1.0 / 3)
+    g = fg.residual_gradient(problem, 0, x)
+    want = g.copy()
+    g += 1.0
+    assert fg.residual_gradient(problem, 0, x).tobytes() == want.tobytes()
 
 
 def test_pack_is_built_once_and_smoothness_on_first_use():
@@ -327,7 +330,7 @@ def reference_smoothness(mix):
 
 # more than 8 terms with finite bounds, where numpy's pairwise sum would
 # round differently from the in-order one
-many_terms = st.builds(lambda fams, n, seed: (fams, "simplex", n, "min", seed),
+many_terms = st.builds(lambda fams, n, seed: (fams, "simplex", n, seed),
                        st.lists(st.sampled_from(["affine", "quadratic", "norm_dist"]),
                                 min_size=9, max_size=40),
                        st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -364,7 +367,7 @@ def test_mixture_smoothness_is_bit_identical_to_a_builtin_sum(spec, weights):
     (("quadratic", "quadratic"), [0.0, 0.0], False),  # no active term
 ])
 def test_mixture_smoothness_edge_cases(fams, p, finite):
-    problem, _ = build((list(fams), "simplex", 3, "min", 4))
+    problem, _ = build((list(fams), "simplex", 3, 4))
     mix = fg.Mixture(problem, np.array(p))
     assert (mix.smoothness is not None) == finite
     assert mix.smoothness == reference_smoothness(mix)
@@ -377,18 +380,15 @@ def scattered(problem, p, x, eps):
     pk = problem.packed
     v, G, bad = fg.core.Packed.both(pk, x)
     pk.check(bad, x)
-    g = p @ G
-    mixed = (1.0 - v, -g) if pk.flip else (v, g)
-    return mixed, -G if pk.flip else G, fg.core.Packed.first(pk, x, eps, pk.flip)
+    return (v, p @ G), G, fg.core.Packed.first(pk, x, eps)
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_one_family_skips_the_scatter_with_its_bits(family, sense, monkeypatch):
+def test_one_family_skips_the_scatter_with_its_bits(family, monkeypatch):
     rng = np.random.default_rng(FAMILIES.index(family))
     domain = fg.Simplex(n=3)
     cons = tuple(make_constraint(family, rng, 3) for _ in range(4))
-    problem = fg.Problem(constraints=cons, domain=domain, params=PARAMS, sense=sense)
+    problem = fg.Problem(constraints=cons, domain=domain, params=PARAMS)
     assert len(problem.packed.groups) == 1
     p = rng.dirichlet(np.ones(4))
     X = points(domain, rng)
@@ -429,14 +429,13 @@ def test_one_family_skips_the_scatter_with_its_bits(family, sense, monkeypatch):
         fg.residuals_and_mixed_gradient(problem, p, np.ones(4) / 4)
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
-def test_one_log_affine_family_off_its_domain_raises_as_residuals(sense):
+def test_one_log_affine_family_off_its_domain_raises_as_residuals():
     # at x = e_1 row 1's argument e + (a.x + b)/omega is e - 12 < 0, row 0's
     # is e: the lowest row off the domain decides, with the reference's message
     cons = (fg.LogAffineComposite(inner=fg.Affine(a=np.zeros(2), b=0.0), omega=1.0),
             fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -12.0]), b=0.0), omega=1.0),
             fg.LogAffineComposite(inner=fg.Affine(a=np.array([0.0, -20.0]), b=0.0), omega=1.0))
-    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=2), params=PARAMS, sense=sense)
+    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=2), params=PARAMS)
     assert len(problem.packed.groups) == 1
     x = np.array([0.0, 1.0])
     with pytest.raises(fg.EvaluationDomainError) as ref:

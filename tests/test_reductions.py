@@ -118,28 +118,37 @@ class TestStrictify:
             assert fg.evaluate(out.constraints[0], x) == pytest.approx(expected, abs=1e-12)
 
 class TestLogTransform:
-    def test_boundary_value_maps_to_one(self):
+    def test_boundary_value_maps_to_zero(self):
         prob = affine_problem([[1.0, -1.0]], [0.0], 2)
         out = fg.log_transform(prob)
-        # f = 0 at the uniform point, so the rewritten value is log(e) = 1
+        # f = 0 at the uniform point, so the rewritten residual is 1 - log(e) = 0
         val = fg.evaluate(out.constraints[0], np.array([0.5, 0.5]))
-        assert val == pytest.approx(1.0, abs=1e-12)
-        assert out.sense == "max"
+        assert val == pytest.approx(0.0, abs=1e-12)
         assert out.params.alpha == 1.0
+
+    def test_estimated_constants_of_a_transformed_problem(self, rng):
+        # re-estimated from its constraints alone, as a parsed problem file
+        # is: 1-exp-concave, no curvature, and a width that bounds the residuals
+        prob = affine_problem(rng.normal(size=(3, 2)), rng.normal(size=3) * 0.3, 2)
+        out = fg.log_transform(prob)
+        est = fg.estimate_parameters(out)
+        assert est.alpha == 1.0 and est.H == 0.0
+        for x in interior_simplex(rng, 2, 100):
+            assert np.abs(fg.residuals(out, x)).max() <= est.omega
 
     def test_gradient_scale_shrinks_by_omega(self):
         prob = affine_problem([[1.0, 0.0]], [0.0], 2)
         out = fg.log_transform(prob, omega=2.0)
         assert out.params.G == 0.5
 
-    def test_satisfied_points_map_above_one(self, rng):
+    def test_satisfied_points_map_below_zero(self, rng):
         prob = affine_problem(rng.normal(size=(2, 2)), [-0.1, -0.2], 2)
         out = fg.log_transform(prob)
         for x in interior_simplex(rng, 2, 200):
             orig = [fg.evaluate(f, x) for f in prob.constraints]
             new = [fg.evaluate(f, x) for f in out.constraints]
             for o, v in zip(orig, new):
-                assert (o <= 0) == (v >= 1.0 - 1e-12)
+                assert (o <= 0) == (v <= 1e-12)
 
     def test_value_preserved_through_monotone_map(self, rng):
         prob = affine_problem(rng.normal(size=(2, 2)), rng.normal(size=2) * 0.3, 2)
@@ -147,16 +156,16 @@ class TestLogTransform:
         omega = prob.params.omega
         for x in interior_simplex(rng, 2, 100):
             worst = max(fg.evaluate(f, x) for f in prob.constraints)
-            new_min = min(fg.evaluate(f, x) for f in out.constraints)
-            assert new_min == pytest.approx(math.log(math.e - worst / omega), abs=1e-9)
+            new_max = max(fg.evaluate(f, x) for f in out.constraints)
+            assert new_max == pytest.approx(1.0 - math.log(math.e - worst / omega), abs=1e-9)
 
-    def test_midpoint_concavity(self, rng):
+    def test_midpoint_convexity(self, rng):
         prob = affine_problem(rng.normal(size=(1, 3)), [0.1], 3)
         f = fg.log_transform(prob).constraints[0]
         for _ in range(200):
             x, y = interior_simplex(rng, 3, 2)
             mid = fg.evaluate(f, 0.5 * (x + y))
-            assert mid >= 0.5 * (fg.evaluate(f, x) + fg.evaluate(f, y)) - 1e-12
+            assert mid <= 0.5 * (fg.evaluate(f, x) + fg.evaluate(f, y)) + 1e-12
 
     def test_rejects_small_omega(self):
         prob = affine_problem([[1.0, 0.0]], [0.0], 2)
@@ -170,11 +179,21 @@ class TestLogTransform:
         with pytest.raises(fg.SetupError):
             fg.log_transform(prob)
 
-    def test_rejects_max_sense_input(self):
+    def test_rejects_a_transformed_problem(self):
         prob = affine_problem([[1.0, -1.0]], [0.0], 2)
         out = fg.log_transform(prob)
-        with pytest.raises(fg.SetupError):
+        with pytest.raises(fg.SetupError, match="needs affine constraints"):
             fg.log_transform(out)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, -math.inf, 0.0])
+    def test_rejects_an_omega_that_is_not_positive_and_finite(self, omega):
+        # an infinite omega used to give residuals and a G of 0 everywhere,
+        # so an infeasible LP came back Feasible with a certificate that verified
+        prob = fg.make_perceptron_lp(3, 2, feasible=False)
+        with pytest.raises(fg.SetupError, match=r"^omega must be positive and finite"):
+            fg.log_transform(prob, omega)
+        with pytest.raises(fg.SetupError, match=r"^omega must be positive and finite"):
+            fg.LogAffineComposite(inner=prob.constraints[0], omega=omega)
 
 
 def exact_width(f, domain):
@@ -215,6 +234,42 @@ def test_log_transform_refuses_exactly_below_the_width(kind, n, m, factor, seed)
         assert np.abs(X @ f.a + f.b).max() <= omega * (1 + 1e-9)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from([1.0, 1.5, 4.0]), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_log_transformed_residuals_are_one_minus_the_log(kind, n, m, factor, eps, seed):
+    # each residual of log_transform(p, omega) is 1 - log(e - f_j(x)/omega):
+    # the scalar value is that formula and its gradient is the single-row
+    # gradient, bit for bit; the stacked passes fold 1/omega and e into
+    # their rows once, so they agree to a few ulps
+    rng = np.random.default_rng(seed)
+    domain = random_domain(kind, rng, n)
+    prob = fg.make_problem([random_constraint("affine", rng, domain) for _ in range(m)],
+                           domain)
+    width = max(exact_width(f, domain) for f in prob.constraints)
+    assume(width > 1e-3)
+    omega = factor * width * (1 + 1e-12)
+    out = fg.log_transform(prob, omega)
+    for x in domain.sample(8, seed=seed):
+        hand = [1.0 - math.log(math.e - fg.evaluate(f, x) / omega) for f in prob.constraints]
+        ref = np.array([fg.evaluate(f, x) for f in out.constraints])
+        G = np.array([fg.gradient(f, x) for f in out.constraints])
+        assert ref.tobytes() == np.array(hand).tobytes()
+        for j in range(m):
+            assert fg.residual_gradient(out, j, x).tobytes() == G[j].tobytes()
+        np.testing.assert_allclose(fg.residuals(out, x), ref, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(fg.residual_gradients(out, x), G, rtol=2e-15, atol=0)
+        if np.abs(ref - eps).min() <= 1e-12:
+            continue  # a tie that the last bits decide
+        hit = fg.separation_oracle(out, x, eps)
+        violated = (ref > eps).nonzero()[0]
+        if not violated.size:
+            assert hit is None
+        else:
+            assert hit.index == violated[0]
+            assert hit.value == pytest.approx(ref[violated[0]], rel=0, abs=2e-15)
+
+
 class TestApproxTranslate:
     def test_linear_scaling(self):
         assert fg.approx_translate(0.01, 1.0) == pytest.approx(0.03, abs=1e-15)
@@ -232,6 +287,14 @@ class TestApproxTranslate:
     def test_rejects_negative(self):
         with pytest.raises(fg.SetupError):
             fg.approx_translate(-0.01, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_argument_by_name(self, bad):
+        # approx_translate(nan, 1.0) used to return nan
+        with pytest.raises(fg.SetupError, match=r"^eps_log must be"):
+            fg.approx_translate(bad, 1.0)
+        with pytest.raises(fg.SetupError, match=r"^omega must be"):
+            fg.approx_translate(0.1, bad)
 
 
 class TestRoundTripLambdaStar:
