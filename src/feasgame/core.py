@@ -173,9 +173,7 @@ def simplex_threshold(y) -> float:
     entry.  A candidate of -inf, which a partial sum that overflows gives
     (two entries of -1e308), is never taken: input with a finite entry has
     its threshold at or above max(y) - 1.  The scan is a Python loop over
-    the sorted list, with the float operations of the cumsum form, so the
-    two agree bit for bit.  numpy's sort puts a NaN last, where Python's
-    sorted would not.
+    the sorted list; a NaN, wherever the sort leaves it, makes the sum NaN.
 
     Raises SetupError where no float shift exists: for input with a NaN or
     +inf, with every entry -inf, or whose largest entries are so large
@@ -195,17 +193,16 @@ def _nonempty_vector(y) -> Array:
 
 def _threshold(y: Array) -> float:
     """simplex_threshold of a nonempty 1-d float array."""
-    # u.sort() skips the np.sort wrapper
-    u = y.copy()
-    u.sort()
+    u = y.tolist()
+    u.sort(reverse=True)
     a = None
     s = 0.0
-    for k, v in enumerate(reversed(u.tolist()), 1):
+    for k, v in enumerate(u, 1):
         s += v
         c = (s - 1.0) / k
         if v > c > -math.inf:
             a = c
-    if a is None:  # no entry lies above its candidate
+    if a is None or s != s:  # no entry lies above its candidate, or a NaN
         raise SetupError("no float simplex threshold exists for this input: it has a "
                          "NaN or +inf, no finite entry, or entries too large for a "
                          "shift below them")
@@ -978,18 +975,6 @@ def make_problem(constraints, domain: Domain) -> Problem:
 
 # ---------------------------------------------------------------------------
 # Packed form: the constraints of a problem stacked by family
-#
-# A group holds the constraints of one family as stacked arrays; ``idx`` is
-# their positions in the problem.  ``values`` and ``rows`` return raw family
-# values or gradient rows together with ``bad``: None when every constraint
-# is on its analytic domain, otherwise the boolean mask of those off it
-# (their entries are NaN).  ``both`` returns values, rows and ``bad`` from
-# one pass, sharing what the two have in common (A x for quadratics, the
-# log argument for log-affines).  ``first`` is the separation oracle's
-# lowest hit.  ``row(i, x)`` is one gradient row, a new array, and
-# raises off the domain.  ``quadratic_form(w)`` gives (M, q, c) with
-# sum_i w_i f_i(x) = x.M x + q.x + c (M None when zero), or None for a
-# family that is not quadratic.
 
 
 def _in_order(P: Array) -> Array:
@@ -1015,12 +1000,20 @@ def _mark(values: Array, bad: Array | None) -> tuple[Array, Array | None]:
 
 
 class _Group:
-    """One family's constraints, stacked; rows are in constraint order.
+    """One family's constraints as stacked arrays, rows in constraint
+    order; ``idx`` is their positions in the problem.
 
-    ``values``/``rows`` return the raw values (or gradient rows) with a mask
-    of the rows off their analytic domain (None if none).  Families with
-    such a domain also give ``error(i, x)``, what evaluating row i at the
-    point x raises.
+    ``values`` and ``rows`` return raw family values or gradient rows
+    together with ``bad``: None when every constraint is on its analytic
+    domain, otherwise the boolean mask of those off it (their entries are
+    NaN), and such families give ``error(i, x)``, what evaluating row i at x
+    raises.  ``both`` returns values, rows and ``bad`` from one pass, sharing
+    what the two have in common (A x for quadratics, the log argument for
+    log-affines).  ``first`` is the separation oracle's lowest hit.
+    ``row(i, x)`` is one gradient row, a new array, and raises off the
+    domain.  ``quadratic_form(w)`` gives (M, q, c) with sum_i w_i f_i(x) =
+    x.M x + q.x + c (M None when zero), or None for a family that is not
+    quadratic.
     """
 
     def first(self, x: Array, eps: float) -> tuple[int, float | None] | None:
@@ -1322,13 +1315,15 @@ class Mixture:
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         """The mixed value and gradient at x from one pass over the terms,
-        where rows off their domain count only at weight zero."""
-        v = self.c + self.q @ x
+        where rows off their domain count only at weight zero; ndarray.dot
+        is @ bit for bit, and cheaper, for a unit-stride float64 x."""
+        unit = x.strides == (8,) and x.dtype.char == "d"
+        v = self.c + (self.q.dot(x) if unit else self.q @ x)
         if self.M is None:
             g = self.q.copy()
         else:
             Mx = self.M @ x
-            v += x @ Mx
+            v += x.dot(Mx) if unit else x @ Mx
             g = 2.0 * Mx + self.q
         for group, wg in self.terms:
             values, rows, bad = group.both(x)

@@ -2,14 +2,13 @@
 
 Every descent in the package is one call, minimize_over_domain(fn, domain)
 with fn(x) = (value, gradient): projected gradient descent with a
-Frank-Wolfe style certified lower bound (Jaggi, 2013).  At any iterate x,
-value(x) + min_z grad(x).(z - x) is a valid lower bound on the domain
-minimum, and the linear minimum has a closed form on every supported domain.
-That turns "FAIL" answers of the optimization oracle into certificates
-rather than heuristics, and it is the only way solvers.verify_certificate
-proves an infeasibility certificate.  Both descend Mixture.value_and_gradient
-with the mixture's smoothness: the fixed step where it is finite and
-positive, the line search for an affine mixture or an unbounded term.
+Frank-Wolfe style certified lower bound (Jaggi, 2013), value(x) +
+min_z grad(x).(z - x) at any iterate x, whose linear minimum has a closed
+form on every domain.  It turns the optimization oracle's FAIL answers into
+certificates, and it is how solvers.verify_certificate proves one.  A step
+costs numpy's dispatch more than arithmetic, so the loop memoizes the linear
+minimum on the gradient's bytes and multiplies through ndarray.dot; neither
+changes a float.
 """
 
 from __future__ import annotations
@@ -18,21 +17,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-# evaluate, gradient and smoothness_bound are not called in this module; they
-# stay importable from it because call-site tracers (bench/workloads.py) wrap
-# them here.
-from .core import (  # noqa: F401
+from .core import (
     Array,
     ConvergenceError,
     Domain,
     EvaluationDomainError,
     Mixture,
     Problem,
+    SetupError,
     check_distribution,
-    evaluate,
-    gradient,
-    smoothness_bound,
 )
+# evaluate, gradient and smoothness_bound are not called in this module; they
+# stay importable from it because call-site tracers (bench/workloads.py) wrap
+# them here.
+from .core import evaluate, gradient, smoothness_bound  # noqa: F401
 from .projections import project_domain
 
 MAX_STEPS = 200_000  # the one cap on a descent's steps
@@ -57,7 +55,8 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
 
     fn(x) returns the value and the gradient at x.  Stops, converged, when
     the certified gap value - lower_bound falls below tol, or as soon as
-    the value drops to stop_below when that is given.  Fixed step
+    the value drops to stop_below when that is given; a tol that is NaN,
+    infinite or negative raises SetupError first.  Fixed step
     1/smoothness when a finite positive smoothness bound is supplied,
     backtracking line search otherwise.  The line search doubles its next
     trial step (up to 1) only after a strict decrease and halves it
@@ -68,20 +67,30 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     (EvaluationDomainError) counts as f = +inf, a rejected step.  A round
     without a strict decrease at a step below 1e-18, and MAX_STEPS steps,
     end the descent unconverged with its best value and certified bound;
-    it never raises for want of convergence.
+    it never raises for want of convergence.  No float differs from the
+    plain loop's: the last gradient's linear minimum is memoized on
+    g.tobytes(), not identity (fn may refill one buffer), so an affine
+    mixture pays one argmin (drop the memo once affine mixtures skip the
+    descent, ROADMAP item 7); g.dot(v) replaces g @ v for a unit-stride
+    float64 g, and any other g keeps @, which sums a reversed or broadcast
+    vector in its own loop.
     """
+    if not 0.0 <= tol < math.inf:
+        raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
     x = domain.start()
     fx, g = fn(x)
     best_x, best_f = x, fx
     best_lb = -math.inf
     fixed = smoothness is not None and math.isfinite(smoothness) and smoothness > 0
     step = 1.0 / smoothness if fixed else 1.0
-    iters = 0
+    iters, key = 0, None
     for iters in range(1, MAX_STEPS + 1):
         if stop_below is not None and best_f <= stop_below:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
-        _, lin = domain.linear_minimum(g)
-        best_lb = max(best_lb, fx + lin - float(g @ x))
+        gdot = g.dot if g.strides == (8,) and g.dtype.char == "d" else g.__matmul__
+        if key != (key := g.tobytes()):
+            lin = domain.linear_minimum(g)[1]
+        best_lb = max(best_lb, fx + lin - float(gdot(x)))
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         if fixed:
@@ -97,7 +106,7 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
                 except EvaluationDomainError:
                     f_new = math.inf
                 d = x_new - x
-                if f_new <= fx + float(g @ d) + float(d @ d) / (2.0 * s) + 1e-15:
+                if f_new <= fx + float(gdot(d)) + float(d.dot(d)) / (2.0 * s) + 1e-15:
                     break
                 s *= 0.5
                 if s < 1e-18:
@@ -121,8 +130,8 @@ def optimization_oracle(problem: Problem, p, tol: float) -> Array | None:
     descent with neither a point nor a certificate raises ConvergenceError,
     which is a solver failure rather than a FAIL answer.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
     p = check_distribution(p, problem.m)
     mix = Mixture(problem, p)
     if mix.linear:

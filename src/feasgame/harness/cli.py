@@ -64,13 +64,10 @@ def _trace_line(rec: TraceRecord) -> str:
 def _strictify_arg(s: str):
     if s == "auto":
         return "auto"
-    try:
-        v = float(s)
+    try:  # strictify itself refuses a negative or non-finite delta
+        return float(s)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number or 'auto'") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("delta must be >= 0")
-    return v
 
 
 def _eps_ladder_arg(s: str) -> list[float]:

@@ -1,9 +1,7 @@
 """Projection in the A-norm onto the supported domains.
 
 The Euclidean projections are the domains' own project methods
-(core.project_simplex is the simplex's, which rejects input with a NaN or
-+inf, or with every entry -inf, with SetupError); project_domain calls them
-by domain.
+(core.project_simplex is the simplex's); project_domain calls them.
 
 generalized_project minimizes (x - y).A(x - y) over the domain.  On a
 simplex with a positive-definite A it is exact: an active-set solve of the

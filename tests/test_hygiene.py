@@ -170,7 +170,7 @@ def test_the_check_sees_a_grid_call():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4435
+MAX_SOURCE_LINES = 4434
 
 
 def source_lines() -> int:

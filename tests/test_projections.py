@@ -380,11 +380,11 @@ def test_simplex_threshold_scans_agree_at_every_length(n, rng):
 
 
 @pytest.mark.parametrize("n", [3, 10, 40, 200])
-@pytest.mark.parametrize("case", ["nan", "+inf", "all -inf", "large"])
+@pytest.mark.parametrize("case", ["nan", "+inf", "all -inf", "large", "nan first", "nan last"])
 def test_simplex_threshold_refusals_at_every_length(n, case):
     y = np.linspace(-1.0, 1.0, n)
-    if case == "nan":
-        y[n // 2] = np.nan
+    if case.startswith("nan"):  # the sort may leave a NaN anywhere
+        y[{"nan": n // 2, "nan first": 0, "nan last": n - 1}[case]] = np.nan
     elif case == "+inf":
         y[n - 1] = np.inf
     elif case == "all -inf":
