@@ -16,10 +16,9 @@ domain, which is what makes the parameter estimates in
 :func:`estimate_parameters` sound rather than sampled guesses.
 
 Domains are a closed set of classes too (:data:`DOMAINS` maps problem-file
-kinds to them): each knows its file fields and gives, in closed form,
-everything the solvers and bounds ask of a domain (membership, start point,
-diameter, bounding box, norm bound, linear minimum, affine range, Euclidean
-projection, grid and sample points), so a new domain is one class.
+kinds to them): each knows its file fields and answers in closed form all
+the solvers and bounds ask of a domain (see _Domain), so a new domain is
+one class.
 
 How constraints are evaluated: the family methods, called one constraint at
 a time through :func:`evaluate` and :func:`gradient`, are the reference the
@@ -30,10 +29,9 @@ into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
 ``1/omega`` and ``e`` folded in), so residuals, the mixed gradient, single
 rows and batch values cost a few vector operations per call; norm
 distances, entropies and log barriers go through their own methods one at a
-time.  A primal-dual round takes its residuals and mixed gradient from one
-pass (:func:`residuals_and_mixed_gradient`).  :class:`Mixture` fixes one
-weight vector and collapses the affine and quadratic constraints into one
-quadratic form for the optimization oracle and the certificate checks.
+time.  :class:`Mixture` fixes one weight vector and collapses the affine
+and quadratic constraints into one quadratic form for the optimization
+oracle and the certificate checks.
 At the sizes the solvers run at, a call costs numpy's Python dispatch more
 than arithmetic, so the per-round code calls ndarray methods rather than
 their ``np.`` wrappers.
@@ -566,8 +564,9 @@ class Quadratic(_Family):
             raise DimensionMismatch("quadratic matrix A must be square")
         if b.shape != (A.shape[0],):
             raise DimensionMismatch("quadratic linear term has wrong dimension")
-        asym = float(np.abs(A - A.T).max()) if A.size else 0.0
-        if asym > 1e-9 * (1.0 + float(np.abs(A).max())):
+        # an A bitwise equal to its transpose, as a file's usually is, passes at once
+        asym = 0.0 if A.tobytes() == A.T.tobytes() else float(np.abs(A - A.T).max())
+        if asym and asym > 1e-9 * (1.0 + float(np.abs(A).max())):
             raise SetupError(f"quadratic matrix A is not symmetric (max asymmetry {asym:.3g})")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
@@ -854,21 +853,14 @@ ConstraintFn = Union[Affine, Quadratic, LogAffineComposite, NegEntropy, NormDist
 FAMILIES = {cls.tag: cls for cls in get_args(ConstraintFn)}
 
 
-def _check_point(f: ConstraintFn, x) -> Array:
-    x = np.asarray(x, float)
-    if x.shape != (f.n,):
-        raise DimensionMismatch(f"point has shape {x.shape}, constraint expects ({f.n},)")
-    return x
-
-
 def evaluate(f: ConstraintFn, x) -> float:
     """Constraint value at x.  Raises EvaluationDomainError off the analytic domain."""
-    return f.value(_check_point(f, x))
+    return f.value(_as_point(x, f.n, "constraint"))
 
 
 def gradient(f: ConstraintFn, x) -> Array:
     """Gradient of the constraint at x (same domain rules as evaluate)."""
-    return f.gradient(_check_point(f, x))
+    return f.gradient(_as_point(x, f.n, "constraint"))
 
 
 def evaluate_batch(f: ConstraintFn, X) -> Array:
@@ -971,6 +963,39 @@ def make_problem(constraints, domain: Domain) -> Problem:
     constraints = tuple(constraints)
     return Problem(constraints=constraints, domain=domain,
                    params=_estimate(constraints, domain))
+
+
+def check_estimable(constraints, domain: Domain) -> None:
+    """Raise what estimating the constants would raise.  Where n <= 2**20,
+    log composites wrap affine inners and every number of the constraints
+    and the domain is 0 or within 2**-64..2**64 in magnitude, every estimated
+    constant is finite (a positive least log argument e + q is at least
+    2**-52, by Sterbenz), so only the checks that can refuse run: the log
+    arguments first, as the estimate's gradient bounds check them first,
+    then the entropy and barrier domains.  Anything else is estimated."""
+    logs = [f for f in constraints if isinstance(f, LogAffineComposite)]
+    if (domain.n <= 2**20 and all(isinstance(f.inner, Affine) for f in logs)
+            and _tame([*constraints, domain])):
+        for f in logs + [f for f in constraints if isinstance(f, (NegEntropy, NegLogBarrier))]:
+            f.interval(domain)
+    else:
+        _estimate(constraints, domain)
+
+
+def _tame(objs: list) -> bool:
+    """Whether every number in the fields of objs, and of the constraints
+    they wrap, is 0 or of magnitude within 2**-64..2**64."""
+    parts, scalars = [], []
+    for obj in objs:
+        for v in map(obj.__getattribute__, obj.__dataclass_fields__):
+            if isinstance(v, _Family):
+                objs.append(v)
+            elif isinstance(v, np.ndarray):
+                parts.append(v.ravel())
+            else:
+                scalars.append(v)
+    _, e = np.frexp(np.concatenate([*parts, np.array(scalars, float)]))
+    return bool(e.min() >= -63 and e.max() <= 64)
 
 
 # ---------------------------------------------------------------------------
@@ -1186,10 +1211,10 @@ class _Scalar(_Group):
         return self.fs[i].gradient(x)
 
 
-def _as_point(x, n: int) -> Array:
+def _as_point(x, n: int, what: str = "problem") -> Array:
     x = np.asarray(x, float)
     if x.shape != (n,):
-        raise DimensionMismatch(f"point has shape {x.shape}, problem expects ({n},)")
+        raise DimensionMismatch(f"point has shape {x.shape}, {what} expects ({n},)")
     return x
 
 
@@ -1426,17 +1451,20 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
     """First constraint (ascending index) violated by more than eps.
 
     Returns None when every residual is <= eps, i.e. x is eps-approximately
-    feasible; that is the oracle's FAIL answer in the solver loops.  The
+    feasible; that is the oracle's FAIL answer in the solver loops, which
+    it never gives at an x with a NaN or an infinity (SetupError).  The
     lowest index that is violated or off its analytic domain decides: off
     its domain raises EvaluationDomainError, as evaluating the constraints
     in order and stopping at the first violation would.
     """
-    if eps < 0:
-        raise SetupError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise SetupError(f"eps must be nonnegative and finite, got {eps!r}")
     pk = problem.packed
     x = _as_point(x, pk.n)
     hit = pk.first(x, eps)
     if hit is None:
+        if not np.isfinite(x).all():  # a NaN exceeds no eps
+            raise SetupError("x must be finite, but has a NaN or an infinite entry")
         return None
     j, value = hit
     if value is None:

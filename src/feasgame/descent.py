@@ -5,10 +5,7 @@ with fn(x) = (value, gradient): projected gradient descent with a
 Frank-Wolfe style certified lower bound (Jaggi, 2013), value(x) +
 min_z grad(x).(z - x) at any iterate x, whose linear minimum has a closed
 form on every domain.  It turns the optimization oracle's FAIL answers into
-certificates, and it is how solvers.verify_certificate proves one.  A step
-costs numpy's dispatch more than arithmetic, so the loop memoizes the linear
-minimum on the gradient's bytes and multiplies through ndarray.dot; neither
-changes a float.
+certificates, and it is how solvers.verify_certificate proves one.
 """
 
 from __future__ import annotations

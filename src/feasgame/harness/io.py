@@ -22,9 +22,12 @@ is not a string, a type json does not know) goes to json's encoder, and its
 text is re-indented to its depth, so such a value keeps json's output and
 json's error.  A cycle or a value too deep to walk goes to json.dumps whole.
 
-Parsing reads a matrix with one np.array call when it is what emission
-writes, equal-length rows of finite floats; any other matrix is read row by
-row, so each error names the same row or entry.
+A problem document whose params carry all six constants takes them as
+given; core.check_estimable refuses what estimating them would refuse,
+mostly without estimating them.  Missing params are estimated.  Parsing
+reads what emission writes, a matrix of equal-length rows of finite
+floats, with one np.array call, and a nonempty list of such rows is
+written with one join per row.
 
 One field table serves every tagged object.  A domain's or an outcome's
 "kind", and a constraint's "family", picks its class from DOMAINS, OUTCOMES
@@ -45,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ..core import DOMAINS, FAMILIES, ConstraintFn, Problem, ProblemParams, make_problem
+from ..core import DOMAINS, FAMILIES, Problem, ProblemParams, check_estimable, make_problem
 from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
 from ..solvers import OUTCOMES, Outcome, SolveResult
 
@@ -67,10 +70,10 @@ def _check_keys(obj, path: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise ProblemFileError(f"{path}: expected an object")
-    extra = sorted(set(obj) - set(required) - set(optional))
+    extra = sorted(obj.keys() - {*required, *optional})
     if extra:
         raise ProblemFileError(f"{path}: unknown field(s) {', '.join(extra)}")
-    missing = sorted(set(required) - set(obj))
+    missing = sorted(set(required) - obj.keys())
     if missing:
         raise ProblemFileError(f"{path}: missing field(s) {', '.join(missing)}")
 
@@ -103,7 +106,7 @@ def _vector(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ProblemFileError(f"{path}: expected a nonempty array of numbers")
     if set(map(type, v)) == {float}:  # what emission writes: check all at once
-        x = np.array(v)
+        x = np.array(v, float)
         if np.isfinite(x).all():
             return x
     return np.array([_real(e, f"{path}[{i}]") for i, e in enumerate(v)])
@@ -115,7 +118,7 @@ def _matrix(v, path: str) -> np.ndarray:
     # what emission writes, equal-length rows of floats: one array at once
     if (set(map(type, v)) == {list} and len(set(map(len, v))) == 1
             and set(map(type, itertools.chain.from_iterable(v))) == {float}):
-        x = np.array(v)
+        x = np.array(v, float)
         if np.isfinite(x).all():
             return x
     # anything else row by row, so an error names its row or entry
@@ -152,20 +155,17 @@ def _build(cls, obj, path: str):
         raise ProblemFileError(f"{path}: {e}") from e
 
 
-def _parse_kind(obj, path: str, table: dict, what: str):
-    """A domain or an outcome: its "kind" picks the class from table, and
-    the object lists every field, defaults or not."""
-    cls = _tagged(obj, path, "kind", table, what)
-    _check_keys(obj, path, ("kind",) + tuple(name for name, *_ in _codecs(cls)))
+def _parse_tagged(obj, path: str, key: str, table: dict, what: str):
+    """A domain or an outcome (key "kind"), or a constraint (key "family")."""
+    cls = _tagged(obj, path, key, table, what)
+    required, optional, every = _keys(cls, key)
+    if obj.keys() != every:
+        _check_keys(obj, path, required, optional)
     return _build(cls, obj, path)
 
 
-def _parse_constraint(obj, path: str) -> ConstraintFn:
-    cls = _tagged(obj, path, "family", FAMILIES, "constraint family")
-    codecs = _codecs(cls)
-    _check_keys(obj, path, ("family",) + tuple(name for name, _, _, req in codecs if req),
-                tuple(name for name, _, _, req in codecs if not req))
-    return _build(cls, obj, path)
+_parse_constraint = functools.partial(_parse_tagged, key="family", table=FAMILIES,
+                                      what="constraint family")
 
 
 def _fields_doc(key: str, obj) -> dict:
@@ -181,6 +181,16 @@ def _codecs(cls) -> tuple:
     domain's or an outcome's dataclass."""
     return tuple((f.name, *_FIELD_CODECS[f.type], f.default is dataclasses.MISSING)
                  for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _keys(cls, key: str) -> tuple:
+    """(required, optional, all) keys of an object of cls tagged by key; only
+    a constraint ("family") may leave out a field that has a default."""
+    codecs = _codecs(cls)
+    required = (key,) + tuple(name for name, _, _, req in codecs if req or key == "kind")
+    optional = tuple(name for name, _, _, req in codecs if not (req or key == "kind"))
+    return required, optional, frozenset(required + optional)
 
 
 # A field's annotation, in a constraint family, a domain, an outcome or
@@ -220,12 +230,13 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
     if version != PROBLEM_VERSION:
         raise ProblemFileError(
             f"problem.version: unsupported version {version} (expected {PROBLEM_VERSION})")
-    has_constraints = "constraints" in doc
     has_generator = "generator" in doc
-    if has_constraints == has_generator:
+    if ("constraints" in doc) == has_generator:
         raise ProblemFileError(
             "problem: exactly one of 'constraints' and 'generator' must be present"
         )
+    # complete params are taken as given: check_estimable stands in for the estimate
+    complete = isinstance(doc.get("params"), dict) and doc["params"].keys() >= set(_PARAM_KEYS)
 
     if has_generator:
         if "domain" in doc:
@@ -237,10 +248,11 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
             problem = make_problem_from_spec(spec)
         except ValueError as e:
             raise ProblemFileError(f"problem.generator: {e}") from e
+        constraints, domain = problem.constraints, problem.domain
     else:
         if "domain" not in doc:
             raise ProblemFileError("problem.domain: missing")
-        domain = _parse_kind(doc["domain"], "problem.domain", DOMAINS, "domain kind")
+        domain = _parse_tagged(doc["domain"], "problem.domain", "kind", DOMAINS, "domain kind")
         raw = doc["constraints"]
         if not isinstance(raw, list) or not raw:
             raise ProblemFileError("problem.constraints: expected a nonempty array")
@@ -253,30 +265,33 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
                     f"not match the domain dimension {domain.n}"
                 )
         try:
-            problem = make_problem(constraints, domain)
+            if complete:
+                check_estimable(constraints, domain)
+            else:
+                problem = make_problem(constraints, domain)
         except ValueError as e:
             raise ProblemFileError(f"problem: {e}") from e
 
-    if "params" in doc:
-        obj = doc["params"]
-        _check_keys(obj, "problem.params", (), _PARAM_KEYS)
-        base = problem.params
-        merged = {k: getattr(base, k) for k in _PARAM_KEYS}
-        for k in obj:
-            merged[k] = _real(obj[k], f"problem.params.{k}")
-        problem = Problem(constraints=problem.constraints, domain=problem.domain,
-                          params=ProblemParams(**merged))
-    return problem
+    if "params" not in doc:
+        return problem
+    obj = doc["params"]
+    _check_keys(obj, "problem.params", (), _PARAM_KEYS)
+    given = {k: _real(v, f"problem.params.{k}") for k, v in obj.items()}
+    if not complete:
+        given = {k: given.get(k, getattr(problem.params, k)) for k in _PARAM_KEYS}
+    return Problem(constraints=constraints, domain=domain, params=ProblemParams(**given))
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ProblemFileError(
+            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
 def parse_problem_file(text: str, *, seed_override: int | None = None) -> Problem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProblemFileError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    return problem_from_doc(doc, seed_override=seed_override)
+    return problem_from_doc(_decode(text), seed_override=seed_override)
 
 
 def problem_to_doc(problem: Problem) -> dict:
@@ -314,14 +329,14 @@ def _write(v, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        row = _float_row(v, sep)
-        if row is None:
+        body = _float_row(v, sep) or _float_rows(v, inner)
+        if body is None:
             for i, e in enumerate(v):
                 if i:
                     out.append(sep)
                 _write(e, inner, out)
         else:
-            out.append(row)
+            out.append(body)
         out.append("\n" + pad + "]")
     elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
         inner = pad + "  "
@@ -347,6 +362,18 @@ def _float_row(v, sep: str) -> str | None:
     return None if "n" in row else row
 
 
+def _float_rows(v, pad: str) -> str | None:
+    """json's text at indentation pad of v in one pass when each item is a
+    nonempty list or tuple of finite floats (a matrix), else None."""
+    inner = pad + "  "
+    rows = [_float_row(r, ",\n" + inner) if isinstance(r, (list, tuple)) and r else None
+            for r in v]
+    if None in rows:
+        return None
+    between = "\n" + pad + "],\n" + pad + "[\n" + inner
+    return "[\n" + inner + between.join(rows) + "\n" + pad + "]"
+
+
 def emit_problem_file(problem: Problem) -> str:
     """Canonical JSON for the problem; byte-stable under parse/emit."""
     return canonical_json(problem_to_doc(problem))
@@ -361,7 +388,7 @@ def outcome_to_doc(outcome: Outcome) -> dict:
 
 
 def outcome_from_doc(obj) -> Outcome:
-    return _parse_kind(obj, "outcome", OUTCOMES, "outcome kind")
+    return _parse_tagged(obj, "outcome", "kind", OUTCOMES, "outcome kind")
 
 
 def outcome_document(result: SolveResult, problem: Problem, *,
@@ -400,10 +427,11 @@ def emit_outcome_document(doc: dict) -> str:
 
 class _ParsedDocument(dict):
     """An outcome document as parse_outcome_document returns it, with the
-    problems built to validate it: problem, and original (None when the
-    document has no original_problem).  They describe the document as
+    objects built to validate it: outcome, problem, and original (None when
+    the document has no original_problem).  They describe the document as
     parsed; a caller that edits it must build them again."""
 
+    outcome: Outcome
     problem: Problem
     original: Problem | None
 
@@ -411,16 +439,10 @@ class _ParsedDocument(dict):
 def parse_outcome_document(text: str) -> dict:
     """Decode and structurally validate an outcome document.
 
-    Validating builds the embedded problems; the returned dict keeps them
-    for verify_outcome_document, which parses a text with this function and
-    so builds each problem once.
+    The returned dict keeps the objects validating built for
+    verify_outcome_document, which so builds each of them once.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProblemFileError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+    doc = _decode(text)
     _check_keys(doc, "outcome_document",
                 ("version", "algo", "learner", "eps", "eps_effective",
                  "iterations", "outcome", "problem"),
@@ -431,8 +453,8 @@ def parse_outcome_document(text: str) -> dict:
     for key in ("eps", "eps_effective", "eps_original"):
         if key in doc:
             _real(doc[key], f"outcome_document.{key}")
-    outcome_from_doc(doc["outcome"])
     parsed = _ParsedDocument(doc)
+    parsed.outcome = outcome_from_doc(doc["outcome"])
     parsed.problem = problem_from_doc(doc["problem"])
     parsed.original = (problem_from_doc(doc["original_problem"])
                        if "original_problem" in doc else None)

@@ -77,12 +77,12 @@ def verify_outcome_document(doc: dict | str) -> VerificationReport:
     """
     if isinstance(doc, str):
         doc = parse_outcome_document(doc)
-        problem, original = doc.problem, doc.original
+        outcome, problem, original = doc.outcome, doc.problem, doc.original
     else:
         problem = problem_from_doc(doc["problem"])
         original = (problem_from_doc(doc["original_problem"])
                     if "original_problem" in doc else None)
-    outcome = outcome_from_doc(doc["outcome"])
+        outcome = outcome_from_doc(doc["outcome"])
     if original is not None:
         try:
             rebuilt = _reapply(original, doc.get("transforms", []))

@@ -14,10 +14,8 @@ Three learners, used as the players inside the game solvers:
   plays the normalized weight vector.  Regret O(G_inf sqrt(T log n)).
 
 States are immutable; each step returns a fresh state with t advanced by 1.
-Every learner refuses a gradient whose shape is not (n,) with
-DimensionMismatch, and ONS and MW refuse one with a NaN or an infinity with
-SetupError.  init_ogd, init_ons and init_mw refuse a NaN or an infinite
-parameter with SetupError naming it.
+Each init and step function says what it refuses: a gradient of the wrong
+shape (DimensionMismatch), a NaN or an infinity (SetupError).
 """
 
 from __future__ import annotations

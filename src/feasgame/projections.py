@@ -4,32 +4,15 @@ The Euclidean projections are the domains' own project methods
 (core.project_simplex is the simplex's); project_domain calls them.
 
 generalized_project minimizes (x - y).A(x - y) over the domain.  On a
-simplex with a positive-definite A it is exact: an active-set solve of the
-KKT system by block principal pivoting (_simplex_kkt), each step one
-bordered solve [[A_FF, 1], [1^T, 0]] on the free coordinates F, which is
-nonsingular for positive-definite A.  It needs no eigenvalues.  The solve
-takes the linear term of the objective as A r + h and solves for the
-correction from the reference point r, so online.ons_step, whose state
-proves its matrix positive definite and well conditioned from how that
-matrix is built (OnsState.spectrum_bounds), calls it directly
-with r = x and h = -g / beta and never forms the Newton point or an
-inverse.  Its answer lies on the plane sum x = 1 in rationals up to the
-rounding of one small coordinate.  generalized_project tests its matrix:
-symmetric bit for bit and with a Cholesky factorization that succeeds it is
-positive definite, which is stronger than the PSD test below, and a spread
-of the factor's diagonal within 1e5 keeps a numerically singular A out.
-Every other input (ball, box, a singular, an ill-conditioned or a merely
-near-symmetric A) takes projected gradient descent with the domain's
-Euclidean projection (picked once per call) as the inner step.  A descent
-step costs one matrix-vector product: A(x - y) serves first as the
-objective at x and then as the gradient of the next step.  On that route
-A is validated by _psd_spectrum (symmetry and an eigvalsh, both tests
-relative to the size of A), and those eigenvalues also decide the fast
-path: when they agree to a relative 1e-12, A is a multiple of I (or zero)
-and the Euclidean projection is the answer.  The descent's stopping
-tolerance is in the objective's absolute units, so a scaled-down A needs
-a tolerance scaled down alike; the exact solve has no tolerance to pass,
-and its multiplier test is relative to the size of A.
+simplex with a matrix that _well_conditioned proves positive definite it is
+exact: an active-set solve of the KKT system by block principal pivoting
+(_simplex_kkt), which needs no eigenvalues and solves for the correction
+from a reference point, so online.ons_step, whose state proves its matrix
+well conditioned (OnsState.spectrum_bounds), calls it directly and never
+forms the Newton point or an inverse.  Every other input takes projected
+gradient descent with the domain's Euclidean projection, after
+_psd_spectrum validates A.  The function docstrings give each route's
+tests, costs and tolerances.
 """
 
 from __future__ import annotations

@@ -30,19 +30,14 @@ Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
 
 verify_certificate re-checks an outcome with one route per kind: a Feasible
-point is re-evaluated, and an Infeasible or EpsilonInfeasible weight vector
-is proved by the certified descent of the descent module, whose Frank-Wolfe
-lower bound on min_x sum_j p_j r_j(x) (Jaggi, 2013) must exceed 0, or -eps.
-The bound is sound at every dimension and on every domain, and at every
-step: a descent stopped by its cap or a stalled line search is judged by it.
+point is re-evaluated, and a weight vector is proved by the certified
+descent, whose Frank-Wolfe lower bound (Jaggi, 2013) is sound at every
+dimension, on every domain and at every step.
 
 Every round's TraceRecord goes to the solver's trace_sink as the round
-ends.  SolveResult.trace keeps a log-spaced sample of them, the
-records of rounds 1, 2, 4, ..., 2^k and of the last round, so the memory a
-solve holds does not grow with its horizon; a caller that wants every
-round streams them through trace_sink (the CLI's --trace file does).
-Without a sink only the sampled rounds' records are built, since a record
-costs a regret-bound evaluation and a clock read.
+ends (the CLI's --trace file), and SolveResult.trace keeps a log-spaced
+sample of them (see _play_game), so a solve's memory does not grow with
+its horizon.
 """
 
 from __future__ import annotations
@@ -460,8 +455,11 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     claim): the Frank-Wolfe lower bound at a descent iterate bounds that
     minimum from below on every domain and at every n, so one route serves
     them all and value is the lower bound it proved.  It makes the
-    optimization oracle's call, with tol 1e-9 and no stop_below.
+    optimization oracle's call, with tol 1e-9 and no stop_below.  A NaN or
+    an infinite eps raises SetupError.
     """
+    if not math.isfinite(eps):
+        raise SetupError(f"eps must be finite, got {eps!r}")
     if isinstance(outcome, Feasible):
         res = residuals(problem, outcome.x)
         worst = int(np.argmax(res))

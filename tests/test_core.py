@@ -132,6 +132,35 @@ class TestSeparationOracle:
         with pytest.raises(fg.SetupError):
             fg.separation_oracle(prob, np.array([0.5, 0.5]), -0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # at the start point the worst residual is 0.271; a NaN eps used to
+        # answer FAIL there, that is "x is eps-feasible"
+        prob = fg.make_perceptron_lp(10, 20, feasible=False, seed=0)
+        x = prob.domain.start()
+        assert fg.separation_oracle(prob, x, 0.0).index == 0
+        with pytest.raises(fg.SetupError, match=r"eps must be nonnegative and finite"):
+            fg.separation_oracle(prob, x, eps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_no_fail_at_a_non_finite_point(self, bad):
+        prob = fg.make_perceptron_lp(10, 20, feasible=False, seed=0)
+        with pytest.raises(fg.SetupError, match=r"x must be finite"):
+            fg.separation_oracle(prob, np.full(10, math.nan), 0.1)
+        # a constraint met at a finite point, unbounded below along one axis
+        prob = fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=-1.0)],
+                               fg.Box(lo=np.zeros(2), hi=np.ones(2)))
+        x = np.array([0.5, bad])
+        assert fg.separation_oracle(prob, np.array([0.5, 0.5]), 0.1) is None
+        with pytest.raises(fg.SetupError, match=r"x must be finite"):
+            fg.separation_oracle(prob, x, 0.1)
+
+    def test_a_violation_at_a_non_finite_point_is_still_named(self):
+        prob = fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=0.0)],
+                               fg.Box(lo=np.zeros(2), hi=np.ones(2)))
+        hit = fg.separation_oracle(prob, np.array([math.inf, 0.0]), 0.1)
+        assert (hit.index, hit.value) == (0, math.inf)
+
     def test_fail_iff_worst_residual_below_eps(self, rng):
         prob = fg.make_problem(
             [fg.Affine(a=rng.normal(size=2), b=float(rng.normal())) for _ in range(6)],

@@ -673,6 +673,18 @@ class TestVerification:
         claim = fg.Feasible(x=np.array([0.5, 0.5]), residuals=np.array([-1.0]))
         assert fg.verify_certificate(prob, claim, 0.0).ok
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("claim", [
+        fg.Feasible(x=np.array([0.5, 0.5]), residuals=np.array([-1.0])),
+        fg.Infeasible(p_bar=np.array([1.0])),
+        fg.EpsilonInfeasible(p_bar=np.array([1.0])),
+    ], ids=["feasible", "infeasible", "epsilon_infeasible"])
+    def test_a_non_finite_eps_is_refused(self, claim, eps):
+        # a NaN eps used to give a report: "residual ... > nan" for a point,
+        # "certified lower bound 0 does not exceed nan" for a weight vector
+        with pytest.raises(fg.SetupError, match=r"eps must be finite"):
+            fg.verify_certificate(constant_problem([-1.0]), claim, eps)
+
     def test_false_certificate_in_low_dimension_is_refused(self):
         # f = ||x - c||^2 - 2.5e-7 is -2.5e-7 at its center c on the simplex,
         # so the system is feasible, yet f is positive at every point of a
