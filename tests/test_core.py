@@ -142,18 +142,21 @@ class TestSeparationOracle:
         with pytest.raises(fg.SetupError, match=r"eps must be nonnegative and finite"):
             fg.separation_oracle(prob, x, eps)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_no_fail_at_a_non_finite_point(self, bad):
+    def test_no_fail_at_a_nan_point(self):
+        # every residual is NaN there, and a NaN exceeds no eps
         prob = fg.make_perceptron_lp(10, 20, feasible=False, seed=0)
         with pytest.raises(fg.SetupError, match=r"x must be finite"):
             fg.separation_oracle(prob, np.full(10, math.nan), 0.1)
-        # a constraint met at a finite point, unbounded below along one axis
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_no_fail_at_a_non_finite_point(self, bad):
+        # the one constraint is met at (0.5, 0.5); its second coefficient is 0,
+        # and 0 times a NaN or an infinity is a NaN, which exceeds no eps
         prob = fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=-1.0)],
                                fg.Box(lo=np.zeros(2), hi=np.ones(2)))
-        x = np.array([0.5, bad])
         assert fg.separation_oracle(prob, np.array([0.5, 0.5]), 0.1) is None
         with pytest.raises(fg.SetupError, match=r"x must be finite"):
-            fg.separation_oracle(prob, x, 0.1)
+            fg.separation_oracle(prob, np.array([0.5, bad]), 0.1)
 
     def test_a_violation_at_a_non_finite_point_is_still_named(self):
         prob = fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=0.0)],
