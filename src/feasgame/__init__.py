@@ -33,7 +33,6 @@ from .core import (
     check_distribution,
     estimate_parameters,
     evaluate,
-    evaluate_batch,
     game_loss,
     gradient,
     make_problem,
@@ -43,7 +42,6 @@ from .core import (
     residual_gradients,
     residuals,
     residuals_and_mixed_gradient,
-    residuals_batch,
     separation_oracle,
     simplex_threshold,
     smoothness_bound,

@@ -26,8 +26,8 @@ finite-difference tests check.  The solvers and oracles go through the
 packed form instead: on first use a problem is packed once
 (:class:`Packed`, cached on the problem), its constraints grouped by family
 into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
-``1/omega`` and ``e`` folded in), so residuals, the mixed gradient, single
-rows and batch values cost a few vector operations per call; norm
+``1/omega`` and ``e`` folded in), so residuals, the mixed gradient and
+single rows cost a few vector operations per call; norm
 distances, entropies and log barriers go through their own methods one at a
 time.  :class:`Mixture` fixes one weight vector and collapses the affine
 and quadratic constraints into one quadratic form for the optimization
@@ -92,9 +92,6 @@ def _freeze(a) -> Array:
 # dataclass fields are its file fields, annotated with their file types as a
 # family's are.
 
-# Grids beyond this many points refuse to materialize.
-MAX_GRID_POINTS = 20_000_000
-
 Vector = Matrix = Array
 
 
@@ -113,20 +110,6 @@ def _direction(c, n: int) -> Array:
     return c
 
 
-def _mesh(lo: Array, hi: Array, resolution: float) -> Array:
-    """Every point of the grid of the given spacing over the box [lo, hi]."""
-    axes = []
-    total = 1
-    for i in range(lo.shape[0]):
-        steps = max(int(np.ceil((hi[i] - lo[i]) / resolution)), 1)
-        total *= steps + 1
-        if total > MAX_GRID_POINTS:
-            raise SetupError("grid too large; use a coarser resolution")
-        axes.append(np.linspace(lo[i], hi[i], steps + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 class _Domain:
     """What a domain provides besides its file ``tag`` and dimension ``n``.
 
@@ -134,8 +117,8 @@ class _Domain:
     ``start()``, ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of
     ||x||_2), ``linear_minimum(c)`` (argmin and min of c.x),
     ``affine_interval(a, b)`` (the range of a.x + b) and the Euclidean
-    projection ``project(y)``.
-    ``grid`` and ``sample`` give points for the brute-force oracles.
+    projection ``project(y)``.  ``sample`` gives points in any dimension;
+    only the simplex has a ``grid``, the lattice the brute-force value scans.
     """
 
     def max_dist(self, center: Array) -> float:
@@ -145,16 +128,7 @@ class _Domain:
         return float(np.linalg.norm(per))
 
     def grid(self, resolution: float) -> Array:
-        """All domain points on a grid of the given coordinate spacing.
-
-        Only meant for n <= 3 (the size guard trips far earlier than memory
-        does).
-        """
-        if not 0 < resolution <= 1:
-            raise SetupError("resolution must lie in (0, 1]")
-        if self.n > 3:
-            raise SetupError("grids are only supported for n <= 3")
-        return self._grid(resolution)
+        raise SetupError(f"a {self.tag} domain has no grid; only a simplex has one")
 
     def sample(self, count: int, seed: int | None = None) -> Array:
         """count points drawn uniformly-ish from the domain, any dimension."""
@@ -279,10 +253,14 @@ class Simplex(_Domain):
 
     project = staticmethod(project_simplex)
 
-    def _grid(self, resolution):
-        # lattice points with coordinates summing to 1
+    def grid(self, resolution: float) -> Array:
+        """The lattice of the given spacing; n <= 3, from a mesh of <= 2e7 points."""
+        if not 0 < resolution <= 1:
+            raise SetupError("resolution must lie in (0, 1]")
+        if self.n > 3:
+            raise SetupError("grids are only supported for n <= 3")
         n, k = self.n, int(round(1.0 / resolution))
-        if (k + 1) ** max(n - 1, 1) > MAX_GRID_POINTS:
+        if (k + 1) ** max(n - 1, 1) > 20_000_000:
             raise SetupError("grid too large; use a coarser resolution")
         if n == 1:
             return np.ones((1, 1))
@@ -367,10 +345,6 @@ class Ball(_Domain):
             return y.copy()
         return self.center + self.radius * d / nrm
 
-    def _grid(self, resolution):
-        X = _mesh(*self.bounding_box(), resolution)
-        return X[np.linalg.norm(X - self.center, axis=1) <= self.radius + 1e-12]
-
     def _sample(self, rng, count):
         z = rng.standard_normal((count, self.n))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -431,9 +405,6 @@ class Box(_Domain):
         """Coordinatewise clamp onto [lo, hi]; SetupError on a NaN or an inf."""
         return np.clip(_finite_point(y, "box"), self.lo, self.hi)
 
-    def _grid(self, resolution):
-        return _mesh(self.lo, self.hi, resolution)
-
     def _sample(self, rng, count):
         return rng.uniform(self.lo, self.hi, size=(count, self.n))
 
@@ -479,11 +450,11 @@ class _Family:
     bound, curvature, quadratic form or stacked form.
 
     Every family also has its problem-file ``tag``, its dimension ``n`` (a
-    field, or set on construction), the scalar reference ``value(x)``,
-    ``gradient(x)`` and ``value_batch(X)`` (they raise EvaluationDomainError
-    off the analytic domain and trust the shapes, which the module-level
-    evaluate functions check), and over a domain an ``interval`` containing
-    every value and a ``gradient_bound`` on ||grad f||_2.
+    field, or set on construction), the scalar reference ``value(x)`` and
+    ``gradient(x)`` at one point (they raise EvaluationDomainError off the
+    analytic domain and trust the shapes, which the module-level evaluate
+    functions check), and over a domain an ``interval`` containing every
+    value and a ``gradient_bound`` on ||grad f||_2.
     """
 
     def smoothness(self, domain: Domain) -> float:
@@ -524,9 +495,6 @@ class Affine(_Family):
 
     def gradient(self, x):
         return self.a.copy()
-
-    def value_batch(self, X):
-        return X @ self.a + self.b
 
     def interval(self, domain):
         return domain.affine_interval(self.a, self.b)
@@ -579,9 +547,6 @@ class Quadratic(_Family):
     def gradient(self, x):
         return 2.0 * (self.A @ x) + self.b
 
-    def value_batch(self, X):
-        return np.einsum("ni,ij,nj->n", X, self.A, X) + X @ self.b + self.c
-
     @cached_property
     def spectrum(self) -> Array:
         """The eigenvalues of A in ascending order (read-only: every bound shares them)."""
@@ -629,7 +594,7 @@ class LogAffineComposite(_Family):
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "n", self.inner.n)
 
-    def _arg(self, inner_value):
+    def log_argument(self, inner_value):
         """e + inner/omega, the argument of the log; raises where it is <= 0."""
         arg = math.e + inner_value / self.omega
         if np.any(arg <= 0):
@@ -637,14 +602,11 @@ class LogAffineComposite(_Family):
         return arg
 
     def value(self, x):
-        return 1.0 - math.log(self._arg(self.inner.value(x)))
+        return 1.0 - math.log(self.log_argument(self.inner.value(x)))
 
     def gradient(self, x):
-        arg = self._arg(self.inner.value(x))
+        arg = self.log_argument(self.inner.value(x))
         return -(self.inner.gradient(x) / (self.omega * arg))
-
-    def value_batch(self, X):
-        return 1.0 - np.log(self._arg(self.inner.value_batch(X)))
 
     def interval(self, domain):
         ilo, ihi = self.inner.interval(domain)
@@ -709,10 +671,6 @@ class NegEntropy(_Family):
     def gradient(self, x):
         return 1.0 + np.log(self._positive(x))
 
-    def value_batch(self, X):
-        X = self._positive(X)
-        return np.sum(X * np.log(X), axis=1) + self.shift
-
     def interval(self, domain):
         if isinstance(domain, Simplex):
             return -math.log(domain.n) + self.shift if domain.n > 1 else self.shift, self.shift
@@ -762,10 +720,6 @@ class NormDistSq(_Family):
     def gradient(self, x):
         return 2.0 * (x - self.center)
 
-    def value_batch(self, X):
-        D = X - self.center
-        return np.sum(D * D, axis=1) - self.c
-
     def interval(self, domain):
         md = domain.max_dist(self.center)
         return -self.c, md * md - self.c
@@ -812,9 +766,6 @@ class NegLogBarrier(_Family):
 
     def gradient(self, x):
         return -(self.rows.T @ (1.0 / self._positive(self.rows @ x)))
-
-    def value_batch(self, X):
-        return self.level - np.sum(np.log(self._positive(X @ self.rows.T)), axis=1)
 
     def interval(self, domain):
         lo_sum = hi_sum = 0.0
@@ -863,14 +814,6 @@ def gradient(f: ConstraintFn, x) -> Array:
     return f.gradient(_as_point(x, f.n, "constraint"))
 
 
-def evaluate_batch(f: ConstraintFn, X) -> Array:
-    """Vectorized evaluate over rows of X (grid and sampling oracles)."""
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != f.n:
-        raise DimensionMismatch("batch must be (N, n) with matching n")
-    return f.value_batch(X)
-
-
 def smoothness_bound(f: ConstraintFn, domain: Domain) -> float:
     """Upper bound on the Hessian operator norm, or inf where unbounded."""
     return f.smoothness(domain)
@@ -901,10 +844,23 @@ class ProblemParams:
 
     def __post_init__(self):
         for name, v in vars(self).items():
-            if not math.isfinite(v):
-                raise SetupError(f"instance constant {name} must be finite, got {v!r}")
-        if self.G < 0 or self.H < 0 or self.omega < 0 or self.D < 0:
-            raise SetupError("instance constants must be nonnegative")
+            self.check(name, v)
+
+    @staticmethod
+    def check(name: str, v: float) -> float:
+        """v if it can be the constant called name; SetupError naming it if not."""
+        if not math.isfinite(v):
+            raise SetupError(f"instance constant {name} must be finite, got {v!r}")
+        if v < 0 and name in ("G", "H", "omega", "D"):
+            raise SetupError(f"instance constant {name} must be nonnegative, got {v!r}")
+        return v
+
+
+def exp_concavity(H: float, G: float) -> float:
+    """alpha = H / G^2, 0 where H or G is 0; SetupError where G^2 underflows to 0."""
+    if H > 0 and G > 0 and G * G == 0:
+        raise SetupError(f"instance constant alpha = H / G^2 has no float value: G = {G!r}")
+    return H / (G * G) if H > 0 and G > 0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -943,13 +899,9 @@ def _estimate(constraints, domain: Domain) -> ProblemParams:
     H = min(f.curvature(domain) for f in constraints)
     omega = max(max(abs(lo), abs(hi)) for lo, hi in (f.interval(domain) for f in constraints))
     D = domain.diameter()
-    if all(isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine)
-           for f in constraints):
-        alpha = 1.0
-    elif H > 0 and G > 0:
-        alpha = H / (G * G)
-    else:
-        alpha = 0.0
+    log_affine = all(isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine)
+                     for f in constraints)
+    alpha = 1.0 if log_affine else exp_concavity(H, G)
     return ProblemParams(G=G, H=H, omega=omega, D=D, G_inf=omega, alpha=alpha)
 
 
@@ -1028,8 +980,8 @@ class _Group:
     """One family's constraints as stacked arrays, rows in constraint
     order; ``idx`` is their positions in the problem.
 
-    ``values`` and ``rows`` return raw family values or gradient rows
-    together with ``bad``: None when every constraint is on its analytic
+    ``values`` and ``rows`` (not for quadratics) return raw family values or
+    gradient rows with ``bad``: None when every constraint is on its analytic
     domain, otherwise the boolean mask of those off it (their entries are
     NaN), and such families give ``error(i, x)``, what evaluating row i at x
     raises.  ``both`` returns values, rows and ``bad`` from one pass, sharing
@@ -1097,9 +1049,6 @@ class _Quadratics(_Group):
 
     def values(self, x):
         return (self._Ax(x) + self.B) @ x + self.c, None
-
-    def rows(self, x):
-        return 2.0 * self._Ax(x) + self.B, None
 
     def both(self, x):
         Ax = self._Ax(x)
@@ -1411,17 +1360,6 @@ def mixed_gradient(problem: Problem, p: Array, x) -> Array:
     return residuals_and_mixed_gradient(problem, p, x)[1]
 
 
-def residuals_batch(problem: Problem, X) -> Array:
-    """(N, m) residuals at the N rows of X, through each constraint's scalar
-    reference in constraint order: the lowest constraint off its domain at
-    some row raises its own error."""
-    pk = problem.packed
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != pk.n:
-        raise DimensionMismatch("batch must be (N, n) with matching n")
-    return np.column_stack([f.value_batch(X) for f in pk.constraints])
-
-
 def check_distribution(p, m: int) -> Array:
     p = np.asarray(p, float)
     if p.shape != (m,):
@@ -1461,9 +1399,15 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
         raise SetupError(f"eps must be nonnegative and finite, got {eps!r}")
     pk = problem.packed
     x = _as_point(x, pk.n)
-    hit = pk.first(x, eps)
+    if x.dot(x) < math.inf:  # no NaN and no infinity in x, nor an entry past about 1e154
+        hit = pk.first(x, eps)
+    else:  # 0 * inf makes a NaN row, which exceeds no eps; numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            hit = pk.first(x, eps)
+            if hit is not None and hit[1] is None:
+                raise pk.off_domain(hit[0], x)
     if hit is None:
-        if not np.isfinite(x).all():  # a NaN exceeds no eps
+        if not np.isfinite(x).all():
             raise SetupError("x must be finite, but has a NaN or an infinite entry")
         return None
     j, value = hit

@@ -48,7 +48,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ..core import DOMAINS, FAMILIES, Problem, ProblemParams, check_estimable, make_problem
+from ..core import (DOMAINS, FAMILIES, Problem, ProblemParams, SetupError, check_estimable,
+                    make_problem)
 from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
 from ..solvers import OUTCOMES, Outcome, SolveResult
 
@@ -276,7 +277,12 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
         return problem
     obj = doc["params"]
     _check_keys(obj, "problem.params", (), _PARAM_KEYS)
-    given = {k: _real(v, f"problem.params.{k}") for k, v in obj.items()}
+    given = {}
+    for k, v in obj.items():
+        try:
+            given[k] = ProblemParams.check(k, _real(v, f"problem.params.{k}"))
+        except SetupError as e:
+            raise ProblemFileError(f"problem.params.{k}: {e}") from e
     if not complete:
         given = {k: given.get(k, getattr(problem.params, k)) for k in _PARAM_KEYS}
     return Problem(constraints=constraints, domain=domain, params=ProblemParams(**given))
@@ -436,13 +442,14 @@ class _ParsedDocument(dict):
     original: Problem | None
 
 
-def parse_outcome_document(text: str) -> dict:
-    """Decode and structurally validate an outcome document.
+def parse_outcome_document(doc: str | dict) -> dict:
+    """Structurally validate an outcome document, given as text or decoded.
 
     The returned dict keeps the objects validating built for
     verify_outcome_document, which so builds each of them once.
     """
-    doc = _decode(text)
+    if isinstance(doc, str):
+        doc = _decode(doc)
     _check_keys(doc, "outcome_document",
                 ("version", "algo", "learner", "eps", "eps_effective",
                  "iterations", "outcome", "problem"),
@@ -450,6 +457,8 @@ def parse_outcome_document(text: str) -> dict:
     version = _integer(doc["version"], "outcome_document.version")
     if version != OUTCOME_VERSION:
         raise ProblemFileError(f"outcome_document.version: unsupported version {version}")
+    if ("original_problem" in doc) != ("eps_original" in doc):
+        raise ProblemFileError("outcome_document: original_problem and eps_original go together")
     for key in ("eps", "eps_effective", "eps_original"):
         if key in doc:
             _real(doc[key], f"outcome_document.{key}")

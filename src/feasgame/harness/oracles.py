@@ -6,16 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Array, Problem, SetupError, evaluate, residual_gradients, residuals_batch
+from ..core import Array, LogAffineComposite, Problem, SetupError, evaluate, residual_gradients
 from ..reductions import log_transform, strictify
 from ..solvers import Feasible, VerificationReport, verify_certificate
 from .io import (
     ProblemFileError,
     _check_keys,
     _real,
-    outcome_from_doc,
     parse_outcome_document,
-    problem_from_doc,
     problem_to_doc,
 )
 
@@ -30,20 +28,27 @@ class GridValue:
 
 
 def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
-    """Game value by exhaustive grid search; n <= 3 only.
-
+    """Game value by exhaustive search of the simplex lattice, n <= 3 only.
     The true value lies within slack = resolution * (max sampled residual
-    gradient norm) of the reported grid minimum.
-    """
-    if problem.n > 3:
-        raise SetupError("brute-force game value is limited to n <= 3")
+    gradient norm) of the reported lattice minimum."""
     X = problem.domain.grid(resolution)
-    worst = np.max(residuals_batch(problem, X), axis=1)
+    worst = np.max(np.column_stack([_lattice_values(f, X) for f in problem.constraints]), axis=1)
     k = int(np.argmin(worst))
     sample = X[:: max(1, X.shape[0] // 512)]
     gmax = max(float(np.max(np.linalg.norm(residual_gradients(problem, x), axis=1)))
                for x in sample)
     return GridValue(value=float(worst[k]), slack=resolution * gmax, x=X[k].copy())
+
+
+def _lattice_values(f, X: Array) -> Array:
+    """f at each row of X, through its quadratic form or its inner's values,
+    else one point at a time; off f's analytic domain, f's own error."""
+    q = f.as_quadratic()
+    if q is not None:
+        return np.einsum("ni,ij,nj->n", X, q.A, X) + X @ q.b + q.c
+    if isinstance(f, LogAffineComposite):
+        return 1.0 - np.log(f.log_argument(_lattice_values(f.inner, X)))
+    return np.array([evaluate(f, x) for x in X])
 
 
 def _reapply(original: Problem, transforms) -> Problem:
@@ -75,14 +80,8 @@ def verify_outcome_document(doc: dict | str) -> VerificationReport:
     re-evaluates the original constraints at the returned point against
     eps_original.
     """
-    if isinstance(doc, str):
-        doc = parse_outcome_document(doc)
-        outcome, problem, original = doc.outcome, doc.problem, doc.original
-    else:
-        problem = problem_from_doc(doc["problem"])
-        original = (problem_from_doc(doc["original_problem"])
-                    if "original_problem" in doc else None)
-        outcome = outcome_from_doc(doc["outcome"])
+    doc = parse_outcome_document(doc)
+    outcome, problem, original = doc.outcome, doc.problem, doc.original
     if original is not None:
         try:
             rebuilt = _reapply(original, doc.get("transforms", []))

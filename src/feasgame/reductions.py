@@ -27,6 +27,7 @@ from .core import (
     Quadratic,
     SetupError,
     Simplex,
+    exp_concavity,
 )
 
 
@@ -56,9 +57,8 @@ def strictify(problem: Problem, delta: float) -> Problem:
     # [-delta, 0], its gradient norm is at most 2 * delta, and the added
     # curvature is exactly 2 * delta.
     G2, H2 = p.G + 2 * delta, p.H + 2 * delta
-    alpha = H2 / (G2 * G2) if G2 > 0 else 0.0
     params = ProblemParams(G=G2, H=H2, omega=p.omega + delta, D=p.D,
-                           G_inf=p.G_inf + delta, alpha=alpha)
+                           G_inf=p.G_inf + delta, alpha=exp_concavity(H2, G2))
     return Problem(constraints=tuple(out), domain=problem.domain, params=params)
 
 

@@ -134,7 +134,7 @@ def test_domain_operations_keep_to_the_domain(kind, n, seed):
     c = rng.normal(size=n)
     x_min, v_min = domain.linear_minimum(c)
     inside = [domain.start(), domain.project(rng.normal(size=n) * 3.0), x_min, *X]
-    if n <= 3:
+    if kind == "simplex" and n <= 3:
         inside.extend(domain.grid(0.1))
     for x in inside:
         assert domain.contains(x)
@@ -144,6 +144,13 @@ def test_domain_operations_keep_to_the_domain(kind, n, seed):
     assert np.linalg.norm(X, axis=1).max() <= norm + slack(norm)
     assert np.linalg.norm(X[:, None] - X[None], axis=2).max() <= diameter + slack(diameter)
     assert (v_min <= X @ c + slack(v_min)).all()
+
+
+@pytest.mark.parametrize("domain", [fg.Ball(n=2), fg.Box(lo=np.zeros(2), hi=np.ones(2))],
+                         ids=["ball", "box"])
+def test_only_a_simplex_has_a_grid(domain):
+    with pytest.raises(fg.SetupError, match=rf"^a {domain.tag} domain has no grid"):
+        domain.grid(0.1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -33,13 +33,6 @@ class TestEvaluate:
         with pytest.raises(fg.DimensionMismatch):
             fg.evaluate(f, np.array([1.0, 0.0, 0.0]))
 
-    def test_batch_matches_loop(self, rng):
-        for f in family_samples(rng, 3):
-            X = interior_simplex(rng, 3, 40)
-            batch = fg.evaluate_batch(f, X)
-            loop = np.array([fg.evaluate(f, x) for x in X])
-            assert np.allclose(batch, loop, rtol=0, atol=1e-12)
-
 
 class TestGradient:
     def test_affine_gradient_is_coefficient(self):
@@ -266,7 +259,7 @@ class TestEstimates:
         prob = fg.make_problem(cons, fg.Simplex(n=3))
         X = prob.domain.sample(10_000, seed=7)
         for f in prob.constraints:
-            vals = fg.evaluate_batch(f, X)
+            vals = np.array([fg.evaluate(f, x) for x in X])
             assert np.max(np.abs(vals)) <= prob.params.omega + 1e-9
         for f in prob.constraints:
             for x in X[:300]:
@@ -358,6 +351,23 @@ def test_non_finite_instance_constant_is_refused_by_name(field, bad):
     values = dict(G=1.0, H=1.0, omega=1.0, D=1.0, G_inf=1.0, alpha=1.0)
     with pytest.raises(fg.SetupError, match=rf"^instance constant {field} must be finite"):
         fg.ProblemParams(**{**values, field: bad})
+
+
+@pytest.mark.parametrize("field", ["G", "H", "omega", "D"])
+def test_negative_instance_constant_is_refused_by_name(field):
+    values = dict(G=1.0, H=1.0, omega=1.0, D=1.0, G_inf=1.0, alpha=1.0)
+    with pytest.raises(fg.SetupError,
+                       match=rf"^instance constant {field} must be nonnegative, got -1\.0$"):
+        fg.ProblemParams(**{**values, field: -1.0})
+
+
+def test_an_alpha_whose_divisor_underflows_is_refused_by_name():
+    # G is about 1.8e-170, so G * G underflows to 0 and H / G^2 has no float
+    # value; the estimate used to raise ZeroDivisionError
+    f = fg.Quadratic(A=np.array([[7.09e-171]]), b=np.array([-3.57e-171]), c=4.03e-171)
+    with pytest.raises(fg.SetupError,
+                       match=r"^instance constant alpha = H / G\^2 has no float value"):
+        fg.make_problem([f], fg.Simplex(n=1))
 
 
 def test_numpy_integer_dimension_is_accepted():

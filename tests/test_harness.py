@@ -24,7 +24,7 @@ from feasgame.harness import (
     scaling_experiment,
     verify_outcome_document,
 )
-from feasgame.harness import io as harness_io, oracles as harness_oracles
+from feasgame.harness import io as harness_io
 from feasgame.harness.cli import TRACE_HEADER, main
 
 
@@ -248,7 +248,6 @@ class TestOutcomeDocuments:
             return problem_from_doc(obj, **kwargs)
 
         monkeypatch.setattr(harness_io, "problem_from_doc", counted)
-        monkeypatch.setattr(harness_oracles, "problem_from_doc", counted)
         assert verify_outcome_document(emit_outcome_document(doc)).ok
         assert built == [doc["problem"], doc["original_problem"]]
         # the problem that is built once is still checked field by field
@@ -256,6 +255,23 @@ class TestOutcomeDocuments:
         with pytest.raises(ProblemFileError,
                            match=r"problem\.constraints\[0\]\.a\[1\]: expected a finite number"):
             verify_outcome_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("as_text", [False, True], ids=["dict", "text"])
+    @pytest.mark.parametrize("change, message", [
+        ({"version": 99}, r"^outcome_document\.version: unsupported version 99$"),
+        ({"eps_effective": None}, r"^outcome_document: missing field\(s\) eps_effective$"),
+        ({"original_problem": MINIMAL},
+         r"^outcome_document: original_problem and eps_original go together$"),
+    ], ids=["version", "no-eps-effective", "original-alone"])
+    def test_dicts_and_text_are_validated_alike(self, change, message, as_text):
+        # a dict used to skip the checks: version 99 verified, and a missing
+        # eps_effective raised KeyError
+        prob = parse_problem_file(json.dumps(MINIMAL))
+        doc = outcome_document(run_solver(prob, "primal", "mw", 0.1), prob)
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(ProblemFileError, match=message):
+            verify_outcome_document(json.dumps(doc) if as_text else doc)
 
     def test_rejects_malformed_kind(self):
         prob = parse_problem_file(json.dumps(MINIMAL))
@@ -375,6 +391,17 @@ class TestCli:
         assert main(["solve", "--problem", path, "--eps", eps, "--out", str(out)]) == 1
         assert "eps must be a positive finite float" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_alpha_without_a_float_value_exits_one(self, tmp_path, capsys):
+        # G is about 1.8e-170, so G * G underflows to 0 and H / G^2 has no
+        # float value; solve used to die with a ZeroDivisionError traceback
+        doc = {"version": 2, "domain": {"kind": "simplex", "n": 1},
+               "constraints": [{"family": "quadratic", "A": [[7.09e-171]],
+                                "b": [-3.57e-171], "c": 4.03e-171}]}
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", "--problem", path, "--eps", "0.1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "alpha" in err[0]
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["solve", "--problem", "/nonexistent.json", "--eps", "0.1"]) == 1

@@ -1,7 +1,7 @@
 """The packed constraint form against the scalar evaluate/gradient reference.
 
 Every family and all three domains: residuals, single-row and
-mixed gradients, batch values, the fixed-weight Mixture, and the separation
+mixed gradients, the fixed-weight Mixture, and the separation
 oracle's rule (the lowest index that is violated or off its analytic domain
 decides; off the domain raises).  The one-pass residuals and mixed gradient
 of a primal-dual round, and the Mixture's one-pass value and gradient, are
@@ -202,20 +202,6 @@ def test_one_pass_is_bit_identical_to_the_separate_passes(spec, weights):
         assert g.tobytes() == fg.mixed_gradient(problem, p, x).tobytes()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(problems)
-def test_batch_values_match_scalar_reference(spec):
-    problem, rng = build(spec)
-    X = points(problem.domain, rng)
-    refs = [scalar(problem, x) for x in X]
-    if any(r is None for ref in refs for r, _ in ref):
-        with pytest.raises(fg.EvaluationDomainError):
-            fg.residuals_batch(problem, X)
-        return
-    V = np.array([[r for r, _ in ref] for ref in refs])
-    np.testing.assert_allclose(fg.residuals_batch(problem, X), V, **TOL)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(problems, st.floats(0.0, 2.0))
 def test_separation_oracle_keeps_the_scalar_rule(spec, eps):
@@ -256,8 +242,6 @@ def test_off_domain_constraint_after_a_violated_one(late):
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.residual_gradient(ahead, 1, x)
     with pytest.raises(fg.EvaluationDomainError, **own):
-        fg.residuals_batch(ahead, x[None])
-    with pytest.raises(fg.EvaluationDomainError, **own):
         fg.Mixture(ahead, np.array([0.5, 0.5])).value_and_gradient(x)
     behind = fg.Problem(constraints=(late, first), domain=fg.Simplex(n=2), params=PARAMS)
     with pytest.raises(fg.EvaluationDomainError, **own):
@@ -278,8 +262,6 @@ def test_lowest_off_domain_constraint_decides_across_groups():
             fn(problem, x)
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.residuals_and_mixed_gradient(problem, np.full(3, 1.0 / 3), x)
-    with pytest.raises(fg.EvaluationDomainError, **own):
-        fg.residuals_batch(problem, x[None])
     with pytest.raises(fg.EvaluationDomainError, **own):
         fg.separation_oracle(problem, x, 1.0)  # constraint 0 is 0.5 <= eps
 

@@ -143,6 +143,19 @@ def _refused(domain, constraint, params):
     return str(info.value)
 
 
+@pytest.mark.parametrize("key", ["G", "H", "omega", "D"])
+@pytest.mark.parametrize("complete", [True, False])
+def test_a_negative_constant_is_refused_by_its_path(key, complete):
+    # it used to escape as a bare "instance constants must be nonnegative"
+    doc = problem_to_doc(fg.Problem([fg.Affine(a=np.ones(2), b=0.0)], fg.Simplex(n=2),
+                                    ANY_PARAMS))
+    doc["params"] = {**(doc["params"] if complete else {}), key: -1.0}
+    with pytest.raises(fg.harness.ProblemFileError,
+                       match=rf"^problem\.params\.{key}: instance constant {key} must be "
+                             r"nonnegative, got -1\.0$"):
+        problem_from_doc(doc)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 4),
        st.integers(0, 2**32 - 1), st.sampled_from(PARAM_CHOICES))

@@ -194,7 +194,7 @@ class TestDispatchAndBounds:
             # stated bounds hold where they are finite, so sample the interior
             X = 0.98 * X + 0.02 / prob.n
             for f in prob.constraints:
-                vals = fg.evaluate_batch(f, X)
+                vals = np.array([fg.evaluate(f, x) for x in X])
                 assert np.max(np.abs(vals)) <= prob.params.omega + 1e-9
                 for x in X[:200]:
                     g = fg.gradient(f, x)

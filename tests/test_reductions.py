@@ -29,6 +29,14 @@ class TestStrictify:
         val = fg.evaluate(out.constraints[0], np.array([0.5, 0.5]))
         assert val == pytest.approx(-0.05, abs=1e-12)
 
+    def test_a_delta_whose_gradient_bound_squares_to_zero_is_refused(self):
+        # G' = 2 * delta = 2e-170 squares to 0, so H' / G'^2 has no float
+        # value; it used to raise ZeroDivisionError
+        prob = fg.make_problem([fg.Affine(a=np.zeros(2), b=-1.0)], fg.Simplex(n=2))
+        with pytest.raises(fg.SetupError,
+                           match=r"^instance constant alpha = H / G\^2 has no float value"):
+            fg.strictify(prob, 1e-170)
+
     def test_parameters_shift(self):
         prob = fg.make_problem(
             [fg.Quadratic(A=np.eye(2), b=np.zeros(2), c=0.0)], fg.Simplex(n=2)
