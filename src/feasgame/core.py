@@ -117,7 +117,9 @@ class _Domain:
     ``start()``, ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of
     ||x||_2), ``linear_minimum(c)`` (argmin and min of c.x),
     ``affine_interval(a, b)`` (the range of a.x + b) and the Euclidean
-    projection ``project(y)``.  ``sample`` gives points in any dimension;
+    projection ``project(y)``; ``minimize_quadratic(M, r, h, x0)`` is the
+    exact argmin of x.M x / 2 - (M r + h).x for finite input and a
+    positive-definite M.  ``sample`` gives points in any dimension;
     only the simplex has a ``grid``, the lattice the brute-force value scans.
     """
 
@@ -213,6 +215,110 @@ def project_simplex(y) -> Array:
     return x
 
 
+# Solves or steps of a domain's minimize_quadratic before it stops.
+PROJECT_CAP = 100_000
+
+
+def _onto_plane(x: Array, F: Array) -> Array:
+    """x with 1 - sum x_F, rounded once, added to the least free coordinate,
+    or to the largest when the least would fall below 0.
+
+    Solved coordinates near 1 round by up to 2^-54, which leaves their exact
+    sum off the plane sum x = 1 by as much; with |x - r| small that costs
+    the objective more than a relative 1e-12 (y = (0, 0.99999),
+    A = diag(1.0009765625, 1) sums to 1 + 1.4e-17, 1.4e-22 over an optimum
+    of 5.0e-11).  On the support the gradient of the objective is the same
+    in every coordinate, so moving any free coordinate back onto the plane
+    removes that cost, and the least one rounds the sum the finest: the
+    exact 1 - sum x_F is a multiple of its ulp, so the move is exact unless
+    it crosses a power of 2.
+    """
+    xF = x[F]
+    rest = math.fsum([1.0, *(-xF).tolist()])
+    j = xF.argmin()
+    if xF[j] + rest < 0:
+        j = xF.argmax()
+    x[F[j]] += rest
+    return x
+
+
+def _simplex_kkt(M: Array, r: Array, h: Array, x0=None) -> Array:
+    """argmin over the simplex of x.M x / 2 - c.x with c = M r + h, M
+    positive definite: the projection of y in the M-norm is r = y, h = 0,
+    and an ONS step is r = x, h = -g / beta (then c = M y for the Newton
+    point y = x - M^-1 g / beta, which is never formed).
+
+    Block principal pivoting on the KKT system (Judice and Pires, 1994).
+    With the bound set B held at zero, the free coordinates F are
+    x_F = r_F + d_F, where the correction d solves
+    [[M_FF, 1], [1^T, 0]] [d_F; nu] = [M_FB r_B + h_F; 1 - sum r_F], and the
+    bound ones carry the multipliers mu = M(x - r) - h + nu 1.  Solving for
+    the correction from r, not for x_F, keeps the rounding of d relative to
+    the size of d rather than of r, and _onto_plane then moves x_F onto the
+    plane sum x = 1.  The answer is the first solve with x_F >= 0 and
+    mu_B >= 0 (down to the rounding of the multipliers).  Otherwise every
+    coordinate that breaks one of them changes side at once, so a few
+    solves suffice even when many coordinates move.  Once the number of
+    broken coordinates has gone three block changes without falling, only
+    the least-indexed one changes side (Murty's rule), which is what keeps
+    principal pivoting from cycling.  The first free set is the support of
+    x0 when given, else of the Euclidean projection of r.  At a vertex e_f
+    nothing is solved: mu = M e_f - c + (c_f - M_ff), which for r = e_f is
+    (h_f - h) up to rounding.
+    """
+    c = M @ r + h
+    # a NaN or an infinity in M, r or h (or an overflow) leaves c non-finite
+    if not np.isfinite(c).all():
+        raise SetupError("simplex projection needs finite input")
+    free = (project_simplex(r) if x0 is None else np.asarray(x0, float)) > 0
+    floor = None
+    fewest, chances = r.size + 1, 3
+    for _ in range(PROJECT_CAP):
+        F = free.nonzero()[0]
+        if F.size == 1:  # a vertex: nothing to solve, M x is a row of M
+            f = F[0]
+            x = np.zeros(r.size)
+            x[f] = 1.0
+            mu = M[f] - c + (c[f] - M[f, f])
+        else:
+            k = F.size
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = M[F[:, None], F]
+            K[k, k] = 0.0
+            e = -r  # x - r: the correction on F, -r on B
+            e[F] = 0.0
+            rhs = np.empty(k + 1)
+            rhs[:k] = (h - M @ e)[F]  # M_FB r_B + h_F
+            rhs[k] = 1.0 - r[F].sum()
+            sol = np.linalg.solve(K, rhs)
+            e[F] = sol[:k]
+            x = _onto_plane(r + e, F)  # r_B + (-r_B) is exactly 0
+            mu = M @ e - h + sol[k]
+        mu[F] = 0.0
+        feasible = F.size == 1 or x.min() >= 0  # a vertex is >= 0
+        if feasible and mu.min() >= 0:
+            return x
+        if floor is None:
+            # least multiplier accepted, the size of the rounding in
+            # M(x - r) - h; max|M| is on the diagonal of a positive-definite M
+            floor = -1e-12 * (float(M.diagonal().max()) * (1.0 + float(abs(r).max()))
+                              + float(abs(h).max()))
+        if feasible and mu.min() >= floor:
+            return x
+        broken = (x < 0) | (mu < floor)  # sum x = 1 keeps some x_F > 0 free
+        count = int(broken.sum())
+        if count < fewest:
+            fewest, chances = count, 3
+        elif chances > 0:
+            chances -= 1
+        else:
+            broken = broken.nonzero()[0][0]
+        free[broken] = ~free[broken]
+    raise ConvergenceError(
+        f"exact simplex projection did not converge within {PROJECT_CAP} solves"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Simplex(_Domain):
     """Probability simplex in R^n."""
@@ -252,6 +358,7 @@ class Simplex(_Domain):
         return float(a.min()) + b, float(a.max()) + b
 
     project = staticmethod(project_simplex)
+    minimize_quadratic = staticmethod(_simplex_kkt)
 
     def grid(self, resolution: float) -> Array:
         """The lattice of the given spacing; n <= 3, from a mesh of <= 2e7 points."""
@@ -345,6 +452,33 @@ class Ball(_Domain):
             return y.copy()
         return self.center + self.radius * d / nrm
 
+    def minimize_quadratic(self, M: Array, r: Array, h: Array, x0=None) -> Array:
+        """argmin over the ball of x.M x / 2 - (M r + h).x; x0 plays no part.
+        With M = Q diag(d) Q^T (eigh), it is center + Q z for z = b / (d + lam),
+        b = d Q^T (r - center) + Q^T h, and lam the root of 1/|z| = 1/radius
+        (More and Sorensen, 1983), or 0 when |z| <= radius there.  A d that
+        rounds to <= 0 is raised to the least normal float, so d + lam > 0.
+        1/|z| is concave in lam, so Newton's method climbs to the root
+        without passing it from the lower bound max(0, max |b| / radius - d);
+        rounding left outside is scaled onto the sphere."""
+        d, Q = np.linalg.eigh(M)
+        d = np.maximum(d, np.finfo(float).tiny)
+        b = d * ((r - self.center) @ Q) + h @ Q
+        R = self.radius
+        lam = max(0.0, float((abs(b) / R - d).max()))
+        for _ in range(PROJECT_CAP):
+            z = b / (d + lam)
+            s = float(z @ z)
+            if s <= R * R:
+                break
+            step = (math.sqrt(s) / R - 1.0) * s / float(z @ (z / (d + lam)))
+            if not lam + step > lam:
+                break
+            lam += step
+        z = Q @ z
+        nrm = float(np.linalg.norm(z))
+        return self.center + (z * (R / nrm) if nrm > R else z)
+
     def _sample(self, rng, count):
         z = rng.standard_normal((count, self.n))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -404,6 +538,47 @@ class Box(_Domain):
     def project(self, y) -> Array:
         """Coordinatewise clamp onto [lo, hi]; SetupError on a NaN or an inf."""
         return np.clip(_finite_point(y, "box"), self.lo, self.hi)
+
+    def minimize_quadratic(self, M: Array, r: Array, h: Array, x0=None) -> Array:
+        """argmin over the box of x.M x / 2 - (M r + h).x by block principal
+        pivoting (Judice and Pires, 1994), as in _simplex_kkt: with L held at
+        lo and U at hi, x_F = r_F + d_F for M_FF d_F = h_F - M_FB (x_B - r_B),
+        and g = M (x - r) - h must be >= 0 on L and <= 0 on U, up to its
+        rounding.  Until a solve also has lo_F <= x_F <= hi_F, every broken
+        coordinate changes side, or only the least-indexed one after three
+        changes that fail to lower their number (Murty's rule).  x0, else r,
+        gives the first sets."""
+        lo, hi = self.lo, self.hi
+        start = r if x0 is None else np.asarray(x0, float)
+        at_lo, at_hi = start <= lo, (start >= hi) & (start > lo)
+        # the size of the rounding in g; max|M| is on the diagonal
+        reach = float(abs(r).max()) + float(np.maximum(-lo, hi).max())
+        floor = -1e-12 * (float(M.diagonal().max()) * reach + float(abs(h).max()))
+        fewest, chances = r.size + 1, 3
+        for _ in range(PROJECT_CAP):
+            F = (~(at_lo | at_hi)).nonzero()[0]
+            x = np.where(at_lo, lo, hi)
+            e = x - r
+            e[F] = 0.0
+            if F.size:
+                e[F] = np.linalg.solve(M[F[:, None], F], (h - M @ e)[F])
+                x[F] = r[F] + e[F]
+            g = M @ e - h
+            below, above = x < lo, x > hi  # only a free coordinate can be
+            broken = below | above | (at_lo & (g < floor)) | (at_hi & (g > -floor))
+            count = int(broken.sum())
+            if count == 0:
+                return x
+            if count < fewest:
+                fewest, chances = count, 3
+            elif chances > 0:
+                chances -= 1
+            else:
+                broken = np.arange(r.size) == broken.argmax()
+            # broken bound coordinates go free, free ones to the bound crossed
+            at_lo = at_lo ^ (broken & (at_lo | below))
+            at_hi = at_hi ^ (broken & (at_hi | above))
+        raise ConvergenceError(f"box projection did not converge within {PROJECT_CAP} solves")
 
     def _sample(self, rng, count):
         return rng.uniform(self.lo, self.hi, size=(count, self.n))

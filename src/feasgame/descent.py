@@ -68,7 +68,7 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     plain loop's: the last gradient's linear minimum is memoized on
     g.tobytes(), not identity (fn may refill one buffer), so an affine
     mixture pays one argmin (drop the memo once affine mixtures skip the
-    descent, ROADMAP item 7); g.dot(v) replaces g @ v for a unit-stride
+    descent, ROADMAP item 2); g.dot(v) replaces g @ v for a unit-stride
     float64 g, and any other g keeps @, which sums a reversed or broadcast
     vector in its own loop.
     """

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Array, LogAffineComposite, Problem, SetupError, evaluate, residual_gradients
+from ..core import (Array, LogAffineComposite, Problem, SetupError, evaluate, residual_gradients,
+                    residuals)
 from ..reductions import log_transform, strictify
 from ..solvers import Feasible, VerificationReport, verify_certificate
 from .io import (
@@ -77,8 +78,8 @@ def verify_outcome_document(doc: dict | str) -> VerificationReport:
     problem and refuses a document whose embedded problem is not what they
     give.  Then verifies the embedded certificate against the problem the
     solver ran on, and (for feasible outcomes of transformed runs)
-    re-evaluates the original constraints at the returned point against
-    eps_original.
+    re-evaluates the original constraints at the returned point (by
+    residuals, as verify_certificate does) against eps_original.
     """
     doc = parse_outcome_document(doc)
     outcome, problem, original = doc.outcome, doc.problem, doc.original
@@ -99,8 +100,8 @@ def verify_outcome_document(doc: dict | str) -> VerificationReport:
         return report
     if isinstance(outcome, Feasible):
         eps_orig = float(doc["eps_original"])
-        vals = [evaluate(f, outcome.x) for f in original.constraints]
-        worst = int(np.argmax(vals))
+        vals = residuals(original, outcome.x)
+        worst = int(vals.argmax())
         if vals[worst] > eps_orig:
             return VerificationReport(
                 ok=False, method=report.method, value=float(vals[worst]),

@@ -6,9 +6,9 @@ Three learners, used as the players inside the game solvers:
   Euclidean projection back onto the domain.  Regret O((G^2/H) log T).
 * ONS: Newton-style steps for alpha-exp-concave costs.  The conditioning
   matrix accumulates gradient outer products, and the Newton point is
-  projected in the matrix norm.  No inverse is kept: on the simplex the
-  projection needs only A times the Newton point, which is A x - g / beta,
-  and elsewhere one linear solve gives the Newton direction.
+  projected in the matrix norm.  No inverse is kept and the Newton point
+  is never formed: the domain's exact projection needs only A times it,
+  which is A x - g / beta.
   Regret O((1/alpha + G D) n log T).
 * MW: multiplicative weights over the simplex with learning rate eta <= 1/2;
   plays the normalized weight vector.  Regret O(G_inf sqrt(T log n)).
@@ -35,15 +35,13 @@ from .core import (
     Quadratic,
     SetupError,
     Simplex,
+    _simplex_kkt,
     evaluate,
     gradient,
 )
 from .descent import minimize_over_domain
-from .projections import (
-    _simplex_kkt,
-    generalized_project,
-    project_domain,
-)
+from .projections import generalized_project  # noqa: F401 (call-site tracers wrap it here)
+from .projections import positive_definite, project_domain
 
 # Largest lam_max / lam_min with which an ONS step's proven bounds send its
 # simplex projection straight to the exact solve.
@@ -98,15 +96,14 @@ class OnsState(NamedTuple):
     """Iterate, round, step scale beta and Newton matrix A.
 
     A state built by hand proves nothing about A, whatever its scale: its
-    spectrum_bounds is None, and ons_step leaves A to generalized_project,
-    which tests it like any other matrix.  Only the states that init_ons
-    returns, and those that ons_step returns from them, carry a proof,
-    because only they are known to hold A = scale I + sum of g g^T over the
-    t - 1 gradients seen so far; their spectrum_bounds derives bounds on the
-    spectrum of A from that.  _replace returns a state built by hand.  A
-    state is a NamedTuple, which costs less to build than a dataclass, so
-    it compares and unpacks as a tuple.  rebuilds is always 0: no inverse is
-    kept, so none is rebuilt.
+    spectrum_bounds is None, and ons_step tests A with positive_definite.
+    Only the states that init_ons returns, and those that ons_step returns
+    from them, carry a proof, because only they are known to hold
+    A = scale I + sum of g g^T over the t - 1 gradients seen so far; their
+    spectrum_bounds derives bounds on the spectrum of A from that.  _replace
+    returns a state built by hand.  A state is a NamedTuple, which costs
+    less to build than a dataclass, so it compares and unpacks as a tuple.
+    rebuilds is always 0: no inverse is kept, so none is rebuilt.
 
     last is the memo of the step that built the state, which lets the next
     step with a gradient of the same bytes skip the work that gradient has
@@ -258,18 +255,24 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     """Newton-style step to y = x - A^-1 grad / beta, projection of y in
     the A-norm, then the rank-one update A + grad grad^T.
 
-    No inverse is formed.  On a simplex, when state.spectrum_bounds()
-    proves lam_max <= MAX_CONDITION lam_min (a state of init_ons and ons_step
-    whose A is proven well conditioned), the exact KKT solve takes the
-    linear term A y = A x - grad / beta and solves for the correction from
-    x: O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.
-    Elsewhere (a ball, a box, a state built by hand, whatever its scale)
-    one O(n^3) linear solve gives y for generalized_project, which tests A.
+    Neither an inverse nor y is formed: the projection is the domain's
+    minimize_quadratic(A, x, h, x), h = -grad / beta, whose linear term
+    A x + h is A y.  When state.spectrum_bounds() proves
+    lam_max <= MAX_CONDITION lam_min (a state of init_ons and ons_step),
+    A is used untested, and on a simplex _simplex_kkt is called directly:
+    O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.  Any other
+    A (a state built by hand, or proven bounds too far apart) is tested by
+    projections.positive_definite, which refuses a Cholesky diagonal
+    spread beyond 1e5.  No honest run meets that: with |g| <= G and
+    init_ons's beta <= 1/(8 G D), cond(A) <= 1 + t G^2 D^2 beta^2
+    <= 1 + t/64 in round t, and each Cholesky pivot lies in
+    [lam_min, lam_max], so the spread is at most sqrt(cond(A)), within
+    1e5 until t is about 6.4e11.
     A gradient whose shape is not (n,) raises DimensionMismatch; one with a
-    NaN or an infinity, and a singular A (on either route), raise
-    SetupError.  The gradient is read once as a list, which the checks and
-    the vertex rule below share; the array h = -grad / beta is built only
-    for _simplex_kkt.  A state built by ons_step is proven if and only if
+    NaN or an infinity, an h that overflows and a singular A (on either
+    route) raise SetupError.  The gradient is read once as a list, which
+    the checks and the vertex rule below share; the array h is built only
+    for the projection.  A state built by ons_step is proven if and only if
     the state it stepped from was.
 
     A step that stays at a vertex costs O(n) plus the rank-one update.  On
@@ -316,10 +319,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     else:
         _, gl, gg, stay = memo
     A = state.A
-    bounds = state.spectrum_bounds() if isinstance(domain, Simplex) else None
-    exact = bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
+    bounds = state.spectrum_bounds()
+    proven = bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
     try:
-        if exact:
+        if proven and isinstance(domain, Simplex):
             if stay is None:
                 stay = _vertex_rule(state.x, gl, state.beta)
             if stay is not None and stay[1] + bounds[1] <= 2.0**1021:
@@ -332,14 +335,13 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
                 x_new = _simplex_kkt(A, state.x, (-1.0 / state.beta) * g, state.x)
         else:
             stay = None
-            Ag = np.linalg.solve(A, g)
+            h = (-1.0 / state.beta) * g
+            if not np.isfinite(h).all():
+                raise SetupError("ONS step -grad / beta is not finite")
+            M = A if proven else positive_definite(A, domain.n)
+            x_new = domain.minimize_quadratic(M, state.x, h, state.x)
     except np.linalg.LinAlgError:
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("ONS matrix A must be square") from None
         raise SetupError("ONS matrix A is singular") from None
-    if not exact:
-        y = state.x + (-1.0 / state.beta) * Ag
-        x_new = generalized_project(y, A, domain, x0=state.x)
     if memo is None:
         # column-times-row products are np.outer without its wrapper
         gg = g[:, None] * g

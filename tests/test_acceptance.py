@@ -200,18 +200,22 @@ def test_criterion_10_primal_dual_finds_the_symmetric_game_value():
     assert abs(value) <= 0.05
 
 
-def test_criterion_11_ons_conditioning_stays_consistent():
+def _ons_conditioning_run(domain) -> int:
+    """10,000 ONS steps on domain, each checked against the projection of
+    the Newton point from an explicit inverse; the count of those points
+    outside the domain."""
     rng = np.random.default_rng(11)
-    domain = fg.Ball(n=10, radius=100.0, center=np.zeros(10))
     state = fg.init_ons(domain, G=1.0, D=1.0)
     assert state.beta == 0.125
     assert np.array_equal(state.A, 64.0 * np.eye(10))
+    outside = 0
     for _ in range(10_000):
         g = rng.normal(size=10)
         g /= max(1.0, float(np.linalg.norm(g)))
         # the projection of the Newton point x - A^-1 g / beta, from an
         # explicit inverse that ons_step does not keep
         y = state.x - (np.linalg.inv(state.A) @ g) / state.beta
+        outside += not domain.contains(y)
         expected = fg.generalized_project(y, state.A, domain)
         state = fg.ons_step(state, g, domain)
         assert float(np.max(np.abs(state.x - expected))) <= 1e-9
@@ -219,6 +223,17 @@ def test_criterion_11_ons_conditioning_stays_consistent():
     lam_min, lam_max = state.spectrum_bounds()
     ev = np.linalg.eigvalsh(state.A)
     assert lam_min <= ev[0] and ev[-1] <= lam_max
+    return outside
+
+
+def test_criterion_11_ons_conditioning_stays_consistent():
+    _ons_conditioning_run(fg.Ball(n=10, radius=100.0, center=np.zeros(10)))
+
+
+def test_criterion_11_ons_conditioning_stays_consistent_on_a_box():
+    # a box of diameter 0.63 <= D, which over a third of the Newton points
+    # leave (3,702), so those steps take the box's pivoting solve
+    assert _ons_conditioning_run(fg.Box(lo=np.full(10, -0.1), hi=np.full(10, 0.1))) > 3_000
 
 
 def test_criterion_12_cli_exit_codes_and_standalone_reverification(tmp_path, capsys):

@@ -201,6 +201,26 @@ class TestOutcomeDocuments:
         rep = verify_outcome_document(doc)
         assert rep.ok
 
+    def test_transformed_point_is_checked_against_the_original_constraints(self):
+        # the point verifies on the strictified problem, so only an
+        # eps_original below its worst original residual refuses it, naming
+        # that constraint and its value
+        orig = fg.make_perceptron_lp(3, 4, seed=3)
+        tight = fg.strictify(orig, 0.1)
+        res = run_solver(tight, "primal", "ogd", 0.1)
+        doc = outcome_document(res, tight, original=orig,
+                               transforms=({"kind": "strictify", "delta": 0.1},),
+                               eps_original=0.2)
+        assert doc["outcome"]["kind"] == "feasible" and verify_outcome_document(doc).ok
+        vals = [fg.evaluate(f, np.array(doc["outcome"]["x"])) for f in orig.constraints]
+        worst = int(np.argmax(vals))
+        doc["eps_original"] = vals[worst] - 1e-3
+        rep = verify_outcome_document(doc)
+        assert not rep.ok
+        assert (rep.witness_index, rep.value) == (worst, pytest.approx(vals[worst], abs=1e-15))
+        assert rep.message == (f"original constraint {worst} has value {vals[worst]:.6g} "
+                               f"> eps_original {vals[worst] - 1e-3:.6g}")
+
     def test_transformed_problem_must_match_its_original(self):
         # an infeasible perceptron LP, log-transformed and solved by ONS; its
         # document paired with another original problem must not verify

@@ -60,7 +60,6 @@ CAPABILITY_TESTS = {
     ("solvers.py", "_point_learner"),  # MW plays distributions
     ("reductions.py", "strictify"),  # its constants assume the unit ball
     ("online.py", "ons_step"),  # the exact KKT route
-    ("projections.py", "generalized_project"),  # the exact KKT route
     ("core.py", "NegEntropy.interval"),  # the tight -log n bound
 }
 
@@ -170,7 +169,7 @@ def test_the_check_sees_a_grid_call():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4384
+MAX_SOURCE_LINES = 4381
 
 
 def source_lines() -> int:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import feasgame as fg
 import feasgame.online as online
 from feasgame.online import MwState, OgdState
-from feasgame.projections import _simplex_kkt
+from feasgame.core import _simplex_kkt
+from feasgame.projections import positive_definite
 
 
 SIMPLEX2 = fg.Simplex(n=2)
@@ -183,15 +184,15 @@ class TestOns:
         # projection tests it as before
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag([1.0, -1.0]))
         assert s.spectrum_bounds() is None
-        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+        with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
             fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
 
     def test_hand_built_singular_matrix_is_refused(self):
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag([1.0, 0.0]))
-        with pytest.raises(fg.SetupError, match="ONS matrix A is singular"):
+        with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
             fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.ones((2, 3)))
-        with pytest.raises(fg.DimensionMismatch, match="ONS matrix A must be square"):
+        with pytest.raises(fg.DimensionMismatch, match="matrix must be square"):
             fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
 
     @pytest.mark.parametrize("g", [[1.0, 0.0], [3.0, -1.0], [0.0, 1.0]])
@@ -203,7 +204,7 @@ class TestOns:
                         scale=1.0)
         assert s.spectrum_bounds() is None
         assert not takes_exact_simplex_solve(s)
-        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+        with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
             fg.ons_step(s, np.array(g), fg.Simplex(n=2))
 
     def test_hand_built_scale_proves_nothing(self):
@@ -213,7 +214,7 @@ class TestOns:
                         scale=0.5)
         assert s.spectrum_bounds() is None
         assert not takes_exact_simplex_solve(s)
-        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
+        with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
             fg.ons_step(s, [1.0, 0.0], SIMPLEX2)
 
     def test_only_solver_built_states_are_proven(self):
@@ -262,17 +263,26 @@ class TestOns:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("domain", [
         fg.Simplex(n=2),  # the exact solve from A x - g / beta
-        fg.Ball(n=2, radius=1.0, center=np.zeros(2)),  # a linear solve, then descent
+        fg.Ball(n=2, radius=1.0, center=np.zeros(2)),  # the domain's minimize_quadratic
         fg.Box(lo=np.zeros(2), hi=np.ones(2)),
     ])
     def test_non_finite_gradient_is_refused(self, domain, bad):
         s = fg.init_ons(domain, G=1.0, D=2.0)
         with pytest.raises(fg.SetupError, match="ONS gradient must be finite"):
             fg.ons_step(s, np.array([0.5, bad]), domain)
-        # a state built by hand takes the linear solve on every domain
+        # a state built by hand takes the tested route on every domain
         hand = fg.OnsState(x=s.x, t=1, beta=s.beta, A=s.A)
         with pytest.raises(fg.SetupError, match="ONS gradient must be finite"):
             fg.ons_step(hand, np.array([0.5, bad]), domain)
+
+    @pytest.mark.parametrize("domain", [fg.Ball(n=2, radius=1.0, center=np.zeros(2)),
+                                        fg.Box(lo=np.zeros(2), hi=np.ones(2))])
+    def test_step_whose_linear_term_overflows_is_refused(self, domain):
+        # -grad / beta overflows to an infinity, which no projection can take
+        s = fg.OnsState(x=domain.start(), t=1, beta=1e-300, A=np.eye(2))
+        with np.errstate(over="ignore"), pytest.raises(
+                fg.SetupError, match="ONS step -grad / beta is not finite"):
+            fg.ons_step(s, [1e10, 0.0], domain)
 
     @pytest.mark.parametrize("g_last", [0.1, -0.2], ids=["least", "tie"])
     def test_vertex_with_the_least_gradient_entry_stays(self, monkeypatch, g_last):
@@ -293,16 +303,15 @@ class TestOns:
     def test_matrix_not_bitwise_symmetric_takes_the_tested_route(self):
         # every proven matrix is symmetric bit for bit, so one symmetric only
         # within 1e-12 is built by hand: its scale > 0 proves nothing, and it
-        # goes through the linear solve and generalized_project, whose
-        # descent it gets bit for bit
+        # is tested and used as (A + A^T) / 2, whose KKT solve it gets bit
+        # for bit
         A = np.array([[2.0, 0.5], [0.5 * (1 + 2.0**-50), 1.0]])
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=A, scale=0.5)
         assert s.spectrum_bounds() is None
         assert not takes_exact_simplex_solve(s)
-        g = np.array([0.3, 0.1])  # an interior answer, where the routes' bits differ
-        y = s.x - np.linalg.solve(A, g) / s.beta
-        expected = fg.generalized_project(y, A, fg.Simplex(n=2), x0=s.x)
-        assert np.array_equal(fg.ons_step(s, g, fg.Simplex(n=2)).x, expected)
+        g = np.array([0.3, 0.1])
+        expected = _simplex_kkt(0.5 * (A + A.T), s.x, (-1.0 / s.beta) * g, s.x)
+        assert fg.ons_step(s, g, fg.Simplex(n=2)).x.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("top, exact", [(1e3, True), (1e5, False)])
     def test_proven_condition_number_picks_the_route(self, top, exact):
@@ -439,8 +448,7 @@ def reference_ons_step(s, g, dom):
         if x is None:
             x = _simplex_kkt(A, s.x, h, s.x)
     else:
-        y = s.x + (-1.0 / s.beta) * np.linalg.solve(A, g)
-        x = fg.generalized_project(y, A, dom, x0=s.x)
+        x = dom.minimize_quadratic(positive_definite(A, dom.n), s.x, (-1.0 / s.beta) * g, s.x)
     return x, A + g[:, None] * g, stayed
 
 
@@ -503,7 +511,9 @@ def ons_repeat_stream(draw):
     from: drawn afresh, the previous round's array passed again, a copy of
     it (equal bytes), or that array refilled in place with a fresh draw.  A
     "switch" gradient adds 1.2e10 scale along the all-ones direction, which
-    lifts the proven condition number past MAX_CONDITION for good."""
+    lifts the proven condition number past MAX_CONDITION for good; repeated,
+    it lifts A past the Cholesky test of generalized_project, which refuses
+    the step."""
     return (draw(st.integers(2, 8)), draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 2**32 - 1)),
             draw(st.lists(st.tuples(st.sampled_from(ROUNDS + ["switch"]),
                                     st.sampled_from(REPEATS)), min_size=1, max_size=40)))
@@ -538,7 +548,16 @@ def test_repeated_gradients_give_the_bits_of_a_step_without_memo(stream):
         hit = s.recall(g.tobytes()) is not None
         assert hit == (g.tobytes() == key and kind != "negative-zero vertex")
         switched = switched or g.tobytes() == big.tobytes()
-        x, A, _ = reference_ons_step(s, g, dom)
+        try:
+            x, A, _ = reference_ons_step(s, g, dom)
+        except fg.SetupError:
+            # only the switch gradient, whose norm is over 1e5 times the G
+            # that set beta, can bring that about (ons_step's docstring)
+            assert switched
+            with pytest.raises(fg.SetupError, match="^matrix is not positive definite with a "
+                                                    "Cholesky diagonal spread within 1e5$"):
+                fg.ons_step(s, g, dom)
+            return
         s = fg.ons_step(s, g, dom)
         assert s.x.tobytes() == x.tobytes()
         assert s.A.tobytes() == A.tobytes()

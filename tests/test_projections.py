@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import feasgame as fg
-from feasgame import projections
 
 
 def grid_argmin(domain, y, resolution=1e-3):
@@ -169,10 +168,11 @@ class TestGeneralized:
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-13, 1e-15])
     def test_scaled_down_matrix_is_not_taken_for_a_multiple_of_identity(self, scale):
         # every entry of 1e-9 * B is below allclose's absolute 1e-8, yet B is
-        # far from a multiple of I; with tol scaled alike the answer must not move
+        # far from a multiple of I; every test on A is relative and the solve
+        # has no tolerance to scale, so the answer must not move
         B = np.array([[1.0, -0.437, 0.733], [-0.437, 1.0, -0.738], [0.733, -0.738, 1.0]])
         y = np.array([-0.551, 2.588, 2.013])
-        x = fg.generalized_project(y, scale * B, fg.Simplex(n=3), tol=1e-9 * scale)
+        x = fg.generalized_project(y, scale * B, fg.Simplex(n=3))
         assert np.allclose(x, [0.0, 0.97296307, 0.02703693], atol=1e-6)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-15])
@@ -184,15 +184,32 @@ class TestGeneralized:
         x = fg.generalized_project(y, scale * B, fg.Simplex(n=3), x0=np.array([1.0, 0.0, 0.0]))
         assert np.allclose(x, [0.0, 0.97296307, 0.02703693], atol=1e-6)
 
-    def test_singular_matrix_through_cholesky_takes_the_descent(self):
+    @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2), fg.Box(lo=-np.ones(2), hi=np.ones(2))])
+    def test_singular_matrix_through_cholesky_is_refused(self, domain):
         # c 1 1^T is singular, yet rounding can let its Cholesky factorization
         # through with a last diagonal entry of 1.5e-8; the bordered KKT
-        # system on it is exactly singular, so the projection must stay with
-        # the descent
+        # system on it is exactly singular, and the spread of the factor's
+        # diagonal refuses it on every domain
         A = np.full((2, 2), 0.9240309903811073)
         y = np.array([2.7410824520793717, 3.282121275259559])
-        x = fg.generalized_project(y, A, fg.Simplex(n=2))
-        assert np.array_equal(x, reference_generalized_project(y, A, fg.Simplex(n=2)))
+        with pytest.raises(fg.SetupError, match="Cholesky diagonal spread within 1e5"):
+            fg.generalized_project(y, A, domain)
+
+    def test_nearly_indefinite_matrix_is_refused_at_once(self):
+        # a determinant of -2.5e-11: the projected gradient descent that used
+        # to take this matrix stalled into ConvergenceError after 100,000 steps
+        A = np.array([[0.500005, 0.5], [0.5, 0.499995]])
+        with pytest.raises(fg.SetupError, match="not positive definite"):
+            fg.generalized_project(np.zeros(2), A, fg.Simplex(n=2))
+
+    @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2, radius=0.5),
+                                        fg.Box(lo=-0.5 * np.ones(2), hi=0.5 * np.ones(2))])
+    def test_nearly_symmetric_matrix_is_its_symmetric_part(self, domain):
+        # (A + A^T) / 2 has the quadratic form of A, so it is projected on
+        A = np.array([[2.0, 0.5], [0.5 * (1 + 2.0**-50), 1.0]])
+        y = np.array([2.0, -1.0])
+        x = fg.generalized_project(y, A, domain)
+        assert x.tobytes() == fg.generalized_project(y, 0.5 * (A + A.T), domain).tobytes()
 
     @pytest.mark.parametrize("y, A", [
         (np.array([0.0, 0.99999]), np.diag([1.0009765625, 1.0])),
@@ -209,18 +226,17 @@ class TestGeneralized:
         _, best = _face_minimum(y, A, x > 0)
         assert abs(_objective_in_rationals(x, y, A) / best - 1) <= 1e-12
 
-    def test_psd_spectrum_is_the_extreme_eigenvalues(self):
-        spectrum = fg.projections._psd_spectrum(np.diag([3.0, 0.5, 2.0]))
-        assert spectrum == pytest.approx((0.5, 3.0), abs=1e-14)
-
-    def test_descent_route_refusals_name_the_defect(self):
-        # off the simplex every matrix is tested before the descent
-        ball = fg.Ball(n=2, radius=0.5, center=np.zeros(2))
-        y = np.array([2.0, -1.0])
-        with pytest.raises(fg.SetupError, match="matrix is not symmetric within 1e-12"):
-            fg.generalized_project(y, np.array([[1.0, 0.5], [0.0, 1.0]]), ball)
-        with pytest.raises(fg.SetupError, match="matrix is not positive semidefinite"):
-            fg.generalized_project(y, np.diag([1.0, -1.0]), ball)
+    @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2, radius=0.5),
+                                        fg.Box(lo=-0.5 * np.ones(2), hi=0.5 * np.ones(2))])
+    def test_refusals_name_the_defect(self, domain):
+        # every matrix is tested before the solve, a y in the domain included
+        for y in (np.array([2.0, -1.0]), domain.start()):
+            with pytest.raises(fg.SetupError, match="matrix is not symmetric within 1e-12"):
+                fg.generalized_project(y, np.array([[1.0, 0.5], [0.0, 1.0]]), domain)
+            for A in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 1e-11])):
+                with pytest.raises(fg.SetupError, match="^matrix is not positive definite with a "
+                                                        "Cholesky diagonal spread within 1e5$"):
+                    fg.generalized_project(y, A, domain)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2), fg.Box(lo=-np.ones(2), hi=np.ones(2))])
@@ -228,6 +244,12 @@ class TestGeneralized:
         for A in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
             with pytest.raises(fg.SetupError, match="^projection matrix has a non-finite entry$"):
                 fg.generalized_project(np.array([3.0, 0.0]), np.array(A), domain)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("domain", [fg.Simplex(n=2), fg.Ball(n=2), fg.Box(lo=-np.ones(2), hi=np.ones(2))])
+    def test_a_non_finite_point_is_refused_by_name(self, bad, domain):
+        with pytest.raises(fg.SetupError, match="^projection point has a non-finite entry$"):
+            fg.generalized_project(np.array([bad, 0.0]), np.diag([2.0, 1.0]), domain)
 
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(fg.SetupError):
@@ -280,13 +302,8 @@ def _face_minimum(y, A, support):
 
 
 # ---------------------------------------------------------------------------
-# generalized_project against the original formulation: two matrix-vector
-# products per descent step, np.allclose for the multiple-of-I test and the
-# np.sort/np.cumsum/np.nonzero simplex projection.  The descent route (ball,
-# box, and a simplex matrix that fails projections._well_conditioned) must
-# match it bit for bit; the exact simplex route must meet the KKT conditions,
-# reach the exact minimum over the face of its support, and find no face
-# worse than the descent's wherever the descent converges.
+# The simplex threshold against its original formulation (np.sort, np.cumsum
+# and np.nonzero), bit for bit.
 
 
 def _reference_threshold(y):
@@ -407,40 +424,6 @@ def test_simplex_threshold_refusals_at_every_length(n, case):
                 fg.project_simplex(y)
 
 
-def _reference_project_domain(domain, y):
-    if isinstance(domain, fg.Simplex):
-        return _reference_simplex(y)
-    return fg.project_domain(domain, y)
-
-
-def reference_generalized_project(y, A, domain, tol=1e-9, max_iters=100_000, x0=None):
-    M = np.asarray(A, float)
-    lam_max = float(np.linalg.eigvalsh(M)[-1])
-    if domain.contains(y):
-        return y.copy()
-    diag = np.diagonal(M)
-    if np.allclose(M, np.diag(diag)) and np.ptp(diag) <= 1e-12 * (1.0 + abs(float(diag[0]))):
-        return _reference_project_domain(domain, y)
-    if lam_max <= 1e-12:
-        return _reference_project_domain(domain, y)
-
-    def obj(x):
-        d = x - y
-        return float(d @ (M @ d))
-
-    x = _reference_project_domain(domain, y) if x0 is None else np.asarray(x0, float)
-    fx = obj(x)
-    step = 1.0 / lam_max
-    for _ in range(max_iters):
-        g = M @ (x - y)
-        x_new = _reference_project_domain(domain, x - step * g)
-        f_new = obj(x_new)
-        if fx - f_new < tol * 1e-2:
-            return x_new if f_new <= fx else x
-        x, fx = x_new, f_new
-    raise AssertionError("reference projection did not converge")
-
-
 def _vector(n, bound):
     return st.lists(st.floats(-bound, bound, allow_nan=False), min_size=n, max_size=n).map(np.array)
 
@@ -481,6 +464,13 @@ def ons_projection_case(draw):
     return y, A, domain, x0
 
 
+def _kkt_tol(A, y, domain):
+    """A relative 1e-9 of the size of A(x - y) for x in the ball or box."""
+    lo, hi = domain.bounding_box()
+    reach = max(float(abs(y).max()), float(abs(lo).max()), float(abs(hi).max()))
+    return 1e-9 * float(abs(A).max()) * (1.0 + reach)
+
+
 def assert_simplex_kkt(x, y, A):
     """x >= 0, sum x = 1, and A(x - y) + nu 1 - mu = 0 with mu >= 0 zero on the
     support, all to a relative 1e-9 of the size of A(x - y); y itself when y
@@ -499,10 +489,40 @@ def assert_simplex_kkt(x, y, A):
     assert np.all(g[~support] + nu >= -tol)
 
 
-# a matrix drawn as singular that passes the Cholesky test, so takes the
-# exact route, where the descent does not converge; rounded to
-# [[0.5, 0.5, 0], [0.5, 0.5, 1e-5], [0, 1e-5, 1]] its leading block is
-# singular and it takes the descent, which stalls alike on both sides
+def assert_ball_kkt(x, y, A, ball):
+    """For y outside the ball: x on its sphere and A(x - y) = -lam (x - center)
+    with lam >= 0, to a relative 1e-9; y itself for y in the ball."""
+    if ball.contains(y):
+        assert np.array_equal(x, y)
+        return
+    tol = _kkt_tol(A, y, ball)
+    z = x - ball.center
+    assert abs(float(np.linalg.norm(z)) / ball.radius - 1.0) <= 1e-12
+    g = A @ (x - y)
+    lam = -float(g @ z) / ball.radius**2
+    assert lam * ball.radius >= -tol
+    assert np.all(abs(g + lam * z) <= tol)
+
+
+def assert_box_kkt(x, y, A, box):
+    """lo <= x <= hi, and A(x - y) is 0 on the free coordinates, >= 0 at lo
+    and <= 0 at hi, to a relative 1e-9; y itself for y in the box."""
+    if box.contains(y):
+        assert np.array_equal(x, y)
+        return
+    tol = _kkt_tol(A, y, box)
+    assert (box.lo <= x).all() and (x <= box.hi).all()
+    g = A @ (x - y)
+    at_lo, at_hi = x == box.lo, x == box.hi
+    assert np.all(abs(g[~(at_lo | at_hi)]) <= tol)
+    assert np.all(g[at_lo & ~at_hi] >= -tol)
+    assert np.all(g[at_hi & ~at_lo] <= tol)
+
+
+# a matrix drawn as singular that passes the Cholesky test: the projected
+# gradient descent that once took other such matrices did not converge on
+# it.  Rounded to [[0.5, 0.5, 0], [0.5, 0.5, 1e-5], [0, 1e-5, 1]] it is
+# indefinite, and refused
 _NEAR_SINGULAR = np.array([[0.4999999999999999, 0.4999999999999999, 0.0],
                            [0.4999999999999999, 0.5000000000999999, 9.999999999e-06],
                            [0.0, 9.999999999e-06, 0.9999999999]])
@@ -512,44 +532,38 @@ _NEAR_SINGULAR = np.array([[0.4999999999999999, 0.4999999999999999, 0.0],
 @given(ons_projection_case())
 @example((np.zeros(3), _NEAR_SINGULAR, fg.Simplex(n=3), None))
 @example((np.zeros(3), _NEAR_SINGULAR.round(5), fg.Simplex(n=3), None))
+@example((np.full(3, 2.0), _NEAR_SINGULAR, fg.Ball(n=3), None))
+@example((np.full(3, 2.0), _NEAR_SINGULAR, fg.Box(lo=-np.ones(3), hi=np.ones(3)), None))
 # x_1 = y_1 + d_1 rounds to a float near 1, so the solved coordinates sum to
 # 1 + 1.4e-17 in rationals, 1.4e-22 over the optimum's objective of 5.0e-11,
 # until that rounding is moved into x_0
 @example((np.array([0.0, 0.99999]), np.diag([1.0009765625, 1.0]), fg.Simplex(n=2), None))
-# here the descent's answer sums to 1 - 5.6e-17 and its objective is 1.1e-11
-# below the minimum over the simplex, which the exact route meets to 6e-23
+# the exact route meets the minimum over the simplex to 6e-23 here
 @example((np.array([0.0, 0.99999]), np.array([[1.5, 0.5], [0.5, 1.5]]), fg.Simplex(n=2), None))
-def test_generalized_project_is_bit_identical_to_reference(case):
+def test_generalized_project_is_optimal_or_refused(case):
+    # a refused matrix is singular or nearly so: the spread of a Cholesky
+    # diagonal is at most the root of the condition number.  Every answer is
+    # in the domain and meets its KKT conditions, and on the simplex it is
+    # the exact minimum over the face of its support to a relative 1e-12
+    # from above and below
     y, A, domain, x0 = case
-    # the route generalized_project itself takes for an array
-    exact = isinstance(domain, fg.Simplex) and projections._well_conditioned(A)
+    ev = np.linalg.eigvalsh(A)
     try:
-        ref = reference_generalized_project(y, A, domain, x0=x0)
-    except AssertionError:
-        ref = None  # descent can stall on an objective almost flat on the simplex
-    if not exact and ref is None:
-        # the same cap must stop the descent here
-        with pytest.raises(fg.ConvergenceError):
-            fg.generalized_project(y, A, domain, x0=x0)
+        x = fg.generalized_project(y, A, domain, x0=x0)
+    except fg.SetupError as e:
+        assert "not positive definite" in str(e)
+        assert ev[0] <= 1e-9 * ev[-1]
         return
-    new = fg.generalized_project(y, A, domain, x0=x0)
-    if exact:
-        # the exact KKT solve: optimal, in the domain, at the exact minimum
-        # over the face of its support to a relative 1e-12 from above and
-        # below, and no face where a converged descent ends has a lower one.
-        # The descent's own objective is no bound: its answer can round off
-        # the plane sum x = 1 to below the minimum over the simplex
-        assert_simplex_kkt(new, y, A)
-        assert domain.contains(new)
+    assert domain.contains(x)
+    if isinstance(domain, fg.Simplex):
+        assert_simplex_kkt(x, y, A)
         if not domain.contains(y):
-            _, best = _face_minimum(y, A, new > 0)
-            assert abs(_objective_in_rationals(new, y, A) / best - 1) <= 1e-12
-            if ref is not None:
-                x_ref, best_ref = _face_minimum(y, A, ref > 0)
-                if min(x_ref) >= 0:
-                    assert best <= best_ref * (1 + 1e-12)
+            _, best = _face_minimum(y, A, x > 0)
+            assert abs(_objective_in_rationals(x, y, A) / best - 1) <= 1e-12
+    elif isinstance(domain, fg.Ball):
+        assert_ball_kkt(x, y, A, domain)
     else:
-        assert np.array_equal(new, ref)
+        assert_box_kkt(x, y, A, domain)
 
 
 @st.composite
