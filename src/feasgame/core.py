@@ -543,18 +543,15 @@ class Box(_Domain):
         """argmin over the box of x.M x / 2 - (M r + h).x by block principal
         pivoting (Judice and Pires, 1994), as in _simplex_kkt: with L held at
         lo and U at hi, x_F = r_F + d_F for M_FF d_F = h_F - M_FB (x_B - r_B),
-        and g = M (x - r) - h must be >= 0 on L and <= 0 on U, up to its
-        rounding.  Until a solve also has lo_F <= x_F <= hi_F, every broken
-        coordinate changes side, or only the least-indexed one after three
-        changes that fail to lower their number (Murty's rule).  x0, else r,
-        gives the first sets."""
+        and g = M (x - r) - h must be >= 0 on L and <= 0 on U, exactly or,
+        once a solve fails that, up to its rounding.  Until a solve also has
+        lo_F <= x_F <= hi_F, every broken coordinate changes side, or only the
+        least-indexed one after three changes that fail to lower their number
+        (Murty's rule).  x0, else r, gives the first sets."""
         lo, hi = self.lo, self.hi
         start = r if x0 is None else np.asarray(x0, float)
         at_lo, at_hi = start <= lo, (start >= hi) & (start > lo)
-        # the size of the rounding in g; max|M| is on the diagonal
-        reach = float(abs(r).max()) + float(np.maximum(-lo, hi).max())
-        floor = -1e-12 * (float(M.diagonal().max()) * reach + float(abs(h).max()))
-        fewest, chances = r.size + 1, 3
+        floor, fewest, chances = None, r.size + 1, 3
         for _ in range(PROJECT_CAP):
             F = (~(at_lo | at_hi)).nonzero()[0]
             x = np.where(at_lo, lo, hi)
@@ -565,6 +562,12 @@ class Box(_Domain):
                 x[F] = r[F] + e[F]
             g = M @ e - h
             below, above = x < lo, x > hi  # only a free coordinate can be
+            if not (below | above | (at_lo & (g < 0)) | (at_hi & (g > 0))).any():
+                return x
+            if floor is None:
+                # the size of the rounding in g; max|M| is on the diagonal
+                reach = float(abs(r).max()) + float(np.maximum(-lo, hi).max())
+                floor = -1e-12 * (float(M.diagonal().max()) * reach + float(abs(h).max()))
             broken = below | above | (at_lo & (g < floor)) | (at_hi & (g > -floor))
             count = int(broken.sum())
             if count == 0:
@@ -724,7 +727,8 @@ class Quadratic(_Family):
 
     @cached_property
     def spectrum(self) -> Array:
-        """The eigenvalues of A in ascending order (read-only: every bound shares them)."""
+        """The eigenvalues of A in ascending order (read-only: every bound shares
+        them); a problem's estimate and Packed.smoothness fill it by _fill_spectra."""
         ev = np.linalg.eigvalsh(self.A)
         ev.flags.writeable = False
         return ev
@@ -752,6 +756,18 @@ class Quadratic(_Family):
 
     def packed_group(self):
         return _Quadratics
+
+
+def _fill_spectra(constraints, n: int) -> None:
+    """Cache the spectrum of each n by n Quadratic among constraints that has
+    none, all from one stacked eigvalsh, which gives each the bits of its own."""
+    qs = [f for f in constraints
+          if isinstance(f, Quadratic) and f.n == n and "spectrum" not in vars(f)]
+    if qs:
+        spectra = np.linalg.eigvalsh(np.array([f.A for f in qs]))
+        spectra.flags.writeable = False
+        for f, ev in zip(qs, spectra):
+            vars(f)["spectrum"] = ev
 
 
 @dataclass(frozen=True, eq=False)
@@ -964,13 +980,9 @@ class NegLogBarrier(_Family):
         _, hi = domain.bounding_box()
         if float(np.max(hi)) > 1.0 + ZERO_TOL:
             return 0.0
-        covered = set()
-        for k in range(self.rows.shape[0]):
-            row = self.rows[k]
-            j = int(np.argmax(row))
-            if row[j] == 1.0 and np.count_nonzero(row) == 1:
-                covered.add(j)
-        return 1.0 if len(covered) == self.n else 0.0
+        R = self.rows
+        unit = (np.count_nonzero(R, axis=1) == 1) & (R == 1.0).any(axis=1)
+        return 1.0 if np.unique(R[unit].argmax(axis=1)).size == self.n else 0.0
 
 
 ConstraintFn = Union[Affine, Quadratic, LogAffineComposite, NegEntropy, NormDistSq, NegLogBarrier]
@@ -1070,14 +1082,19 @@ class Problem:
 
 
 def _estimate(constraints, domain: Domain) -> ProblemParams:
-    G = max(f.gradient_bound(domain) for f in constraints)
-    H = min(f.curvature(domain) for f in constraints)
-    omega = max(max(abs(lo), abs(hi)) for lo, hi in (f.interval(domain) for f in constraints))
-    D = domain.diameter()
+    _fill_spectra(constraints, domain.n)
+    grads = [f.gradient_bound(domain) for f in constraints]
+    curvs = [f.curvature(domain) for f in constraints]
+    intervals = [f.interval(domain) for f in constraints]
+    for j, (g, h, (lo, hi)) in enumerate(zip(grads, curvs, intervals)):
+        if math.isnan(abs(g) + abs(h) + abs(lo) + abs(hi)):  # max skips a NaN not first
+            raise SetupError(f"constraint {j} has a NaN bound over the domain")
+    G, H = max(grads), min(curvs)
+    omega = max(max(abs(lo), abs(hi)) for lo, hi in intervals)
     log_affine = all(isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine)
                      for f in constraints)
     alpha = 1.0 if log_affine else exp_concavity(H, G)
-    return ProblemParams(G=G, H=H, omega=omega, D=D, G_inf=omega, alpha=alpha)
+    return ProblemParams(G=G, H=H, omega=omega, D=domain.diameter(), G_inf=omega, alpha=alpha)
 
 
 def estimate_parameters(problem: Problem) -> ProblemParams:
@@ -1378,6 +1395,7 @@ class Packed:
     @cached_property
     def smoothness(self) -> Array:
         """Smoothness bound of each constraint (inf where unbounded)."""
+        _fill_spectra(self.constraints, self.n)
         return np.array([f.smoothness(self.domain) for f in self.constraints])
 
     def _scatter(self, parts) -> tuple:

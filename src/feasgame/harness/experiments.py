@@ -187,22 +187,17 @@ def scaling_experiment(spec: GeneratorSpec, algo: str, learner: str | None,
         if abs(b - 0.5 * a) > 1e-9 * a:
             raise SetupError("eps ladder must halve at each step")
     problem = make_problem_from_spec(spec)
-
-    def one(eps: float) -> tuple[int, float, bool]:
+    iterations, walls, incomplete = [], [], False
+    for eps in ladder:
         t0 = time.perf_counter()
         result = run_solver(problem, algo, learner, eps, max_iters=max_iters)
-        return (result.iterations, time.perf_counter() - t0,
-                isinstance(result.outcome, Exhausted))
-
-    rows = [one(eps) for eps in ladder]
-    iterations = [r[0] for r in rows]
-    exponent, rms = fit_exponent([1.0 / e for e in ladder],
-                                 [float(i) for i in iterations])
+        walls.append(time.perf_counter() - t0)
+        iterations.append(float(result.iterations))
+        incomplete |= isinstance(result.outcome, Exhausted)
+    exponent, rms = fit_exponent([1.0 / e for e in ladder], iterations)
     return ExperimentReport(kind="scaling", algo=algo, learner=learner,
-                            ladder=tuple(ladder),
-                            values=tuple(float(i) for i in iterations),
+                            ladder=tuple(ladder), values=tuple(iterations),
                             exponent=exponent, exponent_residual=rms,
-                            wall_times_s=tuple(r[1] for r in rows),
-                            incomplete=any(r[2] for r in rows),
+                            wall_times_s=tuple(walls), incomplete=incomplete,
                             details={"family": spec.family, "n": spec.n,
                                      "m": spec.m, "seed": spec.seed})

@@ -1,10 +1,11 @@
 """Seeded generators for benchmark feasibility instances over the simplex.
 
 Random matrices are built as Q diag(lam) Q^T with an explicitly placed
-smallest eigenvalue, so curvature knobs are exact rather than sampled.
-Every generator returns a Problem with parameters filled in by the
-conservative estimator, and the same GeneratorSpec always reproduces the
-same instance bit for bit.
+smallest eigenvalue, so curvature knobs are exact rather than sampled; a
+generator draws its m matrices' numbers one matrix at a time, then factors
+and multiplies them as one (m, n, n) stack (_psd_stack).  Every generator
+returns a Problem with parameters filled in by the conservative estimator,
+and the same GeneratorSpec always reproduces the same instance bit for bit.
 """
 
 from __future__ import annotations
@@ -56,22 +57,21 @@ def _check_sizes(n: int, m: int) -> None:
         raise SetupError("need n >= 1 and m >= 1")
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> Array:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def _psd_with_spectrum(rng: np.random.Generator, n: int, lam_min: float,
-                       lam_max: float) -> Array:
-    """Symmetric PSD matrix whose smallest eigenvalue is lam_min (padded)."""
+def _psd_stack(rng: np.random.Generator, n: int, m: int, lam_min: float, lam_max: float,
+               draw=None) -> tuple[Array, list]:
+    """m symmetric PSD matrices Q diag(lam) Q^T with smallest eigenvalue lam_min
+    (padded), and draw(rng) after each one's lam and Z, for Q the sign-fixed QR
+    factor of Z; the stacked QR and products give each matrix the bits of its own."""
     floor = lam_min * (1.0 + _EIG_PAD) + 1e-12
-    if n == 1:
-        lam = np.array([floor])
-    else:
-        lam = np.concatenate([[floor], rng.uniform(floor, max(lam_max, floor), n - 1)])
-    q = _random_orthogonal(rng, n)
-    A = (q * lam) @ q.T
-    return 0.5 * (A + A.T)
+    lam, Z, drawn = np.full((m, n), floor), np.empty((m, n, n)), []
+    for k in range(m):
+        lam[k, 1:] = rng.uniform(floor, max(lam_max, floor), n - 1)
+        Z[k] = rng.standard_normal((n, n))
+        drawn.append(draw(rng) if draw else None)
+    q, r = np.linalg.qr(Z)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    A = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (A + A.transpose(0, 2, 1)), drawn
 
 
 def make_strict_qp(n: int, m: int, h_target: float = 1.0, feasible: bool = True,
@@ -89,9 +89,8 @@ def make_strict_qp(n: int, m: int, h_target: float = 1.0, feasible: bool = True,
     rng = np.random.default_rng(seed)
     witness = rng.dirichlet(np.ones(n)) if feasible else None
     constraints = []
-    for _ in range(m):
-        A = _psd_with_spectrum(rng, n, h_target, 10.0 * h_target)
-        b = rng.standard_normal(n)
+    for A, b in zip(*_psd_stack(rng, n, m, h_target, 10.0 * h_target,
+                                lambda rng: rng.standard_normal(n))):
         if witness is not None:
             c = -float(witness @ A @ witness + b @ witness) - 0.1
         else:
@@ -105,7 +104,10 @@ def _plant_row(a: Array, witness: Array, margin: float) -> Array:
 
     def score(kappa: float) -> tuple[Array, float]:
         v = a + kappa * witness
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not norm:  # a zero blend (a = -witness at n = 1) scores below any margin
+            return v, -np.inf
+        v = v / norm
         return v, float(v @ witness)
 
     row, s = score(0.0)
@@ -168,11 +170,8 @@ def make_portfolio_risk(n: int, m: int, seed: int = 0) -> Problem:
     """
     _check_sizes(n, m)
     rng = np.random.default_rng(seed)
-    constraints = []
-    for _ in range(m):
-        sigma = _psd_with_spectrum(rng, n, 0.1, 1.0)
-        p = rng.uniform(0.05, 0.15, n)
-        constraints.append(Quadratic(A=sigma, b=-p, c=0.05))
+    sigmas, ps = _psd_stack(rng, n, m, 0.1, 1.0, lambda rng: rng.uniform(0.05, 0.15, n))
+    constraints = [Quadratic(A=sigma, b=-p, c=0.05) for sigma, p in zip(sigmas, ps)]
     return make_problem(constraints, Simplex(n))
 
 
@@ -191,8 +190,7 @@ def make_entropy_problem(n: int, m: int, c: float = 0.05, seed: int = 0) -> Prob
     p_tilde = rng.dirichlet(np.ones(n))
     tau = float(p_tilde @ np.log(p_tilde)) + 0.1
     constraints: list = [NegEntropy(n=n, shift=-tau)]
-    for _ in range(m):
-        M = _psd_with_spectrum(rng, n, 0.3, 1.0)
+    for M in _psd_stack(rng, n, m, 0.3, 1.0)[0]:
         Mp = M @ p_tilde
         constraints.append(Quadratic(A=M, b=-2.0 * Mp, c=float(p_tilde @ Mp) - c))
     return make_problem(constraints, Simplex(n))

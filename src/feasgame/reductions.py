@@ -89,17 +89,13 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     # Width precondition |f_j(x)| <= omega, checked on the exact interval of
     # each affine f_j over the domain, so a bad caller-supplied omega fails
     # loudly.
+    out = []
     for j, f in enumerate(problem.constraints):
         lo, hi = f.interval(problem.domain)
         if max(abs(lo), abs(hi)) > omega * (1 + 1e-12):
-            raise SetupError(
-                f"constraint {j} exceeds width omega: |values| up to "
-                f"{max(abs(lo), abs(hi)):.6g} > {omega:.6g}"
-            )
-    out = []
-    for f in problem.constraints:
-        inner = Affine(a=-f.a.copy(), b=-f.b)
-        out.append(LogAffineComposite(inner=inner, omega=omega))
+            raise SetupError(f"constraint {j} exceeds width omega: |values| up to "
+                             f"{max(abs(lo), abs(hi)):.6g} > {omega:.6g}")
+        out.append(LogAffineComposite(inner=Affine(a=-f.a.copy(), b=-f.b), omega=omega))
     p = problem.params
     # Residual 1 - log(e + u/omega) with |u| <= omega keeps values within
     # [1 - log(e+1), 1 - log(e-1)]; the larger magnitude bounds the payoff.

@@ -13,11 +13,8 @@ what a round is and in what the horizon's end certifies:
 * primal_game_opt: a learner picks points, the separation oracle answers
   with a violated constraint.  An oracle FAIL yields an eps-feasible point;
   surviving the full horizon yields a dual distribution p_bar (the visit
-  frequencies) with min_x g(x, p_bar) > 0 (infeasible).  A point that did
-  not move since the last round (same bits) re-uses that round's answer
-  and gradient, so such a round costs the learner's step alone; an ONS
-  step handed that same gradient also re-uses its outer product and, when
-  the last step stayed at a vertex, that verdict (OnsState.last).
+  frequencies) with min_x g(x, p_bar) > 0 (infeasible).  A round whose
+  point did not move costs the learner's step alone (see primal_game_opt).
 * dual_game_opt: multiplicative weights picks distributions, the
   optimization oracle answers with near-minimizing points.  An oracle FAIL
   certifies infeasibility outright; otherwise the point average is
@@ -29,15 +26,11 @@ what a round is and in what the horizon's end certifies:
 Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
 
-verify_certificate re-checks an outcome with one route per kind: a Feasible
-point is re-evaluated, and a weight vector is proved by the certified
-descent, whose Frank-Wolfe lower bound (Jaggi, 2013) is sound at every
-dimension, on every domain and at every step.
+verify_certificate re-evaluates a Feasible point and proves a weight vector
+by the certified descent's Frank-Wolfe lower bound (Jaggi, 2013).
 
-Every round's TraceRecord goes to the solver's trace_sink as the round
-ends (the CLI's --trace file), and SolveResult.trace keeps a log-spaced
-sample of them (see _play_game), so a solve's memory does not grow with
-its horizon.
+Every round's TraceRecord goes to the solver's trace_sink (the CLI's
+--trace file); SolveResult.trace keeps a log-spaced sample of them.
 """
 
 from __future__ import annotations

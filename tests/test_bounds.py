@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feasgame as fg
+from feasgame.harness import problem_from_doc, problem_to_doc
 from conftest import FAMILY_KINDS, fd_hessian, random_constraint, random_domain
 
 # entropy and barrier terms are only bounded on domains of positive points
@@ -210,7 +211,7 @@ class TestDomainHelpers:
 
 
 # ---------------------------------------------------------------------------
-# A quadratic's spectrum: one eigvalsh per constraint, the same constants
+# Quadratic spectra: one stacked eigvalsh per problem, the same constants
 
 
 def counting_eigvalsh(monkeypatch) -> list:
@@ -225,17 +226,44 @@ def counting_eigvalsh(monkeypatch) -> list:
     return calls
 
 
-def test_one_eigvalsh_per_quadratic(monkeypatch):
+def random_quadratics(n: int, m: int) -> list:
     rng = np.random.default_rng(3)
-    n, m = 4, 7
     quadratics = []
     for _ in range(m):
         M = rng.normal(size=(n, n))
         quadratics.append(fg.Quadratic(A=M + M.T, b=rng.normal(size=n), c=0.5))
+    return quadratics
+
+
+def test_one_eigvalsh_per_quadratic(monkeypatch):
+    n, m = 4, 7
+    quadratics = random_quadratics(n, m)
     calls = counting_eigvalsh(monkeypatch)
     problem = fg.make_problem(quadratics, fg.Simplex(n=n))  # interval, G, L and H of each
     assert problem.packed.smoothness.shape == (m,)
-    assert calls == [(n, n)] * m
+    assert calls == [(m, n, n)]
+
+
+def test_a_problem_with_complete_params_stacks_its_spectra_in_packed_smoothness(monkeypatch):
+    n, m = 4, 7
+    constraints = [fg.Affine(a=np.ones(n), b=-2.0), *random_quadratics(n, m)]
+    doc = problem_to_doc(fg.make_problem(constraints, fg.Simplex(n=n)))
+    calls = counting_eigvalsh(monkeypatch)
+    problem = problem_from_doc(doc)  # nothing estimated
+    x = problem.domain.start()
+    claim = fg.Feasible(x=x, residuals=fg.residuals(problem, x))
+    assert fg.verify_certificate(problem, claim, eps=1e3).ok
+    assert calls == []  # a Feasible check reads no spectrum
+    assert problem.packed.smoothness.shape == (m + 1,)
+    assert calls == [(m, n, n)]
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 2)])
+def test_quadratics_of_different_sizes_are_refused(sizes):
+    quadratics = [fg.Quadratic(A=np.eye(k), b=np.ones(k), c=0.0) for k in sizes]
+    with pytest.raises(fg.DimensionMismatch,
+                       match=rf"^constraint {sizes.index(3)} has dimension 3, domain has 2$"):
+        fg.make_problem(quadratics, fg.Simplex(n=2))
 
 
 @pytest.mark.parametrize("family", sorted(fg.GENERATORS))

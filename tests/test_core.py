@@ -361,6 +361,19 @@ def test_negative_instance_constant_is_refused_by_name(field):
         fg.ProblemParams(**{**values, field: -1.0})
 
 
+@pytest.mark.parametrize("bad", [fg.Affine(a=np.array([math.nan, 1.0]), b=0.0),
+                                 fg.Quadratic(A=np.eye(2), b=np.array([1.0, math.nan]), c=0.0)],
+                         ids=["affine", "quadratic"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_a_nan_bound_is_refused_naming_its_constraint(bad, j):
+    # max skips a NaN that is not first: with the NaN row second the estimate
+    # used to give G = sqrt(2), and the dual solver then answered Infeasible
+    good = fg.Affine(a=np.array([1.0, 1.0]), b=-2.0)
+    constraints = [bad, good] if j == 0 else [good, bad]
+    with pytest.raises(fg.SetupError, match=rf"^constraint {j} has a NaN bound over the domain$"):
+        fg.make_problem(constraints, fg.Simplex(n=2))
+
+
 def test_an_alpha_whose_divisor_underflows_is_refused_by_name():
     # G is about 1.8e-170, so G * G underflows to 0 and H / G^2 has no float
     # value; the estimate used to raise ZeroDivisionError

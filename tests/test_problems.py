@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import feasgame as fg
-from feasgame.harness import brute_force_lambda_star, problem_to_doc
+import feasgame.problems
+from feasgame.harness import brute_force_lambda_star, emit_problem_file, problem_to_doc
 from conftest import fd_hessian
 
 
@@ -81,6 +82,16 @@ class TestPerceptronLp:
     def test_affine_only(self):
         prob = fg.make_perceptron_lp(3, 3, seed=1)
         assert all(isinstance(f, fg.Affine) for f in prob.constraints)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_dimensional_rows_are_finite_and_clear_the_margin(self, seed, m):
+        # at n = 1 a row a = -1 blends to exactly 0 at kappa = 1, whose 0/0
+        # score was taken for a pass: seed 1 planted a [nan] row, seeds 0, 2
+        # and 3 were refused for a NaN G
+        prob = fg.make_perceptron_lp(1, m, margin=0.1, feasible=True, seed=seed)
+        for f in prob.constraints:
+            assert np.isfinite(f.a).all() and -f.a[0] >= 0.1
 
 
 class TestPortfolioRisk:
@@ -199,3 +210,51 @@ class TestDispatchAndBounds:
                 for x in X[:200]:
                     g = fg.gradient(f, x)
                     assert np.linalg.norm(g) <= prob.params.G + 1e-9
+
+
+def reference_psd_stack(rng, n, m, lam_min, lam_max, draw=None):
+    """The per-matrix loop that _psd_stack replaced: each matrix's lam, Z and
+    draw's numbers, then its own QR, sign fix and product."""
+    matrices, drawn = [], []
+    for _ in range(m):
+        floor = lam_min * (1.0 + 1e-10) + 1e-12
+        if n == 1:
+            lam = np.array([floor])
+        else:
+            lam = np.concatenate([[floor], rng.uniform(floor, max(lam_max, floor), n - 1)])
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q * np.sign(np.diag(r))
+        A = (q * lam) @ q.T
+        matrices.append(0.5 * (A + A.T))
+        drawn.append(draw(rng) if draw else None)
+    return matrices, drawn
+
+
+def generated_bits(family):
+    """Each instance's problem file, the bytes of every quadratic's spectrum
+    and of packed.smoothness, or the error its spec raises."""
+    out = []
+    for n in (1, 2, 3, 10, 25):
+        for m in (1, 3, 20):
+            for seed in range(6):
+                spec = fg.GeneratorSpec(family=family, n=n, m=m, seed=seed)
+                try:
+                    prob = fg.make_problem_from_spec(spec)
+                except fg.SetupError as e:
+                    out.append(str(e))
+                    continue
+                out.append(emit_problem_file(prob))
+                out.extend(f.spectrum.tobytes() for f in prob.constraints
+                           if isinstance(f, fg.Quadratic))
+                out.append(prob.packed.smoothness.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(fg.GENERATORS))
+def test_stacked_matrices_and_spectra_keep_the_per_matrix_bits(monkeypatch, family):
+    stacked = generated_bits(family)
+    monkeypatch.setattr(feasgame.problems, "_psd_stack", reference_psd_stack)
+    # a property is read before the instance's cache, so every spectrum is
+    # its own eigvalsh, as before the stacked fill
+    monkeypatch.setattr(fg.Quadratic, "spectrum", property(lambda q: np.linalg.eigvalsh(q.A)))
+    assert stacked == generated_bits(family)
