@@ -26,12 +26,13 @@ finite-difference tests check.  The solvers and oracles go through the
 packed form instead: on first use a problem is packed once
 (:class:`Packed`, cached on the problem), its constraints grouped by family
 into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
-``1/omega`` and ``e`` folded in), so residuals, the mixed gradient and
-single rows cost a few vector operations per call; norm
-distances, entropies and log barriers go through their own methods one at a
-time.  :class:`Mixture` fixes one weight vector and collapses the affine
-and quadratic constraints into one quadratic form for the optimization
-oracle and the certificate checks.
+``1/omega`` and ``e`` folded in), so the residuals and the mixed gradient
+cost a few vector operations per call; norm distances, entropies and log
+barriers go through their own methods one at a time.  A pass raises
+EvaluationDomainError naming the lowest constraint off its domain by the
+scalar reference, which also gives one row's gradient.  :class:`Mixture`
+fixes one weight vector and collapses the affine and quadratic constraints
+into one quadratic form for the optimization oracle and the checks.
 At the sizes the solvers run at, a call costs numpy's Python dispatch more
 than arithmetic, so the per-round code calls ndarray methods rather than
 their ``np.`` wrappers.
@@ -708,6 +709,8 @@ class Quadratic(_Family):
         b = np.asarray(self.b, float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("quadratic matrix A must be square")
+        if not np.isfinite(A).all():
+            raise SetupError("quadratic matrix A has a NaN or an infinite entry")
         if b.shape != (A.shape[0],):
             raise DimensionMismatch("quadratic linear term has wrong dimension")
         # an A bitwise equal to its transpose, as a file's usually is, passes at once
@@ -786,9 +789,11 @@ class LogAffineComposite(_Family):
         object.__setattr__(self, "n", self.inner.n)
 
     def log_argument(self, inner_value):
-        """e + inner/omega, the argument of the log; raises where it is <= 0."""
+        """e + inner/omega, the argument of the log, for one inner value or an
+        array of them; raises where it is <= 0."""
         arg = math.e + inner_value / self.omega
-        if np.any(arg <= 0):
+        off = arg <= 0
+        if off.any() if isinstance(off, np.ndarray) else off:
             raise EvaluationDomainError("log argument is nonpositive")
         return arg
 
@@ -1153,53 +1158,23 @@ def _in_order(P: Array) -> Array:
     return P.cumsum(axis=0)[-1]
 
 
-def _positive(z: Array) -> tuple[Array, Array | None]:
-    """z with nonpositive entries replaced by 1, and their mask (None if none)."""
-    if z.min() > 0:
-        return z, None
-    bad = z <= 0
-    return np.where(bad, 1.0, z), bad
-
-
-def _mark(values: Array, bad: Array | None) -> tuple[Array, Array | None]:
-    """NaN out the rows that are off their domain."""
-    if bad is not None:
-        values[bad] = np.nan
-    return values, bad
-
-
 class _Group:
     """One family's constraints as stacked arrays, rows in constraint
     order; ``idx`` is their positions in the problem.
 
-    ``values`` and ``rows`` (not for quadratics) return raw family values or
-    gradient rows with ``bad``: None when every constraint is on its analytic
-    domain, otherwise the boolean mask of those off it (their entries are
-    NaN), and such families give ``error(i, x)``, what evaluating row i at x
-    raises.  ``both`` returns values, rows and ``bad`` from one pass, sharing
-    what the two have in common (A x for quadratics, the log argument for
-    log-affines).  ``first`` is the separation oracle's lowest hit.
-    ``row(i, x)`` is one gradient row, a new array, and raises off the
-    domain.  ``quadratic_form(w)`` gives (M, q, c) with sum_i w_i f_i(x) =
+    ``values(x)``, ``both(x)`` (values and gradient rows from one pass,
+    sharing A x or the log argument) and ``first(x, eps)`` (the lowest row
+    whose residual exceeds eps, with that residual, or None) raise
+    EvaluationDomainError when a row they reach is off its domain.
+    ``quadratic_form(w)`` gives (M, q, c) with sum_i w_i f_i(x) =
     x.M x + q.x + c (M None when zero), or None for a family that is not
     quadratic.
     """
 
-    def first(self, x: Array, eps: float) -> tuple[int, float | None] | None:
-        """Lowest row whose residual exceeds eps or that is off its domain,
-        with its residual (None when off the domain); None if there is none."""
-        v, bad = self.values(x)
-        hit = v > eps
-        if bad is not None:
-            hit |= bad
-        i = int(hit.argmax())
-        if not hit[i]:
-            return None
-        return i, None if bad is not None and bad[i] else float(v[i])
-
-    def both(self, x):
-        v, bad = self.values(x)
-        return v, self.rows(x)[0], bad
+    def first(self, x: Array, eps: float) -> tuple[int, float] | None:
+        v = self.values(x)
+        i = int((v > eps).argmax())
+        return (i, float(v[i])) if v[i] > eps else None
 
     def quadratic_form(self, w):
         return None
@@ -1213,13 +1188,10 @@ class _Affines(_Group):
         self.b = np.array([f.b for f in fs])
 
     def values(self, x):
-        return _rowdot(self.R, x) + self.b, None
+        return _rowdot(self.R, x) + self.b
 
-    def rows(self, x):
-        return self.R, None
-
-    def row(self, i, x):
-        return self.R[i].copy()
+    def both(self, x):
+        return self.values(x), self.R
 
     def quadratic_form(self, w):
         return None, _in_order(w[:, None] * self.R), float(_in_order(w * self.b))
@@ -1240,14 +1212,11 @@ class _Quadratics(_Group):
         return (self.A_flat @ x).reshape(self.B.shape)
 
     def values(self, x):
-        return (self._Ax(x) + self.B) @ x + self.c, None
+        return (self._Ax(x) + self.B) @ x + self.c
 
     def both(self, x):
         Ax = self._Ax(x)
-        return (Ax + self.B) @ x + self.c, 2.0 * Ax + self.B, None
-
-    def row(self, i, x):
-        return 2.0 * (self.A[i] @ x) + self.B[i]
+        return (Ax + self.B) @ x + self.c, 2.0 * Ax + self.B
 
     def quadratic_form(self, w):
         # the (1, k) x (k, n*n) product np.tensordot(w, A, 1) runs, without
@@ -1260,20 +1229,15 @@ class _LogAffines(_Group):
     """f_j(x) = 1 - log(e + (a_j.x + b_j)/omega_j), stored as
     1 - log(R_j.x + d_j) with R_j = a_j/omega_j and d_j = e + b_j/omega_j
     folded in once; the gradient rows are -R_j/(R_j.x + d_j), with -R_j
-    negated once here.
-
-    ``row`` instead repeats the scalar gradient's arithmetic on a_j, b_j and
-    omega_j: a primal learner steps along the very gradient the reference
-    gives, and ONS's inner projection would turn a last-bit change of it into
-    a 1e-10 change of the iterate.
+    negated once here.  The folded argument can round to 0 where the
+    reference's e + (a_j.x + b_j)/omega_j does not, and then raises alone.
     """
 
     def __init__(self, fs):
-        self.a = np.array([f.inner.a for f in fs])
-        self.b = np.array([f.inner.b for f in fs])
-        self.omega = np.array([f.omega for f in fs])
-        self.R = self.a / self.omega[:, None]
-        self.d = math.e + self.b / self.omega
+        a = np.array([f.inner.a for f in fs])
+        omega = np.array([f.omega for f in fs])
+        self.R = a / omega[:, None]
+        self.d = math.e + np.array([f.inner.b for f in fs]) / omega
         self.neg_R = -self.R
 
     def first(self, x, eps):
@@ -1286,70 +1250,48 @@ class _LogAffines(_Group):
         for i in cand.nonzero()[0].tolist():
             z = float(y[i] + self.d[i])
             if not z > 0:
-                return i, None
+                raise EvaluationDomainError("log argument is nonpositive")
             r = 1.0 - math.log(z)
             if r > eps:
                 return i, r
         return None
 
-    def values(self, x):
-        z, bad = _positive(self.R @ x + self.d)
-        return _mark(1.0 - np.log(z), bad)
+    def _z(self, x):
+        z = self.R @ x + self.d
+        if not z.min() > 0 and (z <= 0).any():  # a NaN is not off the domain
+            raise EvaluationDomainError("log argument is nonpositive")
+        return z
 
-    def rows(self, x):
-        z, bad = _positive(self.R @ x + self.d)
-        return _mark(self.neg_R / z[:, None], bad)
+    def values(self, x):
+        return 1.0 - np.log(self._z(x))
 
     def both(self, x):
-        z, bad = _positive(self.R @ x + self.d)
-        return _mark(1.0 - np.log(z), bad)[0], _mark(self.neg_R / z[:, None], bad)[0], bad
-
-    def row(self, i, x):
-        arg = math.e + float(_rowdot(self.a[i], x) + self.b[i]) / self.omega[i]
-        if arg <= 0:
-            raise self.error(i, x)
-        return -(self.a[i] / (self.omega[i] * arg))
-
-    def error(self, i, x):
-        return EvaluationDomainError("log argument is nonpositive")
+        z = self._z(x)
+        return 1.0 - np.log(z), self.neg_R / z[:, None]
 
 
 class _Scalar(_Group):
-    """Constraints with no stacked form, evaluated one at a time through the
-    scalar reference: norm distances, entropies, log barriers and log
-    composites whose inner is not affine.  None of the solver workloads has
-    more than one constraint of these families."""
+    """Constraints with no stacked form, evaluated one at a time and in
+    order through the scalar reference: norm distances, entropies, log
+    barriers and log composites whose inner is not affine.  None of the
+    solver workloads has more than one constraint of these families."""
 
     def __init__(self, fs):
         self.fs = fs
 
-    def error(self, i, x):
-        # value and gradient share their domain rules, so evaluating row i
-        # again raises the reference's own error for it
-        try:
-            self.fs[i].value(x)
-        except EvaluationDomainError as exc:
-            return exc
-        raise AssertionError("row is on its domain")
-
-    def _each(self, method, x, shape):
-        out = np.empty((len(self.fs),) + shape)
-        bad = np.zeros(len(self.fs), bool)
+    def first(self, x, eps):
         for i, f in enumerate(self.fs):
-            try:
-                out[i] = getattr(f, method)(x)
-            except EvaluationDomainError:
-                out[i], bad[i] = np.nan, True
-        return out, bad if bad.any() else None
+            v = f.value(x)
+            if v > eps:
+                return i, v
+        return None
 
     def values(self, x):
-        return self._each("value", x, ())
+        return np.array([f.value(x) for f in self.fs])
 
-    def rows(self, x):
-        return self._each("gradient", x, x.shape)
-
-    def row(self, i, x):
-        return self.fs[i].gradient(x)
+    def both(self, x):
+        # value and gradient share their domain rules: the values raise first
+        return self.values(x), np.array([f.gradient(x) for f in self.fs])
 
 
 def _as_point(x, n: int, what: str = "problem") -> Array:
@@ -1367,8 +1309,11 @@ class Packed:
     is the optimization oracle's first call.
 
     ``values``, ``both`` and ``first`` are the group passes over every
-    constraint, in constraint order; ``values`` and ``both`` return the
-    mask of the constraints off their domain last, as the groups do.
+    constraint, in constraint order, and raise as the groups do.  When a
+    pass over several families raises, the scalar reference names the
+    lowest constraint off its domain at x, with its own error; the group's
+    error stands where the reference finds none (a folded log argument
+    that rounds to 0).
     """
 
     def __init__(self, problem: Problem):
@@ -1379,13 +1324,10 @@ class Packed:
         for j, f in enumerate(problem.constraints):
             members.setdefault(f.packed_group(), []).append(j)
         self.groups = []
-        self.where: list[tuple] = [()] * self.m  # j -> (group, row in group)
         for kind, idx in members.items():
             group = kind([problem.constraints[j] for j in idx])
             group.idx = np.array(idx)
             self.groups.append(group)
-            for row, j in enumerate(idx):
-                self.where[j] = (group, row)
         if len(self.groups) == 1:
             # one family's rows are already in constraint order
             (group,) = self.groups
@@ -1398,44 +1340,52 @@ class Packed:
         _fill_spectra(self.constraints, self.n)
         return np.array([f.smoothness(self.domain) for f in self.constraints])
 
-    def _scatter(self, parts) -> tuple:
-        """Each group's pass (arrays..., bad) put in constraint order."""
-        outs, bad = None, None
-        for g, (*arrays, b) in zip(self.groups, parts):
-            if outs is None:
-                outs = [np.empty((self.m,) + a.shape[1:]) for a in arrays]
-            for out, a in zip(outs, arrays):
-                out[g.idx] = a
-            if b is not None:
-                if bad is None:
-                    bad = np.zeros(self.m, bool)
-                bad[g.idx] = b
-        return (*outs, bad)
+    def _off_domain(self, x: Array, stop: int) -> EvaluationDomainError | None:
+        """The scalar reference's error for the lowest of the first stop
+        constraints that is off its domain at x, or None."""
+        for f in self.constraints[:stop]:
+            try:
+                f.value(x)
+            except EvaluationDomainError as own:
+                return own
+        return None
 
-    def values(self, x: Array) -> tuple[Array, Array | None]:
-        return self._scatter([g.values(x) for g in self.groups])
+    def values(self, x: Array) -> Array:
+        v = np.empty(self.m)
+        try:
+            for g in self.groups:
+                v[g.idx] = g.values(x)
+        except EvaluationDomainError as exc:
+            raise self._off_domain(x, self.m) or exc from None
+        return v
 
-    def both(self, x: Array) -> tuple[Array, Array, Array | None]:
-        return self._scatter([g.both(x) for g in self.groups])
+    def both(self, x: Array) -> tuple[Array, Array]:
+        v, G = np.empty(self.m), np.empty((self.m, self.n))
+        try:
+            for g in self.groups:
+                v[g.idx], G[g.idx] = g.both(x)
+        except EvaluationDomainError as exc:
+            raise self._off_domain(x, self.m) or exc from None
+        return v, G
 
-    def first(self, x: Array, eps: float) -> tuple[int, float | None] | None:
-        """Lowest constraint whose residual exceeds eps or that is off its
-        domain, with its residual (None off the domain); None if none."""
-        best = None
+    def first(self, x: Array, eps: float) -> tuple[int, float] | None:
+        """Lowest constraint whose residual exceeds eps, with its residual,
+        or None; raises where one off its domain comes first, as evaluating
+        the constraints in order up to the violation would."""
+        best, exc = None, None
         for g in self.groups:
-            hit = g.first(x, eps)
+            try:
+                hit = g.first(x, eps)
+            except EvaluationDomainError as e:
+                exc = e
+                continue
             if hit is not None and (best is None or g.idx[hit[0]] < best[0]):
                 best = (int(g.idx[hit[0]]), hit[1])
+        if exc is not None:
+            own = self._off_domain(x, self.m if best is None else best[0])
+            if own is not None or best is None:
+                raise own or exc
         return best
-
-    def check(self, bad: Array | None, x: Array) -> None:
-        """Raise the error of the lowest constraint that bad marks, if any."""
-        if bad is not None and bad.any():
-            raise self.off_domain(int(bad.argmax()), x)
-
-    def off_domain(self, j: int, x: Array) -> EvaluationDomainError:
-        group, row = self.where[j]
-        return group.error(row, x)
 
 
 class Mixture:
@@ -1443,8 +1393,8 @@ class Mixture:
 
     Affine and quadratic constraints collapse into a single quadratic form
     x.M x + q.x + c, so their cost per evaluation does not grow with m.  The
-    other families keep their rows.  Constraints of weight
-    zero are left out: they are never evaluated, so they cannot raise.
+    other families keep only their rows of nonzero weight, in groups of
+    their own: a constraint of weight zero is never evaluated.
     """
 
     def __init__(self, problem: Problem, p: Array):
@@ -1456,10 +1406,14 @@ class Mixture:
         self.terms = []
         for group in pk.groups:
             wg = p[group.idx]
-            if not wg.any():
+            live = wg != 0
+            if not live.any():
                 continue
             form = group.quadratic_form(wg)
             if form is None:
+                if not live.all():
+                    group = type(group)([pk.constraints[j] for j in group.idx[live]])
+                    wg = wg[live]
                 self.terms.append((group, wg))
                 continue
             M, q, c = form
@@ -1481,9 +1435,9 @@ class Mixture:
         return L if math.isfinite(L) and L > 0 else None
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        """The mixed value and gradient at x from one pass over the terms,
-        where rows off their domain count only at weight zero; ndarray.dot
-        is @ bit for bit, and cheaper, for a unit-stride float64 x."""
+        """The mixed value and gradient at x from one pass over the terms;
+        ndarray.dot is @ bit for bit, and cheaper, for a unit-stride
+        float64 x."""
         unit = x.strides == (8,) and x.dtype.char == "d"
         v = self.c + (self.q.dot(x) if unit else self.q @ x)
         if self.M is None:
@@ -1493,12 +1447,7 @@ class Mixture:
             v += x.dot(Mx) if unit else x @ Mx
             g = 2.0 * Mx + self.q
         for group, wg in self.terms:
-            values, rows, bad = group.both(x)
-            if bad is not None:
-                live = bad & (wg != 0)
-                if live.any():
-                    raise group.error(int(live.argmax()), x)
-                values, rows = np.where(bad, 0.0, values), np.where(bad[:, None], 0.0, rows)
+            values, rows = group.both(x)
             v += wg @ values
             g += wg @ rows
         return float(v), g
@@ -1509,28 +1458,20 @@ class Mixture:
 
 
 def residual_gradient(problem: Problem, j: int, x) -> Array:
-    """Gradient of constraint j at x, from the packed rows of its family."""
-    pk = problem.packed
-    group, row = pk.where[j]
-    return group.row(row, _as_point(x, pk.n))
+    """Gradient of constraint j at x, from its scalar reference: a primal
+    learner steps along it, and ONS's projection would turn a last-bit
+    change of it into a 1e-10 change of the iterate."""
+    return problem.constraints[j].gradient(_as_point(x, problem.n))
 
 
 def residuals(problem: Problem, x) -> Array:
     """All residuals at x; raises EvaluationDomainError if any is off its domain."""
-    pk = problem.packed
-    x = _as_point(x, pk.n)
-    v, bad = pk.values(x)
-    pk.check(bad, x)
-    return v
+    return problem.packed.values(_as_point(x, problem.n))
 
 
 def residual_gradients(problem: Problem, x) -> Array:
     """(m, n) residual gradients at x, one row per constraint."""
-    pk = problem.packed
-    x = _as_point(x, pk.n)
-    _, G, bad = pk.both(x)
-    pk.check(bad, x)
-    return np.array(G)
+    return np.array(problem.packed.both(_as_point(x, problem.n))[1])
 
 
 def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, Array]:
@@ -1541,10 +1482,7 @@ def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, 
     A primal-dual round needs both at the same point, and the pass shares
     what values and gradient rows have in common.
     """
-    pk = problem.packed
-    x = _as_point(x, pk.n)
-    v, G, bad = pk.both(x)
-    pk.check(bad, x)
+    v, G = problem.packed.both(_as_point(x, problem.n))
     return v, p @ G
 
 
@@ -1597,13 +1535,8 @@ def separation_oracle(problem: Problem, x, eps: float) -> Violation | None:
     else:  # 0 * inf makes a NaN row, which exceeds no eps; numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
             hit = pk.first(x, eps)
-            if hit is not None and hit[1] is None:
-                raise pk.off_domain(hit[0], x)
     if hit is None:
         if not np.isfinite(x).all():
             raise SetupError("x must be finite, but has a NaN or an infinite entry")
         return None
-    j, value = hit
-    if value is None:
-        raise pk.off_domain(j, x)
-    return Violation(index=j, value=value)
+    return Violation(index=hit[0], value=hit[1])

@@ -17,9 +17,9 @@ def positive_definite(A, n: int) -> Array:
     """A as a finite n x n float matrix fit for minimize_quadratic, else
     SetupError (DimensionMismatch for a wrong shape).  An A symmetric
     within a relative 1e-12 is used as (A + A^T) / 2, its quadratic form,
-    and needs a Cholesky factor with diagonal entries within a factor 1e-5
-    of each other, which proves it positive definite; a wider spread puts
-    cond(A) above 1e10, as in a singular A that rounding lets through."""
+    and needs a Cholesky factor whose diagonal spreads within a factor 1e5.
+    cond(A) >= spread^2, so a wider spread proves cond(A) > 1e10; not the
+    converse: a numerically singular A can pass with a spread within 1e5."""
     M = np.asarray(A, float)
     if not np.isfinite(M).all():
         raise SetupError("projection matrix has a non-finite entry")

@@ -374,6 +374,14 @@ def test_a_nan_bound_is_refused_naming_its_constraint(bad, j):
         fg.make_problem(constraints, fg.Simplex(n=2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_quadratic_matrix_is_refused_by_name(bad):
+    # LAPACK's eigvalsh reads [[nan, 0], [0, 1]] as [0, -0], which made
+    # G = H = omega = 0 while the residual at the centre was nan
+    with pytest.raises(fg.SetupError, match="^quadratic matrix A has a NaN or an infinite entry$"):
+        fg.Quadratic(A=np.array([[bad, 0.0], [0.0, 1.0]]), b=np.zeros(2), c=0.0)
+
+
 def test_an_alpha_whose_divisor_underflows_is_refused_by_name():
     # G is about 1.8e-170, so G * G underflows to 0 and H / G^2 has no float
     # value; the estimate used to raise ZeroDivisionError

@@ -247,12 +247,7 @@ def parent_value_and_gradient(mix, x):
         v += x @ Mx
         g = 2.0 * Mx + mix.q
     for group, wg in mix.terms:
-        values, rows, bad = group.both(x)
-        if bad is not None:
-            live = bad & (wg != 0)
-            if live.any():
-                raise group.error(int(live.argmax()), x)
-            values, rows = np.where(bad, 0.0, values), np.where(bad[:, None], 0.0, rows)
+        values, rows = group.both(x)
         v += wg @ values
         g += wg @ rows
     return float(v), g

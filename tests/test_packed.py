@@ -142,23 +142,20 @@ def test_packed_matches_scalar_reference(spec):
 
 
 def reference_value_and_gradient(mix, x):
-    """The mixed value and gradient from separate value and gradient passes."""
-    def live(group, wg, out, bad):
-        if bad is not None:
-            hit = bad & (wg != 0)
-            if hit.any():
-                raise group.error(int(hit.argmax()), x)
-            out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - 1)), 0.0, out)
-        return wg @ out
-
+    """The mixed value and gradient from separate value and gradient passes
+    over the terms, which hold the rows of nonzero weight only."""
+    kept = [j for j, f in enumerate(mix.packed.constraints)
+            if mix.p[j] != 0 and f.packed_group() in (fg.core._LogAffines, fg.core._Scalar)]
+    assert sum(wg.size for _, wg in mix.terms) == len(kept)
+    assert all(wg.all() for _, wg in mix.terms)
     v = mix.c + mix.q @ x
     if mix.M is not None:
         v += x @ (mix.M @ x)
     for group, wg in mix.terms:
-        v += live(group, wg, *group.values(x))
+        v += wg @ group.values(x)
     g = mix.q.copy() if mix.M is None else 2.0 * (mix.M @ x) + mix.q
     for group, wg in mix.terms:
-        g += live(group, wg, *group.rows(x))
+        g += wg @ group.both(x)[1]
     return float(v), g
 
 
@@ -266,6 +263,48 @@ def test_lowest_off_domain_constraint_decides_across_groups():
         fg.separation_oracle(problem, x, 1.0)  # constraint 0 is 0.5 <= eps
 
 
+# on Simplex(1) at x = (1,) the folded argument R.x + d rounds to 0.0 while
+# the scalar e + (a.x + b)/omega is 1.8e-15
+EDGE = fg.LogAffineComposite(inner=fg.Affine(a=np.array([31.327023920027244]),
+                                             b=-32.043627138986636), omega=0.26362359173243805)
+
+
+@pytest.mark.parametrize("behind", [False, True], ids=["alone", "behind_an_affine_row"])
+def test_a_folded_log_argument_that_rounds_to_zero_stays_off_the_domain(behind):
+    x = np.ones(1)
+    assert EDGE.log_argument(EDGE.inner.value(x)) > 0
+    cons = (fg.Affine(a=np.zeros(1), b=-1.0), EDGE) if behind else (EDGE,)
+    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=1), params=PARAMS)
+    (group,) = [g for g in problem.packed.groups if isinstance(g, fg.core._LogAffines)]
+    assert (group.R @ x + group.d)[0] == 0.0
+    own = dict(match="^log argument is nonpositive$")
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals(problem, x)
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.residuals_and_mixed_gradient(problem, np.full(len(cons), 1.0 / len(cons)), x)
+    with pytest.raises(fg.EvaluationDomainError, **own):
+        fg.separation_oracle(problem, x, 0.1)
+
+
+def test_a_zero_weight_row_is_never_evaluated(monkeypatch):
+    # crp's pairing: a norm distance and a log barrier share the scalar group;
+    # x = (1, 0) is off the barrier's domain
+    calls = []
+    for name in ("value", "gradient"):
+        method = getattr(fg.NegLogBarrier, name)
+        monkeypatch.setattr(fg.NegLogBarrier, name,
+                            lambda self, x, method=method: calls.append(self) or method(self, x))
+    near = fg.NormDistSq(center=np.array([0.25, 0.75]), c=0.1)
+    cons = (near, fg.NegLogBarrier(rows=np.array([[0.0, 1.0]]), level=0.0))
+    problem = fg.Problem(constraints=cons, domain=fg.Simplex(n=2), params=PARAMS)
+    assert len(problem.packed.groups) == 1
+    x = np.array([1.0, 0.0])
+    value, grad = fg.Mixture(problem, np.array([1.0, 0.0])).value_and_gradient(x)
+    assert calls == []
+    assert value == near.value(x)
+    assert grad.tobytes() == near.gradient(x).tobytes()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_gradient_row_is_the_callers_own(family):
     # a learner may write into the gradient it is handed; the pack keeps its rows
@@ -360,8 +399,7 @@ def scattered(problem, p, x, eps):
     oracle through the multi-family passes of Packed, which scatter every
     group's rows by idx and merge the groups' lowest hits."""
     pk = problem.packed
-    v, G, bad = fg.core.Packed.both(pk, x)
-    pk.check(bad, x)
+    v, G = fg.core.Packed.both(pk, x)
     return (v, p @ G), G, fg.core.Packed.first(pk, x, eps)
 
 
@@ -385,7 +423,7 @@ def test_one_family_skips_the_scatter_with_its_bits(family, monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-family problem went through the multi-family passes")
 
-    for name in ("_scatter", "values", "both", "first"):
+    for name in ("_off_domain", "values", "both", "first"):
         monkeypatch.setattr(fg.core.Packed, name, refuse)
     for x, ref in zip(X, want):
         if isinstance(ref, Exception):
