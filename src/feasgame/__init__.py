@@ -36,7 +36,6 @@ from .core import (
     game_loss,
     gradient,
     make_problem,
-    mixed_gradient,
     project_simplex,
     residual_gradient,
     residual_gradients,

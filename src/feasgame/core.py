@@ -5,8 +5,10 @@ domain (simplex, ball or box).  A point is feasible when every constraint
 value is <= 0 and eps-approximately feasible when no value exceeds eps; a
 constraint's value is the residual every solver and oracle consumes.  The
 log transform's threshold form log(e + inner/omega) >= 1 (built by
-:mod:`feasgame.reductions`) is the family :class:`LogAffineComposite`,
-whose value is already its residual 1 - log(e + inner/omega).
+:mod:`feasgame.reductions`) is the family :class:`LogAffineComposite` over
+one affine row, whose value is already its residual 1 - log(e + inner/omega).
+Certificates assume convex constraints: the certificate routes refuse a
+problem with an indefinite quadratic (:attr:`Packed.indefinite`).
 
 Constraint families form a closed set; there are no black-box callbacks.
 Each family is one class (:data:`FAMILIES` maps problem-file tags to them)
@@ -28,9 +30,7 @@ packed form instead: on first use a problem is packed once
 into stacked arrays (affine rows, a quadratic tensor, log-affine rows with
 ``1/omega`` and ``e`` folded in), so the residuals and the mixed gradient
 cost a few vector operations per call; norm distances, entropies and log
-barriers go through their own methods one at a time.  A pass raises
-EvaluationDomainError naming the lowest constraint off its domain by the
-scalar reference, which also gives one row's gradient.  :class:`Mixture`
+barriers go through their own methods one at a time.  :class:`Mixture`
 fixes one weight vector and collapses the affine and quadratic constraints
 into one quadratic form for the optimization oracle and the checks.
 At the sizes the solvers run at, a call costs numpy's Python dispatch more
@@ -600,7 +600,7 @@ DOMAINS = {cls.tag: cls for cls in get_args(Domain)}
 # Each family is one frozen dataclass holding all the package knows about
 # it (see _Family); FAMILIES maps problem-file tags to the classes.  Field
 # annotations name the file type of each field: 1-d, 2-d or square
-# symmetric arrays, numbers, or a nested constraint.
+# symmetric arrays, numbers, or a nested (affine) constraint.
 
 
 def _rowdot(R: Array, x: Array):
@@ -693,11 +693,7 @@ class Affine(_Family):
 
 @dataclass(frozen=True, eq=False)
 class Quadratic(_Family):
-    """f(x) = x.A x + b.x + c with A symmetric (not necessarily PSD).
-
-    The bounds over a domain all read A's spectrum, which is computed once,
-    on first use, and kept: A is frozen.
-    """
+    """f(x) = x.A x + b.x + c with A symmetric; an indefinite A gets no certificate."""
 
     tag = "quadratic"
     A: Matrix
@@ -730,8 +726,9 @@ class Quadratic(_Family):
 
     @cached_property
     def spectrum(self) -> Array:
-        """The eigenvalues of A in ascending order (read-only: every bound shares
-        them); a problem's estimate and Packed.smoothness fill it by _fill_spectra."""
+        """The eigenvalues of A in ascending order, computed once and kept (A is
+        frozen), read-only: every bound over a domain shares them.  A problem's
+        estimate and its Packed fill it by _fill_spectra."""
         ev = np.linalg.eigvalsh(self.A)
         ev.flags.writeable = False
         return ev
@@ -776,13 +773,15 @@ def _fill_spectra(constraints, n: int) -> None:
 @dataclass(frozen=True, eq=False)
 class LogAffineComposite(_Family):
     """f(x) = 1 - log(e + inner(x)/omega), the residual of the threshold
-    log(e + inner(x)/omega) >= 1; convex whenever inner is concave."""
+    log(e + inner(x)/omega) >= 1 for an affine inner, so convex."""
 
     tag = "log_affine_composite"
     inner: ConstraintFn
     omega: float
 
     def __post_init__(self):
+        if type(self.inner) is not Affine:
+            raise SetupError(f"a log_affine_composite's inner must be affine, not {self.inner.tag}")
         if not 0 < self.omega < math.inf:
             raise SetupError(f"omega must be positive and finite, got {self.omega!r}")
         object.__setattr__(self, "omega", float(self.omega))
@@ -805,40 +804,35 @@ class LogAffineComposite(_Family):
         return -(self.inner.gradient(x) / (self.omega * arg))
 
     def interval(self, domain):
-        ilo, ihi = self.inner.interval(domain)
-        lo_arg = self._lo_arg(ilo)
-        hi_arg = max(math.e + ihi / self.omega, lo_arg)
+        lo_arg, hi_arg = self._args(domain)
         return 1.0 - math.log(hi_arg), 1.0 - math.log(lo_arg)
 
-    def _lo_arg(self, ilo):
-        """Least argument of the log over the domain, from the least value
-        ilo of the inner there; raises where it is not positive."""
+    def _args(self, domain):
+        """Least and largest argument of the log over the domain; raises where
+        the least is not positive less the rounding of the packed pass's
+        folded R.x + d (see _LogAffines), about n + 3 roundings of
+        e + (|a| max|x| + |b|)/omega."""
+        ilo, ihi = self.inner.interval(domain)
         lo_arg = math.e + ilo / self.omega
-        if not lo_arg > 0:
-            raise SetupError(
-                f"log argument e + inner/omega falls to {lo_arg:.6g} <= 0 on the domain "
-                "(omega is too small for the inner's range)"
-            )
-        return lo_arg
+        top = self.inner.gradient_bound(domain) * domain.max_norm() + abs(self.inner.b)
+        lo = lo_arg - (self.n + 3) * 2.0**-52 * (math.e + top / self.omega)
+        if not lo > 0:
+            raise SetupError(f"log argument e + inner/omega falls to {lo:.6g} <= 0 on the "
+                             "domain (omega is too small for the inner's range)")
+        return lo_arg, math.e + ihi / self.omega
 
     def gradient_bound(self, domain):
         # |inner gradient| / (omega * arg); arg >= e - 1 > 1 when |inner| <= omega
-        gi = self.inner.gradient_bound(domain)
-        return gi / (self.omega * min(1.0, self._lo_arg(self.inner.interval(domain)[0])))
+        return self.inner.gradient_bound(domain) / (self.omega * min(1.0, self._args(domain)[0]))
 
     def smoothness(self, domain):
-        inner_L = self.inner.smoothness(domain)
-        if not math.isfinite(inner_L):
-            return math.inf
-        # |d/dt log(e+t/w)| terms: inner curvature plus rank-one correction,
-        # both over the least argument, capped at the e - 1 it has when
-        # |inner| <= omega
+        # the Hessian a a^T / (omega arg)^2, arg capped at its e - 1 where |inner| <= omega
         gi = self.inner.gradient_bound(domain)
-        denom = min(math.e - 1.0, self._lo_arg(self.inner.interval(domain)[0]))
-        return inner_L / (self.omega * denom) + (gi / self.omega) ** 2 / (denom * denom)
+        denom = min(math.e - 1.0, self._args(domain)[0])
+        return (gi / self.omega) ** 2 / (denom * denom)
 
     def packed_group(self):
-        return _LogAffines if isinstance(self.inner, Affine) else _Scalar
+        return _LogAffines
 
 
 @dataclass(frozen=True, eq=False)
@@ -1096,8 +1090,7 @@ def _estimate(constraints, domain: Domain) -> ProblemParams:
             raise SetupError(f"constraint {j} has a NaN bound over the domain")
     G, H = max(grads), min(curvs)
     omega = max(max(abs(lo), abs(hi)) for lo, hi in intervals)
-    log_affine = all(isinstance(f, LogAffineComposite) and isinstance(f.inner, Affine)
-                     for f in constraints)
+    log_affine = all(isinstance(f, LogAffineComposite) for f in constraints)
     alpha = 1.0 if log_affine else exp_concavity(H, G)
     return ProblemParams(G=G, H=H, omega=omega, D=domain.diameter(), G_inf=omega, alpha=alpha)
 
@@ -1115,16 +1108,15 @@ def make_problem(constraints, domain: Domain) -> Problem:
 
 
 def check_estimable(constraints, domain: Domain) -> None:
-    """Raise what estimating the constants would raise.  Where n <= 2**20,
-    log composites wrap affine inners and every number of the constraints
-    and the domain is 0 or within 2**-64..2**64 in magnitude, every estimated
-    constant is finite (a positive least log argument e + q is at least
-    2**-52, by Sterbenz), so only the checks that can refuse run: the log
-    arguments first, as the estimate's gradient bounds check them first,
-    then the entropy and barrier domains.  Anything else is estimated."""
+    """Raise what estimating the constants would raise.  Where n <= 2**20
+    and every number of the constraints and the domain is 0 or within
+    2**-64..2**64 in magnitude, every estimated constant is finite (a
+    positive least log argument e + q is at least 2**-52, by Sterbenz), so
+    only the checks that can refuse run: the log arguments first, as the
+    estimate's gradient bounds check them first, then the entropy and
+    barrier domains.  Anything else is estimated."""
     logs = [f for f in constraints if isinstance(f, LogAffineComposite)]
-    if (domain.n <= 2**20 and all(isinstance(f.inner, Affine) for f in logs)
-            and _tame([*constraints, domain])):
+    if domain.n <= 2**20 and _tame([*constraints, domain]):
         for f in logs + [f for f in constraints if isinstance(f, (NegEntropy, NegLogBarrier))]:
             f.interval(domain)
     else:
@@ -1271,10 +1263,9 @@ class _LogAffines(_Group):
 
 
 class _Scalar(_Group):
-    """Constraints with no stacked form, evaluated one at a time and in
-    order through the scalar reference: norm distances, entropies, log
-    barriers and log composites whose inner is not affine.  None of the
-    solver workloads has more than one constraint of these families."""
+    """Norm distances, entropies and log barriers, which have no stacked form:
+    one at a time, in order, through the scalar reference (no solver
+    workload has more than one)."""
 
     def __init__(self, fs):
         self.fs = fs
@@ -1304,9 +1295,8 @@ def _as_point(x, n: int, what: str = "problem") -> Array:
 class Packed:
     """A problem's constraints grouped by family into stacked arrays.
 
-    Built once per problem, on first use (``Problem.packed``).
-    Per-constraint smoothness bounds are computed on first use too, which
-    is the optimization oracle's first call.
+    Built once per problem, on first use (``Problem.packed``), as are its
+    per-constraint smoothness bounds and its list of indefinite quadratics.
 
     ``values``, ``both`` and ``first`` are the group passes over every
     constraint, in constraint order, and raise as the groups do.  When a
@@ -1339,6 +1329,13 @@ class Packed:
         """Smoothness bound of each constraint (inf where unbounded)."""
         _fill_spectra(self.constraints, self.n)
         return np.array([f.smoothness(self.domain) for f in self.constraints])
+
+    @cached_property
+    def indefinite(self) -> list[int]:
+        """Indices of the quadratics with an eigenvalue below -1e-12 max|eigenvalue|."""
+        _fill_spectra(self.constraints, self.n)
+        return [j for j, f in enumerate(self.constraints) if isinstance(f, Quadratic)
+                and f.spectrum[0] < -1e-12 * max(-f.spectrum[0], f.spectrum[-1])]
 
     def _off_domain(self, x: Array, stop: int) -> EvaluationDomainError | None:
         """The scalar reference's error for the lowest of the first stop
@@ -1484,11 +1481,6 @@ def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, 
     """
     v, G = problem.packed.both(_as_point(x, problem.n))
     return v, p @ G
-
-
-def mixed_gradient(problem: Problem, p: Array, x) -> Array:
-    """sum_j p_j grad r_j(x) over all constraints, for any weight vector p."""
-    return residuals_and_mixed_gradient(problem, p, x)[1]
 
 
 def check_distribution(p, m: int) -> Array:

@@ -79,9 +79,8 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     returned problem has alpha = 1.  A transformed problem is not affine, so
     it is refused here.  omega must be positive and finite.
     """
-    for f in problem.constraints:
-        if not isinstance(f, Affine):
-            raise SetupError("log_transform needs affine constraints")
+    if not all(isinstance(f, Affine) for f in problem.constraints):
+        raise SetupError("log_transform needs affine constraints")
     if omega is None:
         omega = problem.params.omega
     if not 0 < omega < math.inf:

@@ -27,7 +27,8 @@ Stopping always uses the theoretical regret-bound formula, never measured
 regret, so iteration counts are deterministic for a given instance.
 
 verify_certificate re-evaluates a Feasible point and proves a weight vector
-by the certified descent's Frank-Wolfe lower bound (Jaggi, 2013).
+by the certified descent's Frank-Wolfe lower bound (Jaggi, 2013).  It and
+the regret bounds need convex constraints: an indefinite quadratic is refused.
 
 Every round's TraceRecord goes to the solver's trace_sink (the CLI's
 --trace file); SolveResult.trace keeps a log-spaced sample of them.
@@ -254,7 +255,7 @@ def _point_learner(problem: Problem, learner: str) -> _Learner:
 _Round = tuple[Array | None, int | None, float, float, Outcome | None]
 
 
-def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], _Round],
+def _play_game(problem: Problem, spec: RegretBoundSpec, T_star: int, round_: Callable[[], _Round],
                horizon_outcome: Callable[[int], Outcome], max_iters: int | None,
                trace_sink: Callable[[TraceRecord], None] | None
                ) -> tuple[Outcome, tuple[TraceRecord, ...], int, int, str]:
@@ -263,13 +264,16 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
     Keeps the records of rounds 1, 2, 4, ... and of the last round, and
     hands every round's record to trace_sink when there is one (the bound
     column is regret_bound(spec, t), to the bit); a record no one receives
-    is not built.  max_iters that is not an int >= 1 (a bool, a float or a
-    NaN included) raises SetupError before the first round.  A cap below
-    T* ends in Exhausted with the least-violating point, since only the
-    full horizon certifies horizon_outcome(T*); only such a run tracks that
-    point.  Returns the outcome, the sampled records, the rounds played, T*
-    and what ended the run (see SolveResult).
+    is not built.  An indefinite quadratic, or max_iters not an int >= 1 (a
+    bool, a float or a NaN included), raises SetupError before the first
+    round.  A cap below T* ends in Exhausted with the least-violating point,
+    since only the full horizon certifies horizon_outcome(T*); only such a
+    run tracks that point.  Returns the outcome, the sampled records, the
+    rounds played, T* and what ended the run (see SolveResult).
     """
+    if problem.packed.indefinite:
+        raise SetupError(f"constraint {problem.packed.indefinite[0]} is an indefinite "
+                         "quadratic; the solvers need convex constraints")
     if max_iters is None:
         cap = T_star
     elif isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
@@ -277,7 +281,7 @@ def _play_game(domain, spec: RegretBoundSpec, T_star: int, round_: Callable[[], 
     else:
         cap = min(T_star, max_iters)
     capped = cap < T_star
-    best_x, best_violation = domain.start(), math.inf
+    best_x, best_violation = problem.domain.start(), math.inf
     bound, clock = regret_bound_curve(spec), time.perf_counter_ns
     sample: list[TraceRecord] = []
     for t in range(1, cap + 1):
@@ -345,7 +349,7 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         state = player.step(state, grad)
         return x_t, hit.index, hit.value, hit.value, None
 
-    return SolveResult(*_play_game(problem.domain, player.spec, T_star, round_,
+    return SolveResult(*_play_game(problem, player.spec, T_star, round_,
                                    lambda T: Infeasible(p_bar=counts / T), max_iters,
                                    trace_sink), eps, eps, "primal", learner)
 
@@ -382,7 +386,7 @@ def dual_game_opt(problem: Problem, eps: float, *,
         x_bar = x_sum / T
         return Feasible(x=x_bar, residuals=residuals(problem, x_bar))
 
-    return SolveResult(*_play_game(problem.domain, weights.spec, T_star, round_,
+    return SolveResult(*_play_game(problem, weights.spec, T_star, round_,
                                    horizon_outcome, max_iters, trace_sink),
                        eps, eps_eff, "dual", "mw")
 
@@ -421,7 +425,7 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
             return Feasible(x=x_bar, residuals=res)
         return EpsilonInfeasible(p_bar=p_sum / T)
 
-    return SolveResult(*_play_game(problem.domain, player.spec, T_star, round_,
+    return SolveResult(*_play_game(problem, player.spec, T_star, round_,
                                    horizon_outcome, max_iters, trace_sink),
                        eps, eps, "primal-dual", learner)
 
@@ -448,7 +452,8 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     claim): the Frank-Wolfe lower bound at a descent iterate bounds that
     minimum from below on every domain and at every n, so one route serves
     them all and value is the lower bound it proved.  It makes the
-    optimization oracle's call, with tol 1e-9 and no stop_below.  A NaN or
+    optimization oracle's call, with tol 1e-9 and no stop_below, unless the
+    problem has an indefinite quadratic, which the report names.  A NaN or
     an infinite eps raises SetupError.
     """
     if not math.isfinite(eps):
@@ -467,6 +472,10 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
                                   message="exhausted run carries no certificate")
     if isinstance(outcome, (Infeasible, EpsilonInfeasible)):
         p = check_distribution(outcome.p_bar, problem.m)
+        if problem.packed.indefinite:
+            j = problem.packed.indefinite[0]
+            return VerificationReport(ok=False, method="pgd", witness_index=j,
+                                      message=f"constraint {j} is an indefinite quadratic")
         threshold = 0.0 if isinstance(outcome, Infeasible) else -eps
         mix = Mixture(problem, p)
         res = minimize_over_domain(mix.value_and_gradient, problem.domain,

@@ -69,10 +69,8 @@ def family_samples(rng, n):
     return cases
 
 
-# Family kinds for randomized tests: the six families, with the log
-# composite over both an affine and a quadratic inner.
-FAMILY_KINDS = ("affine", "quadratic", "log_affine", "log_quadratic", "entropy",
-                "norm_dist", "barrier")
+# Family kinds for randomized tests: the six families.
+FAMILY_KINDS = ("affine", "quadratic", "log_affine", "entropy", "norm_dist", "barrier")
 
 
 def random_domain(kind, rng, n, positive=False):
@@ -99,8 +97,8 @@ def random_constraint(kind, rng, domain):
         return fg.Affine(a=a, b=b)
     if kind == "quadratic":
         return quad
-    if kind in ("log_affine", "log_quadratic"):
-        inner = fg.Affine(a=a, b=b) if kind == "log_affine" else quad
+    if kind == "log_affine":
+        inner = fg.Affine(a=a, b=b)
         width = fg.make_problem([inner], domain).params.omega
         return fg.LogAffineComposite(inner=inner, omega=width + 0.1)
     if kind == "entropy":

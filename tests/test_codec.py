@@ -32,6 +32,7 @@ from feasgame.harness import (
     outcome_to_doc,
     parse_outcome_document,
     parse_problem_file,
+    problem_from_doc,
     regret_experiment,
     run_solver,
     scaling_experiment,
@@ -102,6 +103,16 @@ class TestFamilyFields:
                "inner": {"family": "affine", "a": [1.0, 0.0], "b": "x"}}
         with pytest.raises(ProblemFileError, match=r"constraints\[0\]\.inner\.b"):
             parse_problem_file(doc_with([bad]))
+
+    def test_a_log_composite_over_a_quadratic_is_refused_by_its_path(self):
+        # 1 - log(e + (10 |x - (1/2, 1/2)|^2 - 1)/10) is not convex
+        bad = {"family": "log_affine_composite", "omega": 10.0,
+               "inner": {"family": "quadratic", "A": [[10.0, 0.0], [0.0, 10.0]],
+                         "b": [-10.0, -10.0], "c": 4.0}}
+        with pytest.raises(ProblemFileError,
+                           match=r"^problem\.constraints\[0\]: a log_affine_composite's "
+                                 r"inner must be affine, not quadratic$"):
+            problem_from_doc(json.loads(doc_with([bad])))
 
     def test_unknown_family_is_named(self):
         with pytest.raises(ProblemFileError, match="unknown constraint family 'cubic'"):

@@ -391,6 +391,15 @@ def test_an_alpha_whose_divisor_underflows_is_refused_by_name():
         fg.make_problem([f], fg.Simplex(n=1))
 
 
+@pytest.mark.parametrize("inner", [f for f in family_samples(np.random.default_rng(0), 2)
+                                   if not isinstance(f, fg.Affine)],
+                         ids=lambda f: f.tag)
+def test_a_log_composite_wraps_an_affine_row_only(inner):
+    with pytest.raises(fg.SetupError,
+                       match=f"^a log_affine_composite's inner must be affine, not {inner.tag}$"):
+        fg.LogAffineComposite(inner=inner, omega=1.0)
+
+
 def test_numpy_integer_dimension_is_accepted():
     assert fg.Simplex(np.int64(3)).n == 3
     assert fg.Ball(np.int32(2)).n == 2

@@ -204,7 +204,7 @@ def test_the_check_sees_a_stray_group_method():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4314
+MAX_SOURCE_LINES = 4313
 
 
 def source_lines() -> int:

@@ -13,9 +13,9 @@ import feasgame as fg
 import feasgame.core as core
 import feasgame.online as online
 import feasgame.solvers as solvers
-from feasgame.harness import run_solver
+from feasgame.harness import brute_force_lambda_star, run_solver
 from feasgame.solvers import MAX_THRESHOLD
-from conftest import constant_problem
+from conftest import constant_problem, random_constraint
 
 
 def norm_sq_problem(n=2, c=0.0):
@@ -229,7 +229,7 @@ def primal_asking_every_round(problem, eps, learner, max_iters, trace_sink):
         state = player.step(state, core.residual_gradient(problem, hit.index, x_t))
         return x_t, hit.index, hit.value, hit.value, None
 
-    return solvers._play_game(problem.domain, player.spec, T_star, round_,
+    return solvers._play_game(problem, player.spec, T_star, round_,
                               lambda T: fg.Infeasible(p_bar=counts / T), max_iters, trace_sink)
 
 
@@ -756,6 +756,14 @@ class TestVerification:
         with pytest.raises(fg.InvalidDistribution):
             fg.verify_certificate(norm_sq_problem(), fg.Infeasible(p_bar=np.array([0.4, 0.4])), 0.1)
 
+    @pytest.mark.parametrize("kind", [fg.Infeasible, fg.EpsilonInfeasible])
+    def test_a_weight_vector_for_an_indefinite_quadratic_is_rejected(self, kind):
+        # f(1, 0) = -4.5, yet the descent starts at the stationary (1/2, 1/2)
+        # where f = 0.5, and a Frank-Wolfe bound there claimed min f = 0.5
+        rep = fg.verify_certificate(concave_problem(), kind(p_bar=np.array([0.5, 0.5])), 0.1)
+        assert (rep.ok, rep.witness_index, rep.value) == (False, 1, None)
+        assert rep.message == "constraint 1 is an indefinite quadratic"
+
     def test_contradiction_detector(self):
         feas = fg.Feasible(x=np.array([0.5, 0.5]), residuals=np.array([-1.0]))
         infeas = fg.Infeasible(p_bar=np.array([1.0]))
@@ -764,3 +772,56 @@ class TestVerification:
         fg.assert_no_contradiction([feas, fg.EpsilonInfeasible(p_bar=np.array([1.0]))])
         fg.assert_no_contradiction([feas, fg.Exhausted(best_x=np.array([0.5, 0.5]),
                                                        best_violation=0.2)])
+
+
+def concave_problem():
+    """A constant row, then -10 |x|^2 + 10 (x_1 + x_2) - 4.5 on Simplex(2):
+    feasible at a vertex, where the quadratic is -4.5."""
+    return fg.make_problem([fg.Affine(a=np.zeros(2), b=-1.0),
+                            fg.Quadratic(A=-10.0 * np.eye(2), b=np.full(2, 10.0), c=-4.5)],
+                           fg.Simplex(n=2))
+
+
+@pytest.mark.parametrize("algo, learner", [("dual", None), ("primal", "mw"), ("primal", "ogd"),
+                                           ("primal", "ons"), ("primal-dual", "mw"),
+                                           ("primal-dual", "ogd")])
+def test_an_indefinite_quadratic_is_refused_before_a_round(algo, learner):
+    problem = concave_problem()
+    # constants given as if the quadratic were strongly convex, so that
+    # neither OGD's H nor ONS's alpha refuses it first
+    problem = fg.Problem(problem.constraints, problem.domain,
+                         dataclasses.replace(problem.params, H=1.0, alpha=1.0))
+    rounds = []
+    with pytest.raises(fg.SetupError, match="^constraint 1 is an indefinite quadratic; "
+                                            "the solvers need convex constraints$"):
+        run_solver(problem, algo, learner, 0.1, trace_sink=rounds.append)
+    assert rounds == []
+
+
+# Families that the lattice scan of brute_force_lambda_star evaluates at every
+# simplex point, and a concave bowl whose top sits at the simplex centre,
+# where every certified descent starts
+LATTICE_KINDS = ("affine", "quadratic", "log_affine", "norm_dist", "barrier", "bowl")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(LATTICE_KINDS), min_size=1, max_size=3), st.integers(2, 3),
+       st.integers(0, 2**32 - 1))
+def test_an_accepted_infeasibility_certificate_agrees_with_the_lattice(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    domain = fg.Simplex(n=n)
+    constraints = []
+    for kind in kinds:
+        if kind == "bowl":
+            M = rng.uniform(-1, 1, (n, n))
+            A = -(M @ M.T) - 0.1 * np.eye(n)
+            w = domain.start()
+            constraints.append(fg.Quadratic(A=A, b=-2.0 * A @ w,
+                                            c=float(w @ A @ w) + rng.uniform(0.01, 1.0)))
+        else:
+            constraints.append(random_constraint(kind, rng, domain))
+    problem = fg.make_problem(constraints, domain)
+    p = rng.dirichlet(np.ones(problem.m))
+    if fg.verify_certificate(problem, fg.Infeasible(p_bar=p), 0.0).ok:
+        grid = brute_force_lambda_star(problem, 1e-2)
+        assert grid.value > -grid.slack
