@@ -12,10 +12,11 @@ problem with an indefinite quadratic (:attr:`Packed.indefinite`).
 
 Constraint families form a closed set; there are no black-box callbacks.
 Each family is one class (:data:`FAMILIES` maps problem-file tags to them)
-that knows its file fields, value, gradient, quadratic form if it has one,
-and conservative interval, gradient, smoothness and curvature bounds over a
-domain, which is what makes the parameter estimates in
-:func:`estimate_parameters` sound rather than sampled guesses.
+that knows its file fields, value, gradient and quadratic form if it has
+one.  Conservative interval, gradient, smoothness and curvature bounds over
+a domain come from the packed groups (:class:`Bounds`), stacked over their
+rows; they are what makes the instance constants, estimated once per
+problem from them, sound rather than sampled guesses.
 
 Domains are a closed set of classes too (:data:`DOMAINS` maps problem-file
 kinds to them): each knows its file fields and answers in closed form all
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
-from typing import Union, get_args
+from typing import NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -117,8 +118,9 @@ class _Domain:
     In closed form: ``contains(x)`` (up to DIST_TOL), the first iterate
     ``start()``, ``diameter()``, ``bounding_box()``, ``max_norm()`` (sup of
     ||x||_2), ``linear_minimum(c)`` (argmin and min of c.x),
-    ``affine_interval(a, b)`` (the range of a.x + b) and the Euclidean
-    projection ``project(y)``; ``minimize_quadratic(M, r, h, x0)`` is the
+    ``affine_intervals(R, b)`` (the ranges of the rows R_j.x + b_j, each
+    bit for bit what that row alone gives) and the Euclidean projection
+    ``project(y)``; ``minimize_quadratic(M, r, h, x0)`` is the
     exact argmin of x.M x / 2 - (M r + h).x for finite input and a
     positive-definite M.  ``sample`` gives points in any dimension;
     only the simplex has a ``grid``, the lattice the brute-force value scans.
@@ -354,9 +356,8 @@ class Simplex(_Domain):
         x[i] = 1.0
         return x, float(c[i])
 
-    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
-        # ndarray methods skip the np.min/np.max wrappers
-        return float(a.min()) + b, float(a.max()) + b
+    def affine_intervals(self, R: Array, b) -> tuple[Array, Array]:
+        return R.min(axis=1) + b, R.max(axis=1) + b
 
     project = staticmethod(project_simplex)
     minimize_quadratic = staticmethod(_simplex_kkt)
@@ -439,9 +440,9 @@ class Ball(_Domain):
             x = self.center - self.radius * c / nrm
         return x, float(c @ x)
 
-    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
-        mid = float(a @ self.center)
-        half = self.radius * float(np.linalg.norm(a))
+    def affine_intervals(self, R: Array, b) -> tuple[Array, Array]:
+        mid = (R[:, None, :] @ self.center[:, None]).ravel()  # BLAS's dot per row
+        half = self.radius * _row_norms(R)
         return mid - half + b, mid + half + b
 
     def project(self, y) -> Array:
@@ -531,10 +532,9 @@ class Box(_Domain):
         x = np.where(c > 0, self.lo, self.hi)
         return x.astype(float), float(c @ x)
 
-    def affine_interval(self, a: Array, b: float) -> tuple[float, float]:
-        lo = float(np.sum(np.minimum(a * self.lo, a * self.hi)))
-        hi = float(np.sum(np.maximum(a * self.lo, a * self.hi)))
-        return lo + b, hi + b
+    def affine_intervals(self, R: Array, b) -> tuple[Array, Array]:
+        P, Q = R * self.lo, R * self.hi
+        return np.minimum(P, Q).sum(axis=1) + b, np.maximum(P, Q).sum(axis=1) + b
 
     def project(self, y) -> Array:
         """Coordinatewise clamp onto [lo, hi]; SetupError on a NaN or an inf."""
@@ -613,6 +613,13 @@ def _rowdot(R: Array, x: Array):
     return np.add.reduce(R * x, axis=-1)
 
 
+def _row_norms(R: Array) -> Array:
+    """||R_j||_2 of each row of a 2-d R, bit for bit np.linalg.norm of the
+    row alone: both take BLAS's dot of the row with itself, which a norm
+    along an axis does not."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None]).ravel())
+
+
 def _xlogx_interval(lo: float, hi: float) -> tuple[float, float]:
     # t log t on [lo, hi] with lo >= 0; limit value 0 at t = 0
     def val(t):
@@ -629,11 +636,12 @@ class _Family:
     bound, curvature, quadratic form or stacked form.
 
     Every family also has its problem-file ``tag``, its dimension ``n`` (a
-    field, or set on construction), the scalar reference ``value(x)`` and
+    field, or set on construction) and the scalar reference ``value(x)`` and
     ``gradient(x)`` at one point (they raise EvaluationDomainError off the
     analytic domain and trust the shapes, which the module-level evaluate
-    functions check), and over a domain an ``interval`` containing every
-    value and a ``gradient_bound`` on ||grad f||_2.
+    functions check).  A family without a stacked form answers _Scalar's
+    bounds itself: over a domain an ``interval`` containing every value, a
+    ``gradient_bound`` on ||grad f||_2, and the two below.
     """
 
     def smoothness(self, domain: Domain) -> float:
@@ -674,15 +682,6 @@ class Affine(_Family):
 
     def gradient(self, x):
         return self.a.copy()
-
-    def interval(self, domain):
-        return domain.affine_interval(self.a, self.b)
-
-    def gradient_bound(self, domain):
-        return float(np.linalg.norm(self.a))
-
-    def smoothness(self, domain):
-        return 0.0
 
     def as_quadratic(self):
         return Quadratic(A=np.zeros((self.n, self.n)), b=self.a.copy(), c=self.b)
@@ -727,29 +726,11 @@ class Quadratic(_Family):
     @cached_property
     def spectrum(self) -> Array:
         """The eigenvalues of A in ascending order, computed once and kept (A is
-        frozen), read-only: every bound over a domain shares them.  A problem's
-        estimate and its Packed fill it by _fill_spectra."""
+        frozen), read-only: the bounds and the indefiniteness test share them.
+        A problem's packed groups fill it by _fill_spectra."""
         ev = np.linalg.eigvalsh(self.A)
         ev.flags.writeable = False
         return ev
-
-    def interval(self, domain):
-        M = domain.max_norm()
-        ev = self.spectrum
-        qlo = min(0.0, float(ev[0])) * M * M
-        qhi = max(0.0, float(ev[-1])) * M * M
-        llo, lhi = domain.affine_interval(self.b, self.c)
-        return qlo + llo, qhi + lhi
-
-    def gradient_bound(self, domain):
-        # ||2 A x + b|| <= 2 rho(A) ||x|| + ||b||, and 2 rho(A) is the smoothness
-        return self.smoothness(domain) * domain.max_norm() + float(np.linalg.norm(self.b))
-
-    def smoothness(self, domain):
-        return 2.0 * float(np.abs(self.spectrum).max()) if self.A.size else 0.0
-
-    def curvature(self, domain):
-        return max(0.0, 2.0 * float(self.spectrum.min()))
 
     def as_quadratic(self):
         return self
@@ -758,11 +739,11 @@ class Quadratic(_Family):
         return _Quadratics
 
 
-def _fill_spectra(constraints, n: int) -> None:
-    """Cache the spectrum of each n by n Quadratic among constraints that has
-    none, all from one stacked eigvalsh, which gives each the bits of its own."""
-    qs = [f for f in constraints
-          if isinstance(f, Quadratic) and f.n == n and "spectrum" not in vars(f)]
+def _fill_spectra(constraints) -> None:
+    """Cache the spectrum of each Quadratic among constraints, all of one
+    size, that has none, all from one stacked eigvalsh, which gives each the
+    bits of its own."""
+    qs = [f for f in constraints if isinstance(f, Quadratic) and "spectrum" not in vars(f)]
     if qs:
         spectra = np.linalg.eigvalsh(np.array([f.A for f in qs]))
         spectra.flags.writeable = False
@@ -802,34 +783,6 @@ class LogAffineComposite(_Family):
     def gradient(self, x):
         arg = self.log_argument(self.inner.value(x))
         return -(self.inner.gradient(x) / (self.omega * arg))
-
-    def interval(self, domain):
-        lo_arg, hi_arg = self._args(domain)
-        return 1.0 - math.log(hi_arg), 1.0 - math.log(lo_arg)
-
-    def _args(self, domain):
-        """Least and largest argument of the log over the domain; raises where
-        the least is not positive less the rounding of the packed pass's
-        folded R.x + d (see _LogAffines), about n + 3 roundings of
-        e + (|a| max|x| + |b|)/omega."""
-        ilo, ihi = self.inner.interval(domain)
-        lo_arg = math.e + ilo / self.omega
-        top = self.inner.gradient_bound(domain) * domain.max_norm() + abs(self.inner.b)
-        lo = lo_arg - (self.n + 3) * 2.0**-52 * (math.e + top / self.omega)
-        if not lo > 0:
-            raise SetupError(f"log argument e + inner/omega falls to {lo:.6g} <= 0 on the "
-                             "domain (omega is too small for the inner's range)")
-        return lo_arg, math.e + ihi / self.omega
-
-    def gradient_bound(self, domain):
-        # |inner gradient| / (omega * arg); arg >= e - 1 > 1 when |inner| <= omega
-        return self.inner.gradient_bound(domain) / (self.omega * min(1.0, self._args(domain)[0]))
-
-    def smoothness(self, domain):
-        # the Hessian a a^T / (omega arg)^2, arg capped at its e - 1 where |inner| <= omega
-        gi = self.inner.gradient_bound(domain)
-        denom = min(math.e - 1.0, self._args(domain)[0])
-        return (gi / self.omega) ** 2 / (denom * denom)
 
     def packed_group(self):
         return _LogAffines
@@ -959,19 +912,19 @@ class NegLogBarrier(_Family):
 
     def interval(self, domain):
         lo_sum = hi_sum = 0.0
-        for k in range(self.rows.shape[0]):
-            rlo, rhi = domain.affine_interval(self.rows[k], 0.0)
-            if rhi <= 0:
+        rlo, rhi = domain.affine_intervals(self.rows, 0.0)
+        for lo, hi in zip(rlo.tolist(), rhi.tolist()):
+            if hi <= 0:
                 raise SetupError("log barrier row is nonpositive over the whole domain")
-            lo_sum += math.log(max(rlo, GRAD_FLOOR))
-            hi_sum += math.log(rhi)
+            lo_sum += math.log(max(lo, GRAD_FLOOR))
+            hi_sum += math.log(hi)
         return self.level - hi_sum, self.level - lo_sum
 
     def gradient_bound(self, domain):
+        rlo, _ = domain.affine_intervals(self.rows, 0.0)
         total = 0.0
-        for k in range(self.rows.shape[0]):
-            rlo, _ = domain.affine_interval(self.rows[k], 0.0)
-            total += float(np.linalg.norm(self.rows[k])) / max(rlo, GRAD_FLOOR)
+        for g in (_row_norms(self.rows) / np.maximum(rlo, GRAD_FLOOR)).tolist():
+            total += g
         return total
 
     def curvature(self, domain):
@@ -1001,8 +954,9 @@ def gradient(f: ConstraintFn, x) -> Array:
 
 
 def smoothness_bound(f: ConstraintFn, domain: Domain) -> float:
-    """Upper bound on the Hessian operator norm, or inf where unbounded."""
-    return f.smoothness(domain)
+    """Upper bound on the Hessian operator norm, or inf where unbounded, from
+    f's packed group of one row."""
+    return float(f.packed_group()([f]).bounds(domain).L[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1051,11 +1005,12 @@ def exp_concavity(H: float, G: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Constraint system over a domain, with its estimated constants."""
+    """Constraint system over a domain, with its constants: those given, or
+    without params the estimate from the constraints' packed bounds."""
 
     constraints: tuple[ConstraintFn, ...]
     domain: Domain
-    params: ProblemParams
+    params: ProblemParams | None = None
 
     def __post_init__(self):
         if len(self.constraints) < 1:
@@ -1065,6 +1020,8 @@ class Problem:
             if f.n != n:
                 raise DimensionMismatch(f"constraint {j} has dimension {f.n}, domain has {n}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.params is None:
+            object.__setattr__(self, "params", _estimate(self.packed))
 
     @property
     def m(self) -> int:
@@ -1079,64 +1036,38 @@ class Problem:
         """The constraints stacked by family; built on first use, then kept."""
         return Packed(self)
 
+    def with_params(self, **given: float) -> Problem:
+        """The same problem with the constants given by name in place of its
+        own, sharing its packed form."""
+        out = Problem(self.constraints, self.domain, replace(self.params, **given))
+        vars(out)["packed"] = self.packed
+        return out
 
-def _estimate(constraints, domain: Domain) -> ProblemParams:
-    _fill_spectra(constraints, domain.n)
-    grads = [f.gradient_bound(domain) for f in constraints]
-    curvs = [f.curvature(domain) for f in constraints]
-    intervals = [f.interval(domain) for f in constraints]
-    for j, (g, h, (lo, hi)) in enumerate(zip(grads, curvs, intervals)):
-        if math.isnan(abs(g) + abs(h) + abs(lo) + abs(hi)):  # max skips a NaN not first
-            raise SetupError(f"constraint {j} has a NaN bound over the domain")
-    G, H = max(grads), min(curvs)
-    omega = max(max(abs(lo), abs(hi)) for lo, hi in intervals)
-    log_affine = all(isinstance(f, LogAffineComposite) for f in constraints)
+
+def _estimate(packed: Packed) -> ProblemParams:
+    """The constants from the packed bounds: G the largest gradient bound, H
+    the least curvature, omega the largest value magnitude, and alpha 1 for
+    log composites alone (each is 1-exp-concave), else H / G^2."""
+    G, H, _, lo, hi = packed.bounds
+    nan = np.isnan(abs(G) + abs(H) + abs(lo) + abs(hi))  # a max would skip a NaN
+    if nan.any():
+        raise SetupError(f"constraint {int(nan.argmax())} has a NaN bound over the domain")
+    G, H = float(G.max()), float(H.min())
+    omega = float(np.maximum(abs(lo), abs(hi)).max())
+    log_affine = all(isinstance(g, _LogAffines) for g in packed.groups)
     alpha = 1.0 if log_affine else exp_concavity(H, G)
-    return ProblemParams(G=G, H=H, omega=omega, D=domain.diameter(), G_inf=omega, alpha=alpha)
+    return ProblemParams(G=G, H=H, omega=omega, D=packed.domain.diameter(), G_inf=omega,
+                         alpha=alpha)
 
 
 def estimate_parameters(problem: Problem) -> ProblemParams:
     """Recompute conservative instance constants from the constraints."""
-    return _estimate(problem.constraints, problem.domain)
+    return _estimate(problem.packed)
 
 
 def make_problem(constraints, domain: Domain) -> Problem:
     """The problem with the constants estimated from its constraints."""
-    constraints = tuple(constraints)
-    return Problem(constraints=constraints, domain=domain,
-                   params=_estimate(constraints, domain))
-
-
-def check_estimable(constraints, domain: Domain) -> None:
-    """Raise what estimating the constants would raise.  Where n <= 2**20
-    and every number of the constraints and the domain is 0 or within
-    2**-64..2**64 in magnitude, every estimated constant is finite (a
-    positive least log argument e + q is at least 2**-52, by Sterbenz), so
-    only the checks that can refuse run: the log arguments first, as the
-    estimate's gradient bounds check them first, then the entropy and
-    barrier domains.  Anything else is estimated."""
-    logs = [f for f in constraints if isinstance(f, LogAffineComposite)]
-    if domain.n <= 2**20 and _tame([*constraints, domain]):
-        for f in logs + [f for f in constraints if isinstance(f, (NegEntropy, NegLogBarrier))]:
-            f.interval(domain)
-    else:
-        _estimate(constraints, domain)
-
-
-def _tame(objs: list) -> bool:
-    """Whether every number in the fields of objs, and of the constraints
-    they wrap, is 0 or of magnitude within 2**-64..2**64."""
-    parts, scalars = [], []
-    for obj in objs:
-        for v in map(obj.__getattribute__, obj.__dataclass_fields__):
-            if isinstance(v, _Family):
-                objs.append(v)
-            elif isinstance(v, np.ndarray):
-                parts.append(v.ravel())
-            else:
-                scalars.append(v)
-    _, e = np.frexp(np.concatenate([*parts, np.array(scalars, float)]))
-    return bool(e.min() >= -63 and e.max() <= 64)
+    return Problem(tuple(constraints), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,9 +1081,26 @@ def _in_order(P: Array) -> Array:
     return P.cumsum(axis=0)[-1]
 
 
+class Bounds(NamedTuple):
+    """Bounds over a domain, one entry per constraint: G on ||grad f||_2, H
+    the strong-convexity modulus (a positive lower bound on the least Hessian
+    eigenvalue, else 0), L on the Hessian operator norm (inf where
+    unbounded), and [lo, hi] containing every value."""
+
+    G: Array
+    H: Array
+    L: Array
+    lo: Array
+    hi: Array
+
+
 class _Group:
     """One family's constraints as stacked arrays, rows in constraint
     order; ``idx`` is their positions in the problem.
+
+    ``bounds(domain)`` gives the rows' Bounds over a domain, each row bit
+    for bit what it gives alone, and raises SetupError where a row has none
+    (a log argument that falls to 0, an entropy or a barrier off its domain).
 
     ``values(x)``, ``both(x)`` (values and gradient rows from one pass,
     sharing A x or the log argument) and ``first(x, eps)`` (the lowest row
@@ -1179,6 +1127,10 @@ class _Affines(_Group):
         self.R = np.array([f.a for f in fs])
         self.b = np.array([f.b for f in fs])
 
+    def bounds(self, domain):
+        zero = np.zeros(self.b.size)
+        return Bounds(_row_norms(self.R), zero, zero, *domain.affine_intervals(self.R, self.b))
+
     def values(self, x):
         return _rowdot(self.R, x) + self.b
 
@@ -1194,11 +1146,25 @@ class _Quadratics(_Group):
     and as one (k, n*n) matrix."""
 
     def __init__(self, fs):
+        self.fs = fs
         self.A = np.array([f.A for f in fs])
         self.A_flat = self.A.reshape(-1, self.A.shape[2])
         self.A_rows = self.A.reshape(self.A.shape[0], -1)
         self.B = np.array([f.b for f in fs])
         self.c = np.array([f.c for f in fs])
+
+    def bounds(self, domain):
+        # ||2 A x + b|| <= 2 rho(A) ||x|| + ||b||, with 2 rho(A) the smoothness;
+        # the where()s are min(0, v) and max(0, v), which never give -0.0
+        _fill_spectra(self.fs)
+        ev = np.array([f.spectrum for f in self.fs])
+        least, top = ev[:, 0], ev[:, -1]
+        M = domain.max_norm()
+        L = 2.0 * abs(ev).max(axis=1)
+        lo, hi = domain.affine_intervals(self.B, self.c)
+        return Bounds(G=L * M + _row_norms(self.B), H=np.where(least > 0, 2.0 * least, 0.0),
+                      L=L, lo=np.where(least < 0, least, 0.0) * M * M + lo,
+                      hi=np.where(top > 0, top, 0.0) * M * M + hi)
 
     def _Ax(self, x):
         return (self.A_flat @ x).reshape(self.B.shape)
@@ -1226,11 +1192,37 @@ class _LogAffines(_Group):
     """
 
     def __init__(self, fs):
-        a = np.array([f.inner.a for f in fs])
-        omega = np.array([f.omega for f in fs])
-        self.R = a / omega[:, None]
-        self.d = math.e + np.array([f.inner.b for f in fs]) / omega
+        self.a = np.array([f.inner.a for f in fs])
+        self.b = np.array([f.inner.b for f in fs])
+        self.omega = np.array([f.omega for f in fs])
+        self.R = self.a / self.omega[:, None]
+        self.d = math.e + self.b / self.omega
         self.neg_R = -self.R
+
+    def bounds(self, domain):
+        """Raises SetupError where the least log argument is not positive
+        less the rounding of the folded R.x + d, about n + 3 roundings of
+        e + (|a| max|x| + |b|)/omega.  The gradient -a / (omega arg) and the
+        Hessian a a^T / (omega arg)^2 are bounded with arg capped at 1 and at
+        e - 1, which it stays above where |inner| <= omega."""
+        omega = self.omega
+        ilo, ihi = domain.affine_intervals(self.a, self.b)
+        lo_arg, hi_arg = math.e + ilo / omega, math.e + ihi / omega
+        gi = _row_norms(self.a)
+        top = gi * domain.max_norm() + abs(self.b)
+        least = lo_arg - (self.a.shape[1] + 3) * 2.0**-52 * (math.e + top / omega)
+        off = ~(least > 0)
+        if off.any():
+            raise SetupError(f"log argument e + inner/omega falls to {least[off.argmax()]:.6g} "
+                             "<= 0 on the domain (omega is too small for the inner's range)")
+        # squares and logs through Python floats: libm's pow and log, whose
+        # last bit numpy's vector loops do not always share
+        slope2 = np.array([s ** 2 for s in (gi / omega).tolist()])
+        cap = np.minimum(lo_arg, math.e - 1.0)
+        return Bounds(G=gi / (omega * np.minimum(lo_arg, 1.0)), H=np.zeros(gi.size),
+                      L=slope2 / (cap * cap),
+                      lo=1.0 - np.array([math.log(z) for z in hi_arg.tolist()]),
+                      hi=1.0 - np.array([math.log(z) for z in lo_arg.tolist()]))
 
     def first(self, x, eps):
         # The residual 1 - log z crosses eps where z = R.x + d falls below
@@ -1270,6 +1262,11 @@ class _Scalar(_Group):
     def __init__(self, fs):
         self.fs = fs
 
+    def bounds(self, domain):
+        return Bounds(*np.array([(f.gradient_bound(domain), f.curvature(domain),
+                                  f.smoothness(domain), *f.interval(domain))
+                                 for f in self.fs]).T)
+
     def first(self, x, eps):
         for i, f in enumerate(self.fs):
             v = f.value(x)
@@ -1296,7 +1293,7 @@ class Packed:
     """A problem's constraints grouped by family into stacked arrays.
 
     Built once per problem, on first use (``Problem.packed``), as are its
-    per-constraint smoothness bounds and its list of indefinite quadratics.
+    per-constraint bounds and its list of indefinite quadratics.
 
     ``values``, ``both`` and ``first`` are the group passes over every
     constraint, in constraint order, and raise as the groups do.  When a
@@ -1325,15 +1322,26 @@ class Packed:
         self.affine = all(isinstance(g, _Affines) for g in self.groups)
 
     @cached_property
+    def bounds(self) -> Bounds:
+        """Every constraint's bounds over the domain, in constraint order;
+        raises what the first group to refuse raises."""
+        if len(self.groups) == 1:
+            return self.groups[0].bounds(self.domain)
+        out = Bounds(*np.empty((5, self.m)))
+        for g in self.groups:
+            for whole, rows in zip(out, g.bounds(self.domain)):
+                whole[g.idx] = rows
+        return out
+
+    @property
     def smoothness(self) -> Array:
         """Smoothness bound of each constraint (inf where unbounded)."""
-        _fill_spectra(self.constraints, self.n)
-        return np.array([f.smoothness(self.domain) for f in self.constraints])
+        return self.bounds.L
 
     @cached_property
     def indefinite(self) -> list[int]:
         """Indices of the quadratics with an eigenvalue below -1e-12 max|eigenvalue|."""
-        _fill_spectra(self.constraints, self.n)
+        _fill_spectra(self.constraints)
         return [j for j, f in enumerate(self.constraints) if isinstance(f, Quadratic)
                 and f.spectrum[0] < -1e-12 * max(-f.spectrum[0], f.spectrum[-1])]
 

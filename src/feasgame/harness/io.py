@@ -22,9 +22,9 @@ is not a string, a type json does not know) goes to json's encoder, and its
 text is re-indented to its depth, so such a value keeps json's output and
 json's error.  A cycle or a value too deep to walk goes to json.dumps whole.
 
-A problem document whose params carry all six constants takes them as
-given; core.check_estimable refuses what estimating them would refuse,
-mostly without estimating them.  Missing params are estimated.  Parsing
+A problem document's constants are estimated from its constraints, and
+any its params carry then replace their estimates, so a document is
+refused exactly where the estimate refuses.  Parsing
 reads what emission writes, a matrix of equal-length rows of finite
 floats, with one np.array call, and a nonempty list of such rows is
 written with one join per row.
@@ -48,8 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ..core import (DOMAINS, FAMILIES, Problem, ProblemParams, SetupError, check_estimable,
-                    make_problem)
+from ..core import DOMAINS, FAMILIES, Problem, ProblemParams, SetupError, make_problem
 from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
 from ..solvers import OUTCOMES, Outcome, SolveResult
 
@@ -236,9 +235,6 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
         raise ProblemFileError(
             "problem: exactly one of 'constraints' and 'generator' must be present"
         )
-    # complete params are taken as given: check_estimable stands in for the estimate
-    complete = isinstance(doc.get("params"), dict) and doc["params"].keys() >= set(_PARAM_KEYS)
-
     if has_generator:
         if "domain" in doc:
             raise ProblemFileError("problem.domain: not allowed alongside 'generator'")
@@ -249,7 +245,6 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
             problem = make_problem_from_spec(spec)
         except ValueError as e:
             raise ProblemFileError(f"problem.generator: {e}") from e
-        constraints, domain = problem.constraints, problem.domain
     else:
         if "domain" not in doc:
             raise ProblemFileError("problem.domain: missing")
@@ -266,10 +261,7 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
                     f"not match the domain dimension {domain.n}"
                 )
         try:
-            if complete:
-                check_estimable(constraints, domain)
-            else:
-                problem = make_problem(constraints, domain)
+            problem = make_problem(constraints, domain)
         except ValueError as e:
             raise ProblemFileError(f"problem: {e}") from e
 
@@ -283,9 +275,7 @@ def problem_from_doc(doc, *, seed_override: int | None = None) -> Problem:
             given[k] = ProblemParams.check(k, _real(v, f"problem.params.{k}"))
         except SetupError as e:
             raise ProblemFileError(f"problem.params.{k}: {e}") from e
-    if not complete:
-        given = {k: given.get(k, getattr(problem.params, k)) for k in _PARAM_KEYS}
-    return Problem(constraints=constraints, domain=domain, params=ProblemParams(**given))
+    return problem.with_params(**given)
 
 
 def _decode(text: str):

@@ -38,6 +38,7 @@ from .core import (
     _simplex_kkt,
     evaluate,
     gradient,
+    smoothness_bound,
 )
 from .descent import minimize_over_domain
 from .projections import generalized_project  # noqa: F401 (call-site tracers wrap it here)
@@ -531,7 +532,7 @@ def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Ar
         return x, v + combined.b
     terms, smoothness, tol = costs, None, 1e-8
     if combined is not None:
-        terms, smoothness = [combined], combined.smoothness(domain)
+        terms, smoothness = [combined], smoothness_bound(combined, domain)
         tol = 1e-9 * (1.0 + abs(combined.value(domain.start())))
 
     def fn(x):

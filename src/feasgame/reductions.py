@@ -11,6 +11,9 @@ log(e - f_j(x) / omega) >= 1, whose residual 1 - log(e - f_j(x) / omega)
 is the LogAffineComposite family's value and is 1-exp-concave when the
 f_j are affine; approx_translate maps accuracy on the log scale back to the
 original residual scale.
+
+Both return make_problem of the new constraints: their constants are
+estimated, as every problem's are, never derived by hand.
 """
 
 from __future__ import annotations
@@ -19,25 +22,16 @@ import math
 
 import numpy as np
 
-from .core import (
-    Affine,
-    LogAffineComposite,
-    Problem,
-    ProblemParams,
-    Quadratic,
-    SetupError,
-    Simplex,
-    exp_concavity,
-)
+from .core import Affine, LogAffineComposite, Problem, Quadratic, SetupError, Simplex, make_problem
 
 
 def strictify(problem: Problem, delta: float) -> Problem:
     """Add delta-strong convexity: f_j(x) + delta * ||x||^2 - delta.
 
     Only quadratic-representable families are eligible.  delta = 0 returns
-    the problem unchanged.  Parameters are adjusted conservatively:
-    H' = H + 2 delta, G' = G + 2 delta, omega' = omega + delta.  A delta that
-    is not a nonnegative finite float raises SetupError.
+    the problem unchanged; otherwise the constants are estimated from the
+    new constraints.  A delta that is not a nonnegative finite float raises
+    SetupError.
     """
     if not 0 <= delta < math.inf:
         raise SetupError(f"delta must be a nonnegative finite float, got {delta!r}")
@@ -52,14 +46,7 @@ def strictify(problem: Problem, delta: float) -> Problem:
         if q is None:
             raise SetupError(f"cannot strictify constraint family {type(f).__name__}")
         out.append(Quadratic(A=q.A + delta * np.eye(n), b=q.b, c=q.c - delta))
-    p = problem.params
-    # On a domain within the unit ball (simplex), the added term lies in
-    # [-delta, 0], its gradient norm is at most 2 * delta, and the added
-    # curvature is exactly 2 * delta.
-    G2, H2 = p.G + 2 * delta, p.H + 2 * delta
-    params = ProblemParams(G=G2, H=H2, omega=p.omega + delta, D=p.D,
-                           G_inf=p.G_inf + delta, alpha=exp_concavity(H2, G2))
-    return Problem(constraints=tuple(out), domain=problem.domain, params=params)
+    return make_problem(out, problem.domain)
 
 
 def strictify_guarantee(eps: float) -> tuple[float, float]:
@@ -76,8 +63,9 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     Each f_j(x) <= 0 becomes log(e + (-f_j(x)) / omega) >= 1 where omega
     bounds |f_j| over the domain: the constraint LogAffineComposite(-f_j,
     omega), whose value is the residual 1 - log(e + (-f_j(x)) / omega).  The
-    returned problem has alpha = 1.  A transformed problem is not affine, so
-    it is refused here.  omega must be positive and finite.
+    constants are estimated from the new constraints, with alpha = 1.  A
+    transformed problem is not affine, so it is refused here.  omega must be
+    positive and finite.
     """
     if not all(isinstance(f, Affine) for f in problem.constraints):
         raise SetupError("log_transform needs affine constraints")
@@ -88,20 +76,16 @@ def log_transform(problem: Problem, omega: float | None = None) -> Problem:
     # Width precondition |f_j(x)| <= omega, checked on the exact interval of
     # each affine f_j over the domain, so a bad caller-supplied omega fails
     # loudly.
-    out = []
-    for j, f in enumerate(problem.constraints):
-        lo, hi = f.interval(problem.domain)
-        if max(abs(lo), abs(hi)) > omega * (1 + 1e-12):
-            raise SetupError(f"constraint {j} exceeds width omega: |values| up to "
-                             f"{max(abs(lo), abs(hi)):.6g} > {omega:.6g}")
-        out.append(LogAffineComposite(inner=Affine(a=-f.a.copy(), b=-f.b), omega=omega))
-    p = problem.params
-    # Residual 1 - log(e + u/omega) with |u| <= omega keeps values within
-    # [1 - log(e+1), 1 - log(e-1)]; the larger magnitude bounds the payoff.
-    width = max(abs(1.0 - np.log(np.e + 1.0)), abs(1.0 - np.log(np.e - 1.0)))
-    params = ProblemParams(G=p.G / omega, H=0.0, omega=width, D=p.D,
-                           G_inf=width, alpha=1.0)
-    return Problem(constraints=tuple(out), domain=problem.domain, params=params)
+    bounds = problem.packed.bounds
+    width = np.maximum(abs(bounds.lo), abs(bounds.hi))
+    over = width > omega * (1 + 1e-12)
+    if over.any():
+        j = int(over.argmax())
+        raise SetupError(f"constraint {j} exceeds width omega: |values| up to "
+                         f"{width[j]:.6g} > {omega:.6g}")
+    out = [LogAffineComposite(inner=Affine(a=-f.a, b=-f.b), omega=omega)
+           for f in problem.constraints]
+    return make_problem(out, problem.domain)
 
 
 def approx_translate(eps_log: float, omega: float) -> float:

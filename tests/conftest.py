@@ -69,6 +69,14 @@ def family_samples(rng, n):
     return cases
 
 
+def row_bounds(f, domain):
+    """The Bounds (G, H, L, lo, hi) of one constraint over a domain, as
+    floats, from its packed group of one row: what the instance constants
+    are estimated from."""
+    b = f.packed_group()([f]).bounds(domain)
+    return type(b)(*(float(v[0]) for v in b))
+
+
 # Family kinds for randomized tests: the six families.
 FAMILY_KINDS = ("affine", "quadratic", "log_affine", "entropy", "norm_dist", "barrier")
 

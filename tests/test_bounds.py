@@ -1,10 +1,12 @@
-"""Per-family bounds over a domain against sampled values.
+"""Per-constraint bounds over a domain against sampled values.
 
-The interval, gradient-norm and smoothness bounds feed the instance
-constants that fix every solver's horizon, so each must contain what the
-scalar reference gives at sampled domain points, on all three domain kinds.
-The closed-form domain methods are checked against box corners and
-simplex vertices, and every domain's points against its own bounds.
+The interval, gradient-norm, curvature and smoothness bounds of the packed
+groups feed the instance constants that fix every solver's horizon, so each
+must contain what the scalar reference gives at sampled domain points, on
+all three domain kinds, and a group of many rows must give each row the
+bits it gives alone.  The closed-form domain methods are checked against
+box corners and simplex vertices, and every domain's points against its own
+bounds.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import feasgame as fg
 from feasgame.harness import problem_from_doc, problem_to_doc
-from conftest import FAMILY_KINDS, fd_hessian, random_constraint, random_domain
+from conftest import FAMILY_KINDS, fd_hessian, random_constraint, random_domain, row_bounds
 
 # entropy and barrier terms are only bounded on domains of positive points
 POSITIVE = ("entropy", "barrier")
@@ -54,9 +56,8 @@ def test_interval_and_gradient_bound_contain_sampled_values(case):
     rng = np.random.default_rng(seed)
     domain = random_domain(kind, rng, n, family in POSITIVE)
     f = random_constraint(family, rng, domain)
-    lo, hi = f.interval(domain)
-    G = f.gradient_bound(domain)
-    L = fg.smoothness_bound(f, domain)
+    G, H, L, lo, hi = row_bounds(f, domain)
+    assert fg.smoothness_bound(f, domain) == L
     assert lo <= hi
     checked = 0
     for x in domain_points(domain, rng):
@@ -68,9 +69,11 @@ def test_interval_and_gradient_bound_contain_sampled_values(case):
         assert np.linalg.norm(g) <= G + slack(G)
         checked += 1
     assert checked > 0
+    hessian = fd_hessian(f, domain.start())
+    if H > 0:  # 0 claims no strong convexity
+        assert np.linalg.eigvalsh(hessian)[0] >= H - 1e-4 * (1.0 + H)
     if np.isfinite(L):
-        x = domain.start()
-        assert np.linalg.norm(fd_hessian(f, x), 2) <= L + 1e-4 * (1.0 + L)
+        assert np.linalg.norm(hessian, 2) <= L + 1e-4 * (1.0 + L)
 
 
 @pytest.mark.parametrize("kind", ["simplex", "ball", "box"])
@@ -102,7 +105,7 @@ def test_log_composite_bounds_hold_where_the_inner_exceeds_omega():
     grad_norm = np.linalg.norm(fg.gradient(f, vertex))
     hess_norm = (a @ a) / (np.e - 2.0) ** 2  # |a a^T / (omega arg)^2|
     assert grad_norm == pytest.approx(2.0 / (np.e - 2.0), rel=1e-12)
-    assert f.gradient_bound(domain) >= grad_norm * (1 - 1e-12)
+    assert row_bounds(f, domain).G >= grad_norm * (1 - 1e-12)
     assert fg.smoothness_bound(f, domain) >= hess_norm * (1 - 1e-12)
 
 
@@ -111,9 +114,7 @@ def test_log_composite_bounds_refuse_a_nonpositive_log_argument():
     f = fg.LogAffineComposite(inner=fg.Affine(a=np.array([-2.0, 0.0]), b=0.0), omega=0.5)
     domain = fg.Simplex(n=2)
     with pytest.raises(fg.SetupError, match="log argument"):
-        f.interval(domain)
-    with pytest.raises(fg.SetupError, match="log argument"):
-        f.gradient_bound(domain)
+        row_bounds(f, domain)
     with pytest.raises(fg.SetupError, match="log argument"):
         fg.smoothness_bound(f, domain)
     with pytest.raises(fg.SetupError, match="log argument"):
@@ -183,7 +184,7 @@ class TestDomainHelpers:
         rng = np.random.default_rng(1)
         f = fg.Affine(a=rng.normal(size=3), b=0.25)
         vals = [fg.evaluate(f, x) for x in corners(domain)]
-        lo, hi = f.interval(domain)
+        _, _, _, lo, hi = row_bounds(f, domain)
         assert lo == pytest.approx(min(vals), abs=1e-12)
         assert hi == pytest.approx(max(vals), abs=1e-12)
 
@@ -238,16 +239,16 @@ def test_one_eigvalsh_per_quadratic(monkeypatch):
     assert calls == [(m, n, n)]
 
 
-def test_a_problem_with_complete_params_stacks_its_spectra_in_packed_smoothness(monkeypatch):
+def test_a_parsed_document_stacks_its_spectra_once(monkeypatch):
     n, m = 4, 7
     constraints = [fg.Affine(a=np.ones(n), b=-2.0), *random_quadratics(n, m)]
     doc = problem_to_doc(fg.make_problem(constraints, fg.Simplex(n=n)))
     calls = counting_eigvalsh(monkeypatch)
-    problem = problem_from_doc(doc)  # nothing estimated
+    problem = problem_from_doc(doc)  # estimated, then the document's params laid over
+    assert calls == [(m, n, n)]
     x = problem.domain.start()
     claim = fg.Feasible(x=x, residuals=fg.residuals(problem, x))
     assert fg.verify_certificate(problem, claim, eps=1e3).ok
-    assert calls == []  # a Feasible check reads no spectrum
     assert problem.packed.smoothness.shape == (m + 1,)
     assert calls == [(m, n, n)]
 
@@ -274,3 +275,27 @@ def test_cached_spectrum_keeps_the_constants_bits(monkeypatch, family):
     fresh = params()
     assert [[float(v).hex() for v in dataclasses.astuple(p)] for p in cached] == \
         [[float(v).hex() for v in dataclasses.astuple(p)] for p in fresh]
+
+
+# ---------------------------------------------------------------------------
+# Stacking keeps bits: a group of k rows gives each row what it gives alone
+
+
+def fresh(f):
+    """A copy of f with nothing cached (no spectrum), so its own bounds are
+    computed from scratch."""
+    return dataclasses.replace(f)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["affine", "quadratic", "log_affine"]),
+       st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_stacked_bounds_are_each_rows_own_bit_for_bit(family, kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    domain = random_domain(kind, rng, n)
+    fs = [random_constraint(family, rng, domain) for _ in range(k)]
+    stacked = fg.make_problem(fs, domain).packed.bounds
+    for j, f in enumerate(fs):
+        alone = row_bounds(fresh(f), domain)
+        assert [float(v[j]).hex() for v in stacked] == [v.hex() for v in alone]

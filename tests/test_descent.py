@@ -134,7 +134,12 @@ def test_mixture_descents_match_the_plain_loop_bit_for_bit(spec):
                          domain=domain, params=PARAMS)
     p = rng.dirichlet(np.ones(problem.m))
     mix = fg.Mixture(problem, p)
-    smoothness = mix.smoothness if step == "mixture" else None
+    try:
+        smoothness = mix.smoothness if step == "mixture" else None
+    except fg.SetupError:
+        # the bounds refuse an entropy over negative coordinates, whose
+        # smoothness bound is inf, so that mixture has no fixed step anyway
+        smoothness = None
     if stop == "reachable":  # stops a few steps in, or never
         stop = float(rng.uniform(-1, 1))
     with pytest.MonkeyPatch.context() as mp:

@@ -59,7 +59,7 @@ DOMAIN_CLASSES = {"Simplex", "Ball", "Box"}
 # method of the domain classes.
 CAPABILITY_TESTS = {
     ("solvers.py", "_point_learner"),  # MW plays distributions
-    ("reductions.py", "strictify"),  # its constants assume the unit ball
+    ("reductions.py", "strictify"),  # its guarantee assumes the unit ball
     ("online.py", "ons_step"),  # the exact KKT route
     ("core.py", "NegEntropy.interval"),  # the tight -log n bound
 }
@@ -168,9 +168,9 @@ def test_the_check_sees_a_grid_call():
     assert grid_calls(source) == [("f", 2), ("C.g", 5)]
 
 
-# The packed groups answer whole passes only; a question about one
-# constraint goes to its scalar reference.
-GROUP_METHODS = {"values", "both", "first", "quadratic_form"}
+# The packed groups answer whole passes and their rows' bounds only; a
+# question about one constraint goes to its scalar reference.
+GROUP_METHODS = {"values", "both", "first", "quadratic_form", "bounds"}
 
 
 def stray_group_methods(text: str) -> list[tuple[str, str]]:
@@ -204,7 +204,7 @@ def test_the_check_sees_a_stray_group_method():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4313
+MAX_SOURCE_LINES = 4296
 
 
 def source_lines() -> int:

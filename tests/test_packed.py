@@ -286,7 +286,7 @@ def test_a_folded_log_argument_that_rounds_to_zero_is_refused_up_front():
                         "(omega is too small for the inner's range)")
     with pytest.raises(fg.SetupError, match=f"^{message}$"):
         fg.make_problem([EDGE], fg.Simplex(n=1))
-    # complete params: check_estimable stands in for the estimate
+    # complete params: the estimate runs all the same
     doc = problem_to_doc(fg.Problem((EDGE,), fg.Simplex(n=1), PARAMS))
     with pytest.raises(fg.harness.ProblemFileError, match=f"^problem: {message}$"):
         problem_from_doc(doc)

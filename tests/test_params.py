@@ -1,12 +1,11 @@
 """Documents that carry their instance constants.
 
-A problem document whose params hold every constant is built from them: the
-constants are not estimated, and only what can refuse the constraints over
-the domain runs (the log argument, the entropy and barrier domains, and an
-estimate wherever the numbers are too large or too small to rule out a
-non-finite constant).  The reference is the parse that estimates the
-constants and then replaces them with the document's; the two must agree on
-every problem, refusals and their messages included.
+A problem document's constants are estimated from its constraints, and the
+ones its params carry then replace their estimates, so the estimate refuses
+what it refuses (the log argument, the entropy and barrier domains, a
+non-finite constant) whatever the params say.  The reference is the parse
+without params, with the document's constants laid over it afterwards; the
+two must agree on every problem, refusals and their messages included.
 """
 
 import numpy as np
@@ -199,7 +198,7 @@ def test_constants_the_estimate_cannot_make_finite_are_refused_with_params():
 
 
 # ---------------------------------------------------------------------------
-# Verifying a document estimates nothing
+# Each problem a document embeds is estimated once
 
 
 @pytest.fixture
@@ -216,23 +215,23 @@ def estimates(monkeypatch):
     return calls
 
 
-def test_verifying_an_untransformed_document_runs_no_estimate(estimates):
+def test_verifying_an_untransformed_document_runs_one_estimate(estimates):
     problem = fg.make_portfolio_risk(4, 5, seed=0)
     text = emit_outcome_document(outcome_document(
         run_solver(problem, "primal-dual", "ogd", 0.2), problem))
     estimates.clear()
     assert verify_outcome_document(text).ok
-    assert estimates == []
-    # a problem file without params still has its constants estimated
+    assert len(estimates) == 1
+    # a problem file without params has its constants estimated, once
     doc = problem_to_doc(problem)
     del doc["params"]
     assert problem_from_doc(doc).params == problem.params
-    assert len(estimates) == 1
+    assert len(estimates) == 2
 
 
-def test_numbers_too_small_to_rule_out_an_overflow_are_estimated(estimates):
+def test_every_document_with_params_is_estimated(estimates):
     for a in ([0.5, 1.0], [1e-30, 1.0]):
         affine = fg.Affine(a=np.array(a), b=0.0)
         doc = problem_to_doc(fg.Problem([affine], fg.Simplex(n=2), ANY_PARAMS))
         assert problem_from_doc(doc).params == ANY_PARAMS
-    assert len(estimates) == 1
+    assert len(estimates) == 2

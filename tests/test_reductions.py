@@ -1,5 +1,6 @@
 """Strong-convexity injection and the exp-concave log rewrite."""
 
+import dataclasses
 import itertools
 import math
 
@@ -37,15 +38,25 @@ class TestStrictify:
                            match=r"^instance constant alpha = H / G\^2 has no float value"):
             fg.strictify(prob, 1e-170)
 
-    def test_parameters_shift(self):
+    def test_parameters_are_the_estimate(self):
         prob = fg.make_problem(
             [fg.Quadratic(A=np.eye(2), b=np.zeros(2), c=0.0)], fg.Simplex(n=2)
         )
         out = fg.strictify(prob, 0.25)
+        assert out.params == fg.estimate_parameters(out)
+        # the curvature grows by exactly 2 delta; the width is what the
+        # new values reach, 1.25 - 0.25 at a vertex, not omega + delta
         assert out.params.H == prob.params.H + 0.5
-        assert out.params.G == prob.params.G + 0.5
-        assert out.params.omega == prob.params.omega + 0.25
-        assert out.params.G_inf == prob.params.G_inf + 0.25
+        assert out.params.omega == 1.0
+
+    def test_an_indefinite_quadratic_gets_its_true_curvature(self):
+        # A = diag(-0.01, 1) plus 0.05 I has least eigenvalue 0.04, so H is
+        # 0.08, not the 0.1 that adding 2 delta to H = 0 would claim
+        f = fg.Quadratic(A=np.diag([-0.01, 1.0]), b=np.zeros(2), c=-0.1)
+        out = fg.strictify(fg.make_problem([f], fg.Simplex(n=2)), 0.05)
+        assert out.params == fg.estimate_parameters(out)
+        assert out.params.H == 0.08
+        assert out.params.omega == 0.9
 
     def test_guarantee_pair(self):
         assert fg.strictify_guarantee(0.05) == (0.05, 0.1)
@@ -143,6 +154,15 @@ class TestLogTransform:
         assert est.alpha == 1.0 and est.H == 0.0
         for x in interior_simplex(rng, 2, 100):
             assert np.abs(fg.residuals(out, x)).max() <= est.omega
+
+    def test_the_width_is_what_the_rows_reach(self):
+        # f = x_0 - x_1 - 2 lies in [-3, -1], so omega = 3 but -f/omega only
+        # reaches [1/3, 1]: the residuals stay within |1 - log(e + 1)|, not
+        # the |1 - log(e - 1)| an inner of -omega would reach
+        prob = affine_problem([[1.0, -1.0]], [-2.0], 2)
+        out = fg.log_transform(prob)
+        assert out.params == fg.estimate_parameters(out)
+        assert out.params.omega == out.params.G_inf == abs(1.0 - math.log(math.e + 1.0))
 
     def test_gradient_scale_shrinks_by_omega(self):
         prob = affine_problem([[1.0, 0.0]], [0.0], 2)
@@ -320,3 +340,16 @@ class TestRoundTripLambdaStar:
         # the log map contracts by at most 1/(omega (e - 1))
         slack = new.slack + orig.slack / (omega * (math.e - 1.0))
         assert new.value == pytest.approx(expected, abs=slack + 1e-9)
+
+
+@pytest.mark.parametrize("family", sorted(fg.GENERATORS))
+def test_every_constant_is_a_python_float(family):
+    # json writes a Python float; the constants never carry a numpy scalar
+    problem = fg.make_problem_from_spec(fg.GeneratorSpec(family=family, n=4, m=3, seed=1))
+    problems = [problem]
+    if all(isinstance(f, fg.Affine) for f in problem.constraints):
+        problems.append(fg.log_transform(problem))
+    if all(f.as_quadratic() is not None for f in problem.constraints):
+        problems.append(fg.strictify(problem, 0.05))
+    for p in problems:
+        assert [type(v) for v in dataclasses.astuple(p.params)] == [float] * 6
