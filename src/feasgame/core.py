@@ -45,7 +45,7 @@ import math
 import numbers
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Union, get_args
+from typing import Callable, NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -122,8 +122,7 @@ class _Domain:
     bit for bit what that row alone gives) and the Euclidean projection
     ``project(y)``; ``minimize_quadratic(M, r, h, x0)`` is the
     exact argmin of x.M x / 2 - (M r + h).x for finite input and a
-    positive-definite M.  ``sample`` gives points in any dimension;
-    only the simplex has a ``grid``, the lattice the brute-force value scans.
+    positive-definite M.  ``sample`` gives points in any dimension.
     """
 
     def max_dist(self, center: Array) -> float:
@@ -131,9 +130,6 @@ class _Domain:
         lo, hi = self.bounding_box()
         per = np.maximum(np.abs(lo - center), np.abs(hi - center))
         return float(np.linalg.norm(per))
-
-    def grid(self, resolution: float) -> Array:
-        raise SetupError(f"a {self.tag} domain has no grid; only a simplex has one")
 
     def sample(self, count: int, seed: int | None = None) -> Array:
         """count points drawn uniformly-ish from the domain, any dimension."""
@@ -338,7 +334,9 @@ class Simplex(_Domain):
             (x >= -DIST_TOL).all() and abs(float(x.sum()) - 1.0) <= DIST_TOL)
 
     def start(self) -> Array:
-        return np.full(self.n, 1.0 / self.n)
+        x = np.empty(self.n)
+        x.fill(1.0 / self.n)  # np.full's bits, without its Python wrapper
+        return x
 
     def diameter(self) -> float:
         return math.sqrt(2.0) if self.n > 1 else 0.0
@@ -361,26 +359,6 @@ class Simplex(_Domain):
 
     project = staticmethod(project_simplex)
     minimize_quadratic = staticmethod(_simplex_kkt)
-
-    def grid(self, resolution: float) -> Array:
-        """The lattice of the given spacing; n <= 3, from a mesh of <= 2e7 points."""
-        if not 0 < resolution <= 1:
-            raise SetupError("resolution must lie in (0, 1]")
-        if self.n > 3:
-            raise SetupError("grids are only supported for n <= 3")
-        n, k = self.n, int(round(1.0 / resolution))
-        if (k + 1) ** max(n - 1, 1) > 20_000_000:
-            raise SetupError("grid too large; use a coarser resolution")
-        if n == 1:
-            return np.ones((1, 1))
-        t = np.arange(k + 1) / k
-        if n == 2:
-            return np.column_stack([t, 1.0 - t])
-        a, b = np.meshgrid(t, t, indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        keep = a + b <= 1.0 + 1e-12
-        a, b = a[keep], b[keep]
-        return np.column_stack([a, b, np.maximum(1.0 - a - b, 0.0)])
 
     def _sample(self, rng, count):
         return rng.dirichlet(np.ones(self.n), size=count)
@@ -1078,7 +1056,14 @@ def _in_order(P: Array) -> Array:
     """Sum over the first axis adding entries in order, with the rounding of
     a plain loop.  Near-tied vertices make the closed-form oracle's choice
     hinge on the last bit of the mixed coefficients, so keep that bit."""
-    return P.cumsum(axis=0)[-1]
+    return np.add.accumulate(P)[-1]
+
+
+def _dot(v: Array) -> Callable:
+    """The product (a, b) -> a @ b for an operand v: ndarray.dot for a
+    unit-stride float64 v, which is @ bit for bit and cheaper, else @, which
+    sums a reversed or broadcast vector in its own loop."""
+    return np.ndarray.dot if v.strides == (8,) and v.dtype.char == "d" else np.matmul
 
 
 class Bounds(NamedTuple):
@@ -1166,21 +1151,21 @@ class _Quadratics(_Group):
                       L=L, lo=np.where(least < 0, least, 0.0) * M * M + lo,
                       hi=np.where(top > 0, top, 0.0) * M * M + hi)
 
-    def _Ax(self, x):
-        return (self.A_flat @ x).reshape(self.B.shape)
-
     def values(self, x):
-        return (self._Ax(x) + self.B) @ x + self.c
+        dot = _dot(x)
+        return dot(dot(self.A_flat, x).reshape(self.B.shape) + self.B, x) + self.c
 
     def both(self, x):
-        Ax = self._Ax(x)
-        return (Ax + self.B) @ x + self.c, 2.0 * Ax + self.B
+        dot = _dot(x)
+        Ax = dot(self.A_flat, x).reshape(self.B.shape)
+        return dot(Ax + self.B, x) + self.c, 2.0 * Ax + self.B
 
     def quadratic_form(self, w):
         # the (1, k) x (k, n*n) product np.tensordot(w, A, 1) runs, without
         # its Python wrapper
         M = np.dot(w.reshape(1, -1), self.A_rows).reshape(self.A.shape[1:])
-        return M, w @ self.B, float(w @ self.c)
+        dot = _dot(w)
+        return M, dot(w, self.B), float(dot(w, self.c))
 
 
 class _LogAffines(_Group):
@@ -1399,7 +1384,10 @@ class Mixture:
     Affine and quadratic constraints collapse into a single quadratic form
     x.M x + q.x + c, so their cost per evaluation does not grow with m.  The
     other families keep only their rows of nonzero weight, in groups of
-    their own: a constraint of weight zero is never evaluated.
+    their own: a constraint of weight zero is never evaluated.  A p without
+    a zero weight (dense) needs no masks, and one family's rows, which are
+    in constraint order, take p itself when it is a unit-stride float64
+    vector of one weight per constraint.
     """
 
     def __init__(self, problem: Problem, p: Array):
@@ -1409,14 +1397,19 @@ class Mixture:
         self.q = np.zeros(pk.n)
         self.c = 0.0
         self.terms = []
+        self.dense = dense = np.count_nonzero(p) == pk.m == p.size
+        # a group's products take the contiguous copy p[idx] bit for bit
+        # only where _dot(p) is ndarray.dot
+        whole = len(pk.groups) == 1 and p.size == pk.m and _dot(p) is np.ndarray.dot
         for group in pk.groups:
-            wg = p[group.idx]
-            live = wg != 0
-            if not live.any():
-                continue
+            wg = p if whole else p[group.idx]
+            if not dense:
+                live = wg != 0
+                if not live.any():
+                    continue
             form = group.quadratic_form(wg)
             if form is None:
-                if not live.all():
+                if not dense and not live.all():
                     group = type(group)([pk.constraints[j] for j in group.idx[live]])
                     wg = wg[live]
                 self.terms.append((group, wg))
@@ -1432,23 +1425,26 @@ class Mixture:
     def smoothness(self) -> float | None:
         """sum_j p_j L_j over constraints of nonzero weight, or None when
         some L_j is unbounded or the sum is 0 (use a line search)."""
-        active = self.p != 0
-        P = self.p[active] * self.packed.smoothness[active]
-        if not P.size:
-            return None
-        L = _in_order(P)
+        if self.dense:
+            P = self.p * self.packed.smoothness
+        else:
+            active = self.p != 0
+            P = self.p[active] * self.packed.smoothness[active]
+            if not P.size:
+                return None
+        L = float(_in_order(P))
         return L if math.isfinite(L) and L > 0 else None
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         """The mixed value and gradient at x from one pass over the terms;
         ndarray.dot is @ bit for bit, and cheaper, for a unit-stride
-        float64 x."""
+        float64 x (see _dot; the check is inline on this hot path)."""
         unit = x.strides == (8,) and x.dtype.char == "d"
         v = self.c + (self.q.dot(x) if unit else self.q @ x)
         if self.M is None:
             g = self.q.copy()
         else:
-            Mx = self.M @ x
+            Mx = self.M.dot(x) if unit else self.M @ x
             v += x.dot(Mx) if unit else x @ Mx
             g = 2.0 * Mx + self.q
         for group, wg in self.terms:
@@ -1492,14 +1488,21 @@ def residuals_and_mixed_gradient(problem: Problem, p: Array, x) -> tuple[Array, 
 
 
 def check_distribution(p, m: int) -> Array:
+    """p as a new float array of m weights, those down to -ZERO_TOL raised
+    to 0; InvalidDistribution for a weight below that or a sum off 1 by
+    more than DIST_TOL."""
     p = np.asarray(p, float)
     if p.shape != (m,):
         raise InvalidDistribution(f"weight vector has shape {p.shape}, expected ({m},)")
-    if (p < -ZERO_TOL).any():
+    # the least weight off a list is the cheap test, which a NaN at the head
+    # of the list hides; the array's comparison decides where it fails
+    low = min(p.tolist(), default=0.0)
+    if not low >= -ZERO_TOL and (p < -ZERO_TOL).any():
         raise InvalidDistribution("weights must be nonnegative")
-    if not abs(float(p.sum()) - 1.0) <= DIST_TOL:  # a NaN weight fails here
+    if not abs(float(np.add.reduce(p)) - 1.0) <= DIST_TOL:  # a NaN weight fails here
         raise InvalidDistribution("weights must sum to 1")
-    return np.maximum(p, 0.0)
+    # low is the least weight now, and the raise changes no positive weight
+    return p.copy() if low > 0 else np.maximum(p, 0.0)
 
 
 def game_loss(problem: Problem, x, p) -> float:

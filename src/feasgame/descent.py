@@ -74,6 +74,7 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     """
     if not 0.0 <= tol < math.inf:
         raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
+    stop = math.nan if stop_below is None else stop_below  # no value is <= nan
     x = domain.start()
     fx, g = fn(x)
     best_x, best_f = x, fx
@@ -82,12 +83,14 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     step = 1.0 / smoothness if fixed else 1.0
     iters, key = 0, None
     for iters in range(1, MAX_STEPS + 1):
-        if stop_below is not None and best_f <= stop_below:
+        if best_f <= stop:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         gdot = g.dot if g.strides == (8,) and g.dtype.char == "d" else g.__matmul__
         if key != (key := g.tobytes()):
             lin = domain.linear_minimum(g)[1]
-        best_lb = max(best_lb, fx + lin - float(gdot(x)))
+        lb = fx + lin - float(gdot(x))
+        if lb > best_lb:  # max(best_lb, lb), which keeps best_lb against a NaN
+            best_lb = lb
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         if fixed:

@@ -1,4 +1,4 @@
-"""Problem files, brute-force oracles, experiments, and the CLI."""
+"""Problem files, outcome verification, experiments, and the CLI."""
 
 from .io import (
     OUTCOME_VERSION,
@@ -15,7 +15,7 @@ from .io import (
     problem_from_doc,
     problem_to_doc,
 )
-from .oracles import GridValue, brute_force_lambda_star, verify_outcome_document
+from .oracles import verify_outcome_document
 from .experiments import (
     ExperimentReport,
     mw_signs_regret,

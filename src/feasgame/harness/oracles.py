@@ -1,13 +1,8 @@
-"""Brute-force game-value oracle and standalone outcome verification."""
+"""Standalone outcome verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..core import (Array, LogAffineComposite, Problem, SetupError, evaluate, residual_gradients,
-                    residuals)
+from ..core import Problem, SetupError, residuals
 from ..reductions import log_transform, strictify
 from ..solvers import Feasible, VerificationReport, verify_certificate
 from .io import (
@@ -17,39 +12,6 @@ from .io import (
     parse_outcome_document,
     problem_to_doc,
 )
-
-
-@dataclass(frozen=True)
-class GridValue:
-    """Grid estimate of min_x max_j r_j(x), with a Lipschitz slack radius."""
-
-    value: float
-    slack: float
-    x: Array
-
-
-def brute_force_lambda_star(problem: Problem, resolution: float) -> GridValue:
-    """Game value by exhaustive search of the simplex lattice, n <= 3 only.
-    The true value lies within slack = resolution * (max sampled residual
-    gradient norm) of the reported lattice minimum."""
-    X = problem.domain.grid(resolution)
-    worst = np.max(np.column_stack([_lattice_values(f, X) for f in problem.constraints]), axis=1)
-    k = int(np.argmin(worst))
-    sample = X[:: max(1, X.shape[0] // 512)]
-    gmax = max(float(np.max(np.linalg.norm(residual_gradients(problem, x), axis=1)))
-               for x in sample)
-    return GridValue(value=float(worst[k]), slack=resolution * gmax, x=X[k].copy())
-
-
-def _lattice_values(f, X: Array) -> Array:
-    """f at each row of X, through its quadratic form or its inner's values,
-    else one point at a time; off f's analytic domain, f's own error."""
-    q = f.as_quadratic()
-    if q is not None:
-        return np.einsum("ni,ij,nj->n", X, q.A, X) + X @ q.b + q.c
-    if isinstance(f, LogAffineComposite):
-        return 1.0 - np.log(f.log_argument(_lattice_values(f.inner, X)))
-    return np.array([evaluate(f, x) for x in X])
 
 
 def _reapply(original: Problem, transforms) -> Problem:

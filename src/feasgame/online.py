@@ -386,7 +386,7 @@ def init_mw(n: int, eta: float, G_inf: float, direction: str = "min") -> MwState
 
 def mw_point(state: MwState) -> Array:
     """The played point: weights normalized to the simplex."""
-    return state.w / float(state.w.sum())
+    return state.w / float(np.add.reduce(state.w))  # ndarray.sum, without its wrapper
 
 
 def mw_step(state: MwState, grad) -> MwState:
@@ -403,21 +403,23 @@ def mw_step(state: MwState, grad) -> MwState:
     if g.shape != w.shape:
         raise DimensionMismatch(
             f"MW gradient has shape {g.shape}; the weights have shape {w.shape}")
-    # numpy's max passes a NaN on, so one reduction finds max |g| and
-    # refuses a NaN or an infinity
-    observed = float(abs(g).max()) if g.size else 0.0
+    # numpy's max (the reduction, without ndarray.max's wrapper) passes a
+    # NaN on, so one reduction finds max |g| and refuses a NaN or an infinity
+    observed = float(np.maximum.reduce(abs(g))) if g.size else 0.0
     if not observed < math.inf:
         raise SetupError("MW gradient must be finite")
     if observed > g_inf:
         g_inf = observed
     if g_inf > 0:
-        factor = (eta / g_inf) * g
-        scale = 1.0 - factor if direction == "min" else 1.0 + factor
+        # the multipliers 1 -/+ (eta / g_inf) g_i, then the new weights, in
+        # one array
+        scale = g * (eta / g_inf)
+        (np.subtract if direction == "min" else np.add)(1.0, scale, out=scale)
         # eta <= 1/2 and |g_i| <= g_inf keep every multiplier in [1/2, 3/2],
         # so a nonpositive weight can only be underflow; floor it.  The
         # exact extremes come off a list at about half the cost of w.max(),
         # and the floor runs only when some weight is below it
-        w = w * scale
+        w = np.multiply(w, scale, out=scale)
         wl = w.tolist()
         mx = max(wl)
         if min(wl) < 1e-300:

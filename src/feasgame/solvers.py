@@ -58,6 +58,7 @@ from .core import (
 )
 from .descent import minimize_over_domain, optimization_oracle
 from .online import (
+    MwState,
     RegretBoundSpec,
     init_mw,
     init_ogd,
@@ -228,6 +229,14 @@ def _mw(n: int, G_inf: float, direction: str) -> _Learner:
                     lambda s: mw_point(s), lambda s, g: mw_step(s, g))
 
 
+def _check_scale(state, spec: RegretBoundSpec, name: str) -> None:
+    """SetupError where an MW player's payoff scale grew past the constant
+    (named name) that its regret bound, and so T*, assumed: its horizon
+    then certifies nothing.  Other players' states pass."""
+    if isinstance(state, MwState) and state.G_inf > spec.G_inf:
+        raise SetupError(f"MW payoff scale grew to {state.G_inf!r} past {name} = {spec.G_inf!r}")
+
+
 def _point_learner(problem: Problem, learner: str) -> _Learner:
     """The point player's learner by name; refuses a pairing its bound cannot cover."""
     p, domain = problem.params, problem.domain
@@ -255,6 +264,13 @@ def _point_learner(problem: Problem, learner: str) -> _Learner:
 _Round = tuple[Array | None, int | None, float, float, Outcome | None]
 
 
+def _max_and_loss(r: Array, p: Array) -> tuple[float, float]:
+    """max_j r_j and p.r for a weight player's round: r.max() and p @ r bit
+    for bit (r and p are new float64 vectors), without ndarray.max's wrapper
+    and matmul's dispatch."""
+    return float(np.maximum.reduce(r)), float(p.dot(r))
+
+
 def _play_game(problem: Problem, spec: RegretBoundSpec, T_star: int, round_: Callable[[], _Round],
                horizon_outcome: Callable[[int], Outcome], max_iters: int | None,
                trace_sink: Callable[[TraceRecord], None] | None
@@ -264,16 +280,18 @@ def _play_game(problem: Problem, spec: RegretBoundSpec, T_star: int, round_: Cal
     Keeps the records of rounds 1, 2, 4, ... and of the last round, and
     hands every round's record to trace_sink when there is one (the bound
     column is regret_bound(spec, t), to the bit); a record no one receives
-    is not built.  An indefinite quadratic, or max_iters not an int >= 1 (a
-    bool, a float or a NaN included), raises SetupError before the first
-    round.  A cap below T* ends in Exhausted with the least-violating point,
-    since only the full horizon certifies horizon_outcome(T*); only such a
-    run tracks that point.  Returns the outcome, the sampled records, the
-    rounds played, T* and what ended the run (see SolveResult).
+    is not built.  An indefinite quadratic, a row that packed.bounds refuses,
+    or max_iters not an int >= 1 (a bool, a float or a NaN included), raises
+    SetupError before the first round.  A cap below T* ends in Exhausted
+    with the least-violating point, since only the full horizon certifies
+    horizon_outcome(T*), which checks what T* assumed (_check_scale); only
+    such a run tracks that point.  Returns the outcome, the sampled records,
+    the rounds played, T* and what ended the run (see SolveResult).
     """
     if problem.packed.indefinite:
         raise SetupError(f"constraint {problem.packed.indefinite[0]} is an indefinite "
                          "quadratic; the solvers need convex constraints")
+    problem.packed.bounds  # raises where a row has no bounds over the domain
     if max_iters is None:
         cap = T_star
     elif isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
@@ -349,9 +367,13 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         state = player.step(state, grad)
         return x_t, hit.index, hit.value, hit.value, None
 
+    def horizon_outcome(T: int) -> Outcome:
+        _check_scale(state, player.spec, "G")
+        return Infeasible(p_bar=counts / T)
+
     return SolveResult(*_play_game(problem, player.spec, T_star, round_,
-                                   lambda T: Infeasible(p_bar=counts / T), max_iters,
-                                   trace_sink), eps, eps, "primal", learner)
+                                   horizon_outcome, max_iters, trace_sink),
+                       eps, eps, "primal", learner)
 
 
 def dual_game_opt(problem: Problem, eps: float, *,
@@ -380,9 +402,10 @@ def dual_game_opt(problem: Problem, eps: float, *,
         r = residuals(problem, x_t)
         x_sum += x_t
         dual = weights.step(dual, r)
-        return x_t, None, float(r.max()), float(p_t @ r), None
+        return x_t, None, *_max_and_loss(r, p_t), None
 
     def horizon_outcome(T: int) -> Outcome:
+        _check_scale(dual, weights.spec, "G_inf")
         x_bar = x_sum / T
         return Feasible(x=x_bar, residuals=residuals(problem, x_bar))
 
@@ -416,9 +439,11 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         p_sum += p_t
         state = player.step(state, g)
         dual = weights.step(dual, r)
-        return x_t, None, float(r.max()), float(p_t @ r), None
+        return x_t, None, *_max_and_loss(r, p_t), None
 
     def horizon_outcome(T: int) -> Outcome:
+        _check_scale(state, player.spec, "G")
+        _check_scale(dual, weights.spec, "G_inf")
         x_bar = x_sum / T
         res = residuals(problem, x_bar)
         if float(res.max()) <= eps:

@@ -15,7 +15,6 @@ import pytest
 
 import feasgame as fg
 from feasgame.harness import (
-    brute_force_lambda_star,
     mw_signs_regret,
     regret_experiment,
     scaling_experiment,
@@ -23,6 +22,7 @@ from feasgame.harness import (
 )
 from feasgame.harness.cli import main
 from conftest import family_samples, fd_gradient, interior_simplex
+from lattice import brute_force_lambda_star, grid
 
 
 def test_criterion_01_projection_matches_brute_force():
@@ -38,10 +38,10 @@ def test_criterion_01_projection_matches_brute_force():
 
     # small dimensions: dense grid is the oracle
     for n in (2, 3):
-        grid = fg.Simplex(n=n).grid(1e-3)
+        pts = grid(fg.Simplex(n=n), 1e-3)
         for y, x in zip(ys[n], projected[n]):
-            d2 = np.sum((grid - y) ** 2, axis=1)
-            best = grid[int(np.argmin(d2))]
+            d2 = np.sum((pts - y) ** 2, axis=1)
+            best = pts[int(np.argmin(d2))]
             assert np.linalg.norm(x - best) <= 2e-3
             assert np.sum((x - y) ** 2) <= float(np.min(d2)) + 1e-12
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import feasgame as fg
 from feasgame.harness import problem_from_doc, problem_to_doc
 from conftest import FAMILY_KINDS, fd_hessian, random_constraint, random_domain, row_bounds
+from lattice import grid
 
 # entropy and barrier terms are only bounded on domains of positive points
 POSITIVE = ("entropy", "barrier")
@@ -131,7 +132,7 @@ def test_domain_operations_keep_to_the_domain(kind, n, seed):
     x_min, v_min = domain.linear_minimum(c)
     inside = [domain.start(), domain.project(rng.normal(size=n) * 3.0), x_min, *X]
     if kind == "simplex" and n <= 3:
-        inside.extend(domain.grid(0.1))
+        inside.extend(grid(domain, 0.1))
     for x in inside:
         assert domain.contains(x)
     lo, hi = domain.bounding_box()
@@ -146,7 +147,7 @@ def test_domain_operations_keep_to_the_domain(kind, n, seed):
                          ids=["ball", "box"])
 def test_only_a_simplex_has_a_grid(domain):
     with pytest.raises(fg.SetupError, match=rf"^a {domain.tag} domain has no grid"):
-        domain.grid(0.1)
+        grid(domain, 0.1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import feasgame as fg
 from feasgame import descent, solvers
 from feasgame.projections import project_domain
+from test_packed import FAMILIES as PACKED_FAMILIES, build, problems
 
 CAP = 2_000  # steps per descent in the property tests, to keep them quick
 
@@ -329,3 +330,193 @@ def test_the_certify_certificate_is_pinned_to_the_bit(monkeypatch):
     assert rep.ok and rep.method == "pgd"
     assert rep.value == 0.0002932744809333055
     assert steps == [33_539]
+
+
+# ---------------------------------------------------------------------------
+# The optimization oracle against its plain reference: the oracle, Mixture's
+# construction and smoothness, and check_distribution as they were before
+# their one-group, dense and ndarray.dot shortcuts, over the packed tests'
+# problems (every family, domain and one or several groups)
+
+
+def plain_check_distribution(p, m):
+    p = np.asarray(p, float)
+    if p.shape != (m,):
+        raise fg.InvalidDistribution(f"weight vector has shape {p.shape}, expected ({m},)")
+    if (p < -fg.core.ZERO_TOL).any():
+        raise fg.InvalidDistribution("weights must be nonnegative")
+    if not abs(float(p.sum()) - 1.0) <= fg.core.DIST_TOL:
+        raise fg.InvalidDistribution("weights must sum to 1")
+    return np.maximum(p, 0.0)
+
+
+def plain_form(group, w):
+    """group.quadratic_form(w) with its products through @ and cumsum."""
+    if isinstance(group, fg.core._Affines):
+        return (None, (w[:, None] * group.R).cumsum(axis=0)[-1],
+                float((w * group.b).cumsum(axis=0)[-1]))
+    if isinstance(group, fg.core._Quadratics):
+        return np.tensordot(w, group.A, 1), w @ group.B, float(w @ group.c)
+    return None
+
+
+class PlainMixture:
+    """Mixture with a mask and a fancy index per group and every product
+    through @."""
+
+    def __init__(self, problem, p):
+        pk = problem.packed
+        self.packed, self.p, self.M, self.q, self.c, self.terms = pk, p, None, np.zeros(pk.n), 0.0, []
+        for group in pk.groups:
+            wg = p[group.idx]
+            live = wg != 0
+            if not live.any():
+                continue
+            form = plain_form(group, wg)
+            if form is None:
+                if not live.all():
+                    group = type(group)([pk.constraints[j] for j in group.idx[live]])
+                    wg = wg[live]
+                self.terms.append((group, wg))
+                continue
+            M, q, c = form
+            if M is not None:
+                self.M = M if self.M is None else self.M + M
+            self.q = self.q + q
+            self.c += c
+        self.linear = self.M is None and not self.terms
+
+    @property
+    def smoothness(self):
+        active = self.p != 0
+        P = self.p[active] * self.packed.smoothness[active]
+        if not P.size:
+            return None
+        L = P.cumsum(axis=0)[-1]
+        return L if math.isfinite(L) and L > 0 else None
+
+    def value_and_gradient(self, x):
+        return parent_value_and_gradient(self, x)
+
+
+def plain_oracle(problem, p, tol):
+    """optimization_oracle over PlainMixture, plain_check_distribution and
+    plain_minimize."""
+    if not 0.0 <= tol < math.inf:
+        raise fg.SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
+    p = plain_check_distribution(p, problem.m)
+    mix = PlainMixture(problem, p)
+    if mix.linear:
+        x, lin = problem.domain.linear_minimum(mix.q)
+        return x if lin + mix.c <= 0 else None
+    res = plain_minimize(mix.value_and_gradient, problem.domain, smoothness=mix.smoothness,
+                         tol=max(tol, 1e-12) * 0.5, stop_below=0.0)
+    if res.value <= 0.0:
+        return res.x
+    if res.lower_bound > 0.0:
+        return None
+    if res.value <= tol:
+        return res.x
+    if not res.converged:
+        raise fg.ConvergenceError(
+            f"inner minimization stopped unconverged after {res.iterations} steps")
+    return None
+
+
+def answer(run):
+    """run()'s result as bytes, or the error it raised."""
+    try:
+        out = run()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if out is None or isinstance(out, float):
+        return None if out is None else out.hex()
+    return out.tobytes()
+
+
+def group_weights(spec, kind):
+    """A test_packed problem with weights: "dense", "sparse" (some rows 0)
+    or "zero group" (every row of the first constraint's family 0, which
+    leaves no distribution where that family is all there is)."""
+    problem, rng = build(spec)
+    p = rng.dirichlet(np.ones(problem.m))
+    if kind == "sparse":
+        p[rng.random(problem.m) < 0.5] = 0.0
+    elif kind == "zero group":
+        p[problem.packed.groups[0].idx] = 0.0
+    if p.sum() > 0:
+        p /= p.sum()
+    return problem, p, rng
+
+
+one_family = st.builds(lambda fam, k, kind, n, seed: ([fam] * k, kind, n, seed),
+                       st.sampled_from(PACKED_FAMILIES), st.integers(1, 12),
+                       st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 4),
+                       st.integers(0, 2**32 - 1))
+weighted_problems = st.tuples(st.one_of(problems, one_family),
+                              st.sampled_from(["dense", "sparse", "zero group"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_problems, st.sampled_from([1e-3, 0.05]))
+def test_the_oracle_matches_its_plain_reference(case, tol):
+    problem, p, _ = group_weights(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent, "MAX_STEPS", CAP)
+        got = answer(lambda: fg.optimization_oracle(problem, p, tol))
+        assert got == answer(lambda: plain_oracle(problem, p, tol))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_problems, st.sampled_from(["contiguous", "step", "reversed", "signed"]))
+def test_mixture_forms_and_smoothness_match_the_plain_construction(case, layout):
+    problem, p, rng = group_weights(*case)
+    if layout == "signed":  # a Mixture takes any weights
+        p = rng.normal(size=problem.m)
+    elif layout != "contiguous":
+        p = gradient_view(p, layout)
+    mix, plain = fg.Mixture(problem, p), PlainMixture(problem, p)
+    assert answer(lambda: mix.M) == answer(lambda: plain.M)
+    assert (mix.q.tobytes(), float(mix.c).hex()) == (plain.q.tobytes(), float(plain.c).hex())
+    assert mix.linear == plain.linear
+    assert ([(type(g), w.tobytes()) for g, w in mix.terms]
+            == [(type(g), w.tobytes()) for g, w in plain.terms])
+    for x in (problem.domain.start(), problem.domain.sample(1, seed=0)[0]):
+        assert (answer(lambda: mix.value_and_gradient(x)[1])
+                == answer(lambda: plain.value_and_gradient(x)[1]))
+    with np.errstate(invalid="ignore"):  # a signed weight on an inf bound: inf - inf
+        assert answer(lambda: mix.smoothness) == answer(lambda: plain.smoothness)
+
+
+@pytest.mark.parametrize("p", [
+    [0.25, 0.25, 0.5], [0.0, -0.0, 1.0], [-1e-13, 0.5, 0.5 + 1e-13], [-1e-3, 0.5, 0.5],
+    [math.nan, -1.0, 2.0], [0.5, math.nan, -1.0], [math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0],
+    [-math.inf, 0.5, 0.5], [0.5, 0.5, 0.1], [0.5, 0.5], [[0.5, 0.5, 0.0]], [1, 0, 0],
+    np.array([0.5, 0.0, 0.5])[::-1], np.array([0.2, 0.3, 0.5], dtype=">f8"),
+])
+def test_check_distribution_matches_the_plain_check(p):
+    got = answer(lambda: fg.check_distribution(p, 3))
+    assert got == answer(lambda: plain_check_distribution(p, 3))
+    if not isinstance(got, tuple):  # a new array, never the caller's
+        assert fg.check_distribution(p, 3) is not p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(["contiguous", "step", "reversed", "broadcast", "swapped"]))
+def test_quadratic_passes_keep_the_bits_of_their_at_products(k, n, seed, layout):
+    # a round's residuals and a primal-dual round's gradient rows at a point
+    # of any layout, against the products through @
+    rng = np.random.default_rng(seed)
+    problem = fg.Problem(constraints=tuple(make_constraint("quadratic", rng, n) for _ in range(k)),
+                         domain=fg.Simplex(n=n), params=PARAMS)
+    (group,) = problem.packed.groups
+    x = rng.dirichlet(np.ones(n))
+    if layout == "broadcast":
+        x[:] = x[0]
+    view = x if layout == "contiguous" else gradient_view(x, layout)
+    Ax = (group.A_flat @ view).reshape(group.B.shape)
+    values = (Ax + group.B) @ view + group.c
+    assert fg.residuals(problem, view).tobytes() == values.tobytes()
+    v, G = problem.packed.both(view)
+    assert (v.tobytes(), G.tobytes()) == (values.tobytes(), (2.0 * Ax + group.B).tobytes())

@@ -9,7 +9,6 @@ import pytest
 import feasgame as fg
 from feasgame.harness import (
     ProblemFileError,
-    brute_force_lambda_star,
     canonical_json,
     emit_outcome_document,
     emit_problem_file,
@@ -26,6 +25,7 @@ from feasgame.harness import (
 )
 from feasgame.harness import io as harness_io
 from feasgame.harness.cli import TRACE_HEADER, main
+from lattice import brute_force_lambda_star
 
 
 MINIMAL = {
@@ -422,6 +422,22 @@ class TestCli:
         assert main(["solve", "--problem", path, "--eps", "0.1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "alpha" in err[0]
+
+    def test_an_mw_scale_past_the_given_g_inf_exits_one(self, tmp_path, capsys):
+        # complete params far below the rows' range: T* = 1 from G_inf = 0.001,
+        # and MW's scale grows to 0.6 in that round; solve used to exit 0 with
+        # a Feasible x = (1, 0) that verify rejected
+        params = dict.fromkeys(("G", "H", "omega", "D", "G_inf", "alpha"), 0.001)
+        doc = {"version": 2, "domain": {"kind": "simplex", "n": 2}, "params": params,
+               "constraints": [{"family": "affine", "a": [1.0, 0.0], "b": -0.5},
+                               {"family": "affine", "a": [0.0, 1.0], "b": -0.6}]}
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "outcome.json"
+        assert main(["solve", "--problem", path, "--algo", "dual", "--eps", "0.01",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: MW payoff scale grew to 0.6 past G_inf = 0.001"]
+        assert not out.exists()
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["solve", "--problem", "/nonexistent.json", "--eps", "0.1"]) == 1

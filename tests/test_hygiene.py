@@ -141,8 +141,9 @@ def test_the_check_sees_an_outcome_kind_test():
 
 
 # Grids are brute-force references, never proofs: a certificate is proved by
-# the certified descent at every dimension.
-GRID_CALLERS = {("harness/oracles.py", "brute_force_lambda_star")}
+# the certified descent at every dimension.  The reference is the tests' own
+# (tests/lattice.py), so no function of the package scans a grid.
+GRID_CALLERS: set[tuple[str, str]] = set()
 
 
 def grid_calls(text: str) -> list[tuple[str, int]]:
@@ -204,7 +205,7 @@ def test_the_check_sees_a_stray_group_method():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4296
+MAX_SOURCE_LINES = 4291
 
 
 def source_lines() -> int:

@@ -852,3 +852,51 @@ class TestMeasuredRegret:
         x, val = fg.hindsight_minimum([fg.NegEntropy(n=2)], box)
         assert abs(val + 2.0 / math.e) <= 1e-12
         np.testing.assert_allclose(x, np.full(2, 1.0 / math.e), atol=1e-6)
+
+
+def plain_mw_step(state, grad):
+    """mw_step as it was before its multipliers were formed in place."""
+    w, t, eta, g_inf, direction = state
+    g = np.asarray(grad, float)
+    observed = float(abs(g).max()) if g.size else 0.0
+    if not observed < math.inf:
+        raise fg.SetupError("MW gradient must be finite")
+    if observed > g_inf:
+        g_inf = observed
+    if g_inf > 0:
+        factor = (eta / g_inf) * g
+        scale = 1.0 - factor if direction == "min" else 1.0 + factor
+        w = w * scale
+        wl = w.tolist()
+        mx = max(wl)
+        if min(wl) < 1e-300:
+            np.maximum(w, 1e-300, out=w)
+            mx = max(mx, 1e-300)
+        if mx > 1e100 or mx < 1e-100:
+            w /= mx
+            np.maximum(w, 1e-300, out=w)
+    else:
+        w = w.copy()
+    return MwState(w, t + 1, eta, g_inf, direction)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30), st.sampled_from(["min", "max"]), st.floats(0.0, 0.5),
+       st.sampled_from([0.0, 1e-3, 1.0]), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.sampled_from(["contiguous", "step", "reversed"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_mw_steps_and_points_keep_their_bits(n, direction, eta, G_inf, size, layout, wide, seed):
+    # gradients past G_inf grow the scale; weights from 1e-305 to 1e105
+    # reach the floor and the rescale
+    rng = np.random.default_rng(seed)
+    state = plain = fg.init_mw(n, eta, G_inf, direction)
+    if wide:
+        state = plain = state._replace(w=10.0 ** rng.uniform(-305, 105, n))
+    for _ in range(60):
+        g = rng.normal(size=n) * size
+        g = g if layout == "contiguous" else (g[::-1].copy()[::-1] if layout == "reversed"
+                                               else np.repeat(g, 2)[::2])
+        state, plain = fg.mw_step(state, g), plain_mw_step(plain, g)
+        assert state.w.tobytes() == plain.w.tobytes()
+        assert (state.t, state.G_inf) == (plain.t, plain.G_inf)
+        assert fg.mw_point(state).tobytes() == (plain.w / float(plain.w.sum())).tobytes()

@@ -7,7 +7,8 @@ import pytest
 
 import feasgame as fg
 import feasgame.problems
-from feasgame.harness import brute_force_lambda_star, emit_problem_file, problem_to_doc
+from feasgame.harness import emit_problem_file, problem_to_doc
+from lattice import brute_force_lambda_star
 from conftest import fd_hessian
 
 

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import feasgame as fg
+from lattice import grid
 
 
 def grid_argmin(domain, y, resolution=1e-3):
     """Brute-force nearest grid point, the independent oracle for projections."""
-    pts = domain.grid(resolution)
+    pts = grid(domain, resolution)
     d2 = np.sum((pts - y) ** 2, axis=1)
     return pts[int(np.argmin(d2))]
 

@@ -327,7 +327,7 @@ class TestApproxTranslate:
 
 class TestRoundTripLambdaStar:
     def test_optimum_identity_on_grid(self, rng):
-        from feasgame.harness import brute_force_lambda_star
+        from lattice import brute_force_lambda_star
 
         prob = affine_problem(rng.normal(size=(2, 2)), rng.normal(size=2) * 0.2, 2)
         out = fg.log_transform(prob)

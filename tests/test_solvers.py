@@ -13,9 +13,11 @@ import feasgame as fg
 import feasgame.core as core
 import feasgame.online as online
 import feasgame.solvers as solvers
-from feasgame.harness import brute_force_lambda_star, run_solver
+from feasgame.harness import run_solver
 from feasgame.solvers import MAX_THRESHOLD
 from conftest import constant_problem, random_constraint
+from lattice import brute_force_lambda_star
+from test_packed import EDGE
 
 
 def norm_sq_problem(n=2, c=0.0):
@@ -796,6 +798,52 @@ def test_an_indefinite_quadratic_is_refused_before_a_round(algo, learner):
                                             "the solvers need convex constraints$"):
         run_solver(problem, algo, learner, 0.1, trace_sink=rounds.append)
     assert rounds == []
+
+
+PAIRINGS = [("dual", None), ("primal", "mw"), ("primal", "ogd"), ("primal", "ons"),
+            ("primal-dual", "mw"), ("primal-dual", "ogd"), ("primal-dual", "ons")]
+
+
+@pytest.mark.parametrize("algo, learner", PAIRINGS)
+def test_a_problem_its_bounds_refuse_is_refused_before_a_round(algo, learner):
+    # on Simplex(1) the folded log argument of EDGE rounds to 0; its complete
+    # constants pass every learner's own checks, and the bounds still refuse it
+    params = fg.ProblemParams(G=1.0, H=1.0, omega=1.0, D=1.0, G_inf=1.0, alpha=1.0)
+    problem = fg.Problem((EDGE,), fg.Simplex(n=1), params)
+    rounds = []
+    with pytest.raises(fg.SetupError, match="^log argument e [+] inner/omega falls to "):
+        run_solver(problem, algo, learner, 0.1, trace_sink=rounds.append)
+    assert rounds == []
+
+
+def scale_problem(b0, b1):
+    """Rows x_1 + b0 <= 0 and x_2 + b1 <= 0 on the 2-simplex, every constant 0.001."""
+    return fg.Problem((fg.Affine(a=np.array([1.0, 0.0]), b=b0),
+                       fg.Affine(a=np.array([0.0, 1.0]), b=b1)), fg.Simplex(n=2),
+                      fg.ProblemParams(G=0.001, H=0.001, omega=0.001, D=0.001, G_inf=0.001,
+                                       alpha=0.001))
+
+
+@pytest.mark.parametrize("algo, learner, problem, message", [
+    # feasible at (0.45, 0.55); the dual used to report Feasible at (1, 0)
+    ("dual", None, scale_problem(-0.5, -0.6), "grew to 0.6 past G_inf = 0.001"),
+    ("primal-dual", "ogd", scale_problem(-0.5, -0.6), "grew to 0.09999999999999998 past G_inf"),
+    ("primal-dual", "mw", scale_problem(-0.5, -0.6), "grew to 0.5 past G = 0.001"),
+    # infeasible: x_1 >= 0.6 and x_2 >= 0.6; the learner meets gradients of norm 1
+    ("primal", "mw", scale_problem(0.6, 0.6), "grew to 1.0 past G = 0.001"),
+])
+def test_a_horizon_past_its_mw_payoff_scale_is_refused(algo, learner, problem, message):
+    with pytest.raises(fg.SetupError, match=f"^MW payoff scale {message}"):
+        run_solver(problem, algo, learner, 0.01)
+
+
+def test_an_oracle_fail_certificate_stands_past_the_payoff_scale():
+    # the first mixture is positive everywhere: FAIL in round 1, before MW
+    # steps at all, and the certificate verifies
+    problem = scale_problem(0.6, 0.6)
+    result = fg.dual_game_opt(problem, 0.01)
+    assert (result.ended_by, type(result.outcome)) == ("oracle", fg.Infeasible)
+    assert fg.verify_certificate(problem, result.outcome, 0.01).ok
 
 
 # Families that the lattice scan of brute_force_lambda_star evaluates at every
