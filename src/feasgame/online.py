@@ -91,30 +91,38 @@ def ogd_step(state: OgdState, grad, domain: Domain) -> OgdState:
 # unit roundoff and smallest subnormal of a float64
 _U = 2.0**-53
 _ETA = 2.0**-1074
+# T' = (T + S + n eta) _UP carries T >= sum C_ii, the exact sum of a proven
+# matrix's computed diagonal, through a step adding the diagonal p, with
+# S = fsum(p) >= (1 - u) sum p: the new sum, of fl(C_ii + p_i), is at most
+# (T + S)(1 + u) / (1 - u) (float sums err only relatively), and T' rounds
+# three times, which (1 - u)^3 (1 + 32 u) covers, with n eta for the eta / 2
+# a product may lose to underflow.  init_ons starts from (n scale) _UP, which
+# is >= n scale (products are exact below 2^-1021).  Overflow gives inf.
+_UP = 1.0 + 32.0 * _U
 
 
 class OnsState(NamedTuple):
-    """Iterate, round, step scale beta and Newton matrix A.
+    """Iterate, round, step scale beta, Newton matrix A and its bookkeeping.
 
     A state built by hand proves nothing about A, whatever its scale: its
     spectrum_bounds is None, and ons_step tests A with positive_definite.
     Only the states that init_ons returns, and those that ons_step returns
     from them, carry a proof, because only they are known to hold
-    A = scale I + sum of g g^T over the t - 1 gradients seen so far; their
-    spectrum_bounds derives bounds on the spectrum of A from that.  _replace
-    returns a state built by hand.  A state is a NamedTuple, which costs
-    less to build than a dataclass, so it compares and unpacks as a tuple.
-    rebuilds is always 0: no inverse is kept, so none is rebuilt.
+    A = scale I + sum of g g^T over the t - 1 gradients seen so far, and
+    trace_bound >= the exact sum of its diagonal; spectrum_bounds derives
+    bounds on the spectrum of A from that.  _replace returns a state built
+    by hand.  A NamedTuple costs less to build than a dataclass, so a state
+    compares and unpacks as a tuple; rebuilds is 0, as no inverse is kept.
 
     last is the memo of the step that built the state, which lets the next
     step with a gradient of the same bytes skip the work that gradient has
-    already paid for: a tuple (key, gl, gg, stay) of the gradient's bytes
-    g.tobytes(), its entries as a list (checked finite), its outer product
-    g[:, None] * g, and (f, m) when that step stayed at the vertex e_f under
-    the vertex rule of ons_step, with m = max|h| for h = -g / beta, else
-    None.  Like the spectrum proof, only states that init_ons and ons_step
-    build trust it (recall); a state built by hand or by _replace ignores
-    its last.
+    already paid for: a tuple (key, gl, gg, ss, stay) of the gradient's
+    bytes g.tobytes(), its entries as a list (checked finite), its outer
+    product g[:, None] * g, the math.fsum of its diagonal (inf on overflow),
+    and (f, m) when that step stayed at the vertex e_f under the vertex rule
+    of ons_step, with m = max|h| for h = -g / beta, else None.  Like the
+    spectrum proof, only states that init_ons and ons_step build trust it
+    (recall); a state built by hand or by _replace ignores its last.
     """
 
     x: Array
@@ -123,6 +131,7 @@ class OnsState(NamedTuple):
     A: Array
     scale: float = 0.0
     last: tuple | None = None
+    trace_bound: float = math.inf
     rebuilds = 0
 
     def spectrum_bounds(self) -> tuple[float, float] | None:
@@ -131,15 +140,14 @@ class OnsState(NamedTuple):
         return None
 
     def recall(self, key: bytes) -> tuple | None:
-        """The memo last when it was built from a gradient whose bytes are
-        key, or None; always None for a state built by hand, which proves
-        nothing about its memo."""
+        """The memo last when built from a gradient of bytes key, else None:
+        always None for a state built by hand, which proves nothing of it."""
         return None
 
 
 class _ProvenOnsState(OnsState):
-    """An OnsState built by init_ons and ons_step: A = scale I + sum g g^T
-    over finite gradients, with scale > 0 finite."""
+    """An OnsState built by init_ons and ons_step, which hold the proof
+    that OnsState describes (and _UP, for trace_bound)."""
 
     __slots__ = ()
 
@@ -153,8 +161,8 @@ class _ProvenOnsState(OnsState):
         return last if last is not None and last[0] == key else None
 
     def spectrum_bounds(self) -> tuple[float, float] | None:
-        """(lam_min, lam_max) = (scale - b, T + b), where T = math.fsum of
-        the diagonal of A, b = 8 n t (u T + eta), u = 2^-53 is the unit
+        """(lam_min, lam_max) = (scale - b, T + b), in O(1), where T is the
+        state's trace_bound, b = 8 n t (u T + eta), u = 2^-53 is the unit
         roundoff and eta = 2^-1074 the smallest subnormal.
 
         The proof compares the computed matrix C = self.A with the exact sum
@@ -164,10 +172,9 @@ class _ProvenOnsState(OnsState):
         ch. 3 and 4).
 
         * A >= scale I, and lambda_max(A) <= tau, because each term is PSD.
-        * C is symmetric bit for bit: it starts as scale I, and each update
-          adds g_i * g_j to entry (i, j) and g_j * g_i to entry (j, i),
-          which IEEE multiplication rounds to the same float.  So no state
-          of this class needs a symmetry test.
+        * C is symmetric bit for bit, so needs no symmetry test: it starts
+          as scale I, and each update adds g_i * g_j to entry (i, j) and
+          g_j * g_i to entry (j, i), which IEEE multiplication rounds alike.
         * Entry (i, j) of C is a float sum, in order, of t terms (scale or
           0, then t - 1 rounded products), so |C_ij - A_ij| <= gamma_t S_ij
           with S_ij = scale [i = j] + sum |g_i g_j| <= tau, as
@@ -175,40 +182,27 @@ class _ProvenOnsState(OnsState):
           eigenvalues of C are those of A moved by at most
           ||C - A||_2 <= ||C - A||_inf <= n gamma_t tau.
         * A diagonal entry sums nonnegative terms, so C_ii >= scale and
-          C_ii is within gamma_t of A_ii.  T is the exact sum of the C_ii
-          rounded once (math.fsum), which is within u <= gamma_n of it, as
-          any order of n - 1 roundings would be; the argument needs no
-          particular order, and fsum's answer does not depend on the
-          Python version or on numpy.  So T >= max C_ii >= scale
-          (rounding is monotone) and
-          tau <= T / ((1 - gamma_t)(1 - gamma_n)) <= T / (1 - gamma_{n+t}).
-        * Hence lambda_min(C) >= scale - n gamma_t T / (1 - gamma_{n+t})
-          and lambda_max(C) <= T (1 + n gamma_t) / (1 - gamma_{n+t}).
+          C_ii is within gamma_t of A_ii.  T >= sum C_ii (see _UP), and
+          every C_ii is >= 0, so T >= max C_ii >= scale and
+          tau <= sum C_ii / (1 - gamma_t) <= T / (1 - gamma_t).
+        * Hence lambda_min(C) >= scale - n gamma_t T / (1 - gamma_t)
+          and lambda_max(C) <= T (1 + n gamma_t) / (1 - gamma_t).
         * b covers both corrections whenever lam_min > 0.  With T >= scale,
-          lam_min > 0 gives 8 n t u < 1, so t u < 1/8 and
-          (n + t) u <= 2 n t u < 1/4; then gamma_t <= (8/7) t u,
-          1 / (1 - gamma_{n+t}) < 3/2 and
-          gamma_{n+t} <= (4/3)(n + t) u <= (8/3) n t u.  The corrections are
-          at most (12/7) n t u T and (3/2)(8/7 + 8/3) n t u T, about 1.7
-          and 5.7 of the 8 n t u T in b.
+          lam_min > 0 gives t u < 1/8, so gamma_t <= (8/7) t u and
+          1 / (1 - gamma_t) <= 7/6: the corrections are at most
+          (4/3) n t u T and (4/3)(n + 1) t u T, under the 8 n t u T in b.
         * A product that underflows errs by up to eta/2 in absolute terms
           instead of u relative (sums of subnormals are exact).  Summed over
           the t - 1 updates, and over the n entries of a row or the n
-          diagonal entries of T, that moves the eigenvalues of C by at most
-          about n t eta / 2 and lowers T below tau by as much, which with
-          the factors above stays under 3 n t eta of the 8 n t eta in b.
+          diagonal entries, that moves the eigenvalues of C by at most
+          about n t eta / 2 and lowers sum C_ii below tau by as much, which
+          with the factors above stays under the 8 n t eta in b.
 
-        None when lam_min <= 0, where the argument above does not apply:
-        so it is when a diagonal entry or their sum overflows (T = inf
-        gives lam_min = -inf, and a finite sum too large for a float makes
-        fsum raise OverflowError).
+        None when lam_min <= 0, where the argument above does not apply,
+        as when T is infinite: the diagonal or its bound overflowed.
         """
-        A = self.A
-        try:
-            trace = math.fsum(A.diagonal().tolist())
-        except OverflowError:
-            return None
-        b = 8.0 * A.shape[0] * self.t * (_U * trace + _ETA)
+        trace = self.trace_bound
+        b = 8.0 * self.A.shape[0] * self.t * (_U * trace + _ETA)
         lam_min = self.scale - b
         if not lam_min > 0:
             return None
@@ -228,7 +222,7 @@ def init_ons(domain: Domain, G: float, D: float) -> OnsState:
     if not 0 < scale < math.inf:
         raise SetupError("ONS needs G and D for which 1/(D beta)^2 is a positive finite float")
     return _ProvenOnsState(x=domain.start(), t=1, beta=beta, A=np.eye(domain.n) * scale,
-                           scale=scale)
+                           scale=scale, trace_bound=domain.n * scale * _UP)
 
 
 def _vertex_rule(x: Array, g: list[float], beta: float) -> tuple[int, float] | None:
@@ -263,12 +257,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     A is used untested, and on a simplex _simplex_kkt is called directly:
     O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.  Any other
     A (a state built by hand, or proven bounds too far apart) is tested by
-    projections.positive_definite, which refuses a Cholesky diagonal
-    spread beyond 1e5.  No honest run meets that: with |g| <= G and
-    init_ons's beta <= 1/(8 G D), cond(A) <= 1 + t G^2 D^2 beta^2
-    <= 1 + t/64 in round t, and each Cholesky pivot lies in
-    [lam_min, lam_max], so the spread is at most sqrt(cond(A)), within
-    1e5 until t is about 6.4e11.
+    projections.positive_definite, whose refusal proves cond(A) > 1e10. No
+    honest run meets that: with |g| <= G and init_ons's beta <= 1/(8 G D),
+    cond(A) <= 1 + t G^2 D^2 beta^2 <= 1 + t/64 in round t, within 1e10
+    until t is about 6.4e11.
     A gradient whose shape is not (n,) raises DimensionMismatch; one with a
     NaN or an infinity, an h that overflows and a singular A (on either
     route) raise SetupError.  The gradient is read once as a list, which
@@ -296,10 +288,12 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
       return the same e_f.  Every step this rule declines takes
       _simplex_kkt.
 
-    A step from a proven state whose memo (OnsState.last) holds a gradient
-    of the same bytes pays only for its bookkeeping: the gradient's list,
-    already checked finite, and its outer product come from the memo, and
-    A + gg has the bits of A + g[:, None] * g because both multiply the same
+    Each step carries trace_bound forward (see _UP), so spectrum_bounds
+    sums no diagonal.  A step from a proven state whose memo
+    (OnsState.last) holds a gradient of the same bytes pays only for its
+    bookkeeping: the gradient's list, already checked finite, its outer
+    product and the fsum S of its diagonal come from the memo, and A + gg
+    has the bits of A + g[:, None] * g because both multiply the same
     floats.  When the memo's step stayed at e_f, this step starts from that
     e_f with the same beta and the same h, so h_f >= max h still holds and
     only the size bound is checked again, with this state's lam_max.  The
@@ -317,8 +311,14 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
         gl, stay = g.tolist(), None
         if not all(map(math.isfinite, gl)):
             raise SetupError("ONS gradient must be finite")
+        # column-times-row products are np.outer without its wrapper
+        gg = g[:, None] * g
+        try:
+            ss = math.fsum(gg.diagonal().tolist())
+        except OverflowError:
+            ss = math.inf
     else:
-        _, gl, gg, stay = memo
+        _, gl, gg, ss, stay = memo
     A = state.A
     bounds = state.spectrum_bounds()
     proven = bounds is not None and bounds[1] <= MAX_CONDITION * bounds[0]
@@ -343,11 +343,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
             x_new = domain.minimize_quadratic(M, state.x, h, state.x)
     except np.linalg.LinAlgError:
         raise SetupError("ONS matrix A is singular") from None
-    if memo is None:
-        # column-times-row products are np.outer without its wrapper
-        gg = g[:, None] * g
-    return type(state)(x_new, state.t + 1, state.beta, A + gg, state.scale,
-                       (key, gl, gg, stay))
+    # tuple.__new__ skips the NamedTuple's Python __new__, a tenth of a step
+    return tuple.__new__(type(state), (
+        x_new, state.t + 1, state.beta, A + gg, state.scale, (key, gl, gg, ss, stay),
+        (state.trace_bound + ss + domain.n * _ETA) * _UP))
 
 
 # ---------------------------------------------------------------------------

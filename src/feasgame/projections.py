@@ -17,9 +17,10 @@ def positive_definite(A, n: int) -> Array:
     """A as a finite n x n float matrix fit for minimize_quadratic, else
     SetupError (DimensionMismatch for a wrong shape).  An A symmetric
     within a relative 1e-12 is used as (A + A^T) / 2, its quadratic form,
-    and needs a Cholesky factor whose diagonal spreads within a factor 1e5.
-    cond(A) >= spread^2, so a wider spread proves cond(A) > 1e10; not the
-    converse: a numerically singular A can pass with a spread within 1e5."""
+    and needs a Cholesky factor L with every L_ii^2 > 1e-10 max A_ii.  As
+    lam_min <= L_ii^2 <= A_ii <= lam_max, a refusal proves cond(A) > 1e10
+    (up to rounding) or a failed factorization; every Cholesky diagonal
+    spread beyond 1e5 is refused."""
     M = np.asarray(A, float)
     if not np.isfinite(M).all():
         raise SetupError("projection matrix has a non-finite entry")
@@ -32,12 +33,12 @@ def positive_definite(A, n: int) -> Array:
             raise SetupError("matrix is not symmetric within 1e-12")
         M = 0.5 * (M + M.T)
     try:
-        diag = np.linalg.cholesky(M).diagonal()
+        pivots = np.linalg.cholesky(M).diagonal()
     except np.linalg.LinAlgError:
-        diag = np.zeros(1)
-    if not diag.min() > 1e-5 * diag.max():
-        raise SetupError("matrix is not positive definite with a Cholesky "
-                         "diagonal spread within 1e5")
+        pivots = np.zeros(1)
+    if not float((pivots * pivots).min()) > 1e-10 * float(M.diagonal().max()):
+        raise SetupError("matrix is not positive definite with every squared Cholesky "
+                         "pivot above 1e-10 times its largest diagonal entry")
     return M
 
 

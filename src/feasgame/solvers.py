@@ -344,7 +344,7 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     player = _point_learner(problem, learner)
     T_star = stopping_threshold(player.spec, eps)
     state = player.init(T_star)
-    counts = np.zeros(problem.m)
+    counts = [0] * problem.m  # exact ints: a list element adds faster than a numpy one
     # the bytes of the last point the oracle was asked at, its answer and
     # the violated row's gradient there
     asked, hit, grad = None, None, None
@@ -369,7 +369,7 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
 
     def horizon_outcome(T: int) -> Outcome:
         _check_scale(state, player.spec, "G")
-        return Infeasible(p_bar=counts / T)
+        return Infeasible(p_bar=np.array(counts, float) / T)
 
     return SolveResult(*_play_game(problem, player.spec, T_star, round_,
                                    horizon_outcome, max_iters, trace_sink),

@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no code outside the domain classes branches on the kind of a domain,
 only the brute-force reference scans a domain grid, the packed groups
-define no per-row methods, and the package stays under a line-count
-ceiling.
+define no per-row methods, the package stays under a line-count
+ceiling, and every hypothesis test draws the same examples on every run.
 
 A package ``__init__`` re-exports what it imports, so it is skipped; an
 import kept on purpose (names that call-site tracers wrap) carries
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "feasgame"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "feasgame"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -215,3 +216,33 @@ def source_lines() -> int:
 
 def test_the_package_stays_under_its_line_ceiling():
     assert source_lines() <= MAX_SOURCE_LINES
+
+
+def unpinned_settings(text: str) -> list[int]:
+    """Lines of the settings(...) calls that lack derandomize=True or
+    database=None: such a test draws new examples on each run, and replays
+    from .hypothesis/ whatever failed before, so a run depends on the last."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "settings"
+            and not {("derandomize", True), ("database", None)} <= {
+                (kw.arg, kw.value.value) for kw in node.keywords
+                if isinstance(kw.value, ast.Constant)}]
+
+
+def test_every_hypothesis_test_is_derandomized():
+    stray = [f"{path.name}:{line}" for path in sorted(TESTS.glob("*.py"))
+             for line in unpinned_settings(path.read_text())]
+    assert not stray, "settings without derandomize=True, database=None: " + ", ".join(stray)
+
+
+def test_the_check_sees_an_unpinned_settings():
+    source = ("@settings(max_examples=5, deadline=None)\n"
+              "def test_a(x): pass\n"
+              "@settings(max_examples=5, derandomize=True, database=None)\n"
+              "def test_b(x): pass\n"
+              "@settings(derandomize=True,\n          database=False)\n"
+              "def test_c(x): pass\n"
+              "@settings(database=None)\n"
+              "def test_d(x): pass\n")
+    assert unpinned_settings(source) == [1, 5, 8]

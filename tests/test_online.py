@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def at_vertex(s, f, negative_zeros=False):
     a state built by hand would drop."""
     x = np.full(s.x.size, -0.0 if negative_zeros else 0.0)
     x[f] = 1.0
-    return online._ProvenOnsState(x=x, t=s.t, beta=s.beta, A=s.A, scale=s.scale)
+    return online._ProvenOnsState(x=x, t=s.t, beta=s.beta, A=s.A, scale=s.scale,
+                                  trace_bound=s.trace_bound)
 
 
 @pytest.mark.parametrize("bad", [2.0, [5.0], [0.1, 0.2, 0.3, 0.4], [[0.1], [0.2], [0.3]]],
@@ -255,7 +257,7 @@ class TestOns:
         # A is indefinite, and the free set {0, 1} borders diag(1, -1),
         # which is singular
         s = online._ProvenOnsState(x=np.array([0.5, 0.5, 0.0]), t=1, beta=0.5,
-                                   A=np.diag([1.0, -1.0, 5.0]), scale=1.0)
+                                   A=np.diag([1.0, -1.0, 5.0]), scale=1.0, trace_bound=5.0)
         assert takes_exact_simplex_solve(s)
         with pytest.raises(fg.SetupError, match="ONS matrix A is singular"):
             fg.ons_step(s, np.array([1.0, 0.0, 0.0]), fg.Simplex(n=3))
@@ -355,7 +357,7 @@ def assert_ons_step_kkt(x, y, A):
     assert np.all(g[~support] + nu >= -tol)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(ons_stream())
 def test_ons_matrix_bounds_hold_along_a_stream(stream):
     # along the stream A stays symmetric bit for bit, the bounds its state
@@ -398,7 +400,7 @@ def ons_vertex_step(draw):
     return n, G, steps, seed, f, ties, least, negative_zeros
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ons_vertex_step())
 def test_ons_step_from_a_vertex_is_the_exact_solve(case):
     n, G, steps, seed, f, ties, least, negative_zeros = case
@@ -487,7 +489,7 @@ def gated_round(kind, s, G, rng):
     return g, s
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(ons_gated_stream())
 def test_ons_step_is_bit_identical_to_the_old_gates(stream):
     n, G, seed, rounds = stream
@@ -519,7 +521,7 @@ def ons_repeat_stream(draw):
                                     st.sampled_from(REPEATS)), min_size=1, max_size=40)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(ons_repeat_stream())
 def test_repeated_gradients_give_the_bits_of_a_step_without_memo(stream):
     # the memo is keyed on the gradient's bytes: the same array or an equal
@@ -554,8 +556,9 @@ def test_repeated_gradients_give_the_bits_of_a_step_without_memo(stream):
             # only the switch gradient, whose norm is over 1e5 times the G
             # that set beta, can bring that about (ons_step's docstring)
             assert switched
-            with pytest.raises(fg.SetupError, match="^matrix is not positive definite with a "
-                                                    "Cholesky diagonal spread within 1e5$"):
+            with pytest.raises(fg.SetupError, match="^matrix is not positive definite with every "
+                                                    "squared Cholesky pivot above 1e-10 "
+                                                    "times its largest diagonal entry$"):
                 fg.ons_step(s, g, dom)
             return
         s = fg.ons_step(s, g, dom)
@@ -575,7 +578,7 @@ def test_repeated_gradient_after_a_vertex_stay_skips_the_rule(monkeypatch):
     rule = online._vertex_rule
     monkeypatch.setattr(online, "_vertex_rule", lambda *args: calls.append(1) or rule(*args))
     s = fg.ons_step(s, g, dom)
-    assert calls == [1] and s.last[3] == (2, (-1.0 / s.beta) * -0.4)
+    assert calls == [1] and s.last[4] == (2, (-1.0 / s.beta) * -0.4)
 
     def refused(*args):
         raise AssertionError("a repeated vertex stay called the KKT solve")
@@ -588,7 +591,7 @@ def test_repeated_gradient_after_a_vertex_stay_skips_the_rule(monkeypatch):
     assert calls == [1]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 8), st.data())
 def test_repeated_vertex_stay_checks_the_size_bound_again(n, data):
     # beta = 2^-521 and A = 2^1000 I, with max|h| = 2^1021 - k 2^1000 for
@@ -629,9 +632,9 @@ def test_vertex_verdict_does_not_outlive_a_step_off_the_exact_route():
     s = at_vertex(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), 0)
     g = np.array([-0.5, 0.2, 0.3])
     s = fg.ons_step(s, g, dom)
-    assert s.last[3] is not None
+    assert s.last[4] is not None
     s = fg.ons_step(s, g, ball)
-    assert s.last[3] is None and not np.array_equal(s.x, [1.0, 0.0, 0.0])
+    assert s.last[4] is None and not np.array_equal(s.x, [1.0, 0.0, 0.0])
     x, A, _ = reference_ons_step(s, g, dom)
     s = fg.ons_step(s, g, dom)
     assert s.x.tobytes() == x.tobytes() and s.A.tobytes() == A.tobytes()
@@ -644,7 +647,7 @@ def test_forged_memo_is_ignored_off_the_proven_states():
     dom = fg.Simplex(n=3)
     s = fg.ons_step(fg.init_ons(dom, G=1.0, D=math.sqrt(2.0)), [0.2, -0.1, 0.4], dom)
     g = np.array([0.5, -0.3, 0.1])
-    forged = (g.tobytes(), [0.0, 0.0, 0.0], np.zeros((3, 3)), (0, 0.0))
+    forged = (g.tobytes(), [0.0, 0.0, 0.0], np.zeros((3, 3)), 0.0, (0, 0.0))
     expected = fg.ons_step(fg.OnsState(*s[:5]), g, dom)
     for state in (fg.OnsState(*s[:5], last=forged), s._replace(last=forged)):
         assert type(state) is fg.OnsState and state.recall(g.tobytes()) is None
@@ -653,13 +656,13 @@ def test_forged_memo_is_ignored_off_the_proven_states():
         assert out.A.tobytes() == expected.A.tobytes()
         assert not np.array_equal(out.x, [1.0, 0.0, 0.0])
     bad = np.array([0.5, math.nan, 0.1])
-    forged = (bad.tobytes(), [0.5, 0.0, 0.1], np.zeros((3, 3)), None)
+    forged = (bad.tobytes(), [0.5, 0.0, 0.1], np.zeros((3, 3)), 0.0, None)
     for state in (fg.OnsState(*s[:5], last=forged), s._replace(last=forged)):
         with pytest.raises(fg.SetupError, match="ONS gradient must be finite"):
             fg.ons_step(state, bad, dom)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 8), st.data())
 def test_vertex_rule_near_the_overflow_bound_hands_over_to_the_solve(n, data):
     # beta = 2^-540 and A = 2^1000 I.  With max|h| = 2^1021 - k 2^1000 for
@@ -691,6 +694,132 @@ def test_vertex_rule_near_the_overflow_bound_hands_over_to_the_solve(n, data):
     assert calls == [1]
     assert s.x.tobytes() == x.tobytes()
     assert s.A.tobytes() == A.tobytes()
+
+
+TRACE_SCALES = ["unit", "edge", "tiny"]
+TRACE_ROUNDS = ["fresh", "repeat", "copy", "underflow", "mixed"]
+
+
+@st.composite
+def ons_trace_stream(draw):
+    """Dimension, a seed, a scale kind for init_ons and the kinds of the
+    rounds: a fresh gradient, the last array again or an equal copy of it
+    (memo hits), one with every entry near 1e-170, whose squares underflow,
+    and one with some entries so.  "unit" scales come from G in
+    [1e-3, 1e3], "edge" ones lie in [1e306, 1.7e308], where n scale may
+    overflow and prove nothing, and "tiny" ones in [2.3e-308, 1e-300], where
+    the products of the diagonal are subnormal."""
+    return (draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from(TRACE_SCALES)),
+            draw(st.lists(st.sampled_from(TRACE_ROUNDS), min_size=1, max_size=40)))
+
+
+def trace_stream_states(stream):
+    """The states of an ons_trace_stream, each with the gradient that
+    stepped to it (None for the state of init_ons)."""
+    n, seed, scale_kind, rounds = stream
+    rng = np.random.default_rng(seed)
+    dom = fg.Simplex(n=n)
+    if scale_kind == "unit":
+        G = 10.0 ** rng.uniform(-3.0, 3.0)
+        s = fg.init_ons(dom, G=G, D=math.sqrt(2.0))
+    else:
+        lo, hi = (306.0, 308.23) if scale_kind == "edge" else (-307.63, -300.0)
+        D = 2.0 / math.sqrt(10.0 ** rng.uniform(lo, hi))
+        G = 1.0 if scale_kind == "edge" else 0.1 / D  # beta = 1/2, scale = 4 / D^2
+        s = fg.init_ons(dom, G=G, D=D)
+    yield s, None
+    g = None
+    for kind in rounds:
+        if kind == "fresh" or g is None:
+            g = G * rng.uniform(-1.0, 1.0, n)
+        elif kind == "copy":
+            g = g.copy()
+        elif kind in ("underflow", "mixed"):
+            g = G * rng.uniform(-1.0, 1.0, n)
+            tiny = rng.random(n) < 0.5 if kind == "mixed" else np.ones(n, bool)
+            g[tiny] = 1e-170 * rng.uniform(-1.0, 1.0, int(tiny.sum()))
+        s = fg.ons_step(s, g, dom)
+        yield s, g
+
+
+def plain_trace_bound(s, g, n):
+    """The state's trace bound as the step carries it, from the bound before
+    the step and the gradient: (T + fsum(g_i * g_i) + n eta)(1 + 2^-48)."""
+    try:
+        ss = math.fsum(x * x for x in g.tolist())
+    except OverflowError:
+        ss = math.inf
+    return (s.trace_bound + ss + n * 2.0**-1074) * (1.0 + 2.0**-48)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(ons_trace_stream())
+def test_carried_trace_bound_holds_along_a_stream(stream):
+    # the bound carried by each step is at least the exact sum of the
+    # computed diagonal (in rationals), has the bits of the plain carry, and
+    # gives spectrum_bounds the bits of its formula, which bracket eigvalsh
+    # (taken on A times 2^k, exact, so a tiny scale keeps its digits)
+    n = stream[0]
+    prev = None
+    for s, g in trace_stream_states(stream):
+        T = s.trace_bound
+        if g is None:
+            assert T == n * s.scale * (1.0 + 2.0**-48)
+        else:
+            assert T == plain_trace_bound(prev, g, n)
+        if T < math.inf:
+            assert Fraction(T) >= sum(map(Fraction, s.A.diagonal().tolist()))
+        b = 8.0 * n * s.t * (2.0**-53 * T + 2.0**-1074)
+        bounds = s.spectrum_bounds()
+        assert bounds == ((s.scale - b, T + b) if s.scale - b > 0 else None)
+        if bounds is not None:
+            k = 2.0 ** (600 if s.scale < 1e-200 else 0)
+            ev = np.linalg.eigvalsh(s.A * k)
+            assert bounds[0] * k <= ev[0] and ev[-1] <= bounds[1] * k
+        prev = s
+    assert stream[2] != "unit" or bounds is not None
+
+
+def parent_ons_step(s, g, dom):
+    """x and A after a step from the proven state s on a simplex, by the
+    route of ons_step when spectrum_bounds summed the diagonal of A with
+    math.fsum on every call and positive_definite tested the spread of a
+    Cholesky diagonal."""
+    A, n = s.A, dom.n
+    try:
+        trace = math.fsum(A.diagonal().tolist())
+    except OverflowError:
+        trace = math.inf
+    b = 8.0 * n * s.t * (2.0**-53 * trace + 2.0**-1074)
+    lam_min = s.scale - b
+    h = (-1.0 / s.beta) * g
+    gg = A + g[:, None] * g
+    if lam_min > 0 and trace + b <= online.MAX_CONDITION * lam_min:
+        xl, hl = s.x.tolist(), h.tolist()
+        if xl.count(0.0) == n - 1 and 1.0 in xl:
+            f = xl.index(1.0)
+            if hl[f] >= max(hl) and max(hl[f], -min(hl)) + trace + b <= 2.0**1021:
+                x = np.zeros(n)
+                x[f] = 1.0
+                return x, gg
+        return _simplex_kkt(A, s.x, h, s.x), gg
+    pivots = np.linalg.cholesky(A).diagonal()
+    assert pivots.min() > 1e-5 * pivots.max()
+    return dom.minimize_quadratic(A, s.x, h, s.x), gg
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(ons_trace_stream())
+def test_ons_step_has_the_bits_of_the_fsum_route(stream):
+    dom = fg.Simplex(n=stream[0])
+    prev = None
+    for s, g in trace_stream_states(stream):
+        if g is not None:
+            x, A = parent_ons_step(prev, g, dom)
+            assert s.x.tobytes() == x.tobytes()
+            assert s.A.tobytes() == A.tobytes()
+        prev = s
 
 
 class TestMw:

@@ -213,7 +213,8 @@ class TestPrimal:
 def primal_asking_every_round(problem, eps, learner, max_iters, trace_sink):
     """primal_game_opt's game with the separation oracle and the violated
     row's gradient asked in every round, as before an unmoved point re-used
-    its answer; returns what _play_game does."""
+    its answer, and the visit counts in a float array, as before they were
+    ints; returns what _play_game does."""
     player = solvers._point_learner(problem, learner)
     T_star = fg.stopping_threshold(player.spec, eps)
     state = player.init(T_star)
@@ -251,6 +252,19 @@ def ons_oscillating_problem():
          fg.NormDistSq(center=np.array([0.3, 1.3]), c=0.03)], fg.Simplex(n=2))
 
 
+def corners_problem():
+    """Balls of radius^2 0.3 about the vertices of Simplex(3): primal OGD at
+    eps 0.3 ends Infeasible after 91 rounds with weight on all three rows."""
+    return fg.make_problem([fg.NormDistSq(center=e, c=0.3) for e in np.eye(3)], fg.Simplex(n=3))
+
+
+def two_rows_problem():
+    """x_1 <= 0.3 and x_2 <= 0.3 on Simplex(2): log-transformed, primal ONS at
+    eps 0.1 ends Infeasible after 2,344 rounds with p_bar about (0.51, 0.49)."""
+    return fg.make_problem([fg.Affine(a=np.array([1.0, 0.0]), b=-0.3),
+                            fg.Affine(a=np.array([0.0, 1.0]), b=-0.3)], fg.Simplex(n=2))
+
+
 @pytest.mark.parametrize("learner, prob, eps, max_iters", [
     ("ogd", norm_sq_problem(), 0.3, None),
     ("ogd", fg.make_problem([fg.NormDistSq(center=np.array([1.0, 0.0]), c=0.3)],
@@ -262,13 +276,16 @@ def ons_oscillating_problem():
     ("ons", ons_oscillating_problem(), 0.05, 40),
     ("ons", fg.log_transform(fg.make_perceptron_lp(3, 4, feasible=False, seed=2)), 0.1, 400),
     ("ons", fg.log_transform(fg.make_perceptron_lp(10, 20, feasible=False, seed=3)), 0.05, None),
+    ("ogd", corners_problem(), 0.3, None),
+    ("ons", fg.log_transform(two_rows_problem()), 0.1, None),
 ], ids=["ogd-norm", "ogd-fail", "ogd-qp", "mw-norm", "mw-qp", "ons-norm", "ons-return",
-        "ons-vertex", "ons-fail"])
+        "ons-vertex", "ons-fail", "ogd-p-bar", "ons-p-bar"])
 def test_unmoved_points_reuse_answers_without_changing_the_run(monkeypatch, learner, prob,
                                                                eps, max_iters):
     # the reference asks the oracle every round, and its ONS steps take the
     # exact KKT solve at a vertex too: the records but their clocks, and the
-    # outcome's bits, must be the same
+    # outcome's bits (p_bar's among them, the p-bar cases on several rows),
+    # must be the same
     rows = []
     out = fg.primal_game_opt(prob, eps, learner, max_iters=max_iters, trace_sink=rows.append)
     with monkeypatch.context() as m:
