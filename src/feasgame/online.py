@@ -257,10 +257,10 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
     A is used untested, and on a simplex _simplex_kkt is called directly:
     O(n^2), plus O(k^3) per free set of k > 1 coordinates tried.  Any other
     A (a state built by hand, or proven bounds too far apart) is tested by
-    projections.positive_definite, whose refusal proves cond(A) > 1e10. No
-    honest run meets that: with |g| <= G and init_ons's beta <= 1/(8 G D),
-    cond(A) <= 1 + t G^2 D^2 beta^2 <= 1 + t/64 in round t, within 1e10
-    until t is about 6.4e11.
+    projections.positive_definite, whose refusal proves A not positive
+    definite or cond(A) > 1e10.  No honest run meets that: with |g| <= G and
+    init_ons's beta <= 1/(8 G D), cond(A) <= 1 + t G^2 D^2 beta^2 <= 1 + t/64
+    in round t, within 1e10 until t is about 6.4e11.
     A gradient whose shape is not (n,) raises DimensionMismatch; one with a
     NaN or an infinity, an h that overflows and a singular A (on either
     route) raise SetupError.  The gradient is read once as a list, which
@@ -343,10 +343,8 @@ def ons_step(state: OnsState, grad, domain: Domain) -> OnsState:
             x_new = domain.minimize_quadratic(M, state.x, h, state.x)
     except np.linalg.LinAlgError:
         raise SetupError("ONS matrix A is singular") from None
-    # tuple.__new__ skips the NamedTuple's Python __new__, a tenth of a step
-    return tuple.__new__(type(state), (
-        x_new, state.t + 1, state.beta, A + gg, state.scale, (key, gl, gg, ss, stay),
-        (state.trace_bound + ss + domain.n * _ETA) * _UP))
+    return type(state)(x_new, state.t + 1, state.beta, A + gg, state.scale,
+                       (key, gl, gg, ss, stay), (state.trace_bound + ss + domain.n * _ETA) * _UP)
 
 
 # ---------------------------------------------------------------------------

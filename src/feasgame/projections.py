@@ -34,9 +34,10 @@ def positive_definite(A, n: int) -> Array:
         M = 0.5 * (M + M.T)
     try:
         pivots = np.linalg.cholesky(M).diagonal()
+        fit = float((pivots * pivots).min()) > 1e-10 * float(M.diagonal().max())
     except np.linalg.LinAlgError:
-        pivots = np.zeros(1)
-    if not float((pivots * pivots).min()) > 1e-10 * float(M.diagonal().max()):
+        fit = False
+    if not fit:
         raise SetupError("matrix is not positive definite with every squared Cholesky "
                          "pivot above 1e-10 times its largest diagonal entry")
     return M

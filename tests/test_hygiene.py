@@ -206,7 +206,7 @@ def test_the_check_sees_a_stray_group_method():
 
 # `wc -l src/feasgame/*.py src/feasgame/harness/*.py`: growth past this takes
 # a deliberate edit here, and a change that shrinks the package lowers it
-MAX_SOURCE_LINES = 4291
+MAX_SOURCE_LINES = 4290
 
 
 def source_lines() -> int:

@@ -183,11 +183,12 @@ class TestOns:
 
     def test_hand_built_indefinite_matrix_is_refused(self):
         # a state built by hand proves nothing about its matrix, so the
-        # projection tests it as before
-        s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag([1.0, -1.0]))
-        assert s.spectrum_bounds() is None
-        with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
-            fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
+        # projection tests it as before, negative-definite matrices included
+        for diag in ([1.0, -1.0], [-1.0, -1.0], [-1.0, -2.0]):
+            s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag(diag))
+            assert s.spectrum_bounds() is None
+            with pytest.raises(fg.SetupError, match="matrix is not positive definite"):
+                fg.ons_step(s, np.array([1.0, 0.0]), fg.Simplex(n=2))
 
     def test_hand_built_singular_matrix_is_refused(self):
         s = fg.OnsState(x=np.array([0.5, 0.5]), t=1, beta=0.25, A=np.diag([1.0, 0.0]))

@@ -234,7 +234,10 @@ class TestGeneralized:
         for y in (np.array([2.0, -1.0]), domain.start()):
             with pytest.raises(fg.SetupError, match="matrix is not symmetric within 1e-12"):
                 fg.generalized_project(y, np.array([[1.0, 0.5], [0.0, 1.0]]), domain)
-            for A in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 1e-11])):
+            # a negative-definite A fails its factorization: no positive
+            # diagonal entry may excuse it
+            for A in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 1e-11]),
+                      -np.eye(2), np.diag([-1.0, -2.0]), -1e-300 * np.eye(2)):
                 with pytest.raises(fg.SetupError, match="^matrix is not positive definite with "
                                                         "every squared Cholesky pivot above "
                                                         "1e-10 times its largest diagonal entry$"):
