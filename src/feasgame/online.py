@@ -498,9 +498,7 @@ def regret_bound(spec: RegretBoundSpec, T: int) -> float:
 def _combine(costs: Sequence[ConstraintFn], n: int):
     """Sum of costs that have a quadratic form, as one closed form; None
     when some cost has none."""
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    c = 0.0
+    A, b, c = np.zeros((n, n)), np.zeros(n), 0.0
     for f in costs:
         q = f.as_quadratic()
         if q is None:
@@ -514,8 +512,8 @@ def _combine(costs: Sequence[ConstraintFn], n: int):
 def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Array, float]:
     """Best fixed domain point for the summed costs, and its total cost.
 
-    Affine sums have a closed form and quadratic sums take the fixed-step
-    descent; every other sum, at any dimension, takes the line-search
+    Affine sums have a closed form and quadratic sums take the descent's
+    FISTA momentum; every other sum, at any dimension, takes the line-search
     descent to a certified gap of 1e-8.  A cost of another dimension than
     the domain's raises DimensionMismatch.
     """

@@ -466,6 +466,7 @@ class VerificationReport:
     value: float | None = None
     witness_index: int | None = None
     message: str = ""
+    steps: int | None = None  # the certified descent's iterations; None where none ran
 
 
 def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> VerificationReport:
@@ -476,10 +477,12 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     residual min_x sum_j p_j r_j(x) above 0 (above -eps for the eps-relaxed
     claim): the Frank-Wolfe lower bound at a descent iterate bounds that
     minimum from below on every domain and at every n, so one route serves
-    them all and value is the lower bound it proved.  It makes the
-    optimization oracle's call, with tol 1e-9 and no stop_below, unless the
-    problem has an indefinite quadratic, which the report names.  A NaN or
-    an infinite eps raises SetupError.
+    them all; value is the bound it proved in steps descent steps.  It
+    makes the optimization oracle's call, with tol 1e-9 and no stop_below
+    (FISTA's momentum and restart from a plain 1/L first step at a finite
+    smoothness, else the line search without momentum; see
+    minimize_over_domain), unless the problem has an indefinite quadratic,
+    which the report names.  A NaN or an infinite eps raises SetupError.
     """
     if not math.isfinite(eps):
         raise SetupError(f"eps must be finite, got {eps!r}")
@@ -490,8 +493,7 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
         return VerificationReport(
             ok=ok, method="evaluate", value=float(res[worst]),
             witness_index=None if ok else worst,
-            message="" if ok else f"constraint {worst} has residual {res[worst]:.6g} > {eps:.6g}",
-        )
+            message="" if ok else f"constraint {worst} has residual {res[worst]:.6g} > {eps:.6g}")
     if isinstance(outcome, Exhausted):
         return VerificationReport(ok=True, method="none",
                                   message="exhausted run carries no certificate")
@@ -506,10 +508,10 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
         res = minimize_over_domain(mix.value_and_gradient, problem.domain,
                                    smoothness=mix.smoothness, tol=1e-9)
         ok = res.lower_bound > threshold
-        msg = "" if ok else (
-            f"certified lower bound {res.lower_bound:.6g} does not exceed {threshold:.6g}"
-        )
-        return VerificationReport(ok=ok, method="pgd", value=res.lower_bound, message=msg)
+        return VerificationReport(
+            ok=ok, method="pgd", value=res.lower_bound, steps=res.iterations,
+            message="" if ok else (f"certified lower bound {res.lower_bound:.6g} "
+                                   f"does not exceed {threshold:.6g}"))
     raise SetupError(f"not a solver outcome: {outcome!r}")
 
 

@@ -2,14 +2,17 @@
 
 minimize_over_domain memoizes the linear minimum of the last gradient and
 takes its vector products through ndarray.dot; both are meant to leave every
-float where the plain loop puts it.  The plain loop is kept below as it was
-before either change, and every result is compared with it bit for bit:
-mixtures of every stacked family and the entropy on all three domains, the
-fixed step and the line search, with and without stop_below, and custom
-objectives whose gradients are strided, reversed, broadcast or rewritten in
-place.
+float where the plain loop puts it.  The plain loop is kept below, with the
+fixed step's FISTA momentum and restart written out, and every result is
+compared with it bit for bit: mixtures of every stacked family and the
+entropy on all three domains, the fixed step and the line search, with and
+without stop_below, and custom objectives whose gradients are strided,
+reversed, broadcast or rewritten in place.  The loop as it was before the
+momentum, plain_pgd, is the reference for the momentum's bounds and its
+unchanged first steps.
 """
 
+import functools
 import math
 import re
 
@@ -27,16 +30,18 @@ from test_packed import FAMILIES as PACKED_FAMILIES, build, problems
 CAP = 2_000  # steps per descent in the property tests, to keep them quick
 
 
-def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, cap=CAP):
-    """minimize_over_domain as it was before the memo and ndarray.dot, with
-    its step cap as an argument."""
+def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, cap=CAP,
+                   momentum=True):
+    """minimize_over_domain without the memo and ndarray.dot, with its step
+    cap as an argument; momentum=False is the fixed step before FISTA's
+    momentum (plain_pgd)."""
     x = domain.start()
     fx, g = fn(x)
     best_x, best_f = x, fx
     best_lb = -math.inf
     fixed = smoothness is not None and math.isfinite(smoothness) and smoothness > 0
     step = 1.0 / smoothness if fixed else 1.0
-    iters = 0
+    iters, t = 0, 1.0
     for iters in range(1, cap + 1):
         if stop_below is not None and best_f <= stop_below:
             return fg.MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
@@ -45,8 +50,20 @@ def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, ca
         if best_f - best_lb <= tol:
             return fg.MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
         if fixed:
-            x_new = project_domain(domain, x - step * g)
+            # FISTA (Beck-Teboulle 2009) from the third step, with the
+            # gradient at its extrapolated point taken as the same
+            # extrapolation of the gradient steps u; t restarts at 1
+            # whenever f rises (O'Donoghue-Candes 2015)
+            u = x - step * g
+            beta = 0.0
+            if momentum and iters > 1:
+                t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+                beta = (t_old - 1.0) / t
+            x_new = project_domain(domain, u + beta * (u - u_old) if beta > 0.0 else u)
             f_new, g_new = fn(x_new)
+            if f_new > fx:
+                t = 1.0
+            u_old = u
         else:
             s = step
             while True:
@@ -69,6 +86,9 @@ def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, ca
             best_x, best_f = x_new, f_new
         x, fx, g = x_new, f_new, g_new
     return fg.MinimizeResult(best_x, best_f, best_lb, iters, False)
+
+
+plain_pgd = functools.partial(plain_minimize, momentum=False)
 
 
 def outcome(run):
@@ -329,7 +349,104 @@ def test_the_certify_certificate_is_pinned_to_the_bit(monkeypatch):
     rep = fg.verify_certificate(prob, fg.dual_game_opt(prob, 0.025).outcome, 0.025)
     assert rep.ok and rep.method == "pgd"
     assert rep.value == 0.0002932744809333055
-    assert steps == [33_539]
+    assert steps == [33_539] == [rep.steps]
+
+
+# ---------------------------------------------------------------------------
+# The fixed step's momentum against plain_pgd, the 1/L loop before it
+
+
+@pytest.mark.parametrize("seed, steps, bound, plain_steps", [
+    (0, 38, 0.0551833957678326, 205),
+    (1, 25, 0.10907135629586105, 93),
+])
+def test_primal_ons_certificates_prove_in_their_pinned_steps(seed, steps, bound, plain_steps):
+    # the benchmark's primal-ons instance (seed 0) and a held-out one: the
+    # momentum proves each log mixture in a fifth of the plain steps, to
+    # the plain loop's bound
+    prob = fg.log_transform(fg.make_perceptron_lp(10, 20, feasible=False, seed=seed))
+    out = fg.primal_game_opt(prob, 0.05, "ons").outcome
+    rep = fg.verify_certificate(prob, out, 0.05)
+    assert (rep.ok, rep.method, rep.steps, rep.value) == (True, "pgd", steps, bound)
+    mix = fg.Mixture(prob, out.p_bar)
+    plain = plain_pgd(mix.value_and_gradient, prob.domain, smoothness=mix.smoothness,
+                      cap=descent.MAX_STEPS)
+    assert (plain.iterations, plain.converged, plain.lower_bound) == (plain_steps, True, bound)
+
+
+@pytest.mark.parametrize("n, kappa", [(3, 1e3), (5, 1e2), (10, 1e3), (20, 1e4)])
+def test_the_restart_keeps_an_ill_conditioned_descent_linear(n, kappa):
+    # sum_i w_i (x_i - c_i)^2 in a box, condition number kappa, minimum 0
+    # inside: the restarted momentum closes a 1e-9 gap within
+    # 2 sqrt(kappa) log(1e9) steps, where without the restart it took 759
+    # to 25,205 steps and without momentum 1,535 to 108,212
+    w, c = np.geomspace(1.0, 1.0 / kappa, n), np.linspace(-0.5, 0.5, n)
+
+    def fn(x):
+        r = x - c
+        return float(w @ (r * r)), 2.0 * w * r
+
+    box = fg.Box(lo=np.full(n, -1.0), hi=np.full(n, 1.0))
+    res = fg.minimize_over_domain(fn, box, smoothness=2.0, tol=1e-9)
+    assert res.converged and -1e-9 <= res.lower_bound <= 0.0 <= res.value <= 1e-9
+    assert res.iterations <= 2.0 * math.sqrt(kappa) * math.log(1e9)
+
+
+def smooth_mixture(kind, n, seed):
+    """A mixture of finite smoothness: a log-transformed perceptron LP, a
+    portfolio (both on the simplex) or quadratics on the simplex, the ball
+    or the box, with Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 21))
+    if kind == "log lp":
+        problem = fg.log_transform(fg.make_perceptron_lp(n, m, feasible=bool(seed % 2),
+                                                         seed=seed))
+    elif kind == "portfolio":
+        problem = fg.make_portfolio_risk(n, m, seed=seed)
+    else:
+        problem = fg.Problem(constraints=tuple(make_constraint("quadratic", rng, n)
+                                               for _ in range(m % 4 + 1)),
+                             domain=make_domain(kind, rng, n), params=PARAMS)
+    mix = fg.Mixture(problem, rng.dirichlet(np.ones(problem.m)))
+    assert mix.smoothness is not None
+    return problem.domain, mix
+
+
+smooth_mixtures = st.tuples(st.sampled_from(["log lp", "portfolio", "simplex", "ball", "box"]),
+                            st.integers(2, 20), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(smooth_mixtures)
+def test_momentum_converges_at_domain_points_to_the_plain_bound(spec):
+    domain, mix = smooth_mixture(*spec)
+    tol, inside = 1e-8, []
+
+    def fn(x):
+        inside.append(domain.contains(x))
+        return mix.value_and_gradient(x)
+
+    res = fg.minimize_over_domain(fn, domain, smoothness=mix.smoothness, tol=tol)
+    assert res.converged and res.value - res.lower_bound <= tol
+    assert len(inside) == res.iterations + 1 and all(inside)
+    plain = plain_pgd(mix.value_and_gradient, domain, smoothness=mix.smoothness, tol=tol,
+                      cap=descent.MAX_STEPS)
+    assert plain.converged
+    assert abs(res.lower_bound - plain.lower_bound) <= 2 * tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(smooth_mixtures, st.sampled_from([1, 2]))
+def test_a_descent_stopped_within_two_steps_keeps_the_plain_bytes(spec, k):
+    # beta is 0 on steps 1 and 2: a dual oracle call that stops at the top
+    # of step 2 (every one of the dual-descent benchmark's) or 3 returns
+    # the plain loop's point
+    domain, mix = smooth_mixture(*spec)
+    fn, L = mix.value_and_gradient, mix.smoothness
+    stop = plain_pgd(fn, domain, smoothness=L, tol=0.0, cap=k).value
+    got = outcome(lambda: fg.minimize_over_domain(fn, domain, smoothness=L, stop_below=stop))
+    assert got == outcome(lambda: plain_pgd(fn, domain, smoothness=L, stop_below=stop))
+    assert got[3] <= k
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,8 @@ class TestCli:
         assert main(["verify", "--outcome", str(out), "--out", str(report)]) == 0
         verdict = json.loads(report.read_text())
         assert (verdict["ok"], verdict["method"]) == (True, "pgd")
-        assert sorted(verdict) == ["message", "method", "ok", "value", "witness_index"]
+        assert sorted(verdict) == ["message", "method", "ok", "steps", "value", "witness_index"]
+        assert isinstance(verdict["steps"], int)
 
     def test_trace_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, INFEASIBLE_DOC)

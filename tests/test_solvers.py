@@ -780,8 +780,28 @@ class TestVerification:
         # f(1, 0) = -4.5, yet the descent starts at the stationary (1/2, 1/2)
         # where f = 0.5, and a Frank-Wolfe bound there claimed min f = 0.5
         rep = fg.verify_certificate(concave_problem(), kind(p_bar=np.array([0.5, 0.5])), 0.1)
-        assert (rep.ok, rep.witness_index, rep.value) == (False, 1, None)
+        assert (rep.ok, rep.witness_index, rep.value, rep.steps) == (False, 1, None, None)
         assert rep.message == "constraint 1 is an indefinite quadratic"
+
+    def test_the_report_counts_steps_only_where_a_descent_runs(self, monkeypatch):
+        # ||x - (1, 1, 0, 0)||^2 on Simplex(4): its minimum 1/2 is off the start
+        prob = fg.make_problem([fg.NormDistSq(center=np.array([1.0, 1.0, 0.0, 0.0]), c=0.0)],
+                               fg.Simplex(n=4))
+        runs = []
+        descend = solvers.minimize_over_domain
+
+        def counted(*args, **kwargs):
+            runs.append(descend(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solvers, "minimize_over_domain", counted)
+        rep = fg.verify_certificate(prob, fg.Infeasible(p_bar=np.array([1.0])), 0.1)
+        assert rep.ok and len(runs) == 1 and rep.steps == runs[0].iterations >= 1
+        x = np.full(4, 0.25)
+        for outcome in (fg.Feasible(x=x, residuals=fg.residuals(prob, x)),
+                        fg.Exhausted(best_x=x, best_violation=1.0)):
+            assert fg.verify_certificate(prob, outcome, 0.1).steps is None
+        assert len(runs) == 1
 
     def test_contradiction_detector(self):
         feas = fg.Feasible(x=np.array([0.5, 0.5]), residuals=np.array([-1.0]))
