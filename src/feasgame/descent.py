@@ -50,25 +50,25 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     fn(x) returns the value and the gradient at x.  Stops, converged, when
     the certified gap value - lower_bound falls below tol, or as soon as
     the value drops to stop_below when that is given; a tol that is NaN,
-    infinite or negative raises SetupError first.  A finite positive
-    smoothness bound L gives FISTA's momentum (Beck and Teboulle, 2009) on
-    the gradient steps u_k = x_k - g_k/L: x_{k+1} projects u_k + beta_k
-    (u_k - u_{k-1}), beta_k = (t_k - 1)/t_{k+1}, t_{k+1} = (1 + sqrt(1 +
-    4 t_k^2))/2 from t_1 = 1, and t restarts at 1 when f rises (O'Donoghue
-    and Candes, 2015).  That is FISTA for an affine g (a quadratic); fn is
-    called once a step, at projected iterates only, and beta is 0 on steps
-    1 and 2, which keep the plain 1/L step's floats.  Otherwise (affine,
-    entropy and barrier mixtures; certify pins 33,539 steps and a faster
-    certify pass fails the benchmark's span gate) a line search doubles its
-    next trial step (up to 1) after a strict decrease and halves it
-    otherwise, as near the minimum the 1e-15 slack accepts any step and a
-    doubling step would bounce around the minimizer.  A trial point off
-    fn's analytic domain counts as f = +inf.  A round without a strict
-    decrease at a step below 1e-18, and MAX_STEPS steps, end the descent
-    unconverged with its best value and certified bound; it never raises
-    for want of convergence.  The last gradient's linear minimum is
-    memoized on g.tobytes() (fn may refill one buffer), and g.dot stands
-    in for @ on a unit-stride float64 g; neither moves a float.
+    infinite or negative raises SetupError first.  Each trial point
+    projects u_k + beta_k (u_k - u_{k-1}), FISTA's momentum (Beck and
+    Teboulle, 2009) on the gradient step u_k = x_k - s g_k, with beta_k =
+    (t_k - 1)/t_{k+1}, t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 from t_1 = 1
+    (beta is 0 on steps 1 and 2); t restarts at 1 when f rises (O'Donoghue
+    and Candes, 2015).  A finite positive smoothness bound L gives one
+    trial at s = 1/L, FISTA for a quadratic.  Otherwise (affine, entropy,
+    barrier) Armijo backtracking picks s: a trial off fn's analytic domain
+    counts as f = +inf, a rejected trial with momentum restarts t and
+    retries the plain step at the same s (the momentum term does not shrink
+    with s), and a rejected plain step halves s.  fn is called at projected
+    points only.  The next step's s doubles (up to 1) after a strict
+    decrease and halves otherwise, as near the minimum the 1e-15 slack
+    accepts any step and doubling would bounce around it.  A round without
+    a strict decrease at a step below 1e-18, and MAX_STEPS steps, end the
+    descent unconverged with its best value and certified bound; it never
+    raises for want of convergence.  The last gradient's linear minimum is
+    memoized on g.tobytes() (fn may refill one buffer), and g.dot stands in
+    for @ on a unit-stride float64 g; neither moves a float.
     """
     if not 0.0 <= tol < math.inf:
         raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")
@@ -78,7 +78,7 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
     best_x, best_f, best_lb = x, fx, -math.inf
     fixed = smoothness is not None and math.isfinite(smoothness) and smoothness > 0
     step = 1.0 / smoothness if fixed else 1.0
-    iters, key, t = 0, None, 1.0
+    iters, key, t, t_old = 0, None, 1.0, 1.0
     for iters in range(1, MAX_STEPS + 1):
         if best_f <= stop:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
@@ -90,34 +90,34 @@ def minimize_over_domain(fn: Callable[[Array], tuple[float, Array]],
             best_lb = lb
         if best_f - best_lb <= tol:
             return MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
-        if fixed:  # v = u while beta is 0: on steps 1 and 2, and after a restart
-            u = v = x - step * g
-            if iters > 1:
-                t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-                if t_old > 1.0:
-                    v = u + ((t_old - 1.0) / t) * (u - u_old)
-            x_new = project_domain(domain, v)
-            f_new, g_new = fn(x_new)
-            t, u_old = (1.0 if f_new > fx else t), u  # the function-value restart
-        else:
-            # Armijo backtracking on the projected step
-            s = step
-            while True:
-                x_new = project_domain(domain, x - s * g)
-                try:
-                    f_new, g_new = fn(x_new)
-                except EvaluationDomainError:
-                    f_new = math.inf
-                d = x_new - x
-                if f_new <= fx + float(gdot(d)) + float(d.dot(d)) / (2.0 * s) + 1e-15:
-                    break
-                s *= 0.5
-                if s < 1e-18:
-                    x_new, f_new, g_new = x, fx, g
-                    break
-            if not f_new < fx and s < 1e-18:  # x can no longer move
+        if iters > 1:  # no square root on a one-step descent (the dual oracle's)
+            t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t_old - 1.0) / t if t_old > 1.0 else 0.0  # 0 on steps 1, 2, after a restart
+        while True:  # Armijo backtracking on the projected step, unless fixed
+            u = x - step * g
+            x_new = project_domain(domain, u + beta * (u - u_old) if beta else u)
+            if fixed:
+                f_new, g_new = fn(x_new)
+                break
+            try:
+                f_new, g_new = fn(x_new)
+            except EvaluationDomainError:
+                f_new = math.inf
+            d = x_new - x
+            if f_new <= fx + float(gdot(d)) + float(d.dot(d)) / (2.0 * step) + 1e-15:
+                break
+            if beta:  # the rejected-trial restart: the plain step at this step size
+                beta, t = 0.0, 1.0
+                continue
+            step *= 0.5
+            if step < 1e-18:
+                x_new, f_new, g_new = x, fx, g
+                break
+        t, u_old = (1.0 if f_new > fx else t), u  # the function-value restart
+        if not fixed:
+            if not f_new < fx and step < 1e-18:  # x can no longer move
                 return MinimizeResult(best_x, best_f, best_lb, iters, False)
-            step = min(s * 2.0, 1.0) if f_new < fx else s * 0.5
+            step = min(step * 2.0, 1.0) if f_new < fx else step * 0.5
         if f_new < best_f:
             best_x, best_f = x_new, f_new
         x, fx, g = x_new, f_new, g_new
@@ -129,11 +129,11 @@ def optimization_oracle(problem: Problem, p, tol: float) -> Array | None:
 
     FAIL certifies min_x sum_j p_j r_j(x) > 0: exactly when the mixture is
     affine (closed-form linear minimization over the domain), and through
-    the Frank-Wolfe lower bound of minimize_over_domain otherwise: FISTA's
-    momentum with restart at a finite smoothness, whose first step is the
-    plain 1/L step to the bit, else the line search, which has no momentum
-    (see there why).  An unconverged descent with neither a point nor a
-    certificate raises ConvergenceError, a solver failure, not a FAIL.
+    the Frank-Wolfe lower bound of minimize_over_domain's momentum descent
+    otherwise (at 1/L for a finite smoothness L, else on a line search that
+    retries a rejected trial without momentum).  An unconverged descent
+    with neither a point nor a certificate raises ConvergenceError, a
+    solver failure, not a FAIL.
     """
     if not 0.0 <= tol < math.inf:
         raise SetupError(f"tol must be a nonnegative finite float, got {tol!r}")

@@ -512,10 +512,10 @@ def _combine(costs: Sequence[ConstraintFn], n: int):
 def hindsight_minimum(costs: Sequence[ConstraintFn], domain: Domain) -> tuple[Array, float]:
     """Best fixed domain point for the summed costs, and its total cost.
 
-    Affine sums have a closed form and quadratic sums take the descent's
-    FISTA momentum; every other sum, at any dimension, takes the line-search
-    descent to a certified gap of 1e-8.  A cost of another dimension than
-    the domain's raises DimensionMismatch.
+    Affine sums have a closed form; every other sum takes the descent's
+    FISTA momentum, at 1/L for a quadratic sum, else on a line search that
+    retries a rejected trial without momentum to a certified gap of 1e-8.
+    A cost of another dimension than the domain's raises DimensionMismatch.
     """
     if not costs:
         raise SetupError("need at least one cost")

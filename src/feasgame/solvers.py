@@ -479,10 +479,10 @@ def verify_certificate(problem: Problem, outcome: Outcome, eps: float) -> Verifi
     minimum from below on every domain and at every n, so one route serves
     them all; value is the bound it proved in steps descent steps.  It
     makes the optimization oracle's call, with tol 1e-9 and no stop_below
-    (FISTA's momentum and restart from a plain 1/L first step at a finite
-    smoothness, else the line search without momentum; see
-    minimize_over_domain), unless the problem has an indefinite quadratic,
-    which the report names.  A NaN or an infinite eps raises SetupError.
+    (minimize_over_domain's momentum descent, at 1/L or on a line search
+    that retries a rejected trial without momentum), unless the problem has
+    an indefinite quadratic, which the report names.  A NaN or an infinite
+    eps raises SetupError.
     """
     if not math.isfinite(eps):
         raise SetupError(f"eps must be finite, got {eps!r}")

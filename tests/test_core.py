@@ -224,12 +224,12 @@ class TestMinimizeOverDomain:
         assert res.lower_bound <= -20.0 / math.e <= res.value <= res.lower_bound + 1e-9
 
     def test_stalled_line_search_stops_unconverged(self):
-        # without its smoothness the line search stops decreasing f with the
-        # certified gap stuck near 5e-9; the step used to halve to 0.0 and
-        # divide by zero
+        # without its smoothness, at tol 0, the line search stops decreasing
+        # f before the certified gap closes; the step used to halve to 0.0
+        # and divide by zero
         prob = fg.make_strict_qp(10, 20, feasible=False, seed=0)
         mix = fg.Mixture(prob, np.eye(20)[0])
-        res = fg.minimize_over_domain(mix.value_and_gradient, prob.domain, tol=1e-9)
+        res = fg.minimize_over_domain(mix.value_and_gradient, prob.domain, tol=0.0)
         assert not res.converged
         assert res.iterations < 1000
         assert 1.56 < res.lower_bound <= res.value < res.lower_bound + 1e-8

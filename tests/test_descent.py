@@ -2,12 +2,13 @@
 
 minimize_over_domain memoizes the linear minimum of the last gradient and
 takes its vector products through ndarray.dot; both are meant to leave every
-float where the plain loop puts it.  The plain loop is kept below, with the
-fixed step's FISTA momentum and restart written out, and every result is
-compared with it bit for bit: mixtures of every stacked family and the
-entropy on all three domains, the fixed step and the line search, with and
-without stop_below, and custom objectives whose gradients are strided,
-reversed, broadcast or rewritten in place.  The loop as it was before the
+float where the plain loop puts it.  The plain loop is kept below, with
+FISTA's momentum, its function-value restart and the line search's
+rejected-trial restart written out, and every result is compared with it
+bit for bit: mixtures of every stacked family and the entropy on all three
+domains, the fixed step and the line search, with and without stop_below,
+and custom objectives whose gradients are strided, reversed, broadcast or
+rewritten in place.  The loop as it was before the
 momentum, plain_pgd, is the reference for the momentum's bounds and its
 unchanged first steps.
 """
@@ -33,7 +34,7 @@ CAP = 2_000  # steps per descent in the property tests, to keep them quick
 def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, cap=CAP,
                    momentum=True):
     """minimize_over_domain without the memo and ndarray.dot, with its step
-    cap as an argument; momentum=False is the fixed step before FISTA's
+    cap as an argument; momentum=False is the descent before FISTA's
     momentum (plain_pgd)."""
     x = domain.start()
     fx, g = fn(x)
@@ -49,25 +50,23 @@ def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, ca
         best_lb = max(best_lb, fx + lin - float(g @ x))
         if best_f - best_lb <= tol:
             return fg.MinimizeResult(best_x, best_f, best_lb, iters - 1, True)
+        # FISTA (Beck-Teboulle 2009) from the third step on both branches,
+        # with the gradient at its extrapolated point taken as the same
+        # extrapolation of the gradient steps u; t restarts at 1 whenever f
+        # rises (O'Donoghue-Candes 2015)
+        beta = 0.0
+        if momentum and iters > 1:
+            t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            beta = (t_old - 1.0) / t
         if fixed:
-            # FISTA (Beck-Teboulle 2009) from the third step, with the
-            # gradient at its extrapolated point taken as the same
-            # extrapolation of the gradient steps u; t restarts at 1
-            # whenever f rises (O'Donoghue-Candes 2015)
             u = x - step * g
-            beta = 0.0
-            if momentum and iters > 1:
-                t_old, t = t, (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-                beta = (t_old - 1.0) / t
             x_new = project_domain(domain, u + beta * (u - u_old) if beta > 0.0 else u)
             f_new, g_new = fn(x_new)
-            if f_new > fx:
-                t = 1.0
-            u_old = u
         else:
             s = step
             while True:
-                x_new = project_domain(domain, x - s * g)
+                u = x - s * g
+                x_new = project_domain(domain, u + beta * (u - u_old) if beta > 0.0 else u)
                 try:
                     f_new, g_new = fn(x_new)
                 except fg.EvaluationDomainError:
@@ -75,6 +74,9 @@ def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, ca
                 d = x_new - x
                 if f_new <= fx + float(g @ d) + float(d @ d) / (2.0 * s) + 1e-15:
                     break
+                if beta > 0.0:  # a rejected extrapolation: the plain step at this s
+                    beta, t = 0.0, 1.0
+                    continue
                 s *= 0.5
                 if s < 1e-18:
                     x_new, f_new, g_new = x, fx, g
@@ -82,6 +84,9 @@ def plain_minimize(fn, domain, *, smoothness=None, tol=1e-9, stop_below=None, ca
             if not f_new < fx and s < 1e-18:
                 return fg.MinimizeResult(best_x, best_f, best_lb, iters, False)
             step = min(s * 2.0, 1.0) if f_new < fx else s * 0.5
+        if f_new > fx:
+            t = 1.0
+        u_old = u
         if f_new < best_f:
             best_x, best_f = x_new, f_new
         x, fx, g = x_new, f_new, g_new
@@ -259,7 +264,7 @@ def test_an_affine_descent_takes_one_linear_minimum(monkeypatch):
     assert mix.linear
     seen = counted_linear_minimum(monkeypatch, prob.domain)
     res = fg.minimize_over_domain(mix.value_and_gradient, prob.domain, tol=1e-6)
-    assert (res.iterations, res.converged) == (207, True)
+    assert (res.iterations, res.converged) == (38, True)
     assert len(seen) == 1
 
 
@@ -335,7 +340,8 @@ def test_the_oracle_refuses_a_bad_tol(tol):
 
 def test_the_certify_certificate_is_pinned_to_the_bit(monkeypatch):
     # the benchmark's certify instance: the affine mixture's line search
-    # takes 33,539 steps, and its bound is the report's value
+    # takes 514 steps (33,539 without momentum), and its bound is the
+    # report's value
     steps = []
     descend = solvers.minimize_over_domain
 
@@ -349,7 +355,7 @@ def test_the_certify_certificate_is_pinned_to_the_bit(monkeypatch):
     rep = fg.verify_certificate(prob, fg.dual_game_opt(prob, 0.025).outcome, 0.025)
     assert rep.ok and rep.method == "pgd"
     assert rep.value == 0.0002932744809333055
-    assert steps == [33_539] == [rep.steps]
+    assert steps == [514] == [rep.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,81 @@ def test_a_descent_stopped_within_two_steps_keeps_the_plain_bytes(spec, k):
     got = outcome(lambda: fg.minimize_over_domain(fn, domain, smoothness=L, stop_below=stop))
     assert got == outcome(lambda: plain_pgd(fn, domain, smoothness=L, stop_below=stop))
     assert got[3] <= k
+
+
+# ---------------------------------------------------------------------------
+# The line search's momentum against plain_pgd, the loop before it
+
+
+@pytest.mark.parametrize("n, seed, weights, capped_bound, converged", [
+    (4, 1, "dirichlet", -1.1579704122719008, True),
+    (8, 0, "dirichlet", -3.361835993487982, False),
+    (7, 1, "e0", -5.301165057183718, True),
+])
+def test_crp_barrier_certificates_end_within_a_thousand_steps(n, seed, weights, capped_bound,
+                                                              converged):
+    # crp's log barrier has no smoothness bound, so its mixtures take the
+    # line search, which without momentum ran these to the 200,000-step
+    # cap and stopped unconverged at capped_bound.  n = 8 ends at the
+    # stall exit instead: its value is the cap's -3.3618359815215775 to
+    # f's rounding, where the projected gradient is too small to move f
+    # and the Frank-Wolfe gap stays at the cap's 1.2e-8
+    prob = fg.make_crp_problem(n, 2, seed=seed)
+    p = np.random.default_rng(0).dirichlet(np.ones(2)) if weights == "dirichlet" else np.eye(2)[0]
+    mix = fg.Mixture(prob, p)
+    assert mix.smoothness is None
+    res = fg.minimize_over_domain(mix.value_and_gradient, prob.domain, tol=1e-9)
+    assert res.converged == converged and res.iterations <= 1_000
+    assert abs(res.lower_bound - capped_bound) <= 1e-8
+    assert res.value - res.lower_bound <= (1e-9 if converged else 2e-8)
+    rep = fg.verify_certificate(prob, fg.Infeasible(p_bar=p), 0.1)
+    assert (rep.ok, rep.value, rep.steps) == (False, res.lower_bound, res.iterations)
+
+
+def line_search_mixture(fams, kind, n, seed):
+    """An equal-weight mixture of affine, entropy, log-barrier and quadratic
+    terms on the simplex, a ball or a box whose start point is inside every
+    term's domain (x > 0 for the entropy, rows . x > 0 for the barrier),
+    while the ball and the box may reach outside it.  Dirichlet weights
+    can give the entropy a small weight and the minimizer coordinates of
+    1e-5 to 1e-4, whose uneven curvature (weight / x_i) takes either loop
+    thousands of steps or stalls it."""
+    rng = np.random.default_rng(seed)
+    if kind == "simplex":
+        domain = fg.Simplex(n=n)
+    elif kind == "ball":
+        domain = fg.Ball(n=n, radius=float(rng.uniform(0.2, 2)), center=rng.uniform(0.5, 1.5, n))
+    else:
+        lo = rng.uniform(-0.5, 0.5, n)
+        domain = fg.Box(lo=lo, hi=lo + rng.uniform(1.2, 2, n))
+    terms = tuple(fg.NegLogBarrier(rows=rng.uniform(0.1, 1, (int(rng.integers(1, 4)), n)),
+                                   level=float(rng.uniform(-1, 1)))
+                  if f == "barrier" else make_constraint(f, rng, n) for f in fams)
+    problem = fg.Problem(constraints=terms, domain=domain, params=PARAMS)
+    return domain, fg.Mixture(problem, np.full(problem.m, 1.0 / problem.m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(["affine", "entropy", "barrier", "quadratic"]), min_size=1,
+                max_size=4),
+       st.sampled_from(["simplex", "ball", "box"]), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_line_search_momentum_converges_at_domain_points_to_the_plain_bound(fams, kind, n,
+                                                                             seed):
+    # no smoothness is passed, so even a quadratic takes the line search;
+    # trial points off the entropy's or the barrier's domain are rejected
+    domain, mix = line_search_mixture(fams, kind, n, seed)
+    tol, inside = 1e-7, []
+
+    def fn(x):
+        inside.append(domain.contains(x))
+        return mix.value_and_gradient(x)
+
+    res = fg.minimize_over_domain(fn, domain, tol=tol)
+    assert res.converged and res.value - res.lower_bound <= tol
+    assert all(inside)
+    plain = plain_pgd(mix.value_and_gradient, domain, tol=tol, cap=descent.MAX_STEPS)
+    assert plain.converged
+    assert abs(res.lower_bound - plain.lower_bound) <= 2 * tol
 
 
 # ---------------------------------------------------------------------------
