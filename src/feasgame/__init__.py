@@ -75,6 +75,7 @@ from .solvers import (
     Infeasible,
     OUTCOMES,
     Outcome,
+    ROUTES,
     SolveResult,
     TraceRecord,
     VerificationReport,

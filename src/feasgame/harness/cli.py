@@ -15,7 +15,7 @@ from pathlib import Path
 from ..core import SetupError
 from ..problems import GENERATORS, GeneratorSpec
 from ..reductions import log_transform, strictify
-from ..solvers import EpsilonInfeasible, Exhausted, Feasible, Infeasible, TraceRecord
+from ..solvers import ROUTES, EpsilonInfeasible, Exhausted, Feasible, Infeasible, TraceRecord
 from .experiments import regret_experiment, run_solver, scaling_experiment
 from .io import (
     PROBLEM_VERSION,
@@ -173,15 +173,15 @@ def _add_knob_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    learners = tuple(dict.fromkeys(name for _, names, _, _ in ROUTES.values() for name in names))
     parser = _Parser(prog="feasgame",
                      description="Convex feasibility via repeated games")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem file")
     ps.add_argument("--problem", required=True)
-    ps.add_argument("--algo", choices=("primal", "dual", "primal-dual"),
-                    default="primal")
-    ps.add_argument("--learner", choices=("ogd", "ons", "mw"), default=None)
+    ps.add_argument("--algo", choices=tuple(ROUTES), default="primal")
+    ps.add_argument("--learner", choices=learners, default=None)
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--strictify", type=_strictify_arg, default=None,
                     metavar="DELTA|auto")
@@ -203,12 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="run a regret or scaling experiment")
     pe.add_argument("--kind", choices=("regret", "scaling"), required=True)
-    pe.add_argument("--learner", choices=("ogd", "ons", "mw"), default=None)
+    pe.add_argument("--learner", choices=learners, default=None)
     pe.add_argument("--t", type=int, default=10_000)
     pe.add_argument("--seeds", type=int, default=20)
     pe.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), default="qp")
-    pe.add_argument("--algo", choices=("primal", "dual", "primal-dual"),
-                    default="primal")
+    pe.add_argument("--algo", choices=tuple(ROUTES), default="primal")
     pe.add_argument("--eps-ladder", type=_eps_ladder_arg, default=None,
                     metavar="E1,E2,...")
     pe.add_argument("--n", type=int, default=10)

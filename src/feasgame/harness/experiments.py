@@ -12,30 +12,15 @@ import numpy as np
 from ..core import Ball, Problem, Quadratic, SetupError, gradient
 from ..online import init_ogd, measured_regret, mw_learning_rate, ogd_step
 from ..problems import GeneratorSpec, make_problem_from_spec
-from ..solvers import (
-    Exhausted,
-    SolveResult,
-    dual_game_opt,
-    primal_dual_game_opt,
-    primal_game_opt,
-)
+from ..solvers import ROUTES, Exhausted, SolveResult
 
 
 def run_solver(problem: Problem, algo: str, learner: str | None, eps: float, *,
                max_iters: int | None = None, trace_sink=None) -> SolveResult:
-    """Dispatch one solve by algorithm tag; dual runs are always MW."""
-    if algo == "primal":
-        return primal_game_opt(problem, eps, learner or "ogd",
-                               max_iters=max_iters, trace_sink=trace_sink)
-    if algo == "dual":
-        if learner not in (None, "mw"):
-            raise SetupError("the dual solver's weight player is always MW")
-        return dual_game_opt(problem, eps, max_iters=max_iters,
-                             trace_sink=trace_sink)
-    if algo == "primal-dual":
-        return primal_dual_game_opt(problem, eps, learner or "ogd",
-                                    max_iters=max_iters, trace_sink=trace_sink)
-    raise SetupError(f"unknown algorithm {algo!r}")
+    """One solve by its ROUTES name; learner None takes the route's default."""
+    if not isinstance(algo, str) or algo not in ROUTES:
+        raise SetupError(f"unknown algorithm {algo!r}")
+    return ROUTES[algo][0](problem, eps, learner, max_iters=max_iters, trace_sink=trace_sink)
 
 
 @dataclass

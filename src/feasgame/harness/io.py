@@ -50,7 +50,7 @@ import numpy as np
 
 from ..core import DOMAINS, FAMILIES, Problem, ProblemParams, SetupError, make_problem
 from ..problems import GENERATORS, GeneratorSpec, make_problem_from_spec
-from ..solvers import OUTCOMES, Outcome, SolveResult
+from ..solvers import OUTCOMES, ROUTES, Outcome, SolveResult
 
 PROBLEM_VERSION = 2
 OUTCOME_VERSION = 1
@@ -449,6 +449,9 @@ def parse_outcome_document(doc: str | dict) -> dict:
         raise ProblemFileError(f"outcome_document.version: unsupported version {version}")
     if ("original_problem" in doc) != ("eps_original" in doc):
         raise ProblemFileError("outcome_document: original_problem and eps_original go together")
+    _, names, _, _ = _tagged(doc, "outcome_document", "algo", ROUTES, "algo")
+    if doc["learner"] not in (None, *names):
+        raise ProblemFileError(f"outcome_document.learner: expected {' or '.join(names)} or null")
     for key in ("eps", "eps_effective", "eps_original"):
         if key in doc:
             _real(doc[key], f"outcome_document.{key}")

@@ -6,25 +6,24 @@ g(x, p) = sum_j p_j r_j(x) (r_j the constraint values).  Each player is
 either a no-regret learner (OGD, ONS or MW) or an oracle that best-responds
 to the other's play, and may answer FAIL when no response exists.  The game
 ends at the horizon T*, the first t at which the learners' worst-case
-regret bounds drop below eps * t, or earlier when an oracle FAILs; one
-driver (_play_game) runs it for the three pairings, which differ only in
-what a round is and in what the horizon's end certifies:
+regret bounds drop below eps * t (never measured regret, so iteration
+counts are deterministic), or earlier when an oracle FAILs.  One driver
+(_play_game) runs the three routes, which differ only in what a round is
+and what the horizon's end certifies; ROUTES lists them by --algo name with
+the learners each takes (default first), and _players fixes their T*:
 
-* primal_game_opt: a learner picks points, the separation oracle answers
-  with a violated constraint.  An oracle FAIL yields an eps-feasible point;
-  surviving the full horizon yields a dual distribution p_bar (the visit
-  frequencies) with min_x g(x, p_bar) > 0 (infeasible).  A round whose
-  point did not move costs the learner's step alone (see primal_game_opt).
-* dual_game_opt: multiplicative weights picks distributions, the
-  optimization oracle answers with near-minimizing points.  An oracle FAIL
-  certifies infeasibility outright; otherwise the point average is
+* "primal" (primal_game_opt; ogd, ons or mw): a learner picks points, the
+  separation oracle answers with a violated constraint.  An oracle FAIL
+  yields an eps-feasible point; the full horizon yields the visit
+  frequencies p_bar, with min_x g(x, p_bar) > 0 (infeasible).
+* "dual" (dual_game_opt; mw): multiplicative weights picks distributions,
+  the optimization oracle answers with near-minimizing points.  An oracle
+  FAIL certifies infeasibility outright; otherwise the point average is
   approximately feasible (eps plus the oracle tolerance).
-* primal_dual_game_opt: both players learn, with budget eps/2 each; the
-  point average is eps-feasible, or the weight average certifies that even
-  relaxing every constraint by eps leaves the system infeasible.
-
-Stopping always uses the theoretical regret-bound formula, never measured
-regret, so iteration counts are deterministic for a given instance.
+* "primal-dual" (primal_dual_game_opt; ogd, ons or mw, against mw): both
+  players learn, with budget eps/2 each; the point average is eps-feasible,
+  or the weight average certifies that even relaxing every constraint by
+  eps leaves the system infeasible.
 
 verify_certificate re-evaluates a Feasible point and proves a weight vector
 by the certified descent's Frank-Wolfe lower bound (Jaggi, 2013).  It and
@@ -238,7 +237,7 @@ def _check_scale(state, spec: RegretBoundSpec, name: str) -> None:
 
 
 def _point_learner(problem: Problem, learner: str) -> _Learner:
-    """The point player's learner by name; refuses a pairing its bound cannot cover."""
+    """The point player's learner, ogd, ons or mw; refuses a pairing its bound cannot cover."""
     p, domain = problem.params, problem.domain
     if learner == "ogd":
         if not p.H > 0:
@@ -253,11 +252,24 @@ def _point_learner(problem: Problem, learner: str) -> _Learner:
         return _Learner(ons_bound_spec(p.G, p.D, p.alpha, problem.n),
                         lambda T: init_ons(domain, p.G, p.D),
                         lambda s: s.x, lambda s, g: ons_step(s, g, domain))
-    if learner == "mw":
-        if not isinstance(domain, Simplex):
-            raise SetupError("the MW primal learner needs a simplex domain")
-        return _mw(problem.n, p.G, "min")
-    raise SetupError(f"unknown learner {learner!r}")
+    if not isinstance(domain, Simplex):
+        raise SetupError("the MW primal learner needs a simplex domain")
+    return _mw(problem.n, p.G, "min")
+
+
+def _players(problem: Problem, eps: float, algo: str, learner: str | None):
+    """ROUTES[algo]'s point and weight learner (None for an oracle), T* and the learner (None is
+    the row's default, an unlisted one is refused); no comprehension, whose frame a solve feels."""
+    _, learners, point_learns, weights_learn = ROUTES[algo]
+    learner = learners[0] if learner is None else learner
+    if learner not in learners:
+        raise SetupError(f"{learner!r} is not a {algo} learner; it takes {' or '.join(learners)}")
+    point = _point_learner(problem, learner) if point_learns else None
+    weights = _mw(problem.m, problem.params.G_inf, "max") if weights_learn else None
+    share = 0.5 * eps if point_learns and weights_learn else eps
+    T_star = max(stopping_threshold(point.spec, share) if point else 1,
+                 stopping_threshold(weights.spec, share) if weights else 1)
+    return point, weights, T_star, learner
 
 
 # One round: (x_t, violated index, violation, game loss, outcome when an oracle FAILs)
@@ -330,7 +342,7 @@ def _play_game(problem: Problem, spec: RegretBoundSpec, T_star: int, round_: Cal
 # Solvers: the paper's three pairings
 
 
-def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
+def primal_game_opt(problem: Problem, eps: float, learner: str | None = None, *,
                     max_iters: int | None = None,
                     trace_sink: Callable[[TraceRecord], None] | None = None) -> SolveResult:
     """Point player learns; the separation oracle plays violated constraints.
@@ -341,8 +353,7 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     round's violation and gradient instead of asking again; an oracle FAIL
     ends the game, so it is never re-used.
     """
-    player = _point_learner(problem, learner)
-    T_star = stopping_threshold(player.spec, eps)
+    player, _, T_star, learner = _players(problem, eps, "primal", learner)
     state = player.init(T_star)
     counts = [0] * problem.m  # exact ints: a list element adds faster than a numpy one
     # the bytes of the last point the oracle was asked at, its answer and
@@ -371,12 +382,11 @@ def primal_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
         _check_scale(state, player.spec, "G")
         return Infeasible(p_bar=np.array(counts, float) / T)
 
-    return SolveResult(*_play_game(problem, player.spec, T_star, round_,
-                                   horizon_outcome, max_iters, trace_sink),
-                       eps, eps, "primal", learner)
+    return SolveResult(*_play_game(problem, player.spec, T_star, round_, horizon_outcome,
+                                   max_iters, trace_sink), eps, eps, "primal", learner)
 
 
-def dual_game_opt(problem: Problem, eps: float, *,
+def dual_game_opt(problem: Problem, eps: float, learner: str | None = None, *,
                   max_iters: int | None = None,
                   trace_sink: Callable[[TraceRecord], None] | None = None) -> SolveResult:
     """Weight player learns; the optimization oracle answers each mixture.
@@ -385,13 +395,11 @@ def dual_game_opt(problem: Problem, eps: float, *,
     used the feasibility guarantee on the averaged point is 3 eps/2 and is
     reported through eps_effective.
     """
-    weights = _mw(problem.m, problem.params.G_inf, "max")
-    T_star = stopping_threshold(weights.spec, eps)
+    _, weights, T_star, learner = _players(problem, eps, "dual", learner)
     tol = 0.5 * eps
     # every mixture of affine residuals is affine: linear minimization is exact
     eps_eff = eps if problem.packed.affine else eps + tol
-    dual = weights.init(T_star)
-    x_sum = np.zeros(problem.n)
+    dual, x_sum = weights.init(T_star), np.zeros(problem.n)
 
     def round_() -> _Round:
         nonlocal dual, x_sum
@@ -409,12 +417,11 @@ def dual_game_opt(problem: Problem, eps: float, *,
         x_bar = x_sum / T
         return Feasible(x=x_bar, residuals=residuals(problem, x_bar))
 
-    return SolveResult(*_play_game(problem, weights.spec, T_star, round_,
-                                   horizon_outcome, max_iters, trace_sink),
-                       eps, eps_eff, "dual", "mw")
+    return SolveResult(*_play_game(problem, weights.spec, T_star, round_, horizon_outcome,
+                                   max_iters, trace_sink), eps, eps_eff, "dual", learner)
 
 
-def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
+def primal_dual_game_opt(problem: Problem, eps: float, learner: str | None = None, *,
                          max_iters: int | None = None,
                          trace_sink: Callable[[TraceRecord], None] | None = None) -> SolveResult:
     """Both players learn, each with regret budget eps/2.
@@ -424,10 +431,7 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
     solution).  The trace's regret_bound column reports the point player's
     bound, which is the one selected by ``learner``.
     """
-    half = 0.5 * eps
-    player = _point_learner(problem, learner)
-    weights = _mw(problem.m, problem.params.G_inf, "max")
-    T_star = max(stopping_threshold(player.spec, half), stopping_threshold(weights.spec, half))
+    player, weights, T_star, learner = _players(problem, eps, "primal-dual", learner)
     state, dual = player.init(T_star), weights.init(T_star)
     x_sum, p_sum = np.zeros(problem.n), np.zeros(problem.m)
 
@@ -450,9 +454,17 @@ def primal_dual_game_opt(problem: Problem, eps: float, learner: str = "ogd", *,
             return Feasible(x=x_bar, residuals=res)
         return EpsilonInfeasible(p_bar=p_sum / T)
 
-    return SolveResult(*_play_game(problem, player.spec, T_star, round_,
-                                   horizon_outcome, max_iters, trace_sink),
-                       eps, eps, "primal-dual", learner)
+    return SolveResult(*_play_game(problem, player.spec, T_star, round_, horizon_outcome,
+                                   max_iters, trace_sink), eps, eps, "primal-dual", learner)
+
+
+# The routes by --algo name: solve, learners (default first; the weight player's
+# where an oracle plays points), and whether the point and the weight player learn.
+ROUTES = {
+    "primal": (primal_game_opt, ("ogd", "ons", "mw"), True, False),
+    "dual": (dual_game_opt, ("mw",), False, True),
+    "primal-dual": (primal_dual_game_opt, ("ogd", "ons", "mw"), True, True),
+}
 
 
 # ---------------------------------------------------------------------------

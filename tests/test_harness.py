@@ -282,10 +282,18 @@ class TestOutcomeDocuments:
         ({"eps_effective": None}, r"^outcome_document: missing field\(s\) eps_effective$"),
         ({"original_problem": MINIMAL},
          r"^outcome_document: original_problem and eps_original go together$"),
-    ], ids=["version", "no-eps-effective", "original-alone"])
+        ({"algo": "sideways"}, r"^outcome_document\.algo: unknown algo 'sideways'$"),
+        ({"algo": "sideways", "learner": 5}, r"^outcome_document\.algo: unknown algo 'sideways'$"),
+        ({"algo": ["dual"]}, r"^outcome_document\.algo: unknown algo \['dual'\]$"),
+        ({"learner": 5}, r"^outcome_document\.learner: expected ogd or ons or mw or null$"),
+        ({"algo": "dual", "learner": "ons"}, r"^outcome_document\.learner: expected mw or null$"),
+    ], ids=["version", "no-eps-effective", "original-alone", "unknown-algo",
+            "unknown-algo-and-learner", "algo-not-a-string", "learner-not-a-name",
+            "unlisted-pairing"])
     def test_dicts_and_text_are_validated_alike(self, change, message, as_text):
         # a dict used to skip the checks: version 99 verified, and a missing
-        # eps_effective raised KeyError
+        # eps_effective raised KeyError; a route that ROUTES does not list
+        # ("sideways" with 5, or "dual" with "ons") used to verify
         prob = parse_problem_file(json.dumps(MINIMAL))
         doc = outcome_document(run_solver(prob, "primal", "mw", 0.1), prob)
         doc.update(change)

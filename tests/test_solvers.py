@@ -1,5 +1,6 @@
 """Meta-solvers: stopping rules, the three game loops, and verification."""
 
+import argparse
 import dataclasses
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ import feasgame.core as core
 import feasgame.online as online
 import feasgame.solvers as solvers
 from feasgame.harness import run_solver
+from feasgame.harness.cli import build_parser
 from feasgame.solvers import MAX_THRESHOLD
 from conftest import constant_problem, random_constraint
 from lattice import brute_force_lambda_star
@@ -442,12 +444,27 @@ each_ending = pytest.mark.parametrize(
 
 
 def expected_T_star(algo, learner, prob, eps):
-    """The horizon from each player's regret bound, computed apart from the solvers."""
+    """The horizon from each player's regret bound, computed apart from the
+    solvers; a point learner whose bound cannot cover the problem raises the
+    SetupError the solvers document for it."""
     p = prob.params
     weights = fg.mw_bound_spec(p.G_inf, prob.m)
     if algo == "dual":
         return fg.stopping_threshold(weights, eps)
-    point = fg.ogd_bound_spec(p.G, p.H) if learner == "ogd" else fg.mw_bound_spec(p.G, prob.n)
+    if learner == "ogd":
+        if not p.H > 0:
+            raise fg.SetupError("OGD needs H > 0; strictify the problem or pick another learner")
+        point = fg.ogd_bound_spec(p.G, p.H)
+    elif learner == "ons":
+        if not p.alpha > 0:
+            raise fg.SetupError("ONS needs exp-concave costs (alpha > 0)")
+        if not (p.G > 0 and p.D > 0):
+            raise fg.SetupError("ONS needs positive G and D")
+        point = fg.ons_bound_spec(p.G, p.D, p.alpha, prob.n)
+    else:
+        if not isinstance(prob.domain, fg.Simplex):
+            raise fg.SetupError("the MW primal learner needs a simplex domain")
+        point = fg.mw_bound_spec(p.G, prob.n)
     if algo == "primal":
         return fg.stopping_threshold(point, eps)
     return max(fg.stopping_threshold(point, eps / 2), fg.stopping_threshold(weights, eps / 2))
@@ -663,6 +680,85 @@ GENERATED = {
     "entropy": lambda n, seed: fg.make_entropy_problem(n, 4, seed=seed),
     "crp": lambda n, seed: fg.make_crp_problem(min(n, 3), 2, seed=seed),
 }
+
+
+# Every (algo, learner) pairing that ROUTES lists, in its order
+LISTED = [("primal", "ogd"), ("primal", "ons"), ("primal", "mw"), ("dual", "mw"),
+          ("primal-dual", "ogd"), ("primal-dual", "ons"), ("primal-dual", "mw")]
+
+
+def test_routes_list_the_pairings_with_their_defaults_first():
+    assert [(algo, learner) for algo, (_, learners, _, _) in fg.ROUTES.items()
+            for learner in learners] == LISTED
+    assert {algo: learners[0] for algo, (_, learners, _, _) in fg.ROUTES.items()} == {
+        "primal": "ogd", "dual": "mw", "primal-dual": "ogd"}
+
+
+def test_the_cli_choices_are_the_routes():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "experiment"):
+        flags = {flag: action.choices for action in commands.choices[command]._actions
+                 for flag in action.option_strings}
+        assert tuple(flags["--algo"]) == tuple(fg.ROUTES)
+        assert tuple(flags["--learner"]) == tuple(dict.fromkeys(
+            learner for _, learner in LISTED))
+
+
+def outcome_or_refusal(solve):
+    """What solve() returns, or the message of the SetupError it raises."""
+    try:
+        return solve()
+    except fg.SetupError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+@pytest.mark.parametrize("algo, learner", LISTED)
+def test_every_route_reports_the_horizon_its_bounds_fix(algo, learner, family):
+    # by name and by default, on seeds 0-5 of each generator family: a
+    # capped solve's T* is the reference horizon, or both refuse alike
+    names = (learner, None) if learner == fg.ROUTES[algo][1][0] else (learner,)
+    for seed in range(6):
+        prob = GENERATED[family](3, seed)
+        want = outcome_or_refusal(lambda: expected_T_star(algo, learner, prob, 0.1))
+        for name in names:
+            got = outcome_or_refusal(lambda: run_solver(prob, algo, name, 0.1, max_iters=1))
+            assert getattr(got, "T_star", got) == want, (seed, name)
+            if not isinstance(got, str):
+                assert (got.algo, got.learner, got.iterations) == (algo, learner, 1)
+
+
+@pytest.mark.parametrize("algo, learner, message", [
+    ("dual", "ogd", "^'ogd' is not a dual learner; it takes mw$"),
+    ("dual", "ons", "^'ons' is not a dual learner; it takes mw$"),
+    ("primal", "sgd", "^'sgd' is not a primal learner; it takes ogd or ons or mw$"),
+    ("primal-dual", "sgd", "^'sgd' is not a primal-dual learner; it takes ogd or ons or mw$"),
+    ("sideways", None, "^unknown algorithm 'sideways'$"),
+    ("sideways", "ogd", "^unknown algorithm 'sideways'$"),
+])
+def test_an_unlisted_pairing_is_refused_before_a_round(algo, learner, message):
+    rounds = []
+    with pytest.raises(fg.SetupError, match=message):
+        run_solver(norm_sq_problem(), algo, learner, 0.1, trace_sink=rounds.append)
+    if algo in fg.ROUTES:  # the solve itself refuses it too
+        solve = fg.ROUTES[algo][0]
+        with pytest.raises(fg.SetupError, match=message):
+            solve(norm_sq_problem(), 0.1, learner, trace_sink=rounds.append)
+    assert rounds == []
+
+
+@pytest.mark.parametrize("algo, learner", LISTED)
+def test_t_star_is_computed_once_per_learning_player(monkeypatch, algo, learner):
+    specs = []
+
+    def counting(spec, eps, _real=solvers.stopping_threshold):
+        specs.append(spec.algorithm)
+        return _real(spec, eps)
+
+    monkeypatch.setattr(solvers, "stopping_threshold", counting)
+    run_solver(norm_sq_problem(), algo, learner, 0.3, max_iters=3)
+    assert specs == {"primal": [learner], "dual": ["mw"], "primal-dual": [learner, "mw"]}[algo]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
